@@ -40,9 +40,9 @@ for system in (FullShift(2), golden_mean_sft()):
 
     # golden mean sanity: counts are Fibonacci, growth rate the golden ratio
     if system.label.startswith("sft"):
-        from pdim import word_count
+        from pdim.systems import word_total
 
-        ratio = word_count(system, 20) / word_count(system, 19)
+        ratio = word_total(system, 20) / word_total(system, 19)
         print(f"  word-count ratio F(21)/F(20) = {ratio:.6f} "
               f"vs golden ratio {(1 + math.sqrt(5)) / 2:.6f}")
     print()

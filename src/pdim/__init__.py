@@ -51,11 +51,7 @@ from .partition import (
     count_spanning_separated,
 )
 from .symbolic import (
-    CylinderCover,
-    cylinder_join,
-    word_count,
     log_weighted_word_sum,
-    q_p_exact,
     exact_growth_table,
 )
 from .dimension import (

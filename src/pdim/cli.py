@@ -23,14 +23,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .theorems import SUITE_NAMES, run_suite
-from .dimension import GrowthTable, classify_jump, dimension_estimate, pressure_curve
+from .dimension import GrowthTable, classify_jump, largest_dimension, pressure_curve
 from .partition import (
     Estimator,
     exact_separated_value,
@@ -79,25 +77,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def thread_count() -> int:
-    """Validated PDIM_THREADS value; the pipeline itself runs serially."""
-    raw = os.environ.get("PDIM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PDIM_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"PDIM_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 
 
 def load_config(path: str) -> dict:
+    """Read a config, check its keys, and replace the optional ones by parsed values."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -107,7 +92,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = {"system", "potential", "n_range", "scales", "s_grid", "seed",
+    allowed = {"system", "potential", "n_range", "scales", "s_grid",
                "budget", "estimators", "max_rows", "window_frac"}
     unknown = set(cfg) - allowed
     if unknown:
@@ -115,7 +100,43 @@ def load_config(path: str) -> dict:
     for key in ("system", "n_range", "scales"):
         if key not in cfg:
             raise ConfigError(f"config key {key!r} is required")
+    cfg["budget"] = _int_option(cfg, "budget", 2_000_000, minimum=1)
+    cfg["max_rows"] = _int_option(cfg, "max_rows", None, minimum=0)
+    cfg["estimators"] = _parse_estimators(cfg.get("estimators", [3, 2]))
+    try:
+        cfg["window_frac"] = float(cfg.get("window_frac", 0.5))
+    except (TypeError, ValueError):
+        cfg["window_frac"] = math.nan
+    if not 0.0 < cfg["window_frac"] <= 1.0:
+        raise ConfigError("window_frac must be a number in (0, 1]")
     return cfg
+
+
+def _int_option(cfg: dict, key: str, default: int | None, minimum: int) -> int | None:
+    raw = cfg.get(key, default)
+    if raw is None and default is None:
+        return None
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = minimum - 1
+    if value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {raw!r}")
+    return value
+
+
+def _parse_estimators(raw) -> list[Estimator]:
+    # both scale paths produce spanning (2) and separated (3) samples only
+    try:
+        ests = [Estimator(int(v)) for v in raw] if isinstance(raw, list) else []
+    except (TypeError, ValueError):
+        ests = []
+    if not ests or any(e not in (Estimator.SPANNING, Estimator.SEPARATED) for e in ests):
+        raise ConfigError(
+            f"estimators must list 2 (spanning) and/or 3 (separated), got {raw!r}; "
+            "the cover estimators 1 and 4 are not computed"
+        )
+    return ests
 
 
 def build_system(spec: dict) -> System:
@@ -249,26 +270,20 @@ def _collect_tables(cfg: dict) -> tuple[System, object, list[GrowthTable]]:
     potential = build_potential(cfg.get("potential"), system)
     ns = _parse_n_range(cfg["n_range"])
     mode, scales = _parse_scales(cfg["scales"])
-    budget = int(cfg.get("budget", 2_000_000))
-    estimators = [Estimator(int(v)) for v in cfg.get("estimators", [3, 2])]
+    estimators = cfg["estimators"]
 
     samples = []
     if mode == "k":
         if not isinstance(system, ShiftSystem):
             raise ConfigError("integer scale indices need a shift system")
         for k in scales:
-            samples.extend(exact_growth_table(system, potential, k, ns))
+            samples.extend(s for s in exact_growth_table(system, potential, k, ns)
+                           if s.estimator in estimators)
     else:
-        bad = [e for e in estimators if e not in (Estimator.SPANNING, Estimator.SEPARATED)]
-        if bad:
-            raise ConfigError(
-                "metric-scale estimation supports estimators 2 and 3 only; "
-                "cover estimators 1 and 4 need the exact shift backend"
-            )
         for eps in scales:
             per_eps = {e: [] for e in estimators}
             for n in ns:
-                cand = system.candidate_set(n, eps, budget=budget)
+                cand = system.candidate_set(n, eps, budget=cfg["budget"])
                 note = "" if cand.certified else "uncertified-candidates"
                 inst = make_instance(system, n, eps, cand.points, potential)
                 if Estimator.SEPARATED in per_eps:
@@ -334,23 +349,17 @@ def _curves(tables, s_grid, window_frac):
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     s_grid = _parse_s_grid(cfg.get("s_grid"))
-    window_frac = float(cfg.get("window_frac", 0.5))
+    window_frac = cfg["window_frac"]
     system, potential, tables = _collect_tables(cfg)
     curves = _curves(tables, s_grid, window_frac)
 
     rows = _sample_rows(system, potential, tables) + _pressure_rows(system, potential, curves)
-    max_rows = cfg.get("max_rows")
-    _write_csv(args.out, rows, None if max_rows is None else int(max_rows))
+    _write_csv(args.out, rows, cfg["max_rows"])
 
     print(f"system={system.label} potential={potential.label} rows={len(rows)}")
     for curve in curves:
-        best = None
-        for t in tables:
-            if t.samples[0].estimator != curve.estimator or len(t.samples) < 4:
-                continue
-            est = dimension_estimate(t, window_frac)
-            if best is None or est.s0_hat > best.s0_hat:
-                best = est
+        best = largest_dimension(
+            [t for t in tables if t.samples[0].estimator == curve.estimator], window_frac)
         if best is not None:
             print(f"estimator={int(curve.estimator)} dimension={best.s0_hat!r} "
                   f"window=[{best.window[0]}..{best.window[1]}] "
@@ -366,13 +375,11 @@ def cmd_sweep(args) -> int:
     if args.steps < 2 or not 0.0 < args.s_min < args.s_max:
         raise ConfigError("sweep needs 0 < s-min < s-max and steps >= 2")
     cfg = load_config(args.config)
-    window_frac = float(cfg.get("window_frac", 0.5))
     s_grid = [float(v) for v in np.linspace(args.s_min, args.s_max, args.steps)]
     system, potential, tables = _collect_tables(cfg)
-    curves = _curves(tables, s_grid, window_frac)
+    curves = _curves(tables, s_grid, cfg["window_frac"])
     rows = _pressure_rows(system, potential, curves)
-    max_rows = cfg.get("max_rows")
-    _write_csv(args.out, rows, None if max_rows is None else int(max_rows))
+    _write_csv(args.out, rows, cfg["max_rows"])
     print(f"system={system.label} potential={potential.label} rows={len(rows)}")
     return 0
 
@@ -487,7 +494,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_count()
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

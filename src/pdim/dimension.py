@@ -13,7 +13,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .partition import Estimator, GrowthSample, greedy_separated, make_instance
 from .symbolic import deflated_scale, log_word_count
@@ -69,6 +68,13 @@ def _window(ns: np.ndarray, vals: np.ndarray, frac: float) -> tuple[np.ndarray, 
     return ns[-count:], vals[-count:]
 
 
+def _window_stat(wn: np.ndarray, wv: np.ndarray, s: float) -> float:
+    ratios = wv / wn**s
+    if np.all(wv < 0):
+        return float(ratios.min())
+    return float(ratios.max())
+
+
 def s_pressure(table: GrowthTable, s: float, window_frac: float = 0.5) -> float:
     """Window statistic for limsup log_value / n^s.
 
@@ -76,11 +82,27 @@ def s_pressure(table: GrowthTable, s: float, window_frac: float = 0.5) -> float:
     mirrored rule (window minimum) tracks the -inf branch instead.
     """
     ns, vals = table.series()
-    wn, wv = _window(ns, vals, window_frac)
-    ratios = wv / wn**s
-    if np.all(wv < 0):
-        return float(ratios.min())
-    return float(ratios.max())
+    return _window_stat(*_window(ns, vals, window_frac), s)
+
+
+def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope of the least-squares line through (x, y) and its standard error.
+
+    Same steps as ``scipy.stats.linregress``, so the two agree bit for bit:
+    NaN for fewer than 2 points or a NaN input, stderr 0 for exactly 2.
+    """
+    n = len(x)
+    if n < 2:
+        return math.nan, math.nan
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = float(ssxym / ssxm)
+    if n == 2:
+        return slope, 0.0
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    return slope, float(np.sqrt((1 - r**2) * ssym / ssxm / (n - 2)))
 
 
 def power_slope(ns: np.ndarray, vals: np.ndarray) -> tuple[float, float] | None:
@@ -88,8 +110,7 @@ def power_slope(ns: np.ndarray, vals: np.ndarray) -> tuple[float, float] | None:
     mask = np.abs(vals) > 0
     if mask.sum() < 4:
         return None
-    fit = stats.linregress(np.log(ns[mask]), np.log(np.abs(vals[mask])))
-    return float(fit.slope), float(fit.stderr)
+    return _least_squares(np.log(ns[mask]), np.log(np.abs(vals[mask])))
 
 
 @dataclass
@@ -125,8 +146,7 @@ def pressure_curve(
         best = None
         best_trend: float | None = None
         for _t, wn, wv, slope in prepared:
-            ratios = wv / wn**s
-            v = float(ratios.min()) if np.all(wv < 0) else float(ratios.max())
+            v = _window_stat(wn, wv, s)
             if best is None or v > best:
                 best = v
                 best_trend = None if slope is None else slope[0] - s
@@ -191,22 +211,37 @@ class DimensionEstimate:
 
 
 def dimension_estimate(table: GrowthTable, window_frac: float = 0.5) -> DimensionEstimate:
-    """Critical exponent from the power law log_value ~ c n^s0.
+    """Critical exponent from the power law |log_value| ~ c n^s0.
 
-    Tables whose trailing window is not uniformly above 1 are classified as
-    bounded growth and get exponent 0 outright.
+    A trailing window wholly below -1 is fitted on -log_value, the mirrored
+    branch of :func:`s_pressure`.  Any other window not uniformly above 1 is
+    classified as bounded growth and gets exponent 0 outright.
     """
     ns, vals = table.series()
     if len(ns) < 4:
         raise ValueError("need at least 4 samples for a dimension estimate")
     wn, wv = _window(ns, vals, window_frac)
     window = (int(wn[0]), int(wn[-1]))
-    if np.any(wv <= 1.0):
+    if np.all(wv < -1.0):
+        wv = -wv
+    elif np.any(wv <= 1.0):
         return DimensionEstimate(0.0, window, 0.0, "bounded-growth")
-    fit = stats.linregress(np.log(wn), np.log(wv))
-    slope = max(0.0, float(fit.slope))
-    err = float(fit.stderr) if np.isfinite(fit.stderr) else 0.0
-    return DimensionEstimate(slope, window, err, "power-fit")
+    slope, err = _least_squares(np.log(wn), np.log(wv))
+    return DimensionEstimate(max(0.0, slope), window, err if np.isfinite(err) else 0.0,
+                             "power-fit")
+
+
+def largest_dimension(tables: Sequence[GrowthTable],
+                      window_frac: float = 0.5) -> DimensionEstimate | None:
+    """The estimate with the largest s0 over tables of at least 4 samples."""
+    best: DimensionEstimate | None = None
+    for t in tables:
+        if len(t.samples) < 4:
+            continue
+        est = dimension_estimate(t, window_frac)
+        if best is None or est.s0_hat > best.s0_hat:
+            best = est
+    return best
 
 
 def _count_tables_shift(system: ShiftSystem, n_range, scales) -> list[GrowthTable]:
@@ -259,9 +294,7 @@ def entropy_dimension(
     if s_grid is None:
         s_grid = [round(0.2 * i, 2) for i in range(1, 11)]
     curve = pressure_curve(tables, s_grid, window_frac)
-    best: DimensionEstimate | None = None
-    for t in tables:
-        est = dimension_estimate(t, window_frac)
-        if best is None or est.s0_hat > best.s0_hat:
-            best = est
+    best = largest_dimension(tables, window_frac)
+    if best is None:
+        raise ValueError("need at least 4 samples for a dimension estimate")
     return curve, best

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .logsum import logsumexp
 from .potentials import Potential
 from .systems import Point, RealPoint, System, Word
 
@@ -167,20 +167,14 @@ def greedy_separated(inst: SeparationInstance, order: str = "weight") -> list:
 def separated_lower_bound(inst: SeparationInstance, note: str = "") -> GrowthSample:
     """Certified lower bound for the separated-set optimum (estimator 3)."""
     kept = _greedy_separated_indices(inst, "weight")
-    val = float(logsumexp(inst.weights[kept]))
+    val = logsumexp(inst.weights[kept])
     return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=False, note=note)
 
 
-def _cover_masks(inst: SeparationInstance) -> list[int]:
-    d = inst.distances()
-    masks = []
-    for i in range(inst.size):
-        mask = 0
-        for j in range(inst.size):
-            if d[i, j] < inst.eps:
-                mask |= 1 << j
-        masks.append(mask)
-    return masks
+def _bitmasks(rel: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as the int whose bit j is rel[i, j]."""
+    packed = np.packbits(rel, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def spanning_upper_bound(inst: SeparationInstance, note: str = "") -> GrowthSample:
@@ -190,7 +184,7 @@ def spanning_upper_bound(inst: SeparationInstance, note: str = "") -> GrowthSamp
     lower weight then lower index.  The selected family spans every
     candidate, so its weight sum upper-bounds the spanning optimum.
     """
-    masks = _cover_masks(inst)
+    masks = _bitmasks(inst.distances() < inst.eps)
     full = (1 << inst.size) - 1
     covered = 0
     chosen: list[int] = []
@@ -207,7 +201,7 @@ def spanning_upper_bound(inst: SeparationInstance, note: str = "") -> GrowthSamp
                 best = i
         chosen.append(best)
         covered |= masks[best]
-    val = float(logsumexp(inst.weights[chosen]))
+    val = logsumexp(inst.weights[chosen])
     return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, val, exact=False, note=note)
 
 
@@ -220,20 +214,15 @@ def _check_size(inst: SeparationInstance, cap: int) -> None:
 
 def exact_separated_value(inst: SeparationInstance, cap: int = 20) -> GrowthSample:
     """Exact separated-set optimum by weighted independent-set search."""
-    d = inst.distances()
     m = inst.size
-    if float(d[~np.eye(m, dtype=bool)].min(initial=np.inf)) > inst.eps:
+    close = inst.distances() <= inst.eps
+    np.fill_diagonal(close, False)
+    if not close.any():
         # everything is pairwise separated; the optimum keeps all candidates
-        val = float(logsumexp(inst.weights))
+        val = logsumexp(inst.weights)
         return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=True)
     _check_size(inst, cap)
-    conflict = []
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if i != j and d[i, j] <= inst.eps:
-                mask |= 1 << j
-        conflict.append(mask)
+    conflict = _bitmasks(close)
     wmax = float(inst.weights.max())
     shifted = np.exp(inst.weights - wmax)
     memo: dict[int, float] = {}
@@ -253,7 +242,7 @@ def exact_separated_value(inst: SeparationInstance, cap: int = 20) -> GrowthSamp
     return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, float(val), exact=True)
 
 
-def _exact_min_cover(masks: list[int], costs: np.ndarray, full: int | None = None) -> float:
+def exact_min_cover(masks: list[int], costs: np.ndarray, full: int | None = None) -> float:
     """Minimum total cost over subsets whose cover masks reach ``full``.
 
     ``full`` defaults to one bit per mask, which matches the square case
@@ -284,10 +273,10 @@ def _exact_min_cover(masks: list[int], costs: np.ndarray, full: int | None = Non
 def exact_spanning_value(inst: SeparationInstance, cap: int = 20) -> GrowthSample:
     """Exact spanning-set optimum by weighted set-cover search."""
     _check_size(inst, cap)
-    masks = _cover_masks(inst)
+    masks = _bitmasks(inst.distances() < inst.eps)
     wmax = float(inst.weights.max())
     costs = np.exp(inst.weights - wmax)
-    val = wmax + math.log(_exact_min_cover(masks, costs))
+    val = wmax + math.log(exact_min_cover(masks, costs))
     return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, float(val), exact=True)
 
 
@@ -298,31 +287,9 @@ def count_spanning_separated(
     points: Sequence[Point],
     cap: int = 20,
 ) -> tuple[int, int]:
-    """Exact (min spanning count, max separated count) on the candidates."""
+    """Exact (min spanning count, max separated count): the zero-weight optima."""
     inst = make_instance(system, n, eps, points)
     _check_size(inst, cap)
-    masks = _cover_masks(inst)
-    s_count = int(round(_exact_min_cover(masks, np.ones(inst.size))))
-    d = inst.distances()
-    conflict = []
-    for i in range(inst.size):
-        mask = 0
-        for j in range(inst.size):
-            if i != j and d[i, j] <= eps:
-                mask |= 1 << j
-        conflict.append(mask)
-    memo: dict[int, int] = {}
-
-    def best(avail: int) -> int:
-        if avail == 0:
-            return 0
-        if avail in memo:
-            return memo[avail]
-        v = (avail & -avail).bit_length() - 1
-        out = best(avail & ~(1 << v))
-        out = max(out, 1 + best(avail & ~(1 << v) & ~conflict[v]))
-        memo[avail] = out
-        return out
-
-    r_count = best((1 << inst.size) - 1)
-    return s_count, r_count
+    span = exact_spanning_value(inst, cap).log_value
+    sep = exact_separated_value(inst, cap).log_value
+    return round(math.exp(span)), round(math.exp(sep))

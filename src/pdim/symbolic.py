@@ -10,56 +10,13 @@ log space; nothing here enumerates points unless explicitly asked to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .logsum import logsumexp
 from .partition import Estimator, GrowthSample
 from .potentials import MatrixWeights, Potential, ScalarWindow
 from .systems import FullShift, ShiftSystem, word_total
-
-
-def word_count(system: ShiftSystem, length: int) -> int:
-    """Exact admissible word count (integer arithmetic throughout)."""
-    return word_total(system, length)
-
-
-@dataclass(frozen=True)
-class CylinderCover:
-    """The cover of a shift space by cylinders on the first ``length`` symbols."""
-
-    system: ShiftSystem
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("cover length must be >= 1")
-
-    @property
-    def size(self) -> int:
-        return word_count(self.system, self.length)
-
-    @property
-    def diameter(self) -> float:
-        # points sharing `length` symbols differ from coordinate `length` on
-        return 2.0 ** (-(self.length - 1))
-
-    @property
-    def lebesgue_number(self) -> float:
-        # any set of diameter below 2^-(length-1) sits inside one cylinder
-        return 2.0 ** (-(self.length - 1))
-
-    def words(self) -> Iterator[tuple[int, ...]]:
-        return self.system.admissible_words(self.length)
-
-
-def cylinder_join(cover: CylinderCover, n: int) -> CylinderCover:
-    """Common refinement of T^-i pullbacks of the cover for 0 <= i < n."""
-    if n < 1:
-        raise ValueError("join needs n >= 1")
-    return CylinderCover(cover.system, cover.length + n - 1)
 
 
 class NotLocallyConstantError(ValueError):
@@ -139,7 +96,7 @@ def _scalar_window_sum(system: ShiftSystem, prof: ScalarWindow, n: int, length: 
             for j in range(length):
                 acc += contributions(j, w[: j + 1])
             vals.append(acc)
-        return float(logsumexp(vals))
+        return logsumexp(vals)
 
     state_vals: dict[tuple[int, ...], float] = {}
     for w in system.admissible_words(p):
@@ -160,7 +117,7 @@ def _scalar_window_sum(system: ShiftSystem, prof: ScalarWindow, n: int, length: 
                 nxt[key] = _logaddexp(nxt.get(key), nv)
         state_vals = nxt
 
-    return float(logsumexp(list(state_vals.values())))
+    return logsumexp(list(state_vals.values()))
 
 
 def _logaddexp(a: float | None, b: float) -> float:
@@ -200,35 +157,13 @@ def _matrix_sum(system: ShiftSystem, prof: MatrixWeights, n: int, length: int) -
 def _enumerated_sum(
     system: ShiftSystem, potential: Potential, n: int, length: int, cap: int
 ) -> float:
-    total = word_count(system, length)
+    total = word_total(system, length)
     if total > cap:
         raise NotLocallyConstantError(
             f"enumeration fallback over {total} words exceeds cap {cap}"
         )
     vals = [potential.eval(n, system.representative(w)) for w in system.admissible_words(length)]
-    return float(logsumexp(vals))
-
-
-def q_p_exact(
-    system: ShiftSystem,
-    potential: Potential,
-    cover: CylinderCover,
-    n: int,
-) -> tuple[float, float]:
-    """Exact infimum and supremum weighted subcover values over the n-join.
-
-    The join elements are (n + m - 1)-cylinders; a locally constant phi_n is
-    constant on each, so both quantities collapse to the same word sum.
-    """
-    length = cover.length + n - 1
-    need = required_length(potential, n)
-    if length < need:
-        raise NotLocallyConstantError(
-            f"cover length {cover.length} too short: {potential.label} needs "
-            f"length >= {need - n + 1} for exact join sums"
-        )
-    v = log_weighted_word_sum(system, potential, n, length)
-    return v, v
+    return logsumexp(vals)
 
 
 def deflated_scale(k: int) -> float:
@@ -266,4 +201,4 @@ def log_word_count(system: ShiftSystem, length: int) -> float:
     """log of the exact admissible word count."""
     if isinstance(system, FullShift):
         return length * math.log(system.k)
-    return math.log(word_count(system, length))
+    return math.log(word_total(system, length))

@@ -9,7 +9,7 @@ that is dense enough for scale-``eps`` estimates.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -502,13 +502,3 @@ def binary_expansion_map(source: FullShift | None = None) -> FactorMap:
 
 def identity_factor(system: System) -> FactorMap:
     return FactorMap(system, system, lambda x: x, lambda eps: eps, label="identity")
-
-
-def semiconjugacy_defect(pi: FactorMap, points: Iterable[Point]) -> float:
-    """max distance between pi(T x) and S(pi x) over the sample."""
-    worst = 0.0
-    for x in points:
-        a = pi.apply(pi.source.apply(x))
-        b = pi.target.apply(pi.apply(x))
-        worst = max(worst, pi.target.metric(a, b))
-    return worst

@@ -22,8 +22,8 @@ from .dimension import GrowthTable, dimension_estimate, entropy_dimension
 from .partition import (
     Estimator,
     GrowthSample,
-    _exact_min_cover,
     count_spanning_separated,
+    exact_min_cover,
     exact_separated_value,
     exact_spanning_value,
     make_instance,
@@ -158,8 +158,8 @@ def _cover_values(theta: float, xs: list[float], weights: np.ndarray,
         inf_costs.append(min(members))
         sup_costs.append(max(members))
     full = (1 << len(xs)) - 1
-    logq = wmax + math.log(_exact_min_cover(masks, np.array(inf_costs), full))
-    logp = wmax + math.log(_exact_min_cover(masks, np.array(sup_costs), full))
+    logq = wmax + math.log(exact_min_cover(masks, np.array(inf_costs), full))
+    logp = wmax + math.log(exact_min_cover(masks, np.array(sup_costs), full))
     return logq, logp
 
 

@@ -130,17 +130,30 @@ class TestConfigErrors:
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 2
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PDIM_THREADS", "abc")
-        cfg = write_config(tmp_path)
-        assert main(["estimate", "--config", cfg,
-                     "--out", str(tmp_path / "o.csv")]) == 2
+    @pytest.mark.parametrize("scales", [{"k": [0]}, {"eps": [0.2]}], ids=["k", "eps"])
+    @pytest.mark.parametrize("option", [
+        {"estimators": [1]}, {"estimators": [4]}, {"estimators": [7]},
+        {"estimators": []}, {"estimators": 3}, {"budget": "abc"}, {"budget": 0},
+        {"budget": None},
+        {"max_rows": "x"}, {"max_rows": -1}, {"window_frac": 0},
+        {"window_frac": 1.5}, {"window_frac": "half"}, {"seed": 3},
+    ], ids=repr)
+    def test_bad_option_is_config_error(self, tmp_path, capsys, scales, option):
+        cfg = write_config(tmp_path, system={"kind": "full_shift", "k": 2},
+                           n_range=[2, 3, 4, 5], scales=scales, **option)
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["sweep", "--config", cfg, "--s-min", "0.5", "--s-max", "1.0",
+                     "--steps", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
-    def test_threads_env_accepts_positive(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PDIM_THREADS", "4")
-        cfg = write_config(tmp_path)
-        assert main(["estimate", "--config", cfg,
-                     "--out", str(tmp_path / "o.csv")]) == 0
+    @pytest.mark.parametrize("scales", [{"k": [0, 1]}, {"eps": [0.2]}], ids=["k", "eps"])
+    def test_estimators_filter_both_paths(self, tmp_path, scales):
+        cfg = write_config(tmp_path, n_range=[2, 3, 4, 5], scales=scales, estimators=[3])
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert {r[2] for r in read_rows(out)[1:]} == {"3"}
 
 
 class TestBudget:

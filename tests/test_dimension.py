@@ -15,8 +15,9 @@ from pdim.dimension import (
     pressure_curve,
     s_pressure,
 )
+from pdim.dimension import _least_squares
 from pdim.partition import Estimator, GrowthSample
-from pdim.potentials import zero_potential
+from pdim.potentials import ConstantDrift, zero_potential
 from pdim.symbolic import exact_growth_table
 from pdim.systems import Contraction, FullShift, Rotation, golden_mean_sft
 
@@ -109,6 +110,24 @@ class TestPowerSlope:
         assert power_slope(ns, ns) is None
 
 
+class TestLeastSquares:
+    def test_known_slope_and_stderr(self):
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        # residuals orthogonal to x leave the slope at 2.5
+        y = 2.5 * x - 1.0 + np.array([0.1, -0.1, -0.1, 0.1])
+        slope, err = _least_squares(x, y)
+        assert slope == pytest.approx(2.5, abs=1e-12)
+        # sqrt(sum r^2 / (n - 2) / sum (x - mean x)^2) = sqrt(0.04 / 2 / 5)
+        assert err == pytest.approx(math.sqrt(0.004), rel=1e-9)
+
+    def test_two_points_have_zero_stderr(self):
+        assert _least_squares(np.array([1.0, 2.0]), np.array([3.0, 7.0])) == (4.0, 0.0)
+
+    def test_one_point_is_nan(self):
+        slope, err = _least_squares(np.array([1.0]), np.array([2.0]))
+        assert math.isnan(slope) and math.isnan(err)
+
+
 class TestPressureCurveAndJump:
     def test_max_over_scale_ladder(self):
         lo = power_table(1.0, c=0.5)
@@ -166,6 +185,18 @@ class TestDimensionEstimate:
                 for n in (1, 2, 3)]
         with pytest.raises(ValueError):
             dimension_estimate(GrowthTable(rows))
+
+    @pytest.mark.parametrize("drift", [-2.0, 0.5])
+    def test_estimate_inside_jump_bracket(self, drift):
+        # at drift -2 the 2-shift log values fall like -1.3 n: mirrored branch
+        fs = FullShift(2)
+        rows = exact_growth_table(fs, ConstantDrift(drift, fs), 0, range(10, 201, 10))
+        t = GrowthTable(rows).filter(estimator=Estimator.SEPARATED)
+        est = dimension_estimate(t)
+        lo, hi = classify_jump(pressure_curve(t, [0.2 * i for i in range(1, 11)])).bracket
+        assert lo <= est.s0_hat <= hi
+        assert est.s0_hat == pytest.approx(1.0, abs=1e-9)
+        assert est.method == "power-fit"
 
     def test_negative_slope_clamped(self):
         rows = [GrowthSample(Estimator.SEPARATED, n, 0.5, 100.0 / n, False)

@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
+from pdim.logsum import logsumexp
 from pdim.partition import (
     Estimator,
     InstanceTooLargeError,
     bowen_distance_matrix,
     count_spanning_separated,
+    exact_min_cover,
     exact_separated_value,
     exact_spanning_value,
     greedy_separated,
@@ -19,10 +20,14 @@ from pdim.partition import (
     separated_lower_bound,
     spanning_upper_bound,
 )
-from pdim.partition import _word_distance_matrix
+from pdim.partition import _bitmasks, _word_distance_matrix
 from pdim.potentials import Birkhoff, symbol_weights
 from pdim.symbolic import deflated_scale
 from pdim.systems import FullShift, Rotation, golden_mean_sft, real
+
+
+def log_sum(weights) -> float:
+    return math.log(math.fsum(math.exp(w) for w in weights))
 
 
 def brute_separated(inst) -> float:
@@ -32,7 +37,7 @@ def brute_separated(inst) -> float:
     for r in range(1, inst.size + 1):
         for sub in itertools.combinations(range(inst.size), r):
             if all(d[i, j] > inst.eps for i, j in itertools.combinations(sub, 2)):
-                best = max(best, logsumexp(inst.weights[list(sub)]))
+                best = max(best, log_sum(inst.weights[list(sub)]))
     return float(best)
 
 
@@ -43,7 +48,7 @@ def brute_spanning(inst) -> float:
     for r in range(1, inst.size + 1):
         for sub in itertools.combinations(idx, r):
             if all(any(d[i, j] < inst.eps for j in sub) for i in idx):
-                best = min(best, logsumexp(inst.weights[list(sub)]))
+                best = min(best, log_sum(inst.weights[list(sub)]))
     return float(best)
 
 
@@ -78,6 +83,12 @@ class TestDistances:
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 assert d[i, j] == pytest.approx(rot.bowen_metric(3, x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 70])
+    def test_bitmasks_match_bit_loop(self, m):
+        rel = np.random.default_rng(m).random((m, m)) < 0.4
+        loop = [sum(1 << j for j in range(m) if rel[i, j]) for i in range(m)]
+        assert _bitmasks(rel) == loop
 
     def test_distances_cached(self):
         inst = random_rotation_instance(0)
@@ -157,6 +168,24 @@ class TestExactOracles:
         assert separated_lower_bound(inst).exact is False
 
 
+class TestLogSumExp:
+    def test_empty_and_all_minus_inf(self):
+        assert logsumexp([]) == -math.inf
+        assert logsumexp([-math.inf, -math.inf]) == -math.inf
+
+    def test_ties_count_once_each(self):
+        assert logsumexp([0.5, 0.5, 0.5]) == pytest.approx(0.5 + math.log(3), abs=1e-15)
+        assert logsumexp([-math.inf, 2.0, 2.0]) == pytest.approx(2.0 + math.log(2), abs=1e-15)
+
+    def test_large_values_do_not_overflow(self):
+        assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_direct_sum(self, seed):
+        w = np.random.default_rng(seed).normal(scale=3.0, size=12)
+        assert logsumexp(w) == pytest.approx(log_sum(w), abs=1e-12)
+
+
 class TestCounts:
     def test_frozen_rotation_counts(self):
         rot = Rotation(0.125)
@@ -169,6 +198,19 @@ class TestCounts:
         pts = [real(v) for v in (0.0, 0.3, 0.6)]
         inst = make_instance(rot, 1, 0.5, pts)
         assert exact_spanning_value(inst).log_value == pytest.approx(0.0)
+
+    def test_count_cap_checked_first(self):
+        # all 32 words are separated, which lets exact_separated_value skip its cap
+        fs = FullShift(2)
+        pts = [fs.representative(w) for w in fs.admissible_words(5)]
+        with pytest.raises(InstanceTooLargeError):
+            count_spanning_separated(fs, 5, deflated_scale(0), pts)
+
+    def test_min_cover_with_explicit_universe(self):
+        # two cells cover {0, 1, 2}; the cheap pair beats the single full cell
+        masks = [0b011, 0b100, 0b111]
+        assert exact_min_cover(masks, np.array([1.0, 1.0, 3.0]), full=0b111) == 2.0
+        assert exact_min_cover(masks, np.array([1.0, 1.0, 1.5])) == 1.5
 
     @pytest.mark.parametrize("seed", range(10))
     def test_count_chain_s_r_shalf(self, seed):

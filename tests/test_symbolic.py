@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from pdim.partition import Estimator
 from pdim.potentials import (
@@ -18,25 +17,21 @@ from pdim.potentials import (
     zero_potential,
 )
 from pdim.symbolic import (
-    CylinderCover,
     NotLocallyConstantError,
-    cylinder_join,
     deflated_scale,
     exact_growth_table,
     log_weighted_word_sum,
     log_word_count,
-    q_p_exact,
     required_length,
-    word_count,
 )
-from pdim.systems import SFT, FullShift, golden_mean_sft
+from pdim.systems import SFT, FullShift, golden_mean_sft, word_total
 
 
 def enumerate_sum(system, potential, n, length):
     """Reference value: walk every admissible word explicitly."""
     vals = [potential.eval(n, system.representative(w))
             for w in system.admissible_words(length)]
-    return float(logsumexp(vals))
+    return math.log(math.fsum(math.exp(v) for v in vals))
 
 
 FS = FullShift(2)
@@ -77,7 +72,7 @@ class TestWordSums:
     def test_zero_potential_gives_counts(self):
         for length in range(1, 9):
             assert log_weighted_word_sum(GM, zero_potential(GM), 1, length) == (
-                pytest.approx(math.log(word_count(GM, length))))
+                pytest.approx(math.log(word_total(GM, length))))
 
     def test_scaled_cocycle_falls_back_to_enumeration(self):
         coc = MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS)
@@ -91,6 +86,14 @@ class TestWordSums:
         pot = symbol_weights(FS, [0.0, 1.0])
         with pytest.raises(NotLocallyConstantError):
             log_weighted_word_sum(FS, pot, 5, 3)
+
+    def test_boundary_terms_need_longer_words(self):
+        # the coboundary's end term reaches past position n, so length n is short
+        pert = coboundary_perturb(symbol_weights(FS, [0.0, 1.0]),
+                                  symbol_weights(FS, [2.0, 0.5]))
+        assert required_length(pert, 1) > 1
+        with pytest.raises(NotLocallyConstantError):
+            log_weighted_word_sum(FS, pert, 1, 1)
 
     def test_metric_potential_rejected(self):
         from pdim.systems import Rotation, real
@@ -107,41 +110,6 @@ class TestWordSums:
             pytest.approx(4 * 0.5 + 4 * math.log(2)))
         coc = MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS)
         assert log_weighted_word_sum(FS, coc, 3, 3) == pytest.approx(math.log(125.0))
-
-
-class TestCylinders:
-    def test_cover_arithmetic(self):
-        cover = CylinderCover(FS, 3)
-        assert cover.size == 8
-        assert cover.diameter == pytest.approx(0.25)
-        assert cover.lebesgue_number == pytest.approx(0.25)
-        assert len(list(cover.words())) == 8
-
-    def test_join_shifts_length(self):
-        cover = CylinderCover(GM, 2)
-        join = cylinder_join(cover, 4)
-        assert join.length == 5
-        assert join.size == word_count(GM, 5)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            CylinderCover(FS, 0)
-        with pytest.raises(ValueError):
-            cylinder_join(CylinderCover(FS, 2), 0)
-
-    def test_q_p_collapse(self):
-        pot = symbol_weights(GM, [0.4, -0.1])
-        cover = CylinderCover(GM, 2)
-        q, p = q_p_exact(GM, pot, cover, 5)
-        assert q == p
-        assert q == pytest.approx(enumerate_sum(GM, pot, 5, 6), abs=1e-10)
-
-    def test_q_p_requires_enough_length(self):
-        # boundary terms push the needed cylinder depth past the join length
-        pert = coboundary_perturb(symbol_weights(FS, [0.0, 1.0]),
-                                  symbol_weights(FS, [2.0, 0.5]))
-        with pytest.raises(NotLocallyConstantError):
-            q_p_exact(FS, pert, CylinderCover(FS, 1), 1)
 
 
 class TestGrowthTables:
@@ -180,4 +148,4 @@ class TestWordCounts:
         sys3 = SFT(m)
         a = np.array(m)
         for length in range(1, 7):
-            assert word_count(sys3, length) == int((np.linalg.matrix_power(a, length - 1)).sum())
+            assert word_total(sys3, length) == int((np.linalg.matrix_power(a, length - 1)).sum())
