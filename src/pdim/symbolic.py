@@ -3,8 +3,14 @@
 Joining an m-cylinder cover along n steps of the shift produces the
 (n+m-1)-cylinder cover, so for locally constant potentials every cover,
 spanning and separated quantity reduces to a weighted sum over admissible
-words.  Those sums are evaluated by a transfer-operator dynamic program in
-log space; nothing here enumerates points unless explicitly asked to.
+words.  Each sum is a product of Ruelle-Bowen transfer matrices over S
+states: the admissible words of length max_reach-1 for a scalar window, the
+symbol x d blocks for a matrix cocycle.  Between a few breakpoints (where the
+window switches off or a boundary term fires) the matrix is stationary, so
+its power comes from repeated squaring in log space in O(S^3 log n), and exact
+tables at n = 10^5-10^6 are cheap.  Only scaled matrix cocycles (a norm power
+other than 1) enumerate words, under a size cap; a scalar window sums words
+no longer than one state directly.
 """
 
 from __future__ import annotations
@@ -16,11 +22,15 @@ import numpy as np
 from .logsum import logsumexp
 from .partition import Estimator, GrowthSample
 from .potentials import MatrixWeights, Potential, ScalarWindow
-from .systems import FullShift, ShiftSystem, word_total
+from .systems import BudgetExceededError, FullShift, ShiftSystem, word_total
 
 
 class NotLocallyConstantError(ValueError):
     pass
+
+
+class EnumerationCapError(NotLocallyConstantError, BudgetExceededError):
+    """The enumeration fallback would walk more words than its cap."""
 
 
 def required_length(potential: Potential, n: int) -> int:
@@ -48,8 +58,10 @@ def log_weighted_word_sum(
     """log of the sum over admissible words w of |w| = length of e^(phi_n on [w]).
 
     Requires phi_n to be constant on length-cylinders.  Scalar window
-    profiles and plain matrix cocycles run as transfer-operator DPs; scaled
-    matrix cocycles fall back to exact enumeration under a size cap.
+    profiles and plain matrix cocycles apply a start vector to a chain of
+    transfer-matrix powers, O(S^3 log n) for S states, so n = 10^5-10^6 is
+    cheap.  Scaled matrix cocycles fall back to exact enumeration, which
+    raises EnumerationCapError (a budget error) past enumeration_cap words.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -70,88 +82,88 @@ def log_weighted_word_sum(
     return _enumerated_sum(system, potential, n, length, enumeration_cap)
 
 
+def _position_weight(prof: ScalarWindow, n: int, j: int, window: tuple[int, ...]) -> float:
+    """Every term of phi_n that completes at position j; window ends at position j."""
+    total = 0.0
+    if prof.reach - 1 <= j < n + prof.reach - 1:
+        total += prof.step(window[-prof.reach:])
+    for b in prof.boundary:
+        if j == (n if b.at_end else 0) + b.reach - 1:
+            total += b.scale * b.fn(window[-b.reach:])
+    return total
+
+
 def _scalar_window_sum(system: ShiftSystem, prof: ScalarWindow, n: int, length: int) -> float:
-    W = prof.max_reach
-    p = max(W - 1, 1)
-    k = system.k
-
-    def contributions(j: int, window: tuple[int, ...]) -> float:
-        # window = symbols at positions j-len+1 .. j; evaluate everything that
-        # completes exactly at position j
-        total = 0.0
-        start = j - prof.reach + 1
-        if 0 <= start < n and len(window) >= prof.reach:
-            total += prof.step(window[-prof.reach:])
-        for b in prof.boundary:
-            pos = n if b.at_end else 0
-            if j == pos + b.reach - 1 and len(window) >= b.reach:
-                total += b.scale * b.fn(window[-b.reach:])
-        return total
-
-    if length <= p:
-        # degenerate: enumerate the handful of short words directly
-        vals = []
-        for w in system.admissible_words(length):
-            acc = 0.0
-            for j in range(length):
-                acc += contributions(j, w[: j + 1])
-            vals.append(acc)
-        return logsumexp(vals)
-
-    state_vals: dict[tuple[int, ...], float] = {}
-    for w in system.admissible_words(p):
-        acc = 0.0
-        for j in range(p):
-            acc += contributions(j, w[: j + 1])
-        state_vals[w] = _logaddexp(state_vals.get(w), acc)
-
-    for j in range(p, length):
-        nxt: dict[tuple[int, ...], float] = {}
-        for state, v in state_vals.items():
-            for s in range(k):
-                if not system.is_admissible_pair(state[-1], s):
-                    continue
-                w = state + (s,)
-                nv = v + contributions(j, w)
-                key = w[1:]
-                nxt[key] = _logaddexp(nxt.get(key), nv)
-        state_vals = nxt
-
-    return logsumexp(list(state_vals.values()))
-
-
-def _logaddexp(a: float | None, b: float) -> float:
-    if a is None:
-        return b
-    return float(np.logaddexp(a, b))
+    # states are the admissible words of length p; start holds their first p positions
+    p = min(max(prof.max_reach - 1, 1), length)
+    states = list(system.admissible_words(p))
+    start = [sum(_position_weight(prof, n, j, w[: j + 1]) for j in range(p)) for w in states]
+    if p == length:
+        return logsumexp(start)
+    # a position's weight depends on j only through these cuts, so between
+    # them the transfer matrix is stationary
+    cuts = {prof.reach - 1, n + prof.reach - 1}
+    for b in prof.boundary:
+        pos = (n if b.at_end else 0) + b.reach - 1
+        cuts.update((pos, pos + 1))
+    cuts = sorted({p, length} | {c for c in cuts if p < c < length})
+    index = {w: i for i, w in enumerate(states)}
+    rows, cols, weights = [], [], []
+    for i, w in enumerate(states):
+        for s in range(system.k):
+            if system.is_admissible_pair(w[-1], s):
+                rows.append(i)
+                cols.append(index[w[1:] + (s,)])
+                weights.append([_position_weight(prof, n, a, w + (s,)) for a in cuts[:-1]])
+    logs = np.full((len(cuts) - 1, len(states), len(states)), -np.inf)
+    logs[:, rows, cols] = np.array(weights).T
+    return _log_chain(np.array(start), zip(logs, [b - a for a, b in zip(cuts, cuts[1:])]))
 
 
 def _matrix_sum(system: ShiftSystem, prof: MatrixWeights, n: int, length: int) -> float:
-    """Sum of entry-sum norms of symbol-matrix products, via one joint DP.
+    """Sum of entry-sum norms of symbol-matrix products, as one block transfer matrix.
 
     The entry-sum norm is linear on nonnegative matrices, so summing norms
-    over words equals the norm of the summed products.
+    over words equals the norm of the summed products:
+    B[(s,i),(t,j)] = A[s,t] M_t[i,j] for the n-1 weighted steps, then
+    kron(A, I_d) for the free trailing symbols.
     """
     k = system.k
-    acc = {s: prof.mats[s].copy() for s in range(k)}  # position 0 consumed
-    logshift = 0.0
-    for j in range(1, length):
-        nxt = {}
-        for t in range(k):
-            block = None
-            for s in range(k):
-                if s in acc and system.is_admissible_pair(s, t):
-                    block = acc[s] if block is None else block + acc[s]
-            if block is None:
-                continue
-            nxt[t] = block @ prof.mats[t] if j < n else block
-        acc = nxt
-        total = sum(m.sum() for m in acc.values())
-        if total > 1e250:
-            logshift += math.log(total)
-            acc = {t: m / total for t, m in acc.items()}
-    total = sum(float(m.sum()) for m in acc.values())
-    return logshift + math.log(total)
+    adj = np.array([[float(system.is_admissible_pair(s, t)) for t in range(k)] for s in range(k)])
+    d = prof.mats[0].shape[0]
+    mats = np.stack(prof.mats).transpose(1, 0, 2)  # [i, t, j]
+    block = (adj[:, None, :, None] * mats[None]).reshape(k * d, k * d)
+    start = np.concatenate([m.sum(axis=0) for m in prof.mats])
+    with np.errstate(divide="ignore"):
+        factors = [(np.log(block), n - 1), (np.log(np.kron(adj, np.eye(d))), length - n)]
+        return _log_chain(np.log(start), factors)
+
+
+def _log_chain(v: np.ndarray, factors) -> float:
+    """log of the entry sum of exp(v) exp(M_1)^m_1 exp(M_2)^m_2 ... (exp entrywise).
+
+    v is a log-domain row and each factor (M, m) a log-domain square matrix
+    raised to the power m by repeated squaring: O(S^3 log m) per factor.
+    Every product adds in log space, so entries any distance apart add
+    without underflow.
+    """
+    v = v[None, :]
+    for M, m in factors:
+        while m:
+            if m & 1:
+                v = _log_matmul(v, M)
+            m >>= 1
+            if m:
+                M = _log_matmul(M, M)
+    return float(np.logaddexp.reduce(v[0]))
+
+
+def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(exp(a) @ exp(b)) for log-domain matrices; -inf marks a zero entry."""
+    rows = max(1, (1 << 20) // b.size)
+    if len(a) > rows:  # bound the rows x S x T temporary
+        return np.concatenate([_log_matmul(a[i : i + rows], b) for i in range(0, len(a), rows)])
+    return np.logaddexp.reduce(a[:, :, None] + b, axis=1)
 
 
 def _enumerated_sum(
@@ -159,7 +171,7 @@ def _enumerated_sum(
 ) -> float:
     total = word_total(system, length)
     if total > cap:
-        raise NotLocallyConstantError(
+        raise EnumerationCapError(
             f"enumeration fallback over {total} words exceeds cap {cap}"
         )
     vals = [potential.eval(n, system.representative(w)) for w in system.admissible_words(length)]

@@ -307,17 +307,22 @@ def golden_mean_sft() -> SFT:
 
 
 def word_total(system: ShiftSystem, length: int) -> int:
-    """Exact number of admissible words (Python ints, no overflow)."""
+    """Exact number of admissible words: 1^T A^(length-1) 1 by repeated squaring
+    of the 0/1 transition matrix on Python ints, so nothing overflows."""
     if length == 0:
         return 1
     if isinstance(system, FullShift):
         return system.k**length
+    k = range(system.k)
+    a = [[int(system.is_admissible_pair(s, t)) for t in k] for s in k]
     counts = [1] * system.k
-    for _ in range(length - 1):
-        counts = [
-            sum(counts[b] for b in range(system.k) if system.is_admissible_pair(a, b))
-            for a in range(system.k)
-        ]
+    m = length - 1
+    while m:
+        if m & 1:
+            counts = [sum(counts[s] * a[s][t] for s in k) for t in k]
+        m >>= 1
+        if m:
+            a = [[sum(a[s][r] * a[r][t] for r in k) for t in k] for s in k]
     return sum(counts)
 
 

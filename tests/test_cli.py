@@ -67,6 +67,20 @@ class TestEstimate:
         main(["estimate", "--config", cfg, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_far_apart_weights_on_golden_mean(self, tmp_path):
+        # the 16 alternating words with 15 ones carry the sum at n = 30
+        cfg = write_config(
+            tmp_path,
+            system={"kind": "sft", "matrix": [[1, 1], [1, 0]]},
+            potential={"kind": "symbol_weights", "table": [0, 1000]},
+            n_range=[30],
+            scales={"k": [0]},
+        )
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        values = [float(r[6]) for r in read_rows(out)[1:] if r[6]]
+        assert values == [pytest.approx(15000 + math.log(16), rel=1e-15)] * 2
+
     def test_metric_path_greedy_bounds(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -168,6 +182,21 @@ class TestBudget:
         )
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 3
+
+    def test_enumeration_cap_exits_three(self, tmp_path, capsys):
+        # a scaled cocycle is enumerated; 2^30 words exceed the fallback's cap
+        cfg = write_config(
+            tmp_path,
+            potential={"kind": "scale", "lam": 0.5,
+                       "inner": {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}},
+            n_range=[30],
+            scales={"k": [0]},
+        )
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: ") and "exceeds cap" in err
+        assert err.count("\n") == 1
 
     def test_circle_systems_cap_instead(self, tmp_path):
         # the circle path thins its grid and flags the rows, exit stays 0

@@ -1,6 +1,8 @@
 """Exact shift-space backend: transfer sums versus literal enumeration."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from pdim.potentials import (
 )
 from pdim.symbolic import (
     NotLocallyConstantError,
+    _log_matmul,
     deflated_scale,
     exact_growth_table,
     log_weighted_word_sum,
@@ -31,11 +34,73 @@ def enumerate_sum(system, potential, n, length):
     """Reference value: walk every admissible word explicitly."""
     vals = [potential.eval(n, system.representative(w))
             for w in system.admissible_words(length)]
-    return math.log(math.fsum(math.exp(v) for v in vals))
+    top = max(vals)
+    return top + math.log(math.fsum(math.exp(v - top) for v in vals))
+
+
+def golden_weight_closed_form(length, w):
+    """log sum over golden-mean words of e^(w * number of ones): words of
+    length L with m ones, no two adjacent, number C(L - m + 1, m)."""
+    def log_comb(a, b):
+        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+    terms = [log_comb(length - m + 1, m) + w * m for m in range((length + 1) // 2 + 1)]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
 FS = FullShift(2)
 GM = golden_mean_sft()
+
+
+def random_sft(rng, k):
+    """A random SFT on k symbols; retries matrices the SFT constructor rejects."""
+    while True:
+        try:
+            return SFT([[int(rng.random() < 0.6) for _ in range(k)] for _ in range(k)])
+        except ValueError:
+            pass
+
+
+def random_table(rng, system, reach, spread):
+    """Birkhoff potential reading a random weight off the first `reach` symbols."""
+    table = {w: rng.uniform(-2.0 * spread, 2.0 * spread)
+             for w in itertools.product(range(system.k), repeat=reach)}
+    return Birkhoff(phi=lambda x: table[tuple(x.coord(i) for i in range(reach))],
+                    system=system, reach=reach, name=f"table{reach}")
+
+
+KINDS = ("table", "coboundary", "add", "scale", "cocycle")
+
+
+def random_case(seed, spread=1.0):
+    """Seeds 0..29 pair every profile kind with every k in {2, 3, 4}, once on
+    the full shift (seeds < 15) and once on a random SFT.  Table weights
+    scale with spread; at spread > 1 cocycle entries are e^u with |u| <= 100."""
+    rng = random.Random(seed)
+    kind, k = KINDS[seed % 5], (2, 3, 4)[seed % 3]
+    system = FullShift(k) if seed < 15 else random_sft(rng, k)
+
+    def table(*reaches):
+        return random_table(rng, system, rng.choice(reaches), spread)
+
+    if kind == "table":
+        return system, table(1, 2, 3)
+    if kind == "coboundary":
+        return system, coboundary_perturb(table(1, 2), table(1, 2))
+    if kind == "add":
+        return system, add(table(1, 2), ConstantDrift(rng.uniform(-spread, spread), system))
+    if kind == "scale":
+        return system, scale(rng.uniform(-2.0, 2.0), table(1, 2))
+    d = rng.choice((1, 2, 3))
+
+    def entry():
+        if spread == 1.0:
+            return rng.uniform(0.1, 3.0)
+        return math.exp(rng.uniform(-100.0, 100.0))
+
+    mats = [np.array([[entry() for _ in range(d)] for _ in range(d)]) for _ in range(k)]
+    return system, MatrixCocycle(mats, system)
 
 
 def scenarios():
@@ -68,6 +133,60 @@ class TestWordSums:
             length = required_length(pert, n)
             assert log_weighted_word_sum(FS, pert, n, length) == pytest.approx(
                 enumerate_sum(FS, pert, n, length), abs=1e-10)
+
+    # at spread 500 the entries of one transfer matrix lie up to e^2000 apart,
+    # far beyond the range of a float
+    @pytest.mark.parametrize("spread", [1.0, 500.0])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_kernel_matches_enumeration_on_random_cases(self, seed, spread):
+        system, pot = random_case(seed, spread)
+        checked = 0
+        for n in (1, 2, 3, 5):
+            for extra in (0, 1, 2):
+                length = required_length(pot, n) + extra
+                if word_total(system, length) > 4096:
+                    continue  # keeps the enumeration reference quick
+                assert log_weighted_word_sum(system, pot, n, length) == pytest.approx(
+                    enumerate_sum(system, pot, n, length), rel=1e-12, abs=1e-12 * spread)
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("pot", [
+        symbol_weights(GM, [0.0, 1000.0]),
+        scale(800.0, symbol_weights(GM, [0.0, 1.25])),
+    ], ids=["weights", "scale"])
+    def test_weights_far_apart_on_golden_mean(self, pot):
+        # a 1 must be followed by a 0, so every heavy word also steps into 0,
+        # whose transfer entries are e^-1000 times the largest one
+        for n in (1, 2, 3, 6, 11):
+            for length in (n, n + 1, n + 3):
+                assert log_weighted_word_sum(GM, pot, n, length) == pytest.approx(
+                    enumerate_sum(GM, pot, n, length), rel=1e-12)
+        for n in (10**3, 10**3 + 1, 10**4):
+            assert log_weighted_word_sum(GM, pot, n, n) == pytest.approx(
+                golden_weight_closed_form(n, 1000.0), rel=1e-12)
+
+    def test_log_matmul_matches_linear_product(self):
+        # 130 x 130 factors run in three row chunks
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(130, 130)), rng.normal(size=(130, 130))
+        b[:, 3] = -np.inf
+        with np.errstate(divide="ignore"):
+            expected = np.log(np.exp(a) @ np.exp(b))
+        got = _log_matmul(a, b)
+        assert np.all(got[:, 3] == -np.inf)
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_large_n_closed_forms(self):
+        n = 10**6
+        assert log_weighted_word_sum(FS, ConstantDrift(0.5, FS), n, n + 2) == (
+            pytest.approx((n + 2) * math.log(2) + 0.5 * n, rel=1e-12))
+        coc = MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS)
+        n = 10**5
+        assert log_weighted_word_sum(FS, coc, n, n) == pytest.approx(n * math.log(5), rel=1e-12)
+        n = 10**4
+        assert log_weighted_word_sum(GM, zero_potential(GM), n, n + 2) == (
+            pytest.approx(math.log(word_total(GM, n + 2)), rel=1e-12))
 
     def test_zero_potential_gives_counts(self):
         for length in range(1, 9):
@@ -149,3 +268,20 @@ class TestWordCounts:
         a = np.array(m)
         for length in range(1, 7):
             assert word_total(sys3, length) == int((np.linalg.matrix_power(a, length - 1)).sum())
+
+    def test_word_total_matches_step_loop(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            system = random_sft(rng, rng.choice((2, 3, 4)))
+            counts = [1] * system.k
+            for length in range(1, 41):
+                assert word_total(system, length) == sum(counts)
+                counts = [sum(counts[b] for b in range(system.k)
+                              if system.is_admissible_pair(a, b)) for a in range(system.k)]
+
+    def test_word_total_fibonacci_at_large_length(self):
+        length = 10**4
+        fib = [0, 1]
+        while len(fib) < length + 3:
+            fib.append(fib[-1] + fib[-2])
+        assert word_total(GM, length) == fib[length + 2]
