@@ -14,7 +14,7 @@ All output is deterministic for a fixed config and seed.  CSV columns are
 floats are written with ``repr`` so values round-trip exactly.
 
 Exit codes: 0 success, 1 verification or sandwich failure, 2 usage or
-config error, 3 candidate budget exceeded.
+config error, 3 candidate, enumeration or distance-matrix budget exceeded.
 """
 
 from __future__ import annotations
@@ -46,7 +46,12 @@ from .potentials import (
     symbol_weights,
     zero_potential,
 )
-from .symbolic import deflated_scale, exact_growth_table
+from .symbolic import (
+    EnumerationCapError,
+    NotLocallyConstantError,
+    deflated_scale,
+    exact_growth_table,
+)
 from .systems import (
     BudgetExceededError,
     Contraction,
@@ -277,8 +282,13 @@ def _collect_tables(cfg: dict) -> tuple[System, object, list[GrowthTable]]:
         if not isinstance(system, ShiftSystem):
             raise ConfigError("integer scale indices need a shift system")
         for k in scales:
-            samples.extend(s for s in exact_growth_table(system, potential, k, ns)
-                           if s.estimator in estimators)
+            try:
+                table = exact_growth_table(system, potential, k, ns)
+            except EnumerationCapError:
+                raise
+            except NotLocallyConstantError as e:
+                raise ConfigError(f"the scales.k path needs an exact shift profile: {e}")
+            samples.extend(s for s in table if s.estimator in estimators)
     else:
         for eps in scales:
             per_eps = {e: [] for e in estimators}

@@ -4,6 +4,12 @@ Separated means pairwise Bowen distance strictly above eps; a set spans a
 candidate when their Bowen distance is strictly below eps.  Greedy routines
 give certified one-sided bounds; the brute-force routines are exact oracles
 for small instances and anchor every greedy result in the tests.
+
+Cost for m candidates at time n: the Bowen distance matrix takes O(n m^2)
+time and O(m^2) memory (the m x m float64 matrix plus a few cache-sized row
+blocks), and it equals ``System.bowen_metric`` bit for bit.  A matrix over
+DISTANCE_BUDGET_BYTES raises BudgetExceededError, which the CLI turns into
+exit code 3.  Greedy separated and greedy spanning are O(m^2) in total.
 """
 
 from __future__ import annotations
@@ -17,7 +23,23 @@ import numpy as np
 
 from .logsum import logsumexp
 from .potentials import Potential
-from .systems import Point, RealPoint, System, Word
+from .systems import (
+    BudgetExceededError,
+    Point,
+    PowerSystem,
+    RealPoint,
+    ShiftSystem,
+    System,
+    Word,
+)
+
+# Largest Bowen distance matrix built: 8 m^2 bytes of float64, so m <= 16384.
+DISTANCE_BUDGET_BYTES = 2 * 1024**3
+# Entries per row block of the distance kernels (256 KiB of float64), so the
+# block's running max stays in cache across time steps.
+_BLOCK_ENTRIES = 1 << 15
+# Longest word the bit-plane kernel takes: its disagreement sums are exact.
+_WORD_BITS = 53
 
 
 class Estimator(IntEnum):
@@ -91,16 +113,28 @@ def make_instance(
 
 
 def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
+    """Symmetric matrix of ``system.bowen_metric(n, x, y)`` over the points, bit for bit.
+
+    Raises BudgetExceededError, before allocating, when the float64 matrix
+    would exceed DISTANCE_BUDGET_BYTES.
+    """
     m = len(points)
+    nbytes = 8 * m * m
+    if nbytes > DISTANCE_BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"Bowen distance matrix for {m} points needs {nbytes} bytes, "
+            f"over the {DISTANCE_BUDGET_BYTES}-byte budget"
+        )
     if m and isinstance(points[0], RealPoint):
         return _real_distance_matrix(system, n, points)
-    if m and isinstance(points[0], Word):
-        same_shape = (
-            len({len(p.symbols) for p in points}) == 1
-            and len({p.tail for p in points}) == 1
-        )
-        if same_shape and m > 64:
-            return _word_distance_matrix(n, points)
+    step = _shift_step(system)
+    if (
+        m
+        and step is not None
+        and len({p.tail for p in points}) == 1
+        and max(len(p.symbols) for p in points) <= _WORD_BITS
+    ):
+        return _word_distance_matrix(n, points, step)
     d = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
@@ -108,54 +142,90 @@ def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np
     return d
 
 
-def _real_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
-    orbit = np.array([[p.x for p in points]])
-    rows = [orbit[0]]
-    for _ in range(n - 1):
-        rows.append(np.array([system.apply(RealPoint((v,))).x for v in rows[-1]]))
-    arr = np.stack(rows)  # (n, m)
-    diff = np.abs(arr[:, :, None] - arr[:, None, :])
-    # circle systems fold distances; the contraction uses plain |x - y|
-    probe = system.metric(RealPoint((0.0,)), RealPoint((0.9,)))
-    if abs(probe - 0.1) < 1e-12:
-        diff = np.minimum(diff, 1.0 - diff)
-    return diff.max(axis=0)
+def _shift_step(system: System) -> int | None:
+    """Symbols one step of ``system`` shifts by, or None if it is no power of a shift."""
+    step = 1
+    while isinstance(system, PowerSystem):
+        step *= system.power
+        system = system.base
+    return step if isinstance(system, ShiftSystem) else None
 
 
-def _word_distance_matrix(n: int, points: Sequence[Word]) -> np.ndarray:
-    """Exact pairwise Bowen distance for same-length, same-tail words."""
-    arr = np.array([p.symbols for p in points], dtype=np.int16)
-    m, L = arr.shape
-    pow2 = 2.0 ** (-np.arange(L))
-    out = np.zeros((m, m))
-    chunk = max(1, int(4e6 // (m * L)))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        diff = (arr[lo:hi, None, :] != arr[None, :, :])  # (c, m, L)
-        weighted = diff * pow2
-        # distance after j shifts is 2^j * (total - prefix_j); maximize over j < n
-        totals = weighted.sum(axis=2)
-        best = np.array(totals)
-        prefix = np.zeros_like(totals)
-        for j in range(1, min(n, L)):
-            prefix = prefix + weighted[:, :, j - 1]
-            best = np.maximum(best, (2.0**j) * (totals - prefix))
-        out[lo:hi] = best
+def _running_max(m: int, step_distances, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the max over time steps of per-step distances, by row block.
+
+    ``step_distances(lo, hi)`` yields at least one step's distances from rows
+    ``lo:hi`` to every point.  Blocks are cache-sized, so memory is the m x m
+    result plus a few blocks.
+    """
+    out = np.empty((m, m))
+    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+    for lo in range(0, m, rows):
+        steps = step_distances(lo, lo + rows)
+        best = np.array(next(steps))  # a copy: a step may reuse its buffer
+        for d in steps:
+            np.maximum(best, d, out=best)
+        np.multiply(best, scale, out=out[lo:lo + rows])
     return out
+
+
+def _real_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
+    orbit = np.empty((n, len(points)))
+    orbit[0] = [p.x for p in points]
+    for t in range(1, n):
+        orbit[t] = system.apply_array(orbit[t - 1])
+    return _running_max(len(points), lambda lo, hi: (
+        system.metric_array(row[lo:hi, None], row) for row in orbit))
+
+
+def _word_distance_matrix(n: int, points: Sequence[Word], step: int = 1) -> np.ndarray:
+    """Exact Bowen distance of the ``step``-symbol shift for same-tail words.
+
+    Padding every word with the common tail to length L changes no distance.
+    Bit-plane b of a word is the integer whose bit L-1-i is bit b of symbol
+    i, so two words disagree exactly on the bits of D, the OR over planes of
+    their XOR.  After j shifts the distance sum_{i>=j} [x_i != y_i] 2^(j-i)
+    is (D & (2^(L-j) - 1)) * 2^(j+1-L), exact because D < 2^L <= 2^53.
+    The running max is taken on the integers (D & (2^(L-j) - 1)) << j,
+    which stay below 2^L, and scaled once.
+    """
+    m = len(points)
+    L = max(len(p.symbols) for p in points)
+    arr = np.full((m, L), points[0].tail, dtype=np.int64)
+    for i, p in enumerate(points):
+        arr[i, :len(p.symbols)] = p.symbols
+    place = np.int64(1) << np.arange(L - 1, -1, -1, dtype=np.int64)
+    planes = [(arr >> b & 1) @ place for b in range(max(1, int(arr.max(initial=0)).bit_length()))]
+    shifts = range(0, max(1, min(n * step, L)), step)
+
+    def step_distances(lo, hi):
+        diff = planes[0][lo:hi, None] ^ planes[0]
+        for plane in planes[1:]:
+            diff |= plane[lo:hi, None] ^ plane
+        shifted = np.empty_like(diff)
+        for j in shifts:
+            # the step-j distance in units of 2^(1-L), an integer below 2^L
+            np.bitwise_and(diff, (1 << (L - j)) - 1, out=shifted)
+            yield np.left_shift(shifted, j, out=shifted)
+
+    return _running_max(m, step_distances, 2.0 ** (1 - L))
 
 
 def _greedy_separated_indices(inst: SeparationInstance, order: str) -> list[int]:
     if order == "weight":
         idx = sorted(range(inst.size), key=lambda i: (-inst.weights[i], i))
     elif order == "index":
-        idx = list(range(inst.size))
+        idx = range(inst.size)
     else:
         raise ValueError(f"unknown greedy order {order!r}")
-    d = inst.distances()
+    # row j marks the points within eps of j (the matrix is symmetric)
+    close = ~(inst.distances() > inst.eps)
+    blocked = np.zeros(inst.size, dtype=bool)
     kept: list[int] = []
     for i in idx:
-        if all(d[i, j] > inst.eps for j in kept):
+        if not blocked[i]:
             kept.append(i)
+            blocked |= close[i]
     return kept
 
 
@@ -177,6 +247,23 @@ def _bitmasks(rel: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _greedy_spanning_indices(inst: SeparationInstance) -> list[int]:
+    # gain[i] counts the uncovered points within eps of i; each pick
+    # subtracts the columns it covers, so the whole run is O(m^2)
+    near = inst.distances() < inst.eps  # symmetric, and every point covers itself
+    gain = near.sum(axis=1)
+    uncovered = np.ones(inst.size, dtype=bool)
+    chosen: list[int] = []
+    while (top := gain.max()) > 0:
+        ties = np.flatnonzero(gain == top)
+        best = int(ties[np.argmin(inst.weights[ties])])
+        chosen.append(best)
+        newly = near[best] & uncovered
+        uncovered &= ~newly
+        gain -= near[newly].sum(axis=0)
+    return chosen
+
+
 def spanning_upper_bound(inst: SeparationInstance, note: str = "") -> GrowthSample:
     """Greedy weighted dominating set of the strict-eps graph (estimator 2).
 
@@ -184,24 +271,7 @@ def spanning_upper_bound(inst: SeparationInstance, note: str = "") -> GrowthSamp
     lower weight then lower index.  The selected family spans every
     candidate, so its weight sum upper-bounds the spanning optimum.
     """
-    masks = _bitmasks(inst.distances() < inst.eps)
-    full = (1 << inst.size) - 1
-    covered = 0
-    chosen: list[int] = []
-    while covered != full:
-        best = None
-        key = None
-        for i in range(inst.size):
-            gain = bin(masks[i] & ~covered).count("1")
-            if gain == 0:
-                continue
-            cand_key = (-gain, inst.weights[i], i)
-            if key is None or cand_key < key:
-                key = cand_key
-                best = i
-        chosen.append(best)
-        covered |= masks[best]
-    val = logsumexp(inst.weights[chosen])
+    val = logsumexp(inst.weights[_greedy_spanning_indices(inst)])
     return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, val, exact=False, note=note)
 
 

@@ -100,6 +100,14 @@ class System:
     def metric(self, x: Point, y: Point) -> float:
         raise NotImplementedError
 
+    def apply_array(self, x: np.ndarray) -> np.ndarray:
+        """``apply`` on an array of real coordinates, bit for bit."""
+        raise NotImplementedError(f"{self.label} has no array form")
+
+    def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``metric`` on broadcast arrays of real coordinates, bit for bit."""
+        raise NotImplementedError(f"{self.label} has no array form")
+
     def iterate(self, x: Point, j: int) -> Point:
         for _ in range(j):
             x = self.apply(x)
@@ -334,6 +342,10 @@ class CircleSystem(System):
     def metric(self, x: RealPoint, y: RealPoint) -> float:
         return circle_metric(x.x, y.x)
 
+    def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        d = np.abs(x - y)
+        return np.minimum(d, 1.0 - d)
+
     def validate_point(self, x: Point) -> None:
         if not isinstance(x, RealPoint):
             raise TypeError("circle systems take RealPoint points")
@@ -369,6 +381,9 @@ class DoublingMap(CircleSystem):
     def apply(self, x: RealPoint) -> RealPoint:
         return real((2.0 * x.x) % 1.0)
 
+    def apply_array(self, x: np.ndarray) -> np.ndarray:
+        return np.mod(2.0 * x, 1.0)
+
 
 @dataclass(frozen=True)
 class Rotation(CircleSystem):
@@ -384,6 +399,9 @@ class Rotation(CircleSystem):
 
     def apply(self, x: RealPoint) -> RealPoint:
         return real((x.x + self.theta) % 1.0)
+
+    def apply_array(self, x: np.ndarray) -> np.ndarray:
+        return np.mod(x + self.theta, 1.0)
 
     def inverse(self) -> "Rotation":
         return Rotation((-self.theta) % 1.0)
@@ -407,8 +425,14 @@ class Contraction(System):
     def apply(self, x: RealPoint) -> RealPoint:
         return real(self.fixed + self.c * (x.x - self.fixed))
 
+    def apply_array(self, x: np.ndarray) -> np.ndarray:
+        return self.fixed + self.c * (x - self.fixed)
+
     def metric(self, x: RealPoint, y: RealPoint) -> float:
         return abs(x.x - y.x)
+
+    def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.abs(x - y)
 
     def validate_point(self, x: Point) -> None:
         if not isinstance(x, RealPoint):
@@ -448,8 +472,16 @@ class PowerSystem(System):
     def apply(self, x: Point) -> Point:
         return self.base.iterate(x, self.power)
 
+    def apply_array(self, x: np.ndarray) -> np.ndarray:
+        for _ in range(self.power):
+            x = self.base.apply_array(x)
+        return x
+
     def metric(self, x: Point, y: Point) -> float:
         return self.base.metric(x, y)
+
+    def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.base.metric_array(x, y)
 
     def validate_point(self, x: Point) -> None:
         self.base.validate_point(x)

@@ -137,6 +137,17 @@ class TestConfigErrors:
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_k_scales_need_an_exact_shift_profile(self, tmp_path, capsys):
+        # a sum of two cocycles has no shift profile; the eps path still takes it
+        cocycle = {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}
+        cfg = write_config(tmp_path, potential={"kind": "sum", "terms": [cocycle, cocycle]},
+                           n_range=[2, 4], scales={"k": [0]})
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no locally constant structure" in err
+        assert err.count("\n") == 1
+
     def test_cover_estimators_rejected_on_metric_path(self, tmp_path):
         cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
                            potential={"kind": "zero"},
@@ -196,6 +207,16 @@ class TestBudget:
                      "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded: ") and "exceeds cap" in err
+        assert err.count("\n") == 1
+
+    def test_distance_matrix_over_budget_exits_three(self, tmp_path, capsys):
+        # 40960 grid points would need a 13 GB Bowen distance matrix
+        cfg = write_config(tmp_path, system={"kind": "doubling"}, potential={"kind": "zero"},
+                           n_range=[12], scales={"eps": [0.1]})
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: ") and "40960 points" in err
         assert err.count("\n") == 1
 
     def test_circle_systems_cap_instead(self, tmp_path):

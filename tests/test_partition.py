@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from pdim import partition
 from pdim.logsum import logsumexp
 from pdim.partition import (
     Estimator,
+    SeparationInstance,
     InstanceTooLargeError,
     bowen_distance_matrix,
     count_spanning_separated,
@@ -20,10 +22,26 @@ from pdim.partition import (
     separated_lower_bound,
     spanning_upper_bound,
 )
-from pdim.partition import _bitmasks, _word_distance_matrix
+from pdim.partition import (
+    _bitmasks,
+    _greedy_separated_indices,
+    _greedy_spanning_indices,
+    _word_distance_matrix,
+)
 from pdim.potentials import Birkhoff, symbol_weights
 from pdim.symbolic import deflated_scale
-from pdim.systems import FullShift, Rotation, golden_mean_sft, real
+from pdim.systems import (
+    SFT,
+    BudgetExceededError,
+    Contraction,
+    DoublingMap,
+    FullShift,
+    PowerSystem,
+    Rotation,
+    Word,
+    golden_mean_sft,
+    real,
+)
 
 
 def log_sum(weights) -> float:
@@ -93,6 +111,192 @@ class TestDistances:
     def test_distances_cached(self):
         inst = random_rotation_instance(0)
         assert inst.distances() is inst.distances()
+
+
+def pairwise_bowen(system, n, pts):
+    return np.array([[system.bowen_metric(n, x, y) for y in pts] for x in pts])
+
+
+def random_sft(rng, k):
+    """A random SFT on k symbols; retries matrices the SFT constructor rejects."""
+    while True:
+        try:
+            return SFT([[int(rng.random() < 0.6) for _ in range(k)] for _ in range(k)])
+        except ValueError:
+            pass
+
+
+REAL_SYSTEMS = {
+    "doubling": lambda rng: DoublingMap(),
+    "rotation": lambda rng: Rotation(float(rng.uniform(0.05, 0.95))),
+    "contraction": lambda rng: Contraction(float(rng.uniform(0.1, 0.9)),
+                                           float(rng.uniform(0.0, 1.0))),
+    "power-rotation": lambda rng: PowerSystem(Rotation(float(rng.uniform(0.05, 0.95))),
+                                              int(rng.integers(2, 4))),
+    "power-doubling": lambda rng: PowerSystem(DoublingMap(), 2),
+    "power-contraction": lambda rng: PowerSystem(
+        Contraction(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.0, 1.0))),
+        int(rng.integers(2, 4))),
+}
+
+
+class TestKernelsMatchBowenMetric:
+    """The array kernels against System.bowen_metric, with ==.
+
+    ``block`` 100 cuts every matrix into row blocks of 100 // m rows, so
+    several blocks and a partial last one are exercised; None keeps the
+    module's block size.
+    """
+
+    @pytest.fixture(params=[None, 100], ids=["block-default", "block-100"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", request.param)
+
+    @pytest.mark.parametrize("kind", sorted(REAL_SYSTEMS))
+    def test_array_forms_match_scalar(self, kind):
+        # a contraction's Bowen distance is read at time 0, so check apply directly
+        rng = np.random.default_rng(len(kind))
+        system = REAL_SYSTEMS[kind](rng)
+        xs = np.concatenate([rng.random(200), [0.0, 0.5, 0.999999]])
+        assert (system.apply_array(xs) == [system.apply(real(v)).x for v in xs]).all()
+        assert (system.metric_array(xs[:, None], xs) ==
+                [[system.metric(real(u), real(v)) for v in xs] for u in xs]).all()
+
+    @pytest.mark.parametrize("m", [1, 31, 70])
+    @pytest.mark.parametrize("kind", sorted(REAL_SYSTEMS))
+    def test_real_systems(self, kind, m, block):
+        rng = np.random.default_rng([m, len(kind)])
+        system = REAL_SYSTEMS[kind](rng)
+        # random points, plus a duplicate, the ends and a near-wrap pair
+        xs = list(rng.random(m))
+        xs[-min(m, 4):] = [0.0, 0.999, xs[0], 0.5][:min(m, 4)]
+        pts = [real(float(v)) for v in xs]
+        for n in (1, 6):
+            d = bowen_distance_matrix(system, n, pts)
+            assert (d == pairwise_bowen(system, n, pts)).all()
+
+    @pytest.mark.parametrize("m", [1, 31, 70])
+    @pytest.mark.parametrize("kind", ["full_shift(2)", "full_shift(3)", "golden", "sft(3)", "power"])
+    def test_words(self, kind, m, block):
+        rng = np.random.default_rng([m, len(kind), 7])
+        system = {
+            "full_shift(2)": FullShift(2),
+            "full_shift(3)": FullShift(3),
+            "golden": golden_mean_sft(),
+            "sft(3)": random_sft(rng, 3),
+            "power": PowerSystem(FullShift(2), 2),
+        }[kind]
+        shift = system.base if kind == "power" else system
+        # representatives of mixed lengths: SFT bridges and two word lengths
+        words = [shift.representative(w) for length in (4, 6)
+                 for w in shift.admissible_words(length)]
+        pts = [words[i] for i in rng.choice(len(words), size=min(m, len(words)), replace=False)]
+        for n in (1, 3, 9):
+            d = bowen_distance_matrix(system, n, pts)
+            assert (d == pairwise_bowen(system, n, pts)).all()
+
+    def test_word_kernel_at_its_length_limit(self):
+        fs = FullShift(2)
+        rng = np.random.default_rng(53)
+        pts = [Word(tuple(int(v) for v in rng.integers(0, 2, size=53))) for _ in range(12)]
+        pts.append(Word(pts[0].symbols[:50]))  # differs from pts[0] far down only
+        for n in (1, 20, 60):
+            assert (_word_distance_matrix(n, pts) == pairwise_bowen(fs, n, pts)).all()
+
+    @pytest.mark.parametrize("pts", [
+        # over 53 symbols; the last word's float sum 1 + 2^-53 + 2^-54 rounds
+        # to 1 term by term, to 1 + 2^-52 in one step
+        [Word((0, 1) * 30), Word((1,) * 60), Word(()), Word((1,) + (0,) * 52 + (1, 1))],
+        [Word((0, 1), tail=0), Word((0, 1), tail=1), Word((1,), tail=1)],  # mixed tails
+    ], ids=["long", "mixed-tails"])
+    def test_pairwise_fallback(self, pts):
+        fs = FullShift(2)
+        for n in (1, 2, 5):
+            assert (bowen_distance_matrix(fs, n, pts) == pairwise_bowen(fs, n, pts)).all()
+
+
+class TestDistanceBudget:
+    def test_over_budget_raises_before_work(self, monkeypatch):
+        monkeypatch.setattr(partition, "DISTANCE_BUDGET_BYTES", 8 * 99 * 99)
+        pts = [real(i / 100) for i in range(100)]
+        with pytest.raises(BudgetExceededError, match="100 points needs 80000 bytes"):
+            bowen_distance_matrix(Rotation(0.3), 10**9, pts)  # an orbit this long never starts
+        assert bowen_distance_matrix(Rotation(0.3), 2, pts[:99]).shape == (99, 99)
+
+    def test_budget_admits_8192_points(self):
+        assert 8 * 8192**2 <= partition.DISTANCE_BUDGET_BYTES
+
+
+def reference_greedy_separated(inst, order):
+    """Slow reference for the greedy separated picks: an all() scan per candidate."""
+    if order == "weight":
+        idx = sorted(range(inst.size), key=lambda i: (-inst.weights[i], i))
+    else:
+        idx = list(range(inst.size))
+    d = inst.distances()
+    kept = []
+    for i in idx:
+        if all(d[i, j] > inst.eps for j in kept):
+            kept.append(i)
+    return kept
+
+
+def reference_greedy_spanning(inst):
+    """Slow reference for the greedy spanning picks: bigint masks rescanned per pick."""
+    masks = _bitmasks(inst.distances() < inst.eps)
+    full = (1 << inst.size) - 1
+    covered = 0
+    chosen = []
+    while covered != full:
+        best = key = None
+        for i in range(inst.size):
+            gain = bin(masks[i] & ~covered).count("1")
+            if gain == 0:
+                continue
+            cand_key = (-gain, inst.weights[i], i)
+            if key is None or cand_key < key:
+                key, best = cand_key, i
+        chosen.append(best)
+        covered |= masks[best]
+    return chosen
+
+
+def random_greedy_instance(seed, m):
+    """Rotation points or 2-shift words, with weights in {0, 1, 2} so ties occur."""
+    rng = np.random.default_rng([seed, m])
+    if seed % 2:
+        system = Rotation(float(rng.uniform(0.05, 0.45)))
+        pts = [real(float(v)) for v in rng.random(m)]
+        eps = float(rng.uniform(0.02, 0.3))
+    else:
+        system = FullShift(2)
+        words = [system.representative(w) for w in system.admissible_words(8)]
+        pts = [words[i] for i in sorted(rng.choice(len(words), size=m, replace=False))]
+        eps = deflated_scale(int(rng.integers(0, 3)))
+    weights = rng.integers(0, 3, size=m).astype(float)
+    return SeparationInstance(system, int(rng.integers(1, 4)), eps, pts, weights)
+
+
+class TestGreedyMatchesScan:
+    @pytest.mark.parametrize("m", [1, 2, 40, 64, 65, 150])
+    @pytest.mark.parametrize("seed", range(16))
+    def test_spanning_picks(self, seed, m):
+        inst = random_greedy_instance(seed, m)
+        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+
+    @pytest.mark.parametrize("order", ["weight", "index"])
+    @pytest.mark.parametrize("m", [1, 2, 40, 64, 65, 150])
+    @pytest.mark.parametrize("seed", range(16))
+    def test_separated_picks(self, seed, m, order):
+        inst = random_greedy_instance(seed, m)
+        assert _greedy_separated_indices(inst, order) == reference_greedy_separated(inst, order)
+
+    def test_ties_go_to_lower_weight_then_lower_index(self):
+        # three mutually close points: each covers all, so weight then index decides
+        pts = [real(v) for v in (0.0, 0.01, 0.02)]
+        inst = SeparationInstance(Rotation(0.1), 1, 0.1, pts, np.array([1.0, 0.0, 0.0]))
+        assert _greedy_spanning_indices(inst) == [1]
 
 
 class TestGreedy:
