@@ -58,8 +58,10 @@ from .dimension import (
     GrowthTable,
     PressureCurve,
     DimensionEstimate,
+    growth_tables,
     s_pressure,
     pressure_curve,
+    pressure_curves,
     classify_jump,
     dimension_estimate,
     entropy_dimension,

@@ -28,8 +28,16 @@ import sys
 import numpy as np
 
 from .theorems import SUITE_NAMES, run_suite
-from .dimension import GrowthTable, classify_jump, largest_dimension, pressure_curve
+from .dimension import (
+    DEFAULT_S_GRID,
+    GrowthTable,
+    classify_jump,
+    growth_tables,
+    largest_dimension,
+    pressure_curves,
+)
 from .partition import (
+    ORACLE_CAP,
     Estimator,
     exact_separated_value,
     exact_spanning_value,
@@ -46,12 +54,7 @@ from .potentials import (
     symbol_weights,
     zero_potential,
 )
-from .symbolic import (
-    EnumerationCapError,
-    NotLocallyConstantError,
-    deflated_scale,
-    exact_growth_table,
-)
+from .symbolic import EnumerationCapError, NotLocallyConstantError, deflated_scale
 from .systems import (
     BudgetExceededError,
     Contraction,
@@ -250,7 +253,7 @@ def _parse_scales(spec) -> tuple[str, list]:
 
 def _parse_s_grid(spec) -> list[float]:
     if spec is None:
-        return [round(0.2 * i, 10) for i in range(1, 11)]
+        return list(DEFAULT_S_GRID)
     if isinstance(spec, list):
         out = [float(v) for v in spec]
     elif isinstance(spec, dict):
@@ -275,41 +278,15 @@ def _collect_tables(cfg: dict) -> tuple[System, object, list[GrowthTable]]:
     potential = build_potential(cfg.get("potential"), system)
     ns = _parse_n_range(cfg["n_range"])
     mode, scales = _parse_scales(cfg["scales"])
-    estimators = cfg["estimators"]
-
-    samples = []
-    if mode == "k":
-        if not isinstance(system, ShiftSystem):
-            raise ConfigError("integer scale indices need a shift system")
-        for k in scales:
-            try:
-                table = exact_growth_table(system, potential, k, ns)
-            except EnumerationCapError:
-                raise
-            except NotLocallyConstantError as e:
-                raise ConfigError(f"the scales.k path needs an exact shift profile: {e}")
-            samples.extend(s for s in table if s.estimator in estimators)
-    else:
-        for eps in scales:
-            per_eps = {e: [] for e in estimators}
-            for n in ns:
-                cand = system.candidate_set(n, eps, budget=cfg["budget"])
-                note = "" if cand.certified else "uncertified-candidates"
-                inst = make_instance(system, n, eps, cand.points, potential)
-                if Estimator.SEPARATED in per_eps:
-                    per_eps[Estimator.SEPARATED].append(
-                        separated_lower_bound(inst, note=note))
-                if Estimator.SPANNING in per_eps:
-                    per_eps[Estimator.SPANNING].append(
-                        spanning_upper_bound(inst, note=note))
-            for est_samples in per_eps.values():
-                samples.extend(est_samples)
-
-    meta = {"system": system.label, "potential": potential.label}
-    groups: dict[tuple, list] = {}
-    for s in samples:
-        groups.setdefault((s.estimator, s.scale), []).append(s)
-    tables = [GrowthTable(v, meta) for v in groups.values()]
+    if mode == "k" and not isinstance(system, ShiftSystem):
+        raise ConfigError("integer scale indices need a shift system")
+    try:
+        tables = growth_tables(system, potential, ns, mode, scales,
+                               cfg["estimators"], cfg["budget"])
+    except EnumerationCapError:
+        raise
+    except NotLocallyConstantError as e:
+        raise ConfigError(f"the scales.k path needs an exact shift profile: {e}")
     return system, potential, tables
 
 
@@ -344,14 +321,6 @@ def _write_csv(path: str, rows: list[tuple], max_rows: int | None) -> None:
             w.writerow(("TRUNCATED", "", "", "", "", "", "", "", ""))
 
 
-def _curves(tables, s_grid, window_frac):
-    by_est: dict[int, list] = {}
-    for t in tables:
-        est = t.samples[0].estimator
-        by_est.setdefault(int(est), []).append(t)
-    return [pressure_curve(ts, s_grid, window_frac) for _, ts in sorted(by_est.items())]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -361,7 +330,7 @@ def cmd_estimate(args) -> int:
     s_grid = _parse_s_grid(cfg.get("s_grid"))
     window_frac = cfg["window_frac"]
     system, potential, tables = _collect_tables(cfg)
-    curves = _curves(tables, s_grid, window_frac)
+    curves = pressure_curves(tables, s_grid, window_frac)
 
     rows = _sample_rows(system, potential, tables) + _pressure_rows(system, potential, curves)
     _write_csv(args.out, rows, cfg["max_rows"])
@@ -387,7 +356,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     s_grid = [float(v) for v in np.linspace(args.s_min, args.s_max, args.steps)]
     system, potential, tables = _collect_tables(cfg)
-    curves = _curves(tables, s_grid, cfg["window_frac"])
+    curves = pressure_curves(tables, s_grid, cfg["window_frac"])
     rows = _pressure_rows(system, potential, curves)
     _write_csv(args.out, rows, cfg["max_rows"])
     print(f"system={system.label} potential={potential.label} rows={len(rows)}")
@@ -408,8 +377,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.max_points > 20:
-        print("error: oracle supports at most 20 candidate points", file=sys.stderr)
+    if args.max_points > ORACLE_CAP:
+        print(f"error: oracle supports at most {ORACLE_CAP} candidate points", file=sys.stderr)
         return 2
     if args.max_points < 2 or args.trials < 1:
         print("error: need max-points >= 2 and trials >= 1", file=sys.stderr)

@@ -4,27 +4,51 @@ The s-weighted pressure of a growth table is the limsup of
 log_value(n) / n^s; at the critical exponent s0 that quantity jumps from
 +inf to 0, so s0 is read off either by bracketing the jump over an s grid
 or by fitting the power law log_value ~ c n^s0 directly.
+
+There is one path from a (system, potential) pair to s0.
+:func:`growth_tables` builds one table per (estimator, scale): exact word
+sums at dyadic scale indices on shifts, greedy separated and spanning bounds
+on candidate grids otherwise.  :func:`pressure_curve` (or
+:func:`pressure_curves`, one per estimator), :func:`largest_dimension` and
+:func:`classify_jump` read s0 off those tables.  ``pdim estimate`` and
+``pdim sweep`` take this path, and :func:`entropy_dimension` is the zero
+potential through it with the separated estimator.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Estimator, GrowthSample, greedy_separated, make_instance
-from .symbolic import deflated_scale, log_word_count
+from .partition import (
+    Estimator,
+    GrowthSample,
+    make_instance,
+    separated_lower_bound,
+    spanning_upper_bound,
+)
+from .potentials import Potential, zero_potential
+from .symbolic import exact_growth_table
 from .systems import ShiftSystem, System
+
+# The s grid used when a caller gives none: 0.2, 0.4, ..., 2.0.
+DEFAULT_S_GRID = tuple(round(0.2 * i, 2) for i in range(1, 11))
+# classify_jump: a statistic at least JUMP_BIG in size diverges, one at most
+# JUMP_SMALL vanishes; a fitted exponent at least JUMP_TREND_MARGIN above
+# (below) s marks growth (decay) when the magnitudes do not decide.
+JUMP_BIG = 1e3
+JUMP_SMALL = 1e-3
+JUMP_TREND_MARGIN = 0.05
 
 
 @dataclass
 class GrowthTable:
-    """Samples of one growth series plus provenance metadata."""
+    """Samples of one growth series."""
 
     samples: list[GrowthSample]
-    meta: dict = field(default_factory=dict)
 
     def filter(self, estimator: int | None = None, scale: float | None = None) -> "GrowthTable":
         out = [
@@ -33,16 +57,7 @@ class GrowthTable:
             if (estimator is None or s.estimator == estimator)
             and (scale is None or s.scale == scale)
         ]
-        return GrowthTable(out, dict(self.meta))
-
-    def scales(self, estimator: int | None = None) -> list[float]:
-        seen = []
-        for s in self.samples:
-            if estimator is not None and s.estimator != estimator:
-                continue
-            if s.scale not in seen:
-                seen.append(s.scale)
-        return seen
+        return GrowthTable(out)
 
     def series(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, log_value) arrays; requires a single homogeneous series."""
@@ -59,6 +74,52 @@ class GrowthTable:
             raise ValueError("sample indices n must be strictly increasing")
         vals = np.array([s.log_value for s in ordered])
         return ns, vals
+
+
+_GREEDY_BOUNDS = {
+    Estimator.SEPARATED: separated_lower_bound,
+    Estimator.SPANNING: spanning_upper_bound,
+}
+
+
+def growth_tables(
+    system: System,
+    potential: Potential,
+    n_range: Sequence[int],
+    mode: str,
+    scales: Sequence[float],
+    estimators: Sequence[int],
+    budget: int,
+) -> list[GrowthTable]:
+    """Spanning (2) and separated (3) growth tables, one per (estimator, scale).
+
+    ``mode`` ``"k"`` reads ``scales`` as dyadic scale indices and takes the
+    exact word sums of :func:`exact_growth_table`; it needs a ShiftSystem
+    and a potential with a shift profile.  ``mode`` ``"eps"`` reads them as
+    radii and takes the greedy bounds on candidate grids of at most
+    ``budget`` points; samples from an uncertified grid carry the note
+    ``"uncertified-candidates"``.  Tables come in the order their first
+    sample is made.
+    """
+    samples: list[GrowthSample] = []
+    if mode == "k":
+        for k in scales:
+            table = exact_growth_table(system, potential, k, n_range)
+            samples.extend(s for s in table if s.estimator in estimators)
+    elif mode == "eps":
+        for eps in scales:
+            for n in n_range:
+                cand = system.candidate_set(n, eps, budget=budget)
+                note = "" if cand.certified else "uncertified-candidates"
+                inst = make_instance(system, n, eps, cand.points, potential)
+                samples.extend(_GREEDY_BOUNDS[e](inst, note=note)
+                               for e in dict.fromkeys(estimators))
+    else:
+        raise ValueError(f"scale mode must be 'k' or 'eps', got {mode!r}")
+    groups: dict[tuple, list[GrowthSample]] = {}
+    for s in samples:
+        groups.setdefault((s.estimator, s.scale), []).append(s)
+    return [GrowthTable(v) for v in groups.values()]
 
 
 def _window(ns: np.ndarray, vals: np.ndarray, frac: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +180,6 @@ class PressureCurve:
     values: tuple[float, ...]
     trends: tuple[float | None, ...]
     estimator: int | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def pressure_curve(
@@ -159,6 +219,18 @@ def pressure_curve(
     return PressureCurve(tuple(s_grid), tuple(values), tuple(trends), est)
 
 
+def pressure_curves(
+    tables: Sequence[GrowthTable],
+    s_grid: Sequence[float],
+    window_frac: float,
+) -> list[PressureCurve]:
+    """One :func:`pressure_curve` per estimator, in estimator order."""
+    by_est: dict[int, list[GrowthTable]] = {}
+    for t in tables:
+        by_est.setdefault(int(t.samples[0].estimator), []).append(t)
+    return [pressure_curve(ts, s_grid, window_frac) for _, ts in sorted(by_est.items())]
+
+
 @dataclass
 class JumpClassification:
     labels: tuple[str, ...]
@@ -166,12 +238,7 @@ class JumpClassification:
     monotone: bool
 
 
-def classify_jump(
-    curve: PressureCurve,
-    big: float = 1e3,
-    small: float = 1e-3,
-    trend_margin: float = 0.05,
-) -> JumpClassification:
+def classify_jump(curve: PressureCurve) -> JumpClassification:
     """Label each s as diverging / vanishing / indeterminate and bracket the jump.
 
     Magnitude thresholds alone cannot separate power laws at desk-scale n,
@@ -181,9 +248,9 @@ def classify_jump(
     labels = []
     for v, t in zip(curve.values, curve.trends):
         a = abs(v)
-        if a >= big or (t is not None and t >= trend_margin):
+        if a >= JUMP_BIG or (t is not None and t >= JUMP_TREND_MARGIN):
             labels.append("diverging")
-        elif a <= small or (t is not None and t <= -trend_margin):
+        elif a <= JUMP_SMALL or (t is not None and t <= -JUMP_TREND_MARGIN):
             labels.append("vanishing")
         else:
             labels.append("indeterminate")
@@ -244,55 +311,24 @@ def largest_dimension(tables: Sequence[GrowthTable],
     return best
 
 
-def _count_tables_shift(system: ShiftSystem, n_range, scales) -> list[GrowthTable]:
-    tables = []
-    for k in scales:
-        k = int(k)
-        eps = deflated_scale(k)
-        samples = [
-            GrowthSample(Estimator.SEPARATED, n, eps, log_word_count(system, n + k), True)
-            for n in n_range
-        ]
-        tables.append(GrowthTable(samples, {"system": system.label, "scale_k": k}))
-    return tables
-
-
-def _count_tables_metric(system: System, n_range, scales, budget: int) -> list[GrowthTable]:
-    tables = []
-    for eps in scales:
-        samples = []
-        for n in n_range:
-            cand = system.candidate_set(n, eps, budget=budget)
-            inst = make_instance(system, n, eps, cand.points)
-            count = len(greedy_separated(inst, order="index"))
-            note = "" if cand.certified else "candidate density not certified"
-            samples.append(
-                GrowthSample(Estimator.SEPARATED, n, eps, math.log(count), False, note)
-            )
-        tables.append(GrowthTable(samples, {"system": system.label, "eps": eps}))
-    return tables
-
-
 def entropy_dimension(
     system: System,
     n_range: Sequence[int],
     scales: Sequence[float],
-    s_grid: Sequence[float] | None = None,
+    s_grid: Sequence[float] = DEFAULT_S_GRID,
     window_frac: float = 0.5,
     budget: int = 4096,
 ) -> tuple[PressureCurve, DimensionEstimate]:
-    """Zero-potential pipeline: separated-orbit counting and its exponent.
+    """The pressure dimension of the zero potential, from separated samples.
 
-    Shift systems use exact cylinder counts at dyadic scale indices; metric
-    systems count greedy separated sets on candidate grids at each eps.
+    This is :func:`growth_tables` with the zero potential and estimator 3:
+    exact word counts at the dyadic scale indices ``scales`` on shift
+    systems, greedy separated sets on candidate grids of at most ``budget``
+    points at the scales ``scales`` otherwise.
     """
-    n_range = list(n_range)
-    if isinstance(system, ShiftSystem):
-        tables = _count_tables_shift(system, n_range, scales)
-    else:
-        tables = _count_tables_metric(system, n_range, scales, budget)
-    if s_grid is None:
-        s_grid = [round(0.2 * i, 2) for i in range(1, 11)]
+    mode = "k" if isinstance(system, ShiftSystem) else "eps"
+    tables = growth_tables(system, zero_potential(system), list(n_range), mode, scales,
+                           [Estimator.SEPARATED], budget)
     curve = pressure_curve(tables, s_grid, window_frac)
     best = largest_dimension(tables, window_frac)
     if best is None:

@@ -40,6 +40,8 @@ DISTANCE_BUDGET_BYTES = 2 * 1024**3
 _BLOCK_ENTRIES = 1 << 15
 # Longest word the bit-plane kernel takes: its disagreement sums are exact.
 _WORD_BITS = 53
+# Most candidates the exact (exponential-time) oracles take.
+ORACLE_CAP = 20
 
 
 class Estimator(IntEnum):
@@ -211,13 +213,8 @@ def _word_distance_matrix(n: int, points: Sequence[Word], step: int = 1) -> np.n
     return _running_max(m, step_distances, 2.0 ** (1 - L))
 
 
-def _greedy_separated_indices(inst: SeparationInstance, order: str) -> list[int]:
-    if order == "weight":
-        idx = sorted(range(inst.size), key=lambda i: (-inst.weights[i], i))
-    elif order == "index":
-        idx = range(inst.size)
-    else:
-        raise ValueError(f"unknown greedy order {order!r}")
+def _greedy_separated_indices(inst: SeparationInstance) -> list[int]:
+    idx = sorted(range(inst.size), key=lambda i: (-inst.weights[i], i))
     # row j marks the points within eps of j (the matrix is symmetric)
     close = ~(inst.distances() > inst.eps)
     blocked = np.zeros(inst.size, dtype=bool)
@@ -229,14 +226,17 @@ def _greedy_separated_indices(inst: SeparationInstance, order: str) -> list[int]
     return kept
 
 
-def greedy_separated(inst: SeparationInstance, order: str = "weight") -> list:
-    """Maximal (n, eps)-separated subset of the candidates, greedily grown."""
-    return [inst.points[i] for i in _greedy_separated_indices(inst, order)]
+def greedy_separated(inst: SeparationInstance) -> list:
+    """Maximal (n, eps)-separated subset of the candidates, greedily grown.
+
+    Candidates are taken by decreasing weight, ties by lower index.
+    """
+    return [inst.points[i] for i in _greedy_separated_indices(inst)]
 
 
 def separated_lower_bound(inst: SeparationInstance, note: str = "") -> GrowthSample:
     """Certified lower bound for the separated-set optimum (estimator 3)."""
-    kept = _greedy_separated_indices(inst, "weight")
+    kept = _greedy_separated_indices(inst)
     val = logsumexp(inst.weights[kept])
     return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=False, note=note)
 
@@ -275,14 +275,14 @@ def spanning_upper_bound(inst: SeparationInstance, note: str = "") -> GrowthSamp
     return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, val, exact=False, note=note)
 
 
-def _check_size(inst: SeparationInstance, cap: int) -> None:
-    if inst.size > cap:
+def _check_size(inst: SeparationInstance) -> None:
+    if inst.size > ORACLE_CAP:
         raise InstanceTooLargeError(
-            f"{inst.size} candidates exceed the exact-oracle cap {cap}"
+            f"{inst.size} candidates exceed the exact-oracle cap {ORACLE_CAP}"
         )
 
 
-def exact_separated_value(inst: SeparationInstance, cap: int = 20) -> GrowthSample:
+def exact_separated_value(inst: SeparationInstance) -> GrowthSample:
     """Exact separated-set optimum by weighted independent-set search."""
     m = inst.size
     close = inst.distances() <= inst.eps
@@ -291,7 +291,7 @@ def exact_separated_value(inst: SeparationInstance, cap: int = 20) -> GrowthSamp
         # everything is pairwise separated; the optimum keeps all candidates
         val = logsumexp(inst.weights)
         return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=True)
-    _check_size(inst, cap)
+    _check_size(inst)
     conflict = _bitmasks(close)
     wmax = float(inst.weights.max())
     shifted = np.exp(inst.weights - wmax)
@@ -340,9 +340,9 @@ def exact_min_cover(masks: list[int], costs: np.ndarray, full: int | None = None
     return best(0)
 
 
-def exact_spanning_value(inst: SeparationInstance, cap: int = 20) -> GrowthSample:
+def exact_spanning_value(inst: SeparationInstance) -> GrowthSample:
     """Exact spanning-set optimum by weighted set-cover search."""
-    _check_size(inst, cap)
+    _check_size(inst)
     masks = _bitmasks(inst.distances() < inst.eps)
     wmax = float(inst.weights.max())
     costs = np.exp(inst.weights - wmax)
@@ -355,11 +355,10 @@ def count_spanning_separated(
     n: int,
     eps: float,
     points: Sequence[Point],
-    cap: int = 20,
 ) -> tuple[int, int]:
     """Exact (min spanning count, max separated count): the zero-weight optima."""
     inst = make_instance(system, n, eps, points)
-    _check_size(inst, cap)
-    span = exact_spanning_value(inst, cap).log_value
-    sep = exact_separated_value(inst, cap).log_value
+    _check_size(inst)
+    span = exact_spanning_value(inst).log_value
+    sep = exact_separated_value(inst).log_value
     return round(math.exp(span)), round(math.exp(sep))

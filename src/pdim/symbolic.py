@@ -65,16 +65,12 @@ def log_weighted_word_sum(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    profile = potential.shift_profile()
-    if profile is None:
-        raise NotLocallyConstantError(
-            f"{potential.label} has no locally constant structure on shifts"
-        )
     need = required_length(potential, n)
     if length < need:
         raise NotLocallyConstantError(
             f"phi_{n} for {potential.label} needs word length >= {need}, got {length}"
         )
+    profile = potential.shift_profile()
     if isinstance(profile, ScalarWindow):
         return _scalar_window_sum(system, profile, n, length)
     if profile.power == 1.0:

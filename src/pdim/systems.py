@@ -18,10 +18,6 @@ import numpy as np
 class BudgetExceededError(RuntimeError):
     """Candidate generation would exceed the point budget."""
 
-    def __init__(self, message: str, achieved_mesh: float | None = None):
-        super().__init__(message)
-        self.achieved_mesh = achieved_mesh
-
 
 @dataclass(frozen=True)
 class Word:
@@ -86,7 +82,6 @@ class CandidateSet:
     points: list
     certified: bool = True
     capped: bool = False
-    mesh: float | None = None
 
 
 class System:
@@ -112,12 +107,6 @@ class System:
         for _ in range(j):
             x = self.apply(x)
         return x
-
-    def orbit(self, x: Point, n: int) -> list[Point]:
-        out = [x]
-        for _ in range(n - 1):
-            out.append(self.apply(out[-1]))
-        return out
 
     def bowen_metric(self, n: int, x: Point, y: Point) -> float:
         """max of metric(T^j x, T^j y) over 0 <= j < n."""
@@ -207,7 +196,7 @@ class ShiftSystem(System):
                 f"{total} admissible words of length {length} exceed budget {budget}"
             )
         pts = [self.representative(w) for w in self.admissible_words(length)]
-        return CandidateSet(points=pts, certified=True, capped=False, mesh=None)
+        return CandidateSet(points=pts, certified=True, capped=False)
 
     def validate_point(self, x: Point) -> None:
         if not isinstance(x, Word):
@@ -362,7 +351,7 @@ class CircleSystem(System):
         achieved = 1.0 / m
         pts = [real(i / m) for i in range(m)]
         return CandidateSet(points=pts, certified=not capped or achieved <= target,
-                            capped=capped, mesh=achieved)
+                            capped=capped)
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[Point]:
         return [real(float(v)) for v in rng.random(count)]
@@ -448,7 +437,7 @@ class Contraction(System):
             m = budget
         achieved = 1.0 / m
         pts = [real(min(1.0, i * achieved)) for i in range(m + 1)]
-        return CandidateSet(points=pts, certified=not capped, capped=capped, mesh=achieved)
+        return CandidateSet(points=pts, certified=not capped, capped=capped)
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[Point]:
         return [real(float(v)) for v in rng.random(count)]

@@ -89,9 +89,9 @@ def _digest(params: dict) -> str:
 
 
 def _finish(check_id: str, params: dict, violations: list[float],
-            fault: float, notes: str, tol: float = TOL) -> CheckReport:
+            fault: float, notes: str) -> CheckReport:
     worst = max(violations) + fault if violations else fault
-    status = "pass" if worst <= tol else "fail"
+    status = "pass" if worst <= TOL else "fail"
     return CheckReport(check_id, status, worst, _digest(params), notes)
 
 

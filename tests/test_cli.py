@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import re
 
 import pytest
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
-from pdim.cli import CSV_HEADER, main
+from pdim.cli import CSV_HEADER, build_system, main
+from pdim.dimension import entropy_dimension
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -179,6 +182,58 @@ class TestConfigErrors:
         out = tmp_path / "o.csv"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
         assert {r[2] for r in read_rows(out)[1:]} == {"3"}
+
+    @pytest.mark.parametrize("scales", [{"k": [0, 1]}, {"eps": [0.2]}], ids=["k", "eps"])
+    def test_repeated_estimator_counts_once(self, tmp_path, scales):
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        for estimators, out in (([3, 2], once), ([3, 3, 2], twice)):
+            cfg = write_config(tmp_path, n_range=[2, 3, 4, 5], scales=scales,
+                               estimators=estimators)
+            assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert twice.read_bytes() == once.read_bytes()
+
+    def test_eps_tables_follow_estimator_order(self, tmp_path):
+        cfg = write_config(tmp_path, n_range=[2, 3, 4, 5], scales={"eps": [0.2]},
+                           estimators=[2, 3])
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        sample_ests = [r[2] for r in read_rows(out)[1:] if r[3]]
+        assert sample_ests == ["2"] * 4 + ["3"] * 4
+
+
+def printed_estimates(text):
+    """{estimator: (dimension, (bracket low, bracket high))} from estimate's stdout."""
+    dims = {int(e): float(v) for e, v in re.findall(r"estimator=(\d) dimension=(\S+)", text)}
+    brackets = {int(e): (float(lo), float(hi))
+                for e, lo, hi in re.findall(r"estimator=(\d) jump_bracket=\[(\S+), (\S+)\]", text)}
+    return {e: (dims[e], brackets[e]) for e in brackets}
+
+
+class TestSinglePath:
+    @pytest.mark.parametrize("system, ns, scales", [
+        ({"kind": "full_shift", "k": 3}, range(10, 201, 10), {"k": [0, 1, 2]}),
+        ({"kind": "sft", "matrix": [[1, 1], [1, 0]]}, range(10, 201, 10), {"k": [0, 1]}),
+        ({"kind": "rotation", "theta": 0.3}, range(2, 41, 2), {"eps": [0.2, 0.1, 0.05]}),
+    ], ids=["full_shift(3)", "golden_mean", "rotation(0.3)"])
+    def test_entropy_dimension_is_the_zero_potential_estimate(self, tmp_path, capsys,
+                                                              system, ns, scales):
+        cfg = write_config(tmp_path, system=system, potential={"kind": "zero"},
+                           n_range=list(ns), scales=scales, estimators=[3], budget=4096)
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        printed, _ = printed_estimates(capsys.readouterr().out)[3]
+        [scale_list] = scales.values()
+        _, est = entropy_dimension(build_system(system), ns, scale_list, budget=4096)
+        assert est.s0_hat == printed
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_estimate_inside_jump_bracket(self, tmp_path, capsys, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(GOLDEN_CONFIGS[name]))
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        estimates = printed_estimates(capsys.readouterr().out)
+        assert sorted(estimates) == [2, 3]
+        for s0, (lo, hi) in estimates.values():
+            assert lo <= s0 <= hi
 
 
 class TestBudget:

@@ -66,7 +66,8 @@ class TestGrowthTable:
         t = GrowthTable(rows)
         sep = t.filter(estimator=Estimator.SEPARATED)
         assert {s.estimator for s in sep.samples} == {Estimator.SEPARATED}
-        assert len(t.scales(Estimator.SPANNING)) == 1
+        # k = 1 spans at radius 2^0
+        assert len(t.filter(estimator=Estimator.SPANNING, scale=1.0).samples) == 4
 
 
 class TestSPressure:
@@ -204,23 +205,32 @@ class TestDimensionEstimate:
         assert dimension_estimate(GrowthTable(rows)).s0_hat == 0.0
 
 
+def assert_inside_jump_bracket(curve, est):
+    lo, hi = classify_jump(curve).bracket
+    assert lo <= est.s0_hat <= hi
+
+
 class TestEntropyDimension:
     def test_full_shift_is_one(self):
         curve, est = entropy_dimension(FullShift(2), range(10, 201, 10), [0, 1, 2])
         assert est.s0_hat == pytest.approx(1.0, abs=0.05)
         lo, hi = classify_jump(curve).bracket
         assert lo < 1.0 <= hi
+        assert_inside_jump_bracket(curve, est)
 
     def test_golden_mean_is_one(self):
-        _, est = entropy_dimension(golden_mean_sft(), range(10, 201, 10), [0, 1])
+        curve, est = entropy_dimension(golden_mean_sft(), range(10, 201, 10), [0, 1])
         assert est.s0_hat == pytest.approx(1.0, abs=0.05)
+        assert_inside_jump_bracket(curve, est)
 
     def test_contraction_is_zero(self):
-        _, est = entropy_dimension(Contraction(0.5, 0.0), range(2, 41, 2),
-                                   [0.2, 0.1, 0.05])
+        curve, est = entropy_dimension(Contraction(0.5, 0.0), range(2, 41, 2),
+                                       [0.2, 0.1, 0.05])
         assert est.s0_hat == pytest.approx(0.0, abs=0.05)
+        assert_inside_jump_bracket(curve, est)
 
     def test_rotation_is_zero(self):
-        _, est = entropy_dimension(Rotation(math.sqrt(2) - 1), range(2, 41, 2),
-                                   [0.2, 0.1, 0.05])
+        curve, est = entropy_dimension(Rotation(math.sqrt(2) - 1), range(2, 41, 2),
+                                       [0.2, 0.1, 0.05])
         assert est.s0_hat == pytest.approx(0.0, abs=0.05)
+        assert_inside_jump_bracket(curve, est)
