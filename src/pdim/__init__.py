@@ -52,6 +52,7 @@ from .partition import (
 )
 from .symbolic import (
     log_weighted_word_sum,
+    log_weighted_word_sums,
     exact_growth_table,
 )
 from .dimension import (

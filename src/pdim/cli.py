@@ -221,17 +221,18 @@ def build_potential(spec: dict | None, system: System):
 
 
 def _parse_n_range(spec) -> list[int]:
-    if isinstance(spec, list):
-        ns = [int(v) for v in spec]
-    elif isinstance(spec, dict):
-        try:
+    try:
+        if isinstance(spec, list):
+            ns = [int(v) for v in spec]
+        elif isinstance(spec, dict):
             start, stop = int(spec["start"]), int(spec["stop"])
-        except KeyError as e:
-            raise ConfigError(f"n_range needs {e} key")
-        step = int(spec.get("step", 1))
-        ns = list(range(start, stop + 1, step))  # stop is inclusive
-    else:
-        raise ConfigError("n_range must be a list or {start, stop, step}")
+            ns = list(range(start, stop + 1, int(spec.get("step", 1))))  # stop is inclusive
+        else:
+            raise ConfigError("n_range must be a list or {start, stop, step}")
+    except KeyError as e:
+        raise ConfigError(f"n_range needs {e} key")
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad n_range: {e}")
     if not ns or any(n < 1 for n in ns) or sorted(ns) != ns:
         raise ConfigError("n_range must be increasing positive integers")
     return ns
@@ -240,30 +241,33 @@ def _parse_n_range(spec) -> list[int]:
 def _parse_scales(spec) -> tuple[str, list]:
     if not isinstance(spec, dict) or set(spec) not in ({"k"}, {"eps"}):
         raise ConfigError("scales must be {'k': [...]} or {'eps': [...]}")
-    if "k" in spec:
-        ks = [int(v) for v in spec["k"]]
-        if any(k < 0 for k in ks):
-            raise ConfigError("scale indices must be >= 0")
-        return "k", ks
-    eps = [float(v) for v in spec["eps"]]
-    if any(not 0.0 < e for e in eps):
+    [(mode, raw)] = spec.items()
+    try:
+        values = [int(v) if mode == "k" else float(v) for v in raw]
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad scales.{mode}: {e}")
+    if mode == "k" and any(k < 0 for k in values):
+        raise ConfigError("scale indices must be >= 0")
+    if mode == "eps" and any(not 0.0 < e for e in values):
         raise ConfigError("eps scales must be positive")
-    return "eps", eps
+    return mode, values
 
 
 def _parse_s_grid(spec) -> list[float]:
     if spec is None:
         return list(DEFAULT_S_GRID)
-    if isinstance(spec, list):
-        out = [float(v) for v in spec]
-    elif isinstance(spec, dict):
-        try:
-            out = [float(v) for v in
-                   np.linspace(spec["start"], spec["stop"], int(spec["steps"]))]
-        except KeyError as e:
-            raise ConfigError(f"s_grid needs {e} key")
-    else:
-        raise ConfigError("s_grid must be a list or {start, stop, steps}")
+    try:
+        if isinstance(spec, list):
+            out = [float(v) for v in spec]
+        elif isinstance(spec, dict):
+            start, stop = float(spec["start"]), float(spec["stop"])
+            out = [float(v) for v in np.linspace(start, stop, int(spec["steps"]))]
+        else:
+            raise ConfigError("s_grid must be a list or {start, stop, steps}")
+    except KeyError as e:
+        raise ConfigError(f"s_grid needs {e} key")
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad s_grid: {e}")
     if any(s <= 0 for s in out):
         raise ConfigError("s exponents must be positive")
     return out

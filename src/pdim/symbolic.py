@@ -8,9 +8,12 @@ states: the admissible words of length max_reach-1 for a scalar window, the
 symbol x d blocks for a matrix cocycle.  Between a few breakpoints (where the
 window switches off or a boundary term fires) the matrix is stationary, so
 its power comes from repeated squaring in log space in O(S^3 log n), and exact
-tables at n = 10^5-10^6 are cheap.  Only scaled matrix cocycles (a norm power
-other than 1) enumerate words, under a size cap; a scalar window sums words
-no longer than one state directly.
+tables at n = 10^5-10^6 are cheap.  A table over many n shares one setup and
+one ladder of squares M, M^2, M^4, ... per stationary matrix, so it costs
+O(S^3 log n_max + |ns| S^2 log n) rather than O(|ns| S^3 log n) plus |ns|
+setups; a single sum costs what one chain costs.  Only scaled matrix
+cocycles (a norm power other than 1) enumerate words, under a size cap; a
+scalar window sums words no longer than one state directly.
 """
 
 from __future__ import annotations
@@ -35,7 +38,10 @@ class EnumerationCapError(NotLocallyConstantError, BudgetExceededError):
 
 def required_length(potential: Potential, n: int) -> int:
     """Shortest word length on which phi_n is constant per cylinder."""
-    profile = potential.shift_profile()
+    return _required_length(potential, potential.shift_profile(), n)
+
+
+def _required_length(potential: Potential, profile, n: int) -> int:
     if profile is None:
         raise NotLocallyConstantError(
             f"{potential.label} has no locally constant structure on shifts"
@@ -57,101 +63,153 @@ def log_weighted_word_sum(
 ) -> float:
     """log of the sum over admissible words w of |w| = length of e^(phi_n on [w]).
 
-    Requires phi_n to be constant on length-cylinders.  Scalar window
-    profiles and plain matrix cocycles apply a start vector to a chain of
-    transfer-matrix powers, O(S^3 log n) for S states, so n = 10^5-10^6 is
-    cheap.  Scaled matrix cocycles fall back to exact enumeration, which
-    raises EnumerationCapError (a budget error) past enumeration_cap words.
+    The one-n case of :func:`log_weighted_word_sums`, at the same cost as a
+    single transfer chain: O(S^3 log n) for S states.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    need = required_length(potential, n)
-    if length < need:
-        raise NotLocallyConstantError(
-            f"phi_{n} for {potential.label} needs word length >= {need}, got {length}"
-        )
+    return log_weighted_word_sums(system, potential, [n], length - n, enumeration_cap)[0]
+
+
+def log_weighted_word_sums(
+    system: ShiftSystem,
+    potential: Potential,
+    ns,
+    k: int,
+    enumeration_cap: int = 1 << 22,
+) -> list[float]:
+    """log of the sum over admissible words w of |w| = n + k of e^(phi_n on [w]), per n in ns.
+
+    Requires phi_n to be constant on (n + k)-cylinders; every n is checked
+    before any sum is computed.  Scalar window profiles and plain matrix
+    cocycles share one transfer setup across ns: each distinct segment matrix
+    is built once and squared once, M, M^2, M^4, ..., as far as the largest n
+    needs, and each n multiplies its start vector by the powers its bits
+    select.  A table costs O(S^3 log n_max + |ns| S^2 log n) for S states,
+    where separate single calls cost O(|ns| S^3 log n) plus |ns| setups.
+    Every value is the same float as the single call's.  Scaled matrix
+    cocycles enumerate words for each n and raise EnumerationCapError (a
+    budget error) past enumeration_cap words.
+    """
+    ns = list(ns)
     profile = potential.shift_profile()
+    scaled = isinstance(profile, MatrixWeights) and profile.power != 1.0
+    for n in ns:
+        if n < 1:
+            raise ValueError("need n >= 1")
+        need = _required_length(potential, profile, n)
+        if n + k < need:
+            raise NotLocallyConstantError(
+                f"phi_{n} for {potential.label} needs word length >= {need}, got {n + k}"
+            )
+        if scaled and (total := word_total(system, n + k)) > enumeration_cap:
+            raise EnumerationCapError(
+                f"enumeration fallback over {total} words exceeds cap {enumeration_cap}"
+            )
     if isinstance(profile, ScalarWindow):
-        return _scalar_window_sum(system, profile, n, length)
-    if profile.power == 1.0:
-        return _matrix_sum(system, profile, n, length)
-    return _enumerated_sum(system, potential, n, length, enumeration_cap)
+        chain = _window_chain(system, profile, k)
+    elif not scaled:
+        chain = _cocycle_chain(system, profile, k)
+    else:
+        def chain(n: int):  # one start entry per word, no transfer steps
+            return [potential.eval(n, system.representative(w))
+                    for w in system.admissible_words(n + k)], None
+    out = []
+    for n in ns:
+        start, factors = chain(n)
+        if factors is None:
+            out.append(logsumexp(start))
+            continue
+        # v exp(M)^m for each factor: ladder[j] is M^(2^j), squared only as
+        # far as some n has needed, and m's bits apply from the lowest up
+        v = start[None, :]
+        for ladder, m in factors:
+            while len(ladder) < m.bit_length():
+                ladder.append(_log_matmul(ladder[-1], ladder[-1]))
+            for j in range(m.bit_length()):
+                if m >> j & 1:
+                    v = _log_matmul(v, ladder[j])
+        out.append(float(np.logaddexp.reduce(v[0])))
+    return out
 
 
-def _position_weight(prof: ScalarWindow, n: int, j: int, window: tuple[int, ...]) -> float:
-    """Every term of phi_n that completes at position j; window ends at position j."""
-    total = 0.0
-    if prof.reach - 1 <= j < n + prof.reach - 1:
-        total += prof.step(window[-prof.reach:])
-    for b in prof.boundary:
-        if j == (n if b.at_end else 0) + b.reach - 1:
-            total += b.scale * b.fn(window[-b.reach:])
-    return total
+def _window_chain(system: ShiftSystem, prof: ScalarWindow, k: int):
+    """n -> (log start vector, [(ladder, power), ...]) for a scalar window.
 
-
-def _scalar_window_sum(system: ShiftSystem, prof: ScalarWindow, n: int, length: int) -> float:
-    # states are the admissible words of length p; start holds their first p positions
-    p = min(max(prof.max_reach - 1, 1), length)
+    States are the admissible words of length p; the start vector holds their
+    first p positions.  A position's weight depends on it only through its
+    signature (is the step window on, which boundary terms fire), so between
+    the cuts where the signature changes the transfer matrix is stationary.
+    Matrices, ladders and start vectors are cached by signature.  A valid
+    length is at least max_reach, so it is below p only when it equals
+    p = 1; such words give (start, None).
+    """
+    p = max(prof.max_reach - 1, 1)
     states = list(system.admissible_words(p))
-    start = [sum(_position_weight(prof, n, j, w[: j + 1]) for j in range(p)) for w in states]
-    if p == length:
-        return logsumexp(start)
-    # a position's weight depends on j only through these cuts, so between
-    # them the transfer matrix is stationary
-    cuts = {prof.reach - 1, n + prof.reach - 1}
-    for b in prof.boundary:
-        pos = (n if b.at_end else 0) + b.reach - 1
-        cuts.update((pos, pos + 1))
-    cuts = sorted({p, length} | {c for c in cuts if p < c < length})
+    starts: dict[tuple, np.ndarray] = {}
+    ladders: dict[tuple, list] = {}
     index = {w: i for i, w in enumerate(states)}
-    rows, cols, weights = [], [], []
-    for i, w in enumerate(states):
-        for s in range(system.k):
-            if system.is_admissible_pair(w[-1], s):
-                rows.append(i)
-                cols.append(index[w[1:] + (s,)])
-                weights.append([_position_weight(prof, n, a, w + (s,)) for a in cuts[:-1]])
-    logs = np.full((len(cuts) - 1, len(states), len(states)), -np.inf)
-    logs[:, rows, cols] = np.array(weights).T
-    return _log_chain(np.array(start), zip(logs, [b - a for a, b in zip(cuts, cuts[1:])]))
+    windows = [w + (s,) for w in states for s in range(system.k)
+               if system.is_admissible_pair(w[-1], s)]
+    rows = np.array([index[w[:-1]] for w in windows], dtype=np.intp)
+    cols = np.array([index[w[1:]] for w in windows], dtype=np.intp)
+
+    def signature(n: int, j: int) -> tuple:
+        return (prof.reach - 1 <= j < n + prof.reach - 1,
+                tuple(j == (n if b.at_end else 0) + b.reach - 1 for b in prof.boundary))
+
+    def weight(sig: tuple, window: tuple[int, ...]) -> float:
+        """Every term of phi_n that completes where the window ends."""
+        total = 0.0
+        if sig[0]:
+            total += prof.step(window[-prof.reach:])
+        for b, fires in zip(prof.boundary, sig[1]):
+            if fires:
+                total += b.scale * b.fn(window[-b.reach:])
+        return total
+
+    def ladder(sig: tuple) -> list:
+        if sig not in ladders:
+            m = np.full((len(states), len(states)), -np.inf)
+            m[rows, cols] = [weight(sig, w) for w in windows]
+            ladders[sig] = [m]
+        return ladders[sig]
+
+    def chain(n: int):
+        length = n + k
+        sigs = tuple(signature(n, j) for j in range(p))
+        if sigs not in starts:
+            starts[sigs] = np.array([sum(weight(sig, w[: j + 1]) for j, sig in enumerate(sigs))
+                                     for w in states])
+        if p == length:
+            return starts[sigs], None
+        cuts = {prof.reach - 1, n + prof.reach - 1}
+        for b in prof.boundary:
+            pos = (n if b.at_end else 0) + b.reach - 1
+            cuts.update((pos, pos + 1))
+        cuts = sorted({p, length} | {c for c in cuts if p < c < length})
+        return starts[sigs], [(ladder(signature(n, a)), b - a) for a, b in zip(cuts, cuts[1:])]
+
+    return chain
 
 
-def _matrix_sum(system: ShiftSystem, prof: MatrixWeights, n: int, length: int) -> float:
-    """Sum of entry-sum norms of symbol-matrix products, as one block transfer matrix.
+def _cocycle_chain(system: ShiftSystem, prof: MatrixWeights, k: int):
+    """n -> (log start vector, [(ladder, power), ...]) for a plain matrix cocycle.
 
     The entry-sum norm is linear on nonnegative matrices, so summing norms
     over words equals the norm of the summed products:
     B[(s,i),(t,j)] = A[s,t] M_t[i,j] for the n-1 weighted steps, then
-    kron(A, I_d) for the free trailing symbols.
+    kron(A, I_d) for the k free trailing symbols.
     """
-    k = system.k
-    adj = np.array([[float(system.is_admissible_pair(s, t)) for t in range(k)] for s in range(k)])
+    adj = np.array([[float(system.is_admissible_pair(s, t)) for t in range(system.k)]
+                    for s in range(system.k)])
     d = prof.mats[0].shape[0]
     mats = np.stack(prof.mats).transpose(1, 0, 2)  # [i, t, j]
-    block = (adj[:, None, :, None] * mats[None]).reshape(k * d, k * d)
+    block = (adj[:, None, :, None] * mats[None]).reshape(system.k * d, system.k * d)
     start = np.concatenate([m.sum(axis=0) for m in prof.mats])
     with np.errstate(divide="ignore"):
-        factors = [(np.log(block), n - 1), (np.log(np.kron(adj, np.eye(d))), length - n)]
-        return _log_chain(np.log(start), factors)
-
-
-def _log_chain(v: np.ndarray, factors) -> float:
-    """log of the entry sum of exp(v) exp(M_1)^m_1 exp(M_2)^m_2 ... (exp entrywise).
-
-    v is a log-domain row and each factor (M, m) a log-domain square matrix
-    raised to the power m by repeated squaring: O(S^3 log m) per factor.
-    Every product adds in log space, so entries any distance apart add
-    without underflow.
-    """
-    v = v[None, :]
-    for M, m in factors:
-        while m:
-            if m & 1:
-                v = _log_matmul(v, M)
-            m >>= 1
-            if m:
-                M = _log_matmul(M, M)
-    return float(np.logaddexp.reduce(v[0]))
+        v = np.log(start)
+        steps = [np.log(block)]
+        free = [np.log(np.kron(adj, np.eye(d)))]
+    return lambda n: (v, [(steps, n - 1), (free, k)])
 
 
 def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,18 +218,6 @@ def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) > rows:  # bound the rows x S x T temporary
         return np.concatenate([_log_matmul(a[i : i + rows], b) for i in range(0, len(a), rows)])
     return np.logaddexp.reduce(a[:, :, None] + b, axis=1)
-
-
-def _enumerated_sum(
-    system: ShiftSystem, potential: Potential, n: int, length: int, cap: int
-) -> float:
-    total = word_total(system, length)
-    if total > cap:
-        raise EnumerationCapError(
-            f"enumeration fallback over {total} words exceeds cap {cap}"
-        )
-    vals = [potential.eval(n, system.representative(w)) for w in system.admissible_words(length)]
-    return logsumexp(vals)
 
 
 def deflated_scale(k: int) -> float:
@@ -197,9 +243,9 @@ def exact_growth_table(
         raise ValueError("scale index must be >= 0")
     eps = deflated_scale(scale_k)
     span_scale = 2.0 ** (-(scale_k - 1))
+    ns = list(n_range)
     out: list[GrowthSample] = []
-    for n in n_range:
-        v = log_weighted_word_sum(system, potential, n, n + scale_k)
+    for n, v in zip(ns, log_weighted_word_sums(system, potential, ns, scale_k)):
         out.append(GrowthSample(Estimator.SEPARATED, n, eps, v, exact=True))
         out.append(GrowthSample(Estimator.SPANNING, n, span_scale, v, exact=True))
     return out

@@ -47,6 +47,7 @@ from .potentials import (
 from .symbolic import (
     deflated_scale,
     log_weighted_word_sum,
+    log_weighted_word_sums,
     log_word_count,
 )
 from .systems import (
@@ -86,6 +87,12 @@ class CheckReport:
 def _digest(params: dict) -> str:
     blob = json.dumps(params, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _word_sums(system: ShiftSystem, pot: Potential, ns, k: int) -> dict[int, float]:
+    """{n: log weighted sum over the (n + k)-words}, from one table."""
+    ns = list(ns)
+    return dict(zip(ns, log_weighted_word_sums(system, pot, ns, k)))
 
 
 def _finish(check_id: str, params: dict, violations: list[float],
@@ -183,12 +190,13 @@ def check_chain(seed: int = 0, n_max: int = 10, oracle_trials: int = 100,
         (FullShift(2), symbol_weights(FullShift(2), [0.3, -0.2])),
         (golden_mean_sft(), symbol_weights(golden_mean_sft(), [0.1, 0.4])),
     ]:
+        sums = {k: _word_sums(system, pot, range(1, n_max + 1), k) for k in range(1, 5)}
         for n in range(1, n_max + 1):
             for m in (2, 3):
-                q_val = log_weighted_word_sum(system, pot, n, n + m - 1)
-                span_val = log_weighted_word_sum(system, pot, n, n + m)
+                q_val = sums[m - 1][n]
+                span_val = sums[m][n]
                 p_val = span_val
-                upper_val = log_weighted_word_sum(system, pot, n, n + m + 1)
+                upper_val = sums[m + 1][n]
                 violations.append(q_val - span_val)
                 violations.append(span_val - p_val)
                 violations.append(p_val - upper_val)
@@ -279,11 +287,9 @@ def check_prop22(seed: int = 0, n_max: int = 6, trials: int = 25,
 
 def _ratio_tables(system: ShiftSystem, pot: Potential, k: int, n_range) -> tuple[list, list]:
     """Per-n statistics log value / n for the potential and the zero table."""
-    pot_ratios = []
-    zero_ratios = []
-    for n in n_range:
-        pot_ratios.append(log_weighted_word_sum(system, pot, n, n + k) / n)
-        zero_ratios.append(log_word_count(system, n + k) / n)
+    sums = _word_sums(system, pot, n_range, k)
+    pot_ratios = [v / n for n, v in sums.items()]
+    zero_ratios = [log_word_count(system, n + k) / n for n in sums]
     return pot_ratios, zero_ratios
 
 
@@ -295,8 +301,7 @@ def check_thm31(seed: int = 0, n_max: int = 12, fault: float = 0.0) -> CheckRepo
     systems = [FullShift(2), golden_mean_sft()]
     for system in systems:
         for k in (0, 1, 2):
-            for n in range(1, n_max + 1):
-                v = log_weighted_word_sum(system, zero_potential(), n, n + k)
+            for n, v in _word_sums(system, zero_potential(), range(1, n_max + 1), k).items():
                 violations.append(abs(v - log_word_count(system, n + k)))
 
     scenarios: list[tuple[ShiftSystem, Potential]] = [
@@ -331,6 +336,7 @@ def check_thm32(seed: int = 0, n_max: int = 10, pairs: int = 50,
     params = {"check": "thm32", "seed": seed, "n_max": n_max, "pairs": pairs}
     rng = np.random.default_rng(seed)
     system = FullShift(2)
+    ns = range(1, n_max + 1)
     violations = []
     # near-tight pair: one dominant word drives every slack below 1e-2, so a
     # 0.1 perturbation of any inequality is detected
@@ -340,19 +346,16 @@ def check_thm32(seed: int = 0, n_max: int = 10, pairs: int = 50,
     for t1, t2 in tight + random_pairs:
         phi = symbol_weights(system, t1)
         psi = symbol_weights(system, t2)
-        both = add(phi, psi)
-        for n in range(1, n_max + 1):
-            L = n
-            v_sum = log_weighted_word_sum(system, both, n, L)
-            v_phi = log_weighted_word_sum(system, phi, n, L)
-            v_psi = log_weighted_word_sum(system, psi, n, L)
-            violations.append(v_sum - v_phi - v_psi)
+        v_sum = _word_sums(system, add(phi, psi), ns, 0)
+        v_phi = _word_sums(system, phi, ns, 0)
+        v_psi = _word_sums(system, psi, ns, 0)
+        v_lam = {lam: _word_sums(system, scale(lam, phi), ns, 0) for lam in (2.0, 3.0, 0.25, 0.5)}
+        for n in ns:
+            violations.append(v_sum[n] - v_phi[n] - v_psi[n])
             for lam in (2.0, 3.0):
-                v_lam = log_weighted_word_sum(system, scale(lam, phi), n, L)
-                violations.append(v_lam - lam * v_phi)
+                violations.append(v_lam[lam][n] - lam * v_phi[n])
             for lam in (0.25, 0.5):
-                v_lam = log_weighted_word_sum(system, scale(lam, phi), n, L)
-                violations.append(lam * v_phi - v_lam)
+                violations.append(lam * v_phi[n] - v_lam[lam][n])
     # oracle variant: the same inequalities hold for brute-force separated
     # optima on one shared instance
     for _ in range(10):
@@ -376,18 +379,16 @@ def check_thm33(seed: int = 0, n_max: int = 10, fault: float = 0.0) -> CheckRepo
     params = {"check": "thm33", "seed": seed, "n_max": n_max}
     rng = np.random.default_rng(seed)
     system = FullShift(2)
+    ns = range(1, n_max + 1)
     violations = []
     for _ in range(20):
         base = rng.normal(scale=0.6, size=2)
         bump = rng.uniform(0.0, 0.8, size=2)
         phi = symbol_weights(system, base)
         psi = symbol_weights(system, base + bump)
-        for n in range(1, n_max + 1):
-            L = n + 1
-            violations.append(
-                log_weighted_word_sum(system, phi, n, L)
-                - log_weighted_word_sum(system, psi, n, L)
-            )
+        v_psi = _word_sums(system, psi, ns, 1)
+        for n, v_phi in _word_sums(system, phi, ns, 1).items():
+            violations.append(v_phi - v_psi[n])
     for _ in range(20):
         t_phi = rng.normal(scale=0.6, size=2)
         t_psi = rng.normal(scale=0.6, size=2)
@@ -395,10 +396,9 @@ def check_thm33(seed: int = 0, n_max: int = 10, fault: float = 0.0) -> CheckRepo
         psi = symbol_weights(system, t_psi)
         pert = coboundary_perturb(phi, psi)
         norm_psi1 = float(np.max(np.abs(t_psi)))
-        for n in range(1, n_max + 1):
-            L = n + 2
-            v_pert = log_weighted_word_sum(system, pert, n, L)
-            v_phi = log_weighted_word_sum(system, phi, n, L)
+        v_phis = _word_sums(system, phi, ns, 2)
+        for n, v_pert in _word_sums(system, pert, ns, 2).items():
+            v_phi = v_phis[n]
             band = 2.0 * n * psi.C + 2.0 * norm_psi1
             violations.append(abs(v_pert - v_phi) - band)
             for s in (1.5, 2.0):
@@ -408,14 +408,12 @@ def check_thm33(seed: int = 0, n_max: int = 10, fault: float = 0.0) -> CheckRepo
         t_psi = rng.normal(scale=0.6, size=2)
         phi = symbol_weights(system, t_phi)
         psi = symbol_weights(system, t_psi)
+        v_phi = _word_sums(system, phi, ns, 1)
+        v_psi = _word_sums(system, psi, ns, 1)
         for t in (0.25, 0.5, 0.75):
-            mix = add(scale(t, phi), scale(1.0 - t, psi))
-            for n in range(1, n_max + 1):
-                L = n + 1
-                v_mix = log_weighted_word_sum(system, mix, n, L)
-                v_phi = log_weighted_word_sum(system, phi, n, L)
-                v_psi = log_weighted_word_sum(system, psi, n, L)
-                violations.append(v_mix - t * v_phi - (1.0 - t) * v_psi)
+            v_mix = _word_sums(system, add(scale(t, phi), scale(1.0 - t, psi)), ns, 1)
+            for n in ns:
+                violations.append(v_mix[n] - t * v_phi[n] - (1.0 - t) * v_psi[n])
     notes = f"{len(violations)} inequalities"
     return _finish("thm33", params, violations, fault, notes)
 
@@ -531,19 +529,14 @@ def check_section4(seed: int = 0, fault: float = 0.0) -> CheckReport:
     # drift on shifts: per-n statistic at s = 1 equals drift + counting term
     for system in (FullShift(2), golden_mean_sft()):
         for A in (0.0, 0.5, 1.0):
-            drift = ConstantDrift(A, system)
-            for n in range(4, 33, 4):
-                v = log_weighted_word_sum(system, drift, n, n) / n
+            for n, v in _word_sums(system, ConstantDrift(A, system), range(4, 33, 4), 0).items():
                 target = A + log_word_count(system, n) / n
-                violations.append(abs(v - target))
+                violations.append(abs(v / n - target))
 
     # drift dimension on the full shift: exact table at the finest scale
-    samples = [
-        GrowthSample(Estimator.SEPARATED, n, deflated_scale(0),
-                     log_weighted_word_sum(FullShift(2), ConstantDrift(0.5, FullShift(2)), n, n),
-                     True)
-        for n in range(4, 65, 4)
-    ]
+    sums = _word_sums(FullShift(2), ConstantDrift(0.5, FullShift(2)), range(4, 65, 4), 0)
+    samples = [GrowthSample(Estimator.SEPARATED, n, deflated_scale(0), v, True)
+               for n, v in sums.items()]
     est = dimension_estimate(GrowthTable(samples))
     violations.append(abs(est.s0_hat - 1.0) - 0.05)
     notes_parts.append(f"drift dim {est.s0_hat:.3f}")

@@ -151,6 +151,20 @@ class TestConfigErrors:
         assert err.startswith("error: ") and "no locally constant structure" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("option", [
+        {"n_range": ["a"]},
+        {"scales": {"k": ["x"]}},
+        {"s_grid": ["a"]},
+        {"s_grid": {"start": "x", "stop": 2, "steps": 3}},
+        {"n_range": {"start": 1, "stop": 5, "step": 0}},
+    ], ids=repr)
+    def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, option):
+        cfg = write_config(tmp_path, **option)
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cover_estimators_rejected_on_metric_path(self, tmp_path):
         cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
                            potential={"kind": "zero"},

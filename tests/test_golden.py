@@ -1,4 +1,5 @@
-"""Golden outputs: CSV bytes of fixed estimate configs and the verify report lines.
+"""Golden outputs: CSV bytes of fixed estimate configs, the verify report lines
+for seeds 0 and 7, and the bits of every suite violation at those seeds.
 
 The rotation and doubling hashes and the verify digests were recorded from
 the scipy-based implementation and still hold byte for byte.  The six
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 import pdim
+from pdim import theorems
 from pdim.cli import main
 
 WORDS = {"kind": "full_shift", "k": 2}
@@ -90,6 +92,37 @@ VERIFY_SEED_0 = [
     "section4   pass   worst_violation=4.441e-16 digest=457f7d0380f2 drift dim 1.000; shift dim 1.000; contraction(0.5) dim 0.000; rotation(0.41421356237309515) dim 0.000",
 ]
 
+VERIFY_SEED_7 = [
+    "chain      pass   worst_violation=4.441e-16 digest=db9a723e7328 498 inequalities",
+    "prop22     pass   worst_violation=-5.779e-04 digest=87d893e4776b 150 (n, eps) pairs",
+    "thm31      pass   worst_violation=1.776e-15 digest=aeed12f6c242 264 inequalities",
+    "thm32      pass   worst_violation=-4.945e-03 digest=4160403047fc 50 exact pairs + 10 oracle instances",
+    "thm33      pass   worst_violation=-6.390e-06 digest=2221df757823 1400 inequalities",
+    "thm34      pass   worst_violation=9.990e-10 digest=80ba90ed95bd 20 oracle instances; inverse identity worst 2.22e-16",
+    "thm35      pass   worst_violation=0.000e+00 digest=3e95738dfd0d 36 (potential, eps, n) cases",
+    "section4   pass   worst_violation=4.441e-16 digest=f2e18c49c0f5 drift dim 1.000; shift dim 1.000; contraction(0.5) dim 0.000; rotation(0.41421356237309515) dim 0.000",
+]
+
+# sha256 of each suite's full violation list, every entry as float.hex
+VIOLATION_SHA256 = {
+    (0, "chain"): "7f73aa33fe1c1b91ec1e51d9b3ef63ec7f57e80a63f2520be10a81b099e72cf7",
+    (0, "prop22"): "320c2231545733fe026458f7f33682bc95d29e42395f7da65f2e6bce229934e6",
+    (0, "thm31"): "b7e9d65e9d262d0437d50b9f5e63f00854e1672bf1fbc341f91c57abe297fe6b",
+    (0, "thm32"): "e743ce31acf7584bc884a6faa8bc9bd916a4799b33d76c5e2903174bbc8fabf8",
+    (0, "thm33"): "01b47c6057cce7f87cb8d7f477574d48ced623a1cda4972e581a3eb56c774083",
+    (0, "thm34"): "a17e7ae481b07d85ecd71dd11bb206a7ab57b6ed2fe686ee0ec53c86a5627b21",
+    (0, "thm35"): "719328507d0b9ac98414a859d7a7259e48341563f9fe7013b115c70ee44b9a93",
+    (0, "section4"): "653118000447f06824b7332f9047c6631c7a6517ff7809e46a1490479036304a",
+    (7, "chain"): "2da3f8d32f1ec834932b619f7e3c8e3bacb972a622ad7ee54a87c2dc5315ba09",
+    (7, "prop22"): "b6e2045bbddb1695d3d96a5d8d8de42c7f82add5a1b285594e0fa13c0134347b",
+    (7, "thm31"): "b7e9d65e9d262d0437d50b9f5e63f00854e1672bf1fbc341f91c57abe297fe6b",
+    (7, "thm32"): "a476e4839736b58f3f229b08ba51cad18a6194d18d1f480ce8766bea1f761a96",
+    (7, "thm33"): "a5f722eda5d7ebde35508ec63d0d0d8210616fe98a3cac82308420cf82fec808",
+    (7, "thm34"): "c7de18725b93d2d71afb34fb5d43c9e99087edf13849f7de935e27ff2df15556",
+    (7, "thm35"): "719328507d0b9ac98414a859d7a7259e48341563f9fe7013b115c70ee44b9a93",
+    (7, "section4"): "653118000447f06824b7332f9047c6631c7a6517ff7809e46a1490479036304a",
+}
+
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_estimate_csv_bytes(tmp_path, name, capsys):
@@ -101,11 +134,36 @@ def test_estimate_csv_bytes(tmp_path, name, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[name]
 
 
-def test_verify_report_lines(tmp_path, capsys):
+def verify_lines(tmp_path, seed):
     out = tmp_path / "report.txt"
-    assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+    assert main(["verify", "--suite", "all", "--seed", str(seed), "--out", str(out)]) == 0
+    return out.read_text().splitlines()
+
+
+def test_verify_report_lines(tmp_path, capsys):
+    assert verify_lines(tmp_path, 0) == VERIFY_SEED_0
     capsys.readouterr()
-    assert out.read_text().splitlines() == VERIFY_SEED_0
+
+
+def test_verify_report_lines_seed_7(tmp_path, capsys):
+    assert verify_lines(tmp_path, 7) == VERIFY_SEED_7
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed, suite", sorted(VIOLATION_SHA256), ids=str)
+def test_violation_vectors_bit_exact(monkeypatch, seed, suite):
+    # the report line rounds the worst violation; this pins every violation
+    seen = []
+    finish = theorems._finish
+
+    def recording_finish(check_id, params, violations, fault, notes):
+        seen.append(",".join(float(v).hex() for v in violations))
+        return finish(check_id, params, violations, fault, notes)
+
+    monkeypatch.setattr(theorems, "_finish", recording_finish)
+    theorems.run_suite(suite, seed=seed)
+    [blob] = seen
+    assert hashlib.sha256(blob.encode()).hexdigest() == VIOLATION_SHA256[seed, suite]
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,8 +1,10 @@
 """Exact shift-space backend: transfer sums versus literal enumeration."""
 
+import hashlib
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +21,13 @@ from pdim.potentials import (
     zero_potential,
 )
 from pdim.symbolic import (
+    EnumerationCapError,
     NotLocallyConstantError,
     _log_matmul,
     deflated_scale,
     exact_growth_table,
     log_weighted_word_sum,
+    log_weighted_word_sums,
     log_word_count,
     required_length,
 )
@@ -229,6 +233,97 @@ class TestWordSums:
             pytest.approx(4 * 0.5 + 4 * math.log(2)))
         coc = MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS)
         assert log_weighted_word_sum(FS, coc, 3, 3) == pytest.approx(math.log(125.0))
+
+
+def table_cases():
+    """(system, potential, ns) for every profile kind on full_shift(2),
+    full_shift(3) and a random 3-symbol SFT: Birkhoff tables of reach 1-3,
+    coboundaries, add, scale, plain cocycles with d = 1, 2, 3
+    and a scaled cocycle, which enumerates words."""
+    rng = random.Random(11)
+    for system in (FullShift(2), FullShift(3), random_sft(rng, 3)):
+        def table(reach):
+            return random_table(rng, system, reach, 1.0)
+
+        def cocycle(d):
+            return MatrixCocycle([np.array([[rng.uniform(0.1, 3.0) for _ in range(d)]
+                                            for _ in range(d)]) for _ in range(system.k)], system)
+
+        # unsorted and repeated; 1 with k = 0 on a reach-1 window is the
+        # start vector alone
+        ns = [5, 1, 3, 3, 9, 2, 17, 1]
+        for reach in (1, 2, 3):
+            yield system, table(reach), ns
+        # boundary terms; with reaches 3 and 1 the end term fires inside the
+        # start vector at n = 1, and with 1 and 3 the step window starts late
+        for reaches in ((2, 1), (3, 1), (1, 3)):
+            yield system, coboundary_perturb(*map(table, reaches)), ns
+        yield system, add(table(1), ConstantDrift(rng.uniform(-1.0, 1.0), system)), ns
+        yield system, scale(rng.uniform(-2.0, 2.0), table(2)), ns
+        for d in (1, 2, 3):
+            yield system, cocycle(d), ns
+        yield system, scale(0.5, cocycle(2)), [3, 1, 2, 3]  # walks every word
+
+
+TABLE_CASES = list(table_cases())
+# sha256 over float.hex of every valid table value, as the per-n
+# repeated-squaring kernel computed them before the table form existed
+TABLE_SHA256 = "69d72e3fb7aa92885fdc99224f4a570b9109db441dc75fe2f8a87085de1d7062"
+
+
+class TestTableForm:
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: f"{c[0].label}-{c[1].label}")
+    def test_table_equals_single_calls(self, case, k):
+        system, pot, ns = case
+        try:
+            expected = [log_weighted_word_sum(system, pot, n, n + k) for n in ns]
+        except NotLocallyConstantError as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                log_weighted_word_sums(system, pot, ns, k)
+        else:
+            assert log_weighted_word_sums(system, pot, ns, k) == expected
+
+    def test_table_values_are_the_recorded_kernel_floats(self):
+        digest = hashlib.sha256()
+        for system, pot, ns in TABLE_CASES:
+            for k in range(4):
+                try:
+                    values = log_weighted_word_sums(system, pot, ns, k)
+                except NotLocallyConstantError:
+                    continue
+                digest.update(",".join(v.hex() for v in values).encode() + b";")
+        assert digest.hexdigest() == TABLE_SHA256
+
+    @pytest.fixture
+    def no_sums(self, monkeypatch):
+        """Any word sum that starts fails the test."""
+        def boom(*args, **kwargs):
+            raise AssertionError("a word sum was computed before the checks")
+
+        monkeypatch.setattr("pdim.symbolic._log_matmul", boom)
+        monkeypatch.setattr("pdim.symbolic.logsumexp", boom)
+        monkeypatch.setattr(FullShift, "representative", boom)
+
+    def test_nonpositive_n_raises_before_any_sum(self, no_sums):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            log_weighted_word_sums(FS, symbol_weights(FS, [0.1, 0.2]), [4, 2, 0], 1)
+
+    def test_short_length_raises_before_any_sum(self, no_sums):
+        pert = coboundary_perturb(symbol_weights(FS, [0.0, 1.0]), symbol_weights(FS, [2.0, 0.5]))
+        with pytest.raises(NotLocallyConstantError, match="needs word length >= 5, got 4"):
+            log_weighted_word_sums(FS, pert, [4, 6], 0)
+
+    def test_cap_raises_before_any_sum(self, no_sums):
+        lam = scale(0.5, MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS))
+        with pytest.raises(EnumerationCapError, match="over 32 words exceeds cap 16"):
+            log_weighted_word_sums(FS, lam, [3, 4, 5], 0, enumeration_cap=16)
+
+    def test_large_n_table_matches_closed_form(self):
+        ns = [10**4, 1, 10**6, 777]
+        got = log_weighted_word_sums(FS, ConstantDrift(0.5, FS), ns, 2)
+        assert got == [log_weighted_word_sum(FS, ConstantDrift(0.5, FS), n, n + 2) for n in ns]
+        assert got == pytest.approx([(n + 2) * math.log(2) + 0.5 * n for n in ns], rel=1e-12)
 
 
 class TestGrowthTables:
