@@ -33,7 +33,11 @@ class NotLocallyConstantError(ValueError):
 
 
 class EnumerationCapError(NotLocallyConstantError, BudgetExceededError):
-    """The enumeration fallback would walk more words than its cap."""
+    """The enumeration fallback would walk more words than ENUMERATION_CAP."""
+
+
+# most words a scaled matrix cocycle's sum may enumerate
+ENUMERATION_CAP = 1 << 22
 
 
 def required_length(potential: Potential, n: int) -> int:
@@ -59,14 +63,13 @@ def log_weighted_word_sum(
     potential: Potential,
     n: int,
     length: int,
-    enumeration_cap: int = 1 << 22,
 ) -> float:
     """log of the sum over admissible words w of |w| = length of e^(phi_n on [w]).
 
     The one-n case of :func:`log_weighted_word_sums`, at the same cost as a
     single transfer chain: O(S^3 log n) for S states.
     """
-    return log_weighted_word_sums(system, potential, [n], length - n, enumeration_cap)[0]
+    return log_weighted_word_sums(system, potential, [n], length - n)[0]
 
 
 def log_weighted_word_sums(
@@ -74,7 +77,6 @@ def log_weighted_word_sums(
     potential: Potential,
     ns,
     k: int,
-    enumeration_cap: int = 1 << 22,
 ) -> list[float]:
     """log of the sum over admissible words w of |w| = n + k of e^(phi_n on [w]), per n in ns.
 
@@ -87,9 +89,11 @@ def log_weighted_word_sums(
     where separate single calls cost O(|ns| S^3 log n) plus |ns| setups.
     Every value is the same float as the single call's.  Scaled matrix
     cocycles enumerate words for each n and raise EnumerationCapError (a
-    budget error) past enumeration_cap words.
+    budget error) past ENUMERATION_CAP words.  An empty ns gives [].
     """
     ns = list(ns)
+    if not ns:
+        return []
     profile = potential.shift_profile()
     scaled = isinstance(profile, MatrixWeights) and profile.power != 1.0
     for n in ns:
@@ -100,9 +104,9 @@ def log_weighted_word_sums(
             raise NotLocallyConstantError(
                 f"phi_{n} for {potential.label} needs word length >= {need}, got {n + k}"
             )
-        if scaled and (total := word_total(system, n + k)) > enumeration_cap:
+        if scaled and (total := word_total(system, n + k)) > ENUMERATION_CAP:
             raise EnumerationCapError(
-                f"enumeration fallback over {total} words exceeds cap {enumeration_cap}"
+                f"enumeration fallback over {total} words exceeds cap {ENUMERATION_CAP}"
             )
     if isinstance(profile, ScalarWindow):
         chain = _window_chain(system, profile, k)

@@ -202,8 +202,9 @@ class TestWordSums:
         lam = scale(0.5, coc)
         assert log_weighted_word_sum(FS, lam, 3, 3) == pytest.approx(
             enumerate_sum(FS, lam, 3, 3), abs=1e-12)
+        # 2^23 words exceed ENUMERATION_CAP = 2^22
         with pytest.raises(NotLocallyConstantError):
-            log_weighted_word_sum(FS, lam, 3, 3, enumeration_cap=4)
+            log_weighted_word_sum(FS, lam, 3, 23)
 
     def test_short_length_rejected(self):
         pot = symbol_weights(FS, [0.0, 1.0])
@@ -316,8 +317,16 @@ class TestTableForm:
 
     def test_cap_raises_before_any_sum(self, no_sums):
         lam = scale(0.5, MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS))
-        with pytest.raises(EnumerationCapError, match="over 32 words exceeds cap 16"):
-            log_weighted_word_sums(FS, lam, [3, 4, 5], 0, enumeration_cap=16)
+        with pytest.raises(EnumerationCapError, match="over 8388608 words exceeds cap 4194304"):
+            log_weighted_word_sums(FS, lam, [3, 4, 23], 0)
+
+    def test_empty_table_is_empty(self, no_sums):
+        from pdim.systems import Rotation
+
+        no_profile = Birkhoff(phi=lambda p: p.x, system=Rotation(0.3), name="x")
+        for pot in (no_profile, symbol_weights(FS, [0.1, 0.2])):
+            assert log_weighted_word_sums(FS, pot, [], 2) == []
+            assert exact_growth_table(FS, pot, 2, []) == []
 
     def test_large_n_table_matches_closed_form(self):
         ns = [10**4, 1, 10**6, 777]
