@@ -167,9 +167,10 @@ def build_system(spec: dict) -> System:
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
+# coordinate functions of arrays: one value per coordinate
 _BIRKHOFF_FNS = {
-    "x": lambda p: p.x,
-    "cos2pi": lambda p: math.cos(2.0 * math.pi * p.x),
+    "x": lambda x: x,
+    "cos2pi": lambda x: np.cos(2.0 * np.pi * x),
 }
 
 
@@ -192,7 +193,7 @@ def build_potential(spec: dict | None, system: System):
             fn_name = spec.get("fn", "x")
             if fn_name == "indicator":
                 lo, hi = float(spec["lo"]), float(spec["hi"])
-                fn = lambda p, lo=lo, hi=hi: 1.0 if lo <= p.x < hi else 0.0
+                fn = lambda x, lo=lo, hi=hi: np.where((lo <= x) & (x < hi), 1.0, 0.0)
             elif fn_name in _BIRKHOFF_FNS:
                 fn = _BIRKHOFF_FNS[fn_name]
             else:
@@ -248,8 +249,8 @@ def _parse_scales(spec) -> tuple[str, list]:
         raise ConfigError(f"bad scales.{mode}: {e}")
     if mode == "k" and any(k < 0 for k in values):
         raise ConfigError("scale indices must be >= 0")
-    if mode == "eps" and any(not 0.0 < e for e in values):
-        raise ConfigError("eps scales must be positive")
+    if mode == "eps" and any(not 0.0 < e < math.inf for e in values):
+        raise ConfigError("eps scales must be positive and finite")
     return mode, values
 
 
@@ -399,7 +400,7 @@ def cmd_oracle(args) -> int:
             pts = [real(float(v)) for v in rng.random(size)]
             a, b = rng.normal(scale=0.5, size=2)
             pot = Birkhoff(
-                phi=lambda p, a=a, b=b: a * math.cos(2 * math.pi * p.x) + b,
+                phi=lambda x, a=a, b=b: a * np.cos(2 * np.pi * x) + b,
                 system=system, name="trig")
             n = int(rng.integers(1, 5))
             eps = float(rng.uniform(0.05, 0.45))

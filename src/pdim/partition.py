@@ -26,11 +26,12 @@ from .potentials import Potential
 from .systems import (
     BudgetExceededError,
     Point,
-    PowerSystem,
     RealPoint,
-    ShiftSystem,
     System,
     Word,
+    orbit_array,
+    shift_step,
+    word_array,
 )
 
 # Largest Bowen distance matrix built: 8 m^2 bytes of float64, so m <= 16384.
@@ -110,7 +111,7 @@ def make_instance(
     if potential is None:
         w = np.zeros(len(pts))
     else:
-        w = np.array([potential.eval(n, p) for p in pts], dtype=float)
+        w = potential.eval_array(n, pts)
     return SeparationInstance(system, n, eps, pts, w)
 
 
@@ -129,7 +130,7 @@ def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np
         )
     if m and isinstance(points[0], RealPoint):
         return _real_distance_matrix(system, n, points)
-    step = _shift_step(system)
+    step = shift_step(system)
     if (
         m
         and step is not None
@@ -142,15 +143,6 @@ def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np
         for j in range(i + 1, m):
             d[i, j] = d[j, i] = system.bowen_metric(n, points[i], points[j])
     return d
-
-
-def _shift_step(system: System) -> int | None:
-    """Symbols one step of ``system`` shifts by, or None if it is no power of a shift."""
-    step = 1
-    while isinstance(system, PowerSystem):
-        step *= system.power
-        system = system.base
-    return step if isinstance(system, ShiftSystem) else None
 
 
 def _running_max(m: int, step_distances, scale: float = 1.0) -> np.ndarray:
@@ -172,10 +164,7 @@ def _running_max(m: int, step_distances, scale: float = 1.0) -> np.ndarray:
 
 
 def _real_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
-    orbit = np.empty((n, len(points)))
-    orbit[0] = [p.x for p in points]
-    for t in range(1, n):
-        orbit[t] = system.apply_array(orbit[t - 1])
+    orbit = orbit_array(system, n, points)
     return _running_max(len(points), lambda lo, hi: (
         system.metric_array(row[lo:hi, None], row) for row in orbit))
 
@@ -193,9 +182,7 @@ def _word_distance_matrix(n: int, points: Sequence[Word], step: int = 1) -> np.n
     """
     m = len(points)
     L = max(len(p.symbols) for p in points)
-    arr = np.full((m, L), points[0].tail, dtype=np.int64)
-    for i, p in enumerate(points):
-        arr[i, :len(p.symbols)] = p.symbols
+    arr = word_array(points, L)
     place = np.int64(1) << np.arange(L - 1, -1, -1, dtype=np.int64)
     planes = [(arr >> b & 1) @ place for b in range(max(1, int(arr.max(initial=0)).bit_length()))]
     shifts = range(0, max(1, min(n * step, L)), step)

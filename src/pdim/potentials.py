@@ -4,9 +4,19 @@ A potential here is a sequence ``phi_n`` of orbit aggregates satisfying
 
     -C + phi_n(x) + phi_m(T^n x) <= phi_{n+m}(x) <= phi_n(x) + phi_m(T^n x) + C
 
-for a declared constant C >= 0.  Each object evaluates ``phi_n`` at a point,
-carries C, and (when it is locally constant on a shift) exposes a window
-profile that the exact symbolic backend can sum without enumerating points.
+for a declared constant C >= 0.  Each object evaluates ``phi_n``, carries C,
+and (when it is locally constant on a shift) exposes a window profile that
+the exact symbolic backend can sum without enumerating points.
+
+``eval_array(n, points)`` is the one formula of every built-in potential: it
+returns the float64 array of ``phi_n`` over a whole candidate list in one
+pass, and ``eval(n, x)`` is its one-point case.  A subclass overrides one of
+the two; the base class derives the other (``eval_array`` then loops over
+``eval``).  A ``Birkhoff`` ``phi`` is a function of arrays that returns one
+float per row: on a real system it reads the (m,) coordinate array, on a
+shift the (m, reach) int array of each word's first ``reach`` symbols, padded
+with the word's own tail.  Orbit sums add in time order from zeros, the same
+adds as a per-point loop, so every weight is bit for bit the scalar value.
 """
 
 from __future__ import annotations
@@ -25,6 +35,9 @@ from .systems import (
     ShiftSystem,
     System,
     Word,
+    orbit_array,
+    shift_step,
+    word_array,
 )
 
 
@@ -69,7 +82,14 @@ class Potential:
     label: str = "potential"
 
     def eval(self, n: int, x: Point) -> float:
-        raise NotImplementedError
+        """phi_n(x): the one-point case of ``eval_array``."""
+        if type(self).eval_array is Potential.eval_array:
+            raise NotImplementedError(f"{self.label} defines neither eval nor eval_array")
+        return float(self.eval_array(n, [x])[0])
+
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+        """phi_n over the points as a float64 array; by default one ``eval`` per point."""
+        return np.array([self.eval(n, p) for p in points], dtype=float)
 
     def shift_profile(self) -> Profile | None:
         """Local structure on a shift, or None when not locally constant."""
@@ -105,8 +125,8 @@ class ConstantDrift(Potential):
     def label(self) -> str:
         return f"drift({self.A})"
 
-    def eval(self, n: int, x: Point) -> float:
-        return n * self.A
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+        return np.full(len(points), n * self.A)
 
     def shift_profile(self) -> Profile | None:
         a = self.A
@@ -121,14 +141,20 @@ def zero_potential(system: System | None = None) -> ConstantDrift:
 class Birkhoff(Potential):
     """phi_n = sum of phi along the orbit; exactly additive (C = 0).
 
-    ``reach`` marks that phi only reads the first ``reach`` symbols of a Word,
-    which unlocks the exact symbolic backend on shifts.
+    ``phi`` maps an array of points to one float per row: the (m,) coordinate
+    array on a real system, the (m, reach) symbol windows on a shift.  A shift
+    needs ``reach``, the number of leading symbols phi reads; it also unlocks
+    the exact symbolic backend.
     """
 
-    phi: Callable[[Point], float]
+    phi: Callable[[np.ndarray], np.ndarray]
     system: System
     reach: int | None = None
     name: str = "phi"
+
+    def __post_init__(self):
+        if shift_step(self.system) is not None and self.reach is None:
+            raise ValueError("a Birkhoff potential on a shift needs reach")
 
     @property
     def C(self) -> float:
@@ -138,33 +164,37 @@ class Birkhoff(Potential):
     def label(self) -> str:
         return f"birkhoff({self.name})"
 
-    def eval(self, n: int, x: Point) -> float:
-        total = 0.0
-        z = x
-        for _ in range(n):
-            total += self.phi(z)
-            z = self.system.apply(z)
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+        total = np.zeros(len(points))
+        step = shift_step(self.system)
+        if step is None:
+            for row in orbit_array(self.system, max(n, 0), points):
+                total += self.phi(row)
+            return total
+        r = self.reach
+        windows = word_array(points, max(n - 1, 0) * step + r)
+        for t in range(0, n * step, step):
+            total += self.phi(windows[:, t:t + r])
         return total
 
     def shift_profile(self) -> Profile | None:
         if self.reach is None or not isinstance(self.system, ShiftSystem):
             return None
-        tail = self.system.tail_symbol
         phi = self.phi
         r = self.reach
 
         def step(window: tuple[int, ...]) -> float:
-            return phi(Word(window[:r], tail))
+            return float(phi(np.array([window[:r]], dtype=np.int64))[0])
 
         return ScalarWindow(reach=r, step=step)
 
 
 def symbol_weights(system: ShiftSystem, table: Sequence[float], name: str = "table") -> Birkhoff:
     """Weight read off the first symbol; the basic locally constant potential."""
-    vals = tuple(float(v) for v in table)
+    vals = np.array([float(v) for v in table])
     if len(vals) != system.k:
         raise ValueError("need one weight per symbol")
-    return Birkhoff(phi=lambda w: vals[w.coord(0)], system=system, reach=1, name=name)
+    return Birkhoff(phi=lambda window: vals[window[:, 0]], system=system, reach=1, name=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,17 +236,20 @@ class MatrixCocycle(Potential):
     def label(self) -> str:
         return f"cocycle(d={self.dim})"
 
-    def eval(self, n: int, x: Word) -> float:
+    def eval_array(self, n: int, points: Sequence[Word]) -> np.ndarray:
+        out = np.zeros(len(points))
         if n < 1:
-            return 0.0
-        logshift = 0.0
-        prod = self.mats[x.coord(0)].copy()
-        for i in range(1, n):
-            # normalize before multiplying so huge entries cannot overflow
-            s = prod.sum()
-            logshift += math.log(s)
-            prod = (prod / s) @ self.mats[x.coord(i)]
-        return logshift + math.log(prod.sum())
+            return out
+        for row, x in enumerate(points):
+            logshift = 0.0
+            prod = self.mats[x.coord(0)].copy()
+            for i in range(1, n):
+                # normalize before multiplying so huge entries cannot overflow
+                s = prod.sum()
+                logshift += math.log(s)
+                prod = (prod / s) @ self.mats[x.coord(i)]
+            out[row] = logshift + math.log(prod.sum())
+        return out
 
     def shift_profile(self) -> Profile | None:
         return MatrixWeights(mats=self.mats, power=1.0)
@@ -239,8 +272,8 @@ class SumPotential(Potential):
     def label(self) -> str:
         return f"sum({self.left.label},{self.right.label})"
 
-    def eval(self, n: int, x: Point) -> float:
-        return self.left.eval(n, x) + self.right.eval(n, x)
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+        return self.left.eval_array(n, points) + self.right.eval_array(n, points)
 
     def shift_profile(self) -> Profile | None:
         a = self.left.shift_profile()
@@ -290,8 +323,8 @@ class ScaledPotential(Potential):
     def label(self) -> str:
         return f"scale({self.lam},{self.inner.label})"
 
-    def eval(self, n: int, x: Point) -> float:
-        return self.lam * self.inner.eval(n, x)
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+        return self.lam * self.inner.eval_array(n, points)
 
     def shift_profile(self) -> Profile | None:
         p = self.inner.shift_profile()
@@ -329,8 +362,8 @@ class PullbackPotential(Potential):
     def label(self) -> str:
         return f"pullback({self.inner.label},{self.factor.label})"
 
-    def eval(self, n: int, x: Point) -> float:
-        return self.inner.eval(n, self.factor.apply(x))
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+        return self.inner.eval_array(n, [self.factor.apply(p) for p in points])
 
 
 @dataclass(frozen=True)
@@ -359,8 +392,8 @@ class TimePowerPotential(Potential):
     def label(self) -> str:
         return f"time_power({self.inner.label},{self.k})"
 
-    def eval(self, n: int, x: Point) -> float:
-        return self.inner.eval(n * self.k, x)
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+        return self.inner.eval_array(n * self.k, points)
 
 
 @dataclass(frozen=True)
@@ -384,9 +417,10 @@ class InverseTwistPotential(Potential):
     def label(self) -> str:
         return f"inverse_twist({self.inner.label})"
 
-    def eval(self, n: int, x: Point) -> float:
-        z = self.system.iterate(x, n - 1) if n > 1 else x
-        return self.inner.eval(n, z)
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+        if n > 1:
+            points = [self.system.iterate(p, n - 1) for p in points]
+        return self.inner.eval_array(n, points)
 
 
 @dataclass(frozen=True)
@@ -408,12 +442,12 @@ class CoboundaryPotential(Potential):
     def label(self) -> str:
         return f"coboundary({self.base.label},{self.psi.label})"
 
-    def eval(self, n: int, x: Point) -> float:
+    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
         sys = _require_system(self)
         return (
-            self.base.eval(n, x)
-            + self.psi.eval(n, sys.apply(x))
-            - self.psi.eval(n, x)
+            self.base.eval_array(n, points)
+            + self.psi.eval_array(n, [sys.apply(p) for p in points])
+            - self.psi.eval_array(n, points)
         )
 
     def shift_profile(self) -> Profile | None:
@@ -470,15 +504,17 @@ def verify_almost_additive(
     sys_ = system or _require_system(phi)
     rng = np.random.default_rng(seed)
     pts = sys_.sample_points(sample_count, rng)
+    at_x = {j: phi.eval_array(j, pts) for j in range(1, n_max + m_max + 1)}
     worst = -math.inf
     C = phi.C
-    for x in pts:
-        for n in range(1, n_max + 1):
-            tn = sys_.iterate(x, n)
-            for m in range(1, m_max + 1):
-                whole = phi.eval(n + m, x)
-                split = phi.eval(n, x) + phi.eval(m, tn)
-                worst = max(worst, whole - split - C, split - whole - C)
+    tn = pts
+    for n in range(1, n_max + 1):
+        tn = [sys_.apply(z) for z in tn]
+        for m in range(1, m_max + 1):
+            whole = at_x[n + m]
+            split = at_x[n] + phi.eval_array(m, tn)
+            worst = max(worst, float(np.max(whole - split - C, initial=-math.inf)),
+                        float(np.max(split - whole - C, initial=-math.inf)))
     return worst
 
 
@@ -504,11 +540,14 @@ def sup_inf_norm(phi: Potential, system: System | None = None,
     if points is None:
         rng = np.random.default_rng(7)
         points = sys_.sample_points(64, rng)
-    vals = [phi.eval(1, p) for p in points]
-    table = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = sys_.metric(points[i], points[j])
-            table.append((d, abs(vals[i] - vals[j])))
-    table.sort()
-    return SupNormReport(sup=max(vals), inf=min(vals), table=table)
+    vals = phi.eval_array(1, points)
+    i, j = np.triu_indices(len(points), 1)
+    if points and isinstance(points[0], RealPoint):
+        x = np.array([p.x for p in points], dtype=float)
+        d = sys_.metric_array(x[i], x[j])
+    else:
+        d = np.array([sys_.metric(points[a], points[b]) for a, b in zip(i, j)], dtype=float)
+    gap = np.abs(vals[i] - vals[j])
+    order = np.lexsort((gap, d))
+    table = list(zip(d[order].tolist(), gap[order].tolist()))
+    return SupNormReport(sup=float(vals.max()), inf=float(vals.min()), table=table)

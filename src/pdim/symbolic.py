@@ -114,8 +114,8 @@ def log_weighted_word_sums(
         chain = _cocycle_chain(system, profile, k)
     else:
         def chain(n: int):  # one start entry per word, no transfer steps
-            return [potential.eval(n, system.representative(w))
-                    for w in system.admissible_words(n + k)], None
+            return potential.eval_array(n, [system.representative(w)
+                                            for w in system.admissible_words(n + k)]), None
     out = []
     for n in ns:
         start, factors = chain(n)

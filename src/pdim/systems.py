@@ -134,6 +134,20 @@ class System:
         raise NotImplementedError(f"{self.label} is not invertible here")
 
 
+def word_array(points: Sequence[Word], length: int) -> np.ndarray:
+    """(m, length) int array of the words' first ``length`` symbols, each padded with its own tail."""
+    rows = [p.symbols[:length] + (p.tail,) * (length - len(p.symbols)) for p in points]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), length)
+
+
+def orbit_array(system: System, n: int, points: Sequence[RealPoint]) -> np.ndarray:
+    """(n, m) float array whose row t holds the coordinates of T^t x over the points."""
+    orbit = np.empty((n, len(points)))
+    for t in range(n):
+        orbit[t] = system.apply_array(orbit[t - 1]) if t else [p.x for p in points]
+    return orbit
+
+
 def scale_index(eps: float) -> int:
     """Number of extra symbol coordinates needed to resolve scale eps."""
     return max(0, math.ceil(math.log2(1.0 / eps))) + 1
@@ -321,6 +335,15 @@ def word_total(system: ShiftSystem, length: int) -> int:
         if m:
             a = [[sum(a[s][r] * a[r][t] for r in k) for t in k] for s in k]
     return sum(counts)
+
+
+def shift_step(system: System) -> int | None:
+    """Symbols one step of ``system`` shifts by, or None if it is no power of a shift."""
+    step = 1
+    while isinstance(system, PowerSystem):
+        step *= system.power
+        system = system.base
+    return step if isinstance(system, ShiftSystem) else None
 
 
 class CircleSystem(System):

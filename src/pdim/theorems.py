@@ -112,8 +112,8 @@ def _rotation_instance(rng: np.random.Generator, size: int):
     xs = sorted(float(v) for v in rng.random(size))
     a, b, c = rng.normal(scale=0.4, size=3)
 
-    def phi(p):
-        return a * math.cos(2 * math.pi * p.x) + b * math.sin(2 * math.pi * p.x) + c
+    def phi(x):
+        return a * np.cos(2 * np.pi * x) + b * np.sin(2 * np.pi * x) + c
 
     pot = Birkhoff(phi=phi, system=system, name="trig")
     return system, [real(v) for v in xs], pot
@@ -218,7 +218,7 @@ def check_chain(seed: int = 0, n_max: int = 10, oracle_trials: int = 100,
         system, pts, pot = _rotation_instance(rng, size)
         n = int(rng.integers(1, 4))
         xs = [p.x for p in pts]
-        weights = np.array([pot.eval(n, p) for p in pts])
+        weights = pot.eval_array(n, pts)
         G = int(rng.integers(4, 9))
         h = 1.0 / G
         logq, _ = _cover_values(system.theta, xs, weights, n, G)
@@ -313,7 +313,7 @@ def check_thm31(seed: int = 0, n_max: int = 12, fault: float = 0.0) -> CheckRepo
     k = 1
     for system, pot in scenarios:
         reps = [system.representative(w) for w in system.admissible_words(2)]
-        vals = [pot.eval(1, p) for p in reps]
+        vals = pot.eval_array(1, reps).tolist()
         sup1, inf1 = max(vals), min(vals)
         supabs = max(abs(v) for v in vals)
         C = pot.C
@@ -445,7 +445,7 @@ def check_thm34(seed: int = 0, power: int = 2, trials: int = 20,
         right_q = exact_spanning_value(make_instance(system, n * power, eps, pts, pot)).log_value
         violations.append(left_q - right_q)
         xs = [p.x for p in pts]
-        weights = np.array([pot.eval(n * power, p) for p in pts])
+        weights = pot.eval_array(n * power, pts)
         G = int(rng.integers(4, 9))
         logq_k, _ = _cover_values(system.theta, xs, weights, n, G, step=power)
         logq_1, _ = _cover_values(system.theta, xs, weights, n * power, G, step=1)
@@ -468,7 +468,7 @@ def check_thm34(seed: int = 0, power: int = 2, trials: int = 20,
         img = system.apply(p)
         if not any(abs(img.x - q.x) < 1e-15 for q in grid):
             raise ValueError("orbit grid is not closed under the rotation")
-    pot = Birkhoff(phi=lambda p: math.cos(2 * math.pi * p.x), system=system, name="cos2pi")
+    pot = Birkhoff(phi=lambda x: np.cos(2 * np.pi * x), system=system, name="cos2pi")
     twisted = inverse_twist(pot)
     inv_sys = system.inverse()
     for n in range(1, 9):
@@ -500,7 +500,7 @@ def check_thm35(seed: int = 0, n_max: int = 6, fault: float = 0.0) -> CheckRepor
     count = 0
     pots = [
         zero_potential(doubling),
-        Birkhoff(phi=lambda p: p.x, system=doubling, name="x"),
+        Birkhoff(phi=lambda x: x, system=doubling, name="x"),
     ]
     for pot in pots:
         lifted = pullback(pot, pi)

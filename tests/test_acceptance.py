@@ -162,7 +162,7 @@ def test_criterion_5_oracle_sandwich():
             pts = [real(float(v)) for v in rng.random(int(rng.integers(6, 17)))]
             a, b = rng.normal(scale=0.5, size=2)
             pot = Birkhoff(
-                phi=lambda p, a=a, b=b: a * math.cos(2 * math.pi * p.x) + b,
+                phi=lambda x, a=a, b=b: a * np.cos(2 * np.pi * x) + b,
                 system=system, name="trig")
             n = int(rng.integers(1, 4))
             eps = float(rng.uniform(0.05, 0.45))

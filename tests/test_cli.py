@@ -165,6 +165,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("system", [{"kind": "full_shift", "k": 2},
+                                        {"kind": "rotation", "theta": 0.3}], ids=repr)
+    @pytest.mark.parametrize("raw_eps", ["1e400", '"inf"'])
+    def test_infinite_eps_is_a_config_error(self, tmp_path, capsys, system, raw_eps):
+        cfg = write_config(tmp_path, system=system, potential={"kind": "zero"},
+                           scales={"eps": ["EPS"]})
+        with open(cfg) as f:
+            text = f.read().replace('"EPS"', raw_eps)
+        with open(cfg, "w") as f:
+            f.write(text)
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: eps scales must be positive and finite\n"
+
     def test_cover_estimators_rejected_on_metric_path(self, tmp_path):
         cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
                            potential={"kind": "zero"},

@@ -75,7 +75,7 @@ def random_rotation_instance(seed, size=8):
     rot = Rotation(float(gen.uniform(0.05, 0.45)))
     pts = [real(float(v)) for v in gen.random(size)]
     a, b = gen.normal(scale=0.5, size=2)
-    pot = Birkhoff(phi=lambda p: a * math.sin(2 * math.pi * p.x) + b, system=rot,
+    pot = Birkhoff(phi=lambda x: a * np.sin(2 * np.pi * x) + b, system=rot,
                    name="sin")
     n = int(gen.integers(1, 4))
     eps = float(gen.uniform(0.05, 0.45))
@@ -321,7 +321,7 @@ class TestGreedy:
     def test_weight_order_prefers_heavy_points(self):
         rot = Rotation(0.1)
         pts = [real(0.0), real(0.01)]  # conflict at eps=0.1; only one survives
-        pot = Birkhoff(phi=lambda p: p.x, system=rot, name="x")
+        pot = Birkhoff(phi=lambda x: x, system=rot, name="x")
         inst = make_instance(rot, 1, 0.1, pts, pot)
         kept = greedy_separated(inst)
         assert kept == [pts[1]]

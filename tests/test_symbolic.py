@@ -70,7 +70,7 @@ def random_table(rng, system, reach, spread):
     """Birkhoff potential reading a random weight off the first `reach` symbols."""
     table = {w: rng.uniform(-2.0 * spread, 2.0 * spread)
              for w in itertools.product(range(system.k), repeat=reach)}
-    return Birkhoff(phi=lambda x: table[tuple(x.coord(i) for i in range(reach))],
+    return Birkhoff(phi=lambda w: np.array([table[tuple(row)] for row in w.tolist()]),
                     system=system, reach=reach, name=f"table{reach}")
 
 
@@ -223,7 +223,7 @@ class TestWordSums:
         from pdim.systems import Rotation, real
 
         rot = Rotation(0.3)
-        pot = Birkhoff(phi=lambda p: p.x, system=rot, name="x")
+        pot = Birkhoff(phi=lambda x: x, system=rot, name="x")
         with pytest.raises(NotLocallyConstantError):
             log_weighted_word_sum(FS, pot, 2, 4)
 
@@ -323,7 +323,7 @@ class TestTableForm:
     def test_empty_table_is_empty(self, no_sums):
         from pdim.systems import Rotation
 
-        no_profile = Birkhoff(phi=lambda p: p.x, system=Rotation(0.3), name="x")
+        no_profile = Birkhoff(phi=lambda x: x, system=Rotation(0.3), name="x")
         for pot in (no_profile, symbol_weights(FS, [0.1, 0.2])):
             assert log_weighted_word_sums(FS, pot, [], 2) == []
             assert exact_growth_table(FS, pot, 2, []) == []
