@@ -14,7 +14,8 @@ All output is deterministic for a fixed config and seed.  CSV columns are
 floats are written with ``repr`` so values round-trip exactly.
 
 Exit codes: 0 success, 1 verification or sandwich failure, 2 usage or
-config error, 3 candidate, enumeration or distance-matrix budget exceeded.
+config error, 3 candidate, enumeration, transfer-state, distance-matrix or
+orbit-array budget exceeded.
 """
 
 from __future__ import annotations
@@ -147,6 +148,14 @@ def _parse_estimators(raw) -> list[Estimator]:
     return ests
 
 
+def _finite(v) -> float:
+    """``float(v)``, refusing NaN and the infinities."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{v!r} is not a finite number")
+    return x
+
+
 def build_system(spec: dict) -> System:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("system must be an object with a 'kind'")
@@ -159,10 +168,10 @@ def build_system(spec: dict) -> System:
         if kind == "doubling":
             return DoublingMap()
         if kind == "rotation":
-            return Rotation(float(spec.get("theta", 0.125)))
+            return Rotation(_finite(spec.get("theta", 0.125)))
         if kind == "contraction":
-            return Contraction(float(spec.get("c", 0.5)), float(spec.get("fixed", 0.0)))
-    except (KeyError, TypeError, ValueError) as e:
+            return Contraction(_finite(spec.get("c", 0.5)), _finite(spec.get("fixed", 0.0)))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad system spec: {e}")
     raise ConfigError(f"unknown system kind {kind!r}")
 
@@ -184,15 +193,15 @@ def build_potential(spec: dict | None, system: System):
         if kind == "zero":
             return zero_potential(system)
         if kind == "constant_drift":
-            return ConstantDrift(float(spec["a"]), system)
+            return ConstantDrift(_finite(spec["a"]), system)
         if kind == "symbol_weights":
             if not isinstance(system, ShiftSystem):
                 raise ConfigError("symbol_weights needs a shift system")
-            return symbol_weights(system, [float(v) for v in spec["table"]])
+            return symbol_weights(system, [_finite(v) for v in spec["table"]])
         if kind == "birkhoff":
             fn_name = spec.get("fn", "x")
             if fn_name == "indicator":
-                lo, hi = float(spec["lo"]), float(spec["hi"])
+                lo, hi = _finite(spec["lo"]), _finite(spec["hi"])
                 fn = lambda x, lo=lo, hi=hi: np.where((lo <= x) & (x < hi), 1.0, 0.0)
             elif fn_name in _BIRKHOFF_FNS:
                 fn = _BIRKHOFF_FNS[fn_name]
@@ -213,10 +222,10 @@ def build_potential(spec: dict | None, system: System):
                 out = add(out, t)
             return out
         if kind == "scale":
-            return scale(float(spec["lam"]), build_potential(spec["inner"], system))
+            return scale(_finite(spec["lam"]), build_potential(spec["inner"], system))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise ConfigError(f"bad potential spec: {e}")
     raise ConfigError(f"unknown potential kind {kind!r}")
 
@@ -234,8 +243,8 @@ def _parse_n_range(spec) -> list[int]:
         raise ConfigError(f"n_range needs {e} key")
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad n_range: {e}")
-    if not ns or any(n < 1 for n in ns) or sorted(ns) != ns:
-        raise ConfigError("n_range must be increasing positive integers")
+    if not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ConfigError("n_range must be strictly increasing positive integers")
     return ns
 
 
@@ -251,6 +260,8 @@ def _parse_scales(spec) -> tuple[str, list]:
         raise ConfigError("scale indices must be >= 0")
     if mode == "eps" and any(not 0.0 < e < math.inf for e in values):
         raise ConfigError("eps scales must be positive and finite")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"scales.{mode} must not repeat a value")
     return mode, values
 
 

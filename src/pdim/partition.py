@@ -24,6 +24,7 @@ import numpy as np
 from .logsum import logsumexp
 from .potentials import Potential
 from .systems import (
+    ARRAY_BUDGET_BYTES,
     BudgetExceededError,
     Point,
     RealPoint,
@@ -35,7 +36,7 @@ from .systems import (
 )
 
 # Largest Bowen distance matrix built: 8 m^2 bytes of float64, so m <= 16384.
-DISTANCE_BUDGET_BYTES = 2 * 1024**3
+DISTANCE_BUDGET_BYTES = ARRAY_BUDGET_BYTES
 # Entries per row block of the distance kernels (256 KiB of float64), so the
 # block's running max stays in cache across time steps.
 _BLOCK_ENTRIES = 1 << 15

@@ -201,8 +201,8 @@ def symbol_weights(system: ShiftSystem, table: Sequence[float], name: str = "tab
 class MatrixCocycle(Potential):
     """phi_n(x) = log of the entry-sum norm of A(x_0) ... A(x_{n-1}).
 
-    All matrices must be strictly positive; then the sequence is almost
-    additive with C = log(d * max_entry / min_entry) for d x d matrices.
+    All matrices must be strictly positive and finite; then the sequence is
+    almost additive with C = log(d * max_entry / min_entry) for d x d matrices.
     """
 
     mats: tuple
@@ -219,8 +219,8 @@ class MatrixCocycle(Potential):
         for m in mats:
             if m.shape != (d, d):
                 raise ValueError("all matrices must share one square shape")
-            if not np.all(m > 0):
-                raise ValueError("matrix entries must be strictly positive")
+            if not np.all((m > 0) & (m < np.inf)):
+                raise ValueError("matrix entries must be strictly positive and finite")
 
     @property
     def dim(self) -> int:

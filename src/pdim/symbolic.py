@@ -11,9 +11,11 @@ its power comes from repeated squaring in log space in O(S^3 log n), and exact
 tables at n = 10^5-10^6 are cheap.  A table over many n shares one setup and
 one ladder of squares M, M^2, M^4, ... per stationary matrix, so it costs
 O(S^3 log n_max + |ns| S^2 log n) rather than O(|ns| S^3 log n) plus |ns|
-setups; a single sum costs what one chain costs.  Only scaled matrix
-cocycles (a norm power other than 1) enumerate words, under a size cap; a
-scalar window sums words no longer than one state directly.
+setups; a single sum costs what one chain costs.  S is counted before any
+state is listed, and a chain over more than TRANSFER_STATE_CAP states raises
+BudgetExceededError.  Only scaled matrix cocycles (a norm power other than 1)
+enumerate words, under a size cap; a scalar window sums words no longer than
+one state directly.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ class EnumerationCapError(NotLocallyConstantError, BudgetExceededError):
 
 # most words a scaled matrix cocycle's sum may enumerate
 ENUMERATION_CAP = 1 << 22
+# most transfer states S a chain may have: one log-space product costs O(S^3),
+# about 0.16 s at S = 256 and 1.3 s at S = 512 on a 2-vCPU Xeon
+TRANSFER_STATE_CAP = 256
 
 
 def required_length(potential: Potential, n: int) -> int:
@@ -104,9 +109,10 @@ def log_weighted_word_sums(
             raise NotLocallyConstantError(
                 f"phi_{n} for {potential.label} needs word length >= {need}, got {n + k}"
             )
-        if scaled and (total := word_total(system, n + k)) > ENUMERATION_CAP:
+        if scaled and word_total(system, n + k, cap=ENUMERATION_CAP) > ENUMERATION_CAP:
             raise EnumerationCapError(
-                f"enumeration fallback over {total} words exceeds cap {ENUMERATION_CAP}"
+                f"enumeration fallback over the words of length {n + k} "
+                f"exceeds cap {ENUMERATION_CAP}"
             )
     if isinstance(profile, ScalarWindow):
         chain = _window_chain(system, profile, k)
@@ -147,6 +153,7 @@ def _window_chain(system: ShiftSystem, prof: ScalarWindow, k: int):
     p = 1; such words give (start, None).
     """
     p = max(prof.max_reach - 1, 1)
+    _check_states(word_total(system, p, cap=TRANSFER_STATE_CAP), system)
     states = list(system.admissible_words(p))
     starts: dict[tuple, np.ndarray] = {}
     ladders: dict[tuple, list] = {}
@@ -203,9 +210,10 @@ def _cocycle_chain(system: ShiftSystem, prof: MatrixWeights, k: int):
     B[(s,i),(t,j)] = A[s,t] M_t[i,j] for the n-1 weighted steps, then
     kron(A, I_d) for the k free trailing symbols.
     """
+    d = prof.mats[0].shape[0]
+    _check_states(system.k * d, system)
     adj = np.array([[float(system.is_admissible_pair(s, t)) for t in range(system.k)]
                     for s in range(system.k)])
-    d = prof.mats[0].shape[0]
     mats = np.stack(prof.mats).transpose(1, 0, 2)  # [i, t, j]
     block = (adj[:, None, :, None] * mats[None]).reshape(system.k * d, system.k * d)
     start = np.concatenate([m.sum(axis=0) for m in prof.mats])
@@ -214,6 +222,15 @@ def _cocycle_chain(system: ShiftSystem, prof: MatrixWeights, k: int):
         steps = [np.log(block)]
         free = [np.log(np.kron(adj, np.eye(d)))]
     return lambda n: (v, [(steps, n - 1), (free, k)])
+
+
+def _check_states(count: int, system: ShiftSystem) -> None:
+    """Raise BudgetExceededError, before any state is listed, past TRANSFER_STATE_CAP."""
+    if count > TRANSFER_STATE_CAP:
+        raise BudgetExceededError(
+            f"transfer operator on {system.label} needs more than "
+            f"{TRANSFER_STATE_CAP} states"
+        )
 
 
 def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,6 +19,11 @@ class BudgetExceededError(RuntimeError):
     """Candidate generation would exceed the point budget."""
 
 
+# Largest float64 array built from a candidate set: orbit_array here, and the
+# Bowen distance matrices of pdim.partition.
+ARRAY_BUDGET_BYTES = 2 * 1024**3
+
+
 @dataclass(frozen=True)
 class Word:
     """Eventually-constant symbol sequence: explicit prefix, then ``tail`` forever."""
@@ -141,7 +146,17 @@ def word_array(points: Sequence[Word], length: int) -> np.ndarray:
 
 
 def orbit_array(system: System, n: int, points: Sequence[RealPoint]) -> np.ndarray:
-    """(n, m) float array whose row t holds the coordinates of T^t x over the points."""
+    """(n, m) float array whose row t holds the coordinates of T^t x over the points.
+
+    Raises BudgetExceededError, before allocating, when the array would exceed
+    ARRAY_BUDGET_BYTES.
+    """
+    nbytes = 8 * n * len(points)
+    if nbytes > ARRAY_BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"orbit array for {len(points)} points over {n} steps needs {nbytes} bytes, "
+            f"over the {ARRAY_BUDGET_BYTES}-byte budget"
+        )
     orbit = np.empty((n, len(points)))
     for t in range(n):
         orbit[t] = system.apply_array(orbit[t - 1]) if t else [p.x for p in points]
@@ -204,10 +219,9 @@ class ShiftSystem(System):
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         k_extra = scale_index(eps)
         length = n + k_extra
-        total = word_total(self, length)
-        if total > budget:
+        if word_total(self, length, cap=budget) > budget:
             raise BudgetExceededError(
-                f"{total} admissible words of length {length} exceed budget {budget}"
+                f"admissible words of length {length} exceed budget {budget}"
             )
         pts = [self.representative(w) for w in self.admissible_words(length)]
         return CandidateSet(points=pts, certified=True, capped=False)
@@ -317,24 +331,30 @@ def golden_mean_sft() -> SFT:
     return SFT(((1, 1), (1, 0)))
 
 
-def word_total(system: ShiftSystem, length: int) -> int:
+def word_total(system: ShiftSystem, length: int, cap: int | None = None) -> int:
     """Exact number of admissible words: 1^T A^(length-1) 1 by repeated squaring
-    of the 0/1 transition matrix on Python ints, so nothing overflows."""
+    of the 0/1 transition matrix on Python ints, so nothing overflows.
+
+    With a ``cap`` every partial count saturates at cap + 1, which commutes
+    with the sums and products, so the result is min(total, cap + 1) and no
+    integer grows past the cap, whatever the length.
+    """
     if length == 0:
         return 1
-    if isinstance(system, FullShift):
-        return system.k**length
+    top = math.inf if cap is None else cap + 1
+    if isinstance(system, FullShift):  # k >= 2: k^b > cap at b = cap's bit length
+        return min(system.k ** (length if cap is None else min(length, cap.bit_length())), top)
     k = range(system.k)
     a = [[int(system.is_admissible_pair(s, t)) for t in k] for s in k]
     counts = [1] * system.k
     m = length - 1
     while m:
         if m & 1:
-            counts = [sum(counts[s] * a[s][t] for s in k) for t in k]
+            counts = [min(sum(counts[s] * a[s][t] for s in k), top) for t in k]
         m >>= 1
         if m:
-            a = [[sum(a[s][r] * a[r][t] for r in k) for t in k] for s in k]
-    return sum(counts)
+            a = [[min(sum(a[s][r] * a[r][t] for r in k), top) for t in k] for s in k]
+    return min(sum(counts), top)
 
 
 def shift_step(system: System) -> int | None:
@@ -366,8 +386,11 @@ class CircleSystem(System):
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         # Uniform grid; mesh eps / (2 Lip^(n-1)) keeps the orbit error under eps/2.
-        target = eps / (2.0 * self.lipschitz ** (n - 1))
-        m = max(1, math.ceil(1.0 / target))
+        try:
+            target = eps / (2.0 * self.lipschitz ** (n - 1))
+            m = max(1, math.ceil(1.0 / target))
+        except (OverflowError, ZeroDivisionError):  # mesh below float range
+            target, m = 0.0, budget + 1
         capped = m > budget
         if capped:
             m = budget

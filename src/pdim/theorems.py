@@ -6,6 +6,10 @@ bounds) and reports the worst signed violation; a pass means the worst
 violation stays below an explicit tolerance.  The ``fault`` argument shifts
 the violations and exists so the test suite can prove each check is able
 to fail.
+
+Each suite takes only ``(seed, fault)``: its sizes (orders ``n``, trial and
+pair counts, the map power) are fixed inside it and recorded, with the seed,
+in its report's digest.
 """
 
 from __future__ import annotations
@@ -18,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimension import GrowthTable, dimension_estimate, entropy_dimension
+from .dimension import dimension_estimate, entropy_dimension, growth_tables
 from .partition import (
     Estimator,
-    GrowthSample,
     count_spanning_separated,
     exact_min_cover,
     exact_separated_value,
     exact_spanning_value,
     make_instance,
-    separated_lower_bound,
 )
 from .potentials import (
     Birkhoff,
@@ -58,6 +60,7 @@ from .systems import (
     ShiftSystem,
     binary_expansion_map,
     golden_mean_sft,
+    orbit_array,
     real,
 )
 
@@ -129,52 +132,31 @@ def _arc_options(x: float, G: int) -> list[int]:
     return out
 
 
-def _cover_values(theta: float, xs: list[float], weights: np.ndarray,
-                  n_steps: int, G: int, step: int = 1) -> tuple[float, float]:
-    """Exact inf-weight and sup-weight minimal subcover values on the sample.
+def _cover_value(theta: float, xs: list[float], weights: np.ndarray, n_steps: int,
+                 G: int, pick, step: int = 1) -> float:
+    """Exact minimal subcover value on the sample, each cell costing ``pick``
+    (``min``: inf-weight, ``max``: sup-weight) of its members' weights.
 
     The cover elements are the join cells of the arc cover along the orbit
-    positions 0, step, ..., (n_steps - 1) step.
+    positions 0, step, ..., (n_steps - 1) step.  A point lies in exactly the
+    cells of its own arc product, so each point ORs its bit into those cells.
     """
-    options = []
-    for x in xs:
-        per_j = []
-        for j in range(n_steps):
-            per_j.append(_arc_options((x + j * step * theta) % 1.0, G))
-        options.append(per_j)
-    cells = set()
-    for per_j in options:
-        cells.update(itertools.product(*per_j))
-    cells = sorted(cells)
-    masks = []
-    for cell in cells:
-        mask = 0
-        for p, per_j in enumerate(options):
-            if all(cell[j] in per_j[j] for j in range(n_steps)):
-                mask |= 1 << p
-        masks.append(mask)
-    keep = [i for i, m in enumerate(masks) if m]
-    cells = [cells[i] for i in keep]
-    masks = [masks[i] for i in keep]
+    members: dict[tuple, int] = {}
+    for p, x in enumerate(xs):
+        arcs = [_arc_options((x + j * step * theta) % 1.0, G) for j in range(n_steps)]
+        for cell in itertools.product(*arcs):
+            members[cell] = members.get(cell, 0) | 1 << p
+    masks = [members[cell] for cell in sorted(members)]
     wmax = float(weights.max())
     shifted = np.exp(weights - wmax)
-    inf_costs = []
-    sup_costs = []
-    for m in masks:
-        members = [shifted[p] for p in range(len(xs)) if m >> p & 1]
-        inf_costs.append(min(members))
-        sup_costs.append(max(members))
-    full = (1 << len(xs)) - 1
-    logq = wmax + math.log(exact_min_cover(masks, np.array(inf_costs), full))
-    logp = wmax + math.log(exact_min_cover(masks, np.array(sup_costs), full))
-    return logq, logp
+    costs = [pick(shifted[p] for p in range(len(xs)) if m >> p & 1) for m in masks]
+    return wmax + math.log(exact_min_cover(masks, np.array(costs), (1 << len(xs)) - 1))
 
 
 # ---------------------------------------------------------------------------
 
 
-def check_chain(seed: int = 0, n_max: int = 10, oracle_trials: int = 100,
-                fault: float = 0.0) -> CheckReport:
+def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
     """Finite chain: subcover values <= spanning <= separated <= subcover.
 
     Exact backend: on shifts the three steps reduce to word sums of lengths
@@ -182,7 +164,8 @@ def check_chain(seed: int = 0, n_max: int = 10, oracle_trials: int = 100,
     diameter-matched cover).  Oracle backend: brute-force optima on random
     rotation samples with explicit arc covers.
     """
-    params = {"check": "chain", "seed": seed, "n_max": n_max, "trials": oracle_trials}
+    n_max, trials = 10, 100
+    params = {"check": "chain", "seed": seed, "n_max": n_max, "trials": trials}
     violations = []
 
     for system, pot in [
@@ -213,7 +196,7 @@ def check_chain(seed: int = 0, n_max: int = 10, oracle_trials: int = 100,
             violations.append(abs(bf_p - word_val))
 
     rng = np.random.default_rng(seed)
-    for _ in range(oracle_trials):
+    for _ in range(trials):
         size = int(rng.integers(5, 11))
         system, pts, pot = _rotation_instance(rng, size)
         n = int(rng.integers(1, 4))
@@ -221,7 +204,7 @@ def check_chain(seed: int = 0, n_max: int = 10, oracle_trials: int = 100,
         weights = pot.eval_array(n, pts)
         G = int(rng.integers(4, 9))
         h = 1.0 / G
-        logq, _ = _cover_values(system.theta, xs, weights, n, G)
+        logq = _cover_value(system.theta, xs, weights, n, G, min)
         span = exact_spanning_value(make_instance(system, n, h / 4.0, pts, pot))
         violations.append(logq - span.log_value)
 
@@ -231,57 +214,46 @@ def check_chain(seed: int = 0, n_max: int = 10, oracle_trials: int = 100,
         violations.append(bf_q.log_value - bf_p.log_value)
 
         G_fine = math.ceil(1.5 / eps)
-        _, logp = _cover_values(system.theta, xs, weights, n, G_fine)
+        logp = _cover_value(system.theta, xs, weights, n, G_fine, max)
         violations.append(bf_p.log_value - logp)
 
     notes = f"{len(violations)} inequalities"
     return _finish("chain", params, violations, fault, notes)
 
 
-def check_prop22(seed: int = 0, n_max: int = 6, trials: int = 25,
-                 fault: float = 0.0) -> CheckReport:
+def check_prop22(seed: int = 0, fault: float = 0.0) -> CheckReport:
     """Separated values at eps against spanning values at eps/2.
 
     Asserts log P(eps) <= 2nC + n delta + log Q(eps/2) with delta fitted
     from the empirical modulus of phi_1 on the orbit-extended sample, plus
     the matched-scale band between the two dimension statistics for s > 1.
     """
+    n_max, trials = 6, 25
     params = {"check": "prop22", "seed": seed, "n_max": n_max, "trials": trials}
     rng = np.random.default_rng(seed)
     violations = []
-    count = 0
     for _ in range(trials):
         size = int(rng.integers(6, 11))
         system, pts, pot = _rotation_instance(rng, size)
-        ext = []
-        for p in pts:
-            z = p
-            for _i in range(n_max):
-                ext.append(z)
-                z = system.apply(z)
+        ext = [real(v) for v in orbit_array(system, n_max, pts).T.ravel()]  # point-major
         eps = float(rng.uniform(0.2, 0.45))
         report = sup_inf_norm(pot, system, ext)
         delta = report.modulus(eps / 2.0)
-        logp_n = []
-        logq_half_n = []
         for n in range(1, n_max + 1):
             p_val = exact_separated_value(make_instance(system, n, eps, pts, pot)).log_value
             q_val = exact_spanning_value(make_instance(system, n, eps / 2.0, pts, pot)).log_value
             bound = 2.0 * n * pot.C + n * delta
             violations.append(p_val - bound - q_val)
-            logp_n.append(p_val)
-            logq_half_n.append(q_val)
-            count += 1
-        # matched-scale band between the two window statistics for s > 1
-        n = n_max
+        # matched-scale band between the two window statistics for s > 1,
+        # from the n = n_max values the loop ends on
         p_half = exact_separated_value(make_instance(system, n, eps / 2.0, pts, pot)).log_value
         for s in (1.5, 2.0):
-            v3 = logp_n[-1] / n**s
-            v2 = logq_half_n[-1] / n**s
+            v3 = p_val / n**s
+            v2 = q_val / n**s
             band = (delta + 2.0 * pot.C) * n ** (1.0 - s)
             violations.append(v3 - v2 - band)
             violations.append(v2 - p_half / n**s)
-    notes = f"{count} (n, eps) pairs"
+    notes = f"{trials * n_max} (n, eps) pairs"
     return _finish("prop22", params, violations, fault, notes)
 
 
@@ -293,13 +265,13 @@ def _ratio_tables(system: ShiftSystem, pot: Potential, k: int, n_range) -> tuple
     return pot_ratios, zero_ratios
 
 
-def check_thm31(seed: int = 0, n_max: int = 12, fault: float = 0.0) -> CheckReport:
+def check_thm31(seed: int = 0, fault: float = 0.0) -> CheckReport:
     """Zero potential recovers pure counting; general potentials stay in the
     counting band at s = 1 and collapse onto it for s > 1."""
+    n_max = 12
     params = {"check": "thm31", "seed": seed, "n_max": n_max}
     violations = []
-    systems = [FullShift(2), golden_mean_sft()]
-    for system in systems:
+    for system in (FullShift(2), golden_mean_sft()):
         for k in (0, 1, 2):
             for n, v in _word_sums(system, zero_potential(), range(1, n_max + 1), k).items():
                 violations.append(abs(v - log_word_count(system, n + k)))
@@ -330,9 +302,9 @@ def check_thm31(seed: int = 0, n_max: int = 12, fault: float = 0.0) -> CheckRepo
     return _finish("thm31", params, violations, fault, notes)
 
 
-def check_thm32(seed: int = 0, n_max: int = 10, pairs: int = 50,
-                fault: float = 0.0) -> CheckReport:
+def check_thm32(seed: int = 0, fault: float = 0.0) -> CheckReport:
     """Subadditivity under potential sums and the power-law under scaling."""
+    n_max, pairs = 10, 50
     params = {"check": "thm32", "seed": seed, "n_max": n_max, "pairs": pairs}
     rng = np.random.default_rng(seed)
     system = FullShift(2)
@@ -373,9 +345,10 @@ def check_thm32(seed: int = 0, n_max: int = 10, pairs: int = 50,
     return _finish("thm32", params, violations, fault, notes)
 
 
-def check_thm33(seed: int = 0, n_max: int = 10, fault: float = 0.0) -> CheckReport:
+def check_thm33(seed: int = 0, fault: float = 0.0) -> CheckReport:
     """Monotonicity in the potential, coboundary invariance up to a uniform
     band, and convexity of the weighted sums."""
+    n_max = 10
     params = {"check": "thm33", "seed": seed, "n_max": n_max}
     rng = np.random.default_rng(seed)
     system = FullShift(2)
@@ -418,8 +391,7 @@ def check_thm33(seed: int = 0, n_max: int = 10, fault: float = 0.0) -> CheckRepo
     return _finish("thm33", params, violations, fault, notes)
 
 
-def check_thm34(seed: int = 0, power: int = 2, trials: int = 20,
-                fault: float = 0.0) -> CheckReport:
+def check_thm34(seed: int = 0, fault: float = 0.0) -> CheckReport:
     """Iterated-map comparison and the inverse-map identity.
 
     Part 1 compares every estimator for (T^k, Phi_k) at time n against
@@ -427,6 +399,7 @@ def check_thm34(seed: int = 0, power: int = 2, trials: int = 20,
     exact spanning identity for the inverse rotation on a closed orbit grid
     to 1e-12.
     """
+    power, trials = 2, 20
     params = {"check": "thm34", "seed": seed, "power": power, "trials": trials}
     rng = np.random.default_rng(seed)
     violations = []
@@ -447,8 +420,8 @@ def check_thm34(seed: int = 0, power: int = 2, trials: int = 20,
         xs = [p.x for p in pts]
         weights = pot.eval_array(n * power, pts)
         G = int(rng.integers(4, 9))
-        logq_k, _ = _cover_values(system.theta, xs, weights, n, G, step=power)
-        logq_1, _ = _cover_values(system.theta, xs, weights, n * power, G, step=1)
+        logq_k = _cover_value(system.theta, xs, weights, n, G, min, step=power)
+        logq_1 = _cover_value(system.theta, xs, weights, n * power, G, min)
         violations.append(logq_k - logq_1)
 
     # shift variant with zero potential: separated counts for sigma^2 at n
@@ -481,23 +454,17 @@ def check_thm34(seed: int = 0, power: int = 2, trials: int = 20,
     return _finish("thm34", params, violations, fault, notes)
 
 
-def check_thm35(seed: int = 0, n_max: int = 6, fault: float = 0.0) -> CheckReport:
+def check_thm35(seed: int = 0, fault: float = 0.0) -> CheckReport:
     """Factor maps: source spanning values at delta(eps) dominate target
     spanning values at eps on image candidate sets."""
+    n_max = 6
     params = {"check": "thm35", "seed": seed, "n_max": n_max}
     pi = binary_expansion_map()
     shift = pi.source
     doubling = pi.target
     words = [shift.representative(w) for w in shift.admissible_words(4)]
-    images = []
-    seen = set()
-    for w in words:
-        v = pi.apply(w)
-        if v.x not in seen:
-            seen.add(v.x)
-            images.append(v)
+    images = list(dict.fromkeys(pi.apply(w) for w in words))  # distinct, in word order
     violations = []
-    count = 0
     pots = [
         zero_potential(doubling),
         Birkhoff(phi=lambda x: x, system=doubling, name="x"),
@@ -514,8 +481,7 @@ def check_thm35(seed: int = 0, n_max: int = 6, fault: float = 0.0) -> CheckRepor
                     make_instance(doubling, n, eps, images, pot)
                 ).log_value
                 violations.append(tgt - src)
-                count += 1
-    notes = f"{count} (potential, eps, n) cases"
+    notes = f"{len(violations)} (potential, eps, n) cases"
     return _finish("thm35", params, violations, fault, notes)
 
 
@@ -534,10 +500,10 @@ def check_section4(seed: int = 0, fault: float = 0.0) -> CheckReport:
                 violations.append(abs(v / n - target))
 
     # drift dimension on the full shift: exact table at the finest scale
-    sums = _word_sums(FullShift(2), ConstantDrift(0.5, FullShift(2)), range(4, 65, 4), 0)
-    samples = [GrowthSample(Estimator.SEPARATED, n, deflated_scale(0), v, True)
-               for n, v in sums.items()]
-    est = dimension_estimate(GrowthTable(samples))
+    shift = FullShift(2)
+    [table] = growth_tables(shift, ConstantDrift(0.5, shift), range(4, 65, 4), "k", [0],
+                            [Estimator.SEPARATED], 4096)
+    est = dimension_estimate(table)
     violations.append(abs(est.s0_hat - 1.0) - 0.05)
     notes_parts.append(f"drift dim {est.s0_hat:.3f}")
 
@@ -550,31 +516,16 @@ def check_section4(seed: int = 0, fault: float = 0.0) -> CheckReport:
         _, d_zero = entropy_dimension(system, range(2, 41, 2), [0.2, 0.1, 0.05])
         violations.append(abs(d_zero.s0_hat) - 0.05)
         notes_parts.append(f"{system.label} dim {d_zero.s0_hat:.3f}")
-        # unit drift restores dimension one
-        drift = ConstantDrift(1.0, system)
-        samples = []
-        for n in range(20, 401, 20):
-            cand = system.candidate_set(n, 0.1)
-            inst = make_instance(system, n, 0.1, cand.points, drift)
-            samples.append(separated_lower_bound(inst))
-        est = dimension_estimate(GrowthTable(samples))
+        # unit drift restores dimension one (greedy tables on grids of 20 or 21 points)
+        [table] = growth_tables(system, ConstantDrift(1.0, system), range(20, 401, 20), "eps",
+                                [0.1], [Estimator.SEPARATED], 4096)
+        est = dimension_estimate(table)
         violations.append(abs(est.s0_hat - 1.0) - 0.05)
         # dimension stays at or below one even though the entropy term is 0
         violations.append(est.s0_hat - 1.05)
     notes = "; ".join(notes_parts)
     return _finish("section4", params, violations, fault, notes)
 
-
-SUITE_NAMES = (
-    "chain",
-    "prop22",
-    "thm31",
-    "thm32",
-    "thm33",
-    "thm34",
-    "thm35",
-    "section4",
-)
 
 _SUITES = {
     "chain": check_chain,
@@ -586,6 +537,7 @@ _SUITES = {
     "thm35": check_thm35,
     "section4": check_section4,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckReport]:

@@ -180,6 +180,42 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err == "error: eps scales must be positive and finite\n"
 
+    @pytest.mark.parametrize("option", [
+        {"n_range": [4, 4, 8, 12, 16]},
+        {"scales": {"k": [0, 0]}},
+        {"scales": {"eps": [0.2, 0.2]}},
+        {"scales": {"k": [1, True]}},
+        {"scales": {"k": [2, 2.5]}},
+    ], ids=repr)
+    def test_repeated_entries_are_config_errors(self, tmp_path, capsys, option):
+        cfg = write_config(tmp_path, **option)
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("system, potential", [
+        ({"kind": "full_shift", "k": math.inf}, {"kind": "zero"}),
+        ({"kind": "sft", "matrix": [[1, math.inf], [1, 0]]}, {"kind": "zero"}),
+        ({"kind": "rotation", "theta": "nan"}, {"kind": "zero"}),
+        ({"kind": "contraction", "fixed": "nan"}, {"kind": "zero"}),
+        ({"kind": "full_shift", "k": 2}, {"kind": "constant_drift", "a": "inf"}),
+        ({"kind": "full_shift", "k": 2}, {"kind": "symbol_weights", "table": [0.1, "inf"]}),
+        ({"kind": "full_shift", "k": 2}, {"kind": "scale", "lam": -math.inf,
+                                          "inner": {"kind": "zero"}}),
+        ({"kind": "full_shift", "k": 2}, {"kind": "matrix_cocycle",
+                                          "mats": [[[math.inf]], [[1.0]]]}),
+    ], ids=repr)
+    def test_non_finite_spec_numbers_are_config_errors(self, tmp_path, capsys,
+                                                         system, potential):
+        # json writes math.inf as Infinity, which reads back as 1e400 does
+        cfg = write_config(tmp_path, system=system, potential=potential,
+                           n_range=[2, 3, 4, 5], scales={"eps": [0.2]})
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and err.count("\n") == 1
+
     def test_cover_estimators_rejected_on_metric_path(self, tmp_path):
         cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
                            potential={"kind": "zero"},
@@ -292,6 +328,53 @@ class TestBudget:
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded: ") and "exceeds cap" in err
         assert err.count("\n") == 1
+
+    def test_enumeration_cap_at_huge_length_exits_three(self, tmp_path, capsys):
+        # 2^20000 words: the message names the length, not the count
+        cfg = write_config(
+            tmp_path,
+            potential={"kind": "scale", "lam": 0.5,
+                       "inner": {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}},
+            n_range=[20000],
+            scales={"k": [0]},
+        )
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("budget exceeded: enumeration fallback over the words of length "
+                       "20000 exceeds cap 4194304\n")
+
+    @pytest.mark.parametrize("system, potential", [
+        ({"kind": "full_shift", "k": 257}, {"kind": "zero"}),
+        ({"kind": "full_shift", "k": 2},
+         {"kind": "matrix_cocycle", "mats": [[[1.0] * 129] * 129] * 2}),
+    ], ids=["257 symbols", "2 x 129 cocycle"])
+    def test_transfer_state_cap_exits_three(self, tmp_path, capsys, system, potential):
+        cfg = write_config(tmp_path, system=system, potential=potential,
+                           n_range=[2, 3, 4, 5], scales={"k": [0]})
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: ") and "more than 256 states" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [10**12, 10**30])
+    def test_orbit_array_over_budget_exits_three(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
+                           potential={"kind": "zero"}, n_range=[n], scales={"eps": [0.1]})
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: orbit array for 20 points")
+        assert err.count("\n") == 1
+
+    def test_doubling_past_float_range_caps_its_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, system={"kind": "doubling"}, potential={"kind": "zero"},
+                           n_range=[1026, 1027], scales={"eps": [0.1]}, budget=50)
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert {r[3] for r in read_rows(out)[1:] if r[3]} == {"1026", "1027"}
 
     def test_distance_matrix_over_budget_exits_three(self, tmp_path, capsys):
         # 40960 grid points would need a 13 GB Bowen distance matrix

@@ -20,7 +20,9 @@ from pdim.potentials import (
     symbol_weights,
     zero_potential,
 )
+from pdim import symbolic
 from pdim.symbolic import (
+    TRANSFER_STATE_CAP,
     EnumerationCapError,
     NotLocallyConstantError,
     _log_matmul,
@@ -31,7 +33,7 @@ from pdim.symbolic import (
     log_word_count,
     required_length,
 )
-from pdim.systems import SFT, FullShift, golden_mean_sft, word_total
+from pdim.systems import SFT, BudgetExceededError, FullShift, golden_mean_sft, word_total
 
 
 def enumerate_sum(system, potential, n, length):
@@ -317,8 +319,46 @@ class TestTableForm:
 
     def test_cap_raises_before_any_sum(self, no_sums):
         lam = scale(0.5, MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS))
-        with pytest.raises(EnumerationCapError, match="over 8388608 words exceeds cap 4194304"):
+        with pytest.raises(EnumerationCapError, match="words of length 23 exceeds cap 4194304"):
             log_weighted_word_sums(FS, lam, [3, 4, 23], 0)
+
+    def test_cap_message_names_the_length_not_the_count(self, no_sums):
+        # 2^20000 words: the count itself has more digits than int -> str allows
+        lam = scale(0.5, MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS))
+        with pytest.raises(EnumerationCapError) as err:
+            log_weighted_word_sums(FS, lam, [20000], 0)
+        assert str(err.value) == ("enumeration fallback over the words of length 20000 "
+                                  "exceeds cap 4194304")
+
+    @pytest.mark.parametrize("system, pot", [
+        (FullShift(10**9), zero_potential()),
+        (FullShift(TRANSFER_STATE_CAP + 1), symbol_weights(
+            FullShift(TRANSFER_STATE_CAP + 1), [0.0] * (TRANSFER_STATE_CAP + 1))),
+        (FS, MatrixCocycle([np.ones((129, 129)), np.ones((129, 129))], FS)),
+    ], ids=["zero", "weights", "cocycle"])
+    def test_state_cap_raises_before_states_are_listed(self, no_sums, monkeypatch,
+                                                       system, pot):
+        def boom(*args, **kwargs):
+            raise AssertionError("transfer states were listed before the cap check")
+
+        monkeypatch.setattr(FullShift, "admissible_words", boom)
+        with pytest.raises(BudgetExceededError, match=f"more than {TRANSFER_STATE_CAP} states"):
+            log_weighted_word_sums(system, pot, [2, 3], 1)
+
+    def test_state_cap_boundary(self, monkeypatch):
+        # 3 states on the 3-shift, 2 * 2 on a 2-shift cocycle of 2 x 2 matrices
+        weights = symbol_weights(FullShift(3), [0.1, 0.2, 0.3])
+        cocycle = MatrixCocycle([np.eye(2) + 1.0, np.eye(2) + 2.0], FS)
+        monkeypatch.setattr(symbolic, "TRANSFER_STATE_CAP", 4)
+        log_weighted_word_sums(FullShift(3), weights, [2], 1)
+        log_weighted_word_sums(FS, cocycle, [2], 1)
+        monkeypatch.setattr(symbolic, "TRANSFER_STATE_CAP", 3)
+        log_weighted_word_sums(FullShift(3), weights, [2], 1)
+        with pytest.raises(BudgetExceededError):
+            log_weighted_word_sums(FS, cocycle, [2], 1)
+        monkeypatch.setattr(symbolic, "TRANSFER_STATE_CAP", 2)
+        with pytest.raises(BudgetExceededError):
+            log_weighted_word_sums(FullShift(3), weights, [2], 1)
 
     def test_empty_table_is_empty(self, no_sums):
         from pdim.systems import Rotation
@@ -382,6 +422,22 @@ class TestWordCounts:
                 assert word_total(system, length) == sum(counts)
                 counts = [sum(counts[b] for b in range(system.k)
                               if system.is_admissible_pair(a, b)) for a in range(system.k)]
+
+    def test_capped_word_total_saturates(self):
+        rng = random.Random(5)
+        systems = [FS, FullShift(3), GM] + [random_sft(rng, rng.choice((2, 3, 4)))
+                                            for _ in range(10)]
+        for system in systems:
+            for length in range(0, 30):
+                total = word_total(system, length)
+                for cap in (1, 2, 7, 100, 4096):
+                    assert word_total(system, length, cap=cap) == min(total, cap + 1)
+
+    def test_capped_word_total_at_huge_length(self):
+        # saturated counts stay small, so no 2^(10^18) integer is ever built
+        assert word_total(GM, 10**18, cap=1000) == 1001
+        assert word_total(FS, 10**18, cap=1000) == 1001
+        assert word_total(FullShift(10**30), 1, cap=5) == 6
 
     def test_word_total_fibonacci_at_large_length(self):
         length = 10**4

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pdim import systems
 from pdim.systems import (
     BudgetExceededError,
     Contraction,
@@ -18,6 +19,7 @@ from pdim.systems import (
     circle_metric,
     golden_mean_sft,
     identity_factor,
+    orbit_array,
     real,
     scale_index,
     shift_metric,
@@ -150,6 +152,19 @@ class TestCandidateSets:
         with pytest.raises(BudgetExceededError):
             FullShift(2).candidate_set(40, 0.25, budget=1000)
 
+    def test_shift_budget_message_names_the_length(self):
+        # 2^20002 words: the count has more digits than int -> str allows
+        with pytest.raises(BudgetExceededError,
+                           match="^admissible words of length 20002 exceed budget 10$"):
+            FullShift(2).candidate_set(20000, 0.5, budget=10)
+
+    @pytest.mark.parametrize("n", [1024, 1025, 1026, 10**6])
+    def test_doubling_grid_past_float_range_is_capped(self, n):
+        # the mesh eps / (2 * 2^(n-1)) underflows or 2^(n-1) overflows
+        cand = DoublingMap().candidate_set(n, 0.1, budget=50)
+        assert cand.capped and not cand.certified
+        assert len(cand.points) == 50
+
     def test_circle_grid_density(self):
         rot = Rotation(0.3)
         cand = rot.candidate_set(3, 0.1)
@@ -172,6 +187,20 @@ class TestCandidateSets:
     def test_contraction_grid_includes_endpoints(self):
         xs = [p.x for p in Contraction(0.5, 0.0).candidate_set(3, 0.5).points]
         assert 0.0 in xs and 1.0 in xs
+
+
+class TestOrbitArray:
+    def test_budget_is_checked_before_allocating(self, monkeypatch):
+        pts = [real(v) for v in (0.1, 0.2, 0.3, 0.4)]
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 8 * 3 * 4)
+        assert orbit_array(Rotation(0.3), 3, pts).shape == (3, 4)
+        with pytest.raises(BudgetExceededError, match="4 points over 4 steps"):
+            orbit_array(Rotation(0.3), 4, pts)
+
+    @pytest.mark.parametrize("n", [10**12, 10**30])
+    def test_huge_orbit_is_a_budget_error(self, n):
+        with pytest.raises(BudgetExceededError, match="over the 2147483648-byte budget"):
+            orbit_array(Rotation(0.3), n, [real(0.5)] * 20)
 
 
 class TestDynamics:

@@ -61,7 +61,6 @@ class TestDeterminism:
         base = check_thm32(seed=0)
         assert check_thm32(seed=0).digest == base.digest
         assert check_thm32(seed=1).digest != base.digest
-        assert check_thm32(seed=0, pairs=10).digest != base.digest
 
 
 class TestRunner:
