@@ -55,7 +55,7 @@ from .potentials import (
     symbol_weights,
     zero_potential,
 )
-from .symbolic import EnumerationCapError, NotLocallyConstantError, deflated_scale
+from .symbolic import NotLocallyConstantError, deflated_scale
 from .systems import (
     BudgetExceededError,
     Contraction,
@@ -99,6 +99,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    except RecursionError:
+        raise ConfigError("config nests too deeply to read")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     allowed = {"system", "potential", "n_range", "scales", "s_grid",
@@ -126,8 +128,8 @@ def _int_option(cfg: dict, key: str, default: int | None, minimum: int) -> int |
     if raw is None and default is None:
         return None
     try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):
+        value = _integer(raw)
+    except ValueError:
         value = minimum - 1
     if value < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {raw!r}")
@@ -137,8 +139,8 @@ def _int_option(cfg: dict, key: str, default: int | None, minimum: int) -> int |
 def _parse_estimators(raw) -> list[Estimator]:
     # both scale paths produce spanning (2) and separated (3) samples only
     try:
-        ests = [Estimator(int(v)) for v in raw] if isinstance(raw, list) else []
-    except (TypeError, ValueError):
+        ests = [Estimator(_integer(v)) for v in raw] if isinstance(raw, list) else []
+    except ValueError:
         ests = []
     if not ests or any(e not in (Estimator.SPANNING, Estimator.SEPARATED) for e in ests):
         raise ConfigError(
@@ -146,6 +148,13 @@ def _parse_estimators(raw) -> list[Estimator]:
             "the cover estimators 1 and 4 are not computed"
         )
     return ests
+
+
+def _integer(v) -> int:
+    """``int(v)`` for an integer or integral float; ValueError for booleans and the rest."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v % 1:
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
 
 
 def _finite(v) -> float:
@@ -162,9 +171,9 @@ def build_system(spec: dict) -> System:
     kind = spec["kind"]
     try:
         if kind == "full_shift":
-            return FullShift(int(spec.get("k", 2)))
+            return FullShift(_integer(spec.get("k", 2)))
         if kind == "sft":
-            return SFT(tuple(tuple(int(v) for v in row) for row in spec["matrix"]))
+            return SFT(tuple(tuple(_integer(v) for v in row) for row in spec["matrix"]))
         if kind == "doubling":
             return DoublingMap()
         if kind == "rotation":
@@ -174,6 +183,24 @@ def build_system(spec: dict) -> System:
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad system spec: {e}")
     raise ConfigError(f"unknown system kind {kind!r}")
+
+
+# deepest sum and scale nesting of a potential spec, well inside the recursion limit
+MAX_POTENTIAL_DEPTH = 100
+
+
+def _check_potential_depth(spec) -> None:
+    # a k-term sum folds left, so its first term sits k - 1 sums deep; a stack,
+    # not recursion, so that a spec of any depth is measured
+    stack = [(spec, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_POTENTIAL_DEPTH:
+            raise ConfigError(f"potential nests sum and scale over {MAX_POTENTIAL_DEPTH} deep")
+        if isinstance(node, dict) and node.get("kind") in ("sum", "scale"):
+            terms = node.get("terms") if node["kind"] == "sum" else [node.get("inner")]
+            if isinstance(terms, list):
+                stack += [(t, depth + max(1, len(terms) - max(i, 1))) for i, t in enumerate(terms)]
 
 
 # coordinate functions of arrays: one value per coordinate
@@ -233,10 +260,10 @@ def build_potential(spec: dict | None, system: System):
 def _parse_n_range(spec) -> list[int]:
     try:
         if isinstance(spec, list):
-            ns = [int(v) for v in spec]
+            ns = [_integer(v) for v in spec]
         elif isinstance(spec, dict):
-            start, stop = int(spec["start"]), int(spec["stop"])
-            ns = list(range(start, stop + 1, int(spec.get("step", 1))))  # stop is inclusive
+            start, stop = _integer(spec["start"]), _integer(spec["stop"])
+            ns = list(range(start, stop + 1, _integer(spec.get("step", 1))))  # stop is inclusive
         else:
             raise ConfigError("n_range must be a list or {start, stop, step}")
     except KeyError as e:
@@ -253,7 +280,7 @@ def _parse_scales(spec) -> tuple[str, list]:
         raise ConfigError("scales must be {'k': [...]} or {'eps': [...]}")
     [(mode, raw)] = spec.items()
     try:
-        values = [int(v) if mode == "k" else float(v) for v in raw]
+        values = [_integer(v) if mode == "k" else float(v) for v in raw]
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad scales.{mode}: {e}")
     if mode == "k" and any(k < 0 for k in values):
@@ -273,7 +300,7 @@ def _parse_s_grid(spec) -> list[float]:
             out = [float(v) for v in spec]
         elif isinstance(spec, dict):
             start, stop = float(spec["start"]), float(spec["stop"])
-            out = [float(v) for v in np.linspace(start, stop, int(spec["steps"]))]
+            out = [float(v) for v in np.linspace(start, stop, _integer(spec["steps"]))]
         else:
             raise ConfigError("s_grid must be a list or {start, stop, steps}")
     except KeyError as e:
@@ -291,6 +318,7 @@ def _parse_s_grid(spec) -> list[float]:
 
 def _collect_tables(cfg: dict) -> tuple[System, object, list[GrowthTable]]:
     system = build_system(cfg["system"])
+    _check_potential_depth(cfg.get("potential"))
     potential = build_potential(cfg.get("potential"), system)
     ns = _parse_n_range(cfg["n_range"])
     mode, scales = _parse_scales(cfg["scales"])
@@ -299,8 +327,6 @@ def _collect_tables(cfg: dict) -> tuple[System, object, list[GrowthTable]]:
     try:
         tables = growth_tables(system, potential, ns, mode, scales,
                                cfg["estimators"], cfg["budget"])
-    except EnumerationCapError:
-        raise
     except NotLocallyConstantError as e:
         raise ConfigError(f"the scales.k path needs an exact shift profile: {e}")
     return system, potential, tables

@@ -8,8 +8,8 @@ for small instances and anchor every greedy result in the tests.
 Cost for m candidates at time n: the Bowen distance matrix takes O(n m^2)
 time and O(m^2) memory (the m x m float64 matrix plus a few cache-sized row
 blocks), and it equals ``System.bowen_metric`` bit for bit.  A matrix over
-DISTANCE_BUDGET_BYTES raises BudgetExceededError, which the CLI turns into
-exit code 3.  Greedy separated and greedy spanning are O(m^2) in total.
+``systems.ARRAY_BUDGET_BYTES`` (m > 16384) raises BudgetExceededError, which
+the CLI turns into exit code 3.  Greedy separated and greedy spanning are O(m^2) in total.
 """
 
 from __future__ import annotations
@@ -24,19 +24,16 @@ import numpy as np
 from .logsum import logsumexp
 from .potentials import Potential
 from .systems import (
-    ARRAY_BUDGET_BYTES,
-    BudgetExceededError,
     Point,
     RealPoint,
     System,
     Word,
+    check_distance_budget,
     orbit_array,
     shift_step,
     word_array,
 )
 
-# Largest Bowen distance matrix built: 8 m^2 bytes of float64, so m <= 16384.
-DISTANCE_BUDGET_BYTES = ARRAY_BUDGET_BYTES
 # Entries per row block of the distance kernels (256 KiB of float64), so the
 # block's running max stays in cache across time steps.
 _BLOCK_ENTRIES = 1 << 15
@@ -119,16 +116,10 @@ def make_instance(
 def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
     """Symmetric matrix of ``system.bowen_metric(n, x, y)`` over the points, bit for bit.
 
-    Raises BudgetExceededError, before allocating, when the float64 matrix
-    would exceed DISTANCE_BUDGET_BYTES.
+    Calls ``check_distance_budget`` before allocating.
     """
     m = len(points)
-    nbytes = 8 * m * m
-    if nbytes > DISTANCE_BUDGET_BYTES:
-        raise BudgetExceededError(
-            f"Bowen distance matrix for {m} points needs {nbytes} bytes, "
-            f"over the {DISTANCE_BUDGET_BYTES}-byte budget"
-        )
+    check_distance_budget(m)
     if m and isinstance(points[0], RealPoint):
         return _real_distance_matrix(system, n, points)
     step = shift_step(system)

@@ -8,15 +8,14 @@ for a declared constant C >= 0.  Each object evaluates ``phi_n``, carries C,
 and (when it is locally constant on a shift) exposes a window profile that
 the exact symbolic backend can sum without enumerating points.
 
-``eval_array(n, points)`` is the one formula of every built-in potential: it
-returns the float64 array of ``phi_n`` over a whole candidate list in one
-pass, and ``eval(n, x)`` is its one-point case.  A subclass overrides one of
-the two; the base class derives the other (``eval_array`` then loops over
-``eval``).  A ``Birkhoff`` ``phi`` is a function of arrays that returns one
-float per row: on a real system it reads the (m,) coordinate array, on a
-shift the (m, reach) int array of each word's first ``reach`` symbols, padded
-with the word's own tail.  Orbit sums add in time order from zeros, the same
-adds as a per-point loop, so every weight is bit for bit the scalar value.
+``eval_array(n, points)`` is the one formula of every potential: it returns
+the float64 array of ``phi_n`` over a whole candidate list in one pass, and
+``eval(n, x)`` is its one-point case.  A ``Birkhoff`` ``phi`` is a function
+of arrays that returns one float per row: on a real system it reads the (m,)
+coordinate array, on a shift the (m, reach) int array of each word's first
+``reach`` symbols, padded with the word's own tail.  Orbit sums add in time
+order from zeros, the same adds as a per-point loop, so every weight is bit
+for bit the scalar value.
 """
 
 from __future__ import annotations
@@ -83,13 +82,11 @@ class Potential:
 
     def eval(self, n: int, x: Point) -> float:
         """phi_n(x): the one-point case of ``eval_array``."""
-        if type(self).eval_array is Potential.eval_array:
-            raise NotImplementedError(f"{self.label} defines neither eval nor eval_array")
         return float(self.eval_array(n, [x])[0])
 
     def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        """phi_n over the points as a float64 array; by default one ``eval`` per point."""
-        return np.array([self.eval(n, p) for p in points], dtype=float)
+        """phi_n over the points as a float64 array: the potential's one formula."""
+        raise NotImplementedError(f"{self.label} has no formula")
 
     def shift_profile(self) -> Profile | None:
         """Local structure on a shift, or None when not locally constant."""
@@ -116,10 +113,6 @@ class ConstantDrift(Potential):
 
     A: float = 0.0
     system: System | None = None
-
-    @property
-    def C(self) -> float:
-        return 0.0
 
     @property
     def label(self) -> str:
@@ -155,10 +148,6 @@ class Birkhoff(Potential):
     def __post_init__(self):
         if shift_step(self.system) is not None and self.reach is None:
             raise ValueError("a Birkhoff potential on a shift needs reach")
-
-    @property
-    def C(self) -> float:
-        return 0.0
 
     @property
     def label(self) -> str:

@@ -34,7 +34,7 @@ class NotLocallyConstantError(ValueError):
     pass
 
 
-class EnumerationCapError(NotLocallyConstantError, BudgetExceededError):
+class EnumerationCapError(BudgetExceededError):
     """The enumeration fallback would walk more words than ENUMERATION_CAP."""
 
 

@@ -1,9 +1,14 @@
 """Model dynamical systems: symbolic shifts and interval/circle maps.
 
 Points are either eventually-constant symbol sequences (``Word``) or real
-vectors (``RealPoint``).  Every system knows its map, its base metric, the
+numbers (``RealPoint``).  Every system knows its map, its base metric, the
 induced orbit (Bowen) metric, and how to generate a finite candidate set
 that is dense enough for scale-``eps`` estimates.
+
+Each real map has one formula, ``apply_array`` on an array of coordinates,
+and each real system one metric formula, ``metric_array``; ``apply`` and
+``metric`` on RealPoints are their one-point cases, defined once on
+``System``.  Shifts act on Words through ``Word.shift`` and ``shift_metric``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,18 @@ class BudgetExceededError(RuntimeError):
 # Largest float64 array built from a candidate set: orbit_array here, and the
 # Bowen distance matrices of pdim.partition.
 ARRAY_BUDGET_BYTES = 2 * 1024**3
+
+
+def _check_array_budget(rows: int, cols: int, what: str) -> None:
+    nbytes = 8 * rows * cols
+    if nbytes > ARRAY_BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"{what} needs {nbytes} bytes, over the {ARRAY_BUDGET_BYTES}-byte budget")
+
+
+def check_distance_budget(m: int) -> None:
+    """Raise BudgetExceededError when an m x m Bowen distance matrix is over budget: m > 16384."""
+    _check_array_budget(m, m, f"Bowen distance matrix for {m} points")
 
 
 @dataclass(frozen=True)
@@ -45,18 +62,12 @@ class Word:
 
 @dataclass(frozen=True)
 class RealPoint:
-    coords: tuple[float, ...]
-
-    @property
-    def x(self) -> float:
-        return self.coords[0]
+    x: float
 
 
-def real(x: float | Sequence[float]) -> RealPoint:
-    """Build a RealPoint from a scalar or a coordinate sequence."""
-    if isinstance(x, (int, float)):
-        return RealPoint((float(x),))
-    return RealPoint(tuple(float(c) for c in x))
+def real(x: float) -> RealPoint:
+    """Build a RealPoint from a number."""
+    return RealPoint(float(x))
 
 
 Point = Word | RealPoint
@@ -75,11 +86,6 @@ def shift_metric(x: Word, y: Word) -> float:
     return d
 
 
-def circle_metric(x: float, y: float) -> float:
-    d = abs(x - y)
-    return min(d, 1.0 - d)
-
-
 @dataclass
 class CandidateSet:
     """Finite point family used by the estimators, with density bookkeeping."""
@@ -95,17 +101,19 @@ class System:
     label: str = "system"
 
     def apply(self, x: Point) -> Point:
-        raise NotImplementedError
+        """T x on a RealPoint: the one-point case of ``apply_array``."""
+        return real(self.apply_array(np.float64(x.x)))
 
     def metric(self, x: Point, y: Point) -> float:
-        raise NotImplementedError
+        """d(x, y) on RealPoints: the one-point case of ``metric_array``."""
+        return float(self.metric_array(np.float64(x.x), np.float64(y.x)))
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
-        """``apply`` on an array of real coordinates, bit for bit."""
+        """T on an array of real coordinates: the map's one formula."""
         raise NotImplementedError(f"{self.label} has no array form")
 
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``metric`` on broadcast arrays of real coordinates, bit for bit."""
+        """d on broadcast arrays of real coordinates: the metric's one formula."""
         raise NotImplementedError(f"{self.label} has no array form")
 
     def iterate(self, x: Point, j: int) -> Point:
@@ -127,13 +135,13 @@ class System:
         return best
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
-        raise NotImplementedError
-
-    def validate_point(self, x: Point) -> None:
+        """Points dense enough for scale eps at time n; raises BudgetExceededError
+        before building a set whose Bowen distance matrix is over budget."""
         raise NotImplementedError
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[Point]:
-        raise NotImplementedError
+        """``count`` uniform RealPoints of [0, 1)."""
+        return [real(float(v)) for v in rng.random(count)]
 
     def inverse(self) -> "System":
         raise NotImplementedError(f"{self.label} is not invertible here")
@@ -151,12 +159,7 @@ def orbit_array(system: System, n: int, points: Sequence[RealPoint]) -> np.ndarr
     Raises BudgetExceededError, before allocating, when the array would exceed
     ARRAY_BUDGET_BYTES.
     """
-    nbytes = 8 * n * len(points)
-    if nbytes > ARRAY_BUDGET_BYTES:
-        raise BudgetExceededError(
-            f"orbit array for {len(points)} points over {n} steps needs {nbytes} bytes, "
-            f"over the {ARRAY_BUDGET_BYTES}-byte budget"
-        )
+    _check_array_budget(n, len(points), f"orbit array for {len(points)} points over {n} steps")
     orbit = np.empty((n, len(points)))
     for t in range(n):
         orbit[t] = system.apply_array(orbit[t - 1]) if t else [p.x for p in points]
@@ -175,9 +178,6 @@ class ShiftSystem(System):
 
     def is_admissible_pair(self, a: int, b: int) -> bool:
         raise NotImplementedError
-
-    def is_admissible_word(self, w: Sequence[int]) -> bool:
-        return all(self.is_admissible_pair(w[i], w[i + 1]) for i in range(len(w) - 1))
 
     def admissible_words(self, length: int) -> Iterator[tuple[int, ...]]:
         if length == 0:
@@ -217,24 +217,15 @@ class ShiftSystem(System):
         return shift_metric(x, y)
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
-        k_extra = scale_index(eps)
-        length = n + k_extra
-        if word_total(self, length, cap=budget) > budget:
+        length = n + scale_index(eps)
+        count = word_total(self, length, cap=budget)
+        if count > budget:
             raise BudgetExceededError(
                 f"admissible words of length {length} exceed budget {budget}"
             )
+        check_distance_budget(count)
         pts = [self.representative(w) for w in self.admissible_words(length)]
         return CandidateSet(points=pts, certified=True, capped=False)
-
-    def validate_point(self, x: Point) -> None:
-        if not isinstance(x, Word):
-            raise TypeError("shift systems take Word points")
-        for s in x.symbols + (x.tail,):
-            if not 0 <= s < self.k:
-                raise ValueError(f"symbol {s} outside alphabet of size {self.k}")
-        full = x.symbols + (x.tail, x.tail)
-        if not self.is_admissible_word(full):
-            raise ValueError("word hits a forbidden transition")
 
     def sample_points(self, count: int, rng: np.random.Generator, length: int = 24) -> list[Point]:
         out = []
@@ -371,18 +362,9 @@ class CircleSystem(System):
 
     lipschitz: float = 1.0
 
-    def metric(self, x: RealPoint, y: RealPoint) -> float:
-        return circle_metric(x.x, y.x)
-
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d = np.abs(x - y)
         return np.minimum(d, 1.0 - d)
-
-    def validate_point(self, x: Point) -> None:
-        if not isinstance(x, RealPoint):
-            raise TypeError("circle systems take RealPoint points")
-        if not 0.0 <= x.x < 1.0:
-            raise ValueError("circle coordinate outside [0, 1)")
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         # Uniform grid; mesh eps / (2 Lip^(n-1)) keeps the orbit error under eps/2.
@@ -394,27 +376,20 @@ class CircleSystem(System):
         capped = m > budget
         if capped:
             m = budget
+        check_distance_budget(m)
         achieved = 1.0 / m
         pts = [real(i / m) for i in range(m)]
         return CandidateSet(points=pts, certified=not capped or achieved <= target,
                             capped=capped)
 
-    def sample_points(self, count: int, rng: np.random.Generator) -> list[Point]:
-        return [real(float(v)) for v in rng.random(count)]
-
 
 @dataclass(frozen=True)
 class DoublingMap(CircleSystem):
+    lipschitz = 2.0
+
     @property
     def label(self) -> str:
         return "doubling"
-
-    @property
-    def lipschitz(self) -> float:
-        return 2.0
-
-    def apply(self, x: RealPoint) -> RealPoint:
-        return real((2.0 * x.x) % 1.0)
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return np.mod(2.0 * x, 1.0)
@@ -427,13 +402,6 @@ class Rotation(CircleSystem):
     @property
     def label(self) -> str:
         return f"rotation({self.theta})"
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
-
-    def apply(self, x: RealPoint) -> RealPoint:
-        return real((x.x + self.theta) % 1.0)
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return np.mod(x + self.theta, 1.0)
@@ -457,23 +425,11 @@ class Contraction(System):
     def label(self) -> str:
         return f"contraction({self.c})"
 
-    def apply(self, x: RealPoint) -> RealPoint:
-        return real(self.fixed + self.c * (x.x - self.fixed))
-
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return self.fixed + self.c * (x - self.fixed)
 
-    def metric(self, x: RealPoint, y: RealPoint) -> float:
-        return abs(x.x - y.x)
-
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.abs(x - y)
-
-    def validate_point(self, x: Point) -> None:
-        if not isinstance(x, RealPoint):
-            raise TypeError("contraction takes RealPoint points")
-        if not 0.0 <= x.x <= 1.0:
-            raise ValueError("interval coordinate outside [0, 1]")
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         mesh = eps / 2.0
@@ -481,12 +437,10 @@ class Contraction(System):
         capped = m > budget
         if capped:
             m = budget
+        check_distance_budget(m + 1)
         achieved = 1.0 / m
         pts = [real(min(1.0, i * achieved)) for i in range(m + 1)]
         return CandidateSet(points=pts, certified=not capped, capped=capped)
-
-    def sample_points(self, count: int, rng: np.random.Generator) -> list[Point]:
-        return [real(float(v)) for v in rng.random(count)]
 
 
 @dataclass(frozen=True)
@@ -517,9 +471,6 @@ class PowerSystem(System):
 
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.base.metric_array(x, y)
-
-    def validate_point(self, x: Point) -> None:
-        self.base.validate_point(x)
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         # n steps of T^power read at most (n-1) power + 1 steps of T.

@@ -8,7 +8,8 @@ import re
 import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
-from pdim.cli import CSV_HEADER, build_system, main
+from pdim import systems
+from pdim.cli import CSV_HEADER, MAX_POTENTIAL_DEPTH, build_system, main
 from pdim.dimension import entropy_dimension
 
 
@@ -216,6 +217,76 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: bad ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"system": {"kind": "full_shift", "k": 2.5}},
+        {"system": {"kind": "full_shift", "k": True}},
+        {"system": {"kind": "sft", "matrix": [[1, 1], [1, 0.5]]}},
+        {"system": {"kind": "sft", "matrix": [[1, True], [1, 0]]}},
+        {"n_range": [4, 8.7, 12, 16]},
+        {"n_range": [True, 4, 8, 12]},
+        {"n_range": {"start": 4, "stop": 12.5}},
+        {"n_range": {"start": 4, "stop": 12, "step": True}},
+        {"scales": {"k": [True]}},
+        {"scales": {"k": [0, 1.5]}},
+        {"budget": 2.5}, {"budget": True},
+        {"max_rows": 2.5}, {"max_rows": False},
+        {"estimators": [3.5]},
+        {"s_grid": {"start": 0.5, "stop": 2.0, "steps": 4.5}},
+        {"s_grid": {"start": 0.5, "stop": 2.0, "steps": True}},
+        {"system": {"kind": "full_shift", "k": 2.5}, "n_range": [4, 8.7, 12, 16],
+         "scales": {"k": [True]}},
+    ], ids=repr)
+    def test_integer_fields_refuse_fractions_and_booleans(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        ints, floats = tmp_path / "ints.csv", tmp_path / "floats.csv"
+        for number, out in ((int, ints), (float, floats)):
+            cfg = write_config(tmp_path, system={"kind": "full_shift", "k": number(2)},
+                               n_range=[number(n) for n in (2, 3, 4, 5)],
+                               scales={"k": [number(0), number(1)]}, budget=number(1000))
+            assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert floats.read_bytes() == ints.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["scale", "sum"])
+    def test_potential_depth_is_bounded(self, tmp_path, capsys, kind):
+        def nest(depth):
+            pot = {"kind": "symbol_weights", "table": [0.2, -0.6]}
+            for _ in range(depth):
+                pot = ({"kind": "scale", "lam": 1.0, "inner": pot} if kind == "scale" else
+                       {"kind": "sum", "terms": [pot, {"kind": "zero"}]})
+            return pot
+
+        for scales in ({"k": [0]}, {"eps": [0.5]}):
+            cfg = write_config(tmp_path, potential=nest(MAX_POTENTIAL_DEPTH),
+                               n_range=[2, 3, 4, 5], scales=scales)
+            assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        cfg = write_config(tmp_path, potential=nest(MAX_POTENTIAL_DEPTH + 1))
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: potential nests sum and scale over {MAX_POTENTIAL_DEPTH} deep\n")
+
+    def test_a_wide_sum_counts_as_deep(self, tmp_path, capsys):
+        # k terms fold left into k - 1 nested sums
+        term = {"kind": "constant_drift", "a": 0.0}
+        for terms, code in ((MAX_POTENTIAL_DEPTH + 1, 0), (MAX_POTENTIAL_DEPTH + 2, 2)):
+            cfg = write_config(tmp_path, potential={"kind": "sum", "terms": [term] * terms},
+                               n_range=[2, 3, 4, 5])
+            assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_config_too_deep_to_read(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        text = json.dumps({"system": {"kind": "full_shift", "k": 2}, "potential": "@",
+                           "n_range": [2, 3, 4, 5], "scales": {"k": [0]}})
+        path.write_text(text.replace('"@"', '{"kind": "scale", "lam": 1.0, "inner": ' * 5000
+                                     + '{"kind": "zero"}' + "}" * 5000))
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "error: config nests too deeply to read\n"
+
     def test_cover_estimators_rejected_on_metric_path(self, tmp_path):
         cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
                            potential={"kind": "zero"},
@@ -385,6 +456,26 @@ class TestBudget:
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded: ") and "40960 points" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("system, n, eps, points", [
+        ({"kind": "doubling"}, 1030, 0.1, 2_000_000),
+        ({"kind": "full_shift", "k": 2}, 18, 0.5, 2**20),
+        ({"kind": "contraction", "c": 0.5}, 3, 1e-4, 20_001),
+    ], ids=["doubling", "full_shift", "contraction"])
+    def test_distance_budget_exits_before_any_point_is_built(
+            self, tmp_path, capsys, monkeypatch, system, n, eps, points):
+        def listed(*args, **kwargs):
+            raise AssertionError("candidate points were built")
+
+        monkeypatch.setattr(systems, "real", listed)
+        monkeypatch.setattr(systems.ShiftSystem, "admissible_words", listed)
+        cfg = write_config(tmp_path, system=system, potential={"kind": "zero"},
+                           n_range=[n], scales={"eps": [eps]})
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"budget exceeded: Bowen distance matrix for {points} points needs "
+            f"{8 * points**2} bytes, over the {systems.ARRAY_BUDGET_BYTES}-byte budget\n")
 
     def test_circle_systems_cap_instead(self, tmp_path):
         # the circle path thins its grid and flags the rows, exit stays 0

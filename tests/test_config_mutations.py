@@ -3,7 +3,10 @@ with at most one stderr line, and with none when it succeeds.
 
 Each golden config is mutated at every position it has: a dropped key, a
 value of the wrong type, ``"x"``, ``"nan"``, ``"inf"``, +-1e400, 10^30, a
-negative value, 2.5, and a repeated list entry.  All cases run through
+negative value, 2.5, ``true``, and a repeated list entry.  2.5 and ``true``
+in an integer field must exit 2.  Each potential is also wrapped in chains of
+``scale`` and of two-term ``sum`` objects, 1, 50, 985 and 5000 deep, which
+must exit 0 up to MAX_POTENTIAL_DEPTH and 2 past it.  All cases run through
 ``pdim.cli.main`` in one child process under a soft address-space limit, so
 an over-allocation fails there instead of taking the machine's memory.
 """
@@ -17,6 +20,7 @@ import sys
 from test_golden import CONFIGS
 
 import pdim
+from pdim.cli import MAX_POTENTIAL_DEPTH
 
 # soft RLIMIT_AS of the child; the array budgets stop at 2 GiB
 CHILD_ADDRESS_LIMIT = 3 * 1024**3
@@ -50,6 +54,12 @@ json.dump(results, sys.stdout)
 # values of another JSON type for the wrong-type mutation
 WRONG_TYPES = [None, True, [1], {"a": 1}, 1.0, "s"]
 
+# config paths, list indices left out, whose numbers must be integers
+INTEGER_FIELDS = {("system", "k"), ("system", "matrix"), ("n_range",), ("n_range", "start"),
+                  ("n_range", "stop"), ("n_range", "step"), ("scales", "k")}
+
+NEST_DEPTHS = (1, 50, 985, 5000)
+
 
 def _positions(node, path=()):
     """Every path below ``node``: dict keys and list indices, depth first."""
@@ -65,7 +75,7 @@ def _replacements(value, rng: random.Random) -> dict:
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return {"type": rng.choice(other_types), "x": "x", "nan": "nan", "inf": "inf",
             "+1e400": float("inf"), "-1e400": float("-inf"), "1e30": 10**30,
-            "negative": -value if number else -1, "2.5": 2.5}
+            "negative": -value if number else -1, "2.5": 2.5, "true": True}
 
 
 def _parent(config, path):
@@ -74,8 +84,16 @@ def _parent(config, path):
     return config
 
 
+def _exit_code(path, value, name):
+    """The one exit code a mutation must give, or None where 0, 2 and 3 all do."""
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    field = tuple(key for key in path if isinstance(key, str))
+    return 2 if integer and field in INTEGER_FIELDS and name in ("2.5", "true") else None
+
+
 def mutants(config: dict, rng: random.Random):
-    """(label, JSON text) for every position of ``config`` and every mutation."""
+    """(label, JSON text, exit code or None) for every position of ``config``
+    and every mutation, then for every nesting of its potential."""
     for path in _positions(config):
         parent = _parent(config, path)
         edits = {name: lambda p, k, new=new: p.__setitem__(k, new)
@@ -87,25 +105,41 @@ def mutants(config: dict, rng: random.Random):
         for name, edit in edits.items():
             cfg = json.loads(json.dumps(config))
             edit(_parent(cfg, path), path[-1])
-            yield f"{'/'.join(map(str, path))}:{name}", json.dumps(cfg)
+            yield (f"{'/'.join(map(str, path))}:{name}", json.dumps(cfg),
+                   _exit_code(path, parent[path[-1]], name))
+    for kind in ("scale", "sum"):
+        for depth in NEST_DEPTHS:
+            text = json.dumps(dict(config, potential="@"))
+            yield (f"potential:{kind}x{depth}",
+                   text.replace('"@"', _nested(config["potential"], kind, depth)),
+                   0 if depth <= MAX_POTENTIAL_DEPTH else 2)
+
+
+def _nested(potential: dict, kind: str, depth: int) -> str:
+    """JSON text of ``potential`` inside ``depth`` scale or two-term sum objects;
+    joined as text, since json.dumps recurses once per level."""
+    head, tail = (('{"kind": "scale", "lam": 1.0, "inner": ', "}") if kind == "scale" else
+                  ('{"kind": "sum", "terms": [', ', {"kind": "zero"}]}'))
+    return head * depth + json.dumps(potential) + tail * depth
 
 
 def test_every_mutation_exits_cleanly():
     rng = random.Random(0)
-    cases = [(f"{name}@{label}", text) for name, cfg in sorted(CONFIGS.items())
-             for label, text in mutants(cfg, rng)]
+    cases = [(f"{name}@{label}", text, expect) for name, cfg in sorted(CONFIGS.items())
+             for label, text, expect in mutants(cfg, rng)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(pdim.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     child = subprocess.run(
         [sys.executable, "-c", CHILD, str(CHILD_ADDRESS_LIMIT)],
-        input=json.dumps([text for _, text in cases]), env=env,
+        input=json.dumps([text for _, text, _ in cases]), env=env,
         capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr[-2000:]
     results = json.loads(child.stdout)
     assert len(results) == len(cases) > 1000
     bad = []
-    for (label, text), (code, err) in zip(cases, results):
-        if code not in (0, 2, 3) or err.count("\n") > 1 or (code == 0 and err):
-            bad.append(f"{label}: exit {code!r}, stderr {err[:200]!r}, config {text}")
+    for (label, text, expect), (code, err) in zip(cases, results):
+        if (code not in (0, 2, 3) or err.count("\n") > 1 or (code == 0 and err)
+                or expect not in (None, code)):
+            bad.append(f"{label}: exit {code!r}, stderr {err[:200]!r}, config {text[:500]}")
     assert not bad, f"{len(bad)} of {len(cases)} mutations:\n" + "\n".join(bad[:20])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pdim import partition
+from pdim import partition, systems
 from pdim.logsum import logsumexp
 from pdim.partition import (
     Estimator,
@@ -126,6 +126,27 @@ def random_sft(rng, k):
             pass
 
 
+def scalar_apply(system, x: float) -> float:
+    """T x by each real map's formula on Python floats."""
+    if isinstance(system, PowerSystem):
+        for _ in range(system.power):
+            x = scalar_apply(system.base, x)
+        return x
+    if isinstance(system, DoublingMap):
+        return (2.0 * x) % 1.0
+    if isinstance(system, Rotation):
+        return (x + system.theta) % 1.0
+    return system.fixed + system.c * (x - system.fixed)
+
+
+def scalar_metric(system, x: float, y: float) -> float:
+    """d(x, y) by each real system's formula on Python floats."""
+    if isinstance(system, PowerSystem):
+        return scalar_metric(system.base, x, y)
+    d = abs(x - y)
+    return d if isinstance(system, Contraction) else min(d, 1 - d)
+
+
 REAL_SYSTEMS = {
     "doubling": lambda rng: DoublingMap(),
     "rotation": lambda rng: Rotation(float(rng.uniform(0.05, 0.95))),
@@ -159,9 +180,12 @@ class TestKernelsMatchBowenMetric:
         rng = np.random.default_rng(len(kind))
         system = REAL_SYSTEMS[kind](rng)
         xs = np.concatenate([rng.random(200), [0.0, 0.5, 0.999999]])
-        assert (system.apply_array(xs) == [system.apply(real(v)).x for v in xs]).all()
-        assert (system.metric_array(xs[:, None], xs) ==
-                [[system.metric(real(u), real(v)) for v in xs] for u in xs]).all()
+        images = [scalar_apply(system, float(v)) for v in xs]
+        assert (system.apply_array(xs) == images).all()
+        assert [system.apply(real(v)).x for v in xs] == images
+        dists = [[scalar_metric(system, float(u), float(v)) for v in xs] for u in xs]
+        assert (system.metric_array(xs[:, None], xs) == dists).all()
+        assert [[system.metric(real(u), real(v)) for v in xs] for u in xs] == dists
 
     @pytest.mark.parametrize("m", [1, 31, 70])
     @pytest.mark.parametrize("kind", sorted(REAL_SYSTEMS))
@@ -218,14 +242,14 @@ class TestKernelsMatchBowenMetric:
 
 class TestDistanceBudget:
     def test_over_budget_raises_before_work(self, monkeypatch):
-        monkeypatch.setattr(partition, "DISTANCE_BUDGET_BYTES", 8 * 99 * 99)
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 8 * 99 * 99)
         pts = [real(i / 100) for i in range(100)]
         with pytest.raises(BudgetExceededError, match="100 points needs 80000 bytes"):
             bowen_distance_matrix(Rotation(0.3), 10**9, pts)  # an orbit this long never starts
         assert bowen_distance_matrix(Rotation(0.3), 2, pts[:99]).shape == (99, 99)
 
     def test_budget_admits_8192_points(self):
-        assert 8 * 8192**2 <= partition.DISTANCE_BUDGET_BYTES
+        assert 8 * 8192**2 <= systems.ARRAY_BUDGET_BYTES
 
 
 def reference_greedy_separated(inst, order):

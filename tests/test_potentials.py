@@ -170,8 +170,8 @@ class TestVerifyAlmostAdditive:
             C = 0.0
             label = "n_squared"
 
-            def eval(self, n, x):
-                return 0.01 * n * n
+            def eval_array(self, n, points):
+                return np.full(len(points), 0.01 * n * n)
 
         assert verify_almost_additive(Superlinear(), FS) > 0.0
 
@@ -371,18 +371,14 @@ def test_builtin_potentials_have_one_array_formula():
         assert "eval_array" in vars(kind) and "eval" not in vars(kind), kind.__name__
 
 
-def test_subclass_overrides_one_of_the_two():
+def test_eval_is_the_one_point_case_of_eval_array():
     class Square(Potential):
-        def eval(self, n, x):
-            return float(n * n)
-
-    class Linear(Potential):
         def eval_array(self, n, points):
-            return np.full(len(points), 2.0 * n)
+            return np.full(len(points), float(n * n))
 
     pts = [real(0.1), real(0.2)]
     assert Square().eval_array(3, pts).tolist() == [9.0, 9.0]
-    assert Linear().eval(3, pts[0]) == 6.0
+    assert Square().eval(3, pts[0]) == 9.0
     with pytest.raises(NotImplementedError):
         Potential().eval(1, pts[0])
 

@@ -204,9 +204,11 @@ class TestWordSums:
         lam = scale(0.5, coc)
         assert log_weighted_word_sum(FS, lam, 3, 3) == pytest.approx(
             enumerate_sum(FS, lam, 3, 3), abs=1e-12)
-        # 2^23 words exceed ENUMERATION_CAP = 2^22
-        with pytest.raises(NotLocallyConstantError):
+        # 2^23 words exceed ENUMERATION_CAP = 2^22: a budget error, not a profile error
+        with pytest.raises(EnumerationCapError) as err:
             log_weighted_word_sum(FS, lam, 3, 23)
+        assert isinstance(err.value, BudgetExceededError)
+        assert not isinstance(err.value, NotLocallyConstantError)
 
     def test_short_length_rejected(self):
         pot = symbol_weights(FS, [0.0, 1.0])

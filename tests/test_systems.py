@@ -16,7 +16,6 @@ from pdim.systems import (
     SFT,
     Word,
     binary_expansion_map,
-    circle_metric,
     golden_mean_sft,
     identity_factor,
     orbit_array,
@@ -84,9 +83,10 @@ class TestWord:
 
 
 def test_circle_metric_folds():
-    assert circle_metric(0.1, 0.9) == pytest.approx(0.2)
-    assert circle_metric(0.0, 0.5) == pytest.approx(0.5)
-    assert circle_metric(0.25, 0.3) == pytest.approx(0.05)
+    rot = Rotation(0.2)
+    assert rot.metric(real(0.1), real(0.9)) == pytest.approx(0.2)
+    assert rot.metric(real(0.0), real(0.5)) == pytest.approx(0.5)
+    assert rot.metric(real(0.25), real(0.3)) == pytest.approx(0.05)
 
 
 class TestShiftSystems:
@@ -116,7 +116,8 @@ class TestShiftSystems:
         for w in gm.admissible_words(5):
             rep = gm.representative(w)
             assert rep.symbols[:5] == w
-            gm.validate_point(rep)
+            full = rep.symbols + (rep.tail, rep.tail)
+            assert all(gm.is_admissible_pair(a, b) for a, b in zip(full, full[1:]))
 
     def test_sft_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
@@ -125,13 +126,6 @@ class TestShiftSystems:
             SFT(((0, 0), (1, 1)))  # dead state
         with pytest.raises(ValueError):
             SFT(((0, 1), (1, 0)))  # no self-loop anywhere
-
-    def test_validate_point_checks_transitions(self):
-        gm = golden_mean_sft()
-        with pytest.raises(ValueError):
-            gm.validate_point(Word((1, 1), tail=0))
-        with pytest.raises(ValueError):
-            gm.validate_point(Word((0, 1), tail=1))  # tail would repeat 11
 
 
 class TestScaleIndex:
@@ -276,7 +270,7 @@ class TestFactorMaps:
             y = random_word(fs, 10)
             for eps in (0.5, 0.25):
                 if shift_metric(x, y) < pi.modulus(eps):
-                    d = circle_metric(pi.apply(x).x, pi.apply(y).x)
+                    d = pi.target.metric(pi.apply(x), pi.apply(y))
                     assert d < eps
 
     def test_identity_factor(self):
