@@ -115,8 +115,8 @@ def load_config(path: str) -> dict:
     cfg["max_rows"] = _int_option(cfg, "max_rows", None, minimum=0)
     cfg["estimators"] = _parse_estimators(cfg.get("estimators", [3, 2]))
     try:
-        cfg["window_frac"] = float(cfg.get("window_frac", 0.5))
-    except (TypeError, ValueError):
+        cfg["window_frac"] = _finite(cfg.get("window_frac", 0.5))
+    except (ValueError, OverflowError):
         cfg["window_frac"] = math.nan
     if not 0.0 < cfg["window_frac"] <= 1.0:
         raise ConfigError("window_frac must be a number in (0, 1]")
@@ -158,7 +158,9 @@ def _integer(v) -> int:
 
 
 def _finite(v) -> float:
-    """``float(v)``, refusing NaN and the infinities."""
+    """``float(v)`` for a finite int or float; ValueError for booleans, strings and the rest."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{v!r} is not a number")
     x = float(v)
     if not math.isfinite(x):
         raise ValueError(f"{v!r} is not a finite number")
@@ -240,7 +242,7 @@ def build_potential(spec: dict | None, system: System):
         if kind == "matrix_cocycle":
             if not isinstance(system, ShiftSystem):
                 raise ConfigError("matrix_cocycle needs a shift system")
-            mats = tuple(spec["mats"])
+            mats = tuple([[_finite(v) for v in row] for row in m] for m in spec["mats"])
             return MatrixCocycle(mats, system)
         if kind == "sum":
             terms = [build_potential(t, system) for t in spec["terms"]]
@@ -279,14 +281,15 @@ def _parse_scales(spec) -> tuple[str, list]:
     if not isinstance(spec, dict) or set(spec) not in ({"k"}, {"eps"}):
         raise ConfigError("scales must be {'k': [...]} or {'eps': [...]}")
     [(mode, raw)] = spec.items()
+    eps_rule = "eps scales must be positive and finite"
     try:
-        values = [_integer(v) if mode == "k" else float(v) for v in raw]
+        values = [_integer(v) if mode == "k" else _finite(v) for v in raw]
     except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"bad scales.{mode}: {e}")
+        raise ConfigError(eps_rule if mode == "eps" else f"bad scales.k: {e}")
     if mode == "k" and any(k < 0 for k in values):
         raise ConfigError("scale indices must be >= 0")
-    if mode == "eps" and any(not 0.0 < e < math.inf for e in values):
-        raise ConfigError("eps scales must be positive and finite")
+    if mode == "eps" and any(e <= 0.0 for e in values):
+        raise ConfigError(eps_rule)
     if len(set(values)) != len(values):
         raise ConfigError(f"scales.{mode} must not repeat a value")
     return mode, values
@@ -297,9 +300,9 @@ def _parse_s_grid(spec) -> list[float]:
         return list(DEFAULT_S_GRID)
     try:
         if isinstance(spec, list):
-            out = [float(v) for v in spec]
+            out = [_finite(v) for v in spec]
         elif isinstance(spec, dict):
-            start, stop = float(spec["start"]), float(spec["stop"])
+            start, stop = _finite(spec["start"]), _finite(spec["stop"])
             out = [float(v) for v in np.linspace(start, stop, _integer(spec["steps"]))]
         else:
             raise ConfigError("s_grid must be a list or {start, stop, steps}")
@@ -393,8 +396,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 2 or not 0.0 < args.s_min < args.s_max:
-        raise ConfigError("sweep needs 0 < s-min < s-max and steps >= 2")
+    if args.steps < 2 or not 0.0 < args.s_min < args.s_max < math.inf:
+        raise ConfigError("sweep needs 0 < s-min < s-max < inf and steps >= 2")
     cfg = load_config(args.config)
     s_grid = [float(v) for v in np.linspace(args.s_min, args.s_max, args.steps)]
     system, potential, tables = _collect_tables(cfg)

@@ -5,9 +5,11 @@ candidate when their Bowen distance is strictly below eps.  Greedy routines
 give certified one-sided bounds; the brute-force routines are exact oracles
 for small instances and anchor every greedy result in the tests.
 
-Cost for m candidates at time n: the Bowen distance matrix takes O(n m^2)
-time and O(m^2) memory (the m x m float64 matrix plus a few cache-sized row
-blocks), and it equals ``System.bowen_metric`` bit for bit.  A matrix over
+Cost for m candidates at time n: the Bowen distance matrix takes
+n m (m + 1) / 2 metric evaluations, on its upper triangle, which is mirrored
+below the diagonal, and O(m^2) memory (the m x m float64 matrix plus
+cache-sized blocks, each spanning as many time steps as fit); it equals
+``System.bowen_metric`` bit for bit.  A matrix over
 ``systems.ARRAY_BUDGET_BYTES`` (m > 16384) raises BudgetExceededError, which
 the CLI turns into exit code 3.  Greedy separated and greedy spanning are O(m^2) in total.
 """
@@ -34,8 +36,8 @@ from .systems import (
     word_array,
 )
 
-# Entries per row block of the distance kernels (256 KiB of float64), so the
-# block's running max stays in cache across time steps.
+# Entries per block of the distance kernels (256 KiB of float64), rows times
+# columns times time steps, so a block's running max stays in cache.
 _BLOCK_ENTRIES = 1 << 15
 # Longest word the bit-plane kernel takes: its disagreement sums are exact.
 _WORD_BITS = 53
@@ -137,59 +139,69 @@ def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np
     return d
 
 
-def _running_max(m: int, step_distances, scale: float = 1.0) -> np.ndarray:
-    """``scale`` times the max over time steps of per-step distances, by row block.
+def _running_max(m: int, steps: int, step_distances, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the max over time steps of per-step distances, from the upper triangle.
 
-    ``step_distances(lo, hi)`` yields at least one step's distances from rows
-    ``lo:hi`` to every point.  Blocks are cache-sized, so memory is the m x m
-    result plus a few blocks.
+    ``step_distances(t0, t1, lo, hi)`` returns a new (t1 - t0, hi - lo, m - lo)
+    array: the distances at steps ``t0:t1`` from rows ``lo:hi`` to columns
+    ``lo:``.  Each row block takes as many rows, and then as many time steps,
+    as fit in _BLOCK_ENTRIES, so memory is the m x m result plus a few blocks;
+    the block's columns ``hi:`` are mirrored below the diagonal, which is
+    exact because every per-step distance is symmetric bit for bit.
     """
     out = np.empty((m, m))
-    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
-    for lo in range(0, m, rows):
-        steps = step_distances(lo, lo + rows)
-        best = np.array(next(steps))  # a copy: a step may reuse its buffer
-        for d in steps:
-            np.maximum(best, d, out=best)
-        np.multiply(best, scale, out=out[lo:lo + rows])
+    lo = 0
+    while lo < m:
+        hi = min(m, lo + max(1, _BLOCK_ENTRIES // (m - lo)))
+        chunk = max(1, _BLOCK_ENTRIES // ((hi - lo) * (m - lo)))
+        best = None
+        for t0 in range(0, steps, chunk):
+            d = step_distances(t0, min(steps, t0 + chunk), lo, hi)
+            d = d[0] if len(d) == 1 else np.maximum.reduce(d, axis=0)
+            best = d if best is None else np.maximum(best, d, out=best)
+        np.multiply(best, scale, out=out[lo:hi, lo:])
+        out[hi:, lo:hi] = out[lo:hi, hi:].T
+        lo = hi
     return out
 
 
 def _real_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
     orbit = orbit_array(system, n, points)
-    return _running_max(len(points), lambda lo, hi: (
-        system.metric_array(row[lo:hi, None], row) for row in orbit))
+    return _running_max(len(points), n, lambda t0, t1, lo, hi: system.metric_array(
+        orbit[t0:t1, lo:hi, None], orbit[t0:t1, None, lo:]))
 
 
 def _word_distance_matrix(n: int, points: Sequence[Word], step: int = 1) -> np.ndarray:
     """Exact Bowen distance of the ``step``-symbol shift for same-tail words.
 
     Padding every word with the common tail to length L changes no distance.
-    Bit-plane b of a word is the integer whose bit L-1-i is bit b of symbol
-    i, so two words disagree exactly on the bits of D, the OR over planes of
-    their XOR.  After j shifts the distance sum_{i>=j} [x_i != y_i] 2^(j-i)
-    is (D & (2^(L-j) - 1)) * 2^(j+1-L), exact because D < 2^L <= 2^53.
-    The running max is taken on the integers (D & (2^(L-j) - 1)) << j,
-    which stay below 2^L, and scaled once.
+    Bit-plane b of a word is the integer P_b whose bit L-1-i is bit b of
+    symbol i, so two words disagree exactly on the bits of D, the OR over
+    planes of their XOR.  After j shifts the distance sum_{i>=j} [x_i != y_i]
+    2^(j-i) is (D & (2^(L-j) - 1)) * 2^(j+1-L), exact because D < 2^L <= 2^53.
+    Masking and shifting distribute over XOR and OR, so the integer
+    (D & (2^(L-j) - 1)) << j is the OR over planes of the XOR of the shifted
+    planes (P_b & (2^(L-j) - 1)) << j; its running max is scaled once.  The
+    shifted planes are at most L x m integers each, as the real path's orbit
+    array is n x m floats.
     """
     m = len(points)
     L = max(len(p.symbols) for p in points)
     arr = word_array(points, L)
     place = np.int64(1) << np.arange(L - 1, -1, -1, dtype=np.int64)
-    planes = [(arr >> b & 1) @ place for b in range(max(1, int(arr.max(initial=0)).bit_length()))]
-    shifts = range(0, max(1, min(n * step, L)), step)
+    shifts = np.arange(0, max(1, min(n * step, L)), step, dtype=np.int64)[:, None]
+    masks = (np.int64(1) << (L - shifts)) - 1
+    # row t of each plane: the plane after shifts[t] shifts, in units of 2^(1-L)
+    planes = [((arr >> b & 1) @ place & masks) << shifts
+              for b in range(max(1, int(arr.max(initial=0)).bit_length()))]
 
-    def step_distances(lo, hi):
-        diff = planes[0][lo:hi, None] ^ planes[0]
+    def step_distances(t0, t1, lo, hi):
+        d = planes[0][t0:t1, lo:hi, None] ^ planes[0][t0:t1, None, lo:]
         for plane in planes[1:]:
-            diff |= plane[lo:hi, None] ^ plane
-        shifted = np.empty_like(diff)
-        for j in shifts:
-            # the step-j distance in units of 2^(1-L), an integer below 2^L
-            np.bitwise_and(diff, (1 << (L - j)) - 1, out=shifted)
-            yield np.left_shift(shifted, j, out=shifted)
+            d |= plane[t0:t1, lo:hi, None] ^ plane[t0:t1, None, lo:]
+        return d
 
-    return _running_max(m, step_distances, 2.0 ** (1 - L))
+    return _running_max(m, len(shifts), step_distances, 2.0 ** (1 - L))
 
 
 def _greedy_separated_indices(inst: SeparationInstance) -> list[int]:

@@ -270,6 +270,8 @@ class SFT(ShiftSystem):
     _bridges: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
+        if any(v not in (0, 1) for row in self.matrix for v in row):
+            raise ValueError("transition matrix entries must be 0 or 1")
         m = tuple(tuple(int(v) for v in row) for row in self.matrix)
         object.__setattr__(self, "matrix", m)
         size = len(m)

@@ -242,6 +242,60 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=repr)
+    @pytest.mark.parametrize("overrides", [
+        {"system": {"kind": "rotation", "theta": "@"}},
+        {"system": {"kind": "contraction", "c": "@"}},
+        {"system": {"kind": "contraction", "fixed": "@"}},
+        {"potential": {"kind": "constant_drift", "a": "@"}},
+        {"potential": {"kind": "symbol_weights", "table": [0.1, "@"]}},
+        {"potential": {"kind": "matrix_cocycle", "mats": [[["@"]], [[1.0]]]}},
+        {"system": {"kind": "doubling"},
+         "potential": {"kind": "birkhoff", "fn": "indicator", "lo": "@", "hi": 0.5}},
+        {"system": {"kind": "doubling"},
+         "potential": {"kind": "birkhoff", "fn": "indicator", "lo": 0.1, "hi": "@"}},
+        {"potential": {"kind": "scale", "lam": "@", "inner": {"kind": "zero"}}},
+        {"scales": {"eps": ["@"]}},
+        {"s_grid": [0.5, "@"]},
+        {"s_grid": {"start": "@", "stop": 2.0, "steps": 3}},
+        {"s_grid": {"start": 0.5, "stop": "@", "steps": 3}},
+        {"window_frac": "@"},
+    ], ids=repr)
+    def test_float_fields_refuse_booleans_and_strings(self, tmp_path, capsys, overrides, bad):
+        # "@" marks the field; true once read as 1.0 and "0.5" as 0.5, with exit 0
+        text = json.dumps(overrides).replace('"@"', json.dumps(bad))
+        cfg = write_config(tmp_path, **json.loads(text))
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", [
+        {"s_grid": [math.nan, 1.0]},
+        {"s_grid": [1.0, math.inf]},
+        {"s_grid": {"start": 0.5, "stop": math.inf, "steps": 3}},
+        {"window_frac": 10**400},  # past float range: once a traceback
+    ], ids=["nan-s", "inf-s", "inf-stop", "huge-window_frac"])
+    def test_non_finite_options_are_config_errors(self, tmp_path, capsys, option):
+        cfg = write_config(tmp_path, **option)
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_float_fields_read_ints_as_floats(self, tmp_path):
+        ints, floats = tmp_path / "ints.csv", tmp_path / "floats.csv"
+        for number, out in ((int, ints), (float, floats)):
+            cfg = write_config(tmp_path, potential={"kind": "constant_drift", "a": number(1)},
+                               s_grid=[number(1), number(2)], window_frac=number(1))
+            assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert floats.read_bytes() == ints.read_bytes()
+
+    def test_sft_matrix_entries_are_zero_or_one(self, tmp_path, capsys):
+        # a 2 once read as an allowed transition: the golden mean, with exit 0
+        cfg = write_config(tmp_path, system={"kind": "sft", "matrix": [[2, 1], [1, 0]]})
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad system spec: transition matrix entries must be 0 or 1\n"
+
     def test_integral_floats_read_as_integers(self, tmp_path):
         ints, floats = tmp_path / "ints.csv", tmp_path / "floats.csv"
         for number, out in ((int, ints), (float, floats)):
@@ -527,6 +581,15 @@ class TestSweep:
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", cfg, "--s-min", "1.0", "--s-max", "0.5",
                      "--steps", "3", "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("s_min, s_max", [("0.5", "inf"), ("nan", "1.0")])
+    def test_non_finite_grid(self, tmp_path, capsys, s_min, s_max):
+        # an infinite s-max once wrote rows of nan and inf s with exit 0
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", cfg, "--s-min", s_min, "--s-max", s_max,
+                     "--steps", "3", "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep needs ")
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestOracle:

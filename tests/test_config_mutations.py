@@ -1,21 +1,27 @@
-"""Mutated golden configs: ``pdim estimate`` exits 0, 2 or 3 on every one,
-with at most one stderr line, and with none when it succeeds.
+"""Mutated golden and benchmark configs: ``pdim estimate`` exits 0, 2 or 3 on
+every one, with at most one stderr line, and with none when it succeeds.
 
-Each golden config is mutated at every position it has: a dropped key, a
-value of the wrong type, ``"x"``, ``"nan"``, ``"inf"``, +-1e400, 10^30, a
-negative value, 2.5, ``true``, and a repeated list entry.  2.5 and ``true``
-in an integer field must exit 2.  Each potential is also wrapped in chains of
+The configs are the golden ones and the seed-1 configs of the benchmark's
+``shift-exact`` and ``metric-greedy`` workloads (read from
+``bench/workloads.py``, each ``n_range`` cut to its first two entries so the
+file runs in seconds).  Each is mutated at every position it has: a dropped
+key, a value of the wrong type, ``"x"``, ``"nan"``, ``"inf"``, ``"0.5"``,
++-1e400, 10^30, a negative value, 2.5, ``true``, and a repeated list entry.
+2.5, ``true`` and ``"0.5"`` in an integer field, and ``true`` and ``"0.5"``
+in a float field, must exit 2.  Each potential is also wrapped in chains of
 ``scale`` and of two-term ``sum`` objects, 1, 50, 985 and 5000 deep, which
 must exit 0 up to MAX_POTENTIAL_DEPTH and 2 past it.  All cases run through
 ``pdim.cli.main`` in one child process under a soft address-space limit, so
 an over-allocation fails there instead of taking the machine's memory.
 """
 
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from test_golden import CONFIGS
 
@@ -58,7 +64,29 @@ WRONG_TYPES = [None, True, [1], {"a": 1}, 1.0, "s"]
 INTEGER_FIELDS = {("system", "k"), ("system", "matrix"), ("n_range",), ("n_range", "start"),
                   ("n_range", "stop"), ("n_range", "step"), ("scales", "k")}
 
+# config keys, at any depth below "system" or "potential", and config paths,
+# list indices left out, whose numbers are floats
+FLOAT_KEYS = {"theta", "c", "fixed", "a", "table", "lo", "hi", "lam", "mats"}
+FLOAT_FIELDS = {("scales", "eps"), ("s_grid",), ("s_grid", "start"), ("s_grid", "stop"),
+                ("window_frac",)}
+
 NEST_DEPTHS = (1, 50, 985, 5000)
+
+BENCH_SEED = 1
+
+
+def bench_configs() -> dict:
+    """The benchmark's seed-1 estimate configs, each ``n_range`` cut to two entries."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = {}
+    for name, configs in (("shift-exact", workloads.shift_exact_configs(BENCH_SEED)),
+                          ("metric-greedy", workloads.metric_greedy_configs(BENCH_SEED))):
+        for key, cfg in configs.items():
+            out[f"{name}/{key}"] = dict(cfg, n_range=cfg["n_range"][:2])
+    return out
 
 
 def _positions(node, path=()):
@@ -73,7 +101,7 @@ def _positions(node, path=()):
 def _replacements(value, rng: random.Random) -> dict:
     other_types = [v for v in WRONG_TYPES if type(v) is not type(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return {"type": rng.choice(other_types), "x": "x", "nan": "nan", "inf": "inf",
+    return {"type": rng.choice(other_types), "x": "x", "nan": "nan", "inf": "inf", "0.5": "0.5",
             "+1e400": float("inf"), "-1e400": float("-inf"), "1e30": 10**30,
             "negative": -value if number else -1, "2.5": 2.5, "true": True}
 
@@ -86,9 +114,14 @@ def _parent(config, path):
 
 def _exit_code(path, value, name):
     """The one exit code a mutation must give, or None where 0, 2 and 3 all do."""
-    integer = isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
     field = tuple(key for key in path if isinstance(key, str))
-    return 2 if integer and field in INTEGER_FIELDS and name in ("2.5", "true") else None
+    if isinstance(value, int) and field in INTEGER_FIELDS:
+        return 2 if name in ("2.5", "true", "0.5") else None
+    floats = field in FLOAT_FIELDS or (field[0] in ("system", "potential")
+                                       and field[-1] in FLOAT_KEYS)
+    return 2 if floats and name in ("true", "0.5") else None
 
 
 def mutants(config: dict, rng: random.Random):
@@ -125,7 +158,8 @@ def _nested(potential: dict, kind: str, depth: int) -> str:
 
 def test_every_mutation_exits_cleanly():
     rng = random.Random(0)
-    cases = [(f"{name}@{label}", text, expect) for name, cfg in sorted(CONFIGS.items())
+    configs = dict(CONFIGS, **bench_configs())
+    cases = [(f"{name}@{label}", text, expect) for name, cfg in sorted(configs.items())
              for label, text, expect in mutants(cfg, rng)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(pdim.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(

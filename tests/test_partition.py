@@ -161,15 +161,28 @@ REAL_SYSTEMS = {
 }
 
 
+def chunks(n, k):
+    """Lengths of range(0, n, k)'s chunks: k each, then a partial last one."""
+    return [k] * (n // k) + [n % k] * (n % k > 0)
+
+
+# _BLOCK_ENTRIES values for 23 points, each forcing one blocking of the triangle:
+# one row and one time step per call; row blocks of 4, 5, 7 and a partial 7
+# rows, the last one taking 2 time steps per call; one block of 3 time steps
+# per call, with a partial last chunk when 3 does not divide n.
+TRIANGLE_BLOCKS = {"rows-1": 1, "rows-4-5-7-7": 100, "steps-3": 2000}
+
+
 class TestKernelsMatchBowenMetric:
     """The array kernels against System.bowen_metric, with ==.
 
-    ``block`` 100 cuts every matrix into row blocks of 100 // m rows, so
-    several blocks and a partial last one are exercised; None keeps the
-    module's block size.
+    ``block`` 100 cuts every matrix into triangle row blocks of changing
+    width, so several blocks and a partial last one are exercised; 2000
+    gives the small matrices blocks of several time steps, with a partial
+    last chunk; None keeps the module's block size.
     """
 
-    @pytest.fixture(params=[None, 100], ids=["block-default", "block-100"])
+    @pytest.fixture(params=[None, 100, 2000], ids=["block-default", "block-100", "block-2000"])
     def block(self, request, monkeypatch):
         if request.param is not None:
             monkeypatch.setattr(partition, "_BLOCK_ENTRIES", request.param)
@@ -219,6 +232,44 @@ class TestKernelsMatchBowenMetric:
         for n in (1, 3, 9):
             d = bowen_distance_matrix(system, n, pts)
             assert (d == pairwise_bowen(system, n, pts)).all()
+
+    @pytest.mark.parametrize("n", [1, 6, 13])
+    @pytest.mark.parametrize("kind", ["rotation", "power-rotation", "doubling", "contraction"])
+    def test_triangle_blocks(self, monkeypatch, kind, n):
+        m = 23
+        rng = np.random.default_rng([n, len(kind), 23])
+        system = REAL_SYSTEMS[kind](rng)
+        xs = list(rng.random(m))
+        xs[-4:] = [0.0, 0.999, xs[0], 0.5]
+        pts = [real(float(v)) for v in xs]
+        expect = pairwise_bowen(system, n, pts)
+        shapes = []
+        metric_array = type(system).metric_array
+
+        def recorded(self, x, y):
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return metric_array(self, x, y)
+
+        monkeypatch.setattr(type(system), "metric_array", recorded)
+        for name, block in dict(TRIANGLE_BLOCKS, default=partition._BLOCK_ENTRIES).items():
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block)
+            shapes.clear()
+            d = bowen_distance_matrix(system, n, pts)
+            assert (d == expect).all(), name
+            assert (d == d.T).all(), name
+            assert not np.diagonal(d).any() and not np.signbit(np.diagonal(d)).any(), name
+            # the memory bound: no broadcast over max(_BLOCK_ENTRIES, m) entries
+            assert max(math.prod(shape) for shape in shapes) <= max(block, m), name
+            calls = [shape[:2] for shape in shapes]  # (time steps, rows) per call
+            if name == "rows-1":
+                assert calls == [(1, 1)] * (n * m)
+            if name == "rows-4-5-7-7":
+                assert calls == [(1, 4)] * n + [(1, 5)] * n + [(1, 7)] * n + \
+                    [(k, 7) for k in chunks(n, 2)]
+            if name == "steps-3":
+                assert calls == [(k, m) for k in chunks(n, 3)]
+            if name == "default":  # a small orbit's whole time range in one call
+                assert calls == [(n, m)]
 
     def test_word_kernel_at_its_length_limit(self):
         fs = FullShift(2)

@@ -127,6 +127,13 @@ class TestShiftSystems:
         with pytest.raises(ValueError):
             SFT(((0, 1), (1, 0)))  # no self-loop anywhere
 
+    @pytest.mark.parametrize("matrix", [((2, 1), (1, 0)), ((1, 1), (-1, 0)),
+                                        ((1, 0.5), (1, 0)), ((1, 1), (1, 1.5))], ids=repr)
+    def test_sft_entries_are_zero_or_one(self, matrix):
+        # any nonzero entry once read as an allowed transition
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            SFT(matrix)
+
 
 class TestScaleIndex:
     @pytest.mark.parametrize("eps,expect", [(2.0, 1), (1.0, 1), (0.5, 2),
