@@ -120,6 +120,7 @@ def load_config(path: str) -> dict:
         cfg["window_frac"] = math.nan
     if not 0.0 < cfg["window_frac"] <= 1.0:
         raise ConfigError("window_frac must be a number in (0, 1]")
+    cfg["s_grid"] = _parse_s_grid(cfg.get("s_grid"))
     return cfg
 
 
@@ -372,10 +373,9 @@ def _write_csv(path: str, rows: list[tuple], max_rows: int | None) -> None:
 
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
-    s_grid = _parse_s_grid(cfg.get("s_grid"))
     window_frac = cfg["window_frac"]
     system, potential, tables = _collect_tables(cfg)
-    curves = pressure_curves(tables, s_grid, window_frac)
+    curves = pressure_curves(tables, cfg["s_grid"], window_frac)
 
     rows = _sample_rows(system, potential, tables) + _pressure_rows(system, potential, curves)
     _write_csv(args.out, rows, cfg["max_rows"])

@@ -8,8 +8,11 @@ for small instances and anchor every greedy result in the tests.
 Cost for m candidates at time n: the Bowen distance matrix takes
 n m (m + 1) / 2 metric evaluations, on its upper triangle, which is mirrored
 below the diagonal, and O(m^2) memory (the m x m float64 matrix plus
-cache-sized blocks, each spanning as many time steps as fit); it equals
-``System.bowen_metric`` bit for bit.  A matrix over
+cache-sized blocks, each spanning as many time steps as fit).  One kernel
+serves shifts and real maps alike, through each system's array form
+(``System.coordinates``, ``apply_array``, ``metric_array``); the scalar
+``System.bowen_metric`` stays as its reference, equal bit for bit, and as
+the only path for points with no array form.  A matrix over
 ``systems.ARRAY_BUDGET_BYTES`` (m > 16384) raises BudgetExceededError, which
 the CLI turns into exit code 3.  Greedy separated and greedy spanning are O(m^2) in total.
 """
@@ -27,20 +30,14 @@ from .logsum import logsumexp
 from .potentials import Potential
 from .systems import (
     Point,
-    RealPoint,
     System,
-    Word,
     check_distance_budget,
     orbit_array,
-    shift_step,
-    word_array,
 )
 
-# Entries per block of the distance kernels (256 KiB of float64), rows times
+# Entries per block of the distance kernel (256 KiB of float64), rows times
 # columns times time steps, so a block's running max stays in cache.
 _BLOCK_ENTRIES = 1 << 15
-# Longest word the bit-plane kernel takes: its disagreement sums are exact.
-_WORD_BITS = 53
 # Most candidates the exact (exponential-time) oracles take.
 ORACLE_CAP = 20
 
@@ -118,90 +115,41 @@ def make_instance(
 def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
     """Symmetric matrix of ``system.bowen_metric(n, x, y)`` over the points, bit for bit.
 
-    Calls ``check_distance_budget`` before allocating.
+    Calls ``check_distance_budget`` before allocating.  Points with an array
+    form go through ``system.metric_array`` on rows of their orbit array.
+    Each row block takes as many rows, and then as many time steps, as fit
+    in _BLOCK_ENTRIES, so memory is the m x m result plus a few blocks; the
+    block's columns past its rows are mirrored below the diagonal, which is
+    exact because every metric is symmetric bit for bit.  Points with no
+    array form are compared pair by pair.
     """
+    if n < 1:
+        raise ValueError("bowen_distance_matrix needs n >= 1")
     m = len(points)
     check_distance_budget(m)
-    if m and isinstance(points[0], RealPoint):
-        return _real_distance_matrix(system, n, points)
-    step = shift_step(system)
-    if (
-        m
-        and step is not None
-        and len({p.tail for p in points}) == 1
-        and max(len(p.symbols) for p in points) <= _WORD_BITS
-    ):
-        return _word_distance_matrix(n, points, step)
-    d = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d[i, j] = d[j, i] = system.bowen_metric(n, points[i], points[j])
-    return d
-
-
-def _running_max(m: int, steps: int, step_distances, scale: float = 1.0) -> np.ndarray:
-    """``scale`` times the max over time steps of per-step distances, from the upper triangle.
-
-    ``step_distances(t0, t1, lo, hi)`` returns a new (t1 - t0, hi - lo, m - lo)
-    array: the distances at steps ``t0:t1`` from rows ``lo:hi`` to columns
-    ``lo:``.  Each row block takes as many rows, and then as many time steps,
-    as fit in _BLOCK_ENTRIES, so memory is the m x m result plus a few blocks;
-    the block's columns ``hi:`` are mirrored below the diagonal, which is
-    exact because every per-step distance is symmetric bit for bit.
-    """
+    try:
+        orbit = orbit_array(system, n, points)
+    except NotImplementedError:
+        d = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                d[i, j] = d[j, i] = system.bowen_metric(n, points[i], points[j])
+        return d
     out = np.empty((m, m))
     lo = 0
     while lo < m:
         hi = min(m, lo + max(1, _BLOCK_ENTRIES // (m - lo)))
         chunk = max(1, _BLOCK_ENTRIES // ((hi - lo) * (m - lo)))
         best = None
-        for t0 in range(0, steps, chunk):
-            d = step_distances(t0, min(steps, t0 + chunk), lo, hi)
+        for t0 in range(0, n, chunk):
+            d = system.metric_array(orbit[t0:t0 + chunk, lo:hi, None],
+                                    orbit[t0:t0 + chunk, None, lo:])
             d = d[0] if len(d) == 1 else np.maximum.reduce(d, axis=0)
             best = d if best is None else np.maximum(best, d, out=best)
-        np.multiply(best, scale, out=out[lo:hi, lo:])
+        out[lo:hi, lo:] = best
         out[hi:, lo:hi] = out[lo:hi, hi:].T
         lo = hi
     return out
-
-
-def _real_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
-    orbit = orbit_array(system, n, points)
-    return _running_max(len(points), n, lambda t0, t1, lo, hi: system.metric_array(
-        orbit[t0:t1, lo:hi, None], orbit[t0:t1, None, lo:]))
-
-
-def _word_distance_matrix(n: int, points: Sequence[Word], step: int = 1) -> np.ndarray:
-    """Exact Bowen distance of the ``step``-symbol shift for same-tail words.
-
-    Padding every word with the common tail to length L changes no distance.
-    Bit-plane b of a word is the integer P_b whose bit L-1-i is bit b of
-    symbol i, so two words disagree exactly on the bits of D, the OR over
-    planes of their XOR.  After j shifts the distance sum_{i>=j} [x_i != y_i]
-    2^(j-i) is (D & (2^(L-j) - 1)) * 2^(j+1-L), exact because D < 2^L <= 2^53.
-    Masking and shifting distribute over XOR and OR, so the integer
-    (D & (2^(L-j) - 1)) << j is the OR over planes of the XOR of the shifted
-    planes (P_b & (2^(L-j) - 1)) << j; its running max is scaled once.  The
-    shifted planes are at most L x m integers each, as the real path's orbit
-    array is n x m floats.
-    """
-    m = len(points)
-    L = max(len(p.symbols) for p in points)
-    arr = word_array(points, L)
-    place = np.int64(1) << np.arange(L - 1, -1, -1, dtype=np.int64)
-    shifts = np.arange(0, max(1, min(n * step, L)), step, dtype=np.int64)[:, None]
-    masks = (np.int64(1) << (L - shifts)) - 1
-    # row t of each plane: the plane after shifts[t] shifts, in units of 2^(1-L)
-    planes = [((arr >> b & 1) @ place & masks) << shifts
-              for b in range(max(1, int(arr.max(initial=0)).bit_length()))]
-
-    def step_distances(t0, t1, lo, hi):
-        d = planes[0][t0:t1, lo:hi, None] ^ planes[0][t0:t1, None, lo:]
-        for plane in planes[1:]:
-            d |= plane[t0:t1, lo:hi, None] ^ plane[t0:t1, None, lo:]
-        return d
-
-    return _running_max(m, len(shifts), step_distances, 2.0 ** (1 - L))
 
 
 def _greedy_separated_indices(inst: SeparationInstance) -> list[int]:

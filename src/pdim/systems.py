@@ -5,10 +5,14 @@ numbers (``RealPoint``).  Every system knows its map, its base metric, the
 induced orbit (Bowen) metric, and how to generate a finite candidate set
 that is dense enough for scale-``eps`` estimates.
 
-Each real map has one formula, ``apply_array`` on an array of coordinates,
-and each real system one metric formula, ``metric_array``; ``apply`` and
-``metric`` on RealPoints are their one-point cases, defined once on
-``System``.  Shifts act on Words through ``Word.shift`` and ``shift_metric``.
+Every system has one array form: ``coordinates`` turns a point list into
+an array, ``apply_array`` maps it and ``metric_array`` compares two of them
+by broadcasting.  A real point's coordinate is its x value; ``apply`` and
+``metric`` on RealPoints are the one-point cases, defined once on
+``System``.  A word's coordinates are its bit planes (``ShiftSystem``), so a
+shift's array form is exact integer arithmetic.  ``Word.shift``,
+``shift_metric`` and ``System.bowen_metric`` stay as the scalar references
+that the array forms are tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ class BudgetExceededError(RuntimeError):
     """Candidate generation would exceed the point budget."""
 
 
+# Most symbols a word may have in a shift's array form: its distances are
+# integers below 2^53 times 2^-52, so float64 holds them exactly.
+WORD_BITS = 53
 # Largest float64 array built from a candidate set: orbit_array here, and the
 # Bowen distance matrices of pdim.partition.
 ARRAY_BUDGET_BYTES = 2 * 1024**3
@@ -92,7 +99,6 @@ class CandidateSet:
 
     points: list
     certified: bool = True
-    capped: bool = False
 
 
 class System:
@@ -108,12 +114,19 @@ class System:
         """d(x, y) on RealPoints: the one-point case of ``metric_array``."""
         return float(self.metric_array(np.float64(x.x), np.float64(y.x)))
 
+    def coordinates(self, points: Sequence[Point]) -> np.ndarray:
+        """Array of the points' coordinates, one leading entry per point: here the x values.
+
+        Raises NotImplementedError for points with no array form.
+        """
+        return np.array([p.x for p in points], dtype=float)
+
     def apply_array(self, x: np.ndarray) -> np.ndarray:
-        """T on an array of real coordinates: the map's one formula."""
+        """T on an array of coordinates: the map's one formula."""
         raise NotImplementedError(f"{self.label} has no array form")
 
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """d on broadcast arrays of real coordinates: the metric's one formula."""
+        """d on broadcast arrays of coordinates: the metric's one formula."""
         raise NotImplementedError(f"{self.label} has no array form")
 
     def iterate(self, x: Point, j: int) -> Point:
@@ -153,16 +166,18 @@ def word_array(points: Sequence[Word], length: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), length)
 
 
-def orbit_array(system: System, n: int, points: Sequence[RealPoint]) -> np.ndarray:
-    """(n, m) float array whose row t holds the coordinates of T^t x over the points.
+def orbit_array(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
+    """(n, m, ...) array whose row t holds ``system.coordinates`` of T^t x over the points.
 
-    Raises BudgetExceededError, before allocating, when the array would exceed
-    ARRAY_BUDGET_BYTES.
+    Raises BudgetExceededError, before allocating the orbit, when it would
+    exceed ARRAY_BUDGET_BYTES, and NotImplementedError for points with no
+    array form.
     """
-    _check_array_budget(n, len(points), f"orbit array for {len(points)} points over {n} steps")
-    orbit = np.empty((n, len(points)))
+    start = system.coordinates(points)
+    _check_array_budget(n, start.size, f"orbit array for {len(points)} points over {n} steps")
+    orbit = np.empty((n,) + start.shape, dtype=start.dtype)
     for t in range(n):
-        orbit[t] = system.apply_array(orbit[t - 1]) if t else [p.x for p in points]
+        orbit[t] = system.apply_array(orbit[t - 1]) if t else start
     return orbit
 
 
@@ -216,6 +231,33 @@ class ShiftSystem(System):
     def metric(self, x: Word, y: Word) -> float:
         return shift_metric(x, y)
 
+    def coordinates(self, points: Sequence[Word]) -> np.ndarray:
+        """(m, planes) int64 array: plane b of a word has bit WORD_BITS-1-i set
+        to bit b of symbol i, the word padded with its own tail.
+
+        Two words disagree exactly at the set bits of the OR over planes of
+        their XOR.  Only words that share one tail and have at most WORD_BITS
+        symbols have this form.
+        """
+        if len({p.tail for p in points}) > 1 or any(len(p.symbols) > WORD_BITS for p in points):
+            raise NotImplementedError("words with mixed tails or over WORD_BITS symbols")
+        arr = word_array(points, WORD_BITS)
+        place = np.int64(1) << np.arange(WORD_BITS - 1, -1, -1, dtype=np.int64)
+        planes = max(1, int(arr.max(initial=0)).bit_length())
+        return np.stack([(arr >> b & 1) @ place for b in range(planes)], axis=-1)
+
+    def apply_array(self, x: np.ndarray) -> np.ndarray:
+        # the vacated low bit reads 0 in every word; the words share their
+        # tail, so that symbol agrees anyway
+        return (x << 1) & ((1 << WORD_BITS) - 1)
+
+    def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # one plane at a time: reducing a trailing plane axis is much slower
+        d = x[..., 0] ^ y[..., 0]
+        for b in range(1, np.shape(x)[-1]):
+            d |= x[..., b] ^ y[..., b]
+        return d * 2.0 ** (1 - WORD_BITS)
+
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         length = n + scale_index(eps)
         count = word_total(self, length, cap=budget)
@@ -225,7 +267,7 @@ class ShiftSystem(System):
             )
         check_distance_budget(count)
         pts = [self.representative(w) for w in self.admissible_words(length)]
-        return CandidateSet(points=pts, certified=True, capped=False)
+        return CandidateSet(points=pts, certified=True)
 
     def sample_points(self, count: int, rng: np.random.Generator, length: int = 24) -> list[Point]:
         out = []
@@ -381,8 +423,7 @@ class CircleSystem(System):
         check_distance_budget(m)
         achieved = 1.0 / m
         pts = [real(i / m) for i in range(m)]
-        return CandidateSet(points=pts, certified=not capped or achieved <= target,
-                            capped=capped)
+        return CandidateSet(points=pts, certified=not capped or achieved <= target)
 
 
 @dataclass(frozen=True)
@@ -442,7 +483,7 @@ class Contraction(System):
         check_distance_budget(m + 1)
         achieved = 1.0 / m
         pts = [real(min(1.0, i * achieved)) for i in range(m + 1)]
-        return CandidateSet(points=pts, certified=not capped, capped=capped)
+        return CandidateSet(points=pts, certified=not capped)
 
 
 @dataclass(frozen=True)
@@ -470,6 +511,9 @@ class PowerSystem(System):
 
     def metric(self, x: Point, y: Point) -> float:
         return self.base.metric(x, y)
+
+    def coordinates(self, points: Sequence[Point]) -> np.ndarray:
+        return self.base.coordinates(points)
 
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.base.metric_array(x, y)

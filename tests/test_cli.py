@@ -582,6 +582,15 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--s-min", "1.0", "--s-max", "0.5",
                      "--steps", "3", "--out", str(tmp_path / "s.csv")]) == 2
 
+    def test_bad_config_s_grid(self, tmp_path, capsys):
+        # the flags supersede a valid s_grid, but a bad one is still a config error
+        cfg = write_config(tmp_path, s_grid="x")
+        assert main(["sweep", "--config", cfg, "--s-min", "0.5", "--s-max", "1.5",
+                     "--steps", "3", "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: s_grid must be a list or {start, stop, steps}\n"
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("s_min, s_max", [("0.5", "inf"), ("nan", "1.0")])
     def test_non_finite_grid(self, tmp_path, capsys, s_min, s_max):
         # an infinite s-max once wrote rows of nan and inf s with exit 0

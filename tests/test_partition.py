@@ -26,12 +26,12 @@ from pdim.partition import (
     _bitmasks,
     _greedy_separated_indices,
     _greedy_spanning_indices,
-    _word_distance_matrix,
 )
 from pdim.potentials import Birkhoff, symbol_weights
 from pdim.symbolic import deflated_scale
 from pdim.systems import (
     SFT,
+    WORD_BITS,
     BudgetExceededError,
     Contraction,
     DoublingMap,
@@ -41,6 +41,7 @@ from pdim.systems import (
     Word,
     golden_mean_sft,
     real,
+    shift_metric,
 )
 
 
@@ -87,7 +88,7 @@ class TestDistances:
         fs = FullShift(2)
         pts = [fs.representative(w) for w in fs.admissible_words(6)]
         for n in (1, 3, 5):
-            fast = _word_distance_matrix(n, pts)
+            fast = bowen_distance_matrix(fs, n, pts)
             slow = np.zeros_like(fast)
             for i in range(len(pts)):
                 for j in range(len(pts)):
@@ -161,6 +162,15 @@ REAL_SYSTEMS = {
 }
 
 
+SHIFT_SYSTEMS = {
+    "full_shift(2)": lambda rng: FullShift(2),
+    "full_shift(3)": lambda rng: FullShift(3),
+    "golden": lambda rng: golden_mean_sft(),
+    "sft(3)": lambda rng: random_sft(rng, 3),
+    "power": lambda rng: PowerSystem(FullShift(2), 2),
+}
+
+
 def chunks(n, k):
     """Lengths of range(0, n, k)'s chunks: k each, then a partial last one."""
     return [k] * (n // k) + [n % k] * (n % k > 0)
@@ -200,6 +210,28 @@ class TestKernelsMatchBowenMetric:
         assert (system.metric_array(xs[:, None], xs) == dists).all()
         assert [[system.metric(real(u), real(v)) for v in xs] for u in xs] == dists
 
+    @pytest.mark.parametrize("kind", sorted(SHIFT_SYSTEMS))
+    def test_shift_array_forms_match_scalar(self, kind):
+        # after j applications of apply_array, metric_array on the bit planes
+        # is shift_metric of the j-times-shifted words, for words of mixed
+        # lengths up to WORD_BITS symbols (SFT bridges included)
+        rng = np.random.default_rng([len(kind), 53])
+        system = SHIFT_SYSTEMS[kind](rng)
+        shift = system.base if kind == "power" else system
+        lengths = [WORD_BITS, WORD_BITS - 1, WORD_BITS - 2, 1] + [
+            int(v) for v in rng.integers(1, WORD_BITS, size=12)]
+        words = [Word((), shift.tail_symbol)] + [
+            w for length in lengths for w in shift.sample_points(1, rng, length=length)
+            if len(w.symbols) <= WORD_BITS]
+        assert max(len(w.symbols) for w in words) >= WORD_BITS - 2
+        x = system.coordinates(words)
+        for _ in range(WORD_BITS + 1):
+            dists = [[shift_metric(u, v) for v in words] for u in words]
+            assert (system.metric_array(x[:, None], x) == dists).all()
+            x = system.apply_array(x)
+            words = [system.apply(w) for w in words]
+        assert not x.any()
+
     @pytest.mark.parametrize("m", [1, 31, 70])
     @pytest.mark.parametrize("kind", sorted(REAL_SYSTEMS))
     def test_real_systems(self, kind, m, block):
@@ -234,21 +266,31 @@ class TestKernelsMatchBowenMetric:
             assert (d == pairwise_bowen(system, n, pts)).all()
 
     @pytest.mark.parametrize("n", [1, 6, 13])
-    @pytest.mark.parametrize("kind", ["rotation", "power-rotation", "doubling", "contraction"])
+    @pytest.mark.parametrize("kind", ["rotation", "power-rotation", "doubling", "contraction",
+                                      "full_shift(3)", "power"])
     def test_triangle_blocks(self, monkeypatch, kind, n):
         m = 23
         rng = np.random.default_rng([n, len(kind), 23])
-        system = REAL_SYSTEMS[kind](rng)
-        xs = list(rng.random(m))
-        xs[-4:] = [0.0, 0.999, xs[0], 0.5]
-        pts = [real(float(v)) for v in xs]
+        if kind in REAL_SYSTEMS:
+            system = REAL_SYSTEMS[kind](rng)
+            xs = list(rng.random(m))
+            xs[-4:] = [0.0, 0.999, xs[0], 0.5]
+            pts = [real(float(v)) for v in xs]
+        else:
+            system = SHIFT_SYSTEMS[kind](rng)
+            shift = system.base if kind == "power" else system
+            words = [shift.representative(w) for length in (3, 5)
+                     for w in shift.admissible_words(length)]
+            pts = [words[i] for i in rng.choice(len(words), size=m, replace=False)]
+            pts[-1] = pts[0]
         expect = pairwise_bowen(system, n, pts)
         shapes = []
         metric_array = type(system).metric_array
 
         def recorded(self, x, y):
-            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
-            return metric_array(self, x, y)
+            d = metric_array(self, x, y)
+            shapes.append(np.shape(d))
+            return d
 
         monkeypatch.setattr(type(system), "metric_array", recorded)
         for name, block in dict(TRIANGLE_BLOCKS, default=partition._BLOCK_ENTRIES).items():
@@ -258,7 +300,7 @@ class TestKernelsMatchBowenMetric:
             assert (d == expect).all(), name
             assert (d == d.T).all(), name
             assert not np.diagonal(d).any() and not np.signbit(np.diagonal(d)).any(), name
-            # the memory bound: no broadcast over max(_BLOCK_ENTRIES, m) entries
+            # the memory bound: no metric block over max(_BLOCK_ENTRIES, m) entries
             assert max(math.prod(shape) for shape in shapes) <= max(block, m), name
             calls = [shape[:2] for shape in shapes]  # (time steps, rows) per call
             if name == "rows-1":
@@ -276,19 +318,33 @@ class TestKernelsMatchBowenMetric:
         rng = np.random.default_rng(53)
         pts = [Word(tuple(int(v) for v in rng.integers(0, 2, size=53))) for _ in range(12)]
         pts.append(Word(pts[0].symbols[:50]))  # differs from pts[0] far down only
+        assert fs.coordinates(pts).shape == (13, 1)  # the array form, not the fallback
         for n in (1, 20, 60):
-            assert (_word_distance_matrix(n, pts) == pairwise_bowen(fs, n, pts)).all()
+            assert (bowen_distance_matrix(fs, n, pts) == pairwise_bowen(fs, n, pts)).all()
 
     @pytest.mark.parametrize("pts", [
         # over 53 symbols; the last word's float sum 1 + 2^-53 + 2^-54 rounds
         # to 1 term by term, to 1 + 2^-52 in one step
         [Word((0, 1) * 30), Word((1,) * 60), Word(()), Word((1,) + (0,) * 52 + (1, 1))],
         [Word((0, 1), tail=0), Word((0, 1), tail=1), Word((1,), tail=1)],  # mixed tails
-    ], ids=["long", "mixed-tails"])
+        [Word((0, 1) * 27), Word((0, 1) * 26), Word((1,) * 53), Word(())],  # one word of 54
+    ], ids=["long", "mixed-tails", "54-symbols"])
     def test_pairwise_fallback(self, pts):
         fs = FullShift(2)
+        with pytest.raises(NotImplementedError):
+            fs.coordinates(pts)
         for n in (1, 2, 5):
             assert (bowen_distance_matrix(fs, n, pts) == pairwise_bowen(fs, n, pts)).all()
+
+    @pytest.mark.parametrize("system, pts", [
+        (Rotation(0.3), [real(0.1), real(0.2)]),
+        (FullShift(2), [Word((1,)), Word(())]),
+        (FullShift(2), [Word((1,)), Word((), tail=1)]),  # no array form
+    ], ids=["real", "words", "mixed-tails"])
+    def test_time_zero_is_an_error(self, system, pts):
+        # as for System.bowen_metric: d_0 is the max over no time steps
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            bowen_distance_matrix(system, 0, pts)
 
 
 class TestDistanceBudget:

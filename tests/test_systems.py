@@ -147,7 +147,7 @@ class TestCandidateSets:
         fs = FullShift(2)
         cand = fs.candidate_set(2, 0.5)
         assert len(cand.points) == 2 ** (2 + scale_index(0.5))
-        assert cand.certified and not cand.capped
+        assert cand.certified
 
     def test_shift_budget_raises(self):
         with pytest.raises(BudgetExceededError):
@@ -163,7 +163,7 @@ class TestCandidateSets:
     def test_doubling_grid_past_float_range_is_capped(self, n):
         # the mesh eps / (2 * 2^(n-1)) underflows or 2^(n-1) overflows
         cand = DoublingMap().candidate_set(n, 0.1, budget=50)
-        assert cand.capped and not cand.certified
+        assert not cand.certified
         assert len(cand.points) == 50
 
     def test_circle_grid_density(self):
@@ -176,7 +176,7 @@ class TestCandidateSets:
 
     def test_circle_cap_flags_uncertified(self):
         cand = Rotation(0.3).candidate_set(2, 1e-7, budget=50)
-        assert cand.capped and not cand.certified
+        assert not cand.certified
         assert len(cand.points) == 50
 
     def test_doubling_mesh_shrinks_with_n(self):
@@ -197,6 +197,16 @@ class TestOrbitArray:
         assert orbit_array(Rotation(0.3), 3, pts).shape == (3, 4)
         with pytest.raises(BudgetExceededError, match="4 points over 4 steps"):
             orbit_array(Rotation(0.3), 4, pts)
+
+    def test_words_give_bit_planes(self, monkeypatch):
+        # two planes for 3 symbols; the budget counts every plane entry
+        words = [Word((2, 1)), Word((0,)), Word(())]
+        orbit = orbit_array(PowerSystem(FullShift(3), 2), 2, words)
+        assert orbit.shape == (2, 3, 2) and orbit.dtype == np.int64
+        assert orbit[0, 0].tolist() == [1 << 51, 1 << 52] and not orbit[1].any()
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 8 * 2 * 5)
+        with pytest.raises(BudgetExceededError, match="3 points over 2 steps"):
+            orbit_array(FullShift(3), 2, words)
 
     @pytest.mark.parametrize("n", [10**12, 10**30])
     def test_huge_orbit_is_a_budget_error(self, n):
