@@ -14,8 +14,8 @@ All output is deterministic for a fixed config and seed.  CSV columns are
 floats are written with ``repr`` so values round-trip exactly.
 
 Exit codes: 0 success, 1 verification or sandwich failure, 2 usage or
-config error, 3 candidate, enumeration, transfer-state, distance-matrix or
-orbit-array budget exceeded.
+config error, 3 candidate, enumeration, transfer-state, distance-matrix,
+Bowen-relation, orbit-array or grid budget exceeded.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .systems import (
     SFT,
     ShiftSystem,
     System,
+    _check_array_budget,
     real,
 )
 
@@ -266,7 +267,9 @@ def _parse_n_range(spec) -> list[int]:
             ns = [_integer(v) for v in spec]
         elif isinstance(spec, dict):
             start, stop = _integer(spec["start"]), _integer(spec["stop"])
-            ns = list(range(start, stop + 1, _integer(spec.get("step", 1))))  # stop is inclusive
+            span = range(start, stop + 1, _integer(spec.get("step", 1)))  # stop is inclusive
+            _check_array_budget(len(span), 1, f"n_range of {len(span)} entries")
+            ns = list(span)
         else:
             raise ConfigError("n_range must be a list or {start, stop, step}")
     except KeyError as e:
@@ -304,7 +307,9 @@ def _parse_s_grid(spec) -> list[float]:
             out = [_finite(v) for v in spec]
         elif isinstance(spec, dict):
             start, stop = _finite(spec["start"]), _finite(spec["stop"])
-            out = [float(v) for v in np.linspace(start, stop, _integer(spec["steps"]))]
+            steps = _integer(spec["steps"])
+            _check_array_budget(steps, 1, f"s_grid of {steps} steps")
+            out = [float(v) for v in np.linspace(start, stop, steps)]
         else:
             raise ConfigError("s_grid must be a list or {start, stop, steps}")
     except KeyError as e:
@@ -399,6 +404,7 @@ def cmd_sweep(args) -> int:
     if args.steps < 2 or not 0.0 < args.s_min < args.s_max < math.inf:
         raise ConfigError("sweep needs 0 < s-min < s-max < inf and steps >= 2")
     cfg = load_config(args.config)
+    _check_array_budget(args.steps, 1, f"s grid of {args.steps} steps")
     s_grid = [float(v) for v in np.linspace(args.s_min, args.s_max, args.steps)]
     system, potential, tables = _collect_tables(cfg)
     curves = pressure_curves(tables, s_grid, cfg["window_frac"])
@@ -479,6 +485,17 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy's generators take only integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdim",
@@ -493,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--out", help="also write the report lines to this file")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -508,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc = sub.add_parser("oracle", help="brute-force cross-checks on small instances")
     p_orc.add_argument("--max-points", type=int, default=12)
     p_orc.add_argument("--trials", type=int, default=50)
-    p_orc.add_argument("--seed", type=int, default=0)
+    p_orc.add_argument("--seed", type=_seed, default=0)
     p_orc.set_defaults(func=cmd_oracle)
 
     return parser

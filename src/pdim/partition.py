@@ -5,16 +5,20 @@ candidate when their Bowen distance is strictly below eps.  Greedy routines
 give certified one-sided bounds; the brute-force routines are exact oracles
 for small instances and anchor every greedy result in the tests.
 
-Cost for m candidates at time n: the Bowen distance matrix takes
-n m (m + 1) / 2 metric evaluations, on its upper triangle, which is mirrored
-below the diagonal, and O(m^2) memory (the m x m float64 matrix plus
-cache-sized blocks, each spanning as many time steps as fit).  One kernel
-serves shifts and real maps alike, through each system's array form
+Cost for m candidates at time n: every greedy and exact reader takes only
+the Bowen relation, the pairs with d_n <= eps (``bowen_relation``).  Its
+first time chunk visits all m (m + 1) / 2 pairs of the upper triangle, in
+cache-sized row blocks, so a small orbit is one metric call; later chunks
+step only the E pairs still within eps.  Memory is O(m + E) plus the
+blocks.  On the doubling map about 0.2 m points lie within eps of each point
+at t = 0, so the first chunk stays O(m^2) in time there.  One kernel serves
+shifts and real maps alike, through each system's array form
 (``System.coordinates``, ``apply_array``, ``metric_array``); the scalar
 ``System.bowen_metric`` stays as its reference, equal bit for bit, and as
-the only path for points with no array form.  A matrix over
-``systems.ARRAY_BUDGET_BYTES`` (m > 16384) raises BudgetExceededError, which
-the CLI turns into exit code 3.  Greedy separated and greedy spanning are O(m^2) in total.
+the only path for points with no array form.  Kept pairs past
+``systems.ARRAY_BUDGET_BYTES`` (16 bytes each) raise BudgetExceededError,
+which the CLI turns into exit code 3.  Greedy separated is O(m + E); greedy
+spanning is O(m) per pick plus O(m + E) in total for its gain updates.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .potentials import Potential
 from .systems import (
     Point,
     System,
+    _check_array_budget,
     check_distance_budget,
     orbit_array,
 )
@@ -76,7 +81,7 @@ class SeparationInstance:
     eps: float
     points: list
     weights: np.ndarray
-    _dists: np.ndarray | None = field(default=None, repr=False, init=False)
+    _pairs: tuple | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -91,10 +96,11 @@ class SeparationInstance:
     def size(self) -> int:
         return len(self.points)
 
-    def distances(self) -> np.ndarray:
-        if self._dists is None:
-            self._dists = bowen_distance_matrix(self.system, self.n, self.points)
-        return self._dists
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``bowen_relation`` of the candidates at (n, eps): pairs i < j with d_n <= eps."""
+        if self._pairs is None:
+            self._pairs = bowen_relation(self.system, self.n, self.points, self.eps)
+        return self._pairs
 
 
 def make_instance(
@@ -112,56 +118,109 @@ def make_instance(
     return SeparationInstance(system, n, eps, pts, w)
 
 
-def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
-    """Symmetric matrix of ``system.bowen_metric(n, x, y)`` over the points, bit for bit.
+def bowen_relation(system: System, n: int, points: Sequence[Point],
+                   eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs i < j with d_n(x_i, x_j) <= eps, as arrays (i, j, d) sorted by (i, j).
 
-    Calls ``check_distance_budget`` before allocating.  Points with an array
-    form go through ``system.metric_array`` on rows of their orbit array.
-    Each row block takes as many rows, and then as many time steps, as fit
-    in _BLOCK_ENTRIES, so memory is the m x m result plus a few blocks; the
-    block's columns past its rows are mirrored below the diagonal, which is
-    exact because every metric is symmetric bit for bit.  Points with no
-    array form are compared pair by pair.
+    Each d is ``system.bowen_metric(n, x_i, x_j)`` bit for bit.  Points with
+    an array form go through ``system.metric_array`` on their orbit array:
+    each row block of the upper triangle takes as many rows, then as many
+    time steps, as fit in _BLOCK_ENTRIES, so a small orbit is one call.  Past
+    that first chunk only the pairs still within eps are stepped, gathered
+    from the orbit, and a pair drops out once its running max passes eps;
+    that is exact, as a dropped pair has d_n > eps.  Points with no array
+    form go through the same filter on ``bowen_metric`` values.  Raises
+    BudgetExceededError before keeping pairs past ARRAY_BUDGET_BYTES.
     """
     if n < 1:
-        raise ValueError("bowen_distance_matrix needs n >= 1")
+        raise ValueError("bowen_relation needs n >= 1")
     m = len(points)
-    check_distance_budget(m)
     try:
         orbit = orbit_array(system, n, points)
     except NotImplementedError:
-        d = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                d[i, j] = d[j, i] = system.bowen_metric(n, points[i], points[j])
-        return d
-    out = np.empty((m, m))
-    lo = 0
+        orbit = None
+    parts = [(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))]
+    kept = lo = 0
     while lo < m:
-        hi = min(m, lo + max(1, _BLOCK_ENTRIES // (m - lo)))
-        chunk = max(1, _BLOCK_ENTRIES // ((hi - lo) * (m - lo)))
-        best = None
-        for t0 in range(0, n, chunk):
-            d = system.metric_array(orbit[t0:t0 + chunk, lo:hi, None],
-                                    orbit[t0:t0 + chunk, None, lo:])
+        if orbit is None:
+            hi, t = lo + 1, n
+            d = np.array([system.bowen_metric(n, points[lo], q) for q in points[hi:]], dtype=float)
+            (c,) = np.nonzero(d <= eps)
+            i, j, d = np.full(len(c), lo), c + hi, d[c]
+        else:
+            hi = min(m, lo + max(1, _BLOCK_ENTRIES // (m - lo)))
+            t = max(1, _BLOCK_ENTRIES // ((hi - lo) * (m - lo)))
+            d = system.metric_array(orbit[:t, lo:hi, None], orbit[:t, None, lo:])
             d = d[0] if len(d) == 1 else np.maximum.reduce(d, axis=0)
-            best = d if best is None else np.maximum(best, d, out=best)
-        out[lo:hi, lo:] = best
-        out[hi:, lo:hi] = out[lo:hi, hi:].T
+            r, c = np.nonzero(d <= eps)
+            upper = c > r
+            r, c = r[upper], c[upper]
+            i, j, d = r + lo, c + lo, d[r, c]
+        while t < n and len(i):
+            k = max(1, _BLOCK_ENTRIES // len(i))
+            step = system.metric_array(orbit[t:t + k, i], orbit[t:t + k, j])
+            d = np.maximum(d, step.max(axis=0))
+            close = d <= eps
+            i, j, d, t = i[close], j[close], d[close], t + k
+        # a kept pair holds 16 bytes: int32 i and j, float64 d
+        _check_array_budget(kept + len(i), 2, f"Bowen relation of {m} points")
+        kept += len(i)
+        parts.append((i.astype(np.int32), j.astype(np.int32), d))
         lo = hi
+    if len(parts) == 2:  # one row block, as for every small orbit
+        return parts[1]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
+    """Symmetric matrix of ``system.bowen_metric(n, x, y)`` over the points, bit for bit.
+
+    The eps = inf case of ``bowen_relation``, written into a matrix; calls
+    ``check_distance_budget`` before any work.
+    """
+    m = len(points)
+    check_distance_budget(m)
+    i, j, d = bowen_relation(system, n, points, math.inf)
+    out = np.zeros((m, m))
+    out[i, j] = out[j, i] = d
     return out
+
+
+def _edges(inst: SeparationInstance, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs with d_n < eps (strict: the spanning relation) or d_n <= eps (separated)."""
+    i, j, d = inst.pairs()
+    if not strict:
+        return i, j
+    near = d < inst.eps
+    return i[near], j[near]
+
+
+def _neighbours(inst: SeparationInstance, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """CSR lists of ``_edges``, both ways: v's neighbours are nbrs[indptr[v]:indptr[v + 1]]."""
+    i, j = _edges(inst, strict)
+    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+    indptr = np.zeros(inst.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=inst.size), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def _masks(inst: SeparationInstance, strict: bool) -> list[int]:
+    """Bit v of masks[u] is set for u = v and each pair {u, v} of ``_edges``; needs m <= 63."""
+    i, j = _edges(inst, strict)
+    masks = np.int64(1) << np.arange(inst.size, dtype=np.int64)
+    np.bitwise_or.at(masks, np.concatenate([i, j]), np.int64(1) << np.concatenate([j, i]))
+    return masks.tolist()
 
 
 def _greedy_separated_indices(inst: SeparationInstance) -> list[int]:
     idx = sorted(range(inst.size), key=lambda i: (-inst.weights[i], i))
-    # row j marks the points within eps of j (the matrix is symmetric)
-    close = ~(inst.distances() > inst.eps)
+    indptr, nbrs = _neighbours(inst, strict=False)
     blocked = np.zeros(inst.size, dtype=bool)
     kept: list[int] = []
     for i in idx:
         if not blocked[i]:
             kept.append(i)
-            blocked |= close[i]
+            blocked[nbrs[indptr[i]:indptr[i + 1]]] = True
     return kept
 
 
@@ -180,26 +239,24 @@ def separated_lower_bound(inst: SeparationInstance, note: str = "") -> GrowthSam
     return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=False, note=note)
 
 
-def _bitmasks(rel: np.ndarray) -> list[int]:
-    """Row i of a boolean matrix as the int whose bit j is rel[i, j]."""
-    packed = np.packbits(rel, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def _greedy_spanning_indices(inst: SeparationInstance) -> list[int]:
-    # gain[i] counts the uncovered points within eps of i; each pick
-    # subtracts the columns it covers, so the whole run is O(m^2)
-    near = inst.distances() < inst.eps  # symmetric, and every point covers itself
-    gain = near.sum(axis=1)
+    # gain[i] counts the uncovered points within eps of i, itself included;
+    # each newly covered point lowers the gain of itself and its neighbours
+    indptr, nbrs = _neighbours(inst, strict=True)
+    gain = np.diff(indptr) + 1
     uncovered = np.ones(inst.size, dtype=bool)
     chosen: list[int] = []
     while (top := gain.max()) > 0:
         ties = np.flatnonzero(gain == top)
         best = int(ties[np.argmin(inst.weights[ties])])
         chosen.append(best)
-        newly = near[best] & uncovered
-        uncovered &= ~newly
-        gain -= near[newly].sum(axis=0)
+        ball = np.append(nbrs[indptr[best]:indptr[best + 1]], best)
+        newly = ball[uncovered[ball]]
+        uncovered[newly] = False
+        # the neighbour lists of the newly covered points, in one gather
+        lens = indptr[newly + 1] - indptr[newly]
+        at = np.arange(lens.sum()) + np.repeat(indptr[newly] - np.cumsum(lens) + lens, lens)
+        gain -= np.bincount(np.concatenate([nbrs[at], newly]), minlength=inst.size)
     return chosen
 
 
@@ -224,14 +281,12 @@ def _check_size(inst: SeparationInstance) -> None:
 def exact_separated_value(inst: SeparationInstance) -> GrowthSample:
     """Exact separated-set optimum by weighted independent-set search."""
     m = inst.size
-    close = inst.distances() <= inst.eps
-    np.fill_diagonal(close, False)
-    if not close.any():
+    if not len(inst.pairs()[0]):
         # everything is pairwise separated; the optimum keeps all candidates
         val = logsumexp(inst.weights)
         return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=True)
     _check_size(inst)
-    conflict = _bitmasks(close)
+    conflict = _masks(inst, strict=False)
     wmax = float(inst.weights.max())
     shifted = np.exp(inst.weights - wmax)
     memo: dict[int, float] = {}
@@ -243,7 +298,7 @@ def exact_separated_value(inst: SeparationInstance) -> GrowthSample:
             return memo[avail]
         v = (avail & -avail).bit_length() - 1
         out = best(avail & ~(1 << v))
-        out = max(out, shifted[v] + best(avail & ~(1 << v) & ~conflict[v]))
+        out = max(out, shifted[v] + best(avail & ~conflict[v]))  # conflict[v] has bit v
         memo[avail] = out
         return out
 
@@ -282,7 +337,7 @@ def exact_min_cover(masks: list[int], costs: np.ndarray, full: int | None = None
 def exact_spanning_value(inst: SeparationInstance) -> GrowthSample:
     """Exact spanning-set optimum by weighted set-cover search."""
     _check_size(inst)
-    masks = _bitmasks(inst.distances() < inst.eps)
+    masks = _masks(inst, strict=True)
     wmax = float(inst.weights.max())
     costs = np.exp(inst.weights - wmax)
     val = wmax + math.log(exact_min_cover(masks, costs))

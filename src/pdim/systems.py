@@ -32,7 +32,7 @@ class BudgetExceededError(RuntimeError):
 # integers below 2^53 times 2^-52, so float64 holds them exactly.
 WORD_BITS = 53
 # Largest float64 array built from a candidate set: orbit_array here, and the
-# Bowen distance matrices of pdim.partition.
+# Bowen distance matrix and the kept Bowen-relation pairs of pdim.partition.
 ARRAY_BUDGET_BYTES = 2 * 1024**3
 
 

@@ -1,13 +1,19 @@
 """Command line contract: CSV schema, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
+from test_config_mutations import CHILD_ADDRESS_LIMIT
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
+import pdim
 from pdim import systems
 from pdim.cli import CSV_HEADER, MAX_POTENTIAL_DEPTH, build_system, main
 from pdim.dimension import entropy_dimension
@@ -29,6 +35,44 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 def read_rows(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
+
+
+# runs ``pdim.cli.main`` on each argv list read from stdin under a soft
+# address-space limit, so an over-allocation fails there instead of taking
+# the machine's memory; prints [exit code or exception, stderr] per run and
+# the child's peak RSS in MB
+CHILD = r"""
+import contextlib, io, json, resource, sys
+
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))
+
+from pdim.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except BaseException as e:  # what the command line shows as a traceback
+        code = f"{type(e).__name__}: {e}"[:200]
+    results.append([code, err.getvalue()])
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+json.dump({"results": results, "peak_mb": peak_mb}, sys.stdout)
+"""
+
+
+def run_child(argvs: list) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pdim.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(CHILD_ADDRESS_LIMIT)],
+        input=json.dumps(argvs), env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr[-2000:]
+    return json.loads(child.stdout)
 
 
 class TestEstimate:
@@ -427,6 +471,42 @@ class TestSinglePath:
 
 
 class TestBudget:
+    def test_oversized_grids_exit_three(self, tmp_path):
+        # each would take 7.45 GB or more before any check ran
+        budget = systems.ARRAY_BUDGET_BYTES
+        cfg = write_config(tmp_path)
+        argvs = [
+            ["sweep", "--config", cfg, "--s-min", "0.5", "--s-max", "2", "--steps", "1000000000",
+             "--out", str(tmp_path / "s.csv")],
+            ["estimate", "--config", write_config(
+                tmp_path, "grid.json", s_grid={"start": 0.5, "stop": 2, "steps": 1000000000}),
+             "--out", str(tmp_path / "g.csv")],
+            ["estimate", "--config", write_config(
+                tmp_path, "range.json", n_range={"start": 1, "stop": 1000000000000}),
+             "--out", str(tmp_path / "r.csv")],
+        ]
+        assert run_child(argvs)["results"] == [
+            [3, f"budget exceeded: s grid of 1000000000 steps needs 8000000000 bytes, "
+                f"over the {budget}-byte budget\n"],
+            [3, f"budget exceeded: s_grid of 1000000000 steps needs 8000000000 bytes, "
+                f"over the {budget}-byte budget\n"],
+            [3, f"budget exceeded: n_range of 1000000000000 entries needs 8000000000000 "
+                f"bytes, over the {budget}-byte budget\n"],
+        ]
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_large_word_instance_in_small_memory(self, tmp_path):
+        # full_shift(2) at n = 10, eps = 0.25 has m = 8192 candidates; the CSV
+        # hash was taken when the eps path still built the m x m distance
+        # matrix, which peaked at 616 MB
+        out = tmp_path / "o.csv"
+        cfg = write_config(tmp_path, potential=None, n_range=[10], scales={"eps": [0.25]})
+        report = run_child([["estimate", "--config", cfg, "--out", str(out)]])
+        assert report["results"] == [[0, ""]]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "d88ae65a5cf1e2c87262da4bd0b60ce000adcbb63103df32f9f292a28cd232fe"
+        assert report["peak_mb"] < 200
+
     def test_exhausted_budget_exits_three(self, tmp_path):
         # shifts refuse to silently thin their candidate words
         cfg = write_config(
@@ -543,6 +623,18 @@ class TestBudget:
         )
         out = tmp_path / "o.csv"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "chain", "--seed", "-1"],
+    ["oracle", "--seed", "-1", "--trials", "2"],
+], ids=["verify", "oracle"])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    # numpy's generators take only seeds >= 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
 
 
 class TestVerify:

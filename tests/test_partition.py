@@ -13,6 +13,7 @@ from pdim.partition import (
     SeparationInstance,
     InstanceTooLargeError,
     bowen_distance_matrix,
+    bowen_relation,
     count_spanning_separated,
     exact_min_cover,
     exact_separated_value,
@@ -23,7 +24,7 @@ from pdim.partition import (
     spanning_upper_bound,
 )
 from pdim.partition import (
-    _bitmasks,
+    _edges,
     _greedy_separated_indices,
     _greedy_spanning_indices,
 )
@@ -49,9 +50,14 @@ def log_sum(weights) -> float:
     return math.log(math.fsum(math.exp(w) for w in weights))
 
 
+def dense(inst) -> np.ndarray:
+    """The instance's Bowen distance matrix."""
+    return bowen_distance_matrix(inst.system, inst.n, inst.points)
+
+
 def brute_separated(inst) -> float:
     """Reference optimum: scan every subset (2^m)."""
-    d = inst.distances()
+    d = dense(inst)
     best = -math.inf
     for r in range(1, inst.size + 1):
         for sub in itertools.combinations(range(inst.size), r):
@@ -61,7 +67,7 @@ def brute_separated(inst) -> float:
 
 
 def brute_spanning(inst) -> float:
-    d = inst.distances()
+    d = dense(inst)
     best = math.inf
     idx = range(inst.size)
     for r in range(1, inst.size + 1):
@@ -103,15 +109,9 @@ class TestDistances:
             for j, y in enumerate(pts):
                 assert d[i, j] == pytest.approx(rot.bowen_metric(3, x, y), abs=1e-12)
 
-    @pytest.mark.parametrize("m", [1, 7, 8, 9, 70])
-    def test_bitmasks_match_bit_loop(self, m):
-        rel = np.random.default_rng(m).random((m, m)) < 0.4
-        loop = [sum(1 << j for j in range(m) if rel[i, j]) for i in range(m)]
-        assert _bitmasks(rel) == loop
-
-    def test_distances_cached(self):
+    def test_pairs_cached(self):
         inst = random_rotation_instance(0)
-        assert inst.distances() is inst.distances()
+        assert inst.pairs() is inst.pairs()
 
 
 def pairwise_bowen(system, n, pts):
@@ -171,6 +171,76 @@ SHIFT_SYSTEMS = {
 }
 
 
+def real_case(kind, m):
+    """A real system and m random points, plus a duplicate, the ends and a near-wrap pair."""
+    rng = np.random.default_rng([m, len(kind)])
+    system = REAL_SYSTEMS[kind](rng)
+    xs = list(rng.random(m))
+    xs[-min(m, 4):] = [0.0, 0.999, xs[0], 0.5][:min(m, 4)]
+    return system, [real(float(v)) for v in xs]
+
+
+def word_case(kind, m):
+    """A shift system and up to m of its representatives of lengths 4 and 6, SFT bridges included."""
+    rng = np.random.default_rng([m, len(kind), 7])
+    system = SHIFT_SYSTEMS[kind](rng)
+    shift = system.base if kind == "power" else system
+    words = [shift.representative(w) for length in (4, 6)
+             for w in shift.admissible_words(length)]
+    return system, [words[i] for i in rng.choice(len(words), size=min(m, len(words)),
+                                                   replace=False)]
+
+
+def triangle_case(kind, n):
+    """23 points of a real or shift system, with a duplicate point."""
+    m = 23
+    rng = np.random.default_rng([n, len(kind), 23])
+    if kind in REAL_SYSTEMS:
+        system = REAL_SYSTEMS[kind](rng)
+        xs = list(rng.random(m))
+        xs[-4:] = [0.0, 0.999, xs[0], 0.5]
+        return system, [real(float(v)) for v in xs]
+    system = SHIFT_SYSTEMS[kind](rng)
+    shift = system.base if kind == "power" else system
+    words = [shift.representative(w) for length in (3, 5)
+             for w in shift.admissible_words(length)]
+    pts = [words[i] for i in rng.choice(len(words), size=m, replace=False)]
+    pts[-1] = pts[0]
+    return system, pts
+
+
+def length_limit_words():
+    """Twelve 53-symbol words and one that differs from the first far down only."""
+    rng = np.random.default_rng(53)
+    pts = [Word(tuple(int(v) for v in rng.integers(0, 2, size=53))) for _ in range(12)]
+    pts.append(Word(pts[0].symbols[:50]))
+    return pts
+
+
+# words with no array form
+FALLBACK_WORDS = {
+    # over 53 symbols; the last word's float sum 1 + 2^-53 + 2^-54 rounds
+    # to 1 term by term, to 1 + 2^-52 in one step
+    "long": [Word((0, 1) * 30), Word((1,) * 60), Word(()), Word((1,) + (0,) * 52 + (1, 1))],
+    "mixed-tails": [Word((0, 1), tail=0), Word((0, 1), tail=1), Word((1,), tail=1)],
+    "54-symbols": [Word((0, 1) * 27), Word((0, 1) * 26), Word((1,) * 53), Word(())],
+}
+
+
+def record_metric_calls(monkeypatch, system) -> list:
+    """Patch the system's metric_array to append each result's shape to the returned list."""
+    shapes = []
+    metric_array = type(system).metric_array
+
+    def recorded(self, x, y):
+        d = metric_array(self, x, y)
+        shapes.append(np.shape(d))
+        return d
+
+    monkeypatch.setattr(type(system), "metric_array", recorded)
+    return shapes
+
+
 def chunks(n, k):
     """Lengths of range(0, n, k)'s chunks: k each, then a partial last one."""
     return [k] * (n // k) + [n % k] * (n % k > 0)
@@ -178,8 +248,9 @@ def chunks(n, k):
 
 # _BLOCK_ENTRIES values for 23 points, each forcing one blocking of the triangle:
 # one row and one time step per call; row blocks of 4, 5, 7 and a partial 7
-# rows, the last one taking 2 time steps per call; one block of 3 time steps
-# per call, with a partial last chunk when 3 does not divide n.
+# rows, the last one taking 2 time steps in its first chunk; one block whose
+# first chunk takes 3 time steps.  Past its first chunk a block steps its
+# surviving pairs, as many time steps per call as fit.
 TRIANGLE_BLOCKS = {"rows-1": 1, "rows-4-5-7-7": 100, "steps-3": 2000}
 
 
@@ -235,32 +306,15 @@ class TestKernelsMatchBowenMetric:
     @pytest.mark.parametrize("m", [1, 31, 70])
     @pytest.mark.parametrize("kind", sorted(REAL_SYSTEMS))
     def test_real_systems(self, kind, m, block):
-        rng = np.random.default_rng([m, len(kind)])
-        system = REAL_SYSTEMS[kind](rng)
-        # random points, plus a duplicate, the ends and a near-wrap pair
-        xs = list(rng.random(m))
-        xs[-min(m, 4):] = [0.0, 0.999, xs[0], 0.5][:min(m, 4)]
-        pts = [real(float(v)) for v in xs]
+        system, pts = real_case(kind, m)
         for n in (1, 6):
             d = bowen_distance_matrix(system, n, pts)
             assert (d == pairwise_bowen(system, n, pts)).all()
 
     @pytest.mark.parametrize("m", [1, 31, 70])
-    @pytest.mark.parametrize("kind", ["full_shift(2)", "full_shift(3)", "golden", "sft(3)", "power"])
+    @pytest.mark.parametrize("kind", sorted(SHIFT_SYSTEMS))
     def test_words(self, kind, m, block):
-        rng = np.random.default_rng([m, len(kind), 7])
-        system = {
-            "full_shift(2)": FullShift(2),
-            "full_shift(3)": FullShift(3),
-            "golden": golden_mean_sft(),
-            "sft(3)": random_sft(rng, 3),
-            "power": PowerSystem(FullShift(2), 2),
-        }[kind]
-        shift = system.base if kind == "power" else system
-        # representatives of mixed lengths: SFT bridges and two word lengths
-        words = [shift.representative(w) for length in (4, 6)
-                 for w in shift.admissible_words(length)]
-        pts = [words[i] for i in rng.choice(len(words), size=min(m, len(words)), replace=False)]
+        system, pts = word_case(kind, m)
         for n in (1, 3, 9):
             d = bowen_distance_matrix(system, n, pts)
             assert (d == pairwise_bowen(system, n, pts)).all()
@@ -269,30 +323,10 @@ class TestKernelsMatchBowenMetric:
     @pytest.mark.parametrize("kind", ["rotation", "power-rotation", "doubling", "contraction",
                                       "full_shift(3)", "power"])
     def test_triangle_blocks(self, monkeypatch, kind, n):
-        m = 23
-        rng = np.random.default_rng([n, len(kind), 23])
-        if kind in REAL_SYSTEMS:
-            system = REAL_SYSTEMS[kind](rng)
-            xs = list(rng.random(m))
-            xs[-4:] = [0.0, 0.999, xs[0], 0.5]
-            pts = [real(float(v)) for v in xs]
-        else:
-            system = SHIFT_SYSTEMS[kind](rng)
-            shift = system.base if kind == "power" else system
-            words = [shift.representative(w) for length in (3, 5)
-                     for w in shift.admissible_words(length)]
-            pts = [words[i] for i in rng.choice(len(words), size=m, replace=False)]
-            pts[-1] = pts[0]
+        system, pts = triangle_case(kind, n)
+        m = len(pts)
         expect = pairwise_bowen(system, n, pts)
-        shapes = []
-        metric_array = type(system).metric_array
-
-        def recorded(self, x, y):
-            d = metric_array(self, x, y)
-            shapes.append(np.shape(d))
-            return d
-
-        monkeypatch.setattr(type(system), "metric_array", recorded)
+        shapes = record_metric_calls(monkeypatch, system)
         for name, block in dict(TRIANGLE_BLOCKS, default=partition._BLOCK_ENTRIES).items():
             monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block)
             shapes.clear()
@@ -302,35 +336,31 @@ class TestKernelsMatchBowenMetric:
             assert not np.diagonal(d).any() and not np.signbit(np.diagonal(d)).any(), name
             # the memory bound: no metric block over max(_BLOCK_ENTRIES, m) entries
             assert max(math.prod(shape) for shape in shapes) <= max(block, m), name
-            calls = [shape[:2] for shape in shapes]  # (time steps, rows) per call
+            # a block's first chunk is (time steps, rows, columns); then each
+            # call steps the pairs still within eps (here all) as (time steps, pairs)
             if name == "rows-1":
-                assert calls == [(1, 1)] * (n * m)
+                assert shapes == [call for lo in range(m) for call in
+                                  [(1, 1, m - lo)] + [(1, m - lo - 1)] * (n - 1) * (lo < m - 1)]
             if name == "rows-4-5-7-7":
-                assert calls == [(1, 4)] * n + [(1, 5)] * n + [(1, 7)] * n + \
-                    [(k, 7) for k in chunks(n, 2)]
+                assert shapes == [(1, 4, 23)] + [(1, 82)] * (n - 1) + \
+                    [(1, 5, 19)] + [(1, 80)] * (n - 1) + [(1, 7, 14)] + [(1, 70)] * (n - 1) + \
+                    [(min(n, 2), 7, 7)] + [(k, 21) for k in chunks(max(0, n - 2), 4)]
             if name == "steps-3":
-                assert calls == [(k, m) for k in chunks(n, 3)]
+                assert shapes == [(min(n, 3), m, m)] + \
+                    [(k, 253) for k in chunks(max(0, n - 3), 7)]
             if name == "default":  # a small orbit's whole time range in one call
-                assert calls == [(n, m)]
+                assert shapes == [(n, m, m)]
 
     def test_word_kernel_at_its_length_limit(self):
         fs = FullShift(2)
-        rng = np.random.default_rng(53)
-        pts = [Word(tuple(int(v) for v in rng.integers(0, 2, size=53))) for _ in range(12)]
-        pts.append(Word(pts[0].symbols[:50]))  # differs from pts[0] far down only
+        pts = length_limit_words()
         assert fs.coordinates(pts).shape == (13, 1)  # the array form, not the fallback
         for n in (1, 20, 60):
             assert (bowen_distance_matrix(fs, n, pts) == pairwise_bowen(fs, n, pts)).all()
 
-    @pytest.mark.parametrize("pts", [
-        # over 53 symbols; the last word's float sum 1 + 2^-53 + 2^-54 rounds
-        # to 1 term by term, to 1 + 2^-52 in one step
-        [Word((0, 1) * 30), Word((1,) * 60), Word(()), Word((1,) + (0,) * 52 + (1, 1))],
-        [Word((0, 1), tail=0), Word((0, 1), tail=1), Word((1,), tail=1)],  # mixed tails
-        [Word((0, 1) * 27), Word((0, 1) * 26), Word((1,) * 53), Word(())],  # one word of 54
-    ], ids=["long", "mixed-tails", "54-symbols"])
-    def test_pairwise_fallback(self, pts):
-        fs = FullShift(2)
+    @pytest.mark.parametrize("name", sorted(FALLBACK_WORDS))
+    def test_pairwise_fallback(self, name):
+        fs, pts = FullShift(2), FALLBACK_WORDS[name]
         with pytest.raises(NotImplementedError):
             fs.coordinates(pts)
         for n in (1, 2, 5):
@@ -345,6 +375,114 @@ class TestKernelsMatchBowenMetric:
         # as for System.bowen_metric: d_0 is the max over no time steps
         with pytest.raises(ValueError, match="needs n >= 1"):
             bowen_distance_matrix(system, 0, pts)
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            bowen_relation(system, 0, pts, 0.5)
+
+
+DEFAULT_BLOCK = partition._BLOCK_ENTRIES
+
+
+def check_relation(monkeypatch, system, n, pts):
+    """bowen_relation against pairwise_bowen thresholded at <= eps, and its strict
+    edges at < eps, with == on the kept values, at each _BLOCK_ENTRIES of 1, 100,
+    2000 and the default, and at eps values that include one distance itself."""
+    d = pairwise_bowen(system, n, pts)
+    upper = np.triu(np.ones(d.shape, dtype=bool), 1)
+    values = np.unique(d[upper])
+    eps_values = [1e-3, 0.1, 0.3, 1.0] + [float(v) for v in values[len(values) // 2:][:1] if v]
+    shapes = record_metric_calls(monkeypatch, system)
+    for block in (1, 100, 2000, DEFAULT_BLOCK):
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block)
+        for eps in eps_values:
+            shapes.clear()
+            inst = SeparationInstance(system, n, eps, pts, np.zeros(len(pts)))
+            i, j, dist = inst.pairs()
+            ei, ej = np.nonzero(upper & (d <= eps))
+            assert (i.tolist(), j.tolist()) == (ei.tolist(), ej.tolist()), (block, eps)
+            assert (dist == d[ei, ej]).all(), (block, eps)
+            si, sj = _edges(inst, strict=True)
+            ei, ej = np.nonzero(upper & (d < eps))
+            assert (si.tolist(), sj.tolist()) == (ei.tolist(), ej.tolist()), (block, eps)
+            # the memory bound: no metric block over max(_BLOCK_ENTRIES, m) entries
+            assert max(map(math.prod, shapes), default=0) <= max(block, len(pts)), (block, eps)
+
+
+class TestBowenRelation:
+    """bowen_relation against the thresholded pairwise_bowen on the point sets of
+    TestKernelsMatchBowenMetric, at every block size."""
+
+    @pytest.mark.parametrize("m", [1, 31, 70])
+    @pytest.mark.parametrize("kind", sorted(REAL_SYSTEMS))
+    def test_real_systems(self, monkeypatch, kind, m):
+        system, pts = real_case(kind, m)
+        for n in (1, 6):
+            check_relation(monkeypatch, system, n, pts)
+
+    @pytest.mark.parametrize("m", [1, 31, 70])
+    @pytest.mark.parametrize("kind", sorted(SHIFT_SYSTEMS))
+    def test_words(self, monkeypatch, kind, m):
+        system, pts = word_case(kind, m)
+        for n in (1, 3, 9):
+            check_relation(monkeypatch, system, n, pts)
+
+    @pytest.mark.parametrize("n", [1, 6, 13])
+    @pytest.mark.parametrize("kind", ["rotation", "power-rotation", "doubling", "contraction",
+                                      "full_shift(3)", "power"])
+    def test_triangle_sets(self, monkeypatch, kind, n):
+        system, pts = triangle_case(kind, n)
+        check_relation(monkeypatch, system, n, pts)
+
+    def test_words_at_the_length_limit(self, monkeypatch):
+        for n in (1, 20, 60):
+            check_relation(monkeypatch, FullShift(2), n, length_limit_words())
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_WORDS))
+    def test_words_with_no_array_form(self, monkeypatch, name):
+        for n in (1, 2, 5):
+            check_relation(monkeypatch, FullShift(2), n, FALLBACK_WORDS[name])
+
+    def test_pairs_drop_out_in_later_chunks(self, monkeypatch):
+        # one row and one time step per call, on the doubling map, whose
+        # distances grow: some pairs within eps at t = 0 pass it later, and
+        # some row blocks keep no pair past t = 0, so no gather follows them
+        system = DoublingMap()
+        pts = [real(float(v)) for v in np.random.default_rng(5).random(40)]
+        n, eps = 6, 0.05
+        shapes = record_metric_calls(monkeypatch, system)
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)
+        i, _, _ = bowen_relation(system, n, pts, eps)
+        d = pairwise_bowen(system, n, pts)
+        assert len(i) == np.count_nonzero(np.triu(d <= eps, 1)) > 0
+        firsts = [k for k, shape in enumerate(shapes) if len(shape) == 3]
+        assert len(firsts) == len(pts)
+        # a block's first chunk followed at once by the next block's
+        assert any(b == a + 1 for a, b in zip(firsts[:-2], firsts[1:-1]))
+        # pairs stepped at t = 1 (each block's first gather) outnumber the kept ones
+        stepped = sum(shapes[k + 1][1] for k in firsts if k + 1 < len(shapes)
+                      and len(shapes[k + 1]) == 2)
+        assert stepped > len(i)
+
+    @pytest.mark.parametrize("name", ["array", "no-array-form"])
+    def test_pair_budget_raises_before_keeping(self, monkeypatch, name):
+        # 16 bytes per kept pair; the first row block alone goes over the
+        # budget, which still holds the 800-byte orbit
+        if name == "array":
+            system, pts = Rotation(0.3), [real(v / 100) for v in range(100)]
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 100)  # one row per block
+        else:
+            system, pts = FullShift(2), FALLBACK_WORDS["mixed-tails"] * 3
+        i, j, _ = bowen_relation(system, 1, pts, 0.5)
+        first = np.count_nonzero(i == 0)
+        assert 0 < first < len(i)
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * len(i))
+        assert len(bowen_relation(system, 1, pts, 0.5)[0]) == len(i)
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * first - 1)
+        shapes = record_metric_calls(monkeypatch, system)
+        with pytest.raises(BudgetExceededError,
+                           match=f"Bowen relation of {len(pts)} points needs {16 * first} bytes"):
+            bowen_relation(system, 1, pts, 0.5)
+        # it stopped in the first row block
+        assert sum(len(shape) == 3 for shape in shapes) == (name == "array")
 
 
 class TestDistanceBudget:
@@ -365,7 +503,7 @@ def reference_greedy_separated(inst, order):
         idx = sorted(range(inst.size), key=lambda i: (-inst.weights[i], i))
     else:
         idx = list(range(inst.size))
-    d = inst.distances()
+    d = dense(inst)
     kept = []
     for i in idx:
         if all(d[i, j] > inst.eps for j in kept):
@@ -375,7 +513,8 @@ def reference_greedy_separated(inst, order):
 
 def reference_greedy_spanning(inst):
     """Slow reference for the greedy spanning picks: bigint masks rescanned per pick."""
-    masks = _bitmasks(inst.distances() < inst.eps)
+    near = dense(inst) < inst.eps
+    masks = [sum(1 << j for j in range(inst.size) if near[i, j]) for i in range(inst.size)]
     full = (1 << inst.size) - 1
     covered = 0
     chosen = []
