@@ -14,8 +14,9 @@ All output is deterministic for a fixed config and seed.  CSV columns are
 floats are written with ``repr`` so values round-trip exactly.
 
 Exit codes: 0 success, 1 verification or sandwich failure, 2 usage or
-config error, 3 candidate, enumeration, transfer-state, distance-matrix,
-Bowen-relation, orbit-array or grid budget exceeded.
+config error (an unwritable --out among them), 3 candidate, enumeration,
+transfer-state, distance-matrix, Bowen-relation, orbit-array or grid budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ CSV_HEADER = ("system", "potential", "estimator", "n", "scale", "s",
 
 class ConfigError(Exception):
     pass
+
+
+# 8-byte words per grid list entry: a pointer and a 32-byte int or float
+_LIST_ENTRY_WORDS = 5
 
 
 def _fmt(v) -> str:
@@ -268,7 +273,7 @@ def _parse_n_range(spec) -> list[int]:
         elif isinstance(spec, dict):
             start, stop = _integer(spec["start"]), _integer(spec["stop"])
             span = range(start, stop + 1, _integer(spec.get("step", 1)))  # stop is inclusive
-            _check_array_budget(len(span), 1, f"n_range of {len(span)} entries")
+            _check_array_budget(len(span), _LIST_ENTRY_WORDS, f"n_range of {len(span)} entries")
             ns = list(span)
         else:
             raise ConfigError("n_range must be a list or {start, stop, step}")
@@ -308,7 +313,7 @@ def _parse_s_grid(spec) -> list[float]:
         elif isinstance(spec, dict):
             start, stop = _finite(spec["start"]), _finite(spec["stop"])
             steps = _integer(spec["steps"])
-            _check_array_budget(steps, 1, f"s_grid of {steps} steps")
+            _check_array_budget(steps, _LIST_ENTRY_WORDS, f"s_grid of {steps} steps")
             out = [float(v) for v in np.linspace(start, stop, steps)]
         else:
             raise ConfigError("s_grid must be a list or {start, stop, steps}")
@@ -360,11 +365,19 @@ def _pressure_rows(system, potential, curves) -> list[tuple]:
     return rows
 
 
+def _open_out(path: str, newline: str | None = None):
+    """Open an output file; a path that cannot be written is a usage error."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as e:
+        raise ConfigError(f"cannot write output: {e}")
+
+
 def _write_csv(path: str, rows: list[tuple], max_rows: int | None) -> None:
     truncated = max_rows is not None and len(rows) > max_rows
     if truncated:
         rows = rows[:max_rows]
-    with open(path, "w", newline="") as f:
+    with _open_out(path, newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(CSV_HEADER)
         w.writerows(rows)
@@ -404,7 +417,7 @@ def cmd_sweep(args) -> int:
     if args.steps < 2 or not 0.0 < args.s_min < args.s_max < math.inf:
         raise ConfigError("sweep needs 0 < s-min < s-max < inf and steps >= 2")
     cfg = load_config(args.config)
-    _check_array_budget(args.steps, 1, f"s grid of {args.steps} steps")
+    _check_array_budget(args.steps, _LIST_ENTRY_WORDS, f"s grid of {args.steps} steps")
     s_grid = [float(v) for v in np.linspace(args.s_min, args.s_max, args.steps)]
     system, potential, tables = _collect_tables(cfg)
     curves = pressure_curves(tables, s_grid, cfg["window_frac"])
@@ -419,7 +432,7 @@ def cmd_verify(args) -> int:
     lines = [r.line() for r in reports]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as f:
+        with _open_out(args.out) as f:
             f.write(text)
     sys.stdout.write(text)
     failed = [r for r in reports if not r.passed]

@@ -41,27 +41,11 @@ from .systems import (
 
 
 @dataclass(frozen=True)
-class BoundaryTerm:
-    """Extra window contribution pinned at a fixed position (0 or n)."""
-
-    at_end: bool  # False: position 0; True: position n
-    scale: float
-    reach: int
-    fn: Callable[[tuple[int, ...]], float]
-
-
-@dataclass(frozen=True)
 class ScalarWindow:
-    """phi_n(x) = sum over i < n of step(x_i .. x_{i+reach-1}), plus boundary terms."""
+    """phi_n(x) = sum over i < n of step(x_i .. x_{i+reach-1})."""
 
     reach: int
     step: Callable[[tuple[int, ...]], float]
-    boundary: tuple[BoundaryTerm, ...] = ()
-
-    @property
-    def max_reach(self) -> int:
-        extra = max((b.reach for b in self.boundary), default=0)
-        return max(self.reach, extra)
 
 
 @dataclass(frozen=True)
@@ -270,29 +254,14 @@ class SumPotential(Potential):
         if a is None or b is None:
             return None
         if isinstance(a, ScalarWindow) and isinstance(b, ScalarWindow):
-            return _add_windows(a, b)
+            return ScalarWindow(max(a.reach, b.reach),
+                                lambda w: a.step(w[: a.reach]) + b.step(w[: b.reach]))
         # matrix + reach-1 scalar: fold the scalar weight into the matrices
-        if isinstance(a, ScalarWindow):
-            a, b = b, a
-        if (
-            isinstance(a, MatrixWeights)
-            and a.power == 1.0
-            and isinstance(b, ScalarWindow)
-            and b.reach == 1
-            and not b.boundary
-        ):
-            mats = tuple(m * math.exp(b.step((s,))) for s, m in enumerate(a.mats))
+        mat, win = (b, a) if isinstance(a, ScalarWindow) else (a, b)
+        if mat.power == 1.0 and isinstance(win, ScalarWindow) and win.reach == 1:
+            mats = tuple(m * math.exp(win.step((s,))) for s, m in enumerate(mat.mats))
             return MatrixWeights(mats=mats, power=1.0)
         return None
-
-
-def _add_windows(a: ScalarWindow, b: ScalarWindow) -> ScalarWindow:
-    r = max(a.reach, b.reach)
-
-    def step(window: tuple[int, ...]) -> float:
-        return a.step(window[: a.reach]) + b.step(window[: b.reach])
-
-    return ScalarWindow(reach=r, step=step, boundary=a.boundary + b.boundary)
 
 
 @dataclass(frozen=True)
@@ -321,10 +290,7 @@ class ScaledPotential(Potential):
             return None
         lam = self.lam
         if isinstance(p, ScalarWindow):
-            bnd = tuple(
-                BoundaryTerm(t.at_end, lam * t.scale, t.reach, t.fn) for t in p.boundary
-            )
-            return ScalarWindow(p.reach, lambda w: lam * p.step(w), bnd)
+            return ScalarWindow(p.reach, lambda w: lam * p.step(w))
         return MatrixWeights(mats=p.mats, power=lam * p.power)
 
 
@@ -414,7 +380,12 @@ class InverseTwistPotential(Potential):
 
 @dataclass(frozen=True)
 class CoboundaryPotential(Potential):
-    """Phi + Psi o T - Psi, which shares Phi's growth up to boundary terms."""
+    """Phi + Psi o T - Psi, the coboundary perturbation of Phi.
+
+    On a shift, psi_n(Tx) - psi_n(x) = sum over i < n of psi(T^(i+1) x) -
+    psi(T^i x) for a window psi of reach r, so the perturbation is one step
+    window of reach max(r_phi, r + 1), even when psi is itself a coboundary.
+    """
 
     base: Potential
     psi: Potential
@@ -444,14 +415,9 @@ class CoboundaryPotential(Potential):
         b = self.psi.shift_profile()
         if not (isinstance(a, ScalarWindow) and isinstance(b, ScalarWindow)):
             return None
-        if b.boundary:
-            return None
-        # window sums telescope: psi_n(Tx) - psi_n(x) = window(n) - window(0)
-        extra = (
-            BoundaryTerm(at_end=False, scale=-1.0, reach=b.reach, fn=b.step),
-            BoundaryTerm(at_end=True, scale=1.0, reach=b.reach, fn=b.step),
-        )
-        return ScalarWindow(a.reach, a.step, a.boundary + extra)
+        r = b.reach
+        return ScalarWindow(max(a.reach, r + 1),
+                            lambda w: a.step(w[: a.reach]) + b.step(w[1 : r + 1]) - b.step(w[:r]))
 
 
 def add(phi: Potential, psi: Potential) -> SumPotential:

@@ -3,19 +3,19 @@
 Joining an m-cylinder cover along n steps of the shift produces the
 (n+m-1)-cylinder cover, so for locally constant potentials every cover,
 spanning and separated quantity reduces to a weighted sum over admissible
-words.  Each sum is a product of Ruelle-Bowen transfer matrices over S
-states: the admissible words of length max_reach-1 for a scalar window, the
-symbol x d blocks for a matrix cocycle.  Between a few breakpoints (where the
-window switches off or a boundary term fires) the matrix is stationary, so
-its power comes from repeated squaring in log space in O(S^3 log n), and exact
-tables at n = 10^5-10^6 are cheap.  A table over many n shares one setup and
-one ladder of squares M, M^2, M^4, ... per stationary matrix, so it costs
-O(S^3 log n_max + |ns| S^2 log n) rather than O(|ns| S^3 log n) plus |ns|
-setups; a single sum costs what one chain costs.  S is counted before any
-state is listed, and a chain over more than TRANSFER_STATE_CAP states raises
-BudgetExceededError.  Only scaled matrix cocycles (a norm power other than 1)
-enumerate words, under a size cap; a scalar window sums words no longer than
-one state directly.
+words.  Each sum is a start vector times powers of two stationary
+Ruelle-Bowen transfer matrices over S states, one for the n weighted steps
+and one for the free trailing symbols.  The states are the admissible words
+of length max(reach-1, 1) for a scalar window, the symbol x d blocks for a
+matrix cocycle.  Each power comes from repeated squaring in log space in
+O(S^3 log n), so exact tables at n = 10^5-10^6 are cheap.  A table over many
+n shares one setup, one start vector and one ladder of squares M, M^2, M^4,
+... per matrix, so it costs O(S^3 log n_max + |ns| S^2 log n) rather than
+O(|ns| S^3 log n) plus |ns| setups; a single sum costs what one chain
+costs.  S is counted before any state is listed, and a chain over more than
+TRANSFER_STATE_CAP states raises BudgetExceededError.  Only scaled matrix
+cocycles (a norm power other than 1) enumerate words, under a size cap; a
+scalar window sums words no longer than one state directly.
 """
 
 from __future__ import annotations
@@ -57,10 +57,7 @@ def _required_length(potential: Potential, profile, n: int) -> int:
         )
     if isinstance(profile, MatrixWeights):
         return n
-    ends = [n - 1 + profile.reach]
-    for b in profile.boundary:
-        ends.append((n if b.at_end else 0) + b.reach)
-    return max(ends)
+    return n - 1 + profile.reach
 
 
 def log_weighted_word_sum(
@@ -87,11 +84,12 @@ def log_weighted_word_sums(
 
     Requires phi_n to be constant on (n + k)-cylinders; every n is checked
     before any sum is computed.  Scalar window profiles and plain matrix
-    cocycles share one transfer setup across ns: each distinct segment matrix
-    is built once and squared once, M, M^2, M^4, ..., as far as the largest n
-    needs, and each n multiplies its start vector by the powers its bits
-    select.  A table costs O(S^3 log n_max + |ns| S^2 log n) for S states,
-    where separate single calls cost O(|ns| S^3 log n) plus |ns| setups.
+    cocycles share one transfer setup across ns: one start vector and two
+    matrices, each built once and squared once, M, M^2, M^4, ..., as far as
+    the largest n needs, and each n multiplies the start vector by the
+    powers its bits select.  A table costs O(S^3 log n_max + |ns| S^2 log n)
+    for S states, where separate single calls cost O(|ns| S^3 log n) plus |ns|
+    setups.
     Every value is the same float as the single call's.  Scaled matrix
     cocycles enumerate words for each n and raise EnumerationCapError (a
     budget error) past ENUMERATION_CAP words.  An empty ns gives [].
@@ -144,60 +142,34 @@ def log_weighted_word_sums(
 def _window_chain(system: ShiftSystem, prof: ScalarWindow, k: int):
     """n -> (log start vector, [(ladder, power), ...]) for a scalar window.
 
-    States are the admissible words of length p; the start vector holds their
-    first p positions.  A position's weight depends on it only through its
-    signature (is the step window on, which boundary terms fire), so between
-    the cuts where the signature changes the transfer matrix is stationary.
-    Matrices, ladders and start vectors are cached by signature.  A valid
-    length is at least max_reach, so it is below p only when it equals
-    p = 1; such words give (start, None).
+    States are the admissible words of length p = max(reach - 1, 1), and
+    every n shares one start vector, the weight of the first p positions (a
+    window completes there only when reach = 1), and two stationary
+    matrices: "on" adds the step of the window that ends at a position, and
+    "free" adds nothing.  The chain for n is start, on^(n + reach - 1 - p),
+    free^(k - reach + 1).  A valid length n + k is at least n - 1 + reach,
+    so it equals p only at n = 1, k = 0 with reach 1; such words give
+    (start, None).
     """
-    p = max(prof.max_reach - 1, 1)
+    p = max(prof.reach - 1, 1)
     _check_states(word_total(system, p, cap=TRANSFER_STATE_CAP), system)
     states = list(system.admissible_words(p))
-    starts: dict[tuple, np.ndarray] = {}
-    ladders: dict[tuple, list] = {}
     index = {w: i for i, w in enumerate(states)}
     windows = [w + (s,) for w in states for s in range(system.k)
                if system.is_admissible_pair(w[-1], s)]
     rows = np.array([index[w[:-1]] for w in windows], dtype=np.intp)
     cols = np.array([index[w[1:]] for w in windows], dtype=np.intp)
-
-    def signature(n: int, j: int) -> tuple:
-        return (prof.reach - 1 <= j < n + prof.reach - 1,
-                tuple(j == (n if b.at_end else 0) + b.reach - 1 for b in prof.boundary))
-
-    def weight(sig: tuple, window: tuple[int, ...]) -> float:
-        """Every term of phi_n that completes where the window ends."""
-        total = 0.0
-        if sig[0]:
-            total += prof.step(window[-prof.reach:])
-        for b, fires in zip(prof.boundary, sig[1]):
-            if fires:
-                total += b.scale * b.fn(window[-b.reach:])
-        return total
-
-    def ladder(sig: tuple) -> list:
-        if sig not in ladders:
-            m = np.full((len(states), len(states)), -np.inf)
-            m[rows, cols] = [weight(sig, w) for w in windows]
-            ladders[sig] = [m]
-        return ladders[sig]
+    free = np.full((len(states), len(states)), -np.inf)
+    free[rows, cols] = 0.0
+    on = free.copy()
+    on[rows, cols] += [prof.step(w[-prof.reach:]) for w in windows]
+    start = np.array([0.0 + prof.step(w) if prof.reach == 1 else 0.0 for w in states])
+    on_ladder, free_ladder = [on], [free]
 
     def chain(n: int):
-        length = n + k
-        sigs = tuple(signature(n, j) for j in range(p))
-        if sigs not in starts:
-            starts[sigs] = np.array([sum(weight(sig, w[: j + 1]) for j, sig in enumerate(sigs))
-                                     for w in states])
-        if p == length:
-            return starts[sigs], None
-        cuts = {prof.reach - 1, n + prof.reach - 1}
-        for b in prof.boundary:
-            pos = (n if b.at_end else 0) + b.reach - 1
-            cuts.update((pos, pos + 1))
-        cuts = sorted({p, length} | {c for c in cuts if p < c < length})
-        return starts[sigs], [(ladder(signature(n, a)), b - a) for a, b in zip(cuts, cuts[1:])]
+        if p == n + k:
+            return start, None
+        return start, [(on_ladder, n + prof.reach - 1 - p), (free_ladder, k - prof.reach + 1)]
 
     return chain
 

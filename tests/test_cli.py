@@ -472,27 +472,33 @@ class TestSinglePath:
 
 class TestBudget:
     def test_oversized_grids_exit_three(self, tmp_path):
-        # each would take 7.45 GB or more before any check ran
+        # each grid list takes 40 bytes per entry, 10 GB or more before any
+        # check ran; at 250000000 entries an 8-byte-per-entry check passed
+        # them and building the list raised MemoryError
         budget = systems.ARRAY_BUDGET_BYTES
         cfg = write_config(tmp_path)
-        argvs = [
-            ["sweep", "--config", cfg, "--s-min", "0.5", "--s-max", "2", "--steps", "1000000000",
-             "--out", str(tmp_path / "s.csv")],
-            ["estimate", "--config", write_config(
-                tmp_path, "grid.json", s_grid={"start": 0.5, "stop": 2, "steps": 1000000000}),
-             "--out", str(tmp_path / "g.csv")],
-            ["estimate", "--config", write_config(
-                tmp_path, "range.json", n_range={"start": 1, "stop": 1000000000000}),
-             "--out", str(tmp_path / "r.csv")],
-        ]
-        assert run_child(argvs)["results"] == [
-            [3, f"budget exceeded: s grid of 1000000000 steps needs 8000000000 bytes, "
-                f"over the {budget}-byte budget\n"],
-            [3, f"budget exceeded: s_grid of 1000000000 steps needs 8000000000 bytes, "
-                f"over the {budget}-byte budget\n"],
-            [3, f"budget exceeded: n_range of 1000000000000 entries needs 8000000000000 "
-                f"bytes, over the {budget}-byte budget\n"],
-        ]
+        argvs, expected = [], []
+        for steps, stop in ((1000000000, 1000000000000), (250000000, 250000000)):
+            argvs += [
+                ["sweep", "--config", cfg, "--s-min", "0.5", "--s-max", "2",
+                 "--steps", str(steps), "--out", str(tmp_path / "s.csv")],
+                ["estimate", "--config", write_config(
+                    tmp_path, f"grid{steps}.json",
+                    s_grid={"start": 0.5, "stop": 2, "steps": steps}),
+                 "--out", str(tmp_path / "g.csv")],
+                ["estimate", "--config", write_config(
+                    tmp_path, f"range{stop}.json", n_range={"start": 1, "stop": stop}),
+                 "--out", str(tmp_path / "r.csv")],
+            ]
+            expected += [
+                [3, f"budget exceeded: s grid of {steps} steps needs {40 * steps} bytes, "
+                    f"over the {budget}-byte budget\n"],
+                [3, f"budget exceeded: s_grid of {steps} steps needs {40 * steps} bytes, "
+                    f"over the {budget}-byte budget\n"],
+                [3, f"budget exceeded: n_range of {stop} entries needs {40 * stop} "
+                    f"bytes, over the {budget}-byte budget\n"],
+            ]
+        assert run_child(argvs)["results"] == expected
         assert not any(tmp_path.glob("*.csv"))
 
     def test_large_word_instance_in_small_memory(self, tmp_path):
@@ -635,6 +641,25 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "verify"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, command, where):
+        # both once raised a traceback with exit 1, the code of a failed check
+        out = tmp_path / "no" / "x.csv" if where == "missing-dir" else tmp_path
+        argv = {
+            "estimate": ["estimate", "--config", write_config(tmp_path)],
+            "sweep": ["sweep", "--config", write_config(tmp_path), "--s-min", "0.5",
+                      "--s-max", "1.5", "--steps", "3"],
+            "verify": ["verify", "--suite", "thm31"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: cannot write output: \[Errno \d+\] [^\n]+\n", captured.err)
+        assert str(out) in captured.err
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ import pytest
 from pdim.partition import Estimator
 from pdim.potentials import (
     Birkhoff,
+    CoboundaryPotential,
     ConstantDrift,
     MatrixCocycle,
     add,
@@ -131,7 +132,7 @@ class TestWordSums:
                 assert log_weighted_word_sum(system, pot, n, length) == (
                     pytest.approx(enumerate_sum(system, pot, n, length), abs=1e-10))
 
-    def test_coboundary_boundary_terms_exact(self):
+    def test_coboundary_window_exact(self):
         phi = symbol_weights(FS, [0.2, -0.4])
         psi = symbol_weights(FS, [1.0, 3.0])
         pert = coboundary_perturb(phi, psi)
@@ -139,6 +140,46 @@ class TestWordSums:
             length = required_length(pert, n)
             assert log_weighted_word_sum(FS, pert, n, length) == pytest.approx(
                 enumerate_sum(FS, pert, n, length), abs=1e-10)
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_coboundary_closed_form_at_large_n(self, K):
+        # phi_n = sum_{i<n} a(x_i) + b(x_n) - b(x_0): position 0 weighs a - b,
+        # positions 1..n-1 weigh a, position n weighs b, the rest are free
+        def lse(v):
+            return float(np.logaddexp.reduce(np.asarray(v)))
+
+        system = FullShift(K)
+        rng = np.random.default_rng(K)
+        a, b = rng.normal(scale=1.5, size=K), rng.normal(scale=1.5, size=K)
+        pert = coboundary_perturb(symbol_weights(system, a), symbol_weights(system, b))
+        ns = [1, 2, 3, 10, 777, 4096, 10**4]
+        for k in (1, 2, 3):
+            got = log_weighted_word_sums(system, pert, ns, k)
+            want = [(n - 1) * lse(a) + lse(a - b) + lse(b) + (k - 1) * math.log(K) for n in ns]
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        # the window reaches x_n, one symbol past the first n
+        with pytest.raises(NotLocallyConstantError):
+            log_weighted_word_sums(system, pert, ns, 0)
+
+    @pytest.mark.parametrize("system", [FS, GM, FullShift(3)], ids=lambda s: s.label)
+    def test_coboundary_of_a_coboundary_matches_enumeration(self, system):
+        rng = random.Random(system.k + len(system.label))
+        checked = 0
+        for reaches in ((1, 1, 1), (2, 1, 2), (1, 2, 1)):
+            phi, psi, chi = (random_table(rng, system, r, 1.0) for r in reaches)
+            pert = coboundary_perturb(phi, coboundary_perturb(psi, chi))
+            ns = [1, 2, 3, 4]
+            # the inner window has reach max(r_psi, r_chi + 1) and the outer
+            # max(r_phi, inner + 1); k starts at the outer reach - 1
+            for k in range(max(reaches[0], reaches[1] + 1, reaches[2] + 2) - 1, 4):
+                if word_total(system, max(ns) + k) > 4096:
+                    continue  # keeps the enumeration reference quick
+                got = log_weighted_word_sums(system, pert, ns, k)
+                assert got == [log_weighted_word_sum(system, pert, n, n + k) for n in ns]
+                assert got == pytest.approx(
+                    [enumerate_sum(system, pert, n, n + k) for n in ns], rel=1e-12, abs=1e-12)
+                checked += 1
+        assert checked >= 3
 
     # at spread 500 the entries of one transfer matrix lie up to e^2000 apart,
     # far beyond the range of a float
@@ -215,8 +256,9 @@ class TestWordSums:
         with pytest.raises(NotLocallyConstantError):
             log_weighted_word_sum(FS, pot, 5, 3)
 
-    def test_boundary_terms_need_longer_words(self):
-        # the coboundary's end term reaches past position n, so length n is short
+    def test_coboundary_window_needs_longer_words(self):
+        # the coboundary's step window reaches one symbol past psi's, so the
+        # last one ends past position n and length n is short
         pert = coboundary_perturb(symbol_weights(FS, [0.0, 1.0]),
                                   symbol_weights(FS, [2.0, 0.5]))
         assert required_length(pert, 1) > 1
@@ -259,8 +301,8 @@ def table_cases():
         ns = [5, 1, 3, 3, 9, 2, 17, 1]
         for reach in (1, 2, 3):
             yield system, table(reach), ns
-        # boundary terms; with reaches 3 and 1 the end term fires inside the
-        # start vector at n = 1, and with 1 and 3 the step window starts late
+        # coboundaries: one step window each, of reach max(r_phi, r_psi + 1),
+        # here 2, 3 and 4, so its states hold 1, 2 and 3 symbols
         for reaches in ((2, 1), (3, 1), (1, 3)):
             yield system, coboundary_perturb(*map(table, reaches)), ns
         yield system, add(table(1), ConstantDrift(rng.uniform(-1.0, 1.0), system)), ns
@@ -271,9 +313,15 @@ def table_cases():
 
 
 TABLE_CASES = list(table_cases())
-# sha256 over float.hex of every valid table value, as the per-n
-# repeated-squaring kernel computed them before the table form existed
-TABLE_SHA256 = "69d72e3fb7aa92885fdc99224f4a570b9109db441dc75fe2f8a87085de1d7062"
+# sha256 over float.hex of every valid table value, one digest without the
+# coboundary cases and one over them alone.  The first holds the floats of
+# the per-n repeated-squaring kernel from before the table form existed; the
+# second was recorded when a coboundary became one step window of reach
+# max(r_phi, r_psi + 1), which moved its sums in the last digits only
+TABLE_SHA256 = {
+    False: "9725f7695c8a2a00c659da627567af366d5bcd6ade0d2d40a302f65cee78a920",
+    True: "eb413f75f545c1dbaa481442f8350a1523756f3510901b25492e3b447a854cf2",
+}
 
 
 class TestTableForm:
@@ -289,16 +337,19 @@ class TestTableForm:
         else:
             assert log_weighted_word_sums(system, pot, ns, k) == expected
 
-    def test_table_values_are_the_recorded_kernel_floats(self):
+    @pytest.mark.parametrize("coboundary", [False, True], ids=["plain", "coboundary"])
+    def test_table_values_are_the_recorded_kernel_floats(self, coboundary):
         digest = hashlib.sha256()
         for system, pot, ns in TABLE_CASES:
+            if isinstance(pot, CoboundaryPotential) != coboundary:
+                continue
             for k in range(4):
                 try:
                     values = log_weighted_word_sums(system, pot, ns, k)
                 except NotLocallyConstantError:
                     continue
                 digest.update(",".join(v.hex() for v in values).encode() + b";")
-        assert digest.hexdigest() == TABLE_SHA256
+        assert digest.hexdigest() == TABLE_SHA256[coboundary]
 
     @pytest.fixture
     def no_sums(self, monkeypatch):
