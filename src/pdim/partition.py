@@ -17,8 +17,9 @@ shifts and real maps alike, through each system's array form
 ``System.bowen_metric`` stays as its reference, equal bit for bit, and as
 the only path for points with no array form.  Kept pairs past
 ``systems.ARRAY_BUDGET_BYTES`` (16 bytes each) raise BudgetExceededError,
-which the CLI turns into exit code 3.  Greedy separated is O(m + E); greedy
-spanning is O(m) per pick plus O(m + E) in total for its gain updates.
+which the CLI turns into exit code 3.  Greedy separated is O(m + E) in
+total; greedy spanning takes one argmax over m packed keys per pick, plus
+O(m + E) in total for its key updates.
 """
 
 from __future__ import annotations
@@ -213,14 +214,15 @@ def _masks(inst: SeparationInstance, strict: bool) -> list[int]:
 
 
 def _greedy_separated_indices(inst: SeparationInstance) -> list[int]:
-    idx = sorted(range(inst.size), key=lambda i: (-inst.weights[i], i))
     indptr, nbrs = _neighbours(inst, strict=False)
-    blocked = np.zeros(inst.size, dtype=bool)
+    bounds = indptr.tolist()
+    blocked = [False] * inst.size
     kept: list[int] = []
-    for i in idx:
+    for i in np.argsort(-inst.weights, kind="stable").tolist():
         if not blocked[i]:
             kept.append(i)
-            blocked[nbrs[indptr[i]:indptr[i + 1]]] = True
+            for j in nbrs[bounds[i]:bounds[i + 1]].tolist():
+                blocked[j] = True
     return kept
 
 
@@ -240,23 +242,26 @@ def separated_lower_bound(inst: SeparationInstance, note: str = "") -> GrowthSam
 
 
 def _greedy_spanning_indices(inst: SeparationInstance) -> list[int]:
-    # gain[i] counts the uncovered points within eps of i, itself included;
-    # each newly covered point lowers the gain of itself and its neighbours
+    # key[i] = gain[i] * m + (m - 1 - rank[i]): gain[i] counts the uncovered
+    # points within eps of i, itself included, and rank[i] is the place of i
+    # in the stable weight order, so the top key has the most gain, then the
+    # lower weight, then the lower index.  Each newly covered point lowers by
+    # m the key of itself and of each of its neighbours.
+    m = inst.size
     indptr, nbrs = _neighbours(inst, strict=True)
-    gain = np.diff(indptr) + 1
-    uncovered = np.ones(inst.size, dtype=bool)
+    bounds = indptr.tolist()
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(inst.weights, kind="stable")] = np.arange(m)
+    key = (np.diff(indptr) + 1) * m + (m - 1 - rank)
+    uncovered = np.ones(m, dtype=bool)
     chosen: list[int] = []
-    while (top := gain.max()) > 0:
-        ties = np.flatnonzero(gain == top)
-        best = int(ties[np.argmin(inst.weights[ties])])
+    while key[best := int(key.argmax())] >= m:  # below m every gain is 0
         chosen.append(best)
-        ball = np.append(nbrs[indptr[best]:indptr[best + 1]], best)
+        ball = np.append(nbrs[bounds[best]:bounds[best + 1]], best)
         newly = ball[uncovered[ball]]
         uncovered[newly] = False
-        # the neighbour lists of the newly covered points, in one gather
-        lens = indptr[newly + 1] - indptr[newly]
-        at = np.arange(lens.sum()) + np.repeat(indptr[newly] - np.cumsum(lens) + lens, lens)
-        gain -= np.bincount(np.concatenate([nbrs[at], newly]), minlength=inst.size)
+        lowered = [nbrs[bounds[v]:bounds[v + 1]] for v in newly.tolist()]
+        np.subtract.at(key, np.concatenate(lowered + [newly]), m)
     return chosen
 
 

@@ -70,6 +70,12 @@ CONFIGS = {
         "potential": {"kind": "birkhoff", "fn": "x"},
         "n_range": [1, 2, 3, 4, 5], "scales": {"eps": [0.1]},
     },
+    # greedy bounds at the metric bench scale: m = 2^(n+3) words, 1024 at n = 7
+    "words-eps": {
+        "system": WORDS,
+        "potential": {"kind": "symbol_weights", "table": [0.3, -0.5]},
+        "n_range": [2, 3, 4, 5, 6, 7], "scales": {"eps": [0.25]},
+    },
 }
 
 CSV_SHA256 = {
@@ -81,6 +87,16 @@ CSV_SHA256 = {
     "scale": "c44af5f4b029b709b0c6e8eb9b1ae36290e08476a3425d1ae177fc7084e26579",
     "rotation": "2c6846adf5b575a4ec50a370746e3b112dad94e1165c3262a94a224c92245bfa",
     "doubling": "052d5ca9d8dbc89b9e72f4a64f42fba897d36ff8ca4d43a0e601ea7184f67494",
+    "words-eps": "bd60de744f6d174ddc0b70aac1d0be4a77c52b543c1ee897078f3e70d3dc23d3",
+}
+
+# sha256 of ``pdim oracle --max-points 20 --trials 200 --seed s`` stdout: the
+# greedy and exact values of 200 random instances enter its gap figures
+ORACLE_SHA256 = {
+    0: "9162dc427ff22aa9d41edee0583132868858b9cbb15e0b010056a3713c8f8d35",
+    1: "fc57c464a9dd5dda8314a2ced230596542797a110191477ddb535e8b6603c29f",
+    2: "ed80356ca0250f978356b8d80c9315e718c69f17652071ac86c7ae2a19e9b26a",
+    3: "2a05b1af7b368e273003c1a2ae2cb90e8f00b2aef27db0c42f0583814f613dbc",
 }
 
 VERIFY_SEED_0 = [
@@ -134,6 +150,14 @@ def test_estimate_csv_bytes(tmp_path, name, capsys):
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_SHA256))
+def test_oracle_stdout_bytes(seed, capsys):
+    args = ["oracle", "--max-points", "20", "--trials", "200", "--seed", str(seed)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[seed]
 
 
 def verify_lines(tmp_path, seed):

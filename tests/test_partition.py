@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -541,22 +542,47 @@ def random_greedy_instance(seed, m):
         eps = float(rng.uniform(0.02, 0.3))
     else:
         system = FullShift(2)
-        words = [system.representative(w) for w in system.admissible_words(8)]
+        length = max(8, (m - 1).bit_length())  # 2^8 words unless m needs more
+        words = [system.representative(w) for w in system.admissible_words(length)]
         pts = [words[i] for i in sorted(rng.choice(len(words), size=m, replace=False))]
         eps = deflated_scale(int(rng.integers(0, 3)))
     weights = rng.integers(0, 3, size=m).astype(float)
     return SeparationInstance(system, int(rng.integers(1, 4)), eps, pts, weights)
 
 
+def dense_greedy_instance(system, m, eps):
+    """m random points at n = 1, where a ball of radius eps >= 0.3 holds most of them."""
+    rng = np.random.default_rng([m, round(eps * 100)])
+    pts = [real(float(v)) for v in rng.random(m)]
+    weights = rng.integers(0, 3, size=m).astype(float)
+    return SeparationInstance(system, 1, eps, pts, weights)
+
+
 class TestGreedyMatchesScan:
-    @pytest.mark.parametrize("m", [1, 2, 40, 64, 65, 150])
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """Fail, rather than hang, if a greedy loop never ends: 30 s per case."""
+        if not hasattr(signal, "SIGALRM"):
+            yield
+            return
+
+        def expire(signum, frame):
+            raise TimeoutError("greedy picks did not finish in 30 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("m", [1, 2, 40, 64, 65, 150, 400])
     @pytest.mark.parametrize("seed", range(16))
     def test_spanning_picks(self, seed, m):
         inst = random_greedy_instance(seed, m)
         assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
 
     @pytest.mark.parametrize("order", ["weight", "index"])
-    @pytest.mark.parametrize("m", [1, 2, 40, 64, 65, 150])
+    @pytest.mark.parametrize("m", [1, 2, 40, 64, 65, 150, 400])
     @pytest.mark.parametrize("seed", range(16))
     def test_separated_picks(self, seed, m, order):
         inst = random_greedy_instance(seed, m)
@@ -564,6 +590,44 @@ class TestGreedyMatchesScan:
             # with zero weights the weight order is the index order
             inst.weights = np.zeros(m)
         assert _greedy_separated_indices(inst) == reference_greedy_separated(inst, order)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.4, 0.49])
+    @pytest.mark.parametrize("system", [Rotation(0.3), DoublingMap()], ids=["rotation", "doubling"])
+    @pytest.mark.parametrize("m", [65, 400])
+    def test_dense_relation_picks(self, m, system, eps):
+        inst = dense_greedy_instance(system, m, eps)
+        assert len(_edges(inst, strict=True)[0]) > m * (m - 1) / 4  # most pairs are near
+        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+        assert _greedy_separated_indices(inst) == reference_greedy_separated(inst, "weight")
+
+    @pytest.mark.parametrize("m", [40, 150, 400])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_weights_spanning_ties_by_index(self, seed, m):
+        inst = random_greedy_instance(seed, m)
+        inst.weights = np.full(m, 1.5)
+        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+
+    @pytest.mark.parametrize("m", [40, 150, 400])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zero_weights_tie_by_index(self, seed, m):
+        # -0.0 == 0.0, so neither sign may outrank the other
+        inst = random_greedy_instance(seed, m)
+        inst.weights = np.random.default_rng([seed, m]).choice([-0.0, 0.0], size=m)
+        assert np.signbit(inst.weights).any() and not np.signbit(inst.weights).all()
+        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+        assert _greedy_separated_indices(inst) == reference_greedy_separated(inst, "index")
+
+    @pytest.mark.parametrize("m", [1, 40, 400])
+    def test_empty_relation_picks_every_point(self, m):
+        # grid points 1/m apart at eps below that: every gain is 1, so the
+        # picks are all points by weight, then index
+        weights = np.random.default_rng(m).integers(0, 3, size=m).astype(float)
+        pts = [real(i / m) for i in range(m)]
+        inst = SeparationInstance(Rotation(0.3), 1, 0.5 / m, pts, weights)
+        assert not len(_edges(inst, strict=False)[0])
+        picks = _greedy_spanning_indices(inst)
+        assert picks == reference_greedy_spanning(inst)
+        assert picks == sorted(range(m), key=lambda i: (weights[i], i))
 
     def test_ties_go_to_lower_weight_then_lower_index(self):
         # three mutually close points: each covers all, so weight then index decides
