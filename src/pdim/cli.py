@@ -14,9 +14,10 @@ All output is deterministic for a fixed config and seed.  CSV columns are
 floats are written with ``repr`` so values round-trip exactly.
 
 Exit codes: 0 success, 1 verification or sandwich failure, 2 usage or
-config error (an unwritable --out among them), 3 candidate, enumeration,
-transfer-state, distance-matrix, Bowen-relation, orbit-array or grid budget
-exceeded.
+config error (an unwritable --out among them, and in ``estimate`` and
+``sweep`` a weight or log value that leaves float range), 3 candidate,
+enumeration, transfer-state, distance-matrix, Bowen-relation, orbit-array or
+grid budget exceeded.
 """
 
 from __future__ import annotations
@@ -174,10 +175,25 @@ def _finite(v) -> float:
     return x
 
 
+def _spec_kind(spec: dict, what: str, keys: dict, extra: frozenset = frozenset()) -> str:
+    """The spec's kind; refuses an unknown kind and a key that the kind does not read."""
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    if unread := set(spec) - keys[kind] - extra - {"kind"}:
+        raise ConfigError(f"{what} kind {kind!r} does not read {sorted(unread)}")
+    return kind
+
+
+# the keys each system kind reads, besides "kind"
+_SYSTEM_KEYS = {"full_shift": {"k"}, "sft": {"matrix"}, "doubling": set(),
+                "rotation": {"theta"}, "contraction": {"c", "fixed"}}
+
+
 def build_system(spec: dict) -> System:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("system must be an object with a 'kind'")
-    kind = spec["kind"]
+    kind = _spec_kind(spec, "system", _SYSTEM_KEYS)
     try:
         if kind == "full_shift":
             return FullShift(_integer(spec.get("k", 2)))
@@ -191,7 +207,6 @@ def build_system(spec: dict) -> System:
             return Contraction(_finite(spec.get("c", 0.5)), _finite(spec.get("fixed", 0.0)))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad system spec: {e}")
-    raise ConfigError(f"unknown system kind {kind!r}")
 
 
 # deepest sum and scale nesting of a potential spec, well inside the recursion limit
@@ -219,12 +234,21 @@ _BIRKHOFF_FNS = {
 }
 
 
+# the keys each potential kind reads, besides "kind"; "lo" and "hi" only
+# with "fn": "indicator"
+_POTENTIAL_KEYS = {"zero": set(), "constant_drift": {"a"}, "symbol_weights": {"table"},
+                   "birkhoff": {"fn"}, "matrix_cocycle": {"mats"}, "sum": {"terms"},
+                   "scale": {"lam", "inner"}}
+
+
 def build_potential(spec: dict | None, system: System):
     if spec is None:
         return zero_potential(system)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("potential must be an object with a 'kind'")
-    kind = spec["kind"]
+    indicator = spec["kind"] == "birkhoff" and spec.get("fn") == "indicator"
+    kind = _spec_kind(spec, "potential", _POTENTIAL_KEYS,
+                      frozenset({"lo", "hi"} if indicator else ()))
     try:
         if kind == "zero":
             return zero_potential(system)
@@ -263,7 +287,6 @@ def build_potential(spec: dict | None, system: System):
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise ConfigError(f"bad potential spec: {e}")
-    raise ConfigError(f"unknown potential kind {kind!r}")
 
 
 def _parse_n_range(spec) -> list[int]:
@@ -547,10 +570,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a config's numbers can push a weight or log value past float range
+    checked = {"over": "raise", "invalid": "raise"} if args.command in ("estimate", "sweep") else {}
     try:
-        return args.func(args)
+        with np.errstate(**checked):
+            return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, OverflowError) as e:
+        print(f"error: a weight or log value leaves float range ({e})", file=sys.stderr)
         return 2
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

@@ -202,16 +202,17 @@ def pressure_curve(
         prepared.append((t, wn, wv, power_slope(wn, wv)))
     values = []
     trends = []
-    for s in s_grid:
-        best = None
-        best_trend: float | None = None
-        for _t, wn, wv, slope in prepared:
-            v = _window_stat(wn, wv, s)
-            if best is None or v > best:
-                best = v
-                best_trend = None if slope is None else slope[0] - s
-        values.append(best)
-        trends.append(best_trend)
+    with np.errstate(over="ignore"):  # n^s past float range: the ratio is 0
+        for s in s_grid:
+            best = None
+            best_trend: float | None = None
+            for _t, wn, wv, slope in prepared:
+                v = _window_stat(wn, wv, s)
+                if best is None or v > best:
+                    best = v
+                    best_trend = None if slope is None else slope[0] - s
+            values.append(best)
+            trends.append(best_trend)
     est = None
     ests = {s.estimator for t in tables for s in t.samples}
     if len(ests) == 1:

@@ -12,8 +12,9 @@ the exact symbolic backend can sum without enumerating points.
 the float64 array of ``phi_n`` over a whole candidate list in one pass, and
 ``eval(n, x)`` is its one-point case.  A ``Birkhoff`` ``phi`` is a function
 of arrays that returns one float per row: on a real system it reads the (m,)
-coordinate array, on a shift the (m, reach) int array of each word's first
-``reach`` symbols, padded with the word's own tail.  Orbit sums add in time
+coordinate array, on a shift the (m, reach) int64 array of each word's first
+``reach`` symbols, padded with the word's own tail: the contract of a
+``ScalarWindow`` step, so that phi is its own step.  Orbit sums add in time
 order from zeros, the same adds as a per-point loop, so every weight is bit
 for bit the scalar value.
 """
@@ -30,7 +31,6 @@ from .systems import (
     FactorMap,
     Point,
     PowerSystem,
-    RealPoint,
     ShiftSystem,
     System,
     Word,
@@ -42,10 +42,11 @@ from .systems import (
 
 @dataclass(frozen=True)
 class ScalarWindow:
-    """phi_n(x) = sum over i < n of step(x_i .. x_{i+reach-1})."""
+    """phi_n(x) = sum over i < n of step(x_i .. x_{i+reach-1}), where ``step``
+    maps an (m, reach) int64 array of windows, one per row, to m floats."""
 
     reach: int
-    step: Callable[[tuple[int, ...]], float]
+    step: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class ConstantDrift(Potential):
 
     def shift_profile(self) -> Profile | None:
         a = self.A
-        return ScalarWindow(reach=1, step=lambda w: a)
+        return ScalarWindow(reach=1, step=lambda w: np.full(len(w), a))
 
 
 def zero_potential(system: System | None = None) -> ConstantDrift:
@@ -153,13 +154,7 @@ class Birkhoff(Potential):
     def shift_profile(self) -> Profile | None:
         if self.reach is None or not isinstance(self.system, ShiftSystem):
             return None
-        phi = self.phi
-        r = self.reach
-
-        def step(window: tuple[int, ...]) -> float:
-            return float(phi(np.array([window[:r]], dtype=np.int64))[0])
-
-        return ScalarWindow(reach=r, step=step)
+        return ScalarWindow(self.reach, self.phi)
 
 
 def symbol_weights(system: ShiftSystem, table: Sequence[float], name: str = "table") -> Birkhoff:
@@ -255,11 +250,12 @@ class SumPotential(Potential):
             return None
         if isinstance(a, ScalarWindow) and isinstance(b, ScalarWindow):
             return ScalarWindow(max(a.reach, b.reach),
-                                lambda w: a.step(w[: a.reach]) + b.step(w[: b.reach]))
+                                lambda w: a.step(w[:, :a.reach]) + b.step(w[:, :b.reach]))
         # matrix + reach-1 scalar: fold the scalar weight into the matrices
         mat, win = (b, a) if isinstance(a, ScalarWindow) else (a, b)
         if mat.power == 1.0 and isinstance(win, ScalarWindow) and win.reach == 1:
-            mats = tuple(m * math.exp(win.step((s,))) for s, m in enumerate(mat.mats))
+            symbols = np.arange(len(mat.mats), dtype=np.int64)[:, None]
+            mats = tuple(m * math.exp(v) for v, m in zip(win.step(symbols).tolist(), mat.mats))
             return MatrixWeights(mats=mats, power=1.0)
         return None
 
@@ -416,8 +412,8 @@ class CoboundaryPotential(Potential):
         if not (isinstance(a, ScalarWindow) and isinstance(b, ScalarWindow)):
             return None
         r = b.reach
-        return ScalarWindow(max(a.reach, r + 1),
-                            lambda w: a.step(w[: a.reach]) + b.step(w[1 : r + 1]) - b.step(w[:r]))
+        return ScalarWindow(max(a.reach, r + 1), lambda w: (
+            a.step(w[:, :a.reach]) + b.step(w[:, 1:r + 1]) - b.step(w[:, :r])))
 
 
 def add(phi: Potential, psi: Potential) -> SumPotential:
@@ -491,17 +487,13 @@ class SupNormReport:
 def sup_inf_norm(phi: Potential, system: System | None = None,
                  points: Sequence[Point] | None = None) -> SupNormReport:
     """Range of phi_1 over the sample plus an empirical continuity modulus."""
+    from .partition import bowen_relation  # partition imports this module
     sys_ = system or _require_system(phi)
     if points is None:
         rng = np.random.default_rng(7)
         points = sys_.sample_points(64, rng)
     vals = phi.eval_array(1, points)
-    i, j = np.triu_indices(len(points), 1)
-    if points and isinstance(points[0], RealPoint):
-        x = np.array([p.x for p in points], dtype=float)
-        d = sys_.metric_array(x[i], x[j])
-    else:
-        d = np.array([sys_.metric(points[a], points[b]) for a, b in zip(i, j)], dtype=float)
+    i, j, d = bowen_relation(sys_, 1, points, math.inf)
     gap = np.abs(vals[i] - vals[j])
     order = np.lexsort((gap, d))
     table = list(zip(d[order].tolist(), gap[order].tolist()))

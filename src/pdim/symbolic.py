@@ -146,10 +146,11 @@ def _window_chain(system: ShiftSystem, prof: ScalarWindow, k: int):
     every n shares one start vector, the weight of the first p positions (a
     window completes there only when reach = 1), and two stationary
     matrices: "on" adds the step of the window that ends at a position, and
-    "free" adds nothing.  The chain for n is start, on^(n + reach - 1 - p),
-    free^(k - reach + 1).  A valid length n + k is at least n - 1 + reach,
-    so it equals p only at n = 1, k = 0 with reach 1; such words give
-    (start, None).
+    "free" adds nothing.  "on" takes one step call over the (m, reach) int64
+    array of all windows, and the start vector at most one more.  The chain
+    for n is start, on^(n + reach - 1 - p), free^(k - reach + 1).  A valid
+    length n + k is at least n - 1 + reach, so it equals p only at n = 1,
+    k = 0 with reach 1; such words give (start, None).
     """
     p = max(prof.reach - 1, 1)
     _check_states(word_total(system, p, cap=TRANSFER_STATE_CAP), system)
@@ -162,8 +163,9 @@ def _window_chain(system: ShiftSystem, prof: ScalarWindow, k: int):
     free = np.full((len(states), len(states)), -np.inf)
     free[rows, cols] = 0.0
     on = free.copy()
-    on[rows, cols] += [prof.step(w[-prof.reach:]) for w in windows]
-    start = np.array([0.0 + prof.step(w) if prof.reach == 1 else 0.0 for w in states])
+    on[rows, cols] += prof.step(np.array(windows, dtype=np.int64)[:, -prof.reach:])
+    first = prof.step(np.array(states, dtype=np.int64)) if prof.reach == 1 else 0.0
+    start = np.zeros(len(states)) + first
     on_ladder, free_ladder = [on], [free]
 
     def chain(n: int):

@@ -31,8 +31,9 @@ class BudgetExceededError(RuntimeError):
 # Most symbols a word may have in a shift's array form: its distances are
 # integers below 2^53 times 2^-52, so float64 holds them exactly.
 WORD_BITS = 53
-# Largest float64 array built from a candidate set: orbit_array here, and the
-# Bowen distance matrix and the kept Bowen-relation pairs of pdim.partition.
+# Largest array built from a candidate set: orbit_array here, the Bowen distance
+# matrix (8·m^2 bytes) and the Bowen relation of pdim.partition (16 bytes a kept
+# pair, 16·m(m-1)/2 with every pair kept); both pass it just past m = 16384.
 ARRAY_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -44,7 +45,8 @@ def _check_array_budget(rows: int, cols: int, what: str) -> None:
 
 
 def check_distance_budget(m: int) -> None:
-    """Raise BudgetExceededError when an m x m Bowen distance matrix is over budget: m > 16384."""
+    """Raise BudgetExceededError past m = 16384 points, where an m x m Bowen
+    distance matrix and a Bowen relation keeping all pairs are over budget."""
     _check_array_budget(m, m, f"Bowen distance matrix for {m} points")
 
 
@@ -149,7 +151,8 @@ class System:
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         """Points dense enough for scale eps at time n; raises BudgetExceededError
-        before building a set whose Bowen distance matrix is over budget."""
+        before building a set of over 16384 points, whose Bowen relation at eps
+        = inf (16·m(m-1)/2 bytes) or distance matrix would be over budget."""
         raise NotImplementedError
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[Point]:

@@ -209,8 +209,9 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
         violations.append(logq - span.log_value)
 
         eps = float(rng.uniform(0.15, 0.45))
-        bf_q = exact_spanning_value(make_instance(system, n, eps, pts, pot))
-        bf_p = exact_separated_value(make_instance(system, n, eps, pts, pot))
+        inst = make_instance(system, n, eps, pts, pot)
+        bf_q = exact_spanning_value(inst)
+        bf_p = exact_separated_value(inst)
         violations.append(bf_q.log_value - bf_p.log_value)
 
         G_fine = math.ceil(1.5 / eps)
@@ -241,12 +242,13 @@ def check_prop22(seed: int = 0, fault: float = 0.0) -> CheckReport:
         delta = report.modulus(eps / 2.0)
         for n in range(1, n_max + 1):
             p_val = exact_separated_value(make_instance(system, n, eps, pts, pot)).log_value
-            q_val = exact_spanning_value(make_instance(system, n, eps / 2.0, pts, pot)).log_value
+            half = make_instance(system, n, eps / 2.0, pts, pot)
+            q_val = exact_spanning_value(half).log_value
             bound = 2.0 * n * pot.C + n * delta
             violations.append(p_val - bound - q_val)
         # matched-scale band between the two window statistics for s > 1,
         # from the n = n_max values the loop ends on
-        p_half = exact_separated_value(make_instance(system, n, eps / 2.0, pts, pot)).log_value
+        p_half = exact_separated_value(half).log_value
         for s in (1.5, 2.0):
             v3 = p_val / n**s
             v2 = q_val / n**s
@@ -411,12 +413,10 @@ def check_thm34(seed: int = 0, fault: float = 0.0) -> CheckReport:
         pot_k = time_power(pot, power)
         n = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.1, 0.45))
-        left_p = exact_separated_value(make_instance(sys_k, n, eps, pts, pot_k)).log_value
-        right_p = exact_separated_value(make_instance(system, n * power, eps, pts, pot)).log_value
-        violations.append(left_p - right_p)
-        left_q = exact_spanning_value(make_instance(sys_k, n, eps, pts, pot_k)).log_value
-        right_q = exact_spanning_value(make_instance(system, n * power, eps, pts, pot)).log_value
-        violations.append(left_q - right_q)
+        left = make_instance(sys_k, n, eps, pts, pot_k)
+        right = make_instance(system, n * power, eps, pts, pot)
+        for oracle in (exact_separated_value, exact_spanning_value):
+            violations.append(oracle(left).log_value - oracle(right).log_value)
         xs = [p.x for p in pts]
         weights = pot.eval_array(n * power, pts)
         G = int(rng.integers(4, 9))

@@ -179,6 +179,38 @@ class TestConfigErrors:
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("system, potential", [
+        ({"kind": "full_shift", "k": 3, "kk": 2}, {"kind": "zero"}),
+        ({"kind": "sft", "matrix": [[1, 1], [1, 0]], "matrx": [[1]]}, {"kind": "zero"}),
+        ({"kind": "doubling", "theta": 0.3}, {"kind": "zero"}),
+        ({"kind": "rotation", "thetta": 0.3}, {"kind": "zero"}),
+        ({"kind": "contraction", "c": 0.5, "fixd": 0.2}, {"kind": "zero"}),
+        ({"kind": "full_shift", "k": 2}, {"kind": "zero", "a": 0.5}),
+        ({"kind": "full_shift", "k": 2}, {"kind": "constant_drift", "a": 0.5, "A": 1.0}),
+        ({"kind": "full_shift", "k": 2},
+         {"kind": "symbol_weights", "table": [0.1, 0.2], "tabel": [0.3, 0.4]}),
+        ({"kind": "doubling"}, {"kind": "birkhoff", "fn": "x", "lo": 0.2}),
+        ({"kind": "doubling"}, {"kind": "birkhoff", "lo": 0.2, "hi": 0.5}),
+        ({"kind": "doubling"},
+         {"kind": "birkhoff", "fn": "indicator", "lo": 0.1, "hi": 0.5, "high": 0.6}),
+        ({"kind": "full_shift", "k": 2},
+         {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]], "mat": [[[3.0]]]}),
+        ({"kind": "full_shift", "k": 2},
+         {"kind": "sum", "terms": [{"kind": "zero"}], "term": [{"kind": "zero"}]}),
+        ({"kind": "full_shift", "k": 2},
+         {"kind": "scale", "lam": 2.0, "inner": {"kind": "zero"}, "lamda": 1.0}),
+        ({"kind": "full_shift", "k": 2},
+         {"kind": "scale", "lam": 2.0, "inner": {"kind": "constant_drift", "a": 0.1, "b": 1}}),
+    ], ids=repr)
+    def test_keys_a_kind_does_not_read_are_config_errors(self, tmp_path, capsys,
+                                                         system, potential):
+        # each spec ran with the misspelled key dropped and exit 0
+        cfg = write_config(tmp_path, system=system, potential=potential,
+                           n_range=[2, 3, 4, 5], scales={"eps": [0.2]})
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not read" in err and err.count("\n") == 1
+
     def test_k_scales_rejected_for_metric_system(self, tmp_path):
         cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
                            potential={"kind": "zero"})
@@ -324,6 +356,29 @@ class TestConfigErrors:
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["estimate"], ["sweep", "--s-min", "0.5", "--s-max", "2", "--steps", "3"]], ids=repr)
+    @pytest.mark.parametrize("overrides", [
+        {"potential": {"kind": "constant_drift", "a": 1e308}, "scales": {"k": [1]}},
+        {"potential": {"kind": "symbol_weights", "table": [0.1, -1e308]}},
+        {"system": {"kind": "rotation", "theta": 0.3}, "scales": {"eps": [0.2]},
+         "potential": {"kind": "scale", "lam": -1e308,
+                       "inner": {"kind": "birkhoff", "fn": "cos2pi"}}},
+        # a drift folded into a cocycle's matrices as e^800: once a traceback
+        {"potential": {"kind": "sum", "terms": [
+            {"kind": "constant_drift", "a": 800},
+            {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}]}},
+    ], ids=["drift", "table", "scaled-cos", "folded-drift"])
+    def test_weights_past_float_range_are_config_errors(self, tmp_path, capsys,
+                                                        command, overrides):
+        # these once exited 0 with numpy warnings and inf or nan in the CSV
+        cfg = write_config(tmp_path, **overrides)
+        argv = command + ["--config", cfg, "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a weight or log value leaves float range")
+        assert err.count("\n") == 1
 
     def test_float_fields_read_ints_as_floats(self, tmp_path):
         ints, floats = tmp_path / "ints.csv", tmp_path / "floats.csv"

@@ -1,12 +1,14 @@
 """Mutated golden and benchmark configs: ``pdim estimate`` exits 0, 2 or 3 on
-every one, with at most one stderr line, and with none when it succeeds.
+every one, with at most one stderr line, and with none, and no ``inf`` or
+``nan`` in the CSV, when it succeeds.
 
 The configs are the golden ones and the seed-1 configs of the benchmark's
 ``shift-exact`` and ``metric-greedy`` workloads (read from
 ``bench/workloads.py``, each ``n_range`` cut to its first two entries so the
 file runs in seconds).  Each is mutated at every position it has: a dropped
 key, a value of the wrong type, ``"x"``, ``"nan"``, ``"inf"``, ``"0.5"``,
-+-1e400, 10^30, a negative value, 2.5, ``true``, and a repeated list entry.
++-1e400, +-1e308, 10^30, a negative value, 2.5, ``true``, and a repeated
+list entry.
 2.5, ``true`` and ``"0.5"`` in an integer field, and ``true`` and ``"0.5"``
 in a float field, must exit 2.  Each potential is also wrapped in chains of
 ``scale`` and of two-term ``sum`` objects, 1, 50, 985 and 5000 deep, which
@@ -32,7 +34,7 @@ from pdim.cli import MAX_POTENTIAL_DEPTH
 CHILD_ADDRESS_LIMIT = 3 * 1024**3
 
 CHILD = r"""
-import contextlib, io, json, os, resource, sys, tempfile, warnings
+import contextlib, csv, io, json, os, resource, sys, tempfile, warnings
 
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 limit = int(sys.argv[1])
@@ -53,7 +55,11 @@ with tempfile.TemporaryDirectory() as tmp:
                 code = main(["estimate", "--config", cfg, "--out", out])
         except Exception as e:  # what the command line shows as a traceback
             code = f"{type(e).__name__}: {e}"[:200]
-        results.append([code, err.getvalue()])
+        nonfinite = False
+        if code == 0:
+            with open(out, newline="") as f:
+                nonfinite = any(v in ("inf", "-inf", "nan") for row in csv.reader(f) for v in row)
+        results.append([code, err.getvalue(), nonfinite])
 json.dump(results, sys.stdout)
 """
 
@@ -102,7 +108,8 @@ def _replacements(value, rng: random.Random) -> dict:
     other_types = [v for v in WRONG_TYPES if type(v) is not type(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return {"type": rng.choice(other_types), "x": "x", "nan": "nan", "inf": "inf", "0.5": "0.5",
-            "+1e400": float("inf"), "-1e400": float("-inf"), "1e30": 10**30,
+            "+1e400": float("inf"), "-1e400": float("-inf"), "+1e308": 1e308, "-1e308": -1e308,
+            "1e30": 10**30,
             "negative": -value if number else -1, "2.5": 2.5, "true": True}
 
 
@@ -172,8 +179,9 @@ def test_every_mutation_exits_cleanly():
     results = json.loads(child.stdout)
     assert len(results) == len(cases) > 1000
     bad = []
-    for (label, text, expect), (code, err) in zip(cases, results):
+    for (label, text, expect), (code, err, nonfinite) in zip(cases, results):
         if (code not in (0, 2, 3) or err.count("\n") > 1 or (code == 0 and err)
-                or expect not in (None, code)):
-            bad.append(f"{label}: exit {code!r}, stderr {err[:200]!r}, config {text[:500]}")
+                or expect not in (None, code) or nonfinite):
+            bad.append(f"{label}: exit {code!r}, stderr {err[:200]!r}, "
+                       f"non-finite CSV {nonfinite}, config {text[:500]}")
     assert not bad, f"{len(bad)} of {len(cases)} mutations:\n" + "\n".join(bad[:20])

@@ -390,6 +390,28 @@ def test_shift_birkhoff_needs_reach():
         Birkhoff(phi=lambda w: w[:, 0] * 1.0, system=PowerSystem(golden_mean_sft(), 2))
 
 
+def profile_cases(system, rng):
+    """Every window profile kind on ``system``: Birkhoff tables of reach 1-3, a
+    drift, sums of unequal reaches, a scale, a coboundary and a coboundary of
+    a coboundary."""
+    t1, t2, t3 = (window_table(system, reach, rng) for reach in (1, 2, 3))
+    drift = ConstantDrift(float(rng.normal()), system)
+    return [t1, t2, t3, drift, add(t1, t3), add(t3, drift), scale(-0.7, t2),
+            coboundary_perturb(t1, t2), coboundary_perturb(coboundary_perturb(t2, t1), t2)]
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_SYSTEMS))
+def test_window_step_reads_every_window_at_once(name):
+    system = SHIFT_SYSTEMS[name]
+    for pot in profile_cases(system, np.random.default_rng(3)):
+        prof = pot.shift_profile()
+        words = list(system.admissible_words(prof.reach))
+        got = prof.step(np.array(words, dtype=np.int64))
+        assert got.shape == (len(words),), pot.label
+        expect = pot.eval_array(1, [system.representative(w) for w in words])
+        assert got.tolist() == expect.tolist(), pot.label
+
+
 def reference_sup_inf_norm(phi, system, points):
     """The pair loop that sup_inf_norm replaced."""
     vals = [phi.eval(1, p) for p in points]

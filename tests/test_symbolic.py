@@ -119,6 +119,10 @@ def scenarios():
                              np.array([[2.0, 0.1], [0.1, 0.3]])], FS)
     yield FS, add(symbol_weights(FS, [0.4, 0.0]), ConstantDrift(-0.2, FS))
     yield FS, scale(1.5, symbol_weights(FS, [0.1, 0.6]))
+    # a reach-1 window folded into a cocycle's matrices, one factor per symbol
+    cocycle = [np.array([[1.0, 0.4], [0.7, 1.2]]), np.array([[0.3, 2.0], [1.1, 0.5]])]
+    yield FS, add(symbol_weights(FS, [0.4, -0.3]), MatrixCocycle(cocycle, FS))
+    yield GM, add(MatrixCocycle(cocycle, GM), symbol_weights(GM, [-0.2, 0.9]))
 
 
 class TestWordSums:
@@ -250,6 +254,21 @@ class TestWordSums:
             log_weighted_word_sum(FS, lam, 3, 23)
         assert isinstance(err.value, BudgetExceededError)
         assert not isinstance(err.value, NotLocallyConstantError)
+
+    @pytest.mark.parametrize("reach", (1, 2, 3))
+    def test_a_table_makes_at_most_two_step_calls(self, reach):
+        # the "on" matrix takes one call over every window; a reach-1 start
+        # vector takes one more
+        for system in (FS, FullShift(3), GM):
+            table = random_table(random.Random(reach), system, reach, 1.0)
+            calls = []
+            pot = Birkhoff(phi=lambda w: calls.append(w.shape) or table.phi(w),
+                           system=system, reach=reach)
+            for k in range(reach - 1, reach + 2):
+                calls.clear()
+                log_weighted_word_sums(system, pot, [1, 2, 9, 17], k)
+                assert len(calls) == (2 if reach == 1 else 1), (system.label, k)
+                assert all(shape[1] == reach for shape in calls)
 
     def test_short_length_rejected(self):
         pot = symbol_weights(FS, [0.0, 1.0])
