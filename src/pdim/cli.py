@@ -81,6 +81,8 @@ class ConfigError(Exception):
 
 # 8-byte words per grid list entry: a pointer and a 32-byte int or float
 _LIST_ENTRY_WORDS = 5
+# Largest n: growth tables read n as a float, which holds every integer up to 2^53
+_MAX_N = 2**53
 
 
 def _fmt(v) -> str:
@@ -306,6 +308,8 @@ def _parse_n_range(spec) -> list[int]:
         raise ConfigError(f"bad n_range: {e}")
     if not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ConfigError("n_range must be strictly increasing positive integers")
+    if ns[-1] > _MAX_N:
+        raise ConfigError(f"n_range entries must be at most 2^53, got {ns[-1]}")
     return ns
 
 

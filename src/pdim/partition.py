@@ -9,13 +9,17 @@ Cost for m candidates at time n: every greedy and exact reader takes only
 the Bowen relation, the pairs with d_n <= eps (``bowen_relation``).  Its
 first time chunk visits all m (m + 1) / 2 pairs of the upper triangle, in
 cache-sized row blocks, so a small orbit is one metric call; later chunks
-step only the E pairs still within eps.  Memory is O(m + E) plus the
-blocks.  On the doubling map about 0.2 m points lie within eps of each point
-at t = 0, so the first chunk stays O(m^2) in time there.  One kernel serves
-shifts and real maps alike, through each system's array form
-(``System.coordinates``, ``apply_array``, ``metric_array``); the scalar
-``System.bowen_metric`` stays as its reference, equal bit for bit, and as
-the only path for points with no array form.  Kept pairs past
+step only the pairs still kept.  A chunk that ends after step t keeps the
+pairs within min(eps, ``System.bowen_radius(n - t + 1, eps)``).  On the
+doubling map below eps = 1/4, and on shifts below eps = 1, that radius
+halves with each step still to come, so a first chunk of one time step
+keeps close to the E pairs of the relation, not every pair within eps at
+t = 0 (about 0.2 m per point on the doubling map at eps = 0.1).  The first
+chunk stays O(m^2) in time; memory is O(m + E) plus the blocks.  One
+kernel serves shifts and real maps alike, through each system's array
+form (``System.coordinates``, ``apply_array``, ``metric_array``); the
+scalar ``System.bowen_metric`` stays as its reference, equal bit for bit,
+and as the only path for points with no array form.  Kept pairs past
 ``systems.ARRAY_BUDGET_BYTES`` (16 bytes each) raise BudgetExceededError,
 which the CLI turns into exit code 3.  Greedy separated is O(m + E) in
 total; greedy spanning takes one argmax over m packed keys per pick, plus
@@ -127,11 +131,13 @@ def bowen_relation(system: System, n: int, points: Sequence[Point],
     an array form go through ``system.metric_array`` on their orbit array:
     each row block of the upper triangle takes as many rows, then as many
     time steps, as fit in _BLOCK_ENTRIES, so a small orbit is one call.  Past
-    that first chunk only the pairs still within eps are stepped, gathered
-    from the orbit, and a pair drops out once its running max passes eps;
-    that is exact, as a dropped pair has d_n > eps.  Points with no array
-    form go through the same filter on ``bowen_metric`` values.  Raises
-    BudgetExceededError before keeping pairs past ARRAY_BUDGET_BYTES.
+    that first chunk only the pairs still kept are stepped, gathered from
+    the orbit.  After each chunk, ending after step t, a pair drops out once
+    its running max passes min(eps, system.bowen_radius(n - t + 1, eps)), t
+    capped at n; that is exact, as by the radius's contract a dropped pair
+    has d_n > eps.  Points with no array form go through the filter at eps
+    on ``bowen_metric`` values.  Raises BudgetExceededError before keeping
+    pairs past ARRAY_BUDGET_BYTES.
     """
     if n < 1:
         raise ValueError("bowen_relation needs n >= 1")
@@ -153,7 +159,7 @@ def bowen_relation(system: System, n: int, points: Sequence[Point],
             t = max(1, _BLOCK_ENTRIES // ((hi - lo) * (m - lo)))
             d = system.metric_array(orbit[:t, lo:hi, None], orbit[:t, None, lo:])
             d = d[0] if len(d) == 1 else np.maximum.reduce(d, axis=0)
-            r, c = np.nonzero(d <= eps)
+            r, c = np.nonzero(d <= min(eps, system.bowen_radius(n - min(t, n) + 1, eps)))
             upper = c > r
             r, c = r[upper], c[upper]
             i, j, d = r + lo, c + lo, d[r, c]
@@ -161,7 +167,7 @@ def bowen_relation(system: System, n: int, points: Sequence[Point],
             k = max(1, _BLOCK_ENTRIES // len(i))
             step = system.metric_array(orbit[t:t + k, i], orbit[t:t + k, j])
             d = np.maximum(d, step.max(axis=0))
-            close = d <= eps
+            close = d <= min(eps, system.bowen_radius(n - min(t + k, n) + 1, eps))
             i, j, d, t = i[close], j[close], d[close], t + k
         # a kept pair holds 16 bytes: int32 i and j, float64 d
         _check_array_budget(kept + len(i), 2, f"Bowen relation of {m} points")

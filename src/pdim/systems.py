@@ -149,6 +149,17 @@ class System:
             y = self.apply(y)
         return best
 
+    def bowen_radius(self, k: int, eps: float) -> float:
+        """A bound on d_t(x, y) for every pair with d_n(x, y) <= eps, at each
+        1 <= t <= n, where k = n - t + 1.
+
+        ``partition.bowen_relation`` drops a pair from the relation once its
+        running max at time t passes min(eps, bowen_radius(n - t + 1, eps)),
+        so a radius that is too small drops true pairs.  The default, eps,
+        holds for every system, as d_t <= d_n.
+        """
+        return eps
+
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         """Points dense enough for scale eps at time n; raises BudgetExceededError
         before building a set of over 16384 points, whose Bowen relation at eps
@@ -185,8 +196,15 @@ def orbit_array(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
 
 
 def scale_index(eps: float) -> int:
-    """Number of extra symbol coordinates needed to resolve scale eps."""
-    return max(0, math.ceil(math.log2(1.0 / eps))) + 1
+    """Number of extra symbol coordinates needed to resolve scale eps:
+    max(0, ceil(log2(1/eps))) + 1, exact for every positive finite float.
+
+    With eps = f·2^e and 1/2 <= f < 1, log2(1/eps) lies in [-e, 1 - e) and
+    ceil(log2(1/eps)) = 1 - e, so no rounded log or quotient is read.
+    """
+    if not 0.0 < eps < math.inf:
+        raise ValueError("scale_index needs a positive finite eps")
+    return max(0, 1 - math.frexp(eps)[1]) + 1
 
 
 class ShiftSystem(System):
@@ -260,6 +278,17 @@ class ShiftSystem(System):
         for b in range(1, np.shape(x)[-1]):
             d |= x[..., b] ^ y[..., b]
         return d * 2.0 ** (1 - WORD_BITS)
+
+    def bowen_radius(self, k: int, eps: float) -> float:
+        # d_n <= eps < 1 makes the words agree on their first n - 2 +
+        # scale_index(eps) symbols (a disagreement at i reads at least
+        # 2^-(i - j) at time j <= i), so shifted to time t - 1 they share
+        # their first p symbols and d_t <= 2^(1 - p): a power of two, exact
+        # in float, so no slack
+        if 0.0 < eps < 1.0:
+            p = k - 2 + scale_index(eps)
+            return 2.0 ** (1 - p)
+        return eps
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         length = n + scale_index(eps)
@@ -440,6 +469,19 @@ class DoublingMap(CircleSystem):
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return np.mod(2.0 * x, 1.0)
 
+    def bowen_radius(self, k: int, eps: float) -> float:
+        # Below 1/4 the arc distance doubles exactly at each step, so a pair
+        # with d_n <= eps has true distance a <= a_(n-1)·2^-(k-1) at every
+        # step before t.  Only the metric rounds (doubling and mod 1 are exact
+        # on floats): |x - y| to 2^-53 relative, and 1 - |x - y| past the wrap
+        # to 2^-54 absolute.  So a_(n-1) <= (eps + 2^-54) / (1 - 2^-53), and
+        # the computed distance at each step before t is at most
+        # (1 + 2^-53)·a + 2^-54.  The relative 1e-9 and absolute 2^-50 cover
+        # both errors, and this expression's own rounding, with room to spare.
+        if eps < 0.25:
+            return eps * 2.0 ** (1 - k) * (1 + 1e-9) + 2.0 ** -50
+        return eps
+
 
 @dataclass(frozen=True)
 class Rotation(CircleSystem):
@@ -478,8 +520,10 @@ class Contraction(System):
         return np.abs(x - y)
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
-        mesh = eps / 2.0
-        m = math.ceil(1.0 / mesh)
+        try:
+            m = math.ceil(1.0 / (eps / 2.0))
+        except (OverflowError, ZeroDivisionError):  # mesh below float range
+            m = budget + 1
         capped = m > budget
         if capped:
             m = budget

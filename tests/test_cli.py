@@ -257,6 +257,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err == "error: eps scales must be positive and finite\n"
 
+    @pytest.mark.parametrize("n_range, last", [
+        ([10**20, 10**20 + 1, 10**20 + 2, 10**20 + 3], 10**20 + 3),
+        ({"start": 2**53 - 1, "stop": 2**53 + 1}, 2**53 + 1),
+    ], ids=["list", "range"])
+    def test_n_past_2_to_the_53_is_a_config_error(self, tmp_path, capsys, n_range, last):
+        # the growth tables read n as a float, where adjacent n past 2^53 compare equal
+        cfg = write_config(tmp_path, n_range=n_range, scales={"k": [0]})
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: n_range entries must be at most 2^53, got {last}\n"
+
     @pytest.mark.parametrize("option", [
         {"n_range": [4, 4, 8, 12, 16]},
         {"scales": {"k": [0, 0]}},
@@ -624,7 +636,7 @@ class TestBudget:
         assert err.startswith("budget exceeded: ") and "more than 256 states" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("n", [10**12, 10**30])
+    @pytest.mark.parametrize("n", [10**12, 2**53])  # n past 2^53 is a config error
     def test_orbit_array_over_budget_exits_three(self, tmp_path, capsys, n):
         cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
                            potential={"kind": "zero"}, n_range=[n], scales={"eps": [0.1]})
@@ -633,6 +645,22 @@ class TestBudget:
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded: orbit array for 20 points")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("system, eps, message", [
+        ({"kind": "contraction", "c": 0.5}, 5e-324, "Bowen distance matrix for 2000001 points"),
+        ({"kind": "full_shift", "k": 2}, 5e-324, "admissible words of length 1077 exceed"),
+        ({"kind": "full_shift", "k": 2}, 1e-310, "admissible words of length 1033 exceed"),
+    ], ids=["contraction", "shift-5e-324", "shift-1e-310"])
+    def test_subnormal_eps_exits_three(self, tmp_path, capsys, system, eps, message):
+        # the contraction's mesh eps / 2 underflows to 0; a shift needs
+        # 1 + ceil(log2(1/eps)) more symbols, read from eps's exponent as
+        # 1/eps overflows
+        cfg = write_config(tmp_path, system=system, potential={"kind": "zero"},
+                           n_range=[2, 3], scales={"eps": [eps]})
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"budget exceeded: {message}") and err.count("\n") == 1
 
     def test_doubling_past_float_range_caps_its_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, system={"kind": "doubling"}, potential={"kind": "zero"},

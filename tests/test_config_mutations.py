@@ -7,8 +7,8 @@ The configs are the golden ones and the seed-1 configs of the benchmark's
 ``bench/workloads.py``, each ``n_range`` cut to its first two entries so the
 file runs in seconds).  Each is mutated at every position it has: a dropped
 key, a value of the wrong type, ``"x"``, ``"nan"``, ``"inf"``, ``"0.5"``,
-+-1e400, +-1e308, 10^30, a negative value, 2.5, ``true``, and a repeated
-list entry.
++-1e400, +-1e308, 10^30, the subnormal 5e-324, a negative value, 2.5,
+``true``, and a repeated list entry.
 2.5, ``true`` and ``"0.5"`` in an integer field, and ``true`` and ``"0.5"``
 in a float field, must exit 2.  Each potential is also wrapped in chains of
 ``scale`` and of two-term ``sum`` objects, 1, 50, 985 and 5000 deep, which
@@ -109,7 +109,7 @@ def _replacements(value, rng: random.Random) -> dict:
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return {"type": rng.choice(other_types), "x": "x", "nan": "nan", "inf": "inf", "0.5": "0.5",
             "+1e400": float("inf"), "-1e400": float("-inf"), "+1e308": 1e308, "-1e308": -1e308,
-            "1e30": 10**30,
+            "1e30": 10**30, "5e-324": 5e-324,
             "negative": -value if number else -1, "2.5": 2.5, "true": True}
 
 

@@ -408,6 +408,14 @@ def check_relation(monkeypatch, system, n, pts):
             assert max(map(math.prod, shapes), default=0) <= max(block, len(pts)), (block, eps)
 
 
+def stepped_after_first_chunks(shapes) -> int:
+    """Pairs gathered by the call after each row block's first chunk, from its
+    ``record_metric_calls`` shapes: the pairs a block steps past its first chunk."""
+    firsts = [k for k, shape in enumerate(shapes) if len(shape) == 3]
+    return sum(shapes[k + 1][1] for k in firsts if k + 1 < len(shapes)
+               and len(shapes[k + 1]) == 2)
+
+
 class TestBowenRelation:
     """bowen_relation against the thresholded pairwise_bowen on the point sets of
     TestKernelsMatchBowenMetric, at every block size."""
@@ -443,10 +451,11 @@ class TestBowenRelation:
             check_relation(monkeypatch, FullShift(2), n, FALLBACK_WORDS[name])
 
     def test_pairs_drop_out_in_later_chunks(self, monkeypatch):
-        # one row and one time step per call, on the doubling map, whose
-        # distances grow: some pairs within eps at t = 0 pass it later, and
-        # some row blocks keep no pair past t = 0, so no gather follows them
-        system = DoublingMap()
+        # one row and one time step per call, on the doubling map as a power
+        # system, which keeps the default radius eps; its distances grow:
+        # some pairs within eps at t = 0 pass it later, and some row blocks
+        # keep no pair past t = 0, so no gather follows them
+        system = PowerSystem(DoublingMap(), 1)
         pts = [real(float(v)) for v in np.random.default_rng(5).random(40)]
         n, eps = 6, 0.05
         shapes = record_metric_calls(monkeypatch, system)
@@ -459,9 +468,21 @@ class TestBowenRelation:
         # a block's first chunk followed at once by the next block's
         assert any(b == a + 1 for a, b in zip(firsts[:-2], firsts[1:-1]))
         # pairs stepped at t = 1 (each block's first gather) outnumber the kept ones
-        stepped = sum(shapes[k + 1][1] for k in firsts if k + 1 < len(shapes)
-                      and len(shapes[k + 1]) == 2)
-        assert stepped > len(i)
+        assert stepped_after_first_chunks(shapes) > len(i)
+
+    def test_radius_drops_pairs_at_the_first_chunk(self, monkeypatch):
+        # the same points on DoublingMap itself: at t = 1 its radius is
+        # eps·2^-(n-1), so the pairs stepped on are the kept ones (at eps
+        # alone, 75 pairs were stepped for 1 kept)
+        system = DoublingMap()
+        pts = [real(float(v)) for v in np.random.default_rng(5).random(40)]
+        n, eps = 6, 0.05
+        shapes = record_metric_calls(monkeypatch, system)
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)
+        i, _, _ = bowen_relation(system, n, pts, eps)
+        d = pairwise_bowen(system, n, pts)
+        assert len(i) == np.count_nonzero(np.triu(d <= eps, 1)) > 0
+        assert stepped_after_first_chunks(shapes) == len(i)
 
     @pytest.mark.parametrize("name", ["array", "no-array-form"])
     def test_pair_budget_raises_before_keeping(self, monkeypatch, name):
@@ -484,6 +505,62 @@ class TestBowenRelation:
             bowen_relation(system, 1, pts, 0.5)
         # it stopped in the first row block
         assert sum(len(shape) == 3 for shape in shapes) == (name == "array")
+
+
+# the near-wrap doubling pair that a relative-only slack on the radius dropped
+NEAR_WRAP_PAIR = (0.9999999994881784, 1.4415961271963372e-12, 5)
+
+
+class TestBowenRadius:
+    """``System.bowen_radius`` against its contract, and bowen_relation where
+    the radius is tight: on grids, and near the wrap of the circle."""
+
+    @pytest.mark.parametrize("kind", sorted(REAL_SYSTEMS) + sorted(SHIFT_SYSTEMS))
+    def test_contract(self, kind):
+        # d_n <= eps implies d_t <= bowen_radius(n - t + 1, eps) at each t <= n;
+        # most eps are the pairs' own distances, so some pairs sit on eps
+        for m, n in ((31, 1), (70, 3), (70, 6)):
+            system, pts = (real_case if kind in REAL_SYSTEMS else word_case)(kind, m)
+            rng = np.random.default_rng([m, n, len(kind), 8])
+            d = [bowen_distance_matrix(system, t, pts) for t in range(1, n + 1)]
+            upper = np.triu(np.ones(d[0].shape, dtype=bool), 1)
+            own = np.unique(d[-1][upper])
+            for eps in [0.05, 0.1, 0.24, 0.25, 0.5] + rng.choice(own, 12).tolist():
+                close = upper & (d[-1] <= eps)
+                for t in range(1, n + 1):
+                    radius = system.bowen_radius(n - t + 1, eps)
+                    assert (d[t - 1][close] <= radius).all(), (m, n, eps, t)
+
+    @pytest.mark.parametrize("kind", ["doubling", "power-doubling", "rotation"])
+    def test_relation_on_grids(self, monkeypatch, kind):
+        # grid distances fall on eps and on the radius, or one rounding above
+        # them: at n = 1 the doubling radius exceeds eps, which caps it
+        system = REAL_SYSTEMS[kind](np.random.default_rng(3))
+        for size in (20, 40):
+            for n in (1, 2, 4):
+                check_relation(monkeypatch, system, n, [real(i / size) for i in range(size)])
+
+    def test_near_wrap_pairs_at_their_own_distance(self, monkeypatch):
+        # past the wrap, 1 - |x - y| rounds to 2^-54 absolute, far more than a
+        # relative 1e-9 of a small distance: the radius's absolute slack keeps
+        # each pair at eps = its own d_n
+        system = DoublingMap()
+        rng = np.random.default_rng(2024)
+        cases = [NEAR_WRAP_PAIR] + [
+            (1.0 - 10.0 ** rng.uniform(-12, -3), 10.0 ** rng.uniform(-14, -3),
+             int(rng.integers(1, 9))) for _ in range(3000)]
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)
+        dropped = []
+        for x, y, n in cases:
+            pts = [real(x), real(y)]
+            eps = system.bowen_metric(n, *pts)
+            if len(bowen_relation(system, n, pts, eps)[0]) != 1:
+                dropped.append((x, y, n))
+        assert not dropped, dropped[:5]
+        for n in (1, 3, 5, 8):
+            pts = [real(1.0 - v) for v in 10.0 ** rng.uniform(-12, -4, size=12)]
+            pts += [real(v) for v in 10.0 ** rng.uniform(-14, -4, size=12)]
+            check_relation(monkeypatch, system, n, pts + [real(x) for x in NEAR_WRAP_PAIR[:2]])
 
 
 class TestDistanceBudget:

@@ -1,6 +1,8 @@
 """Model systems: metrics, word machinery, candidate generation."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +143,51 @@ class TestScaleIndex:
     def test_values(self, eps, expect):
         assert scale_index(eps) == expect
 
+    @pytest.mark.parametrize("eps", [
+        5e-324, 1e-310, 2.0 ** -1022, 1e-300, 0.1, math.nextafter(0.25, 0.0), 0.25,
+        math.nextafter(0.25, 1.0), math.nextafter(1.0, 0.0), 1e308])
+    def test_exact_for_every_positive_float(self, eps):
+        # against exact rationals: the least c >= 0 with 2^-c <= eps, plus 1.
+        # Just below 0.25, 1/eps rounds to 4 and log2 of it read c = 2; at a
+        # subnormal eps the quotient is inf
+        c = next(c for c in itertools.count() if Fraction(1, 2**c) <= Fraction(eps))
+        assert scale_index(eps) == c + 1
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.inf, math.nan])
+    def test_needs_a_positive_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="positive finite"):
+            scale_index(eps)
+
+
+class TestBowenRadius:
+    @pytest.mark.parametrize("system", [Rotation(0.3), Contraction(0.5, 0.2),
+                                        PowerSystem(DoublingMap(), 2),
+                                        PowerSystem(FullShift(2), 1)], ids=repr)
+    def test_default_is_eps(self, system):
+        for k in (1, 2, 7):
+            for eps in (1e-3, 0.1, 0.5, math.inf):
+                assert system.bowen_radius(k, eps) == eps
+
+    def test_doubling_halves_per_step_below_a_quarter(self):
+        dbl = DoublingMap()
+        for k in (1, 2, 5, 40):
+            r = dbl.bowen_radius(k, 0.1)
+            assert 0.1 * 2.0 ** (1 - k) < r <= 0.1 * 2.0 ** (1 - k) * (1 + 2e-9) + 2.0 ** -50
+        assert dbl.bowen_radius(10**6, 0.1) == 2.0 ** -50  # no overflow, the slack stays
+        for eps in (0.25, 0.3, math.inf):
+            assert dbl.bowen_radius(5, eps) == eps
+
+    @pytest.mark.parametrize("system", [FullShift(2), FullShift(3), golden_mean_sft()],
+                             ids=repr)
+    def test_shift_radius_is_the_shared_prefix(self, system):
+        # eps = 0.25 needs 2 more shared symbols: 2^(1 - p), p = k - 1 + 2
+        assert [system.bowen_radius(k, 0.25) for k in (1, 2, 3)] == [0.5, 0.25, 0.125]
+        assert system.bowen_radius(1, 0.3) == 0.5
+        # eps = 2^-1074 needs 1074 more: the radius reaches 0 at k = 3
+        assert [system.bowen_radius(k, 5e-324) for k in (1, 2, 3)] == [2.0 ** -1073, 5e-324, 0.0]
+        assert system.bowen_radius(3000, 0.1) == 0.0
+        for eps in (1.0, 2.0, math.inf):
+            assert system.bowen_radius(4, eps) == eps
+
 
 class TestCandidateSets:
     def test_shift_candidates(self):
@@ -184,6 +231,13 @@ class TestCandidateSets:
         c2 = dbl.candidate_set(2, 0.25)
         c5 = dbl.candidate_set(5, 0.25)
         assert len(c5.points) > len(c2.points)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310])
+    def test_contraction_grid_past_float_range_is_capped(self, eps):
+        # the mesh eps / 2 underflows to 0, or 1 / mesh overflows
+        cand = Contraction(0.5, 0.0).candidate_set(3, eps, budget=50)
+        assert not cand.certified
+        assert len(cand.points) == 51
 
     def test_contraction_grid_includes_endpoints(self):
         xs = [p.x for p in Contraction(0.5, 0.0).candidate_set(3, 0.5).points]
