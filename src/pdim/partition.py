@@ -6,20 +6,25 @@ give certified one-sided bounds; the brute-force routines are exact oracles
 for small instances and anchor every greedy result in the tests.
 
 Cost for m candidates at time n: every greedy and exact reader takes only
-the Bowen relation, the pairs with d_n <= eps (``bowen_relation``).  Its
-first time chunk visits all m (m + 1) / 2 pairs of the upper triangle, in
-cache-sized row blocks, so a small orbit is one metric call; later chunks
-step only the pairs still kept.  A chunk that ends after step t keeps the
-pairs within min(eps, ``System.bowen_radius(n - t + 1, eps)``).  On the
-doubling map below eps = 1/4, and on shifts below eps = 1, that radius
-halves with each step still to come, so a first chunk of one time step
-keeps close to the E pairs of the relation, not every pair within eps at
-t = 0 (about 0.2 m per point on the doubling map at eps = 0.1).  The first
-chunk stays O(m^2) in time; memory is O(m + E) plus the blocks.  One
-kernel serves shifts and real maps alike, through each system's array
-form (``System.coordinates``, ``apply_array``, ``metric_array``); the
-scalar ``System.bowen_metric`` stays as its reference, equal bit for bit,
-and as the only path for points with no array form.  Kept pairs past
+the Bowen relation, the pairs with d_n <= eps (``bowen_relation``).  A
+chunk of time steps that ends after step t keeps the pairs within min(eps,
+``System.bowen_radius(n - t + 1, eps)``).  On the doubling map below eps =
+1/4, and on shifts below eps = 1, that radius halves with each step still
+to come.  Past one block of _BLOCK_ENTRIES pairs, the points are sorted
+once by ``System.sweep_key`` (circle and interval maps, shifts), and each
+point is stepped, from t = 0, only against the points whose keys lie
+within the radius at t = 1: C candidate pairs in all, close to the E
+pairs of the relation where the radius halves, for O(m log m + C n) time
+and no broadcast blocks.  A triangle within one block is one metric call,
+and one whose windows hold over a quarter of its pairs (a radius that does
+not shrink, such as eps = 0.3 on the doubling map) goes by row blocks: the
+first time chunk visits all m (m + 1) / 2 pairs in cache-sized blocks,
+O(m^2), and later chunks step only the pairs still kept.  Memory is
+O(m + E) plus the blocks.  One kernel serves shifts and real maps alike,
+through each system's array form (``System.coordinates``, ``apply_array``,
+``metric_array``); the scalar ``System.bowen_metric`` stays as its
+reference, equal bit for bit, and as the only path for points with no
+array form.  Kept pairs past
 ``systems.ARRAY_BUDGET_BYTES`` (16 bytes each) raise BudgetExceededError,
 which the CLI turns into exit code 3.  Greedy separated is O(m + E) in
 total; greedy spanning takes one argmax over m packed keys per pick, plus
@@ -128,16 +133,20 @@ def bowen_relation(system: System, n: int, points: Sequence[Point],
     """Pairs i < j with d_n(x_i, x_j) <= eps, as arrays (i, j, d) sorted by (i, j).
 
     Each d is ``system.bowen_metric(n, x_i, x_j)`` bit for bit.  Points with
-    an array form go through ``system.metric_array`` on their orbit array:
-    each row block of the upper triangle takes as many rows, then as many
-    time steps, as fit in _BLOCK_ENTRIES, so a small orbit is one call.  Past
-    that first chunk only the pairs still kept are stepped, gathered from
-    the orbit.  After each chunk, ending after step t, a pair drops out once
-    its running max passes min(eps, system.bowen_radius(n - t + 1, eps)), t
-    capped at n; that is exact, as by the radius's contract a dropped pair
-    has d_n > eps.  Points with no array form go through the filter at eps
-    on ``bowen_metric`` values.  Raises BudgetExceededError before keeping
-    pairs past ARRAY_BUDGET_BYTES.
+    an array form go through ``system.metric_array`` on their orbit array,
+    by one of two kernels that return the same arrays.  A triangle past one
+    block (m^2 > _BLOCK_ENTRIES) whose ``System.sweep_key`` windows hold at
+    most a quarter of its pairs takes the sweep (``_swept_relation``): only
+    the pairs whose keys lie within reach are stepped, from t = 0.  Every
+    other triangle goes by row blocks: each takes as many rows, then as
+    many time steps, as fit in _BLOCK_ENTRIES, so a small orbit is one
+    call, and past that first chunk only the pairs still kept are stepped,
+    gathered from the orbit.  In both, after each chunk, ending after step
+    t, a pair drops out once its running max passes min(eps,
+    system.bowen_radius(n - t + 1, eps)), t capped at n; that is exact, as
+    by the radius's contract a dropped pair has d_n > eps.  Points with no
+    array form go through the filter at eps on ``bowen_metric`` values.
+    Raises BudgetExceededError before keeping pairs past ARRAY_BUDGET_BYTES.
     """
     if n < 1:
         raise ValueError("bowen_relation needs n >= 1")
@@ -146,6 +155,10 @@ def bowen_relation(system: System, n: int, points: Sequence[Point],
         orbit = orbit_array(system, n, points)
     except NotImplementedError:
         orbit = None
+    if orbit is not None and m * m > _BLOCK_ENTRIES:
+        swept = _swept_relation(system, orbit, eps)
+        if swept is not None:
+            return swept
     parts = [(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))]
     kept = lo = 0
     while lo < m:
@@ -162,21 +175,104 @@ def bowen_relation(system: System, n: int, points: Sequence[Point],
             r, c = np.nonzero(d <= min(eps, system.bowen_radius(n - min(t, n) + 1, eps)))
             upper = c > r
             r, c = r[upper], c[upper]
-            i, j, d = r + lo, c + lo, d[r, c]
-        while t < n and len(i):
-            k = max(1, _BLOCK_ENTRIES // len(i))
-            step = system.metric_array(orbit[t:t + k, i], orbit[t:t + k, j])
-            d = np.maximum(d, step.max(axis=0))
-            close = d <= min(eps, system.bowen_radius(n - min(t + k, n) + 1, eps))
-            i, j, d, t = i[close], j[close], d[close], t + k
-        # a kept pair holds 16 bytes: int32 i and j, float64 d
-        _check_array_budget(kept + len(i), 2, f"Bowen relation of {m} points")
-        kept += len(i)
-        parts.append((i.astype(np.int32), j.astype(np.int32), d))
+            i, j, d = _step_pairs(system, orbit, eps, r + lo, c + lo, d[r, c], t)
+        kept = _keep(parts, kept, i, j, d, m)
         lo = hi
     if len(parts) == 2:  # one row block, as for every small orbit
         return parts[1]
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _step_pairs(system: System, orbit: np.ndarray, eps: float, i: np.ndarray, j: np.ndarray,
+                d: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps the pairs (i, j), whose running max over the steps before t is d,
+    through time n, as many steps per call as fit in _BLOCK_ENTRIES, and
+    returns those that stay within the radius after each call."""
+    n = len(orbit)
+    while t < n and len(i):
+        k = max(1, _BLOCK_ENTRIES // len(i))
+        step = system.metric_array(orbit[t:t + k, i], orbit[t:t + k, j])
+        d = np.maximum(d, step.max(axis=0))
+        close = d <= min(eps, system.bowen_radius(n - min(t + k, n) + 1, eps))
+        i, j, d, t = i[close], j[close], d[close], t + k
+    return i, j, d
+
+
+def _keep(parts: list, kept: int, i: np.ndarray, j: np.ndarray, d: np.ndarray, m: int) -> int:
+    """Appends the pairs to ``parts`` after the budget check; returns the pairs kept so far."""
+    # a kept pair holds 16 bytes: int32 i and j, float64 d
+    _check_array_budget(kept + len(i), 2, f"Bowen relation of {m} points")
+    parts.append((i.astype(np.int32), j.astype(np.int32), d))
+    return kept + len(i)
+
+
+def _swept_relation(system: System, orbit: np.ndarray,
+                    eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``bowen_relation`` by sort and sweep on ``system.sweep_key``, or None
+    where the system has no key or the windows hold over a quarter of the
+    m (m - 1) / 2 pairs, where the row blocks are faster.
+
+    By the radius's contract at t = 1 a pair of the relation has d_0 <= d_1
+    <= reach = min(eps, bowen_radius(n, eps)), so by the key's contract its
+    keys lie within reach.  Points sorted by key, a point's candidates are
+    a forward run of the keys past its own and, on the circle, a wrap run
+    from the far end; no window (eps = inf, or a reach of half the period
+    or more) counts every pair.  The candidates go, in runs of whole rows
+    of at most _BLOCK_ENTRIES pairs (or one row), through ``_step_pairs``
+    from t = 0.
+    """
+    n, m = orbit.shape[:2]
+    swept = system.sweep_key(orbit[0])
+    if swept is None:
+        return None
+    key, period = swept
+    # The windows are conservative.  A pair within reach at t = 0 has float
+    # |key_q - key_p| <= reach, so exactly key_q - key_p <= reach·(1 + 2^-52)
+    # < window, and fl(key_p + window) >= key_q, rounding being monotone and
+    # key_q a float.  Past the wrap the float 1 - |key_q - key_p| <= reach
+    # instead: the inner difference rounds by up to 2^-53 absolute, so
+    # exactly key_p <= key_q - 1 + reach·(1 + 2^-52) + 2^-53, while
+    # fl(fl(key_q - 1) + window) rounds twice, by up to 2^-53 absolute
+    # each time (keys lie in [0, 1] on the circle of length 1).  The
+    # relative 1e-9 covers the relative errors and the absolute 2^-50 the
+    # absolute ones, with room.
+    window = min(eps, system.bowen_radius(n, eps)) * (1 + 1e-9) + 2.0 ** -50
+    order = None
+    if not (key[1:] >= key[:-1]).all():  # every circle and interval grid comes sorted
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    rows = np.arange(m)
+    hi = np.searchsorted(key, key + window, side="right")  # forward run: rows + 1 to hi
+    wrap = np.full(m, m)  # wrap run: wrap to m
+    if period is not None:
+        # q's wrap partners are the p below lo[q]; lo rises with q
+        lo = np.searchsorted(key, key - period + window, side="right")
+        wrap = np.maximum(np.searchsorted(lo, rows, side="right"), hi)
+    count = hi - rows - 1 + m - wrap
+    if 8 * int(count.sum()) > m * (m - 1):
+        return None
+    runs = np.stack([hi - rows - 1, m - wrap], axis=1)
+    firsts = np.stack([rows + 1, wrap], axis=1)
+    ends = np.concatenate([[0], np.cumsum(count)])
+    parts = [(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))]
+    kept = a = 0
+    while a < m:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + _BLOCK_ENTRIES, side="right")) - 1)
+        length = runs[a:b].ravel()
+        p = np.repeat(rows[a:b], count[a:b])
+        q = np.repeat(firsts[a:b].ravel() - np.cumsum(length) + length, length)
+        q += np.arange(len(q))
+        if order is not None:
+            p, q = order[p], order[q]
+            p, q = np.minimum(p, q), np.maximum(p, q)
+        i, j, d = _step_pairs(system, orbit, eps, p, q, np.zeros(len(p)), 0)
+        kept = _keep(parts, kept, i, j, d, m)
+        a = b
+    i, j, d = (np.concatenate(col) for col in zip(*parts))
+    if order is not None:
+        s = np.lexsort((j, i))
+        i, j, d = i[s], j[s], d[s]
+    return i, j, d
 
 
 def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:

@@ -160,6 +160,19 @@ class System:
         """
         return eps
 
+    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float | None] | None:
+        """A float key per point of ``coordinates``, with its period, or None.
+
+        The contract: for every two points, ``metric_array`` of their
+        coordinates is at least the distance of their keys, |key_i - key_j|
+        as computed in float, or on the circle of length ``period`` (the
+        smaller of that and period minus it, every key within [0, period])
+        when period is not None.  ``partition.bowen_relation`` then looks
+        for a point's partners only among the points whose keys lie within
+        the radius of its own.  The default, None, gives no key.
+        """
+        return None
+
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         """Points dense enough for scale eps at time n; raises BudgetExceededError
         before building a set of over 16384 points, whose Bowen relation at eps
@@ -262,10 +275,16 @@ class ShiftSystem(System):
         """
         if len({p.tail for p in points}) > 1 or any(len(p.symbols) > WORD_BITS for p in points):
             raise NotImplementedError("words with mixed tails or over WORD_BITS symbols")
-        arr = word_array(points, WORD_BITS)
-        place = np.int64(1) << np.arange(WORD_BITS - 1, -1, -1, dtype=np.int64)
-        planes = max(1, int(arr.max(initial=0)).bit_length())
-        return np.stack([(arr >> b & 1) @ place for b in range(planes)], axis=-1)
+        # only the first ``held`` symbols differ between words; the shared
+        # tail fills bits WORD_BITS-1-held down to 0, worth 2^(WORD_BITS-held) - 1
+        held = max((len(p.symbols) for p in points), default=0)
+        tail = points[0].tail if held < WORD_BITS and len(points) else 0
+        arr = word_array(points, held)
+        place = np.int64(1) << np.arange(WORD_BITS - 1, WORD_BITS - 1 - held, -1, dtype=np.int64)
+        fill = (1 << (WORD_BITS - held)) - 1
+        planes = max(1, int(arr.max(initial=tail)).bit_length())
+        return np.stack([(arr >> b & 1) @ place + (tail >> b & 1) * fill
+                         for b in range(planes)], axis=-1)
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         # the vacated low bit reads 0 in every word; the words share their
@@ -278,6 +297,12 @@ class ShiftSystem(System):
         for b in range(1, np.shape(x)[-1]):
             d |= x[..., b] ^ y[..., b]
         return d * 2.0 ** (1 - WORD_BITS)
+
+    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, None]:
+        # XOR is at least the absolute difference on non-negative ints, and
+        # the OR over planes at least plane 0; both scale by the same power of
+        # two, exactly
+        return coords[:, 0] * 2.0 ** (1 - WORD_BITS), None
 
     def bowen_radius(self, k: int, eps: float) -> float:
         # d_n <= eps < 1 makes the words agree on their first n - 2 +
@@ -442,6 +467,10 @@ class CircleSystem(System):
         d = np.abs(x - y)
         return np.minimum(d, 1.0 - d)
 
+    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float] | None:
+        # the metric is the circle distance of the x values, for x in [0, 1]
+        return (coords, 1.0) if ((coords >= 0.0) & (coords <= 1.0)).all() else None
+
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         # Uniform grid; mesh eps / (2 Lip^(n-1)) keeps the orbit error under eps/2.
         try:
@@ -519,6 +548,9 @@ class Contraction(System):
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.abs(x - y)
 
+    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, None]:
+        return coords, None
+
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         try:
             m = math.ceil(1.0 / (eps / 2.0))
@@ -564,6 +596,9 @@ class PowerSystem(System):
 
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.base.metric_array(x, y)
+
+    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float | None] | None:
+        return self.base.sweep_key(coords)
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         # n steps of T^power read at most (n-1) power + 1 steps of T.

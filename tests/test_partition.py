@@ -408,6 +408,32 @@ def check_relation(monkeypatch, system, n, pts):
             assert max(map(math.prod, shapes), default=0) <= max(block, len(pts)), (block, eps)
 
 
+def sweep_case(name):
+    """Point sets for the sweep: keys unsorted, tied, near the wrap, at the
+    radius, and m either side of one default block (181^2 <= _BLOCK_ENTRIES)."""
+    rng = np.random.default_rng([len(name), 17])
+    if name.startswith("m-"):
+        return DoublingMap(), 2, [real(float(v)) for v in rng.random(int(name[2:]))]
+    if name.startswith("dfs-"):  # plane-0 keys come unsorted, several words to a key
+        system = FullShift(3) if name == "dfs-full_shift(3)" else golden_mean_sft()
+        return system, 3, [system.representative(w) for w in system.admissible_words(5)]
+    if name == "tied-keys-real":
+        xs = rng.random(30)
+        xs = np.concatenate([xs, xs, xs[:10]])
+    elif name == "near-wrap":  # among spread points, so the windows stay sparse
+        xs = np.concatenate([1.0 - 10.0 ** rng.uniform(-12, -3, 8), 10.0 ** rng.uniform(-14, -3, 8),
+                             NEAR_WRAP_PAIR[:2], (np.arange(60) + 0.5) / 60])
+    else:  # grids: a doubling pair at d_0 = 1/40 reaches eps = 0.1 at n = 3
+        xs = np.arange(40) / 40
+    system = {"shuffled-rotation-grid": Rotation(0.3),
+              "shuffled-contraction-grid": Contraction(0.6, 0.4)}.get(name, DoublingMap())
+    return system, 3, [real(float(v)) for v in rng.permutation(xs)]
+
+
+SWEEP_SETS = ["shuffled-doubling-grid", "shuffled-rotation-grid", "shuffled-contraction-grid",
+              "dfs-full_shift(3)", "dfs-golden", "tied-keys-real", "near-wrap", "m-181", "m-182"]
+
+
 def stepped_after_first_chunks(shapes) -> int:
     """Pairs gathered by the call after each row block's first chunk, from its
     ``record_metric_calls`` shapes: the pairs a block steps past its first chunk."""
@@ -450,14 +476,47 @@ class TestBowenRelation:
         for n in (1, 2, 5):
             check_relation(monkeypatch, FullShift(2), n, FALLBACK_WORDS[name])
 
+    @pytest.mark.parametrize("name", SWEEP_SETS)
+    def test_sweep_sets(self, monkeypatch, name):
+        system, n, pts = sweep_case(name)
+        check_relation(monkeypatch, system, n, pts)
+
+    @pytest.mark.parametrize("m", [181, 182])
+    def test_one_block_is_one_metric_call(self, monkeypatch, m):
+        # at the default block a triangle of m^2 <= _BLOCK_ENTRIES entries is
+        # one 3-D row-block call; one more point, and only the candidates
+        # within the window (each point's next neighbour, the wrap included)
+        # are stepped
+        system, pts = DoublingMap(), [real(i / m) for i in range(m)]
+        shapes = record_metric_calls(monkeypatch, system)
+        i, j, _ = bowen_relation(system, 1, pts, 0.01)
+        assert len(i) == m
+        assert shapes == ([(1, m, m)] if m == 181 else [(1, m)])
+
+    @pytest.mark.parametrize("system, n, eps", [(DoublingMap(), 6, 0.3), (FullShift(2), 8, 1.0)],
+                             ids=["doubling", "words"])
+    def test_loose_windows_keep_the_row_blocks(self, monkeypatch, system, n, eps):
+        # past one block (214 and 512 points) the radius does not shrink at
+        # these eps, the windows hold over a quarter of the pairs, and the row
+        # blocks run; at eps / 2 the radius shrinks, and the same points sweep
+        pts = system.candidate_set(n, eps).points
+        assert len(pts) ** 2 > DEFAULT_BLOCK
+        shapes = record_metric_calls(monkeypatch, system)
+        assert len(bowen_relation(system, n, pts, eps)[0]) > 0
+        assert len(shapes[0]) == 3
+        shapes.clear()
+        bowen_relation(system, n, pts, eps / 2)
+        assert {len(shape) for shape in shapes} == {2}
+
     def test_pairs_drop_out_in_later_chunks(self, monkeypatch):
         # one row and one time step per call, on the doubling map as a power
-        # system, which keeps the default radius eps; its distances grow:
-        # some pairs within eps at t = 0 pass it later, and some row blocks
-        # keep no pair past t = 0, so no gather follows them
+        # system, which keeps the default radius eps; at eps = 0.15 the sweep
+        # windows hold 27% of the pairs, over a quarter, so the row blocks
+        # run.  Distances grow: some pairs within eps at t = 0 pass it later,
+        # and some row blocks keep no pair past t = 0, so no gather follows them
         system = PowerSystem(DoublingMap(), 1)
         pts = [real(float(v)) for v in np.random.default_rng(5).random(40)]
-        n, eps = 6, 0.05
+        n, eps = 6, 0.15
         shapes = record_metric_calls(monkeypatch, system)
         monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)
         i, _, _ = bowen_relation(system, n, pts, eps)
@@ -471,18 +530,24 @@ class TestBowenRelation:
         assert stepped_after_first_chunks(shapes) > len(i)
 
     def test_radius_drops_pairs_at_the_first_chunk(self, monkeypatch):
-        # the same points on DoublingMap itself: at t = 1 its radius is
-        # eps·2^-(n-1), so the pairs stepped on are the kept ones (at eps
-        # alone, 75 pairs were stepped for 1 kept)
-        system = DoublingMap()
+        # the same points at eps = 0.05, where both systems sweep: on
+        # DoublingMap itself the window is the radius at t = 1, eps·2^-(n-1),
+        # so it steps fewer candidates than the power system, whose window
+        # is eps; one step per call, so each call's size is its pairs
         pts = [real(float(v)) for v in np.random.default_rng(5).random(40)]
         n, eps = 6, 0.05
-        shapes = record_metric_calls(monkeypatch, system)
+        d = pairwise_bowen(DoublingMap(), n, pts)
+        shapes = record_metric_calls(monkeypatch, DoublingMap())
         monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)
-        i, _, _ = bowen_relation(system, n, pts, eps)
-        d = pairwise_bowen(system, n, pts)
-        assert len(i) == np.count_nonzero(np.triu(d <= eps, 1)) > 0
-        assert stepped_after_first_chunks(shapes) == len(i)
+        stepped = []
+        for system in (DoublingMap(), PowerSystem(DoublingMap(), 1)):
+            shapes.clear()
+            i, _, _ = bowen_relation(system, n, pts, eps)
+            assert len(i) == np.count_nonzero(np.triu(d <= eps, 1)) > 0
+            assert {len(shape) for shape in shapes} == {2}  # no row block
+            stepped.append(sum(shape[1] for shape in shapes))
+        # the kept pairs are stepped n times each; the power system steps more
+        assert n * len(i) <= stepped[0] < stepped[1]
 
     @pytest.mark.parametrize("name", ["array", "no-array-form"])
     def test_pair_budget_raises_before_keeping(self, monkeypatch, name):
@@ -550,12 +615,16 @@ class TestBowenRadius:
             (1.0 - 10.0 ** rng.uniform(-12, -3), 10.0 ** rng.uniform(-14, -3),
              int(rng.integers(1, 9))) for _ in range(3000)]
         monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)
+        # the pair alone goes by row blocks; among 16 spread points, by the sweep
+        spread = [real((v + 0.5) / 16) for v in range(16)]
         dropped = []
         for x, y, n in cases:
             pts = [real(x), real(y)]
             eps = system.bowen_metric(n, *pts)
-            if len(bowen_relation(system, n, pts, eps)[0]) != 1:
-                dropped.append((x, y, n))
+            for found in (bowen_relation(system, n, pts, eps)[:2],
+                          bowen_relation(system, n, pts + spread, eps)[:2]):
+                if (0, 1) not in zip(*(v.tolist() for v in found)):
+                    dropped.append((x, y, n))
         assert not dropped, dropped[:5]
         for n in (1, 3, 5, 8):
             pts = [real(1.0 - v) for v in 10.0 ** rng.uniform(-12, -4, size=12)]

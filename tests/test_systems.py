@@ -9,6 +9,7 @@ import pytest
 
 from pdim import systems
 from pdim.systems import (
+    WORD_BITS,
     BudgetExceededError,
     Contraction,
     DoublingMap,
@@ -187,6 +188,88 @@ class TestBowenRadius:
         assert system.bowen_radius(3000, 0.1) == 0.0
         for eps in (1.0, 2.0, math.inf):
             assert system.bowen_radius(4, eps) == eps
+
+
+def coordinates_53(points) -> np.ndarray:
+    """The bit planes by the 53-column formula: each word padded with its tail to WORD_BITS."""
+    arr = systems.word_array(points, WORD_BITS)
+    place = np.int64(1) << np.arange(WORD_BITS - 1, -1, -1, dtype=np.int64)
+    planes = max(1, int(arr.max(initial=0)).bit_length())
+    return np.stack([(arr >> b & 1) @ place for b in range(planes)], axis=-1)
+
+
+def words_of(system, lengths, seed):
+    """The empty word's representative and a random representative of each length,
+    bridges included, up to WORD_BITS symbols."""
+    gen = np.random.default_rng(seed)
+    words = [system.representative(())] + [system.sample_points(1, gen, length=n)[0]
+                                            for n in lengths]
+    return [w for w in words if len(w.symbols) <= WORD_BITS]
+
+
+WORD_SETS = {
+    "mixed-lengths": [Word((1, 0, 1)), Word(()), Word((1,) * 52), Word((0, 1) * 26 + (1,)),
+                      Word((1,))],
+    "tail-1": [Word((0, 1, 0), tail=1), Word((), tail=1), Word((0,) * 20, tail=1)],
+    "tail-2": [Word((0, 1, 0), tail=2), Word((), tail=2), Word((2, 2, 1, 0), tail=2)],
+    "full_shift(3)": words_of(FullShift(3), [1, 4, 9, 30, 53], 3),
+    "golden": words_of(golden_mean_sft(), [1, 2, 5, 12, 40, 52], 5),
+    "empty-symbols": [Word(()), Word(())],
+    "empty-symbols-tail-2": [Word((), tail=2)] * 3,
+    # the tail enters only through the shorter word's padding
+    "53-and-shorter": [Word((0, 1) * 26 + (0,), tail=2), Word((1,), tail=2)],
+    "all-53-tail-2": [Word((0, 1) * 26 + (0,), tail=2), Word((1,) * 53, tail=2)],
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_SETS))
+def test_word_coordinates_match_53_column_formula(name):
+    words = WORD_SETS[name]
+    assert len(words) >= 2 or name == "none"
+    got, want = FullShift(3).coordinates(words), coordinates_53(words)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and (got == want).all()
+
+
+def circle_distance(a, b):
+    d = np.abs(a - b)
+    return np.minimum(d, 1.0 - d)
+
+
+class TestSweepKey:
+    """``System.sweep_key``: the metric is at least the distance of the keys."""
+
+    @pytest.mark.parametrize("system", [DoublingMap(), Rotation(0.3), Contraction(0.5, 0.2),
+                                        PowerSystem(DoublingMap(), 2),
+                                        PowerSystem(Contraction(0.3, 0.9), 3)], ids=repr)
+    def test_real_contract(self, system):
+        gen = np.random.default_rng(4)
+        xs = np.concatenate([gen.random(300), [0.0, 1.0, 0.5, 1e-17, 1 - 1e-16, 0.25]])
+        key, period = system.sweep_key(xs)
+        assert key.tolist() == xs.tolist()
+        apart = circle_distance if period == 1.0 else lambda a, b: np.abs(a - b)
+        assert period in (1.0, None)
+        assert (system.metric_array(xs[:, None], xs) >= apart(key[:, None], key)).all()
+
+    @pytest.mark.parametrize("system", [FullShift(2), FullShift(3), golden_mean_sft(),
+                                        PowerSystem(FullShift(3), 2)], ids=repr)
+    def test_word_contract(self, system):
+        shift = system.base if isinstance(system, PowerSystem) else system
+        words = words_of(shift, list(range(1, 54, 3)) * 8, 9)
+        x = system.coordinates(words)
+        for _ in range(4):  # the key holds at every time, not only at t = 0
+            key, period = system.sweep_key(x)
+            assert period is None
+            assert (system.metric_array(x[:, None], x) >= np.abs(key[:, None] - key)).all()
+            x = system.apply_array(x)
+
+    def test_no_key(self):
+        # a circle key must lie in [0, 1]; the base system has none
+        assert DoublingMap().sweep_key(np.array([0.2, 1.5])) is None
+        assert Rotation(0.3).sweep_key(np.array([-0.1, 0.2])) is None
+        assert Rotation(0.3).sweep_key(np.array([np.nan, 0.2])) is None
+        assert systems.System().sweep_key(np.array([0.2])) is None
 
 
 class TestCandidateSets:
