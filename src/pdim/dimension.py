@@ -61,6 +61,8 @@ class GrowthTable:
 
     def series(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, log_value) arrays; requires a single homogeneous series."""
+        if not self.samples:
+            raise ValueError("empty growth table")
         keys = {(s.estimator, s.scale) for s in self.samples}
         if len(keys) != 1:
             raise ValueError(
@@ -68,8 +70,6 @@ class GrowthTable:
             )
         ordered = sorted(self.samples, key=lambda s: s.n)
         ns = np.array([s.n for s in ordered], dtype=float)
-        if len(ns) == 0:
-            raise ValueError("empty growth table")
         if np.any(np.diff(ns) <= 0):
             raise ValueError("sample indices n must be strictly increasing")
         vals = np.array([s.log_value for s in ordered])

@@ -5,16 +5,20 @@ A potential here is a sequence ``phi_n`` of orbit aggregates satisfying
     -C + phi_n(x) + phi_m(T^n x) <= phi_{n+m}(x) <= phi_n(x) + phi_m(T^n x) + C
 
 for a declared constant C >= 0.  Each object evaluates ``phi_n``, carries C,
-and (when it is locally constant on a shift) exposes a window profile that
-the exact symbolic backend can sum without enumerating points.
+and (when it is locally constant on a shift) exposes a ``Window`` profile
+that the exact symbolic backend can sum without enumerating points.  One
+profile type covers both exact kinds: phi_n = power * log 1^T W_0 ... W_{n-1} 1
+over the dim x dim matrices W_i = exp(step(x_i .. x_{i+reach-1})), so an
+additive potential is a dim-1 window of scalar steps and a matrix cocycle a
+reach-1 window of log-matrices.
 
 ``eval_array(n, points)`` is the one formula of every potential: it returns
 the float64 array of ``phi_n`` over a whole candidate list in one pass, and
 ``eval(n, x)`` is its one-point case.  A ``Birkhoff`` ``phi`` is a function
 of arrays that returns one float per row: on a real system it reads the (m,)
 coordinate array, on a shift the (m, reach) int64 array of each word's first
-``reach`` symbols, padded with the word's own tail: the contract of a
-``ScalarWindow`` step, so that phi is its own step.  Orbit sums add in time
+``reach`` symbols, padded with the word's own tail: the contract of a dim-1
+``Window`` step, so that phi is its own step.  Orbit sums add in time
 order from zeros, the same adds as a per-point loop, so every weight is bit
 for bit the scalar value.
 """
@@ -41,23 +45,17 @@ from .systems import (
 
 
 @dataclass(frozen=True)
-class ScalarWindow:
-    """phi_n(x) = sum over i < n of step(x_i .. x_{i+reach-1}), where ``step``
-    maps an (m, reach) int64 array of windows, one per row, to m floats."""
+class Window:
+    """phi_n(x) = power * log of the entry sum of W(x_0 .. x_{reach-1}) ...
+    W(x_{n-1} .. x_{n+reach-2}), where W = exp(step) and ``step`` maps an
+    (m, reach) int64 array of windows, one per row, to m floats when dim == 1
+    (then phi_n is the sum of the steps) and to (m, dim, dim) log-matrices
+    otherwise.  Only a scaled cocycle has power != 1."""
 
     reach: int
     step: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class MatrixWeights:
-    """phi_n(x) = power * log || A(x_0) ... A(x_{n-1}) || with the entry-sum norm."""
-
-    mats: tuple
+    dim: int = 1
     power: float = 1.0
-
-
-Profile = ScalarWindow | MatrixWeights
 
 
 class Potential:
@@ -73,7 +71,7 @@ class Potential:
         """phi_n over the points as a float64 array: the potential's one formula."""
         raise NotImplementedError(f"{self.label} has no formula")
 
-    def shift_profile(self) -> Profile | None:
+    def shift_profile(self) -> Window | None:
         """Local structure on a shift, or None when not locally constant."""
         return None
 
@@ -106,9 +104,9 @@ class ConstantDrift(Potential):
     def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
         return np.full(len(points), n * self.A)
 
-    def shift_profile(self) -> Profile | None:
+    def shift_profile(self) -> Window | None:
         a = self.A
-        return ScalarWindow(reach=1, step=lambda w: np.full(len(w), a))
+        return Window(reach=1, step=lambda w: np.full(len(w), a))
 
 
 def zero_potential(system: System | None = None) -> ConstantDrift:
@@ -151,10 +149,10 @@ class Birkhoff(Potential):
             total += self.phi(windows[:, t:t + r])
         return total
 
-    def shift_profile(self) -> Profile | None:
+    def shift_profile(self) -> Window | None:
         if self.reach is None or not isinstance(self.system, ShiftSystem):
             return None
-        return ScalarWindow(self.reach, self.phi)
+        return Window(self.reach, self.phi)
 
 
 def symbol_weights(system: ShiftSystem, table: Sequence[float], name: str = "table") -> Birkhoff:
@@ -219,8 +217,11 @@ class MatrixCocycle(Potential):
             out[row] = logshift + math.log(prod.sum())
         return out
 
-    def shift_profile(self) -> Profile | None:
-        return MatrixWeights(mats=self.mats, power=1.0)
+    def shift_profile(self) -> Window | None:
+        log_mats = np.log(np.stack(self.mats))
+        if self.dim == 1:  # a 1 x 1 cocycle is a scalar window, whose step returns m floats
+            log_mats = log_mats.reshape(-1)
+        return Window(1, lambda w: log_mats[w[:, 0]], dim=self.dim)
 
 
 @dataclass(frozen=True)
@@ -243,21 +244,22 @@ class SumPotential(Potential):
     def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
         return self.left.eval_array(n, points) + self.right.eval_array(n, points)
 
-    def shift_profile(self) -> Profile | None:
+    def shift_profile(self) -> Window | None:
         a = self.left.shift_profile()
         b = self.right.shift_profile()
-        if a is None or b is None:
+        # a dim-1 step scales every entry of the other term's matrix, so the
+        # steps add in log space; two matrix terms or a norm power do not
+        if a is None or b is None or min(a.dim, b.dim) > 1 or (a.power, b.power) != (1.0, 1.0):
             return None
-        if isinstance(a, ScalarWindow) and isinstance(b, ScalarWindow):
-            return ScalarWindow(max(a.reach, b.reach),
-                                lambda w: a.step(w[:, :a.reach]) + b.step(w[:, :b.reach]))
-        # matrix + reach-1 scalar: fold the scalar weight into the matrices
-        mat, win = (b, a) if isinstance(a, ScalarWindow) else (a, b)
-        if mat.power == 1.0 and isinstance(win, ScalarWindow) and win.reach == 1:
-            symbols = np.arange(len(mat.mats), dtype=np.int64)[:, None]
-            mats = tuple(m * math.exp(v) for v, m in zip(win.step(symbols).tolist(), mat.mats))
-            return MatrixWeights(mats=mats, power=1.0)
-        return None
+        d = max(a.dim, b.dim)
+
+        def step(w):
+            x, y = a.step(w[:, :a.reach]), b.step(w[:, :b.reach])
+            if d > 1:
+                x, y = x.reshape(len(w), a.dim, a.dim), y.reshape(len(w), b.dim, b.dim)
+            return x + y
+
+        return Window(max(a.reach, b.reach), step, dim=d)
 
 
 @dataclass(frozen=True)
@@ -280,14 +282,14 @@ class ScaledPotential(Potential):
     def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
         return self.lam * self.inner.eval_array(n, points)
 
-    def shift_profile(self) -> Profile | None:
+    def shift_profile(self) -> Window | None:
         p = self.inner.shift_profile()
         if p is None:
             return None
         lam = self.lam
-        if isinstance(p, ScalarWindow):
-            return ScalarWindow(p.reach, lambda w: lam * p.step(w))
-        return MatrixWeights(mats=p.mats, power=lam * p.power)
+        if p.dim == 1:
+            return Window(p.reach, lambda w: lam * p.step(w))
+        return Window(p.reach, p.step, p.dim, lam * p.power)
 
 
 @dataclass(frozen=True)
@@ -406,13 +408,13 @@ class CoboundaryPotential(Potential):
             - self.psi.eval_array(n, points)
         )
 
-    def shift_profile(self) -> Profile | None:
+    def shift_profile(self) -> Window | None:
         a = self.base.shift_profile()
         b = self.psi.shift_profile()
-        if not (isinstance(a, ScalarWindow) and isinstance(b, ScalarWindow)):
+        if a is None or b is None or max(a.dim, b.dim) > 1:
             return None
         r = b.reach
-        return ScalarWindow(max(a.reach, r + 1), lambda w: (
+        return Window(max(a.reach, r + 1), lambda w: (
             a.step(w[:, :a.reach]) + b.step(w[:, 1:r + 1]) - b.step(w[:, :r])))
 
 

@@ -5,17 +5,19 @@ Joining an m-cylinder cover along n steps of the shift produces the
 spanning and separated quantity reduces to a weighted sum over admissible
 words.  Each sum is a start vector times powers of two stationary
 Ruelle-Bowen transfer matrices over S states, one for the n weighted steps
-and one for the free trailing symbols.  The states are the admissible words
-of length max(reach-1, 1) for a scalar window, the symbol x d blocks for a
-matrix cocycle.  Each power comes from repeated squaring in log space in
-O(S^3 log n), so exact tables at n = 10^5-10^6 are cheap.  A table over many
+and one for the free trailing symbols.  One ``Window`` profile describes
+every such potential, and its states are the admissible words of length
+max(reach-1, 1) times the window's matrix dim: a scalar window has dim 1, a
+d x d matrix cocycle is a reach-1 window of dim d.  Each power comes from
+repeated squaring in log space in O(S^3 log n), so exact tables at
+n = 10^5-10^6 are cheap.  A table over many
 n shares one setup, one start vector and one ladder of squares M, M^2, M^4,
 ... per matrix, so it costs O(S^3 log n_max + |ns| S^2 log n) rather than
 O(|ns| S^3 log n) plus |ns| setups; a single sum costs what one chain
 costs.  S is counted before any state is listed, and a chain over more than
 TRANSFER_STATE_CAP states raises BudgetExceededError.  Only scaled matrix
-cocycles (a norm power other than 1) enumerate words, under a size cap; a
-scalar window sums words no longer than one state directly.
+cocycles with dim > 1 (a norm power other than 1) enumerate words, under a
+size cap; a window sums words no longer than one state directly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .logsum import logsumexp
 from .partition import Estimator, GrowthSample
-from .potentials import MatrixWeights, Potential, ScalarWindow
+from .potentials import Potential, Window
 from .systems import BudgetExceededError, FullShift, ShiftSystem, word_total
 
 
@@ -38,26 +40,25 @@ class EnumerationCapError(BudgetExceededError):
     """The enumeration fallback would walk more words than ENUMERATION_CAP."""
 
 
-# most words a scaled matrix cocycle's sum may enumerate
+# most words a scaled cocycle's sum may enumerate
 ENUMERATION_CAP = 1 << 22
 # most transfer states S a chain may have: one log-space product costs O(S^3),
-# about 0.16 s at S = 256 and 1.3 s at S = 512 on a 2-vCPU Xeon
+# 0.3-0.45 s at S = 256 on a 2-vCPU Xeon
 TRANSFER_STATE_CAP = 256
 
 
 def required_length(potential: Potential, n: int) -> int:
     """Shortest word length on which phi_n is constant per cylinder."""
-    return _required_length(potential, potential.shift_profile(), n)
+    return n - 1 + _profile(potential).reach
 
 
-def _required_length(potential: Potential, profile, n: int) -> int:
+def _profile(potential: Potential) -> Window:
+    profile = potential.shift_profile()
     if profile is None:
         raise NotLocallyConstantError(
             f"{potential.label} has no locally constant structure on shifts"
         )
-    if isinstance(profile, MatrixWeights):
-        return n
-    return n - 1 + profile.reach
+    return profile
 
 
 def log_weighted_word_sum(
@@ -83,26 +84,25 @@ def log_weighted_word_sums(
     """log of the sum over admissible words w of |w| = n + k of e^(phi_n on [w]), per n in ns.
 
     Requires phi_n to be constant on (n + k)-cylinders; every n is checked
-    before any sum is computed.  Scalar window profiles and plain matrix
-    cocycles share one transfer setup across ns: one start vector and two
-    matrices, each built once and squared once, M, M^2, M^4, ..., as far as
-    the largest n needs, and each n multiplies the start vector by the
-    powers its bits select.  A table costs O(S^3 log n_max + |ns| S^2 log n)
-    for S states, where separate single calls cost O(|ns| S^3 log n) plus |ns|
-    setups.
-    Every value is the same float as the single call's.  Scaled matrix
-    cocycles enumerate words for each n and raise EnumerationCapError (a
-    budget error) past ENUMERATION_CAP words.  An empty ns gives [].
+    before any sum is computed.  A window of norm power 1 shares one transfer
+    setup across ns: one start vector and two matrices, each built once and
+    squared once, M, M^2, M^4, ..., as far as the largest n needs, and each n
+    multiplies the start vector by the powers its bits select.  A table costs
+    O(S^3 log n_max + |ns| S^2 log n) for S states, where separate single
+    calls cost O(|ns| S^3 log n) plus |ns| setups.
+    Every value is the same float as the single call's.  A scaled cocycle
+    with dim > 1 enumerates words for each n and raises EnumerationCapError
+    (a budget error) past ENUMERATION_CAP words.  An empty ns gives [].
     """
     ns = list(ns)
     if not ns:
         return []
-    profile = potential.shift_profile()
-    scaled = isinstance(profile, MatrixWeights) and profile.power != 1.0
+    profile = _profile(potential)
+    scaled = profile.power != 1.0
     for n in ns:
         if n < 1:
             raise ValueError("need n >= 1")
-        need = _required_length(potential, profile, n)
+        need = n - 1 + profile.reach
         if n + k < need:
             raise NotLocallyConstantError(
                 f"phi_{n} for {potential.label} needs word length >= {need}, got {n + k}"
@@ -112,14 +112,12 @@ def log_weighted_word_sums(
                 f"enumeration fallback over the words of length {n + k} "
                 f"exceeds cap {ENUMERATION_CAP}"
             )
-    if isinstance(profile, ScalarWindow):
-        chain = _window_chain(system, profile, k)
-    elif not scaled:
-        chain = _cocycle_chain(system, profile, k)
-    else:
+    if scaled:
         def chain(n: int):  # one start entry per word, no transfer steps
             return potential.eval_array(n, [system.representative(w)
                                             for w in system.admissible_words(n + k)]), None
+    else:
+        chain = _window_chain(system, profile, k)
     out = []
     for n in ns:
         start, factors = chain(n)
@@ -139,34 +137,41 @@ def log_weighted_word_sums(
     return out
 
 
-def _window_chain(system: ShiftSystem, prof: ScalarWindow, k: int):
-    """n -> (log start vector, [(ladder, power), ...]) for a scalar window.
+def _window_chain(system: ShiftSystem, prof: Window, k: int):
+    """n -> (log start vector, [(ladder, power), ...]) for a window of power 1.
 
-    States are the admissible words of length p = max(reach - 1, 1), and
-    every n shares one start vector, the weight of the first p positions (a
-    window completes there only when reach = 1), and two stationary
-    matrices: "on" adds the step of the window that ends at a position, and
-    "free" adds nothing.  "on" takes one step call over the (m, reach) int64
-    array of all windows, and the start vector at most one more.  The chain
-    for n is start, on^(n + reach - 1 - p), free^(k - reach + 1).  A valid
-    length n + k is at least n - 1 + reach, so it equals p only at n = 1,
-    k = 0 with reach 1; such words give (start, None).
+    States are the admissible words of length p = max(reach - 1, 1), each
+    times the window's dim, and every n shares one start vector and two
+    stationary matrices of (S, d, S, d) blocks: "on" holds the log-matrix of
+    the window that ends at a position, "free" the identity.  The start
+    vector is the row logsumexp of the first window's matrix when reach = 1,
+    where a window completes at the first position, and zero otherwise.
+    "on" takes one step call over the (m, reach) int64 array of all windows,
+    and the start vector at most one more.  The chain for n is start,
+    on^(n + reach - 1 - p), free^(k - reach + 1).  A valid length n + k is at
+    least n - 1 + reach, so it equals p only at n = 1, k = 0 with reach 1;
+    such words give (start, None).
     """
-    p = max(prof.reach - 1, 1)
-    _check_states(word_total(system, p, cap=TRANSFER_STATE_CAP), system)
+    p, d = max(prof.reach - 1, 1), prof.dim
+    _check_states(word_total(system, p, cap=TRANSFER_STATE_CAP) * d, system)
     states = list(system.admissible_words(p))
     index = {w: i for i, w in enumerate(states)}
     windows = [w + (s,) for w in states for s in range(system.k)
                if system.is_admissible_pair(w[-1], s)]
     rows = np.array([index[w[:-1]] for w in windows], dtype=np.intp)
     cols = np.array([index[w[1:]] for w in windows], dtype=np.intp)
-    free = np.full((len(states), len(states)), -np.inf)
-    free[rows, cols] = 0.0
+    S = len(states)
+    free = np.full((S, d, S, d), -np.inf)
+    for i in range(d):
+        free[rows, i, cols, i] = 0.0
     on = free.copy()
-    on[rows, cols] += prof.step(np.array(windows, dtype=np.int64)[:, -prof.reach:])
-    first = prof.step(np.array(states, dtype=np.int64)) if prof.reach == 1 else 0.0
-    start = np.zeros(len(states)) + first
-    on_ladder, free_ladder = [on], [free]
+    on[rows, :, cols, :] = prof.step(
+        np.array(windows, dtype=np.int64)[:, -prof.reach:]).reshape(-1, d, d)
+    start = np.zeros(S * d)
+    if prof.reach == 1:
+        first = prof.step(np.array(states, dtype=np.int64))
+        start += first if d == 1 else np.logaddexp.reduce(first, axis=1).reshape(-1)
+    on_ladder, free_ladder = [on.reshape(S * d, S * d)], [free.reshape(S * d, S * d)]
 
     def chain(n: int):
         if p == n + k:
@@ -174,28 +179,6 @@ def _window_chain(system: ShiftSystem, prof: ScalarWindow, k: int):
         return start, [(on_ladder, n + prof.reach - 1 - p), (free_ladder, k - prof.reach + 1)]
 
     return chain
-
-
-def _cocycle_chain(system: ShiftSystem, prof: MatrixWeights, k: int):
-    """n -> (log start vector, [(ladder, power), ...]) for a plain matrix cocycle.
-
-    The entry-sum norm is linear on nonnegative matrices, so summing norms
-    over words equals the norm of the summed products:
-    B[(s,i),(t,j)] = A[s,t] M_t[i,j] for the n-1 weighted steps, then
-    kron(A, I_d) for the k free trailing symbols.
-    """
-    d = prof.mats[0].shape[0]
-    _check_states(system.k * d, system)
-    adj = np.array([[float(system.is_admissible_pair(s, t)) for t in range(system.k)]
-                    for s in range(system.k)])
-    mats = np.stack(prof.mats).transpose(1, 0, 2)  # [i, t, j]
-    block = (adj[:, None, :, None] * mats[None]).reshape(system.k * d, system.k * d)
-    start = np.concatenate([m.sum(axis=0) for m in prof.mats])
-    with np.errstate(divide="ignore"):
-        v = np.log(start)
-        steps = [np.log(block)]
-        free = [np.log(np.kron(adj, np.eye(d)))]
-    return lambda n: (v, [(steps, n - 1), (free, k)])
 
 
 def _check_states(count: int, system: ShiftSystem) -> None:

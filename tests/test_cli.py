@@ -32,6 +32,11 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+# a scaled cocycle enumerates words only when its matrices are at least 2 x 2
+COCYCLE_2X2 = {"kind": "matrix_cocycle",
+               "mats": [[[2.0, 1.0], [0.5, 1.0]], [[3.0, 0.2], [1.0, 1.5]]]}
+
+
 def read_rows(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
@@ -218,9 +223,8 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_k_scales_need_an_exact_shift_profile(self, tmp_path, capsys):
-        # a sum of two cocycles has no shift profile; the eps path still takes it
-        cocycle = {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}
-        cfg = write_config(tmp_path, potential={"kind": "sum", "terms": [cocycle, cocycle]},
+        # a sum of two 2 x 2 cocycles has no shift profile; the eps path still takes it
+        cfg = write_config(tmp_path, potential={"kind": "sum", "terms": [COCYCLE_2X2] * 2},
                            n_range=[2, 4], scales={"k": [0]})
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 2
@@ -377,11 +381,10 @@ class TestConfigErrors:
         {"system": {"kind": "rotation", "theta": 0.3}, "scales": {"eps": [0.2]},
          "potential": {"kind": "scale", "lam": -1e308,
                        "inner": {"kind": "birkhoff", "fn": "cos2pi"}}},
-        # a drift folded into a cocycle's matrices as e^800: once a traceback
+        # a drift added to a cocycle's log-matrices, past float range only in the sums
         {"potential": {"kind": "sum", "terms": [
-            {"kind": "constant_drift", "a": 800},
-            {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}]}},
-    ], ids=["drift", "table", "scaled-cos", "folded-drift"])
+            {"kind": "constant_drift", "a": 1e308}, COCYCLE_2X2]}},
+    ], ids=["drift", "table", "scaled-cos", "cocycle-drift"])
     def test_weights_past_float_range_are_config_errors(self, tmp_path, capsys,
                                                         command, overrides):
         # these once exited 0 with numpy warnings and inf or nan in the CSV
@@ -391,6 +394,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: a weight or log value leaves float range")
         assert err.count("\n") == 1
+
+    def test_drift_added_to_a_cocycle_stays_in_log_space(self, tmp_path):
+        # folded into the matrices as e^800 this once left float range; the
+        # steps now add in log space, so the table is the cocycle's plus 800 n
+        cocycle = {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}
+        tables = []
+        for name, potential in (("sum", {"kind": "sum", "terms": [
+                {"kind": "constant_drift", "a": 800}, cocycle]}), ("cocycle", cocycle)):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_config(tmp_path, f"{name}.json", potential=potential)
+            assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+            rows = read_rows(out)
+            col = rows[0].index("log_value")
+            tables.append([(int(r[3]), float(r[col])) for r in rows[1:] if r[col]])
+        total, alone = tables
+        assert [n for n, _ in total] == [n for n, _ in alone] and len(total) == 24
+        for (n, got), (_, base) in zip(total, alone):
+            assert got == pytest.approx(800 * n + base, rel=1e-12, abs=0.0)
 
     def test_float_fields_read_ints_as_floats(self, tmp_path):
         ints, floats = tmp_path / "ints.csv", tmp_path / "floats.csv"
@@ -596,8 +617,7 @@ class TestBudget:
         # a scaled cocycle is enumerated; 2^30 words exceed the fallback's cap
         cfg = write_config(
             tmp_path,
-            potential={"kind": "scale", "lam": 0.5,
-                       "inner": {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}},
+            potential={"kind": "scale", "lam": 0.5, "inner": COCYCLE_2X2},
             n_range=[30],
             scales={"k": [0]},
         )
@@ -611,8 +631,7 @@ class TestBudget:
         # 2^20000 words: the message names the length, not the count
         cfg = write_config(
             tmp_path,
-            potential={"kind": "scale", "lam": 0.5,
-                       "inner": {"kind": "matrix_cocycle", "mats": [[[1.0]], [[2.0]]]}},
+            potential={"kind": "scale", "lam": 0.5, "inner": COCYCLE_2X2},
             n_range=[20000],
             scales={"k": [0]},
         )
@@ -626,8 +645,17 @@ class TestBudget:
         ({"kind": "full_shift", "k": 257}, {"kind": "zero"}),
         ({"kind": "full_shift", "k": 2},
          {"kind": "matrix_cocycle", "mats": [[[1.0] * 129] * 129] * 2}),
-    ], ids=["257 symbols", "2 x 129 cocycle"])
-    def test_transfer_state_cap_exits_three(self, tmp_path, capsys, system, potential):
+        # 129 symbols fit the cap; only the matrix dim takes the states past it
+        ({"kind": "full_shift", "k": 129},
+         {"kind": "sum", "terms": [{"kind": "symbol_weights", "table": [0.5] * 129},
+                                   {"kind": "matrix_cocycle", "mats": [[[1.0] * 2] * 2] * 129}]}),
+    ], ids=["257 symbols", "2 x 129 cocycle", "129 x 2 cocycle"])
+    def test_transfer_state_cap_exits_three(self, tmp_path, capsys, monkeypatch,
+                                            system, potential):
+        def boom(*args, **kwargs):
+            raise AssertionError("transfer states were listed before the cap check")
+
+        monkeypatch.setattr(systems.FullShift, "admissible_words", boom)
         cfg = write_config(tmp_path, system=system, potential=potential,
                            n_range=[2, 3, 4, 5], scales={"k": [0]})
         assert main(["estimate", "--config", cfg,

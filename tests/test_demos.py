@@ -18,8 +18,10 @@ DEMOS = [
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    # a numeric warning fails the demo, as it fails the test suite
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + [
+                   p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

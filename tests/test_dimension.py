@@ -61,6 +61,11 @@ class TestGrowthTable:
         with pytest.raises(ValueError):
             t.series()
 
+    def test_series_names_an_empty_table(self):
+        # the key count was checked first, so this read "mixes 0 series"
+        with pytest.raises(ValueError, match="^empty growth table$"):
+            GrowthTable([]).series()
+
     def test_filter_by_estimator_and_scale(self):
         rows = exact_growth_table(FullShift(2), zero_potential(), 1, range(1, 5))
         t = GrowthTable(rows)

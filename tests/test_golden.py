@@ -8,6 +8,9 @@ re-pinned when the log-space repeated-squaring transfer kernel replaced the
 step-by-step DP: only last digits moved, and CHANGES.md lists every change.
 The thm33 violation digests were re-pinned when a coboundary's shift profile
 became one step window: its word sums moved in the last digits only.  The
+cocycle hash was re-pinned when a matrix cocycle became a reach-1 window of
+log-matrices, whose start vector is a logsumexp of log entries: 22 fields
+moved by at most 2.1e-16 relative, and CHANGES.md lists them.  The
 four scale and loose configs were recorded with the all-pairs relation
 kernel, before the sorted sweep.
 """
@@ -113,7 +116,7 @@ CSV_SHA256 = {
     "zero": "3a10400ca5c0562354616404ca781635c2d334c8b53c93fe5deae2f008398f9a",
     "drift-negative": "ce781cb13b6b2870c6b006e11587550fc5590cfaa86505a022883b2fca79c241",
     "weights-golden": "359b22cdb78e1206dd95adfc87f5af1e609a949dbcc0757a01e2bc030b70be90",
-    "cocycle": "760755cc70292ad5982afef20d1aa4314e0b6d79a244e43b0973825ccff315d6",
+    "cocycle": "e845f09e035fc9be82a48a5f0c91266d662384ae7a62f4988b652609045669ea",
     "sum": "ec5e98f17035fd18907040aa19156f9b096edb5b0b7a9f680db7ffda24360f63",
     "scale": "c44af5f4b029b709b0c6e8eb9b1ae36290e08476a3425d1ae177fc7084e26579",
     "rotation": "2c6846adf5b575a4ec50a370746e3b112dad94e1165c3262a94a224c92245bfa",

@@ -22,6 +22,7 @@ from pdim.potentials import (
     zero_potential,
 )
 from pdim import symbolic
+from pdim.logsum import logsumexp
 from pdim.symbolic import (
     TRANSFER_STATE_CAP,
     EnumerationCapError,
@@ -58,6 +59,9 @@ def golden_weight_closed_form(length, w):
 
 FS = FullShift(2)
 GM = golden_mean_sft()
+# a scaled cocycle enumerates words only when its matrices are at least 2 x 2:
+# a 1 x 1 cocycle is a scalar window, exact at any scale
+COCYCLE_2X2 = [np.array([[2.0, 1.0], [0.5, 1.0]]), np.array([[3.0, 0.2], [1.0, 1.5]])]
 
 
 def random_sft(rng, k):
@@ -119,7 +123,7 @@ def scenarios():
                              np.array([[2.0, 0.1], [0.1, 0.3]])], FS)
     yield FS, add(symbol_weights(FS, [0.4, 0.0]), ConstantDrift(-0.2, FS))
     yield FS, scale(1.5, symbol_weights(FS, [0.1, 0.6]))
-    # a reach-1 window folded into a cocycle's matrices, one factor per symbol
+    # a reach-1 window added to a cocycle's log-matrices, one term per symbol
     cocycle = [np.array([[1.0, 0.4], [0.7, 1.2]]), np.array([[0.3, 2.0], [1.1, 0.5]])]
     yield FS, add(symbol_weights(FS, [0.4, -0.3]), MatrixCocycle(cocycle, FS))
     yield GM, add(MatrixCocycle(cocycle, GM), symbol_weights(GM, [-0.2, 0.9]))
@@ -245,8 +249,7 @@ class TestWordSums:
                 pytest.approx(math.log(word_total(GM, length))))
 
     def test_scaled_cocycle_falls_back_to_enumeration(self):
-        coc = MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS)
-        lam = scale(0.5, coc)
+        lam = scale(0.5, MatrixCocycle(COCYCLE_2X2, FS))
         assert log_weighted_word_sum(FS, lam, 3, 3) == pytest.approx(
             enumerate_sum(FS, lam, 3, 3), abs=1e-12)
         # 2^23 words exceed ENUMERATION_CAP = 2^22: a budget error, not a profile error
@@ -334,11 +337,13 @@ def table_cases():
 TABLE_CASES = list(table_cases())
 # sha256 over float.hex of every valid table value, one digest without the
 # coboundary cases and one over them alone.  The first holds the floats of
-# the per-n repeated-squaring kernel from before the table form existed; the
+# the per-n repeated-squaring kernel from before the table form existed,
+# except the cocycle sums, re-pinned when a matrix cocycle became a reach-1
+# window of log-matrices, which moved them in the last digits only; the
 # second was recorded when a coboundary became one step window of reach
 # max(r_phi, r_psi + 1), which moved its sums in the last digits only
 TABLE_SHA256 = {
-    False: "9725f7695c8a2a00c659da627567af366d5bcd6ade0d2d40a302f65cee78a920",
+    False: "a5c5cd23f3ab4d4509a89ee7162e71393c69b383939be02211ad92032ff022b1",
     True: "eb413f75f545c1dbaa481442f8350a1523756f3510901b25492e3b447a854cf2",
 }
 
@@ -390,13 +395,13 @@ class TestTableForm:
             log_weighted_word_sums(FS, pert, [4, 6], 0)
 
     def test_cap_raises_before_any_sum(self, no_sums):
-        lam = scale(0.5, MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS))
+        lam = scale(0.5, MatrixCocycle(COCYCLE_2X2, FS))
         with pytest.raises(EnumerationCapError, match="words of length 23 exceeds cap 4194304"):
             log_weighted_word_sums(FS, lam, [3, 4, 23], 0)
 
     def test_cap_message_names_the_length_not_the_count(self, no_sums):
         # 2^20000 words: the count itself has more digits than int -> str allows
-        lam = scale(0.5, MatrixCocycle([np.array([[2.0]]), np.array([[3.0]])], FS))
+        lam = scale(0.5, MatrixCocycle(COCYCLE_2X2, FS))
         with pytest.raises(EnumerationCapError) as err:
             log_weighted_word_sums(FS, lam, [20000], 0)
         assert str(err.value) == ("enumeration fallback over the words of length 20000 "
@@ -407,7 +412,11 @@ class TestTableForm:
         (FullShift(TRANSFER_STATE_CAP + 1), symbol_weights(
             FullShift(TRANSFER_STATE_CAP + 1), [0.0] * (TRANSFER_STATE_CAP + 1))),
         (FS, MatrixCocycle([np.ones((129, 129)), np.ones((129, 129))], FS)),
-    ], ids=["zero", "weights", "cocycle"])
+        # 4 states of a reach-3 window times dim 65: each term alone fits the
+        # cap, with 4 and 2 * 65 states, and only the dim takes the sum past it
+        (FS, add(random_table(random.Random(0), FS, 3, 1.0),
+                 MatrixCocycle([np.ones((65, 65))] * 2, FS))),
+    ], ids=["zero", "weights", "cocycle", "window+cocycle"])
     def test_state_cap_raises_before_states_are_listed(self, no_sums, monkeypatch,
                                                        system, pot):
         def boom(*args, **kwargs):
@@ -415,7 +424,7 @@ class TestTableForm:
 
         monkeypatch.setattr(FullShift, "admissible_words", boom)
         with pytest.raises(BudgetExceededError, match=f"more than {TRANSFER_STATE_CAP} states"):
-            log_weighted_word_sums(system, pot, [2, 3], 1)
+            log_weighted_word_sums(system, pot, [2, 3], 2)
 
     def test_state_cap_boundary(self, monkeypatch):
         # 3 states on the 3-shift, 2 * 2 on a 2-shift cocycle of 2 x 2 matrices
@@ -445,6 +454,72 @@ class TestTableForm:
         got = log_weighted_word_sums(FS, ConstantDrift(0.5, FS), ns, 2)
         assert got == [log_weighted_word_sum(FS, ConstantDrift(0.5, FS), n, n + 2) for n in ns]
         assert got == pytest.approx([(n + 2) * math.log(2) + 0.5 * n for n in ns], rel=1e-12)
+
+
+def enumerate_table(system, pot, ns, k):
+    """Reference: logsumexp of eval_array over every admissible word of length n + k."""
+    return [logsumexp(pot.eval_array(n, [system.representative(w)
+                                         for w in system.admissible_words(n + k)]))
+            for n in ns]
+
+
+def random_cocycle(rng, system, d):
+    return MatrixCocycle([np.array([[rng.uniform(0.1, 3.0) for _ in range(d)]
+                                    for _ in range(d)]) for _ in range(system.k)], system)
+
+
+def check_against_enumeration(system, pot):
+    """The profile's step shape, and its tables at k = reach - 1 and reach + 1
+    against enumeration for n up to 5, at most 4096 words each."""
+    prof = pot.shift_profile()
+    windows = np.array(list(system.admissible_words(prof.reach)), dtype=np.int64)
+    m, d = len(windows), prof.dim
+    assert prof.step(windows).shape == ((m,) if d == 1 else (m, d, d)), pot.label
+    checked = 0
+    for k in (prof.reach - 1, prof.reach + 1):
+        ns = [n for n in range(1, 6) if word_total(system, n + k) <= 4096]
+        assert log_weighted_word_sums(system, pot, ns, k) == pytest.approx(
+            enumerate_table(system, pot, ns, k), rel=1e-12, abs=0.0), (pot.label, k)
+        checked += len(ns)
+    assert checked >= 6
+
+
+MERGE_SYSTEMS = [FS, FullShift(3), GM]
+
+
+class TestMergedWindow:
+    """A d x d matrix cocycle is a reach-1 window of log-matrices, so its sums
+    with windows, and every scale, sum and coboundary of a 1 x 1 cocycle, run
+    through the one transfer chain."""
+
+    @pytest.mark.parametrize("cocycle_first", [True, False],
+                             ids=["cocycle+window", "window+cocycle"])
+    @pytest.mark.parametrize("reach", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("system", MERGE_SYSTEMS, ids=lambda s: s.label)
+    def test_cocycle_plus_window_matches_enumeration(self, system, d, reach, cocycle_first):
+        rng = random.Random(f"{system.label}-{d}-{reach}-{cocycle_first}")
+        cocycle, window = random_cocycle(rng, system, d), random_table(rng, system, reach, 1.0)
+        pot = add(cocycle, window) if cocycle_first else add(window, cocycle)
+        assert pot.shift_profile().dim == d
+        check_against_enumeration(system, pot)
+
+    @pytest.mark.parametrize("system", MERGE_SYSTEMS, ids=lambda s: s.label)
+    def test_one_by_one_cocycles_are_exact_scalar_windows(self, system):
+        rng = random.Random(system.label)
+        window = random_table(rng, system, 2, 1.0)
+        for pot in (scale(rng.uniform(-2.0, 2.0), random_cocycle(rng, system, 1)),
+                    add(random_cocycle(rng, system, 1), random_cocycle(rng, system, 1)),
+                    coboundary_perturb(window, random_cocycle(rng, system, 1)),
+                    coboundary_perturb(random_cocycle(rng, system, 1), window)):
+            assert (pot.shift_profile().dim, pot.shift_profile().power) == (1, 1.0), pot.label
+            check_against_enumeration(system, pot)
+
+    def test_two_matrix_terms_have_no_profile(self):
+        pot = add(MatrixCocycle(COCYCLE_2X2, FS), MatrixCocycle(COCYCLE_2X2, FS))
+        assert pot.shift_profile() is None
+        assert add(scale(0.5, MatrixCocycle(COCYCLE_2X2, FS)),
+                   symbol_weights(FS, [0.1, 0.2])).shift_profile() is None
 
 
 class TestGrowthTables:
