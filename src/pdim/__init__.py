@@ -53,6 +53,7 @@ from .partition import (
 from .symbolic import (
     log_weighted_word_sum,
     log_weighted_word_sums,
+    log_weighted_word_tables,
     exact_growth_table,
 )
 from .dimension import (

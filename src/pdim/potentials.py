@@ -163,6 +163,12 @@ def symbol_weights(system: ShiftSystem, table: Sequence[float], name: str = "tab
     return Birkhoff(phi=lambda window: vals[window[:, 0]], system=system, reach=1, name=name)
 
 
+def _logs(values: np.ndarray) -> np.ndarray:
+    """math.log of each value: numpy's vectorised log may round a last bit
+    differently, and each weight stays the float of the per-word product."""
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixCocycle(Potential):
     """phi_n(x) = log of the entry-sum norm of A(x_0) ... A(x_{n-1}).
@@ -203,19 +209,19 @@ class MatrixCocycle(Potential):
         return f"cocycle(d={self.dim})"
 
     def eval_array(self, n: int, points: Sequence[Word]) -> np.ndarray:
-        out = np.zeros(len(points))
-        if n < 1:
+        m = len(points)
+        out = np.zeros(m)
+        if n < 1 or not m:
             return out
-        for row, x in enumerate(points):
-            logshift = 0.0
-            prod = self.mats[x.coord(0)].copy()
-            for i in range(1, n):
-                # normalize before multiplying so huge entries cannot overflow
-                s = prod.sum()
-                logshift += math.log(s)
-                prod = (prod / s) @ self.mats[x.coord(i)]
-            out[row] = logshift + math.log(prod.sum())
-        return out
+        symbols = word_array(points, n)
+        mats = np.stack(self.mats)
+        prod = mats[symbols[:, 0]]
+        for i in range(1, n):
+            # normalize before multiplying so huge entries cannot overflow
+            s = prod.reshape(m, -1).sum(axis=1)
+            out += _logs(s)
+            prod = (prod / s[:, None, None]) @ mats[symbols[:, i]]
+        return out + _logs(prod.reshape(m, -1).sum(axis=1))
 
     def shift_profile(self) -> Window | None:
         log_mats = np.log(np.stack(self.mats))

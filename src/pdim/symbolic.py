@@ -4,20 +4,21 @@ Joining an m-cylinder cover along n steps of the shift produces the
 (n+m-1)-cylinder cover, so for locally constant potentials every cover,
 spanning and separated quantity reduces to a weighted sum over admissible
 words.  Each sum is a start vector times powers of two stationary
-Ruelle-Bowen transfer matrices over S states, one for the n weighted steps
-and one for the free trailing symbols.  One ``Window`` profile describes
+Ruelle-Bowen transfer matrices over S states, "on" for the n weighted steps
+and "free" for the trailing symbols.  One ``Window`` profile describes
 every such potential, and its states are the admissible words of length
 max(reach-1, 1) times the window's matrix dim: a scalar window has dim 1, a
-d x d matrix cocycle is a reach-1 window of dim d.  Each power comes from
-repeated squaring in log space in O(S^3 log n), so exact tables at
-n = 10^5-10^6 are cheap.  A table over many
-n shares one setup, one start vector and one ladder of squares M, M^2, M^4,
-... per matrix, so it costs O(S^3 log n_max + |ns| S^2 log n) rather than
-O(|ns| S^3 log n) plus |ns| setups; a single sum costs what one chain
-costs.  S is counted before any state is listed, and a chain over more than
-TRANSFER_STATE_CAP states raises BudgetExceededError.  Only scaled matrix
-cocycles with dim > 1 (a norm power other than 1) enumerate words, under a
-size cap; a window sums words no longer than one state directly.
+d x d matrix cocycle is a reach-1 window of dim d.
+
+Powers come from repeated squaring in log space.  Potentials of one profile
+shape (reach, dim) share one state space: their "on" matrices stack on a
+leading batch axis, each n is one row of a stacked vector, and each square
+M^(2^j) multiplies the rows whose exponent has bit j.  T tables over ns
+cost O(T S^3 log n_max + T |ns| S^2 log n_max) in O(log n_max) products,
+and each row meets its single sum's products in the same order, so every
+value is the same float.  More than TRANSFER_STATE_CAP states raise
+BudgetExceededError before any state is listed.  Only scaled cocycles with
+dim > 1 (a norm power other than 1) enumerate words, under a size cap.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ ENUMERATION_CAP = 1 << 22
 # most transfer states S a chain may have: one log-space product costs O(S^3),
 # 0.3-0.45 s at S = 256 on a 2-vCPU Xeon
 TRANSFER_STATE_CAP = 256
+# most entries in a log-space product's temporary or a stacked "on" matrix
+_ENTRIES = 1 << 20
 
 
 def required_length(potential: Potential, n: int) -> int:
@@ -83,20 +86,56 @@ def log_weighted_word_sums(
 ) -> list[float]:
     """log of the sum over admissible words w of |w| = n + k of e^(phi_n on [w]), per n in ns.
 
-    Requires phi_n to be constant on (n + k)-cylinders; every n is checked
-    before any sum is computed.  A window of norm power 1 shares one transfer
-    setup across ns: one start vector and two matrices, each built once and
-    squared once, M, M^2, M^4, ..., as far as the largest n needs, and each n
-    multiplies the start vector by the powers its bits select.  A table costs
-    O(S^3 log n_max + |ns| S^2 log n) for S states, where separate single
-    calls cost O(|ns| S^3 log n) plus |ns| setups.
-    Every value is the same float as the single call's.  A scaled cocycle
-    with dim > 1 enumerates words for each n and raises EnumerationCapError
-    (a budget error) past ENUMERATION_CAP words.  An empty ns gives [].
+    The one-potential case of :func:`log_weighted_word_tables`.
+    """
+    return log_weighted_word_tables(system, [potential], ns, k)[0]
+
+
+def log_weighted_word_tables(
+    system: ShiftSystem,
+    potentials,
+    ns,
+    k: int,
+) -> list[list[float]]:
+    """Per potential, its table over ns, the same floats as a one-member call.
+
+    Requires every phi_n to be constant on (n + k)-cylinders.  Every member
+    and n is checked, then the state cap once per profile shape, before any
+    state is listed or sum computed.  A scaled cocycle enumerates words and
+    raises EnumerationCapError (a budget error) past ENUMERATION_CAP words.
+    An empty ns gives one [] per potential.
     """
     ns = list(ns)
     if not ns:
-        return []
+        return [[] for _ in potentials]
+    profiles = [_checked_profile(system, pot, ns, k) for pot in potentials]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, prof in enumerate(profiles):
+        if prof.power == 1.0:
+            groups.setdefault((prof.reach, prof.dim), []).append(i)
+    sizes = {shape: word_total(system, max(shape[0] - 1, 1), cap=TRANSFER_STATE_CAP) * shape[1]
+             for shape in groups}
+    for size in sizes.values():
+        _check_states(size, system)
+    out: list[list[float]] = [[] for _ in potentials]
+    for i, (pot, prof) in enumerate(zip(potentials, profiles)):
+        if prof.power != 1.0:
+            out[i] = [logsumexp(pot.eval_array(n, [system.representative(w)
+                                                   for w in system.admissible_words(n + k)]))
+                      for n in ns]
+    for (reach, d), members in groups.items():
+        # each stacked matrix holds at most _ENTRIES entries
+        batch = max(1, _ENTRIES // sizes[reach, d] ** 2)
+        for lo in range(0, len(members), batch):
+            part = members[lo:lo + batch]
+            tables = _group_tables(system, reach, d, [profiles[i].step for i in part], ns, k)
+            for i, table in zip(part, tables):
+                out[i] = table
+    return out
+
+
+def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, k: int) -> Window:
+    """The potential's profile, once every n of its table is checked."""
     profile = _profile(potential)
     scaled = profile.power != 1.0
     for n in ns:
@@ -112,73 +151,60 @@ def log_weighted_word_sums(
                 f"enumeration fallback over the words of length {n + k} "
                 f"exceeds cap {ENUMERATION_CAP}"
             )
-    if scaled:
-        def chain(n: int):  # one start entry per word, no transfer steps
-            return potential.eval_array(n, [system.representative(w)
-                                            for w in system.admissible_words(n + k)]), None
-    else:
-        chain = _window_chain(system, profile, k)
-    out = []
-    for n in ns:
-        start, factors = chain(n)
-        if factors is None:
-            out.append(logsumexp(start))
-            continue
-        # v exp(M)^m for each factor: ladder[j] is M^(2^j), squared only as
-        # far as some n has needed, and m's bits apply from the lowest up
-        v = start[None, :]
-        for ladder, m in factors:
-            while len(ladder) < m.bit_length():
-                ladder.append(_log_matmul(ladder[-1], ladder[-1]))
-            for j in range(m.bit_length()):
-                if m >> j & 1:
-                    v = _log_matmul(v, ladder[j])
-        out.append(float(np.logaddexp.reduce(v[0])))
-    return out
+    return profile
 
 
-def _window_chain(system: ShiftSystem, prof: Window, k: int):
-    """n -> (log start vector, [(ladder, power), ...]) for a window of power 1.
+def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list,
+                  k: int) -> list[list[float]]:
+    """One table over ns per step of a (reach, d) window of power 1.
 
-    States are the admissible words of length p = max(reach - 1, 1), each
-    times the window's dim, and every n shares one start vector and two
-    stationary matrices of (S, d, S, d) blocks: "on" holds the log-matrix of
-    the window that ends at a position, "free" the identity.  The start
-    vector is the row logsumexp of the first window's matrix when reach = 1,
-    where a window completes at the first position, and zero otherwise.
-    "on" takes one step call over the (m, reach) int64 array of all windows,
-    and the start vector at most one more.  The chain for n is start,
-    on^(n + reach - 1 - p), free^(k - reach + 1).  A valid length n + k is at
-    least n - 1 + reach, so it equals p only at n = 1, k = 0 with reach 1;
-    such words give (start, None).
+    States are the admissible p-words, p = max(reach - 1, 1), times d.
+    "free" holds identity blocks on the admissible transitions, member t's
+    "on" the log-matrix of the window that ends at a position (one step
+    call), and its start vector, at reach 1, the row logsumexp of the first
+    window's matrix (one more).  Row (t, n) is start on^(n + reach - 1 - p)
+    free^(k - reach + 1); n + k = p only at n = 1, k = 0 with reach 1, where
+    the value is the start vector's sum.
     """
-    p, d = max(prof.reach - 1, 1), prof.dim
-    _check_states(word_total(system, p, cap=TRANSFER_STATE_CAP) * d, system)
+    p = max(reach - 1, 1)
     states = list(system.admissible_words(p))
     index = {w: i for i, w in enumerate(states)}
     windows = [w + (s,) for w in states for s in range(system.k)
                if system.is_admissible_pair(w[-1], s)]
     rows = np.array([index[w[:-1]] for w in windows], dtype=np.intp)
     cols = np.array([index[w[1:]] for w in windows], dtype=np.intp)
-    S = len(states)
+    S, T = len(states), len(steps)
     free = np.full((S, d, S, d), -np.inf)
     for i in range(d):
         free[rows, i, cols, i] = 0.0
-    on = free.copy()
-    on[rows, :, cols, :] = prof.step(
-        np.array(windows, dtype=np.int64)[:, -prof.reach:]).reshape(-1, d, d)
-    start = np.zeros(S * d)
-    if prof.reach == 1:
-        first = prof.step(np.array(states, dtype=np.int64))
-        start += first if d == 1 else np.logaddexp.reduce(first, axis=1).reshape(-1)
-    on_ladder, free_ladder = [on.reshape(S * d, S * d)], [free.reshape(S * d, S * d)]
-
-    def chain(n: int):
-        if p == n + k:
-            return start, None
-        return start, [(on_ladder, n + prof.reach - 1 - p), (free_ladder, k - prof.reach + 1)]
-
-    return chain
+    on = np.full((T, S, d, S, d), -np.inf)
+    start = np.zeros((T, S * d))
+    win = np.array(windows, dtype=np.int64)[:, -reach:]
+    for t, step in enumerate(steps):
+        on[t, rows, :, cols, :] = step(win).reshape(-1, d, d)
+        if reach == 1:
+            first = step(np.array(states, dtype=np.int64))
+            start[t] += first if d == 1 else np.logaddexp.reduce(first, axis=1).reshape(-1)
+    values = {}
+    if p - k in ns:
+        values[p - k] = [logsumexp(v) for v in start]
+    chained = [n for n in dict.fromkeys(ns) if n not in values]
+    if chained:
+        # v exp(M)^m per row, squaring M as far as the largest m needs
+        v = np.repeat(start[:, None, :], len(chained), axis=1)
+        for power, ms in ((on.reshape(T, S * d, S * d), [n + reach - 1 - p for n in chained]),
+                          (free.reshape(S * d, S * d), [k - reach + 1] * len(chained))):
+            for j in range(max(ms).bit_length()):
+                if j:
+                    power = _log_matmul(power, power)
+                bits = [m >> j & 1 for m in ms]
+                if all(bits):
+                    v = _log_matmul(v, power)
+                elif any(bits):
+                    picked = np.flatnonzero(bits)
+                    v[:, picked] = _log_matmul(v[:, picked], power)
+        values.update(zip(chained, np.logaddexp.reduce(v, axis=2).T.tolist()))
+    return [list(table) for table in zip(*(values[n] for n in ns))]
 
 
 def _check_states(count: int, system: ShiftSystem) -> None:
@@ -191,11 +217,21 @@ def _check_states(count: int, system: ShiftSystem) -> None:
 
 
 def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log(exp(a) @ exp(b)) for log-domain matrices; -inf marks a zero entry."""
-    rows = max(1, (1 << 20) // b.size)
-    if len(a) > rows:  # bound the rows x S x T temporary
-        return np.concatenate([_log_matmul(a[i : i + rows], b) for i in range(0, len(a), rows)])
-    return np.logaddexp.reduce(a[:, :, None] + b, axis=1)
+    """log(exp(a) @ exp(b)) for log-domain matrices; -inf marks a zero entry.
+
+    A 3-d a is a stack, times b's own stack or one b for all.  Past _ENTRIES
+    entries (stack x rows x S x U) the temporary is cut by stack, then rows.
+    """
+    if a.size * b.shape[-1] > _ENTRIES:
+        per_row = b.shape[-2] * b.shape[-1]
+        batch = max(1, _ENTRIES // (a.shape[-2] * per_row))
+        if a.ndim == 3 and len(a) > batch:
+            return np.concatenate([_log_matmul(a[i:i + batch], b if b.ndim == 2 else b[i:i + batch])
+                                   for i in range(0, len(a), batch)])
+        rows = max(1, _ENTRIES // per_row)
+        return np.concatenate([_log_matmul(a[..., i:i + rows, :], b)
+                               for i in range(0, a.shape[-2], rows)], axis=-2)
+    return np.logaddexp.reduce(a[..., None] + b[..., None, :, :], axis=-2)
 
 
 def deflated_scale(k: int) -> float:

@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ from .potentials import (
 from .symbolic import (
     deflated_scale,
     log_weighted_word_sum,
-    log_weighted_word_sums,
+    log_weighted_word_tables,
     log_word_count,
 )
 from .systems import (
@@ -92,10 +93,17 @@ def _digest(params: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _word_sums(system: ShiftSystem, pot: Potential, ns, k: int) -> dict[int, float]:
-    """{n: log weighted sum over the (n + k)-words}, from one table."""
+def _word_sums(system: ShiftSystem, pots: list[Potential], ns, k: int) -> Iterator[dict]:
+    """Per potential in turn, {n: log weighted sum over the (n + k)-words}, from one table call."""
     ns = list(ns)
-    return dict(zip(ns, log_weighted_word_sums(system, pot, ns, k)))
+    return (dict(zip(ns, table)) for table in log_weighted_word_tables(system, pots, ns, k))
+
+
+def _sums_by_system(cases: list[tuple[ShiftSystem, Potential]], ns, k: int) -> list[dict]:
+    """:func:`_word_sums` per (system, potential) case, one table call per system."""
+    tables = {system: _word_sums(system, [p for s, p in cases if s == system], ns, k)
+              for system in dict.fromkeys(s for s, _ in cases)}
+    return [next(tables[system]) for system, _ in cases]
 
 
 def _finish(check_id: str, params: dict, violations: list[float],
@@ -168,12 +176,14 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
     params = {"check": "chain", "seed": seed, "n_max": n_max, "trials": trials}
     violations = []
 
-    for system, pot in [
+    cases = [
         (FullShift(2), zero_potential()),
         (FullShift(2), symbol_weights(FullShift(2), [0.3, -0.2])),
         (golden_mean_sft(), symbol_weights(golden_mean_sft(), [0.1, 0.4])),
-    ]:
-        sums = {k: _word_sums(system, pot, range(1, n_max + 1), k) for k in range(1, 5)}
+    ]
+    tables = {k: _sums_by_system(cases, range(1, n_max + 1), k) for k in range(1, 5)}
+    for c, (system, pot) in enumerate(cases):
+        sums = {k: tables[k][c] for k in tables}
         for n in range(1, n_max + 1):
             for m in (2, 3):
                 q_val = sums[m - 1][n]
@@ -259,14 +269,6 @@ def check_prop22(seed: int = 0, fault: float = 0.0) -> CheckReport:
     return _finish("prop22", params, violations, fault, notes)
 
 
-def _ratio_tables(system: ShiftSystem, pot: Potential, k: int, n_range) -> tuple[list, list]:
-    """Per-n statistics log value / n for the potential and the zero table."""
-    sums = _word_sums(system, pot, n_range, k)
-    pot_ratios = [v / n for n, v in sums.items()]
-    zero_ratios = [log_word_count(system, n + k) / n for n in sums]
-    return pot_ratios, zero_ratios
-
-
 def check_thm31(seed: int = 0, fault: float = 0.0) -> CheckReport:
     """Zero potential recovers pure counting; general potentials stay in the
     counting band at s = 1 and collapse onto it for s > 1."""
@@ -275,7 +277,8 @@ def check_thm31(seed: int = 0, fault: float = 0.0) -> CheckReport:
     violations = []
     for system in (FullShift(2), golden_mean_sft()):
         for k in (0, 1, 2):
-            for n, v in _word_sums(system, zero_potential(), range(1, n_max + 1), k).items():
+            [sums] = _word_sums(system, [zero_potential()], range(1, n_max + 1), k)
+            for n, v in sums.items():
                 violations.append(abs(v - log_word_count(system, n + k)))
 
     scenarios: list[tuple[ShiftSystem, Potential]] = [
@@ -285,14 +288,16 @@ def check_thm31(seed: int = 0, fault: float = 0.0) -> CheckReport:
         (FullShift(2), MatrixCocycle(([[2.0]], [[3.0]]), FullShift(2))),
     ]
     k = 1
-    for system, pot in scenarios:
+    ns = list(range(1, n_max + 1))
+    for (system, pot), sums in zip(scenarios, _sums_by_system(scenarios, ns, k)):
         reps = [system.representative(w) for w in system.admissible_words(2)]
         vals = pot.eval_array(1, reps).tolist()
         sup1, inf1 = max(vals), min(vals)
         supabs = max(abs(v) for v in vals)
         C = pot.C
-        ns = list(range(1, n_max + 1))
-        pr, zr = _ratio_tables(system, pot, k, ns)
+        # per-n statistics log value / n for the potential and the zero table
+        pr = [v / n for n, v in sums.items()]
+        zr = [log_word_count(system, n + k) / n for n in sums]
         for p_ratio, z_ratio in zip(pr, zr):
             violations.append(p_ratio - (z_ratio + sup1 + C))
             violations.append((z_ratio + inf1 - C) - p_ratio)
@@ -317,13 +322,17 @@ def check_thm32(seed: int = 0, fault: float = 0.0) -> CheckReport:
     tight = [(np.array([6.0, 0.0]), np.array([6.0, 0.0]))]
     random_pairs = [(rng.normal(scale=0.7, size=2), rng.normal(scale=0.7, size=2))
                     for _ in range(pairs)]
+    lams = (2.0, 3.0, 0.25, 0.5)
+    pots = []
     for t1, t2 in tight + random_pairs:
         phi = symbol_weights(system, t1)
         psi = symbol_weights(system, t2)
-        v_sum = _word_sums(system, add(phi, psi), ns, 0)
-        v_phi = _word_sums(system, phi, ns, 0)
-        v_psi = _word_sums(system, psi, ns, 0)
-        v_lam = {lam: _word_sums(system, scale(lam, phi), ns, 0) for lam in (2.0, 3.0, 0.25, 0.5)}
+        pots += [add(phi, psi), phi, psi] + [scale(lam, phi) for lam in lams]
+    # one table call for every pair, read back in the order listed
+    tables = _word_sums(system, pots, ns, 0)
+    for _ in tight + random_pairs:
+        v_sum, v_phi, v_psi = next(tables), next(tables), next(tables)
+        v_lam = {lam: next(tables) for lam in lams}
         for n in ns:
             violations.append(v_sum[n] - v_phi[n] - v_psi[n])
             for lam in (2.0, 3.0):
@@ -356,37 +365,43 @@ def check_thm33(seed: int = 0, fault: float = 0.0) -> CheckReport:
     system = FullShift(2)
     ns = range(1, n_max + 1)
     violations = []
+    # every potential first, in the order of the draws, then one table call
+    # per k, read back in the order listed
+    at_k1, at_k2, bands = [], [], []
     for _ in range(20):
         base = rng.normal(scale=0.6, size=2)
         bump = rng.uniform(0.0, 0.8, size=2)
-        phi = symbol_weights(system, base)
-        psi = symbol_weights(system, base + bump)
-        v_psi = _word_sums(system, psi, ns, 1)
-        for n, v_phi in _word_sums(system, phi, ns, 1).items():
-            violations.append(v_phi - v_psi[n])
+        at_k1 += [symbol_weights(system, base), symbol_weights(system, base + bump)]
     for _ in range(20):
         t_phi = rng.normal(scale=0.6, size=2)
         t_psi = rng.normal(scale=0.6, size=2)
         phi = symbol_weights(system, t_phi)
         psi = symbol_weights(system, t_psi)
-        pert = coboundary_perturb(phi, psi)
-        norm_psi1 = float(np.max(np.abs(t_psi)))
-        v_phis = _word_sums(system, phi, ns, 2)
-        for n, v_pert in _word_sums(system, pert, ns, 2).items():
-            v_phi = v_phis[n]
-            band = 2.0 * n * psi.C + 2.0 * norm_psi1
-            violations.append(abs(v_pert - v_phi) - band)
+        at_k2 += [phi, coboundary_perturb(phi, psi)]
+        bands.append((psi.C, float(np.max(np.abs(t_psi)))))
+    ts = (0.25, 0.5, 0.75)
+    for _ in range(20):
+        phi = symbol_weights(system, rng.normal(scale=0.6, size=2))
+        psi = symbol_weights(system, rng.normal(scale=0.6, size=2))
+        at_k1 += [phi, psi] + [add(scale(t, phi), scale(1.0 - t, psi)) for t in ts]
+    k1 = _word_sums(system, at_k1, ns, 1)
+    k2 = _word_sums(system, at_k2, ns, 2)
+
+    for _ in range(20):
+        v_phi, v_psi = next(k1), next(k1)
+        for n in ns:
+            violations.append(v_phi[n] - v_psi[n])
+    for psi_C, norm_psi1 in bands:
+        v_phi, v_pert = next(k2), next(k2)
+        for n in ns:
+            band = 2.0 * n * psi_C + 2.0 * norm_psi1
+            violations.append(abs(v_pert[n] - v_phi[n]) - band)
             for s in (1.5, 2.0):
-                violations.append((abs(v_pert - v_phi) - band) / n**s)
+                violations.append((abs(v_pert[n] - v_phi[n]) - band) / n**s)
     for _ in range(20):
-        t_phi = rng.normal(scale=0.6, size=2)
-        t_psi = rng.normal(scale=0.6, size=2)
-        phi = symbol_weights(system, t_phi)
-        psi = symbol_weights(system, t_psi)
-        v_phi = _word_sums(system, phi, ns, 1)
-        v_psi = _word_sums(system, psi, ns, 1)
-        for t in (0.25, 0.5, 0.75):
-            v_mix = _word_sums(system, add(scale(t, phi), scale(1.0 - t, psi)), ns, 1)
+        v_phi, v_psi = next(k1), next(k1)
+        for t in ts:
+            v_mix = next(k1)
             for n in ns:
                 violations.append(v_mix[n] - t * v_phi[n] - (1.0 - t) * v_psi[n])
     notes = f"{len(violations)} inequalities"
@@ -493,9 +508,11 @@ def check_section4(seed: int = 0, fault: float = 0.0) -> CheckReport:
     notes_parts = []
 
     # drift on shifts: per-n statistic at s = 1 equals drift + counting term
+    drifts = (0.0, 0.5, 1.0)
     for system in (FullShift(2), golden_mean_sft()):
-        for A in (0.0, 0.5, 1.0):
-            for n, v in _word_sums(system, ConstantDrift(A, system), range(4, 33, 4), 0).items():
+        tables = _word_sums(system, [ConstantDrift(A, system) for A in drifts], range(4, 33, 4), 0)
+        for A, sums in zip(drifts, tables):
+            for n, v in sums.items():
                 target = A + log_word_count(system, n) / n
                 violations.append(abs(v / n - target))
 

@@ -114,6 +114,35 @@ class TestMatrixCocycle:
         with pytest.raises(ValueError):
             MatrixCocycle(([[1.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]), FS)
 
+    @staticmethod
+    def per_word_loop(mc, n, points):
+        """Reference: one normalized product per word, step by step."""
+        out = np.zeros(len(points))
+        for row, x in enumerate(points if n >= 1 else []):
+            logshift = 0.0
+            prod = mc.mats[x.coord(0)].copy()
+            for i in range(1, n):
+                s = prod.sum()
+                logshift += math.log(s)
+                prod = (prod / s) @ mc.mats[x.coord(i)]
+            out[row] = logshift + math.log(prod.sum())
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("system", [FS, FullShift(3), golden_mean_sft()],
+                             ids=lambda s: s.label)
+    def test_eval_array_is_the_per_word_loop_bit_for_bit(self, system, d):
+        # random words of random lengths with their own tails, entries e^u
+        # with |u| <= 30, so the normalization carries most of each weight
+        gen = np.random.default_rng(d * 10 + system.k)
+        mats = [np.exp(gen.uniform(-30.0, 30.0, size=(d, d))) for _ in range(system.k)]
+        mc = MatrixCocycle(mats, system)
+        words = [Word(tuple(int(s) for s in gen.integers(0, system.k, size=gen.integers(0, 12))),
+                      int(gen.integers(0, system.k))) for _ in range(200)]
+        for n in (0, 1, 2, 5, 11, 14):
+            assert mc.eval_array(n, words).tobytes() == self.per_word_loop(mc, n, words).tobytes()
+        assert mc.eval_array(3, []).shape == (0,)
+
 
 class TestAlgebra:
     def test_add_and_scale_eval(self):

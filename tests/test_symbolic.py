@@ -32,6 +32,7 @@ from pdim.symbolic import (
     exact_growth_table,
     log_weighted_word_sum,
     log_weighted_word_sums,
+    log_weighted_word_tables,
     log_word_count,
     required_length,
 )
@@ -348,6 +349,17 @@ TABLE_SHA256 = {
 }
 
 
+@pytest.fixture
+def no_sums(monkeypatch):
+    """Any word sum that starts fails the test."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a word sum was computed before the checks")
+
+    monkeypatch.setattr("pdim.symbolic._log_matmul", boom)
+    monkeypatch.setattr("pdim.symbolic.logsumexp", boom)
+    monkeypatch.setattr(FullShift, "representative", boom)
+
+
 class TestTableForm:
     @pytest.mark.parametrize("k", range(4))
     @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: f"{c[0].label}-{c[1].label}")
@@ -374,16 +386,6 @@ class TestTableForm:
                     continue
                 digest.update(",".join(v.hex() for v in values).encode() + b";")
         assert digest.hexdigest() == TABLE_SHA256[coboundary]
-
-    @pytest.fixture
-    def no_sums(self, monkeypatch):
-        """Any word sum that starts fails the test."""
-        def boom(*args, **kwargs):
-            raise AssertionError("a word sum was computed before the checks")
-
-        monkeypatch.setattr("pdim.symbolic._log_matmul", boom)
-        monkeypatch.setattr("pdim.symbolic.logsumexp", boom)
-        monkeypatch.setattr(FullShift, "representative", boom)
 
     def test_nonpositive_n_raises_before_any_sum(self, no_sums):
         with pytest.raises(ValueError, match="need n >= 1"):
@@ -520,6 +522,230 @@ class TestMergedWindow:
         assert pot.shift_profile() is None
         assert add(scale(0.5, MatrixCocycle(COCYCLE_2X2, FS)),
                    symbol_weights(FS, [0.1, 0.2])).shift_profile() is None
+
+
+def batch_members(rng, system):
+    """A mixed batch on one system: symbol weights, drift, a sum, scales,
+    coboundaries of reach 2 and 3, cocycles with d = 1, 2, 3 and one scaled
+    cocycle, which enumerates words."""
+    def weights():
+        return symbol_weights(system, [rng.uniform(-1.5, 1.5) for _ in range(system.k)])
+
+    return [
+        weights(), weights(),
+        ConstantDrift(rng.uniform(-1.0, 1.0), system),
+        add(weights(), ConstantDrift(rng.uniform(-1.0, 1.0), system)),
+        scale(rng.uniform(-2.0, 2.0), weights()),
+        scale(rng.uniform(-2.0, 2.0), random_table(rng, system, 2, 1.0)),
+        coboundary_perturb(weights(), weights()),
+        coboundary_perturb(random_table(rng, system, 2, 1.0), weights()),
+        coboundary_perturb(weights(), random_table(rng, system, 2, 1.0)),
+        random_cocycle(rng, system, 1), random_cocycle(rng, system, 2),
+        random_cocycle(rng, system, 3), random_cocycle(rng, system, 2),
+        add(random_cocycle(rng, system, 2), weights()),
+        scale(0.5, random_cocycle(rng, system, 2)),
+    ]
+
+
+BATCH_SYSTEMS = [FS, FullShift(3), GM, SFT(((1, 1, 0), (0, 1, 1), (1, 0, 1)))]
+
+
+def single_tables(system, pots, ns, k):
+    """Reference: one log_weighted_word_sums call per potential, as hex floats."""
+    return [[v.hex() for v in log_weighted_word_sums(system, pot, ns, k)] for pot in pots]
+
+
+def batched_tables(system, pots, ns, k):
+    return [[v.hex() for v in table]
+            for table in log_weighted_word_tables(system, pots, ns, k)]
+
+
+def valid_members(system, pots, ns, k):
+    """The members whose single table exists at this k."""
+    out = []
+    for pot in pots:
+        try:
+            log_weighted_word_sums(system, pot, ns, k)
+        except NotLocallyConstantError:
+            continue
+        out.append(pot)
+    return out
+
+
+class TestBatchedTables:
+    """log_weighted_word_tables stacks the members of one profile shape and
+    must give each member its single table, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("system", BATCH_SYSTEMS, ids=lambda s: s.label)
+    def test_batch_equals_single_calls_bit_for_bit(self, system, seed):
+        rng = random.Random(f"{system.label}-{seed}")
+        pots = batch_members(rng, system)
+        checked = 0
+        for k in range(4):
+            members = valid_members(system, pots, [1, 2], k)
+            rng.shuffle(members)
+            # unsorted, with repeats; the enumerating member keeps n + k small
+            ns = [rng.randint(1, 9 - k) for _ in range(rng.randint(1, 7))]
+            ns += ns[:2]
+            assert batched_tables(system, members, ns, k) == single_tables(system, members, ns, k)
+            checked += len(members)
+        assert checked >= 40
+
+    def test_batches_on_long_tables(self):
+        # a shared ladder squared past n = 10^4, rows that need different bits
+        rng = random.Random(4)
+        pots = valid_members(GM, batch_members(rng, GM)[:-1], [1], 2)
+        ns = [10**4, 3, 777, 1, 10**4, 4096]
+        assert batched_tables(GM, pots, ns, 2) == single_tables(GM, pots, ns, 2)
+
+    @staticmethod
+    def faulty_group(monkeypatch, fault):
+        """Run every group through ``fault(steps)``, which rewires the members'
+        step calls; the "on" block comes from each member's first call and a
+        reach-1 start vector from its second."""
+        real = symbolic._group_tables
+
+        def group(system, reach, d, steps, ns, k):
+            return real(system, reach, d, fault(steps) if len(steps) > 1 else steps, ns, k)
+
+        monkeypatch.setattr(symbolic, "_group_tables", group)
+
+    @staticmethod
+    def nth_call(first, later):
+        calls = []
+
+        def step(w):
+            calls.append(None)
+            return first(w) if len(calls) == 1 else later(w)
+
+        return step
+
+    @pytest.mark.parametrize("fault", ["borrowed on block", "dropped start vector"])
+    def test_property_catches_a_miswired_batch(self, monkeypatch, fault):
+        rng = random.Random(9)
+        pots = [symbol_weights(FS, [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)])
+                for _ in range(3)]
+        ns, k = [3, 1, 5, 3], 1
+        assert batched_tables(FS, pots, ns, k) == single_tables(FS, pots, ns, k)
+        if fault == "borrowed on block":
+            def rewire(steps):
+                return [steps[0], self.nth_call(steps[0], steps[1]), *steps[2:]]
+        else:
+            def rewire(steps):
+                return [steps[0], self.nth_call(steps[1], lambda w: 0.0 * steps[1](w)),
+                        *steps[2:]]
+        self.faulty_group(monkeypatch, rewire)
+        assert batched_tables(FS, pots, ns, k) != single_tables(FS, pots, ns, k)
+
+    def test_empty_batch_and_empty_ns(self, no_sums):
+        from pdim.systems import Rotation
+
+        no_profile = Birkhoff(phi=lambda x: x, system=Rotation(0.3), name="x")
+        assert log_weighted_word_tables(FS, [], [1, 2], 0) == []
+        pots = [symbol_weights(FS, [0.1, 0.2]), no_profile, MatrixCocycle(COCYCLE_2X2, FS)]
+        assert log_weighted_word_tables(FS, pots, [], 2) == [[], [], []]
+
+    @pytest.mark.parametrize("bad", ["not locally constant", "too short", "n < 1", "enumeration"])
+    def test_a_bad_member_raises_its_single_error_before_any_sum(self, no_sums, bad):
+        from pdim.systems import Rotation
+
+        pert = coboundary_perturb(symbol_weights(FS, [0.0, 1.0]), symbol_weights(FS, [2.0, 0.5]))
+        ns, k = [4, 2, 6], 0
+        pot = {
+            "not locally constant": Birkhoff(phi=lambda x: x, system=Rotation(0.3), name="x"),
+            "too short": pert,
+            "n < 1": symbol_weights(FS, [0.1, 0.2]),
+            "enumeration": scale(0.5, MatrixCocycle(COCYCLE_2X2, FS)),
+        }[bad]
+        if bad == "n < 1":
+            ns = [4, 0]
+        if bad == "enumeration":
+            ns = [3, 23]
+        with pytest.raises(Exception) as single:
+            log_weighted_word_sums(FS, pot, ns, k)
+        batch = [symbol_weights(FS, [0.3, 0.4]), MatrixCocycle(COCYCLE_2X2, FS), pot,
+                 symbol_weights(FS, [0.5, 0.6])]
+        with pytest.raises(type(single.value)) as batched:
+            log_weighted_word_tables(FS, batch, ns, k)
+        assert type(batched.value) is type(single.value)
+        assert str(batched.value) == str(single.value)
+
+    def test_state_cap_is_checked_once_per_group_before_states_are_listed(
+            self, no_sums, monkeypatch):
+        events = []
+        real_check, real_words = symbolic._check_states, FullShift.admissible_words
+
+        def check(count, system):
+            events.append(("cap", count))
+            real_check(count, system)
+
+        def words(self, length):
+            events.append(("states", length))
+            return real_words(self, length)
+
+        monkeypatch.setattr(symbolic, "_check_states", check)
+        monkeypatch.setattr(FullShift, "admissible_words", words)
+        rng = random.Random(2)
+        # three groups: (reach 1, dim 1) twice, (reach 3, dim 1) twice, (reach 1, dim 2)
+        batch = [symbol_weights(FS, [0.1, 0.2]), random_table(rng, FS, 3, 1.0),
+                 MatrixCocycle(COCYCLE_2X2, FS), ConstantDrift(0.3, FS),
+                 random_table(rng, FS, 3, 1.0)]
+        # the no_sums fixture stops the first product, after every group is built
+        with pytest.raises(AssertionError, match="before the checks"):
+            log_weighted_word_tables(FS, batch, [2, 3], 2)
+        caps = [e for e in events if e[0] == "cap"]
+        assert sorted(caps) == [("cap", 2), ("cap", 4), ("cap", 4)]
+        assert events[:3] == caps
+        # one group past the cap stops the batch before any state is listed
+        events.clear()
+        monkeypatch.setattr(symbolic, "TRANSFER_STATE_CAP", 3)
+        with pytest.raises(BudgetExceededError, match="more than 3 states"):
+            log_weighted_word_tables(FS, batch, [2, 3], 2)
+        assert all(e[0] == "cap" for e in events)
+
+    def test_temporaries_stay_within_the_entry_bound(self, monkeypatch):
+        """Every product's temporary, batch x rows x S x U, stays within
+        _ENTRIES, cut along the batch axis and the rows, and the values do
+        not move."""
+        rng = random.Random(6)
+        pots = ([random_table(rng, FS, 3, 1.0) for _ in range(20)]
+                + [random_cocycle(rng, FS, 3) for _ in range(5)])
+        ns, k = [1, 17, 5, 300, 2], 3
+        want = batched_tables(FS, pots, ns, k)
+        sizes = []
+
+        class Reduce:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def reduce(self, x, axis):
+                if axis == -2:  # a product's temporary
+                    sizes.append(x.size)
+                return self.ufunc.reduce(x, axis=axis)
+
+        class Numpy:
+            logaddexp = Reduce(np.logaddexp)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(symbolic, "np", Numpy())
+        monkeypatch.setattr(symbolic, "_ENTRIES", 64)
+        assert batched_tables(FS, pots, ns, k) == want
+        assert sizes and max(sizes) <= 64
+        # a 16-row stack of 4 x 4 squarings: 1024 entries at once, cut in 16
+        sizes.clear()
+        a = np.log(np.random.default_rng(0).uniform(0.1, 2.0, size=(16, 4, 4)))
+        a[3, :, 1] = -np.inf
+        got = symbolic._log_matmul(a, a)
+        assert len(sizes) == 16 and max(sizes) == 64
+        assert got.tobytes() == np.stack([symbolic._log_matmul(m, m) for m in a]).tobytes()
+        # one member over the bound: its rows are cut
+        sizes.clear()
+        big = np.zeros((2, 9, 5))
+        assert symbolic._log_matmul(big, np.zeros((5, 5))).shape == (2, 9, 5)
+        assert max(sizes) <= 64
 
 
 class TestGrowthTables:
