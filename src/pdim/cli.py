@@ -57,7 +57,7 @@ from .potentials import (
     symbol_weights,
     zero_potential,
 )
-from .symbolic import NotLocallyConstantError, deflated_scale
+from .symbolic import MAX_SCALE_INDEX, NotLocallyConstantError, deflated_scale
 from .systems import (
     BudgetExceededError,
     Contraction,
@@ -322,8 +322,9 @@ def _parse_scales(spec) -> tuple[str, list]:
         values = [_integer(v) if mode == "k" else _finite(v) for v in raw]
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(eps_rule if mode == "eps" else f"bad scales.k: {e}")
-    if mode == "k" and any(k < 0 for k in values):
-        raise ConfigError("scale indices must be >= 0")
+    if mode == "k" and any(not 0 <= k <= MAX_SCALE_INDEX for k in values):
+        # past it the scale of index k is not below 2^-k
+        raise ConfigError(f"scale indices must be in [0, {MAX_SCALE_INDEX}]")
     if mode == "eps" and any(e <= 0.0 for e in values):
         raise ConfigError(eps_rule)
     if len(set(values)) != len(values):
@@ -421,14 +422,17 @@ def cmd_estimate(args) -> int:
     window_frac = cfg["window_frac"]
     system, potential, tables = _collect_tables(cfg)
     curves = pressure_curves(tables, cfg["s_grid"], window_frac)
+    try:
+        bests = [largest_dimension([t for t in tables if t.samples[0].estimator == c.estimator],
+                                   window_frac) for c in curves]
+    except ValueError as e:
+        raise ConfigError(f"window_frac: {e}")
 
     rows = _sample_rows(system, potential, tables) + _pressure_rows(system, potential, curves)
     _write_csv(args.out, rows, cfg["max_rows"])
 
     print(f"system={system.label} potential={potential.label} rows={len(rows)}")
-    for curve in curves:
-        best = largest_dimension(
-            [t for t in tables if t.samples[0].estimator == curve.estimator], window_frac)
+    for curve, best in zip(curves, bests):
         if best is not None:
             print(f"estimator={int(curve.estimator)} dimension={best.s0_hat!r} "
                   f"window=[{best.window[0]}..{best.window[1]}] "
@@ -471,8 +475,8 @@ def cmd_oracle(args) -> int:
     if args.max_points > ORACLE_CAP:
         print(f"error: oracle supports at most {ORACLE_CAP} candidate points", file=sys.stderr)
         return 2
-    if args.max_points < 2 or args.trials < 1:
-        print("error: need max-points >= 2 and trials >= 1", file=sys.stderr)
+    if args.max_points < 3 or args.trials < 1:  # each instance draws 3 to max-points points
+        print("error: need max-points >= 3 and trials >= 1", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
     sep_gaps, span_gaps = [], []

@@ -283,12 +283,16 @@ def dimension_estimate(table: GrowthTable, window_frac: float = 0.5) -> Dimensio
 
     A trailing window wholly below -1 is fitted on -log_value, the mirrored
     branch of :func:`s_pressure`.  Any other window not uniformly above 1 is
-    classified as bounded growth and gets exponent 0 outright.
+    classified as bounded growth and gets exponent 0 outright.  A window of
+    fewer than 2 samples raises ValueError.
     """
     ns, vals = table.series()
     if len(ns) < 4:
         raise ValueError("need at least 4 samples for a dimension estimate")
     wn, wv = _window(ns, vals, window_frac)
+    if len(wn) < 2:
+        raise ValueError(f"window fraction {window_frac!r} leaves 1 of {len(ns)} samples "
+                         "to fit; need at least 2")
     window = (int(wn[0]), int(wn[-1]))
     if np.all(wv < -1.0):
         wv = -wv

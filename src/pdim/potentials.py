@@ -7,10 +7,10 @@ A potential here is a sequence ``phi_n`` of orbit aggregates satisfying
 for a declared constant C >= 0.  Each object evaluates ``phi_n``, carries C,
 and (when it is locally constant on a shift) exposes a ``Window`` profile
 that the exact symbolic backend can sum without enumerating points.  One
-profile type covers both exact kinds: phi_n = power * log 1^T W_0 ... W_{n-1} 1
-over the dim x dim matrices W_i = exp(step(x_i .. x_{i+reach-1})), so an
-additive potential is a dim-1 window of scalar steps and a matrix cocycle a
-reach-1 window of log-matrices.
+profile type covers every exact kind: phi_n = power * log 1^T W_0 ... W_{n-1} 1
+over the dim x dim matrices W_i = exp(step(x_i .. x_{i+reach-1})): an additive
+potential is a dim-1 window of scalar steps, a matrix cocycle a reach-1 window
+of log-matrices, a sum the Kronecker product of its terms' matrices.
 
 ``eval_array(n, points)`` is the one formula of every potential: it returns
 the float64 array of ``phi_n`` over a whole candidate list in one pass, and
@@ -50,12 +50,33 @@ class Window:
     W(x_{n-1} .. x_{n+reach-2}), where W = exp(step) and ``step`` maps an
     (m, reach) int64 array of windows, one per row, to m floats when dim == 1
     (then phi_n is the sum of the steps) and to (m, dim, dim) log-matrices
-    otherwise.  Only a scaled cocycle has power != 1."""
+    otherwise.  Windows add by ``+``; only a scaled matrix has power != 1."""
 
     reach: int
     step: Callable[[np.ndarray], np.ndarray]
     dim: int = 1
     power: float = 1.0
+
+    def __add__(self, other: Window) -> Window | None:
+        """phi + psi: the Kronecker product of the two matrix chains, with
+        log-matrix x[i, j] + y[k, l] at row (i, k), column (j, l), whose entry
+        sum is the product of theirs.  None under a norm power."""
+        if (self.power, other.power) != (1.0, 1.0):
+            return None
+        a, b, d = self, other, self.dim * other.dim
+
+        def step(w):
+            x = a.step(w[:, :a.reach]).reshape(-1, a.dim, 1, a.dim, 1)
+            y = b.step(w[:, :b.reach]).reshape(-1, 1, b.dim, 1, b.dim)
+            return (x + y).reshape((-1, d, d) if d > 1 else -1)
+
+        return Window(max(a.reach, b.reach), step, d)
+
+    def scaled(self, lam: float) -> Window:
+        """The window of lam * phi: a scaled step at dim 1, a norm power otherwise."""
+        if self.dim == 1:
+            return Window(self.reach, lambda w: lam * self.step(w))
+        return Window(self.reach, self.step, self.dim, lam * self.power)
 
 
 class Potential:
@@ -251,21 +272,8 @@ class SumPotential(Potential):
         return self.left.eval_array(n, points) + self.right.eval_array(n, points)
 
     def shift_profile(self) -> Window | None:
-        a = self.left.shift_profile()
-        b = self.right.shift_profile()
-        # a dim-1 step scales every entry of the other term's matrix, so the
-        # steps add in log space; two matrix terms or a norm power do not
-        if a is None or b is None or min(a.dim, b.dim) > 1 or (a.power, b.power) != (1.0, 1.0):
-            return None
-        d = max(a.dim, b.dim)
-
-        def step(w):
-            x, y = a.step(w[:, :a.reach]), b.step(w[:, :b.reach])
-            if d > 1:
-                x, y = x.reshape(len(w), a.dim, a.dim), y.reshape(len(w), b.dim, b.dim)
-            return x + y
-
-        return Window(max(a.reach, b.reach), step, dim=d)
+        a, b = self.left.shift_profile(), self.right.shift_profile()
+        return None if a is None or b is None else a + b
 
 
 @dataclass(frozen=True)
@@ -290,12 +298,7 @@ class ScaledPotential(Potential):
 
     def shift_profile(self) -> Window | None:
         p = self.inner.shift_profile()
-        if p is None:
-            return None
-        lam = self.lam
-        if p.dim == 1:
-            return Window(p.reach, lambda w: lam * p.step(w))
-        return Window(p.reach, p.step, p.dim, lam * p.power)
+        return None if p is None else p.scaled(self.lam)
 
 
 @dataclass(frozen=True)
@@ -386,9 +389,8 @@ class InverseTwistPotential(Potential):
 class CoboundaryPotential(Potential):
     """Phi + Psi o T - Psi, the coboundary perturbation of Phi.
 
-    On a shift, psi_n(Tx) - psi_n(x) = sum over i < n of psi(T^(i+1) x) -
-    psi(T^i x) for a window psi of reach r, so the perturbation is one step
-    window of reach max(r_phi, r + 1), even when psi is itself a coboundary.
+    On a shift its window is (phi + psi o T) + (-psi), the adds of phi +
+    psi o T - psi, where psi o T is psi's window read one symbol on.
     """
 
     base: Potential
@@ -415,13 +417,11 @@ class CoboundaryPotential(Potential):
         )
 
     def shift_profile(self) -> Window | None:
-        a = self.base.shift_profile()
-        b = self.psi.shift_profile()
-        if a is None or b is None or max(a.dim, b.dim) > 1:
+        a, b = self.base.shift_profile(), self.psi.shift_profile()
+        if a is None or b is None:
             return None
-        r = b.reach
-        return Window(max(a.reach, r + 1), lambda w: (
-            a.step(w[:, :a.reach]) + b.step(w[:, 1:r + 1]) - b.step(w[:, :r])))
+        shifted = a + Window(b.reach + 1, lambda w: b.step(w[:, 1:]), b.dim, b.power)
+        return None if shifted is None else shifted + b.scaled(-1.0)
 
 
 def add(phi: Potential, psi: Potential) -> SumPotential:

@@ -8,7 +8,7 @@ Ruelle-Bowen transfer matrices over S states, "on" for the n weighted steps
 and "free" for the trailing symbols.  One ``Window`` profile describes
 every such potential, and its states are the admissible words of length
 max(reach-1, 1) times the window's matrix dim: a scalar window has dim 1, a
-d x d matrix cocycle is a reach-1 window of dim d.
+d x d matrix cocycle dim d, and a sum the product of its terms' dims.
 
 Powers come from repeated squaring in log space.  Potentials of one profile
 shape (reach, dim) share one state space: their "on" matrices stack on a
@@ -17,8 +17,8 @@ M^(2^j) multiplies the rows whose exponent has bit j.  T tables over ns
 cost O(T S^3 log n_max + T |ns| S^2 log n_max) in O(log n_max) products,
 and each row meets its single sum's products in the same order, so every
 value is the same float.  More than TRANSFER_STATE_CAP states raise
-BudgetExceededError before any state is listed.  Only scaled cocycles with
-dim > 1 (a norm power other than 1) enumerate words, under a size cap.
+BudgetExceededError before any state is listed.  Only a scaled matrix
+window (a norm power other than 1) enumerates words, under a size cap.
 """
 
 from __future__ import annotations
@@ -234,6 +234,11 @@ def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.logaddexp.reduce(a[..., None] + b[..., None, :, :], axis=-2)
 
 
+# largest k with 0 < deflated_scale(k) < 2^-k: from 1056 it rounds up to
+# 2^-k among the subnormals, and from 1075 it is 0.0
+MAX_SCALE_INDEX = 1055
+
+
 def deflated_scale(k: int) -> float:
     """Scale eps_k just under 2^-k; distinct (n+k)-cylinders separate at it."""
     return 2.0 ** (-k) * (1.0 - 1e-6)
@@ -253,8 +258,8 @@ def exact_growth_table(
     The separated sample is a certified lower bound for the full separated
     optimum, the spanning sample a certified upper bound at its scale.
     """
-    if scale_k < 0:
-        raise ValueError("scale index must be >= 0")
+    if not 0 <= scale_k <= MAX_SCALE_INDEX:
+        raise ValueError(f"scale index must be in [0, {MAX_SCALE_INDEX}], got {scale_k}")
     eps = deflated_scale(scale_k)
     span_scale = 2.0 ** (-(scale_k - 1))
     ns = list(n_range)

@@ -15,8 +15,9 @@ from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 import pdim
 from pdim import systems
-from pdim.cli import CSV_HEADER, MAX_POTENTIAL_DEPTH, build_system, main
+from pdim.cli import CSV_HEADER, MAX_POTENTIAL_DEPTH, build_potential, build_system, main
 from pdim.dimension import entropy_dimension
+from pdim.logsum import logsumexp
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -216,6 +217,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "does not read" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("ks", [[1100, 1200], [1080], [0, 1056]], ids=repr)
+    def test_scale_index_past_float_range(self, tmp_path, capsys, ks):
+        # such k once gave scale 0.0, or one not below 2^-k; two of them
+        # merged their tables and raised in the fit
+        cfg = write_config(tmp_path, scales={"k": ks})
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: scale indices must be in [0, 1055]\n"
+        assert not out.exists()
+        cfg = write_config(tmp_path, scales={"k": [1055]}, n_range=[1, 2, 3, 4])
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert 0.0 < min(float(r[4]) for r in read_rows(out)[1:] if r[4]) < 2.0 ** -1055
+
+    def test_one_point_fit_window(self, tmp_path, capsys):
+        # a window of one sample once printed dimension=0.0 from a NaN slope;
+        # sweep reads no fit and keeps taking it
+        cfg = write_config(tmp_path, window_frac=0.1, scales={"k": [0]})
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window_frac: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert main(["sweep", "--config", cfg, "--s-min", "0.5", "--s-max", "1.5",
+                     "--steps", "3", "--out", str(out)]) == 0
+
     def test_k_scales_rejected_for_metric_system(self, tmp_path):
         cfg = write_config(tmp_path, system={"kind": "rotation", "theta": 0.3},
                            potential={"kind": "zero"})
@@ -223,14 +249,37 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_k_scales_need_an_exact_shift_profile(self, tmp_path, capsys):
-        # a sum of two 2 x 2 cocycles has no shift profile; the eps path still takes it
-        cfg = write_config(tmp_path, potential={"kind": "sum", "terms": [COCYCLE_2X2] * 2},
+        # a scaled 2 x 2 cocycle has a norm power, so its sum with a window has
+        # no shift profile; the eps path still takes it
+        scaled = {"kind": "scale", "lam": 0.5, "inner": COCYCLE_2X2}
+        cfg = write_config(tmp_path, potential={"kind": "sum", "terms": [
+                               scaled, {"kind": "symbol_weights", "table": [0.1, 0.2]}]},
                            n_range=[2, 4], scales={"k": [0]})
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no locally constant structure" in err
         assert err.count("\n") == 1
+
+    def test_k_scales_sum_two_cocycles_exactly(self, tmp_path, capsys):
+        # the sum's window is the Kronecker product of the two 2 x 2 chains
+        other = {"kind": "matrix_cocycle", "mats": [[[1.0, 0.3], [2.0, 0.7]],
+                                                    [[0.4, 1.1], [0.9, 2.5]]]}
+        spec = {"kind": "sum", "terms": [COCYCLE_2X2, other]}
+        cfg = write_config(tmp_path, potential=spec, n_range=[1, 2, 3, 4, 5, 6],
+                           scales={"k": [2]})
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        system = build_system({"kind": "full_shift", "k": 2})
+        pot = build_potential(spec, system)
+        rows = [r for r in read_rows(out)[1:] if r[3]]
+        assert len(rows) == 12 and {r[8] for r in rows} == {"true"}
+        for r in rows:
+            n = int(r[3])
+            words = [system.representative(w) for w in system.admissible_words(n + 2)]
+            assert float(r[6]) == pytest.approx(logsumexp(pot.eval_array(n, words)),
+                                                rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("option", [
         {"n_range": ["a"]},
@@ -649,7 +698,11 @@ class TestBudget:
         ({"kind": "full_shift", "k": 129},
          {"kind": "sum", "terms": [{"kind": "symbol_weights", "table": [0.5] * 129},
                                    {"kind": "matrix_cocycle", "mats": [[[1.0] * 2] * 2] * 129}]}),
-    ], ids=["257 symbols", "2 x 129 cocycle", "129 x 2 cocycle"])
+        # each cocycle fits the cap; their sum's 16 x 17 Kronecker dim does not
+        ({"kind": "full_shift", "k": 2},
+         {"kind": "sum", "terms": [{"kind": "matrix_cocycle", "mats": [[[1.0] * 16] * 16] * 2},
+                                   {"kind": "matrix_cocycle", "mats": [[[1.0] * 17] * 17] * 2}]}),
+    ], ids=["257 symbols", "2 x 129 cocycle", "129 x 2 cocycle", "2 x 16 x 17 cocycle sum"])
     def test_transfer_state_cap_exits_three(self, tmp_path, capsys, monkeypatch,
                                             system, potential):
         def boom(*args, **kwargs):
@@ -839,6 +892,13 @@ class TestOracle:
     def test_point_cap(self, capsys):
         assert main(["oracle", "--max-points", "21"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("max_points", ["2", "1", "0"])
+    def test_instances_need_three_points(self, capsys, max_points):
+        # each instance draws 3 to max-points points; 2 once raised in numpy
+        assert main(["oracle", "--max-points", max_points]) == 2
+        assert capsys.readouterr().err == "error: need max-points >= 3 and trials >= 1\n"
+        assert main(["oracle", "--max-points", "3", "--trials", "4"]) == 0
 
     def test_deterministic_output(self, capsys):
         args = ["oracle", "--max-points", "8", "--trials", "10", "--seed", "5"]

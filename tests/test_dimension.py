@@ -192,6 +192,15 @@ class TestDimensionEstimate:
         with pytest.raises(ValueError):
             dimension_estimate(GrowthTable(rows))
 
+    def test_needs_two_samples_in_the_window(self):
+        # one point once fitted a NaN slope, reported as exponent 0.0
+        fs = FullShift(2)
+        rows = exact_growth_table(fs, ConstantDrift(0.5, fs), 0, range(4, 25, 4))
+        t = GrowthTable(rows).filter(estimator=Estimator.SEPARATED)
+        with pytest.raises(ValueError, match="window fraction 0.1 leaves 1 of 6"):
+            dimension_estimate(t, window_frac=0.1)
+        assert dimension_estimate(t, window_frac=0.2).window == (20, 24)
+
     @pytest.mark.parametrize("drift", [-2.0, 0.5])
     def test_estimate_inside_jump_bracket(self, drift):
         # at drift -2 the 2-shift log values fall like -1.3 n: mirrored branch

@@ -1,5 +1,6 @@
 """Exact shift-space backend: transfer sums versus literal enumeration."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -24,6 +25,7 @@ from pdim.potentials import (
 from pdim import symbolic
 from pdim.logsum import logsumexp
 from pdim.symbolic import (
+    MAX_SCALE_INDEX,
     TRANSFER_STATE_CAP,
     EnumerationCapError,
     NotLocallyConstantError,
@@ -471,14 +473,14 @@ def random_cocycle(rng, system, d):
 
 
 def check_against_enumeration(system, pot):
-    """The profile's step shape, and its tables at k = reach - 1 and reach + 1
+    """The profile's step shape, and its tables at k = reach - 1 to reach + 1
     against enumeration for n up to 5, at most 4096 words each."""
     prof = pot.shift_profile()
     windows = np.array(list(system.admissible_words(prof.reach)), dtype=np.int64)
     m, d = len(windows), prof.dim
     assert prof.step(windows).shape == ((m,) if d == 1 else (m, d, d)), pot.label
     checked = 0
-    for k in (prof.reach - 1, prof.reach + 1):
+    for k in range(prof.reach - 1, prof.reach + 2):
         ns = [n for n in range(1, 6) if word_total(system, n + k) <= 4096]
         assert log_weighted_word_sums(system, pot, ns, k) == pytest.approx(
             enumerate_table(system, pot, ns, k), rel=1e-12, abs=0.0), (pot.label, k)
@@ -490,9 +492,10 @@ MERGE_SYSTEMS = [FS, FullShift(3), GM]
 
 
 class TestMergedWindow:
-    """A d x d matrix cocycle is a reach-1 window of log-matrices, so its sums
-    with windows, and every scale, sum and coboundary of a 1 x 1 cocycle, run
-    through the one transfer chain."""
+    """A d x d matrix cocycle is a reach-1 window of log-matrices, and the
+    window of a sum is the Kronecker product of its terms' matrices, so sums
+    of cocycles and windows, their coboundaries, and every scale, sum and
+    coboundary of a 1 x 1 cocycle run through the one transfer chain."""
 
     @pytest.mark.parametrize("cocycle_first", [True, False],
                              ids=["cocycle+window", "window+cocycle"])
@@ -517,11 +520,58 @@ class TestMergedWindow:
             assert (pot.shift_profile().dim, pot.shift_profile().power) == (1, 1.0), pot.label
             check_against_enumeration(system, pot)
 
-    def test_two_matrix_terms_have_no_profile(self):
-        pot = add(MatrixCocycle(COCYCLE_2X2, FS), MatrixCocycle(COCYCLE_2X2, FS))
-        assert pot.shift_profile() is None
+    @pytest.mark.parametrize("window_first", [False, True],
+                             ids=["cocycles+window", "window+cocycles"])
+    @pytest.mark.parametrize("reach", [1, 2, 3])
+    @pytest.mark.parametrize("terms", [2, 3])
+    @pytest.mark.parametrize("system", MERGE_SYSTEMS, ids=lambda s: s.label)
+    def test_sums_of_cocycles_match_enumeration(self, system, terms, reach, window_first):
+        rng = random.Random(f"{system.label}-{terms}-{reach}-{window_first}")
+        dims = [rng.randint(1, 3) for _ in range(terms)]
+        pots = [random_cocycle(rng, system, d) for d in dims]
+        window = random_table(rng, system, reach, 1.0)
+        pots = [window] + pots if window_first else pots + [window]
+        pot = functools.reduce(add, pots)
+        prof = pot.shift_profile()
+        assert (prof.dim, prof.reach) == (math.prod(dims), reach)
+        check_against_enumeration(system, pot)
+
+    @pytest.mark.parametrize("system", MERGE_SYSTEMS, ids=lambda s: s.label)
+    def test_coboundaries_over_cocycles_match_enumeration(self, system):
+        rng = random.Random(f"coboundary-{system.label}")
+
+        def window():
+            return random_table(rng, system, rng.randint(1, 2), 1.0)
+
+        def cocycles():
+            return add(random_cocycle(rng, system, 2), random_cocycle(rng, system, 3))
+
+        for dim, pot in (
+                (3, coboundary_perturb(random_cocycle(rng, system, 3), window())),
+                (6, coboundary_perturb(cocycles(), window())),
+                (6, coboundary_perturb(cocycles(), coboundary_perturb(window(), window()))),
+                (6, coboundary_perturb(coboundary_perturb(cocycles(), window()), window())),
+                (2, add(window(), coboundary_perturb(random_cocycle(rng, system, 2), window())))):
+            assert pot.shift_profile().dim == dim, pot.label
+            check_against_enumeration(system, pot)
+
+    def test_two_matrix_terms_have_a_kronecker_profile(self):
+        # the sum's log-matrix at row (i, k), column (j, l) is x[i, j] + y[k, l]
+        a, b = MatrixCocycle(COCYCLE_2X2, FS), MatrixCocycle(COCYCLE_2X2[::-1], FS)
+        prof = add(a, b).shift_profile()
+        assert (prof.reach, prof.dim, prof.power) == (1, 4, 1.0)
+        logs = prof.step(np.array([[0], [1]], dtype=np.int64))
+        for s in (0, 1):
+            want = np.kron(COCYCLE_2X2[s], COCYCLE_2X2[1 - s])
+            assert np.exp(logs[s]) == pytest.approx(want, rel=1e-15)
+        check_against_enumeration(FS, add(a, b))
+
+    def test_a_scaled_matrix_term_has_no_profile(self):
+        # a norm power other than 1 does not add in log space
         assert add(scale(0.5, MatrixCocycle(COCYCLE_2X2, FS)),
                    symbol_weights(FS, [0.1, 0.2])).shift_profile() is None
+        assert coboundary_perturb(symbol_weights(FS, [0.1, 0.2]),
+                                  MatrixCocycle(COCYCLE_2X2, FS)).shift_profile() is None
 
 
 def batch_members(rng, system):
@@ -770,6 +820,16 @@ class TestGrowthTables:
     def test_negative_scale_index_rejected(self):
         with pytest.raises(ValueError):
             exact_growth_table(FS, zero_potential(FS), -1, range(1, 3))
+
+    def test_scale_index_past_float_range_rejected(self):
+        # from k = 1056 the deflated scale rounds up to 2^-k, from 1075 to 0.0
+        assert 0 < deflated_scale(MAX_SCALE_INDEX) < 2.0 ** -MAX_SCALE_INDEX
+        assert not deflated_scale(MAX_SCALE_INDEX + 1) < 2.0 ** -(MAX_SCALE_INDEX + 1)
+        rows = exact_growth_table(FS, zero_potential(FS), MAX_SCALE_INDEX, [1, 2])
+        assert rows[0].log_value == pytest.approx((1 + MAX_SCALE_INDEX) * math.log(2))
+        for k in (MAX_SCALE_INDEX + 1, 1075, 1200):
+            with pytest.raises(ValueError, match="scale index must be in"):
+                exact_growth_table(FS, zero_potential(FS), k, [1, 2])
 
 
 class TestWordCounts:
