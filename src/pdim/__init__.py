@@ -43,6 +43,7 @@ from .partition import (
     GrowthSample,
     SeparationInstance,
     make_instance,
+    make_instances,
     greedy_separated,
     separated_lower_bound,
     spanning_upper_bound,

@@ -26,7 +26,7 @@ import numpy as np
 from .partition import (
     Estimator,
     GrowthSample,
-    make_instance,
+    make_instances,
     separated_lower_bound,
     spanning_upper_bound,
 )
@@ -98,8 +98,10 @@ def growth_tables(
     and a potential with a shift profile.  ``mode`` ``"eps"`` reads them as
     radii and takes the greedy bounds on candidate grids of at most
     ``budget`` points; samples from an uncertified grid carry the note
-    ``"uncertified-candidates"``.  Tables come in the order their first
-    sample is made.
+    ``"uncertified-candidates"``.  Consecutive n whose grids are equal share
+    one instance family (``make_instances``): one orbit, one Bowen walk and
+    one weight pass, each sample keeping its own grid's note.  Tables come
+    in the order their first sample is made.
     """
     samples: list[GrowthSample] = []
     if mode == "k":
@@ -108,18 +110,32 @@ def growth_tables(
             samples.extend(s for s in table if s.estimator in estimators)
     elif mode == "eps":
         for eps in scales:
-            for n in n_range:
-                cand = system.candidate_set(n, eps, budget=budget)
-                note = "" if cand.certified else "uncertified-candidates"
-                inst = make_instance(system, n, eps, cand.points, potential)
-                samples.extend(_GREEDY_BOUNDS[e](inst, note=note)
-                               for e in dict.fromkeys(estimators))
+            for points, run in _grid_runs(system, n_range, eps, budget):
+                [insts] = make_instances(system, points, [(n, eps) for n, _ in run], [potential])
+                for inst, (_, note) in zip(insts, run):
+                    samples.extend(_GREEDY_BOUNDS[e](inst, note=note)
+                                   for e in dict.fromkeys(estimators))
     else:
         raise ValueError(f"scale mode must be 'k' or 'eps', got {mode!r}")
     groups: dict[tuple, list[GrowthSample]] = {}
     for s in samples:
         groups.setdefault((s.estimator, s.scale), []).append(s)
     return [GrowthTable(v) for v in groups.values()]
+
+
+def _grid_runs(system: System, n_range: Sequence[int], eps: float, budget: int):
+    """Runs of consecutive n whose candidate grids are equal, as (points, [(n, note)])."""
+    points, run = None, []
+    for n in n_range:
+        cand = system.candidate_set(n, eps, budget=budget)
+        if run and cand.points != points:
+            yield points, run
+            run = []
+        if not run:
+            points = cand.points
+        run.append((n, "" if cand.certified else "uncertified-candidates"))
+    if run:
+        yield points, run
 
 
 def _window(ns: np.ndarray, vals: np.ndarray, frac: float) -> tuple[np.ndarray, np.ndarray]:

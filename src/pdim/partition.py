@@ -6,14 +6,18 @@ give certified one-sided bounds; the brute-force routines are exact oracles
 for small instances and anchor every greedy result in the tests.
 
 Cost for m candidates at time n: every greedy and exact reader takes only
-the Bowen relation, the pairs with d_n <= eps (``bowen_relation``).  A
-chunk of time steps that ends after step t keeps the pairs within min(eps,
-``System.bowen_radius(n - t + 1, eps)``).  On the doubling map below eps =
-1/4, and on shifts below eps = 1, that radius halves with each step still
-to come.  Past one block of _BLOCK_ENTRIES pairs, the points are sorted
-once by ``System.sweep_key`` (circle and interval maps, shifts), and each
-point is stepped, from t = 0, only against the points whose keys lie
-within the radius at t = 1: C candidate pairs in all, close to the E
+the Bowen relation, the pairs with d_n <= eps (``bowen_relation``).  The
+instances of one point set form a family (``make_instances``): one orbit,
+at the largest n, and one walk through time serve all their (n, eps)
+requests (``bowen_relations``), reading each relation off the running max
+at its n.  A chunk of time steps that ends after step t keeps the pairs
+within the largest min(eps, ``System.bowen_radius(n - t + 1, eps)``) over
+the requests still open.  On the doubling map below eps = 1/4, and on
+shifts below eps = 1, that radius halves with each step still to come.
+Past one block of _BLOCK_ENTRIES pairs, the points are sorted once by
+``System.sweep_key`` (circle and interval maps, shifts), and each point is
+stepped, from t = 0, only against the points whose keys lie within that
+reach at t = 1: C candidate pairs in all, close to the E
 pairs of the relation where the radius halves, for O(m log m + C n) time
 and no broadcast blocks.  A triangle within one block is one metric call,
 and one whose windows hold over a quarter of its pairs (a radius that does
@@ -33,6 +37,7 @@ O(m + E) in total for its key updates.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -55,6 +60,8 @@ from .systems import (
 _BLOCK_ENTRIES = 1 << 15
 # Most candidates the exact (exponential-time) oracles take.
 ORACLE_CAP = 20
+# The first part of every relation: no pairs, in the relation's dtypes.
+_NO_PAIRS = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))
 
 
 class Estimator(IntEnum):
@@ -84,19 +91,20 @@ class InstanceTooLargeError(ValueError):
 
 @dataclass
 class SeparationInstance:
-    """Candidates with weights w_i = phi_n(x_i) at one (n, eps)."""
+    """Candidates with weights w_i = phi_n(x_i) at one (n, eps); the instances
+    of one ``make_instances`` family share one walk for their relations."""
 
     system: System
     n: int
     eps: float
     points: list
     weights: np.ndarray
-    _pairs: tuple | None = field(default=None, repr=False, init=False)
+    _relations: _Relations | None = field(default=None, repr=False, compare=False, init=False)
 
     def __post_init__(self):
         if len(self.points) == 0:
             raise EmptyInstanceError("no candidates after filtering")
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN included
             raise ValueError("eps must be positive")
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (len(self.points),):
@@ -108,9 +116,49 @@ class SeparationInstance:
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``bowen_relation`` of the candidates at (n, eps): pairs i < j with d_n <= eps."""
-        if self._pairs is None:
-            self._pairs = bowen_relation(self.system, self.n, self.points, self.eps)
-        return self._pairs
+        if self._relations is None:
+            self._relations = _Relations(self.system, self.points, [(self.n, self.eps)])
+        return self._relations[self.n, self.eps]
+
+
+class _Relations:
+    """The Bowen relations of one point set at a family's (n, eps) requests,
+    from one ``bowen_relations`` walk on first use."""
+
+    def __init__(self, system: System, points: list, requests: list):
+        self.system, self.points, self.requests = system, points, requests
+        self.found: dict | None = None
+
+    def __getitem__(self, request: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.found is None:
+            found = bowen_relations(self.system, self.points, self.requests)
+            self.found = dict(zip(self.requests, found))
+        return self.found[request]
+
+
+def make_instances(
+    system: System,
+    points: Sequence[Point],
+    requests: Sequence[tuple[int, float]],
+    potentials: Sequence[Potential | None],
+) -> list[list[SeparationInstance]]:
+    """Per potential, one instance per (n, eps) request on the points.
+
+    Each potential's weights come from one ``eval_arrays`` pass over the
+    requested n (None weighs zero), and all the instances form one family,
+    whose relations one ``bowen_relations`` walk computes on first use.
+    """
+    pts, requests = list(points), list(requests)
+    ns = [n for n, _ in requests]
+    relations = _Relations(system, pts, requests)
+    out = []
+    for pot in potentials:
+        weights = [np.zeros(len(pts)) for _ in ns] if pot is None else pot.eval_arrays(ns, pts)
+        out.append([SeparationInstance(system, n, eps, pts, w)
+                    for (n, eps), w in zip(requests, weights)])
+        for inst in out[-1]:
+            inst._relations = relations
+    return out
 
 
 def make_instance(
@@ -120,159 +168,208 @@ def make_instance(
     points: Sequence[Point],
     potential: Potential | None = None,
 ) -> SeparationInstance:
-    pts = list(points)
-    if potential is None:
-        w = np.zeros(len(pts))
-    else:
-        w = potential.eval_array(n, pts)
-    return SeparationInstance(system, n, eps, pts, w)
+    """The one-request, one-potential case of ``make_instances``."""
+    return make_instances(system, points, [(n, eps)], [potential])[0][0]
 
 
 def bowen_relation(system: System, n: int, points: Sequence[Point],
                    eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs i < j with d_n(x_i, x_j) <= eps, as arrays (i, j, d) sorted by (i, j).
+    """Pairs i < j with d_n(x_i, x_j) <= eps, as arrays (i, j, d) sorted by (i, j):
+    the one-request case of ``bowen_relations``."""
+    return bowen_relations(system, points, [(n, eps)])[0]
+
+
+def bowen_relations(system: System, points: Sequence[Point],
+                    requests: Sequence[tuple[int, float]]) -> list[tuple]:
+    """Per (n, eps) request, the pairs i < j with d_n(x_i, x_j) <= eps, as
+    arrays (i, j, d) (int32, int32, float64) sorted by (i, j).
 
     Each d is ``system.bowen_metric(n, x_i, x_j)`` bit for bit.  Points with
-    an array form go through ``system.metric_array`` on their orbit array,
-    by one of two kernels that return the same arrays.  A triangle past one
-    block (m^2 > _BLOCK_ENTRIES) whose ``System.sweep_key`` windows hold at
-    most a quarter of its pairs takes the sweep (``_swept_relation``): only
-    the pairs whose keys lie within reach are stepped, from t = 0.  Every
-    other triangle goes by row blocks: each takes as many rows, then as
-    many time steps, as fit in _BLOCK_ENTRIES, so a small orbit is one
-    call, and past that first chunk only the pairs still kept are stepped,
-    gathered from the orbit.  In both, after each chunk, ending after step
-    t, a pair drops out once its running max passes min(eps,
-    system.bowen_radius(n - t + 1, eps)), t capped at n; that is exact, as
-    by the radius's contract a dropped pair has d_n > eps.  Points with no
+    an array form share one orbit, at the largest n, and one walk through
+    time that keeps each pair's running max of ``system.metric_array`` and
+    reads a request's relation off at its n; no time chunk runs past a
+    requested n.  A triangle past one block (m^2 > _BLOCK_ENTRIES) whose
+    ``System.sweep_key`` windows hold at most a quarter of its pairs takes
+    the sweep (``_Walk.sweep``): only the pairs whose keys lie within reach
+    are stepped, from t = 0.  Every other triangle goes by row blocks: each
+    takes as many rows, then as many time steps, as fit in _BLOCK_ENTRIES,
+    so a small orbit is one call, and past that first chunk only the pairs
+    still kept are stepped, gathered from the orbit.  In both, after each
+    chunk, ending after step t, a pair drops out once its running max
+    passes the reach, the largest min(eps, system.bowen_radius(n - t + 1,
+    eps)) over the requests with n >= t; that is exact, as by the radius's
+    contract a dropped pair has d_n > eps for each of them.  Points with no
     array form go through the filter at eps on ``bowen_metric`` values.
-    Raises BudgetExceededError before keeping pairs past ARRAY_BUDGET_BYTES.
+    Raises ValueError for n < 1 or an eps that is not positive (NaN
+    included), and BudgetExceededError before a request keeps pairs past
+    ARRAY_BUDGET_BYTES.  Repeated requests share one result.
     """
-    if n < 1:
-        raise ValueError("bowen_relation needs n >= 1")
-    m = len(points)
-    try:
-        orbit = orbit_array(system, n, points)
-    except NotImplementedError:
-        orbit = None
-    if orbit is not None and m * m > _BLOCK_ENTRIES:
-        swept = _swept_relation(system, orbit, eps)
-        if swept is not None:
-            return swept
-    parts = [(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))]
-    kept = lo = 0
-    while lo < m:
-        if orbit is None:
-            hi, t = lo + 1, n
-            d = np.array([system.bowen_metric(n, points[lo], q) for q in points[hi:]], dtype=float)
-            (c,) = np.nonzero(d <= eps)
-            i, j, d = np.full(len(c), lo), c + hi, d[c]
-        else:
-            hi = min(m, lo + max(1, _BLOCK_ENTRIES // (m - lo)))
-            t = max(1, _BLOCK_ENTRIES // ((hi - lo) * (m - lo)))
-            d = system.metric_array(orbit[:t, lo:hi, None], orbit[:t, None, lo:])
-            d = d[0] if len(d) == 1 else np.maximum.reduce(d, axis=0)
-            r, c = np.nonzero(d <= min(eps, system.bowen_radius(n - min(t, n) + 1, eps)))
-            upper = c > r
-            r, c = r[upper], c[upper]
-            i, j, d = _step_pairs(system, orbit, eps, r + lo, c + lo, d[r, c], t)
-        kept = _keep(parts, kept, i, j, d, m)
-        lo = hi
-    if len(parts) == 2:  # one row block, as for every small orbit
-        return parts[1]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    requests = list(requests)
+    for n, eps in requests:
+        if n < 1:
+            raise ValueError("bowen_relation needs n >= 1")
+        if not eps > 0:
+            raise ValueError("eps must be positive")
+    if not requests:
+        return []
+    distinct = list(dict.fromkeys(requests))
+    found = dict(zip(distinct, _Walk(system, points, distinct).relations()))
+    return [found[r] for r in requests]
 
 
-def _step_pairs(system: System, orbit: np.ndarray, eps: float, i: np.ndarray, j: np.ndarray,
-                d: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steps the pairs (i, j), whose running max over the steps before t is d,
-    through time n, as many steps per call as fit in _BLOCK_ENTRIES, and
-    returns those that stay within the radius after each call."""
-    n = len(orbit)
-    while t < n and len(i):
-        k = max(1, _BLOCK_ENTRIES // len(i))
-        step = system.metric_array(orbit[t:t + k, i], orbit[t:t + k, j])
-        d = np.maximum(d, step.max(axis=0))
-        close = d <= min(eps, system.bowen_radius(n - min(t + k, n) + 1, eps))
-        i, j, d, t = i[close], j[close], d[close], t + k
-    return i, j, d
+class _Walk:
+    """One pass through time for distinct (n, eps) requests on one point set.
 
-
-def _keep(parts: list, kept: int, i: np.ndarray, j: np.ndarray, d: np.ndarray, m: int) -> int:
-    """Appends the pairs to ``parts`` after the budget check; returns the pairs kept so far."""
-    # a kept pair holds 16 bytes: int32 i and j, float64 d
-    _check_array_budget(kept + len(i), 2, f"Bowen relation of {m} points")
-    parts.append((i.astype(np.int32), j.astype(np.int32), d))
-    return kept + len(i)
-
-
-def _swept_relation(system: System, orbit: np.ndarray,
-                    eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``bowen_relation`` by sort and sweep on ``system.sweep_key``, or None
-    where the system has no key or the windows hold over a quarter of the
-    m (m - 1) / 2 pairs, where the row blocks are faster.
-
-    By the radius's contract at t = 1 a pair of the relation has d_0 <= d_1
-    <= reach = min(eps, bowen_radius(n, eps)), so by the key's contract its
-    keys lie within reach.  Points sorted by key, a point's candidates are
-    a forward run of the keys past its own and, on the circle, a wrap run
-    from the far end; no window (eps = inf, or a reach of half the period
-    or more) counts every pair.  The candidates go, in runs of whole rows
-    of at most _BLOCK_ENTRIES pairs (or one row), through ``_step_pairs``
-    from t = 0.
+    Each request collects its pairs in ``parts``, checked against the
+    budget as they come (16 bytes a pair: int32 i and j, float64 d).
     """
-    n, m = orbit.shape[:2]
-    swept = system.sweep_key(orbit[0])
-    if swept is None:
-        return None
-    key, period = swept
-    # The windows are conservative.  A pair within reach at t = 0 has float
-    # |key_q - key_p| <= reach, so exactly key_q - key_p <= reach·(1 + 2^-52)
-    # < window, and fl(key_p + window) >= key_q, rounding being monotone and
-    # key_q a float.  Past the wrap the float 1 - |key_q - key_p| <= reach
-    # instead: the inner difference rounds by up to 2^-53 absolute, so
-    # exactly key_p <= key_q - 1 + reach·(1 + 2^-52) + 2^-53, while
-    # fl(fl(key_q - 1) + window) rounds twice, by up to 2^-53 absolute
-    # each time (keys lie in [0, 1] on the circle of length 1).  The
-    # relative 1e-9 covers the relative errors and the absolute 2^-50 the
-    # absolute ones, with room.
-    window = min(eps, system.bowen_radius(n, eps)) * (1 + 1e-9) + 2.0 ** -50
-    order = None
-    if not (key[1:] >= key[:-1]).all():  # every circle and interval grid comes sorted
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-    rows = np.arange(m)
-    hi = np.searchsorted(key, key + window, side="right")  # forward run: rows + 1 to hi
-    wrap = np.full(m, m)  # wrap run: wrap to m
-    if period is not None:
-        # q's wrap partners are the p below lo[q]; lo rises with q
-        lo = np.searchsorted(key, key - period + window, side="right")
-        wrap = np.maximum(np.searchsorted(lo, rows, side="right"), hi)
-    count = hi - rows - 1 + m - wrap
-    if 8 * int(count.sum()) > m * (m - 1):
-        return None
-    runs = np.stack([hi - rows - 1, m - wrap], axis=1)
-    firsts = np.stack([rows + 1, wrap], axis=1)
-    ends = np.concatenate([[0], np.cumsum(count)])
-    parts = [(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))]
-    kept = a = 0
-    while a < m:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] + _BLOCK_ENTRIES, side="right")) - 1)
-        length = runs[a:b].ravel()
-        p = np.repeat(rows[a:b], count[a:b])
-        q = np.repeat(firsts[a:b].ravel() - np.cumsum(length) + length, length)
-        q += np.arange(len(q))
-        if order is not None:
-            p, q = order[p], order[q]
-            p, q = np.minimum(p, q), np.maximum(p, q)
-        i, j, d = _step_pairs(system, orbit, eps, p, q, np.zeros(len(p)), 0)
-        kept = _keep(parts, kept, i, j, d, m)
-        a = b
-    i, j, d = (np.concatenate(col) for col in zip(*parts))
-    if order is not None:
-        s = np.lexsort((j, i))
-        i, j, d = i[s], j[s], d[s]
-    return i, j, d
+
+    def __init__(self, system: System, points: Sequence[Point], requests: list):
+        self.system, self.points, self.requests = system, points, requests
+        self.stops = sorted({n for n, _ in requests})
+        self.parts = [[_NO_PAIRS] for _ in requests]
+        self.kept = [0] * len(requests)
+        self.order = None
+        try:
+            self.orbit = orbit_array(system, self.stops[-1], points)
+        except NotImplementedError:
+            self.orbit = None
+
+    def relations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        m = len(self.points)
+        if self.orbit is None or m * m <= _BLOCK_ENTRIES or not self.sweep():
+            self.row_blocks()
+        out = []
+        for parts in self.parts:
+            # one part, as from one row block (every small orbit), needs no copy
+            i, j, d = parts[1] if len(parts) == 2 else (np.concatenate(col) for col in zip(*parts))
+            if self.order is not None:
+                s = np.lexsort((j, i))
+                i, j, d = i[s], j[s], d[s]
+            out.append((i, j, d))
+        return out
+
+    def reach(self, t: int) -> float:
+        """The largest min(eps, bowen_radius(n - t + 1, eps)) over the requests with n >= t."""
+        return max(min(eps, self.system.bowen_radius(n - t + 1, eps))
+                   for n, eps in self.requests if n >= t)
+
+    def keep(self, r: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -> None:
+        """Appends the pairs to request r's parts after the budget check."""
+        what = f"Bowen relation of {len(self.points)} points"
+        _check_array_budget(self.kept[r] + len(i), 2, what)
+        self.parts[r].append((i.astype(np.int32), j.astype(np.int32), d))
+        self.kept[r] += len(i)
+
+    def walk(self, i: np.ndarray, j: np.ndarray, d: np.ndarray, t: int, reach: float) -> None:
+        """Takes the pairs (i, j), whose running max over the steps before t
+        is d, at most reach, reads off each request whose n is t, and steps
+        the pairs through the last requested n, as many steps per call as fit
+        in _BLOCK_ENTRIES and none past a requested n, pruning at the reach
+        and reading off after each call."""
+        stops, orbit = self.stops, self.orbit
+        while True:
+            for r, (n, eps) in enumerate(self.requests):
+                if n == t and eps >= reach:  # every pair is within eps
+                    self.keep(r, i, j, d)
+                elif n == t:
+                    close = d <= eps
+                    self.keep(r, i[close], j[close], d[close])
+            if t == stops[-1] or not len(i):
+                return
+            k = min(max(1, _BLOCK_ENTRIES // len(i)), stops[bisect.bisect_right(stops, t)] - t)
+            step = self.system.metric_array(orbit[t:t + k, i], orbit[t:t + k, j])
+            d = np.maximum(d, step.max(axis=0))
+            t += k
+            reach = self.reach(t)
+            close = d <= reach
+            i, j, d = i[close], j[close], d[close]
+
+    def row_blocks(self) -> None:
+        system, points, orbit, m = self.system, self.points, self.orbit, len(self.points)
+        lo = 0
+        while lo < m:
+            if orbit is None:
+                hi = lo + 1
+                for r, (n, eps) in enumerate(self.requests):
+                    d = np.array([system.bowen_metric(n, points[lo], q) for q in points[hi:]],
+                                 dtype=float)
+                    (c,) = np.nonzero(d <= eps)
+                    self.keep(r, np.full(len(c), lo), c + hi, d[c])
+            else:
+                hi = min(m, lo + max(1, _BLOCK_ENTRIES // (m - lo)))
+                t = min(max(1, _BLOCK_ENTRIES // ((hi - lo) * (m - lo))), self.stops[0])
+                d = system.metric_array(orbit[:t, lo:hi, None], orbit[:t, None, lo:])
+                d = d[0] if len(d) == 1 else np.maximum.reduce(d, axis=0)
+                reach = self.reach(t)
+                r, c = np.nonzero(d <= reach)
+                upper = c > r
+                r, c = r[upper], c[upper]
+                self.walk(r + lo, c + lo, d[r, c], t, reach)
+            lo = hi
+
+    def sweep(self) -> bool:
+        """The relations by sort and sweep on ``system.sweep_key``; False,
+        with nothing done, where the system has no key or the windows hold
+        over a quarter of the m (m - 1) / 2 pairs, where the row blocks are
+        faster.
+
+        By the radius's contract at t = 1 a pair of a relation has d_0 <=
+        d_1 <= reach(1), so by the key's contract its keys lie within
+        reach(1).  Points sorted by key, a point's candidates are a forward
+        run of the keys past its own and, on the circle, a wrap run from the
+        far end; no window (eps = inf, or a reach of half the period or
+        more) counts every pair.  The candidates go, in runs of whole rows
+        of at most _BLOCK_ENTRIES pairs (or one row), through ``walk`` from
+        t = 0.
+        """
+        orbit, m = self.orbit, len(self.points)
+        swept = self.system.sweep_key(orbit[0])
+        if swept is None:
+            return False
+        key, period = swept
+        # The windows are conservative.  A pair within reach at t = 0 has float
+        # |key_q - key_p| <= reach, so exactly key_q - key_p <= reach·(1 + 2^-52)
+        # < window, and fl(key_p + window) >= key_q, rounding being monotone and
+        # key_q a float.  Past the wrap the float 1 - |key_q - key_p| <= reach
+        # instead: the inner difference rounds by up to 2^-53 absolute, so
+        # exactly key_p <= key_q - 1 + reach·(1 + 2^-52) + 2^-53, while
+        # fl(fl(key_q - 1) + window) rounds twice, by up to 2^-53 absolute
+        # each time (keys lie in [0, 1] on the circle of length 1).  The
+        # relative 1e-9 covers the relative errors and the absolute 2^-50 the
+        # absolute ones, with room.
+        window = self.reach(1) * (1 + 1e-9) + 2.0 ** -50
+        order = None
+        if not (key[1:] >= key[:-1]).all():  # every circle and interval grid comes sorted
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+        rows = np.arange(m)
+        hi = np.searchsorted(key, key + window, side="right")  # forward run: rows + 1 to hi
+        wrap = np.full(m, m)  # wrap run: wrap to m
+        if period is not None:
+            # q's wrap partners are the p below lo[q]; lo rises with q
+            lo = np.searchsorted(key, key - period + window, side="right")
+            wrap = np.maximum(np.searchsorted(lo, rows, side="right"), hi)
+        count = hi - rows - 1 + m - wrap
+        if 8 * int(count.sum()) > m * (m - 1):
+            return False
+        runs = np.stack([hi - rows - 1, m - wrap], axis=1)
+        firsts = np.stack([rows + 1, wrap], axis=1)
+        ends = np.concatenate([[0], np.cumsum(count)])
+        a = 0
+        while a < m:
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] + _BLOCK_ENTRIES, side="right")) - 1)
+            length = runs[a:b].ravel()
+            p = np.repeat(rows[a:b], count[a:b])
+            q = np.repeat(firsts[a:b].ravel() - np.cumsum(length) + length, length)
+            q += np.arange(len(q))
+            if order is not None:
+                p, q = order[p], order[q]
+                p, q = np.minimum(p, q), np.maximum(p, q)
+            self.walk(p, q, np.zeros(len(p)), 0, math.inf)
+            a = b
+        self.order = order
+        return True
 
 
 def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:

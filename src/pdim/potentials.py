@@ -12,15 +12,17 @@ over the dim x dim matrices W_i = exp(step(x_i .. x_{i+reach-1})): an additive
 potential is a dim-1 window of scalar steps, a matrix cocycle a reach-1 window
 of log-matrices, a sum the Kronecker product of its terms' matrices.
 
-``eval_array(n, points)`` is the one formula of every potential: it returns
-the float64 array of ``phi_n`` over a whole candidate list in one pass, and
-``eval(n, x)`` is its one-point case.  A ``Birkhoff`` ``phi`` is a function
-of arrays that returns one float per row: on a real system it reads the (m,)
-coordinate array, on a shift the (m, reach) int64 array of each word's first
-``reach`` symbols, padded with the word's own tail: the contract of a dim-1
-``Window`` step, so that phi is its own step.  Orbit sums add in time
-order from zeros, the same adds as a per-point loop, so every weight is bit
-for bit the scalar value.
+``eval_arrays(ns, points)`` is the one formula of every potential: it
+returns the float64 array of ``phi_n`` over a whole candidate list per n in
+ns, in one pass to the largest n; ``eval_array(n, points)`` is its one-n
+case and ``eval(n, x)`` the one-point case of that.  A ``Birkhoff`` ``phi``
+is a function of arrays that returns one float per row: on a real system it
+reads the (m,) coordinate array, on a shift the (m, reach) int64 array of
+each word's first ``reach`` symbols, padded with the word's own tail: the
+contract of a dim-1 ``Window`` step, so that phi is its own step.  Orbit
+sums add in time order from +0.0, and each n reads the one running total:
+the same adds as a per-point loop, so every weight is bit for bit the
+scalar value.
 """
 
 from __future__ import annotations
@@ -50,20 +52,27 @@ class Window:
     W(x_{n-1} .. x_{n+reach-2}), where W = exp(step) and ``step`` maps an
     (m, reach) int64 array of windows, one per row, to m floats when dim == 1
     (then phi_n is the sum of the steps) and to (m, dim, dim) log-matrices
-    otherwise.  Windows add by ``+``; only a scaled matrix has power != 1."""
+    otherwise.  Windows add by ``+``; only a scaled matrix has power != 1.
+    Such a window, and a sum with one (whose ``step`` is None), has no
+    transfer chain: it marks a potential constant on (n + reach - 1)-
+    cylinders whose word sums enumerate."""
 
     reach: int
-    step: Callable[[np.ndarray], np.ndarray]
+    step: Callable[[np.ndarray], np.ndarray] | None
     dim: int = 1
     power: float = 1.0
 
-    def __add__(self, other: Window) -> Window | None:
+    @property
+    def enumerates(self) -> bool:
+        return self.step is None or self.power != 1.0
+
+    def __add__(self, other: Window) -> Window:
         """phi + psi: the Kronecker product of the two matrix chains, with
         log-matrix x[i, j] + y[k, l] at row (i, k), column (j, l), whose entry
-        sum is the product of theirs.  None under a norm power."""
-        if (self.power, other.power) != (1.0, 1.0):
-            return None
+        sum is the product of theirs; under a norm power, a window with no step."""
         a, b, d = self, other, self.dim * other.dim
+        if a.enumerates or b.enumerates:
+            return Window(max(a.reach, b.reach), None)
 
         def step(w):
             x = a.step(w[:, :a.reach]).reshape(-1, a.dim, 1, a.dim, 1)
@@ -74,6 +83,8 @@ class Window:
 
     def scaled(self, lam: float) -> Window:
         """The window of lam * phi: a scaled step at dim 1, a norm power otherwise."""
+        if self.step is None:
+            return self
         if self.dim == 1:
             return Window(self.reach, lambda w: lam * self.step(w))
         return Window(self.reach, self.step, self.dim, lam * self.power)
@@ -89,8 +100,15 @@ class Potential:
         return float(self.eval_array(n, [x])[0])
 
     def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        """phi_n over the points as a float64 array: the potential's one formula."""
-        raise NotImplementedError(f"{self.label} has no formula")
+        """phi_n over the points as a float64 array: the one-n case of ``eval_arrays``."""
+        return self.eval_arrays([n], points)[0]
+
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        """phi_n over the points per n in ns: the potential's one formula.  The
+        default reads ``eval_array`` per n, for a potential that defines only that."""
+        if type(self).eval_array is Potential.eval_array:
+            raise NotImplementedError(f"{self.label} has no formula")
+        return [self.eval_array(n, points) for n in ns]
 
     def shift_profile(self) -> Window | None:
         """Local structure on a shift, or None when not locally constant."""
@@ -122,8 +140,8 @@ class ConstantDrift(Potential):
     def label(self) -> str:
         return f"drift({self.A})"
 
-    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        return np.full(len(points), n * self.A)
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        return [np.full(len(points), n * self.A) for n in ns]
 
     def shift_profile(self) -> Window | None:
         a = self.A
@@ -157,18 +175,23 @@ class Birkhoff(Potential):
     def label(self) -> str:
         return f"birkhoff({self.name})"
 
-    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        """One running total from +0.0 along the orbit to the largest n, read off at each n."""
+        top, wanted = max(ns, default=0), set(ns)
         total = np.zeros(len(points))
+        found = {}
         step = shift_step(self.system)
         if step is None:
-            for row in orbit_array(self.system, max(n, 0), points):
-                total += self.phi(row)
-            return total
-        r = self.reach
-        windows = word_array(points, max(n - 1, 0) * step + r)
-        for t in range(0, n * step, step):
-            total += self.phi(windows[:, t:t + r])
-        return total
+            rows = orbit_array(self.system, max(top, 0), points)
+        else:
+            r = self.reach
+            windows = word_array(points, max(top - 1, 0) * step + r)
+            rows = (windows[:, t:t + r] for t in range(0, top * step, step))
+        for t, row in enumerate(rows, 1):
+            total += self.phi(row)
+            if t in wanted:
+                found[t] = total if t == top else total.copy()
+        return [found[n] if n > 0 else np.zeros(len(points)) for n in ns]
 
     def shift_profile(self) -> Window | None:
         if self.reach is None or not isinstance(self.system, ShiftSystem):
@@ -229,20 +252,24 @@ class MatrixCocycle(Potential):
     def label(self) -> str:
         return f"cocycle(d={self.dim})"
 
-    def eval_array(self, n: int, points: Sequence[Word]) -> np.ndarray:
-        m = len(points)
-        out = np.zeros(m)
-        if n < 1 or not m:
-            return out
-        symbols = word_array(points, n)
-        mats = np.stack(self.mats)
-        prod = mats[symbols[:, 0]]
-        for i in range(1, n):
-            # normalize before multiplying so huge entries cannot overflow
-            s = prod.reshape(m, -1).sum(axis=1)
-            out += _logs(s)
-            prod = (prod / s[:, None, None]) @ mats[symbols[:, i]]
-        return out + _logs(prod.reshape(m, -1).sum(axis=1))
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Word]) -> list[np.ndarray]:
+        """One running product to the largest n, read off at each n."""
+        m, top, wanted = len(points), max(ns, default=0), set(ns)
+        found = {}
+        if top >= 1 and m:
+            symbols = word_array(points, top)
+            mats = np.stack(self.mats)
+            prod, out = mats[symbols[:, 0]], np.zeros(m)
+            for i in range(1, top + 1):
+                s = prod.reshape(m, -1).sum(axis=1)
+                logs = _logs(s)
+                if i in wanted:
+                    found[i] = out + logs
+                if i < top:
+                    # normalize before multiplying so huge entries cannot overflow
+                    out += logs
+                    prod = (prod / s[:, None, None]) @ mats[symbols[:, i]]
+        return [found[n] if n in found else np.zeros(m) for n in ns]
 
     def shift_profile(self) -> Window | None:
         log_mats = np.log(np.stack(self.mats))
@@ -268,8 +295,9 @@ class SumPotential(Potential):
     def label(self) -> str:
         return f"sum({self.left.label},{self.right.label})"
 
-    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        return self.left.eval_array(n, points) + self.right.eval_array(n, points)
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        return [a + b for a, b in zip(self.left.eval_arrays(ns, points),
+                                      self.right.eval_arrays(ns, points))]
 
     def shift_profile(self) -> Window | None:
         a, b = self.left.shift_profile(), self.right.shift_profile()
@@ -293,8 +321,8 @@ class ScaledPotential(Potential):
     def label(self) -> str:
         return f"scale({self.lam},{self.inner.label})"
 
-    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        return self.lam * self.inner.eval_array(n, points)
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        return [self.lam * w for w in self.inner.eval_arrays(ns, points)]
 
     def shift_profile(self) -> Window | None:
         p = self.inner.shift_profile()
@@ -324,8 +352,8 @@ class PullbackPotential(Potential):
     def label(self) -> str:
         return f"pullback({self.inner.label},{self.factor.label})"
 
-    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        return self.inner.eval_array(n, [self.factor.apply(p) for p in points])
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        return self.inner.eval_arrays(ns, [self.factor.apply(p) for p in points])
 
 
 @dataclass(frozen=True)
@@ -354,8 +382,8 @@ class TimePowerPotential(Potential):
     def label(self) -> str:
         return f"time_power({self.inner.label},{self.k})"
 
-    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        return self.inner.eval_array(n * self.k, points)
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        return self.inner.eval_arrays([n * self.k for n in ns], points)
 
 
 @dataclass(frozen=True)
@@ -379,10 +407,9 @@ class InverseTwistPotential(Potential):
     def label(self) -> str:
         return f"inverse_twist({self.inner.label})"
 
-    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        if n > 1:
-            points = [self.system.iterate(p, n - 1) for p in points]
-        return self.inner.eval_array(n, points)
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        sys_ = self.system
+        return [self.inner.eval_array(n, [sys_.iterate(p, n - 1) for p in points]) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -408,20 +435,18 @@ class CoboundaryPotential(Potential):
     def label(self) -> str:
         return f"coboundary({self.base.label},{self.psi.label})"
 
-    def eval_array(self, n: int, points: Sequence[Point]) -> np.ndarray:
-        sys = _require_system(self)
-        return (
-            self.base.eval_array(n, points)
-            + self.psi.eval_array(n, [sys.apply(p) for p in points])
-            - self.psi.eval_array(n, points)
-        )
+    def eval_arrays(self, ns: Sequence[int], points: Sequence[Point]) -> list[np.ndarray]:
+        images = [_require_system(self).apply(p) for p in points]
+        return [a + b - c for a, b, c in zip(self.base.eval_arrays(ns, points),
+                                             self.psi.eval_arrays(ns, images),
+                                             self.psi.eval_arrays(ns, points))]
 
     def shift_profile(self) -> Window | None:
         a, b = self.base.shift_profile(), self.psi.shift_profile()
         if a is None or b is None:
             return None
-        shifted = a + Window(b.reach + 1, lambda w: b.step(w[:, 1:]), b.dim, b.power)
-        return None if shifted is None else shifted + b.scaled(-1.0)
+        step = None if b.step is None else lambda w: b.step(w[:, 1:])
+        return a + Window(b.reach + 1, step, b.dim, b.power) + b.scaled(-1.0)
 
 
 def add(phi: Potential, psi: Potential) -> SumPotential:

@@ -18,7 +18,8 @@ cost O(T S^3 log n_max + T |ns| S^2 log n_max) in O(log n_max) products,
 and each row meets its single sum's products in the same order, so every
 value is the same float.  More than TRANSFER_STATE_CAP states raise
 BudgetExceededError before any state is listed.  Only a scaled matrix
-window (a norm power other than 1) enumerates words, under a size cap.
+window (a norm power other than 1), or a sum with one, enumerates words,
+under a size cap.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def log_weighted_word_tables(
 
     Requires every phi_n to be constant on (n + k)-cylinders.  Every member
     and n is checked, then the state cap once per profile shape, before any
-    state is listed or sum computed.  A scaled cocycle enumerates words and
-    raises EnumerationCapError (a budget error) past ENUMERATION_CAP words.
-    An empty ns gives one [] per potential.
+    state is listed or sum computed.  A scaled cocycle, or a sum with one,
+    enumerates words and raises EnumerationCapError (a budget error) past
+    ENUMERATION_CAP words.  An empty ns gives one [] per potential.
     """
     ns = list(ns)
     if not ns:
@@ -111,7 +112,7 @@ def log_weighted_word_tables(
     profiles = [_checked_profile(system, pot, ns, k) for pot in potentials]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, prof in enumerate(profiles):
-        if prof.power == 1.0:
+        if not prof.enumerates:
             groups.setdefault((prof.reach, prof.dim), []).append(i)
     sizes = {shape: word_total(system, max(shape[0] - 1, 1), cap=TRANSFER_STATE_CAP) * shape[1]
              for shape in groups}
@@ -119,7 +120,7 @@ def log_weighted_word_tables(
         _check_states(size, system)
     out: list[list[float]] = [[] for _ in potentials]
     for i, (pot, prof) in enumerate(zip(potentials, profiles)):
-        if prof.power != 1.0:
+        if prof.enumerates:
             out[i] = [logsumexp(pot.eval_array(n, [system.representative(w)
                                                    for w in system.admissible_words(n + k)]))
                       for n in ns]
@@ -137,7 +138,7 @@ def log_weighted_word_tables(
 def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, k: int) -> Window:
     """The potential's profile, once every n of its table is checked."""
     profile = _profile(potential)
-    scaled = profile.power != 1.0
+    enumerates = profile.enumerates
     for n in ns:
         if n < 1:
             raise ValueError("need n >= 1")
@@ -146,7 +147,7 @@ def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, k: int
             raise NotLocallyConstantError(
                 f"phi_{n} for {potential.label} needs word length >= {need}, got {n + k}"
             )
-        if scaled and word_total(system, n + k, cap=ENUMERATION_CAP) > ENUMERATION_CAP:
+        if enumerates and word_total(system, n + k, cap=ENUMERATION_CAP) > ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"enumeration fallback over the words of length {n + k} "
                 f"exceeds cap {ENUMERATION_CAP}"

@@ -31,6 +31,7 @@ from .partition import (
     exact_separated_value,
     exact_spanning_value,
     make_instance,
+    make_instances,
 )
 from .potentials import (
     Birkhoff,
@@ -211,15 +212,15 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
         system, pts, pot = _rotation_instance(rng, size)
         n = int(rng.integers(1, 4))
         xs = [p.x for p in pts]
-        weights = pot.eval_array(n, pts)
         G = int(rng.integers(4, 9))
         h = 1.0 / G
+        eps = float(rng.uniform(0.15, 0.45))
+        [[fine, inst]] = make_instances(system, pts, [(n, h / 4.0), (n, eps)], [pot])
+        weights = inst.weights
         logq = _cover_value(system.theta, xs, weights, n, G, min)
-        span = exact_spanning_value(make_instance(system, n, h / 4.0, pts, pot))
+        span = exact_spanning_value(fine)
         violations.append(logq - span.log_value)
 
-        eps = float(rng.uniform(0.15, 0.45))
-        inst = make_instance(system, n, eps, pts, pot)
         bf_q = exact_spanning_value(inst)
         bf_p = exact_separated_value(inst)
         violations.append(bf_q.log_value - bf_p.log_value)
@@ -250,9 +251,10 @@ def check_prop22(seed: int = 0, fault: float = 0.0) -> CheckReport:
         eps = float(rng.uniform(0.2, 0.45))
         report = sup_inf_norm(pot, system, ext)
         delta = report.modulus(eps / 2.0)
-        for n in range(1, n_max + 1):
-            p_val = exact_separated_value(make_instance(system, n, eps, pts, pot)).log_value
-            half = make_instance(system, n, eps / 2.0, pts, pot)
+        [insts] = make_instances(system, pts, [(n, e) for n in range(1, n_max + 1)
+                                               for e in (eps, eps / 2.0)], [pot])
+        for n, full, half in zip(range(1, n_max + 1), insts[::2], insts[1::2]):
+            p_val = exact_separated_value(full).log_value
             q_val = exact_spanning_value(half).log_value
             bound = 2.0 * n * pot.C + n * delta
             violations.append(p_val - bound - q_val)
@@ -348,9 +350,8 @@ def check_thm32(seed: int = 0, fault: float = 0.0) -> CheckReport:
         pot2 = Birkhoff(phi=pot2.phi, system=sys_r, name="trig2")
         n = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.1, 0.4))
-        v_sum = exact_separated_value(make_instance(sys_r, n, eps, pts, add(pot, pot2))).log_value
-        v_a = exact_separated_value(make_instance(sys_r, n, eps, pts, pot)).log_value
-        v_b = exact_separated_value(make_instance(sys_r, n, eps, pts, pot2)).log_value
+        v_sum, v_a, v_b = (exact_separated_value(inst).log_value for [inst] in
+                           make_instances(sys_r, pts, [(n, eps)], [add(pot, pot2), pot, pot2]))
         violations.append(v_sum - v_a - v_b)
     notes = f"{pairs} exact pairs + 10 oracle instances"
     return _finish("thm32", params, violations, fault, notes)
@@ -458,12 +459,11 @@ def check_thm34(seed: int = 0, fault: float = 0.0) -> CheckReport:
             raise ValueError("orbit grid is not closed under the rotation")
     pot = Birkhoff(phi=lambda x: np.cos(2 * np.pi * x), system=system, name="cos2pi")
     twisted = inverse_twist(pot)
-    inv_sys = system.inverse()
-    for n in range(1, 9):
-        for eps in (0.2, 0.3):
-            fwd = exact_spanning_value(make_instance(system, n, eps, grid, pot)).log_value
-            bwd = exact_spanning_value(make_instance(inv_sys, n, eps, grid, twisted)).log_value
-            part3.append(abs(fwd - bwd))
+    requests = [(n, eps) for n in range(1, 9) for eps in (0.2, 0.3)]
+    [fwd] = make_instances(system, grid, requests, [pot])
+    [bwd] = make_instances(system.inverse(), grid, requests, [twisted])
+    for f, b in zip(fwd, bwd):
+        part3.append(abs(exact_spanning_value(f).log_value - exact_spanning_value(b).log_value))
     violations.extend(v + (TOL - 1e-12) for v in part3)  # hold part 3 to 1e-12
     notes = f"{trials} oracle instances; inverse identity worst {max(part3):.2e}"
     return _finish("thm34", params, violations, fault, notes)
@@ -484,18 +484,16 @@ def check_thm35(seed: int = 0, fault: float = 0.0) -> CheckReport:
         zero_potential(doubling),
         Birkhoff(phi=lambda x: x, system=doubling, name="x"),
     ]
-    for pot in pots:
-        lifted = pullback(pot, pi)
-        for eps in (0.5, 0.25, 0.125):
-            delta = pi.modulus(eps)
-            for n in range(1, n_max + 1):
-                src = exact_spanning_value(
-                    make_instance(shift, n, delta, words, lifted)
-                ).log_value
-                tgt = exact_spanning_value(
-                    make_instance(doubling, n, eps, images, pot)
-                ).log_value
-                violations.append(tgt - src)
+    # per potential, eps, then n: one family per system, whose relations
+    # both potentials share
+    cases = [(n, eps) for eps in (0.5, 0.25, 0.125) for n in range(1, n_max + 1)]
+    srcs = make_instances(shift, words, [(n, pi.modulus(eps)) for n, eps in cases],
+                          [pullback(pot, pi) for pot in pots])
+    tgts = make_instances(doubling, images, cases, pots)
+    for src_row, tgt_row in zip(srcs, tgts):
+        for src, tgt in zip(src_row, tgt_row):
+            violations.append(exact_spanning_value(tgt).log_value
+                              - exact_spanning_value(src).log_value)
     notes = f"{len(violations)} (potential, eps, n) cases"
     return _finish("thm35", params, violations, fault, notes)
 

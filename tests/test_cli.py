@@ -248,18 +248,22 @@ class TestConfigErrors:
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 2
 
-    def test_k_scales_need_an_exact_shift_profile(self, tmp_path, capsys):
-        # a scaled 2 x 2 cocycle has a norm power, so its sum with a window has
-        # no shift profile; the eps path still takes it
+    def test_k_scales_enumerate_a_scaled_cocycle_sum(self, tmp_path, capsys):
+        # a scaled 2 x 2 cocycle has a norm power, so its sum with a window
+        # enumerates words, exactly, under ENUMERATION_CAP
         scaled = {"kind": "scale", "lam": 0.5, "inner": COCYCLE_2X2}
         cfg = write_config(tmp_path, potential={"kind": "sum", "terms": [
                                scaled, {"kind": "symbol_weights", "table": [0.1, 0.2]}]},
-                           n_range=[2, 4], scales={"k": [0]})
-        assert main(["estimate", "--config", cfg,
-                     "--out", str(tmp_path / "o.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "no locally constant structure" in err
-        assert err.count("\n") == 1
+                           n_range=[2, 3, 4, 5], scales={"k": [0]})
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [r for r in read_rows(out)[1:] if r[3] in ("2", "3")]
+        assert len(rows) == 4 and {r[8] for r in rows} == {"true"}
+        # per-word products of the matrices, summed outside pdim
+        want = {"2": 3.002396812962586, "3": 4.35529581698792}
+        for r in rows:
+            assert float(r[6]) == pytest.approx(want[r[3]], rel=1e-12, abs=0.0)
 
     def test_k_scales_sum_two_cocycles_exactly(self, tmp_path, capsys):
         # the sum's window is the Kronecker product of the two 2 x 2 chains

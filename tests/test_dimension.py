@@ -5,21 +5,37 @@ import math
 import numpy as np
 import pytest
 
+from pdim import partition
 from pdim.dimension import (
     DimensionEstimate,
     GrowthTable,
     classify_jump,
     dimension_estimate,
     entropy_dimension,
+    growth_tables,
     power_slope,
     pressure_curve,
     s_pressure,
 )
 from pdim.dimension import _least_squares
-from pdim.partition import Estimator, GrowthSample
-from pdim.potentials import ConstantDrift, zero_potential
+from pdim.partition import (
+    Estimator,
+    GrowthSample,
+    make_instance,
+    separated_lower_bound,
+    spanning_upper_bound,
+)
+from pdim.potentials import Birkhoff, ConstantDrift, zero_potential
 from pdim.symbolic import exact_growth_table
-from pdim.systems import Contraction, FullShift, Rotation, golden_mean_sft
+from pdim.systems import (
+    CandidateSet,
+    Contraction,
+    DoublingMap,
+    FullShift,
+    Rotation,
+    golden_mean_sft,
+    real,
+)
 
 
 def power_table(sigma, c=1.0, n_range=range(10, 201, 10), noise=None, seed=0):
@@ -248,3 +264,49 @@ class TestEntropyDimension:
                                        [0.2, 0.1, 0.05])
         assert est.s0_hat == pytest.approx(0.0, abs=0.05)
         assert_inside_jump_bracket(curve, est)
+
+
+class SteppedGridRotation(Rotation):
+    """A rotation whose candidate grid changes only at n = 4 and 7, and whose
+    certification alternates with n, so equal grids carry different notes."""
+
+    def candidate_set(self, n, eps, budget=2_000_000):
+        size = 12 + 5 * ((n - 1) // 3)
+        return CandidateSet([real(i / size) for i in range(size)], certified=n % 2 == 1)
+
+
+class TestGridRuns:
+    """growth_tables on the eps path: consecutive n with equal grids share one
+    instance family, each sample keeping its own grid's note."""
+
+    def test_runs_share_a_walk_and_keep_each_note(self, monkeypatch):
+        system = SteppedGridRotation(0.21)
+        pot = Birkhoff(phi=lambda x: np.cos(2 * np.pi * x), system=system, name="cos")
+        ns = [1, 2, 3, 4, 5, 6, 7, 9]
+        ests = [Estimator.SPANNING, Estimator.SEPARATED]
+        calls = []
+        relations = partition.bowen_relations
+        monkeypatch.setattr(partition, "bowen_relations",
+                            lambda *a: calls.append([n for n, _ in a[2]]) or relations(*a))
+        tables = growth_tables(system, pot, ns, "eps", [0.1, 0.2], ests, 4096)
+        # per scale, one walk per run of equal grids: n = 1-3, 4-6 and 7-9
+        assert calls == [[1, 2, 3], [4, 5, 6], [7, 9]] * 2
+        monkeypatch.setattr(partition, "bowen_relations", relations)
+        assert len(tables) == 4
+        for table in tables:
+            for s in table.samples:
+                assert s.note == ("" if s.n % 2 else "uncertified-candidates"), s
+                inst = make_instance(system, s.n, s.scale,
+                                     system.candidate_set(s.n, s.scale).points, pot)
+                bound = (spanning_upper_bound if s.estimator == Estimator.SPANNING
+                         else separated_lower_bound)(inst, note=s.note)
+                assert s == bound
+
+    def test_grids_that_differ_run_alone(self, monkeypatch):
+        calls = []
+        relations = partition.bowen_relations
+        monkeypatch.setattr(partition, "bowen_relations",
+                            lambda *a: calls.append([n for n, _ in a[2]]) or relations(*a))
+        growth_tables(DoublingMap(), zero_potential(), [1, 2, 3], "eps", [0.2],
+                      [Estimator.SEPARATED], 4096)
+        assert calls == [[1], [2], [3]]

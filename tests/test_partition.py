@@ -15,12 +15,14 @@ from pdim.partition import (
     InstanceTooLargeError,
     bowen_distance_matrix,
     bowen_relation,
+    bowen_relations,
     count_spanning_separated,
     exact_min_cover,
     exact_separated_value,
     exact_spanning_value,
     greedy_separated,
     make_instance,
+    make_instances,
     separated_lower_bound,
     spanning_upper_bound,
 )
@@ -630,6 +632,174 @@ class TestBowenRadius:
             pts = [real(1.0 - v) for v in 10.0 ** rng.uniform(-12, -4, size=12)]
             pts += [real(v) for v in 10.0 ** rng.uniform(-14, -4, size=12)]
             check_relation(monkeypatch, system, n, pts + [real(x) for x in NEAR_WRAP_PAIR[:2]])
+
+
+def reference_relation(system, n, pts, eps):
+    """Pairs i < j with d_n <= eps from full metric matrices along the orbit, by numpy alone."""
+    x = system.coordinates(pts)
+    d = np.zeros((len(pts), len(pts)))
+    for _ in range(n):
+        d = np.maximum(d, system.metric_array(x[:, None], x[None, :]))
+        x = system.apply_array(x)
+    i, j = np.nonzero(np.triu(d <= eps, 1))
+    return i, j, d[i, j]
+
+
+def same_arrays(a, b) -> bool:
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+FAMILY_KINDS = ["rotation", "doubling", "contraction", "power-rotation",
+                "full_shift(2)", "full_shift(3)", "golden"]
+
+
+def family_requests(rng, path, pts_d):
+    """Seven (n, eps) requests, unsorted, one n repeated and one request twice;
+    small eps where the sweep should run, eps = inf where the row blocks must."""
+    ns = [int(v) for v in rng.integers(1, 9, size=5)]
+    ns += [ns[0], ns[1]]
+    if path == "sweep":
+        eps = [float(v) for v in rng.uniform(0.002, 0.02, size=3)] + [0.01]
+    else:
+        own = pts_d[np.triu_indices(len(pts_d), 1)]
+        eps = [float(rng.choice(own)), 0.05, 0.25, 1.0, math.inf]
+    out = [(n, float(rng.choice(eps))) for n in ns]
+    out.append(out[2])
+    if path == "row-blocks":
+        out[3] = (out[3][0], math.inf)
+    return out
+
+
+class TestBowenRelations:
+    """bowen_relations against one bowen_relation per request, byte and dtype
+    equal, and both against a numpy reference, on every path of the walk."""
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_family_equals_its_requests(self, monkeypatch, kind):
+        m = 40
+        system, pts = (real_case if kind in REAL_SYSTEMS else word_case)(kind, m)
+        m = len(pts)
+        d1 = reference_relation(system, 1, pts, math.inf)
+        pts_d = np.zeros((m, m))
+        pts_d[d1[0], d1[1]] = d1[2]
+        shapes = record_metric_calls(monkeypatch, system)
+        seen = set()
+        for path, block in (("one-block", DEFAULT_BLOCK), ("sweep", 100), ("row-blocks", 100),
+                            ("row-blocks", 1), ("sweep", 2000)):
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block)
+            rng = np.random.default_rng([len(kind), block, len(path)])
+            for _ in range(3):
+                requests = family_requests(rng, path, pts_d)
+                shapes.clear()
+                family = bowen_relations(system, pts, requests)
+                calls = list(shapes)
+                assert len(family) == len(requests)
+                for (n, eps), found in zip(requests, family):
+                    assert same_arrays(found, bowen_relation(system, n, pts, eps)), (path, n, eps)
+                    i, j, d = reference_relation(system, n, pts, eps)
+                    assert (found[0].tolist(), found[1].tolist()) == (i.tolist(), j.tolist())
+                    assert (found[2] == d).all()
+                # the memory bound of check_relation holds for the family's calls
+                assert max(map(math.prod, calls), default=0) <= max(block, m), (path, block)
+                dims = {len(shape) for shape in calls}
+                if m * m <= block:
+                    seen.add("one-block")
+                    assert calls[0][1:] == (m, m)
+                elif dims == {2}:
+                    seen.add("sweep")
+                elif dims:
+                    seen.add("row-blocks")
+                    assert len(calls[0]) == 3
+        assert seen == {"one-block", "sweep", "row-blocks"}
+
+    def test_a_family_walks_one_orbit(self, monkeypatch):
+        # 16 requests on 8 points cost one orbit at the largest n and one
+        # row-block call per requested n
+        system = Rotation(0.125)
+        grid = [real(i / 8.0) for i in range(8)]
+        requests = [(n, eps) for n in range(1, 9) for eps in (0.2, 0.3)]
+        built = []
+        orbit = partition.orbit_array
+        monkeypatch.setattr(partition, "orbit_array",
+                            lambda s, n, p: built.append(n) or orbit(s, n, p))
+        shapes = record_metric_calls(monkeypatch, system)
+        family = bowen_relations(system, grid, requests)
+        assert built == [8] and shapes[0] == (1, 8, 8) and len(shapes) == 8
+        for (n, eps), found in zip(requests, family):
+            assert same_arrays(found, bowen_relation(system, n, grid, eps))
+
+    def test_sweep_reach_is_the_largest_open_radius(self, monkeypatch):
+        # doubling at eps = 0.01 and 0.2: the radius of the n = 8 request at
+        # eps = 0.01 falls far below the reach of the n = 2 request at 0.2,
+        # which must keep its pairs through the shared walk
+        system = DoublingMap()
+        pts = [real(float(v)) for v in np.random.default_rng(11).random(300)]
+        requests = [(8, 0.01), (2, 0.2), (8, 0.2), (5, 0.05)]
+        family = bowen_relations(system, pts, requests)
+        for (n, eps), found in zip(requests, family):
+            i, j, d = reference_relation(system, n, pts, eps)
+            assert len(i) > 0 and found[0].tolist() == i.tolist() and (found[2] == d).all()
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_WORDS))
+    def test_points_with_no_array_form(self, name):
+        fs, pts = FullShift(2), FALLBACK_WORDS[name]
+        requests = [(5, 0.6), (1, math.inf), (2, 0.3), (5, 0.6)]
+        for (n, eps), found in zip(requests, bowen_relations(fs, pts, requests)):
+            assert same_arrays(found, bowen_relation(fs, n, pts, eps))
+            d = pairwise_bowen(fs, n, pts)
+            ei, ej = np.nonzero(np.triu(d <= eps, 1))
+            assert found[0].tolist() == ei.tolist() and found[1].tolist() == ej.tolist()
+
+    def test_no_requests(self):
+        assert bowen_relations(Rotation(0.3), [real(0.1)], []) == []
+
+    @pytest.mark.parametrize("eps", [math.nan, -0.5, 0.0])
+    def test_eps_must_be_positive(self, eps):
+        pts = [real(i / 10) for i in range(10)]
+        with pytest.raises(ValueError, match="eps must be positive"):
+            bowen_relation(Rotation(0.2), 3, pts, eps)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            bowen_relations(Rotation(0.2), pts, [(3, 0.1), (2, eps)])
+        with pytest.raises(ValueError, match="eps must be positive"):
+            make_instance(Rotation(0.2), 3, eps, pts)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            SeparationInstance(Rotation(0.2), 3, eps, pts, np.zeros(10))
+        # eps = inf is every pair
+        assert len(bowen_relation(Rotation(0.2), 3, pts, math.inf)[0]) == 45
+        assert make_instance(Rotation(0.2), 3, math.inf, pts).eps == math.inf
+
+
+class TestInstanceFamilies:
+    def test_one_walk_serves_every_member(self, monkeypatch):
+        # two potentials, four requests: one bowen_relations call on first use,
+        # and members with one (n, eps) share its arrays
+        system = Rotation(0.3)
+        pts = [real(float(v)) for v in np.random.default_rng(4).random(12)]
+        pot = Birkhoff(phi=lambda x: np.sin(2 * np.pi * x), system=system, name="sin")
+        requests = [(3, 0.2), (1, 0.1), (3, 0.1), (2, 0.4)]
+        expect = [bowen_relation(system, n, pts, eps) for n, eps in requests]
+        calls = []
+        relations = partition.bowen_relations
+        monkeypatch.setattr(partition, "bowen_relations",
+                            lambda *a: calls.append(a[2]) or relations(*a))
+        plain, weighted = make_instances(system, pts, requests, [None, pot])
+        assert calls == []
+        for inst, (n, eps), want in zip(weighted, requests, expect):
+            assert (inst.n, inst.eps) == (n, eps)
+            assert inst.weights.tobytes() == pot.eval_array(n, pts).tobytes()
+            assert same_arrays(inst.pairs(), want)
+        assert not any(inst.weights.any() for inst in plain)
+        assert calls == [requests]
+        for a, b in zip(plain, weighted):
+            assert a.pairs() is b.pairs()
+        assert len(calls) == 1
+
+    def test_make_instance_is_the_one_request_case(self):
+        inst = random_rotation_instance(3)
+        [[again]] = make_instances(inst.system, inst.points, [(inst.n, inst.eps)],
+                                   [Birkhoff(phi=lambda x: x, system=inst.system)])
+        assert same_arrays(inst.pairs(), again.pairs())
 
 
 class TestDistanceBudget:

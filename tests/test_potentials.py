@@ -371,6 +371,39 @@ def test_eval_array_is_eval_on_words(name):
         assert_one_formula(pot, pts)
 
 
+def assert_one_pass(pot, pts):
+    """eval_arrays over unsorted, repeated and non-positive n is eval_array per n,
+    bytes included (so signed zeros too), and the per-point reference."""
+    ns = [5, -1, 3, 0, 3, 6, 1, 2]
+    got = pot.eval_arrays(ns, pts)
+    assert len(got) == len(ns)
+    for n, w in zip(ns, got):
+        one = pot.eval_array(n, pts)
+        assert w.dtype == one.dtype == np.float64 and w.tobytes() == one.tobytes(), (pot.label, n)
+        assert w.tolist() == [reference(pot, n, p) for p in pts], (pot.label, n)
+    assert pot.eval_arrays([], pts) == []
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SYSTEMS))
+def test_eval_arrays_is_eval_array_per_n_on_real_systems(name):
+    system = REAL_SYSTEMS[name]
+    rng = np.random.default_rng(30 + sorted(REAL_SYSTEMS).index(name))
+    pts = real_points(system, rng)
+    negative_zero = scale(-1.0, Birkhoff(phi=lambda x: 0.0 * x, system=system, name="zero"))
+    assert np.signbit(negative_zero.eval_arrays([0, 2], pts)).all()
+    for pot in real_cases(system, rng) + [negative_zero]:
+        assert_one_pass(pot, pts)
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_SYSTEMS))
+def test_eval_arrays_is_eval_array_per_n_on_words(name):
+    system = SHIFT_SYSTEMS[name]
+    rng = np.random.default_rng(40 + sorted(SHIFT_SYSTEMS).index(name))
+    pts = mixed_words(system, rng)
+    for pot in shift_cases(system, rng) + [scale(-1.0, zero_potential(system))]:
+        assert_one_pass(pot, pts)
+
+
 def test_eval_array_on_powers_of_a_shift_and_through_factors():
     rng = np.random.default_rng(20)
     sq = PowerSystem(FS, 2)
@@ -397,7 +430,9 @@ def test_builtin_potentials_have_one_array_formula():
              if isinstance(c, type) and issubclass(c, Potential) and c is not Potential]
     assert len(kinds) == 9
     for kind in kinds:
-        assert "eval_array" in vars(kind) and "eval" not in vars(kind), kind.__name__
+        # the one formula is eval_arrays; eval_array and eval are its one-n and one-point cases
+        assert "eval_arrays" in vars(kind), kind.__name__
+        assert "eval_array" not in vars(kind) and "eval" not in vars(kind), kind.__name__
 
 
 def test_eval_is_the_one_point_case_of_eval_array():

@@ -566,12 +566,29 @@ class TestMergedWindow:
             assert np.exp(logs[s]) == pytest.approx(want, rel=1e-15)
         check_against_enumeration(FS, add(a, b))
 
-    def test_a_scaled_matrix_term_has_no_profile(self):
-        # a norm power other than 1 does not add in log space
-        assert add(scale(0.5, MatrixCocycle(COCYCLE_2X2, FS)),
-                   symbol_weights(FS, [0.1, 0.2])).shift_profile() is None
-        assert coboundary_perturb(symbol_weights(FS, [0.1, 0.2]),
-                                  MatrixCocycle(COCYCLE_2X2, FS)).shift_profile() is None
+    def test_a_scaled_matrix_term_enumerates(self):
+        # a norm power other than 1 does not add in log space: a sum with such
+        # a term has a window of no step, whose tables enumerate words; sums,
+        # scales and coboundaries of it keep the marker
+        weights = symbol_weights(FS, [0.1, 0.2])
+        scaled = add(scale(0.5, MatrixCocycle(COCYCLE_2X2, FS)), weights)
+        cases = [(scaled, 1),
+                 (coboundary_perturb(weights, MatrixCocycle(COCYCLE_2X2, FS)), 2),
+                 (scale(-1.5, scaled), 1), (add(weights, scaled), 1),
+                 (coboundary_perturb(weights, scaled), 2),
+                 (add(scaled, coboundary_perturb(weights, weights)), 2)]
+        for pot, reach in cases:
+            prof = pot.shift_profile()
+            assert (prof.reach, prof.step) == (reach, None), pot.label
+            for k in range(reach - 1, reach + 2):
+                ns = list(range(1, 6))
+                assert log_weighted_word_sums(FS, pot, ns, k) == \
+                    enumerate_table(FS, pot, ns, k), (pot.label, k)
+        # sum over the words w of e^(0.5 log 1^T A_w 1 + weights), by per-word products
+        assert log_weighted_word_sums(FS, scaled, [2, 3], 0) == pytest.approx(
+            [3.002396812962586, 4.35529581698792], rel=1e-12, abs=0.0)
+        with pytest.raises(EnumerationCapError, match="words of length 23 exceeds cap"):
+            log_weighted_word_sums(FS, scaled, [23], 0)
 
 
 def batch_members(rng, system):
