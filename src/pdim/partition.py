@@ -28,11 +28,12 @@ O(m + E) plus the blocks.  One kernel serves shifts and real maps alike,
 through each system's array form (``System.coordinates``, ``apply_array``,
 ``metric_array``); the scalar ``System.bowen_metric`` stays as its
 reference, equal bit for bit, and as the only path for points with no
-array form.  Kept pairs past
-``systems.ARRAY_BUDGET_BYTES`` (16 bytes each) raise BudgetExceededError,
-which the CLI turns into exit code 3.  Greedy separated is O(m + E) in
-total; greedy spanning takes one argmax over m packed keys per pick, plus
-O(m + E) in total for its key updates.
+array form.  Kept pairs past ``systems.ARRAY_BUDGET_BYTES`` (16 bytes
+each), counted over all the requests of a walk, raise BudgetExceededError,
+which the CLI turns into exit code 3; a family whose relations fit the
+budget only one at a time walks each request alone, holding one relation.
+Greedy separated is O(m + E) in total; greedy spanning takes one argmax
+over m packed keys per pick, plus O(m + E) in total for its key updates.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 from .logsum import logsumexp
 from .potentials import Potential
 from .systems import (
+    BudgetExceededError,
     Point,
     System,
     _check_array_budget,
@@ -123,16 +125,28 @@ class SeparationInstance:
 
 class _Relations:
     """The Bowen relations of one point set at a family's (n, eps) requests,
-    from one ``bowen_relations`` walk on first use."""
+    from one ``bowen_relations`` walk on first use.  Where their pairs
+    together pass ARRAY_BUDGET_BYTES, each request walks alone when used,
+    and only the relation in use is held, so a family holds no more pairs
+    than the budget allows one relation."""
 
     def __init__(self, system: System, points: list, requests: list):
-        self.system, self.points, self.requests = system, points, requests
-        self.found: dict | None = None
+        self.system, self.points = system, points
+        self.requests: list | None = list(dict.fromkeys(requests))
+        self.found: dict = {}
 
     def __getitem__(self, request: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.found is None:
-            found = bowen_relations(self.system, self.points, self.requests)
-            self.found = dict(zip(self.requests, found))
+        if request not in self.found:
+            self.found = {}
+            requests = self.requests or [request]  # None once the family went over
+            try:
+                found = bowen_relations(self.system, self.points, requests)
+            except BudgetExceededError:
+                if len(requests) == 1:
+                    raise
+                self.requests = None
+                return self[request]
+            self.found = dict(zip(requests, found))
         return self.found[request]
 
 
@@ -201,8 +215,9 @@ def bowen_relations(system: System, points: Sequence[Point],
     contract a dropped pair has d_n > eps for each of them.  Points with no
     array form go through the filter at eps on ``bowen_metric`` values.
     Raises ValueError for n < 1 or an eps that is not positive (NaN
-    included), and BudgetExceededError before a request keeps pairs past
-    ARRAY_BUDGET_BYTES.  Repeated requests share one result.
+    included), and BudgetExceededError before the pairs kept for all the
+    requests together pass ARRAY_BUDGET_BYTES.  Repeated requests share
+    one result.
     """
     requests = list(requests)
     for n, eps in requests:
@@ -220,15 +235,16 @@ def bowen_relations(system: System, points: Sequence[Point],
 class _Walk:
     """One pass through time for distinct (n, eps) requests on one point set.
 
-    Each request collects its pairs in ``parts``, checked against the
-    budget as they come (16 bytes a pair: int32 i and j, float64 d).
+    Each request collects its pairs in ``parts``; ``kept`` counts them over
+    all the requests, against the budget as they come (16 bytes a pair:
+    int32 i and j, float64 d).
     """
 
     def __init__(self, system: System, points: Sequence[Point], requests: list):
         self.system, self.points, self.requests = system, points, requests
         self.stops = sorted({n for n, _ in requests})
         self.parts = [[_NO_PAIRS] for _ in requests]
-        self.kept = [0] * len(requests)
+        self.kept = 0
         self.order = None
         try:
             self.orbit = orbit_array(system, self.stops[-1], points)
@@ -256,10 +272,9 @@ class _Walk:
 
     def keep(self, r: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -> None:
         """Appends the pairs to request r's parts after the budget check."""
-        what = f"Bowen relation of {len(self.points)} points"
-        _check_array_budget(self.kept[r] + len(i), 2, what)
+        _check_array_budget(self.kept + len(i), 2, f"Bowen relation of {len(self.points)} points")
         self.parts[r].append((i.astype(np.int32), j.astype(np.int32), d))
-        self.kept[r] += len(i)
+        self.kept += len(i)
 
     def walk(self, i: np.ndarray, j: np.ndarray, d: np.ndarray, t: int, reach: float) -> None:
         """Takes the pairs (i, j), whose running max over the steps before t

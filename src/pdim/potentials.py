@@ -7,7 +7,7 @@ A potential here is a sequence ``phi_n`` of orbit aggregates satisfying
 for a declared constant C >= 0.  Each object evaluates ``phi_n``, carries C,
 and (when it is locally constant on a shift) exposes a ``Window`` profile
 that the exact symbolic backend can sum without enumerating points.  One
-profile type covers every exact kind: phi_n = power * log 1^T W_0 ... W_{n-1} 1
+profile type covers every exact kind: phi_n = log 1^T W_0 ... W_{n-1} 1
 over the dim x dim matrices W_i = exp(step(x_i .. x_{i+reach-1})): an additive
 potential is a dim-1 window of scalar steps, a matrix cocycle a reach-1 window
 of log-matrices, a sum the Kronecker product of its terms' matrices.
@@ -48,30 +48,25 @@ from .systems import (
 
 @dataclass(frozen=True)
 class Window:
-    """phi_n(x) = power * log of the entry sum of W(x_0 .. x_{reach-1}) ...
+    """phi_n(x) = log of the entry sum of W(x_0 .. x_{reach-1}) ...
     W(x_{n-1} .. x_{n+reach-2}), where W = exp(step) and ``step`` maps an
     (m, reach) int64 array of windows, one per row, to m floats when dim == 1
     (then phi_n is the sum of the steps) and to (m, dim, dim) log-matrices
-    otherwise.  Windows add by ``+``; only a scaled matrix has power != 1.
-    Such a window, and a sum with one (whose ``step`` is None), has no
+    otherwise.  Windows add by ``+``.  A window with no ``step`` (a matrix
+    chain under a norm power other than 1, and every sum with one) has no
     transfer chain: it marks a potential constant on (n + reach - 1)-
     cylinders whose word sums enumerate."""
 
     reach: int
     step: Callable[[np.ndarray], np.ndarray] | None
     dim: int = 1
-    power: float = 1.0
-
-    @property
-    def enumerates(self) -> bool:
-        return self.step is None or self.power != 1.0
 
     def __add__(self, other: Window) -> Window:
         """phi + psi: the Kronecker product of the two matrix chains, with
         log-matrix x[i, j] + y[k, l] at row (i, k), column (j, l), whose entry
-        sum is the product of theirs; under a norm power, a window with no step."""
+        sum is the product of theirs; a window with no step if either has none."""
         a, b, d = self, other, self.dim * other.dim
-        if a.enumerates or b.enumerates:
+        if a.step is None or b.step is None:
             return Window(max(a.reach, b.reach), None)
 
         def step(w):
@@ -82,12 +77,13 @@ class Window:
         return Window(max(a.reach, b.reach), step, d)
 
     def scaled(self, lam: float) -> Window:
-        """The window of lam * phi: a scaled step at dim 1, a norm power otherwise."""
-        if self.step is None:
+        """The window of lam * phi: a scaled step at dim 1; otherwise a norm
+        power, which has no step unless lam is 1."""
+        if self.step is None or lam == 1.0:
             return self
         if self.dim == 1:
             return Window(self.reach, lambda w: lam * self.step(w))
-        return Window(self.reach, self.step, self.dim, lam * self.power)
+        return Window(self.reach, None)
 
 
 class Potential:
@@ -446,7 +442,7 @@ class CoboundaryPotential(Potential):
         if a is None or b is None:
             return None
         step = None if b.step is None else lambda w: b.step(w[:, 1:])
-        return a + Window(b.reach + 1, step, b.dim, b.power) + b.scaled(-1.0)
+        return a + Window(b.reach + 1, step, b.dim) + b.scaled(-1.0)
 
 
 def add(phi: Potential, psi: Potential) -> SumPotential:

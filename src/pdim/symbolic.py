@@ -112,7 +112,7 @@ def log_weighted_word_tables(
     profiles = [_checked_profile(system, pot, ns, k) for pot in potentials]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, prof in enumerate(profiles):
-        if not prof.enumerates:
+        if prof.step is not None:
             groups.setdefault((prof.reach, prof.dim), []).append(i)
     sizes = {shape: word_total(system, max(shape[0] - 1, 1), cap=TRANSFER_STATE_CAP) * shape[1]
              for shape in groups}
@@ -120,7 +120,7 @@ def log_weighted_word_tables(
         _check_states(size, system)
     out: list[list[float]] = [[] for _ in potentials]
     for i, (pot, prof) in enumerate(zip(potentials, profiles)):
-        if prof.enumerates:
+        if prof.step is None:
             out[i] = [logsumexp(pot.eval_array(n, [system.representative(w)
                                                    for w in system.admissible_words(n + k)]))
                       for n in ns]
@@ -138,7 +138,6 @@ def log_weighted_word_tables(
 def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, k: int) -> Window:
     """The potential's profile, once every n of its table is checked."""
     profile = _profile(potential)
-    enumerates = profile.enumerates
     for n in ns:
         if n < 1:
             raise ValueError("need n >= 1")
@@ -147,7 +146,8 @@ def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, k: int
             raise NotLocallyConstantError(
                 f"phi_{n} for {potential.label} needs word length >= {need}, got {n + k}"
             )
-        if enumerates and word_total(system, n + k, cap=ENUMERATION_CAP) > ENUMERATION_CAP:
+        if (profile.step is None
+                and word_total(system, n + k, cap=ENUMERATION_CAP) > ENUMERATION_CAP):
             raise EnumerationCapError(
                 f"enumeration fallback over the words of length {n + k} "
                 f"exceeds cap {ENUMERATION_CAP}"
@@ -157,7 +157,7 @@ def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, k: int
 
 def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list,
                   k: int) -> list[list[float]]:
-    """One table over ns per step of a (reach, d) window of power 1.
+    """One table over ns per step of a (reach, d) window with a step.
 
     States are the admissible p-words, p = max(reach - 1, 1), times d.
     "free" holds identity blocks on the admissible transitions, member t's

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pdim import partition
+from pdim import partition, systems
 from pdim.dimension import (
     DimensionEstimate,
     GrowthTable,
@@ -310,3 +310,22 @@ class TestGridRuns:
         growth_tables(DoublingMap(), zero_potential(), [1, 2, 3], "eps", [0.2],
                       [Estimator.SEPARATED], 4096)
         assert calls == [[1], [2], [3]]
+
+    def test_a_run_over_the_budget_gives_the_same_samples(self, monkeypatch):
+        # the least budget the grid admits (its 8 m^2-byte distance matrix)
+        # fits each relation of the run, all pairs at eps = 0.45, but not all
+        # three: the run walks each n alone, and every sample is as without it
+        system, ns = Rotation(0.21), [1, 2, 3]
+        ests = [Estimator.SPANNING, Estimator.SEPARATED]
+        pts = system.candidate_set(1, 0.45, 4096).points
+        sizes = [len(partition.bowen_relation(system, n, pts, 0.45)[0]) for n in ns]
+        want = growth_tables(system, zero_potential(), ns, "eps", [0.45], ests, 4096)
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 8 * len(pts) ** 2)
+        assert 16 * sum(sizes) > systems.ARRAY_BUDGET_BYTES >= 16 * max(sizes)
+        calls = []
+        relations = partition.bowen_relations
+        monkeypatch.setattr(partition, "bowen_relations",
+                            lambda *a: calls.append([n for n, _ in a[2]]) or relations(*a))
+        got = growth_tables(system, zero_potential(), ns, "eps", [0.45], ests, 4096)
+        assert calls == [ns, [1], [2], [3]]
+        assert [t.samples for t in got] == [t.samples for t in want]

@@ -795,6 +795,39 @@ class TestInstanceFamilies:
             assert a.pairs() is b.pairs()
         assert len(calls) == 1
 
+    def test_a_family_over_the_budget_walks_each_request_alone(self, monkeypatch):
+        # each relation fits the budget, the two together do not: the walk of
+        # both raises, and the family walks each request alone when used,
+        # holding one relation at a time
+        system = Rotation(0.3)
+        pts = [real(i / 20) for i in range(20)]
+        requests = [(1, 0.27), (2, 0.27)]
+        expect = [bowen_relation(system, n, pts, eps) for n, eps in requests]
+        sizes = [len(i) for i, _, _ in expect]
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * max(sizes))
+        assert 16 * min(sizes) > 8 * 2 * len(pts) and 16 * sum(sizes) > 16 * max(sizes)
+        with pytest.raises(BudgetExceededError, match="Bowen relation of 20 points"):
+            bowen_relations(system, pts, requests)
+        walks = []
+        relations = partition.bowen_relations
+
+        def walk(*args):
+            # each walk starts with no relation held
+            walks.append((args[2], len(insts[0]._relations.found)))
+            return relations(*args)
+
+        monkeypatch.setattr(partition, "bowen_relations", walk)
+        [insts] = make_instances(system, pts, requests, [None])
+        for inst, want in zip(insts, expect):
+            assert same_arrays(inst.pairs(), want)
+            assert list(inst._relations.found) == [(inst.n, inst.eps)]
+        assert walks == [(requests, 0), (requests[:1], 0), (requests[1:], 0)]
+        # a request over the budget alone raises as bowen_relation does
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * sizes[1] - 1)
+        [[_, over]] = make_instances(system, pts, requests, [None])
+        with pytest.raises(BudgetExceededError, match=f"needs {16 * sizes[1]} bytes"):
+            over.pairs()
+
     def test_make_instance_is_the_one_request_case(self):
         inst = random_rotation_instance(3)
         [[again]] = make_instances(inst.system, inst.points, [(inst.n, inst.eps)],

@@ -517,7 +517,8 @@ class TestMergedWindow:
                     add(random_cocycle(rng, system, 1), random_cocycle(rng, system, 1)),
                     coboundary_perturb(window, random_cocycle(rng, system, 1)),
                     coboundary_perturb(random_cocycle(rng, system, 1), window)):
-            assert (pot.shift_profile().dim, pot.shift_profile().power) == (1, 1.0), pot.label
+            prof = pot.shift_profile()
+            assert prof.dim == 1 and prof.step is not None, pot.label
             check_against_enumeration(system, pot)
 
     @pytest.mark.parametrize("window_first", [False, True],
@@ -559,7 +560,7 @@ class TestMergedWindow:
         # the sum's log-matrix at row (i, k), column (j, l) is x[i, j] + y[k, l]
         a, b = MatrixCocycle(COCYCLE_2X2, FS), MatrixCocycle(COCYCLE_2X2[::-1], FS)
         prof = add(a, b).shift_profile()
-        assert (prof.reach, prof.dim, prof.power) == (1, 4, 1.0)
+        assert (prof.reach, prof.dim) == (1, 4) and prof.step is not None
         logs = prof.step(np.array([[0], [1]], dtype=np.int64))
         for s in (0, 1):
             want = np.kron(COCYCLE_2X2[s], COCYCLE_2X2[1 - s])
@@ -589,6 +590,8 @@ class TestMergedWindow:
             [3.002396812962586, 4.35529581698792], rel=1e-12, abs=0.0)
         with pytest.raises(EnumerationCapError, match="words of length 23 exceeds cap"):
             log_weighted_word_sums(FS, scaled, [23], 0)
+        # a norm power of 1 keeps the chain
+        assert scale(1.0, MatrixCocycle(COCYCLE_2X2, FS)).shift_profile().dim == 2
 
 
 def batch_members(rng, system):
