@@ -34,6 +34,10 @@ which the CLI turns into exit code 3; a family whose relations fit the
 budget only one at a time walks each request alone, holding one relation.
 Greedy separated is O(m + E) in total; greedy spanning takes one argmax
 over m packed keys per pick, plus O(m + E) in total for its key updates.
+The exact oracles build their bit masks in one pass over the relation and
+search, with a memo, only the states they reach: the cover search branches
+on the sets that cover the lowest uncovered element, the separated search
+on keeping or skipping the lowest candidate.
 """
 
 from __future__ import annotations
@@ -420,11 +424,16 @@ def _neighbours(inst: SeparationInstance, strict: bool) -> tuple[np.ndarray, np.
 
 
 def _masks(inst: SeparationInstance, strict: bool) -> list[int]:
-    """Bit v of masks[u] is set for u = v and each pair {u, v} of ``_edges``; needs m <= 63."""
-    i, j = _edges(inst, strict)
-    masks = np.int64(1) << np.arange(inst.size, dtype=np.int64)
-    np.bitwise_or.at(masks, np.concatenate([i, j]), np.int64(1) << np.concatenate([j, i]))
-    return masks.tolist()
+    """Bit v of masks[u] is set for u = v and each pair {u, v} of ``_edges``,
+    in one pass over the relation."""
+    i, j, d = inst.pairs()
+    masks = [1 << u for u in range(inst.size)]
+    eps = inst.eps
+    for u, v, duv in zip(i.tolist(), j.tolist(), d.tolist()):
+        if not strict or duv < eps:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return masks
 
 
 def _greedy_separated_indices(inst: SeparationInstance) -> list[int]:
@@ -497,6 +506,24 @@ def _check_size(inst: SeparationInstance) -> None:
         )
 
 
+def _best_independent(avail: int, conflict: list[int], shifted: list[float],
+                      memo: dict[int, float]) -> float:
+    """Largest weight sum of an independent subset of ``avail``: the lowest
+    candidate v left out, or kept with its conflicts removed."""
+    if avail == 0:
+        return 0.0
+    out = memo.get(avail)
+    if out is None:
+        low = avail & -avail
+        v = low.bit_length() - 1
+        out = _best_independent(avail ^ low, conflict, shifted, memo)
+        kept = shifted[v] + _best_independent(avail & ~conflict[v], conflict, shifted, memo)
+        if kept > out:  # max(out, kept)
+            out = kept
+        memo[avail] = out
+    return out
+
+
 def exact_separated_value(inst: SeparationInstance) -> GrowthSample:
     """Exact separated-set optimum by weighted independent-set search."""
     m = inst.size
@@ -505,52 +532,50 @@ def exact_separated_value(inst: SeparationInstance) -> GrowthSample:
         val = logsumexp(inst.weights)
         return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=True)
     _check_size(inst)
-    conflict = _masks(inst, strict=False)
+    conflict = _masks(inst, strict=False)  # conflict[v] has bit v
     wmax = float(inst.weights.max())
-    shifted = np.exp(inst.weights - wmax)
-    memo: dict[int, float] = {}
-
-    def best(avail: int) -> float:
-        if avail == 0:
-            return 0.0
-        if avail in memo:
-            return memo[avail]
-        v = (avail & -avail).bit_length() - 1
-        out = best(avail & ~(1 << v))
-        out = max(out, shifted[v] + best(avail & ~conflict[v]))  # conflict[v] has bit v
-        memo[avail] = out
-        return out
-
-    val = wmax + math.log(best((1 << m) - 1))
+    shifted = np.exp(inst.weights - wmax).tolist()
+    val = wmax + math.log(_best_independent((1 << m) - 1, conflict, shifted, {}))
     return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, float(val), exact=True)
 
 
+def _min_cover(covered: int, full: int, covering: list[list[tuple[int, float]]],
+               memo: dict[int, float]) -> float:
+    """Least cost to cover ``full`` from ``covered``, branching on the sets
+    that cover the lowest uncovered element."""
+    if covered == full:
+        return 0.0
+    out = memo.get(covered)
+    if out is None:
+        rem = full & ~covered
+        out = math.inf
+        for mask, cost in covering[(rem & -rem).bit_length() - 1]:
+            total = cost + _min_cover(covered | mask, full, covering, memo)
+            if total < out:  # min(out, total)
+                out = total
+        memo[covered] = out
+    return out
+
+
 def exact_min_cover(masks: list[int], costs: np.ndarray, full: int | None = None) -> float:
-    """Minimum total cost over subsets whose cover masks reach ``full``.
+    """Minimum total cost over subsets whose cover masks reach ``full``, or
+    inf where some element of ``full`` lies in no mask.
 
     ``full`` defaults to one bit per mask, which matches the square case
-    where every candidate point contributes its own cover element.
+    where every candidate point contributes its own cover element.  Bits
+    of a mask outside ``full`` are ignored.
     """
-    m = len(masks)
     if full is None:
-        full = (1 << m) - 1
-    memo: dict[int, float] = {}
-
-    def best(covered: int) -> float:
-        if covered == full:
-            return 0.0
-        if covered in memo:
-            return memo[covered]
-        rem = ~covered & full
-        j = (rem & -rem).bit_length() - 1
-        out = math.inf
-        for v in range(m):
-            if masks[v] >> j & 1:
-                out = min(out, costs[v] + best(covered | masks[v]))
-        memo[covered] = out
-        return out
-
-    return best(0)
+        full = (1 << len(masks)) - 1
+    covering: list[list[tuple[int, float]]] = [[] for _ in range(full.bit_length())]
+    for mask, cost in zip(masks, np.asarray(costs, dtype=float).tolist()):
+        mask &= full
+        rest = mask
+        while rest:
+            low = rest & -rest
+            covering[low.bit_length() - 1].append((mask, cost))
+            rest ^= low
+    return _min_cover(0, full, covering, {})
 
 
 def exact_spanning_value(inst: SeparationInstance) -> GrowthSample:

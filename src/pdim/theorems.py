@@ -15,7 +15,6 @@ in its report's digest.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -131,35 +130,37 @@ def _rotation_instance(rng: np.random.Generator, size: int):
     return system, [real(v) for v in xs], pot
 
 
-def _arc_options(x: float, G: int) -> list[int]:
-    """Open overlapping arcs A_i = (i h - h/4, (i+1) h + h/4) containing x."""
-    h = 1.0 / G
-    length = 1.5 * h
-    out = [i for i in range(G) if 0.0 < (x - (i * h - 0.25 * h)) % 1.0 < length]
-    if not out:  # boundary hit; fall back to closed membership
-        out = [i for i in range(G) if 0.0 <= (x - (i * h - 0.25 * h)) % 1.0 <= length]
-    return out
-
-
 def _cover_value(theta: float, xs: list[float], weights: np.ndarray, n_steps: int,
                  G: int, pick, step: int = 1) -> float:
     """Exact minimal subcover value on the sample, each cell costing ``pick``
     (``min``: inf-weight, ``max``: sup-weight) of its members' weights.
 
-    The cover elements are the join cells of the arc cover along the orbit
-    positions 0, step, ..., (n_steps - 1) step.  A point lies in exactly the
-    cells of its own arc product, so each point ORs its bit into those cells.
+    The cover elements are the join cells of the open overlapping arcs
+    A_i = (i h - h/4, (i+1) h + h/4), h = 1/G, along the orbit positions 0,
+    step, ..., (n_steps - 1) step; a position of a point in no open arc
+    takes the closed arcs.  A cell's members are the AND of one arc's
+    members per position, so the cells are the distinct nonzero ANDs, built
+    one position at a time; a cell's cost depends only on its members.
+    The arc members are int64 masks, so xs holds at most 63 points.
     """
-    members: dict[tuple, int] = {}
-    for p, x in enumerate(xs):
-        arcs = [_arc_options((x + j * step * theta) % 1.0, G) for j in range(n_steps)]
-        for cell in itertools.product(*arcs):
-            members[cell] = members.get(cell, 0) | 1 << p
-    masks = [members[cell] for cell in sorted(members)]
+    h = 1.0 / G
+    length = 1.5 * h
+    ys = (np.asarray(xs)[None, :] + (np.arange(n_steps) * step * theta)[:, None]) % 1.0
+    offset = (ys[:, :, None] - (np.arange(G) * h - 0.25 * h)) % 1.0  # (n_steps, P, G)
+    inside = (0.0 < offset) & (offset < length)
+    closed = ~inside.any(axis=2)  # boundary hit; fall back to closed membership
+    inside[closed] = ((0.0 <= offset) & (offset <= length))[closed]
+    arcs = ((1 << np.arange(len(xs))) @ inside).tolist()  # arcs[j][i]: members of A_i at j
+    full = (1 << len(xs)) - 1
+    cells = {full}
+    for row in arcs:
+        row = [a for a in row if a]
+        cells = {c & a for c in cells for a in row if c & a}
+    masks = sorted(cells)
     wmax = float(weights.max())
-    shifted = np.exp(weights - wmax)
+    shifted = np.exp(weights - wmax).tolist()
     costs = [pick(shifted[p] for p in range(len(xs)) if m >> p & 1) for m in masks]
-    return wmax + math.log(exact_min_cover(masks, np.array(costs), (1 << len(xs)) - 1))
+    return wmax + math.log(exact_min_cover(masks, np.array(costs), full))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Separated/spanning machinery against independent brute-force enumeration."""
 
+import gc
 import itertools
 import math
 import signal
@@ -1056,6 +1057,168 @@ class TestExactOracles:
         assert exact_spanning_value(inst).estimator == Estimator.SPANNING
         assert exact_separated_value(inst).exact is True
         assert separated_lower_bound(inst).exact is False
+
+
+def reference_masks(inst, strict):
+    """The masks by one numpy scatter over ``_edges``."""
+    i, j = _edges(inst, strict)
+    masks = np.int64(1) << np.arange(inst.size, dtype=np.int64)
+    np.bitwise_or.at(masks, np.concatenate([i, j]), np.int64(1) << np.concatenate([j, i]))
+    return masks.tolist()
+
+
+def reference_separated(inst) -> float:
+    """The separated search as a recursive closure: skip or keep the lowest candidate."""
+    conflict = reference_masks(inst, strict=False)
+    wmax = float(inst.weights.max())
+    shifted = np.exp(inst.weights - wmax)
+    memo = {}
+
+    def best(avail):
+        if avail == 0:
+            return 0.0
+        if avail in memo:
+            return memo[avail]
+        v = (avail & -avail).bit_length() - 1
+        out = best(avail & ~(1 << v))
+        out = max(out, shifted[v] + best(avail & ~conflict[v]))
+        memo[avail] = out
+        return out
+
+    return float(wmax + math.log(best((1 << inst.size) - 1)))
+
+
+def reference_min_cover(masks, costs, full=None) -> float:
+    """The cover search as a recursive closure that scans every mask at each state."""
+    m = len(masks)
+    if full is None:
+        full = (1 << m) - 1
+    memo = {}
+
+    def best(covered):
+        if covered == full:
+            return 0.0
+        if covered in memo:
+            return memo[covered]
+        rem = ~covered & full
+        j = (rem & -rem).bit_length() - 1
+        out = math.inf
+        for v in range(m):
+            if masks[v] >> j & 1:
+                out = min(out, costs[v] + best(covered | masks[v]))
+        memo[covered] = out
+        return out
+
+    return best(0)
+
+
+def reference_spanning(inst) -> float:
+    wmax = float(inst.weights.max())
+    costs = np.exp(inst.weights - wmax)
+    return float(wmax + math.log(reference_min_cover(reference_masks(inst, True), costs)))
+
+
+def outcome(f):
+    """f's value, or the type of the error it raises."""
+    try:
+        return f()
+    except ValueError as err:
+        return type(err)
+
+
+ORACLE_SYSTEMS = {
+    "rotation": lambda rng: Rotation(float(rng.uniform(0.05, 0.45))),
+    "doubling": lambda rng: DoublingMap(),
+    "power-rotation": lambda rng: PowerSystem(Rotation(float(rng.uniform(0.05, 0.45))), 2),
+    "full_shift(2)": lambda rng: FullShift(2),
+    "full_shift(3)": lambda rng: FullShift(3),
+}
+
+
+def random_oracle_instance(kind, seed):
+    """Up to ORACLE_CAP candidates with normal weights, some of them -inf; on
+    odd seeds eps is the distance of the first two, so strict and closed differ."""
+    rng = np.random.default_rng([seed, len(kind)])
+    system = ORACLE_SYSTEMS[kind](rng)
+    m = int(rng.integers(2, partition.ORACLE_CAP + 1)) if seed else partition.ORACLE_CAP
+    n = int(rng.integers(1, 4))
+    if isinstance(system, FullShift):
+        words = [system.representative(w) for w in system.admissible_words(5 if system.k == 2 else 3)]
+        pts = [words[i] for i in rng.choice(len(words), size=m, replace=False)]
+        eps = float(rng.uniform(0.2, 1.5))
+    else:
+        pts = [real(float(v)) for v in rng.random(m)]
+        eps = float(rng.uniform(0.05, 0.3))
+    if seed % 2:
+        eps = system.bowen_metric(n, pts[0], pts[1])
+    weights = rng.normal(scale=1.5, size=m)
+    weights[rng.random(m) < 0.1] = -math.inf
+    weights[0] = float(rng.normal())
+    return SeparationInstance(system, n, eps, pts, weights)
+
+
+class TestOracleSearch:
+    """The oracles against recursive closures that scan every mask, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ORACLE_SYSTEMS)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_oracles_match_the_closure_searches(self, kind, seed):
+        inst = random_oracle_instance(kind, seed)
+        for strict in (False, True):
+            assert partition._masks(inst, strict) == reference_masks(inst, strict)
+        if len(inst.pairs()[0]):
+            assert exact_separated_value(inst).log_value == reference_separated(inst)
+        # a zero-cost cover (by -inf weights) takes log 0, which both refuse
+        assert outcome(lambda: exact_spanning_value(inst).log_value) == outcome(
+            lambda: reference_spanning(inst))
+
+    def test_zero_weights_count_alike(self):
+        for seed in range(6):
+            inst = random_oracle_instance("rotation", seed)
+            inst = SeparationInstance(inst.system, inst.n, inst.eps, inst.points,
+                                      np.zeros(inst.size))
+            span, sep = count_spanning_separated(inst.system, inst.n, inst.eps, inst.points)
+            assert span == round(math.exp(reference_spanning(inst)))
+            assert sep == round(math.exp(reference_separated(inst)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_min_cover_matches_the_mask_scan(self, seed):
+        # non-square: more or fewer sets than elements, repeated sets with
+        # their own costs, zero costs, and elements that no set covers
+        rng = np.random.default_rng([seed, 91])
+        elements = int(rng.integers(1, 13))
+        full = (1 << elements) - 1
+        masks = [int(v) for v in rng.integers(0, full + 1, size=int(rng.integers(1, 16)))]
+        masks += [masks[int(i)] for i in rng.integers(0, len(masks), size=int(rng.integers(0, 5)))]
+        costs = rng.exponential(size=len(masks))
+        costs[rng.random(len(masks)) < 0.15] = 0.0
+        assert exact_min_cover(masks, costs, full) == reference_min_cover(masks, costs, full)
+        square, square_costs = masks[:elements], costs[:elements]
+        if len(square) == elements:  # one set per element, full by default
+            assert exact_min_cover(square, square_costs) == reference_min_cover(
+                square, square_costs)
+
+    def test_min_cover_ignores_bits_outside_full(self):
+        assert exact_min_cover([0b011, 0b100], np.array([1.0, 2.0]), full=0b101) == 3.0
+        assert exact_min_cover([0b1110, 0b0011], np.array([0.5, 1.0]), full=0b0110) == 0.5
+
+    def test_min_cover_is_inf_when_an_element_lies_in_no_set(self):
+        assert exact_min_cover([0b001, 0b100], np.array([1.0, 2.0]), full=0b111) == math.inf
+        assert exact_min_cover([0b011, 0b000, 0b011], np.array([1.0, 1.0, 0.5])) == math.inf
+        assert exact_min_cover([], np.array([]), full=0) == 0.0
+
+    def test_oracles_leave_no_cyclic_garbage(self):
+        inst = random_rotation_instance(3, size=9)
+        inst.pairs()
+        gc.collect()
+        gc.disable()
+        try:
+            exact_separated_value(inst)
+            exact_spanning_value(inst)
+            exact_min_cover([0b011, 0b110, 0b100], np.array([1.0, 2.0, 0.5]))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLogSumExp:
