@@ -509,7 +509,7 @@ def _check_size(inst: SeparationInstance) -> None:
 def _best_independent(avail: int, conflict: list[int], shifted: list[float],
                       memo: dict[int, float]) -> float:
     """Largest weight sum of an independent subset of ``avail``: the lowest
-    candidate v left out, or kept with its conflicts removed."""
+    candidate v left out, or kept with its conflicts (v among them) removed."""
     if avail == 0:
         return 0.0
     out = memo.get(avail)
@@ -532,7 +532,7 @@ def exact_separated_value(inst: SeparationInstance) -> GrowthSample:
         val = logsumexp(inst.weights)
         return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=True)
     _check_size(inst)
-    conflict = _masks(inst, strict=False)  # conflict[v] has bit v
+    conflict = _masks(inst, strict=False)
     wmax = float(inst.weights.max())
     shifted = np.exp(inst.weights - wmax).tolist()
     val = wmax + math.log(_best_independent((1 << m) - 1, conflict, shifted, {}))

@@ -154,7 +154,6 @@ def _cover_value(theta: float, xs: list[float], weights: np.ndarray, n_steps: in
     full = (1 << len(xs)) - 1
     cells = {full}
     for row in arcs:
-        row = [a for a in row if a]
         cells = {c & a for c in cells for a in row if c & a}
     masks = sorted(cells)
     wmax = float(weights.max())
