@@ -12,7 +12,9 @@ cocycle hash was re-pinned when a matrix cocycle became a reach-1 window of
 log-matrices, whose start vector is a logsumexp of log entries: 22 fields
 moved by at most 2.1e-16 relative, and CHANGES.md lists them.  The
 four scale and loose configs were recorded with the all-pairs relation
-kernel, before the sorted sweep.
+kernel, before the sorted sweep.  The four grid configs were recorded while
+candidate sets were lists of point objects, before grids became coordinate
+arrays.
 """
 
 import hashlib
@@ -112,6 +114,33 @@ SCALE_CONFIGS = {
     },
 }
 
+# CSV pins of the eps path on grids the configs above leave out, recorded
+# with per-point candidate lists: the interval grid's floats, certified and
+# capped at the budget, golden-mean words with their bridges to the tail, and
+# 3-symbol words in the enumeration order that the greedy tie-breaks read.
+GRID_CONFIGS = {
+    "contraction-eps": {
+        "system": {"kind": "contraction", "c": 0.6, "fixed": 0.35},
+        "potential": {"kind": "birkhoff", "fn": "x"},
+        "n_range": [2, 4, 6, 8, 10], "scales": {"eps": [0.01, 0.003]},
+    },
+    "contraction-capped": {
+        "system": {"kind": "contraction", "c": 0.45, "fixed": 0.8},
+        "potential": {"kind": "birkhoff", "fn": "cos2pi"},
+        "n_range": [2, 4, 6, 8], "scales": {"eps": [0.003]}, "budget": 250,
+    },
+    "golden-eps": {
+        "system": {"kind": "sft", "matrix": [[1, 1], [1, 0]]},
+        "potential": {"kind": "symbol_weights", "table": [0.4, -0.3]},
+        "n_range": [2, 3, 4, 5, 6, 7], "scales": {"eps": [0.25, 0.1]},
+    },
+    "words3-eps": {
+        "system": {"kind": "full_shift", "k": 3},
+        "potential": {"kind": "symbol_weights", "table": [0.5, -0.5, 0.1]},
+        "n_range": [1, 2, 3, 4], "scales": {"eps": [0.25]},
+    },
+}
+
 CSV_SHA256 = {
     "zero": "3a10400ca5c0562354616404ca781635c2d334c8b53c93fe5deae2f008398f9a",
     "drift-negative": "ce781cb13b6b2870c6b006e11587550fc5590cfaa86505a022883b2fca79c241",
@@ -126,6 +155,10 @@ CSV_SHA256 = {
     "words-scale": "7baa7380fca6367d6a8c8b37b66d5c5e4a94148ce1a96bf4a90a47a0cfaf605c",
     "doubling-loose": "07d0ddb0ed61e49e2916e90dc58d8948daec0ad69bc897ac2d84f8d993bf4a9c",
     "words-loose": "afae00fe0322d76508303b93ffdc6c807d0bcf133c432f626ee581835726b917",
+    "contraction-eps": "2e5afd12954db13f1d24b5fe3d35f72d4b6dccdd335fae2d8b1a325936edcaa3",
+    "contraction-capped": "87fdce69aad940a110d0ffcc8ca369b0c4dbc5ef2f078a441251443a6e76bb42",
+    "golden-eps": "2f50a7c73b0b43e1823ac4287b28cb9ca803496aea62934b39470e94d995dbe8",
+    "words3-eps": "6df23a5e9b5fa0eda9863a157e47bac707e8986eebf90d8bf722ea8cb1d3ead9",
 }
 
 # sha256 of ``pdim oracle --max-points 20 --trials 200 --seed s`` stdout: the
@@ -180,10 +213,10 @@ VIOLATION_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS | SCALE_CONFIGS))
+@pytest.mark.parametrize("name", sorted(CONFIGS | SCALE_CONFIGS | GRID_CONFIGS))
 def test_estimate_csv_bytes(tmp_path, name, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps((CONFIGS | SCALE_CONFIGS)[name]))
+    cfg.write_text(json.dumps((CONFIGS | SCALE_CONFIGS | GRID_CONFIGS)[name]))
     out = tmp_path / "out.csv"
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
