@@ -32,8 +32,12 @@ array form.  Kept pairs past ``systems.ARRAY_BUDGET_BYTES`` (16 bytes
 each), counted over all the requests of a walk, raise BudgetExceededError,
 which the CLI turns into exit code 3; a family whose relations fit the
 budget only one at a time walks each request alone, holding one relation.
-Greedy separated is O(m + E) in total; greedy spanning takes one argmax
-over m packed keys per pick, plus O(m + E) in total for its key updates.
+Greedy separated is O(m + E) in total.  Greedy spanning reads one
+closed-ball CSR (each candidate's strict-eps neighbours, then itself) and
+takes per pick one argmax over m packed keys, a scan of the picked ball for
+its uncovered points, and one key decrement (a fancy -= for one newly
+covered point, else one subtract.at over the newly covered points' balls),
+O(m + E) in total for the scans and decrements.
 The exact oracles build their bit masks in one pass over the relation and
 search, with a memo, only the states they reach: the cover search branches
 on the sets that cover the lowest uncovered element, the separated search
@@ -103,7 +107,7 @@ class SeparationInstance:
     system: System
     n: int
     eps: float
-    points: list
+    points: Sequence[Point]
     weights: np.ndarray
     _relations: _Relations | None = field(default=None, repr=False, compare=False, init=False)
 
@@ -134,7 +138,7 @@ class _Relations:
     and only the relation in use is held, so a family holds no more pairs
     than the budget allows one relation."""
 
-    def __init__(self, system: System, points: list, requests: list):
+    def __init__(self, system: System, points: Sequence[Point], requests: list):
         self.system, self.points = system, points
         self.requests: list | None = list(dict.fromkeys(requests))
         self.found: dict = {}
@@ -166,13 +170,13 @@ def make_instances(
     requested n (None weighs zero), and all the instances form one family,
     whose relations one ``bowen_relations`` walk computes on first use.
     """
-    pts, requests = list(points), list(requests)
+    requests = list(requests)
     ns = [n for n, _ in requests]
-    relations = _Relations(system, pts, requests)
+    relations = _Relations(system, points, requests)
     out = []
     for pot in potentials:
-        weights = [np.zeros(len(pts)) for _ in ns] if pot is None else pot.eval_arrays(ns, pts)
-        out.append([SeparationInstance(system, n, eps, pts, w)
+        weights = [np.zeros(len(points)) for _ in ns] if pot is None else pot.eval_arrays(ns, points)
+        out.append([SeparationInstance(system, n, eps, points, w)
                     for (n, eps), w in zip(requests, weights)])
         for inst in out[-1]:
             inst._relations = relations
@@ -414,10 +418,13 @@ def _edges(inst: SeparationInstance, strict: bool) -> tuple[np.ndarray, np.ndarr
     return i[near], j[near]
 
 
-def _neighbours(inst: SeparationInstance, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """CSR lists of ``_edges``, both ways: v's neighbours are nbrs[indptr[v]:indptr[v + 1]]."""
+def _neighbours(inst: SeparationInstance, strict: bool,
+                closed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """CSR lists of ``_edges``, both ways, and with ``closed`` each point
+    itself (its closed ball): v's list is nbrs[indptr[v]:indptr[v + 1]]."""
     i, j = _edges(inst, strict)
-    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+    own = [np.arange(inst.size, dtype=i.dtype)] if closed else []
+    src, dst = np.concatenate([i, j, *own]), np.concatenate([j, i, *own])
     indptr = np.zeros(inst.size + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=inst.size), out=indptr[1:])
     return indptr, dst[np.argsort(src, kind="stable")]
@@ -466,25 +473,31 @@ def separated_lower_bound(inst: SeparationInstance, note: str = "") -> GrowthSam
 
 def _greedy_spanning_indices(inst: SeparationInstance) -> list[int]:
     # key[i] = gain[i] * m + (m - 1 - rank[i]): gain[i] counts the uncovered
-    # points within eps of i, itself included, and rank[i] is the place of i
-    # in the stable weight order, so the top key has the most gain, then the
-    # lower weight, then the lower index.  Each newly covered point lowers by
-    # m the key of itself and of each of its neighbours.
+    # points of i's closed ball (within eps of i, itself included), and
+    # rank[i] is the place of i in the stable weight order, so the top key
+    # has the most gain, then the lower weight, then the lower index.  The
+    # relation is symmetric, so a newly covered point lowers by m the key of
+    # each point of its own closed ball: one fancy -= where one point is
+    # newly covered (a ball holds no point twice), else one subtract.at,
+    # which counts a point in several of the balls once per ball.
     m = inst.size
-    indptr, nbrs = _neighbours(inst, strict=True)
+    indptr, balls = _neighbours(inst, strict=True, closed=True)
     bounds = indptr.tolist()
     rank = np.empty(m, dtype=np.int64)
     rank[np.argsort(inst.weights, kind="stable")] = np.arange(m)
-    key = (np.diff(indptr) + 1) * m + (m - 1 - rank)
-    uncovered = np.ones(m, dtype=bool)
+    key = np.diff(indptr) * m + (m - 1 - rank)
+    uncovered = bytearray(b"\x01") * m
     chosen: list[int] = []
     while key[best := int(key.argmax())] >= m:  # below m every gain is 0
         chosen.append(best)
-        ball = np.append(nbrs[bounds[best]:bounds[best + 1]], best)
-        newly = ball[uncovered[ball]]
-        uncovered[newly] = False
-        lowered = [nbrs[bounds[v]:bounds[v + 1]] for v in newly.tolist()]
-        np.subtract.at(key, np.concatenate(lowered + [newly]), m)
+        newly = [v for v in balls[bounds[best]:bounds[best + 1]].tolist() if uncovered[v]]
+        for v in newly:
+            uncovered[v] = 0
+        if len(newly) == 1:
+            (v,) = newly
+            key[balls[bounds[v]:bounds[v + 1]]] -= m
+        else:
+            np.subtract.at(key, np.concatenate([balls[bounds[v]:bounds[v + 1]] for v in newly]), m)
     return chosen
 
 
@@ -504,6 +517,22 @@ def _check_size(inst: SeparationInstance) -> None:
         raise InstanceTooLargeError(
             f"{inst.size} candidates exceed the exact-oracle cap {ORACLE_CAP}"
         )
+
+
+def shifted_weights(weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """(w, exp(weights - w)) for the largest weight w, so the exact searches
+    add floats near 1; w is 0.0 where every weight is -inf, so that no
+    -inf - -inf is taken."""
+    wmax = float(weights.max())
+    if wmax == -math.inf:
+        wmax = 0.0
+    return wmax, np.exp(weights - wmax)
+
+
+def unshifted_log(wmax: float, total: float) -> float:
+    """wmax + log(total), the log of a sum of ``shifted_weights``: -inf where
+    the total is 0, as when points of weight -inf alone make the optimum."""
+    return wmax + math.log(total) if total > 0 else -math.inf
 
 
 def _best_independent(avail: int, conflict: list[int], shifted: list[float],
@@ -533,9 +562,8 @@ def exact_separated_value(inst: SeparationInstance) -> GrowthSample:
         return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=True)
     _check_size(inst)
     conflict = _masks(inst, strict=False)
-    wmax = float(inst.weights.max())
-    shifted = np.exp(inst.weights - wmax).tolist()
-    val = wmax + math.log(_best_independent((1 << m) - 1, conflict, shifted, {}))
+    wmax, shifted = shifted_weights(inst.weights)
+    val = unshifted_log(wmax, _best_independent((1 << m) - 1, conflict, shifted.tolist(), {}))
     return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, float(val), exact=True)
 
 
@@ -582,9 +610,8 @@ def exact_spanning_value(inst: SeparationInstance) -> GrowthSample:
     """Exact spanning-set optimum by weighted set-cover search."""
     _check_size(inst)
     masks = _masks(inst, strict=True)
-    wmax = float(inst.weights.max())
-    costs = np.exp(inst.weights - wmax)
-    val = wmax + math.log(exact_min_cover(masks, costs))
+    wmax, costs = shifted_weights(inst.weights)
+    val = unshifted_log(wmax, exact_min_cover(masks, costs))
     return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, float(val), exact=True)
 
 

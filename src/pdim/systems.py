@@ -13,10 +13,17 @@ by broadcasting.  A real point's coordinate is its x value; ``apply`` and
 shift's array form is exact integer arithmetic.  ``Word.shift``,
 ``shift_metric`` and ``System.bowen_metric`` stay as the scalar references
 that the array forms are tested against.
+
+A candidate set's points are a ``Grid``: one array, built by numpy, with a
+row per candidate (``RealGrid``: the x values; ``WordGrid``: the symbols of
+the admissible words, in ``admissible_words`` order).  ``coordinates`` and
+``word_array`` read that array, so the estimators build no point object; a
+``RealPoint`` or ``representative`` word is built only when a row is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -95,11 +102,85 @@ def shift_metric(x: Word, y: Word) -> float:
     return d
 
 
+class Grid(Sequence):
+    """A candidate grid held as one read-only array, row i for candidate i;
+    a row is made a point object only when read.  Two grids of one kind are
+    equal when their arrays are, and a grid equals any sequence of the same
+    points."""
+
+    def __init__(self, rows: np.ndarray):
+        rows.setflags(write=False)
+        self.rows = rows
+
+    def point(self, row: np.ndarray) -> Point:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(self.point, self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self.point(self.rows[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Grid) and self.same_kind(other):
+            return np.array_equal(self.rows, other.rows)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def same_kind(self, other: Grid) -> bool:
+        return type(self) is type(other)
+
+
+class RealGrid(Grid):
+    """Real candidates as their (m,) float64 x values."""
+
+    def point(self, row: np.ndarray) -> RealPoint:
+        return RealPoint(float(row))
+
+
+class WordGrid(Grid):
+    """A shift's candidates as an (m, length) int64 array of admissible
+    words; row w reads as ``system.representative(w)``."""
+
+    def __init__(self, system: ShiftSystem, words: np.ndarray):
+        super().__init__(words)
+        self.system = system
+
+    def point(self, row: np.ndarray) -> Word:
+        return self.system.representative(tuple(row.tolist()))
+
+    def same_kind(self, other: Grid) -> bool:
+        return isinstance(other, WordGrid) and self.system == other.system
+
+    @functools.cached_property
+    def symbols(self) -> np.ndarray:
+        """(m, held) int64 array of each representative's symbols, the
+        word then its bridge to the tail, padded with the tail: held is
+        the longest representative's length."""
+        last, system = self.rows[:, -1], self.system
+        bridges = [system.bridge_to_tail(s) for s in range(system.k)]
+        present = np.flatnonzero(np.bincount(last, minlength=system.k)).tolist()
+        width = max(len(bridges[s]) for s in present)
+        pad = (system.tail_symbol,) * width
+        table = np.array([(b + pad)[:width] for b in bridges], dtype=np.int64)
+        out = np.concatenate([self.rows, table.reshape(system.k, width)[last]], axis=1)
+        out.setflags(write=False)
+        return out
+
+
 @dataclass
 class CandidateSet:
     """Finite point family used by the estimators, with density bookkeeping."""
 
-    points: list
+    points: Sequence[Point]
     certified: bool = True
 
 
@@ -121,6 +202,8 @@ class System:
 
         Raises NotImplementedError for points with no array form.
         """
+        if isinstance(points, RealGrid):
+            return points.rows
         return np.array([p.x for p in points], dtype=float)
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
@@ -189,6 +272,12 @@ class System:
 
 def word_array(points: Sequence[Word], length: int) -> np.ndarray:
     """(m, length) int array of the words' first ``length`` symbols, each padded with its own tail."""
+    if isinstance(points, WordGrid):
+        arr = points.symbols
+        if length <= arr.shape[1]:
+            return arr[:, :length]
+        pad = np.full((len(arr), length - arr.shape[1]), points.system.tail_symbol, dtype=np.int64)
+        return np.concatenate([arr, pad], axis=1)
     rows = [p.symbols[:length] + (p.tail,) * (length - len(p.symbols)) for p in points]
     return np.array(rows, dtype=np.int64).reshape(len(rows), length)
 
@@ -227,6 +316,19 @@ class ShiftSystem(System):
 
     def is_admissible_pair(self, a: int, b: int) -> bool:
         raise NotImplementedError
+
+    def word_rows(self, length: int) -> np.ndarray:
+        """(count, length) int64 array of the admissible words of a length
+        of at least 1, in ``admissible_words`` order: first symbol
+        descending, each later place ascending under its prefix, as each
+        place expands every word by its successors in the transition matrix."""
+        k = range(self.k)
+        succ = np.array([[self.is_admissible_pair(a, b) for b in k] for a in k])
+        words = np.arange(self.k - 1, -1, -1, dtype=np.int64)[:, None]
+        for _ in range(1, length):
+            parent, symbol = np.nonzero(succ[words[:, -1]])
+            words = np.column_stack([words[parent], symbol])
+        return words
 
     def admissible_words(self, length: int) -> Iterator[tuple[int, ...]]:
         if length == 0:
@@ -273,12 +375,16 @@ class ShiftSystem(System):
         their XOR.  Only words that share one tail and have at most WORD_BITS
         symbols have this form.
         """
-        if len({p.tail for p in points}) > 1 or any(len(p.symbols) > WORD_BITS for p in points):
+        if isinstance(points, WordGrid):
+            held, tails = points.symbols.shape[1], {points.system.tail_symbol}
+        else:
+            held = max((len(p.symbols) for p in points), default=0)
+            tails = {p.tail for p in points}
+        if len(tails) > 1 or held > WORD_BITS:
             raise NotImplementedError("words with mixed tails or over WORD_BITS symbols")
         # only the first ``held`` symbols differ between words; the shared
         # tail fills bits WORD_BITS-1-held down to 0, worth 2^(WORD_BITS-held) - 1
-        held = max((len(p.symbols) for p in points), default=0)
-        tail = points[0].tail if held < WORD_BITS and len(points) else 0
+        tail = tails.pop() if held < WORD_BITS and tails else 0
         arr = word_array(points, held)
         place = np.int64(1) << np.arange(WORD_BITS - 1, WORD_BITS - 1 - held, -1, dtype=np.int64)
         fill = (1 << (WORD_BITS - held)) - 1
@@ -323,8 +429,7 @@ class ShiftSystem(System):
                 f"admissible words of length {length} exceed budget {budget}"
             )
         check_distance_budget(count)
-        pts = [self.representative(w) for w in self.admissible_words(length)]
-        return CandidateSet(points=pts, certified=True)
+        return CandidateSet(points=WordGrid(self, self.word_rows(length)), certified=True)
 
     def sample_points(self, count: int, rng: np.random.Generator, length: int = 24) -> list[Point]:
         out = []
@@ -483,8 +588,8 @@ class CircleSystem(System):
             m = budget
         check_distance_budget(m)
         achieved = 1.0 / m
-        pts = [real(i / m) for i in range(m)]
-        return CandidateSet(points=pts, certified=not capped or achieved <= target)
+        return CandidateSet(points=RealGrid(np.arange(m) / m),
+                            certified=not capped or achieved <= target)
 
 
 @dataclass(frozen=True)
@@ -561,8 +666,8 @@ class Contraction(System):
             m = budget
         check_distance_budget(m + 1)
         achieved = 1.0 / m
-        pts = [real(min(1.0, i * achieved)) for i in range(m + 1)]
-        return CandidateSet(points=pts, certified=not capped)
+        return CandidateSet(points=RealGrid(np.minimum(1.0, np.arange(m + 1) * achieved)),
+                            certified=not capped)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ from .partition import (
     exact_spanning_value,
     make_instance,
     make_instances,
+    shifted_weights,
+    unshifted_log,
 )
 from .potentials import (
     Birkhoff,
@@ -156,10 +158,10 @@ def _cover_value(theta: float, xs: list[float], weights: np.ndarray, n_steps: in
     for row in arcs:
         cells = {c & a for c in cells for a in row if c & a}
     masks = sorted(cells)
-    wmax = float(weights.max())
-    shifted = np.exp(weights - wmax).tolist()
+    wmax, shifted = shifted_weights(weights)
+    shifted = shifted.tolist()
     costs = [pick(shifted[p] for p in range(len(xs)) if m >> p & 1) for m in masks]
-    return wmax + math.log(exact_min_cover(masks, np.array(costs), full))
+    return unshifted_log(wmax, exact_min_cover(masks, np.array(costs), full))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from test_config_mutations import CHILD_ADDRESS_LIMIT
+from test_config_mutations import CHILD_ADDRESS_LIMIT, bench_workloads
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 import pdim
@@ -609,6 +609,28 @@ class TestSinglePath:
         assert sorted(estimates) == [2, 3]
         for s0, (lo, hi) in estimates.values():
             assert lo <= s0 <= hi
+
+
+class TestGridsBuildNoPoints:
+    @pytest.mark.parametrize("seed", [1, 29])
+    def test_metric_greedy_estimates_build_no_point_objects(self, tmp_path, monkeypatch,
+                                                            capsys, seed):
+        # grids, weights, relations and greedy bounds all read coordinate arrays
+        made = []
+        for cls in (systems.RealPoint, systems.Word):
+            def counting_init(self, *args, init=cls.__init__, **kwargs):
+                made.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        for name, cfg in bench_workloads().metric_greedy_configs(seed).items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        capsys.readouterr()
+        assert made == []
+        systems.real(0.5), systems.FullShift(2).representative((1,))
+        assert made == ["RealPoint", "Word"]
 
 
 class TestBudget:

@@ -81,12 +81,18 @@ NEST_DEPTHS = (1, 50, 985, 5000)
 BENCH_SEED = 1
 
 
-def bench_configs() -> dict:
-    """The benchmark's seed-1 estimate configs, each ``n_range`` cut to two entries."""
+def bench_workloads():
+    """The benchmark's workload module, ``bench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_configs() -> dict:
+    """The benchmark's seed-1 estimate configs, each ``n_range`` cut to two entries."""
+    workloads = bench_workloads()
     out = {}
     for name, configs in (("shift-exact", workloads.shift_exact_configs(BENCH_SEED)),
                           ("metric-greedy", workloads.metric_greedy_configs(BENCH_SEED))):

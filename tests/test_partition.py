@@ -1,9 +1,13 @@
 """Separated/spanning machinery against independent brute-force enumeration."""
 
 import gc
+import inspect
 import itertools
 import math
 import signal
+import textwrap
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -908,6 +912,36 @@ def dense_greedy_instance(system, m, eps):
     return SeparationInstance(system, 1, eps, pts, weights)
 
 
+def greedy_spanning_copy(find: str, replace: str):
+    """A copy of ``_greedy_spanning_indices`` with ``find`` replaced in its
+    source, and the list its np.subtract.at calls append to."""
+    source = textwrap.dedent(inspect.getsource(_greedy_spanning_indices))
+    assert not find or source.count(find) == 1
+    counted = []
+    counting_np = types.ModuleType("numpy")
+    vars(counting_np).update(vars(np))
+    counting_np.subtract = types.SimpleNamespace(
+        at=lambda *args: counted.append(np.subtract.at(*args)))
+    scope = dict(vars(partition), np=counting_np)
+    exec(compile(source.replace(find, replace), partition.__file__, "exec"), scope)
+    return scope["_greedy_spanning_indices"], counted
+
+
+def follows_the_scan(greedy, counted, inst) -> bool:
+    """Whether ``greedy`` gives the reference picks with one subtract.at per
+    pick that newly covers more than one point and none for the others,
+    which take one fancy -=."""
+    picks = reference_greedy_spanning(inst)
+    near = dense(inst) < inst.eps
+    covered = np.zeros(inst.size, dtype=bool)
+    several = 0
+    for p in picks:
+        several += int(np.count_nonzero(near[p] & ~covered) > 1)
+        covered |= near[p]
+    counted.clear()
+    return greedy(inst) == picks and len(counted) == several
+
+
 class TestGreedyMatchesScan:
     @pytest.fixture(autouse=True)
     def time_limit(self):
@@ -978,6 +1012,19 @@ class TestGreedyMatchesScan:
         picks = _greedy_spanning_indices(inst)
         assert picks == reference_greedy_spanning(inst)
         assert picks == sorted(range(m), key=lambda i: (weights[i], i))
+
+    @pytest.mark.parametrize("find, replace", [
+        ("", ""),
+        ("closed=True", "closed=False"),
+        ("        else:\n            np.subtract.at", "        if True:\n            np.subtract.at"),
+    ], ids=["as-is", "ball-without-its-centre", "one-point-path-also-runs-the-general-update"])
+    def test_picks_and_update_calls(self, find, replace):
+        # a copy of the greedy loop, with each fault put into its source, fails
+        # on some instances of test_spanning_picks
+        greedy, counted = greedy_spanning_copy(find, replace)
+        cases = [random_greedy_instance(seed, m) for seed in range(16) for m in (40, 150)]
+        follows = [follows_the_scan(greedy, counted, inst) for inst in cases]
+        assert all(follows) if not find else not all(follows)
 
     def test_ties_go_to_lower_weight_then_lower_index(self):
         # three mutually close points: each covers all, so weight then index decides
@@ -1067,8 +1114,16 @@ def reference_masks(inst, strict):
     return masks.tolist()
 
 
+def log_or_minus_inf(wmax, total) -> float:
+    """wmax + log(total), or -inf for a zero total: an optimum that points of
+    weight -inf alone make."""
+    return float(wmax + math.log(total)) if total > 0 else -math.inf
+
+
 def reference_separated(inst) -> float:
     """The separated search as a recursive closure: skip or keep the lowest candidate."""
+    if np.all(inst.weights == -math.inf):
+        return -math.inf
     conflict = reference_masks(inst, strict=False)
     wmax = float(inst.weights.max())
     shifted = np.exp(inst.weights - wmax)
@@ -1085,7 +1140,7 @@ def reference_separated(inst) -> float:
         memo[avail] = out
         return out
 
-    return float(wmax + math.log(best((1 << inst.size) - 1)))
+    return log_or_minus_inf(wmax, best((1 << inst.size) - 1))
 
 
 def reference_min_cover(masks, costs, full=None) -> float:
@@ -1113,17 +1168,11 @@ def reference_min_cover(masks, costs, full=None) -> float:
 
 
 def reference_spanning(inst) -> float:
+    if np.all(inst.weights == -math.inf):
+        return -math.inf
     wmax = float(inst.weights.max())
     costs = np.exp(inst.weights - wmax)
-    return float(wmax + math.log(reference_min_cover(reference_masks(inst, True), costs)))
-
-
-def outcome(f):
-    """f's value, or the type of the error it raises."""
-    try:
-        return f()
-    except ValueError as err:
-        return type(err)
+    return log_or_minus_inf(wmax, reference_min_cover(reference_masks(inst, True), costs))
 
 
 ORACLE_SYSTEMS = {
@@ -1168,9 +1217,28 @@ class TestOracleSearch:
             assert partition._masks(inst, strict) == reference_masks(inst, strict)
         if len(inst.pairs()[0]):
             assert exact_separated_value(inst).log_value == reference_separated(inst)
-        # a zero-cost cover (by -inf weights) takes log 0, which both refuse
-        assert outcome(lambda: exact_spanning_value(inst).log_value) == outcome(
-            lambda: reference_spanning(inst))
+        assert exact_spanning_value(inst).log_value == reference_spanning(inst)
+
+    def test_covers_by_minus_inf_points_alone_are_minus_inf(self):
+        # points of weight -inf alone span 7 of the instances above; their
+        # cover costs exp(-inf) = 0, and the optimum is log 0 = -inf
+        spans = [exact_spanning_value(random_oracle_instance(kind, seed)).log_value
+                 for kind in ORACLE_SYSTEMS for seed in range(10)]
+        assert spans.count(-math.inf) == 7
+
+    def test_minus_inf_weights_give_minus_inf_without_warnings(self):
+        pts = [real(v) for v in (0.0, 0.1, 0.2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the two outer points cover all three at eps = 0.15 for nothing
+            inst = SeparationInstance(Rotation(0.3), 1, 0.15, pts,
+                                      np.array([-math.inf, 0.0, -math.inf]))
+            assert exact_spanning_value(inst).log_value == -math.inf
+            assert exact_separated_value(inst).log_value == 0.0
+            for eps in (0.05, 0.15, 0.5):  # no pairs, some, all
+                inst = SeparationInstance(Rotation(0.3), 1, eps, pts, np.full(3, -math.inf))
+                assert exact_spanning_value(inst).log_value == -math.inf
+                assert exact_separated_value(inst).log_value == -math.inf
 
     def test_zero_weights_count_alike(self):
         for seed in range(6):

@@ -17,7 +17,10 @@ from pdim.systems import (
     PowerSystem,
     Rotation,
     SFT,
+    RealGrid,
+    ShiftSystem,
     Word,
+    WordGrid,
     binary_expansion_map,
     golden_mean_sft,
     identity_factor,
@@ -25,6 +28,8 @@ from pdim.systems import (
     real,
     scale_index,
     shift_metric,
+    shift_step,
+    word_array,
     word_total,
 )
 
@@ -325,6 +330,101 @@ class TestCandidateSets:
     def test_contraction_grid_includes_endpoints(self):
         xs = [p.x for p in Contraction(0.5, 0.0).candidate_set(3, 0.5).points]
         assert 0.0 in xs and 1.0 in xs
+
+
+def reference_points(system, cand):
+    """The candidate list as built point by point before grids became arrays,
+    for the grid size of ``cand``."""
+    if isinstance(system, PowerSystem):
+        return reference_points(system.base, cand)
+    if isinstance(system, ShiftSystem):
+        length = len(cand.points.rows[0])
+        return [system.representative(w) for w in system.admissible_words(length)]
+    if isinstance(system, Contraction):
+        m = len(cand.points) - 1
+        achieved = 1.0 / m
+        return [real(min(1.0, i * achieved)) for i in range(m + 1)]
+    m = len(cand.points)
+    return [real(i / m) for i in range(m)]
+
+
+GRID_SYSTEMS = {
+    "rotation": Rotation(0.3),
+    "doubling": DoublingMap(),
+    "contraction": Contraction(0.45, 0.8),
+    "full_shift(2)": FullShift(2),
+    "full_shift(3)": FullShift(3),
+    "full_shift(4)": FullShift(4),
+    "golden": golden_mean_sft(),
+    "sft(3)": SFT(((0, 1, 0), (0, 1, 1), (1, 0, 1))),
+}
+GRID_SYSTEMS |= {f"power2-{name}": PowerSystem(system, 2) for name, system in GRID_SYSTEMS.items()}
+# (n, eps, budget): the last two cap the real grids (uncertified) below their mesh
+GRID_CASES = [(1, 0.5, 2_000_000), (2, 0.25, 2_000_000), (3, 0.1, 2_000_000),
+              (4, 0.003, 500), (1, 0.01, 37)]
+
+
+class TestGridArrays:
+    """Array grids against the point-by-point lists they replace, point for point."""
+
+    @pytest.mark.parametrize("n, eps, budget", GRID_CASES)
+    @pytest.mark.parametrize("name", GRID_SYSTEMS)
+    def test_grid_equals_the_point_list(self, name, n, eps, budget):
+        system = GRID_SYSTEMS[name]
+        try:
+            cand = system.candidate_set(n, eps, budget=budget)
+        except BudgetExceededError:  # only word sets grow past the budgets here
+            assert shift_step(system) is not None
+            return
+        points, ref = cand.points, reference_points(system, cand)
+        assert isinstance(points, WordGrid if isinstance(ref[0], Word) else RealGrid)
+        assert list(points) == ref and [points[i] for i in range(len(ref))] == ref
+        assert points == ref and ref == points and points[-1] == ref[-1]
+        assert points[1:4] == ref[1:4]
+        if isinstance(ref[0], Word):
+            for length in (1, len(ref[0].symbols), len(ref[0].symbols) + 3):
+                assert np.array_equal(word_array(points, length), word_array(ref, length))
+        else:
+            assert [p.x.hex() for p in points] == [p.x.hex() for p in ref]
+        coords = system.coordinates(points)
+        assert coords.dtype == system.coordinates(ref).dtype
+        assert np.array_equal(coords, system.coordinates(ref))
+        assert np.array_equal(orbit_array(system, 3, points), orbit_array(system, 3, ref))
+
+    @pytest.mark.parametrize("name", ["full_shift(2)", "full_shift(3)", "full_shift(4)",
+                                      "golden", "sft(3)"])
+    def test_word_rows_follow_admissible_words(self, name):
+        system = GRID_SYSTEMS[name]
+        for length in range(1, 8):
+            rows = system.word_rows(length)
+            assert rows.dtype == np.int64 and rows.shape[1] == length
+            assert list(map(tuple, rows.tolist())) == list(system.admissible_words(length))
+
+    @pytest.mark.parametrize("m", [1, 3, 1000, 16383])
+    def test_circle_floats_match_the_quotients(self, m):
+        cand = Rotation(0.3).candidate_set(1, 2.0 / m)
+        assert len(cand.points) == m
+        assert [x.hex() for x in cand.points.rows.tolist()] == [(i / m).hex() for i in range(m)]
+
+    def test_capped_grids_are_uncertified(self):
+        assert not Rotation(0.3).candidate_set(1, 0.01, budget=37).certified
+        assert not Contraction(0.45, 0.8).candidate_set(4, 0.003, budget=500).certified
+
+    def test_grids_compare_by_array_and_system(self):
+        fs, golden = FullShift(2), golden_mean_sft()
+        assert fs.candidate_set(2, 0.25).points == fs.candidate_set(2, 0.25).points
+        assert fs.candidate_set(2, 0.25).points != fs.candidate_set(3, 0.25).points
+        # equal points are equal: 0 needs no bridge to the tail 0, 1 needs one
+        assert WordGrid(fs, np.array([[0, 0], [1, 0]])) == WordGrid(golden, np.array([[0, 0], [1, 0]]))
+        assert WordGrid(fs, np.array([[0, 1], [1, 0]])) != WordGrid(golden, np.array([[0, 1], [1, 0]]))
+        assert RealGrid(np.arange(4) / 4) == RealGrid(np.arange(4) / 4) != RealGrid(np.arange(5) / 5)
+        assert RealGrid(np.arange(4) / 4) != WordGrid(fs, np.zeros((4, 1), dtype=np.int64))
+
+    def test_grid_arrays_are_read_only(self):
+        cand = FullShift(3).candidate_set(1, 0.5)
+        for arr in (cand.points.rows, cand.points.symbols, Rotation(0.3).candidate_set(1, 0.1).points.rows):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestOrbitArray:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,10 +110,13 @@ def reference_cover_value(theta, xs, weights, n_steps, G, pick, step=1):
         for cell in itertools.product(*arcs):
             members[cell] = members.get(cell, 0) | 1 << p
     masks = [members[cell] for cell in sorted(members)]
+    if np.all(weights == -math.inf):
+        return -math.inf
     wmax = float(weights.max())
     shifted = np.exp(weights - wmax)
     costs = [pick(shifted[p] for p in range(len(xs)) if m >> p & 1) for m in masks]
-    return wmax + math.log(exact_min_cover(masks, np.array(costs), (1 << len(xs)) - 1))
+    total = exact_min_cover(masks, np.array(costs), (1 << len(xs)) - 1)
+    return wmax + math.log(total) if total > 0 else -math.inf
 
 
 def random_cover_case(seed):
@@ -146,3 +150,15 @@ class TestCoverValue:
             case = (0.25, [0.75, 0.5, 0.1], np.array([0.3, -0.2, 0.1]), 3, 1, pick, 1)
             assert reference_arc_options(0.75, 1) == [0]
             assert _cover_value(*case) == reference_cover_value(*case) < math.inf
+
+    def test_minus_inf_weights_give_minus_inf(self):
+        # with pick=min a cell holding a point of weight -inf costs 0; with
+        # every weight -inf each cell does, under either pick
+        xs = [0.1, 0.35, 0.6, 0.85]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for weights, picks in ((np.array([-math.inf, 0.2, -math.inf, -math.inf]), (min,)),
+                                   (np.full(4, -math.inf), (min, max))):
+                for pick in picks:
+                    case = (0.25, xs, weights, 2, 2, pick, 1)
+                    assert _cover_value(*case) == reference_cover_value(*case) == -math.inf
