@@ -35,9 +35,8 @@ budget only one at a time walks each request alone, holding one relation.
 Greedy separated is O(m + E) in total.  Greedy spanning reads one
 closed-ball CSR (each candidate's strict-eps neighbours, then itself) and
 takes per pick one argmax over m packed keys, a scan of the picked ball for
-its uncovered points, and one key decrement (a fancy -= for one newly
-covered point, else one subtract.at over the newly covered points' balls),
-O(m + E) in total for the scans and decrements.
+its uncovered points, and one subtract.at over the newly covered points'
+balls, O(m + E) in total for the scans and decrements.
 The exact oracles build their bit masks in one pass over the relation and
 search, with a memo, only the states they reach: the cover search branches
 on the sets that cover the lowest uncovered element, the separated search
@@ -477,9 +476,8 @@ def _greedy_spanning_indices(inst: SeparationInstance) -> list[int]:
     # rank[i] is the place of i in the stable weight order, so the top key
     # has the most gain, then the lower weight, then the lower index.  The
     # relation is symmetric, so a newly covered point lowers by m the key of
-    # each point of its own closed ball: one fancy -= where one point is
-    # newly covered (a ball holds no point twice), else one subtract.at,
-    # which counts a point in several of the balls once per ball.
+    # each point of its own closed ball: one subtract.at over the balls of
+    # the newly covered points counts a point in several balls once per ball.
     m = inst.size
     indptr, balls = _neighbours(inst, strict=True, closed=True)
     bounds = indptr.tolist()
@@ -493,11 +491,7 @@ def _greedy_spanning_indices(inst: SeparationInstance) -> list[int]:
         newly = [v for v in balls[bounds[best]:bounds[best + 1]].tolist() if uncovered[v]]
         for v in newly:
             uncovered[v] = 0
-        if len(newly) == 1:
-            (v,) = newly
-            key[balls[bounds[v]:bounds[v + 1]]] -= m
-        else:
-            np.subtract.at(key, np.concatenate([balls[bounds[v]:bounds[v + 1]] for v in newly]), m)
+        np.subtract.at(key, np.concatenate([balls[bounds[v]:bounds[v + 1]] for v in newly]), m)
     return chosen
 
 

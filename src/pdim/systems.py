@@ -104,9 +104,10 @@ def shift_metric(x: Word, y: Word) -> float:
 
 class Grid(Sequence):
     """A candidate grid held as one read-only array, row i for candidate i;
-    a row is made a point object only when read.  Two grids of one kind are
-    equal when their arrays are, and a grid equals any sequence of the same
-    points."""
+    a row is made a point object only when read.  Two grids of one type and
+    system are equal when their arrays are."""
+
+    system: System | None = None
 
     def __init__(self, rows: np.ndarray):
         rows.setflags(write=False)
@@ -127,16 +128,11 @@ class Grid(Sequence):
         return self.point(self.rows[index])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Grid) and self.same_kind(other):
+        if type(other) is type(self) and other.system == self.system:
             return np.array_equal(self.rows, other.rows)
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
-
-    def same_kind(self, other: Grid) -> bool:
-        return type(self) is type(other)
 
 
 class RealGrid(Grid):
@@ -156,9 +152,6 @@ class WordGrid(Grid):
 
     def point(self, row: np.ndarray) -> Word:
         return self.system.representative(tuple(row.tolist()))
-
-    def same_kind(self, other: Grid) -> bool:
-        return isinstance(other, WordGrid) and self.system == other.system
 
     @functools.cached_property
     def symbols(self) -> np.ndarray:
