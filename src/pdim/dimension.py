@@ -10,7 +10,10 @@ There is one path from a (system, potential) pair to s0.
 sums at dyadic scale indices on shifts, greedy separated and spanning bounds
 on candidate grids otherwise.  :func:`pressure_curve` (or
 :func:`pressure_curves`, one per estimator), :func:`largest_dimension` and
-:func:`classify_jump` read s0 off those tables.  ``pdim estimate`` and
+:func:`classify_jump` read s0 off those tables.  A pressure curve is one
+array pass per table over the whole s grid: the window ratios
+log_value / n^s for every s at once, the min/max rule once per table, then
+the first largest table per s.  ``pdim estimate`` and
 ``pdim sweep`` take this path, and :func:`entropy_dimension` is the zero
 potential through it with the separated estimator.
 """
@@ -94,7 +97,7 @@ def growth_tables(
     """Spanning (2) and separated (3) growth tables, one per (estimator, scale).
 
     ``mode`` ``"k"`` reads ``scales`` as dyadic scale indices and takes the
-    exact word sums of :func:`exact_growth_table`; it needs a ShiftSystem
+    exact word sums of one :func:`exact_growth_table` call; it needs a ShiftSystem
     and a potential with a shift profile.  ``mode`` ``"eps"`` reads them as
     radii and takes the greedy bounds on candidate grids of at most
     ``budget`` points; samples from an uncertified grid carry the note
@@ -105,9 +108,8 @@ def growth_tables(
     """
     samples: list[GrowthSample] = []
     if mode == "k":
-        for k in scales:
-            table = exact_growth_table(system, potential, k, n_range)
-            samples.extend(s for s in table if s.estimator in estimators)
+        samples = [s for s in exact_growth_table(system, potential, scales, n_range)
+                   if s.estimator in estimators]
     elif mode == "eps":
         for eps in scales:
             for points, run in _grid_runs(system, n_range, eps, budget):
@@ -211,24 +213,32 @@ def pressure_curve(
     """
     if isinstance(tables, GrowthTable):
         tables = [tables]
-    prepared = []
-    for t in tables:
-        ns, vals = t.series()
-        wn, wv = _window(ns, vals, window_frac)
-        prepared.append((t, wn, wv, power_slope(wn, wv)))
-    values = []
-    trends = []
+    if not tables:
+        return PressureCurve(tuple(s_grid), (None,) * len(s_grid), (None,) * len(s_grid))
+    windows = [_window(*t.series(), window_frac) for t in tables]
+    slopes = [power_slope(wn, wv) for wn, wv in windows]
+    # n^s of every window at once, one ``array ** s`` per s as for a single
+    # window: a broadcast column of s can reach numpy's vector pow, or miss
+    # its sqrt and square paths, and move last bits
+    wns = np.concatenate([wn for wn, _ in windows])
+    ends = np.cumsum([len(wn) for wn, _ in windows]).tolist()
+    powers = np.empty((len(s_grid), len(wns)))
+    stats = []
     with np.errstate(over="ignore"):  # n^s past float range: the ratio is 0
-        for s in s_grid:
-            best = None
-            best_trend: float | None = None
-            for _t, wn, wv, slope in prepared:
-                v = _window_stat(wn, wv, s)
-                if best is None or v > best:
-                    best = v
-                    best_trend = None if slope is None else slope[0] - s
-            values.append(best)
-            trends.append(best_trend)
+        for i, s in enumerate(s_grid):
+            powers[i] = wns**s
+    for (wn, wv), end in zip(windows, ends):
+        ratios = wv / powers[:, end - len(wn):end]
+        stats.append(ratios.min(axis=1) if np.all(wv < 0) else ratios.max(axis=1))
+    # the first table with the largest statistic, by strict > in table order
+    best, pick = stats[0].copy(), np.zeros(len(s_grid), dtype=np.intp)
+    for i, stat in enumerate(stats[1:], 1):
+        better = stat > best
+        best[better] = stat[better]
+        pick[better] = i
+    values = best.tolist()
+    trends = [None if slopes[i] is None else slopes[i][0] - s
+              for i, s in zip(pick.tolist(), s_grid)]
     est = None
     ests = {s.estimator for t in tables for s in t.samples}
     if len(ests) == 1:

@@ -13,13 +13,16 @@ d x d matrix cocycle dim d, and a sum the product of its terms' dims.
 Powers come from repeated squaring in log space.  Potentials of one profile
 shape (reach, dim) share one state space: their "on" matrices stack on a
 leading batch axis, each n is one row of a stacked vector, and each square
-M^(2^j) multiplies the rows whose exponent has bit j.  T tables over ns
-cost O(T S^3 log n_max + T |ns| S^2 log n_max) in O(log n_max) products,
-and each row meets its single sum's products in the same order, so every
-value is the same float.  More than TRANSFER_STATE_CAP states raise
+M^(2^j) multiplies the rows whose exponent has bit j.  One call serves
+every scale index k it is given: the states, the "on" ladder and each n
+row's products are built once, and only the free tail free^(k - reach + 1),
+from one shared ladder of "free" squares, is applied per k.  T tables over
+ns and K scale indices cost O(T S^3 log n_max + T K |ns| S^2 log n_max) in
+O(log n_max + K log k_max) products, and each row meets its single sum's
+products in the same order, so every value is the same float.  More than TRANSFER_STATE_CAP states raise
 BudgetExceededError before any state is listed.  Only a scaled matrix
 window (a norm power other than 1), or a sum with one, enumerates words,
-under a size cap.
+under a size cap, as one ``WordGrid`` array per (n, k).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from .logsum import logsumexp
 from .partition import Estimator, GrowthSample
 from .potentials import Potential, Window
-from .systems import BudgetExceededError, FullShift, ShiftSystem, word_total
+from .systems import BudgetExceededError, FullShift, ShiftSystem, WordGrid, word_total
 
 
 class NotLocallyConstantError(ValueError):
@@ -87,29 +90,30 @@ def log_weighted_word_sums(
 ) -> list[float]:
     """log of the sum over admissible words w of |w| = n + k of e^(phi_n on [w]), per n in ns.
 
-    The one-potential case of :func:`log_weighted_word_tables`.
+    The one-potential, one-k case of :func:`log_weighted_word_tables`.
     """
-    return log_weighted_word_tables(system, [potential], ns, k)[0]
+    return log_weighted_word_tables(system, [potential], ns, [k])[0][0]
 
 
 def log_weighted_word_tables(
     system: ShiftSystem,
     potentials,
     ns,
-    k: int,
-) -> list[list[float]]:
-    """Per potential, its table over ns, the same floats as a one-member call.
+    ks,
+) -> list[list[list[float]]]:
+    """Per potential, one table over ns per scale index in ks, the same
+    floats as a one-member, one-k call.
 
-    Requires every phi_n to be constant on (n + k)-cylinders.  Every member
-    and n is checked, then the state cap once per profile shape, before any
-    state is listed or sum computed.  A scaled cocycle, or a sum with one,
-    enumerates words and raises EnumerationCapError (a budget error) past
-    ENUMERATION_CAP words.  An empty ns gives one [] per potential.
+    Requires every phi_n to be constant on (n + k)-cylinders.  Every member,
+    k and n is checked, then the state cap once per profile shape, before
+    any state is listed or sum computed.  A scaled cocycle, or a sum with
+    one, enumerates words and raises EnumerationCapError (a budget error)
+    past ENUMERATION_CAP words.  An empty ns gives one [] per potential and k.
     """
-    ns = list(ns)
-    if not ns:
-        return [[] for _ in potentials]
-    profiles = [_checked_profile(system, pot, ns, k) for pot in potentials]
+    ns, ks = list(ns), list(ks)
+    if not ns or not ks:
+        return [[[] for _ in ks] for _ in potentials]
+    profiles = [_checked_profile(system, pot, ns, ks) for pot in potentials]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, prof in enumerate(profiles):
         if prof.step is not None:
@@ -118,54 +122,56 @@ def log_weighted_word_tables(
              for shape in groups}
     for size in sizes.values():
         _check_states(size, system)
-    out: list[list[float]] = [[] for _ in potentials]
+    out: list[list[list[float]]] = [[] for _ in potentials]
     for i, (pot, prof) in enumerate(zip(potentials, profiles)):
         if prof.step is None:
-            out[i] = [logsumexp(pot.eval_array(n, [system.representative(w)
-                                                   for w in system.admissible_words(n + k)]))
-                      for n in ns]
+            out[i] = [[logsumexp(pot.eval_array(n, WordGrid(system, system.word_rows(n + k))))
+                       for n in ns] for k in ks]
     for (reach, d), members in groups.items():
         # each stacked matrix holds at most _ENTRIES entries
         batch = max(1, _ENTRIES // sizes[reach, d] ** 2)
         for lo in range(0, len(members), batch):
             part = members[lo:lo + batch]
-            tables = _group_tables(system, reach, d, [profiles[i].step for i in part], ns, k)
+            tables = _group_tables(system, reach, d, [profiles[i].step for i in part], ns, ks)
             for i, table in zip(part, tables):
                 out[i] = table
     return out
 
 
-def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, k: int) -> Window:
-    """The potential's profile, once every n of its table is checked."""
+def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, ks: list) -> Window:
+    """The potential's profile, once every (k, n) of its tables is checked."""
     profile = _profile(potential)
-    for n in ns:
-        if n < 1:
-            raise ValueError("need n >= 1")
-        need = n - 1 + profile.reach
-        if n + k < need:
-            raise NotLocallyConstantError(
-                f"phi_{n} for {potential.label} needs word length >= {need}, got {n + k}"
-            )
-        if (profile.step is None
-                and word_total(system, n + k, cap=ENUMERATION_CAP) > ENUMERATION_CAP):
-            raise EnumerationCapError(
-                f"enumeration fallback over the words of length {n + k} "
-                f"exceeds cap {ENUMERATION_CAP}"
-            )
+    for k in ks:
+        for n in ns:
+            if n < 1:
+                raise ValueError("need n >= 1")
+            need = n - 1 + profile.reach
+            if n + k < need:
+                raise NotLocallyConstantError(
+                    f"phi_{n} for {potential.label} needs word length >= {need}, got {n + k}"
+                )
+            if (profile.step is None
+                    and word_total(system, n + k, cap=ENUMERATION_CAP) > ENUMERATION_CAP):
+                raise EnumerationCapError(
+                    f"enumeration fallback over the words of length {n + k} "
+                    f"exceeds cap {ENUMERATION_CAP}"
+                )
     return profile
 
 
 def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list,
-                  k: int) -> list[list[float]]:
-    """One table over ns per step of a (reach, d) window with a step.
+                  ks: list) -> list[list[list[float]]]:
+    """Per step of a (reach, d) window with a step, one table over ns per k in ks.
 
     States are the admissible p-words, p = max(reach - 1, 1), times d.
     "free" holds identity blocks on the admissible transitions, member t's
     "on" the log-matrix of the window that ends at a position (one step
     call), and its start vector, at reach 1, the row logsumexp of the first
-    window's matrix (one more).  Row (t, n) is start on^(n + reach - 1 - p)
-    free^(k - reach + 1); n + k = p only at n = 1, k = 0 with reach 1, where
-    the value is the start vector's sum.
+    window's matrix (one more).  Row (t, k, n) is start on^(n + reach - 1 - p)
+    free^(k - reach + 1): one ladder of "on" squares and products serves
+    every k, and only the free tail, from one shared ladder of "free"
+    squares, is applied per k.  n + k = p only at n = 1, k = 0 with reach 1,
+    where the value is the start vector's sum.
     """
     p = max(reach - 1, 1)
     states = list(system.admissible_words(p))
@@ -186,26 +192,40 @@ def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list
         if reach == 1:
             first = step(np.array(states, dtype=np.int64))
             start[t] += first if d == 1 else np.logaddexp.reduce(first, axis=1).reshape(-1)
-    values = {}
-    if p - k in ns:
-        values[p - k] = [logsumexp(v) for v in start]
-    chained = [n for n in dict.fromkeys(ns) if n not in values]
-    if chained:
-        # v exp(M)^m per row, squaring M as far as the largest m needs
-        v = np.repeat(start[:, None, :], len(chained), axis=1)
-        for power, ms in ((on.reshape(T, S * d, S * d), [n + reach - 1 - p for n in chained]),
-                          (free.reshape(S * d, S * d), [k - reach + 1] * len(chained))):
-            for j in range(max(ms).bit_length()):
-                if j:
-                    power = _log_matmul(power, power)
-                bits = [m >> j & 1 for m in ms]
-                if all(bits):
-                    v = _log_matmul(v, power)
-                elif any(bits):
-                    picked = np.flatnonzero(bits)
-                    v[:, picked] = _log_matmul(v[:, picked], power)
-        values.update(zip(chained, np.logaddexp.reduce(v, axis=2).T.tolist()))
-    return [list(table) for table in zip(*(values[n] for n in ns))]
+    n_at = {n: j for j, n in enumerate(dict.fromkeys(ns))}
+    v = np.repeat(start[:, None, :], len(n_at), axis=1)
+    v = _log_power_rows(v, [on.reshape(T, S * d, S * d)], [n + reach - 1 - p for n in n_at])
+    free_squares = [free.reshape(S * d, S * d)]
+    tables = {}
+    for k in dict.fromkeys(ks):
+        # every row takes the same free power, so v itself is never written
+        tail = _log_power_rows(v, free_squares, [k - reach + 1] * len(n_at))
+        sums = np.logaddexp.reduce(tail, axis=2).tolist()
+        if p - k in n_at:
+            for t, vec in enumerate(start):
+                sums[t][n_at[p - k]] = logsumexp(vec)
+        tables[k] = sums
+    return [[[tables[k][t][n_at[n]] for n in ns] for k in ks] for t in range(T)]
+
+
+def _log_power_rows(v: np.ndarray, squares: list, ms: list[int]) -> np.ndarray:
+    """Row r of the stack v times exp(M)^ms[r], in log space, where squares[j] is M^(2^j).
+
+    squares grows only as far as the largest m needs, so one list serves
+    several calls, and each square multiplies the rows whose exponent has
+    bit j: every row meets its single chain's products in the same order.
+    Rows of v are written in place when only some of them take a product.
+    """
+    for j in range(max(ms).bit_length()):
+        if j == len(squares):
+            squares.append(_log_matmul(squares[-1], squares[-1]))
+        bits = [m >> j & 1 for m in ms]
+        if all(bits):
+            v = _log_matmul(v, squares[j])
+        elif any(bits):
+            picked = np.flatnonzero(bits)
+            v[:, picked] = _log_matmul(v[:, picked], squares[j])
+    return v
 
 
 def _check_states(count: int, system: ShiftSystem) -> None:
@@ -248,7 +268,7 @@ def deflated_scale(k: int) -> float:
 def exact_growth_table(
     system: ShiftSystem,
     potential: Potential,
-    scale_k: int,
+    scale_k,
     n_range,
 ) -> list[GrowthSample]:
     """Exact separated and spanning growth samples at dyadic scale index k.
@@ -258,16 +278,21 @@ def exact_growth_table(
     family spans the space at radius 2^-k, hence at the coarser 2^-(k-1).
     The separated sample is a certified lower bound for the full separated
     optimum, the spanning sample a certified upper bound at its scale.
+    A sequence of scale indices gives each index's samples in its order,
+    from one table call.
     """
-    if not 0 <= scale_k <= MAX_SCALE_INDEX:
-        raise ValueError(f"scale index must be in [0, {MAX_SCALE_INDEX}], got {scale_k}")
-    eps = deflated_scale(scale_k)
-    span_scale = 2.0 ** (-(scale_k - 1))
+    ks = list(scale_k) if np.iterable(scale_k) else [scale_k]
+    for k in ks:
+        if not 0 <= k <= MAX_SCALE_INDEX:
+            raise ValueError(f"scale index must be in [0, {MAX_SCALE_INDEX}], got {k}")
     ns = list(n_range)
     out: list[GrowthSample] = []
-    for n, v in zip(ns, log_weighted_word_sums(system, potential, ns, scale_k)):
-        out.append(GrowthSample(Estimator.SEPARATED, n, eps, v, exact=True))
-        out.append(GrowthSample(Estimator.SPANNING, n, span_scale, v, exact=True))
+    for k, table in zip(ks, log_weighted_word_tables(system, [potential], ns, ks)[0]):
+        eps = deflated_scale(k)
+        span_scale = 2.0 ** (-(k - 1))
+        for n, v in zip(ns, table):
+            out.append(GrowthSample(Estimator.SEPARATED, n, eps, v, exact=True))
+            out.append(GrowthSample(Estimator.SPANNING, n, span_scale, v, exact=True))
     return out
 
 

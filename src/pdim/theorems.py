@@ -98,14 +98,18 @@ def _digest(params: dict) -> str:
 def _word_sums(system: ShiftSystem, pots: list[Potential], ns, k: int) -> Iterator[dict]:
     """Per potential in turn, {n: log weighted sum over the (n + k)-words}, from one table call."""
     ns = list(ns)
-    return (dict(zip(ns, table)) for table in log_weighted_word_tables(system, pots, ns, k))
+    return (dict(zip(ns, table)) for [table] in log_weighted_word_tables(system, pots, ns, [k]))
 
 
-def _sums_by_system(cases: list[tuple[ShiftSystem, Potential]], ns, k: int) -> list[dict]:
-    """:func:`_word_sums` per (system, potential) case, one table call per system."""
-    tables = {system: _word_sums(system, [p for s, p in cases if s == system], ns, k)
+def _sums_by_system(cases: list[tuple[ShiftSystem, Potential]], ns, ks) -> list[dict]:
+    """Per (system, potential) case, {k: {n: log weighted sum over the (n + k)-words}},
+    one table call per system for every k."""
+    ns, ks = list(ns), list(ks)
+    tables = {system: iter(log_weighted_word_tables(system, [p for s, p in cases if s == system],
+                                                    ns, ks))
               for system in dict.fromkeys(s for s, _ in cases)}
-    return [next(tables[system]) for system, _ in cases]
+    return [{k: dict(zip(ns, table)) for k, table in zip(ks, next(tables[system]))}
+            for system, _ in cases]
 
 
 def _finish(check_id: str, params: dict, violations: list[float],
@@ -184,9 +188,8 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
         (FullShift(2), symbol_weights(FullShift(2), [0.3, -0.2])),
         (golden_mean_sft(), symbol_weights(golden_mean_sft(), [0.1, 0.4])),
     ]
-    tables = {k: _sums_by_system(cases, range(1, n_max + 1), k) for k in range(1, 5)}
-    for c, (system, pot) in enumerate(cases):
-        sums = {k: tables[k][c] for k in tables}
+    tables = _sums_by_system(cases, range(1, n_max + 1), range(1, 5))
+    for (system, pot), sums in zip(cases, tables):
         for n in range(1, n_max + 1):
             for m in (2, 3):
                 q_val = sums[m - 1][n]
@@ -279,9 +282,9 @@ def check_thm31(seed: int = 0, fault: float = 0.0) -> CheckReport:
     n_max = 12
     params = {"check": "thm31", "seed": seed, "n_max": n_max}
     violations = []
-    for system in (FullShift(2), golden_mean_sft()):
-        for k in (0, 1, 2):
-            [sums] = _word_sums(system, [zero_potential()], range(1, n_max + 1), k)
+    counts = [(system, zero_potential()) for system in (FullShift(2), golden_mean_sft())]
+    for (system, _), by_k in zip(counts, _sums_by_system(counts, range(1, n_max + 1), (0, 1, 2))):
+        for k, sums in by_k.items():
             for n, v in sums.items():
                 violations.append(abs(v - log_word_count(system, n + k)))
 
@@ -293,7 +296,8 @@ def check_thm31(seed: int = 0, fault: float = 0.0) -> CheckReport:
     ]
     k = 1
     ns = list(range(1, n_max + 1))
-    for (system, pot), sums in zip(scenarios, _sums_by_system(scenarios, ns, k)):
+    for (system, pot), by_k in zip(scenarios, _sums_by_system(scenarios, ns, [k])):
+        sums = by_k[k]
         reps = [system.representative(w) for w in system.admissible_words(2)]
         vals = pot.eval_array(1, reps).tolist()
         sup1, inf1 = max(vals), min(vals)

@@ -1,12 +1,15 @@
 """Pressure statistics, jump bracketing, and the critical-exponent fit."""
 
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from pdim import partition, systems
+from pdim import dimension, partition, systems
 from pdim.dimension import (
+    DEFAULT_S_GRID,
     DimensionEstimate,
     GrowthTable,
     classify_jump,
@@ -17,7 +20,7 @@ from pdim.dimension import (
     pressure_curve,
     s_pressure,
 )
-from pdim.dimension import _least_squares
+from pdim.dimension import _least_squares, _window, _window_stat
 from pdim.partition import (
     Estimator,
     GrowthSample,
@@ -185,6 +188,122 @@ class TestPressureCurveAndJump:
     def test_estimator_recorded_when_uniform(self):
         t = power_table(1.0)
         assert pressure_curve(t, [1.0]).estimator == Estimator.SEPARATED
+
+
+def reference_curve(tables, s_grid, window_frac):
+    """Values and trends of the per-s loop: one _window_stat per (s, table),
+    the first table with the largest statistic by strict >."""
+    prepared = []
+    for t in tables:
+        wn, wv = _window(*t.series(), window_frac)
+        prepared.append((wn, wv, power_slope(wn, wv)))
+    values, trends = [], []
+    with np.errstate(over="ignore"):
+        for s in s_grid:
+            best, best_trend = None, None
+            for wn, wv, slope in prepared:
+                v = _window_stat(wn, wv, s)
+                if best is None or v > best:
+                    best, best_trend = v, None if slope is None else slope[0] - s
+            values.append(best)
+            trends.append(best_trend)
+    return values, trends
+
+
+def bits(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def random_tables(gen, sign, count, huge=False):
+    """Random tables of one window sign ("+", "-" or mixed); ``huge`` puts n
+    near 1e200, so n^s overflows for s > 1.5 and the ratio is 0."""
+    tables = []
+    for _ in range(count):
+        size = int(gen.integers(4, 12))
+        start = 10.0 ** 200 if huge else 1
+        ns = start + np.cumsum(gen.integers(1, 50, size=size)) * (1e190 if huge else 1)
+        vals = gen.uniform(0.01, 50.0, size=size) * gen.choice([1e-3, 1.0, 1e6])
+        if sign == "-":
+            vals = -vals
+        elif sign == "mixed":
+            vals = vals * gen.choice([-1.0, 1.0], size=size)
+        rows = [GrowthSample(Estimator.SEPARATED, float(n) if huge else int(n), 0.5, float(v),
+                             True) for n, v in zip(ns, vals)]
+        tables.append(GrowthTable(rows))
+    return tables
+
+
+def tied_tables():
+    """Two tables whose window statistic is 1e12 at n = 1 for every s > 0, with
+    different power-law slopes, so only the trend tells which one is picked."""
+    rows = ([1e12, 1.0, 2.0, 3.0, 4.0], [1e12, 9.0, 7.0, 5.0, 3.0])
+    return [GrowthTable([GrowthSample(Estimator.SEPARATED, n, 0.5, v, True)
+                         for n, v in enumerate(vals, 1)]) for vals in rows]
+
+
+def pressure_curve_copy(find: str, replace: str):
+    """A copy of ``pressure_curve`` with ``find`` replaced once in its source."""
+    source = textwrap.dedent(inspect.getsource(dimension.pressure_curve))
+    assert not find or source.count(find) == 1
+    scope = dict(vars(dimension))
+    exec(compile(source.replace(find, replace), dimension.__file__, "exec"), scope)
+    return scope["pressure_curve"]
+
+
+S_GRIDS = [list(DEFAULT_S_GRID), [0.05, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], [1.0], []]
+
+
+class TestSGridPass:
+    """pressure_curve's one array pass per table agrees with the per-s loop
+    bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("sign", ["+", "-", "mixed"])
+    def test_random_tables_match_the_per_s_loop(self, sign, seed):
+        gen = np.random.default_rng(seed)
+        tables = random_tables(gen, sign, int(gen.integers(1, 6)), huge=seed % 4 == 3)
+        # one table read twice ties with itself: the first keeps the max
+        tables.insert(int(gen.integers(0, len(tables) + 1)), tables[0])
+        for s_grid in S_GRIDS:
+            for frac in (0.5, 1.0):
+                curve = pressure_curve(tables, s_grid, frac)
+                values, trends = reference_curve(tables, s_grid, frac)
+                assert bits(curve.values) == bits(values)
+                assert bits(curve.trends) == bits(trends)
+
+    def test_overflow_gives_zero_ratios(self):
+        gen = np.random.default_rng(3)
+        tables = random_tables(gen, "mixed", 3, huge=True) + random_tables(gen, "-", 2, huge=True)
+        curve = pressure_curve(tables, [0.5, 1.6, 2.0, 3.0], 1.0)
+        assert curve.values[2:] == (0.0, 0.0)
+        assert bits(curve.values) == bits(reference_curve(tables, [0.5, 1.6, 2.0, 3.0], 1.0)[0])
+
+    def test_ties_pick_the_first_table_and_its_trend(self):
+        for order in (tied_tables(), tied_tables()[::-1]):
+            curve = pressure_curve(order, [0.5, 1.0, 2.0], 1.0)
+            values, trends = reference_curve(order, [0.5, 1.0, 2.0], 1.0)
+            assert curve.values == (1e12, 1e12, 1e12)
+            assert bits(curve.values) == bits(values)
+            assert bits(curve.trends) == bits(trends)
+        assert bits(pressure_curve(tied_tables(), [1.0], 1.0).trends) != \
+            bits(pressure_curve(tied_tables()[::-1], [1.0], 1.0).trends)
+
+    @pytest.mark.parametrize("find, replace", [
+        ("", ""),
+        ("ratios.min(axis=1) if np.all(wv < 0) else ratios.max(axis=1)", "ratios.max(axis=1)"),
+        ("better = stat > best", "better = stat >= best"),
+    ], ids=["as-is", "max-on-negative-window", "ties-to-the-last-table"])
+    def test_copied_pass_with_fault_fails(self, find, replace):
+        curve_of = pressure_curve_copy(find, replace)
+        cases = [(random_tables(np.random.default_rng(seed), ("-", "mixed")[seed % 2], 3), 0.5)
+                 for seed in range(8)]
+        cases += [(tied_tables(), 1.0), (tied_tables()[::-1], 1.0)]
+        agree = []
+        for tables, frac in cases:
+            curve = curve_of(tables, DEFAULT_S_GRID, frac)
+            values, trends = reference_curve(tables, DEFAULT_S_GRID, frac)
+            agree.append(bits(curve.values) == bits(values) and bits(curve.trends) == bits(trends))
+        assert all(agree) if not find else not all(agree)
 
 
 class TestDimensionEstimate:

@@ -2,10 +2,12 @@
 
 import functools
 import hashlib
+import inspect
 import itertools
 import math
 import random
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -359,7 +361,7 @@ def no_sums(monkeypatch):
 
     monkeypatch.setattr("pdim.symbolic._log_matmul", boom)
     monkeypatch.setattr("pdim.symbolic.logsumexp", boom)
-    monkeypatch.setattr(FullShift, "representative", boom)
+    monkeypatch.setattr(FullShift, "word_rows", boom)
 
 
 class TestTableForm:
@@ -627,7 +629,7 @@ def single_tables(system, pots, ns, k):
 
 def batched_tables(system, pots, ns, k):
     return [[v.hex() for v in table]
-            for table in log_weighted_word_tables(system, pots, ns, k)]
+            for [table] in log_weighted_word_tables(system, pots, ns, [k])]
 
 
 def valid_members(system, pots, ns, k):
@@ -676,8 +678,8 @@ class TestBatchedTables:
         reach-1 start vector from its second."""
         real = symbolic._group_tables
 
-        def group(system, reach, d, steps, ns, k):
-            return real(system, reach, d, fault(steps) if len(steps) > 1 else steps, ns, k)
+        def group(system, reach, d, steps, ns, ks):
+            return real(system, reach, d, fault(steps) if len(steps) > 1 else steps, ns, ks)
 
         monkeypatch.setattr(symbolic, "_group_tables", group)
 
@@ -712,9 +714,9 @@ class TestBatchedTables:
         from pdim.systems import Rotation
 
         no_profile = Birkhoff(phi=lambda x: x, system=Rotation(0.3), name="x")
-        assert log_weighted_word_tables(FS, [], [1, 2], 0) == []
+        assert log_weighted_word_tables(FS, [], [1, 2], [0]) == []
         pots = [symbol_weights(FS, [0.1, 0.2]), no_profile, MatrixCocycle(COCYCLE_2X2, FS)]
-        assert log_weighted_word_tables(FS, pots, [], 2) == [[], [], []]
+        assert log_weighted_word_tables(FS, pots, [], [2]) == [[[]], [[]], [[]]]
 
     @pytest.mark.parametrize("bad", ["not locally constant", "too short", "n < 1", "enumeration"])
     def test_a_bad_member_raises_its_single_error_before_any_sum(self, no_sums, bad):
@@ -737,7 +739,7 @@ class TestBatchedTables:
         batch = [symbol_weights(FS, [0.3, 0.4]), MatrixCocycle(COCYCLE_2X2, FS), pot,
                  symbol_weights(FS, [0.5, 0.6])]
         with pytest.raises(type(single.value)) as batched:
-            log_weighted_word_tables(FS, batch, ns, k)
+            log_weighted_word_tables(FS, batch, ns, [k])
         assert type(batched.value) is type(single.value)
         assert str(batched.value) == str(single.value)
 
@@ -763,7 +765,7 @@ class TestBatchedTables:
                  random_table(rng, FS, 3, 1.0)]
         # the no_sums fixture stops the first product, after every group is built
         with pytest.raises(AssertionError, match="before the checks"):
-            log_weighted_word_tables(FS, batch, [2, 3], 2)
+            log_weighted_word_tables(FS, batch, [2, 3], [2])
         caps = [e for e in events if e[0] == "cap"]
         assert sorted(caps) == [("cap", 2), ("cap", 4), ("cap", 4)]
         assert events[:3] == caps
@@ -771,7 +773,7 @@ class TestBatchedTables:
         events.clear()
         monkeypatch.setattr(symbolic, "TRANSFER_STATE_CAP", 3)
         with pytest.raises(BudgetExceededError, match="more than 3 states"):
-            log_weighted_word_tables(FS, batch, [2, 3], 2)
+            log_weighted_word_tables(FS, batch, [2, 3], [2])
         assert all(e[0] == "cap" for e in events)
 
     def test_temporaries_stay_within_the_entry_bound(self, monkeypatch):
@@ -816,6 +818,155 @@ class TestBatchedTables:
         big = np.zeros((2, 9, 5))
         assert symbolic._log_matmul(big, np.zeros((5, 5))).shape == (2, 9, 5)
         assert max(sizes) <= 64
+
+
+def multi_k_tables(system, pots, ns, ks):
+    """Per potential, one table per k as hex floats, from one call over every k."""
+    return [[[v.hex() for v in table] for table in per_k]
+            for per_k in log_weighted_word_tables(system, pots, ns, ks)]
+
+
+def one_k_tables(system, pots, ns, ks):
+    """Reference: one log_weighted_word_sums call per (potential, k), as hex floats."""
+    return [[[v.hex() for v in log_weighted_word_sums(system, pot, ns, k)] for k in ks]
+            for pot in pots]
+
+
+def ladder_members(rng, system):
+    """Scalar windows of reach 1 and 3, a 3 x 3 cocycle, a Kronecker sum of two
+    cocycles and a coboundary of reach 3."""
+    def weights():
+        return symbol_weights(system, [rng.uniform(-1.5, 1.5) for _ in range(system.k)])
+
+    return [
+        weights(),
+        random_table(rng, system, 3, 1.0),
+        random_cocycle(rng, system, 3),
+        add(random_cocycle(rng, system, 2), random_cocycle(rng, system, 2)),
+        coboundary_perturb(weights(), random_table(rng, system, 2, 1.0)),
+    ]
+
+
+def group_tables_copy(find: str, replace: str):
+    """A copy of ``_group_tables`` with ``find`` replaced once in its source."""
+    source = textwrap.dedent(inspect.getsource(symbolic._group_tables))
+    assert not find or source.count(find) == 1
+    scope = dict(vars(symbolic))
+    exec(compile(source.replace(find, replace), symbolic.__file__, "exec"), scope)
+    return scope["_group_tables"]
+
+
+class TestScaleLadder:
+    """One call over several scale indices shares the states, the "on" ladder
+    and the free squares, and must give each k its one-k table, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("system", [FS, FullShift(3), GM], ids=lambda s: s.label)
+    def test_every_k_equals_its_one_k_call(self, system, seed):
+        rng = random.Random(f"ladder-{system.label}-{seed}")
+        pots = ladder_members(rng, system)
+        # reach 3 needs k >= 2; unsorted, with repeats, past the largest k's
+        # first free square
+        ks = [rng.randint(2, 9) for _ in range(4)] + [2, 5]
+        rng.shuffle(ks)
+        ns = [rng.randint(1, 60) for _ in range(5)] + [1]
+        assert multi_k_tables(system, pots, ns, ks) == one_k_tables(system, pots, ns, ks)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
+    def test_ks_in_any_order(self, order):
+        rng = random.Random(order)
+        pots = ladder_members(rng, FS)[:1] + [ConstantDrift(0.3, FS),
+                                              MatrixCocycle(COCYCLE_2X2, FS)]
+        ks = {"ascending": [0, 1, 2, 3, 7], "descending": [7, 3, 2, 1, 0],
+              "repeated": [3, 0, 3, 1, 0, 3]}[order]
+        ns = [1, 2, 9, 1, 300]
+        got = log_weighted_word_tables(FS, pots, ns, ks)
+        assert [[[v.hex() for v in t] for t in per_k] for per_k in got] == \
+            one_k_tables(FS, pots, ns, ks)
+        assert all(len(per_k) == len(ks) for per_k in got)
+
+    @pytest.mark.parametrize("system", [FS, GM], ids=lambda s: s.label)
+    def test_start_vector_case_at_n_1_k_0(self, system):
+        # reach 1 at n = 1, k = 0 takes the start vector's sum, beside rows
+        # that chain at other k
+        cocycle = [np.array(m) for m in COCYCLE_2X2]
+        pots = [symbol_weights(system, [0.3, -0.7]), MatrixCocycle(cocycle, system),
+                add(MatrixCocycle(cocycle, system), symbol_weights(system, [0.1, 0.2]))]
+        ns = [1, 2, 5]
+        for ks in ([0], [0, 1, 4], [4, 0]):
+            assert multi_k_tables(system, pots, ns, ks) == one_k_tables(system, pots, ns, ks)
+        for pot in pots:
+            [[[at_1]]] = log_weighted_word_tables(system, [pot], [1], [0])
+            assert at_1 == pytest.approx(enumerate_table(system, pot, [1], 0)[0], rel=1e-14)
+
+    def test_long_tables_share_one_ladder(self):
+        rng = random.Random(11)
+        pots = ladder_members(rng, GM)
+        ns, ks = [10**4, 3, 777, 1, 4096], [2, 40, 3, 1055]
+        assert multi_k_tables(GM, pots, ns, ks) == one_k_tables(GM, pots, ns, ks)
+
+    def test_k_below_reach_minus_one_raises_before_any_table(self, no_sums, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a table was built before the checks")
+
+        monkeypatch.setattr(symbolic, "_group_tables", boom)
+        pots = [symbol_weights(FS, [0.1, 0.2]), random_table(random.Random(1), FS, 3, 1.0)]
+        # the reach-3 window needs k >= 2; k = 1 comes after k = 4 and 2
+        with pytest.raises(NotLocallyConstantError, match="needs word length >= 4, got 3"):
+            log_weighted_word_tables(FS, pots, [2, 1], [4, 2, 1, 3])
+
+    def test_growth_table_is_k_major_in_scales_order(self):
+        pot = add(random_table(random.Random(2), FS, 2, 1.0), ConstantDrift(0.4, FS))
+        ks, ns = [3, 1, 2, 1], range(2, 9, 3)
+        want = [row for k in ks for row in exact_growth_table(FS, pot, k, ns)]
+        assert exact_growth_table(FS, pot, ks, ns) == want
+        with pytest.raises(ValueError, match="scale index must be in"):
+            exact_growth_table(FS, pot, [1, MAX_SCALE_INDEX + 1], ns)
+
+    @pytest.mark.parametrize("find, replace", [
+        ("", ""),
+        ("[k - reach + 1] * len(n_at)", "[ks[0] - reach + 1] * len(n_at)"),
+        ("for k in ks] for t in range(T)]", "for k in ks[::-1]] for t in range(T)]"),
+    ], ids=["as-is", "first-k-free-tail-for-every-k", "swapped-ks"])
+    def test_copied_ladder_with_fault_fails(self, monkeypatch, find, replace):
+        # a copy of the ladder, with the fault put into its source, fails the
+        # one-k comparison on several ks
+        rng = random.Random(5)
+        pots = ladder_members(rng, FS)
+        ns, ks = [1, 4, 17], [2, 5, 3]
+        want = one_k_tables(FS, pots, ns, ks)
+        monkeypatch.setattr(symbolic, "_group_tables", group_tables_copy(find, replace))
+        got = multi_k_tables(FS, pots, ns, ks)
+        assert (got == want) if not find else (got != want)
+
+
+class TestEnumerationGrid:
+    """A window with no step enumerates its words as one WordGrid per (n, k)."""
+
+    def test_no_word_objects_and_enumerated_values(self, monkeypatch):
+        from pdim.systems import Word
+
+        pot = add(scale(0.5, MatrixCocycle(COCYCLE_2X2, FS)), symbol_weights(FS, [0.1, -0.3]))
+        assert pot.shift_profile().step is None
+        ns, ks = [1, 6, 3], [0, 2]
+        want = [enumerate_table(FS, pot, ns, k) for k in ks]
+        built = []
+        real_init = Word.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Word, "__init__", counting)
+        [got] = log_weighted_word_tables(FS, [pot], ns, ks)
+        assert built == []
+        assert got == want
+
+    def test_golden_mean_enumeration(self):
+        pot = scale(0.5, MatrixCocycle(COCYCLE_2X2, GM))
+        ns = [1, 2, 7]
+        for k in (0, 1, 3):
+            assert log_weighted_word_sums(GM, pot, ns, k) == enumerate_table(GM, pot, ns, k)
 
 
 class TestGrowthTables:
