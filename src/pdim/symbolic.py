@@ -19,15 +19,17 @@ row's products are built once, and only the free tail free^(k - reach + 1),
 from one shared ladder of "free" squares, is applied per k.  T tables over
 ns and K scale indices cost O(T S^3 log n_max + T K |ns| S^2 log n_max) in
 O(log n_max + K log k_max) products, and each row meets its single sum's
-products in the same order, so every value is the same float.  More than TRANSFER_STATE_CAP states raise
-BudgetExceededError before any state is listed.  Only a scaled matrix
-window (a norm power other than 1), or a sum with one, enumerates words,
-under a size cap, as one ``WordGrid`` array per (n, k).
+products in the same order, so every value is the same float.  More than
+TRANSFER_STATE_CAP states raise BudgetExceededError before any state is
+listed.  Only a scaled matrix window (a norm power other than 1), or a sum
+with one, enumerates words, under a size cap, as one ``WordGrid`` array per
+(n, k).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -268,7 +270,7 @@ def deflated_scale(k: int) -> float:
 def exact_growth_table(
     system: ShiftSystem,
     potential: Potential,
-    scale_k,
+    scale_k: int | Sequence[int],
     n_range,
 ) -> list[GrowthSample]:
     """Exact separated and spanning growth samples at dyadic scale index k.
