@@ -29,6 +29,7 @@ with one, enumerates words, under a size cap, as one ``WordGrid`` array per
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -111,8 +112,10 @@ def log_weighted_word_tables(
     any state is listed or sum computed.  A scaled cocycle, or a sum with
     one, enumerates words and raises EnumerationCapError (a budget error)
     past ENUMERATION_CAP words.  An empty ns gives one [] per potential and k.
+    Every n and k is read through ``operator.index``, so numpy integers give
+    the same floats as Python ints; a float raises TypeError.
     """
-    ns, ks = list(ns), list(ks)
+    ns, ks = [_integer(n, "n") for n in ns], [_integer(k, "scale index k") for k in ks]
     if not ns or not ks:
         return [[[] for _ in ks] for _ in potentials]
     profiles = [_checked_profile(system, pot, ns, ks) for pot in potentials]
@@ -138,6 +141,13 @@ def log_weighted_word_tables(
             for i, table in zip(part, tables):
                 out[i] = table
     return out
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked_profile(system: ShiftSystem, potential: Potential, ns: list, ks: list) -> Window:
@@ -283,11 +293,11 @@ def exact_growth_table(
     A sequence of scale indices gives each index's samples in its order,
     from one table call.
     """
-    ks = list(scale_k) if np.iterable(scale_k) else [scale_k]
+    ks = [_integer(k, "scale index k") for k in (scale_k if np.iterable(scale_k) else [scale_k])]
     for k in ks:
         if not 0 <= k <= MAX_SCALE_INDEX:
             raise ValueError(f"scale index must be in [0, {MAX_SCALE_INDEX}], got {k}")
-    ns = list(n_range)
+    ns = [_integer(n, "n") for n in n_range]
     out: list[GrowthSample] = []
     for k, table in zip(ks, log_weighted_word_tables(system, [potential], ns, ks)[0]):
         eps = deflated_scale(k)

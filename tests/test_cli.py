@@ -633,6 +633,36 @@ class TestGridsBuildNoPoints:
         assert made == ["RealPoint", "Word"]
 
 
+# the eps-path configs the CI step runs at candidate counts the benchmark leaves out
+CI_EPS_CONFIGS = {
+    "words2": {"system": {"kind": "full_shift", "k": 2},
+               "potential": {"kind": "symbol_weights", "table": [0.3, -0.5]},
+               "n_range": [10], "scales": {"eps": [0.25]}},
+    "doubling": {"system": {"kind": "doubling"}, "potential": {"kind": "birkhoff", "fn": "x"},
+                 "n_range": [10], "scales": {"eps": [0.1]}},
+    "words3": {"system": {"kind": "full_shift", "k": 3},
+               "potential": {"kind": "symbol_weights", "table": [0.5, -0.5, 0.1]},
+               "n_range": [5], "scales": {"eps": [0.25]}},
+}
+
+
+class TestGreedySpanningLoop:
+    @pytest.mark.parametrize("source", ["metric-greedy seed 1", "metric-greedy seed 29", "ci"])
+    def test_every_call_takes_the_level_loop(self, tmp_path, capsys, loop_calls, source):
+        # every closed ball of these relations holds at most 8 points
+        if source == "ci":
+            configs = CI_EPS_CONFIGS
+        else:
+            configs = bench_workloads().metric_greedy_configs(int(source.split()[-1]))
+        for name, cfg in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        capsys.readouterr()
+        assert len(loop_calls) >= len(configs)
+        assert set(loop_calls) == {"_greedy_spanning_levels"}
+
+
 class TestBudget:
     def test_oversized_grids_exit_three(self, tmp_path):
         # each grid list takes 40 bytes per entry, 10 GB or more before any

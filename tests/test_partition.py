@@ -33,7 +33,10 @@ from pdim.partition import (
 from pdim.partition import (
     _edges,
     _greedy_separated_indices,
+    _greedy_spanning_argmax,
     _greedy_spanning_indices,
+    _greedy_spanning_levels,
+    _neighbours,
 )
 from pdim.potentials import Birkhoff, symbol_weights
 from pdim.symbolic import deflated_scale
@@ -911,13 +914,32 @@ def dense_greedy_instance(system, m, eps):
     return SeparationInstance(system, 1, eps, pts, weights)
 
 
-def greedy_spanning_copy(find: str, replace: str):
-    """A copy of ``_greedy_spanning_indices`` with ``find`` replaced in its source."""
-    source = textwrap.dedent(inspect.getsource(_greedy_spanning_indices))
+def spanning_inputs(inst):
+    """The arguments of both greedy spanning loops: the closed-ball CSR and
+    the stable weight order."""
+    return (*_neighbours(inst, strict=True, closed=True),
+            np.argsort(inst.weights, kind="stable"))
+
+
+def assert_spanning_picks(inst):
+    """The picks of the selected loop and of each loop alone are the reference's."""
+    want = reference_greedy_spanning(inst)
+    assert _greedy_spanning_indices(inst) == want
+    assert _greedy_spanning_levels(*spanning_inputs(inst)) == want
+    assert _greedy_spanning_argmax(*spanning_inputs(inst)) == want
+
+
+def greedy_spanning_copy(find: str, replace: str, name: str = "_greedy_spanning_levels"):
+    """A copy of the function ``name`` of partition with ``find`` replaced in
+    its source, called as ``_greedy_spanning_indices`` is, on an instance."""
+    source = textwrap.dedent(inspect.getsource(getattr(partition, name)))
     assert not find or source.count(find) == 1
     scope = dict(vars(partition))
     exec(compile(source.replace(find, replace), partition.__file__, "exec"), scope)
-    return scope["_greedy_spanning_indices"]
+    copy = scope[name]
+    if name == "_greedy_spanning_indices":
+        return copy
+    return lambda inst: copy(*spanning_inputs(inst))
 
 
 class TestGreedyMatchesScan:
@@ -940,8 +962,7 @@ class TestGreedyMatchesScan:
     @pytest.mark.parametrize("m", [1, 2, 40, 64, 65, 150, 400])
     @pytest.mark.parametrize("seed", range(16))
     def test_spanning_picks(self, seed, m):
-        inst = random_greedy_instance(seed, m)
-        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+        assert_spanning_picks(random_greedy_instance(seed, m))
 
     @pytest.mark.parametrize("order", ["weight", "index"])
     @pytest.mark.parametrize("m", [1, 2, 40, 64, 65, 150, 400])
@@ -956,10 +977,11 @@ class TestGreedyMatchesScan:
     @pytest.mark.parametrize("eps", [0.3, 0.4, 0.49])
     @pytest.mark.parametrize("system", [Rotation(0.3), DoublingMap()], ids=["rotation", "doubling"])
     @pytest.mark.parametrize("m", [65, 400])
-    def test_dense_relation_picks(self, m, system, eps):
+    def test_dense_relation_picks(self, m, system, eps, loop_calls):
         inst = dense_greedy_instance(system, m, eps)
         assert len(_edges(inst, strict=True)[0]) > m * (m - 1) / 4  # most pairs are near
-        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+        assert_spanning_picks(inst)
+        assert loop_calls == ["_greedy_spanning_argmax"]
         assert _greedy_separated_indices(inst) == reference_greedy_separated(inst, "weight")
 
     @pytest.mark.parametrize("m", [40, 150, 400])
@@ -967,7 +989,7 @@ class TestGreedyMatchesScan:
     def test_equal_weights_spanning_ties_by_index(self, seed, m):
         inst = random_greedy_instance(seed, m)
         inst.weights = np.full(m, 1.5)
-        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+        assert_spanning_picks(inst)
 
     @pytest.mark.parametrize("m", [40, 150, 400])
     @pytest.mark.parametrize("seed", range(4))
@@ -976,7 +998,7 @@ class TestGreedyMatchesScan:
         inst = random_greedy_instance(seed, m)
         inst.weights = np.random.default_rng([seed, m]).choice([-0.0, 0.0], size=m)
         assert np.signbit(inst.weights).any() and not np.signbit(inst.weights).all()
-        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+        assert_spanning_picks(inst)
         assert _greedy_separated_indices(inst) == reference_greedy_separated(inst, "index")
 
     @pytest.mark.parametrize("m", [1, 40, 400])
@@ -987,16 +1009,24 @@ class TestGreedyMatchesScan:
         pts = [real(i / m) for i in range(m)]
         inst = SeparationInstance(Rotation(0.3), 1, 0.5 / m, pts, weights)
         assert not len(_edges(inst, strict=False)[0])
-        picks = _greedy_spanning_indices(inst)
-        assert picks == reference_greedy_spanning(inst)
-        assert picks == sorted(range(m), key=lambda i: (weights[i], i))
+        assert_spanning_picks(inst)
+        assert _greedy_spanning_indices(inst) == sorted(range(m), key=lambda i: (weights[i], i))
 
-    @pytest.mark.parametrize("find, replace", [("", ""), ("closed=True", "closed=False")],
-                             ids=["as-is", "ball-without-its-centre"])
-    def test_copied_loop_with_fault_changes_picks(self, find, replace):
+    @pytest.mark.parametrize("name, find, replace", [
+        ("_greedy_spanning_indices", "", ""),
+        ("_greedy_spanning_indices", "closed=True", "closed=False"),
+        ("_greedy_spanning_levels", "", ""),
+        ("_greedy_spanning_levels", "for v in order:", "for v in reversed(order):"),
+        ("_greedy_spanning_levels", "if uncovered[u]:", "if True:"),
+        ("_greedy_spanning_levels", "balls[bounds[u]:bounds[u + 1]]",
+         "balls[bounds[v]:bounds[v + 1]]"),
+        ("_greedy_spanning_argmax", "", ""),
+    ], ids=["as-is", "ball-without-its-centre", "levels-as-is", "levels-weight-order-reversed",
+            "levels-covered-twice-lowers-twice", "levels-lower-the-picked-ball", "argmax-as-is"])
+    def test_copied_loop_with_fault_changes_picks(self, name, find, replace):
         # a copy of the greedy loop, with the fault put into its source, fails
         # on some instances of test_spanning_picks
-        greedy = greedy_spanning_copy(find, replace)
+        greedy = greedy_spanning_copy(find, replace, name)
         cases = [random_greedy_instance(seed, m) for seed in range(16) for m in (40, 150)]
         follows = [greedy(inst) == reference_greedy_spanning(inst) for inst in cases]
         assert all(follows) if not find else not all(follows)
@@ -1006,6 +1036,19 @@ class TestGreedyMatchesScan:
         pts = [real(v) for v in (0.0, 0.01, 0.02)]
         inst = SeparationInstance(Rotation(0.1), 1, 0.1, pts, np.array([1.0, 0.0, 0.0]))
         assert _greedy_spanning_indices(inst) == [1]
+        assert_spanning_picks(inst)
+
+    @pytest.mark.parametrize("ball, loop", [(8, "_greedy_spanning_levels"),
+                                            (9, "_greedy_spanning_argmax")])
+    def test_largest_closed_ball_selects_the_loop(self, ball, loop, loop_calls):
+        # a cluster of `ball` mutually close points, then a chain of points
+        # 0.05 apart, whose closed balls hold at most 3
+        pts = [real(0.001 * i) for i in range(ball)] + [real(0.1 + 0.05 * i) for i in range(12)]
+        weights = np.random.default_rng(ball).integers(0, 3, size=len(pts)).astype(float)
+        inst = SeparationInstance(Rotation(0.3), 1, 0.06, pts, weights)
+        assert int(np.diff(spanning_inputs(inst)[0]).max()) == ball
+        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+        assert loop_calls == [loop]
 
 
 class TestGreedy:

@@ -1003,6 +1003,46 @@ class TestGrowthTables:
                 exact_growth_table(FS, zero_potential(FS), k, [1, 2])
 
 
+class TestIntegerIndices:
+    # every n and k is read through operator.index, so no numpy integer
+    # reaches the int.bit_length of _log_power_rows
+    CASES = [
+        (FullShift(2), zero_potential()),
+        (golden_mean_sft(), symbol_weights(golden_mean_sft(), [0.3, -0.2])),
+        (FullShift(3), Birkhoff(phi=lambda w: 0.1 * w[:, 0] - 0.2 * w[:, 1], system=FullShift(3),
+                                reach=2, name="pair")),
+        (FullShift(2), MatrixCocycle([np.array([[1.0, 0.5], [0.2, 1.0]]),
+                                      np.array([[0.7, 0.1], [0.3, 1.2]])], FullShift(2))),
+    ]
+
+    @pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_numpy_integers_give_the_same_floats(self, case, numpy_int):
+        system, pot = self.CASES[case]
+        ns, ks = [1, 2, 5, 9], [1, 2, 3]
+        as_numpy = ([numpy_int(n) for n in ns], [numpy_int(k) for k in ks])
+        assert (log_weighted_word_tables(system, [pot], *as_numpy)
+                == log_weighted_word_tables(system, [pot], ns, ks))
+        assert (log_weighted_word_sums(system, pot, as_numpy[0], numpy_int(2))
+                == log_weighted_word_sums(system, pot, ns, 2))
+        assert (exact_growth_table(system, pot, numpy_int(2), np.array(ns, dtype=numpy_int))
+                == exact_growth_table(system, pot, 2, ns))
+        assert (exact_growth_table(system, pot, np.array(ks, dtype=numpy_int), ns)
+                == exact_growth_table(system, pot, ks, ns))
+
+    @pytest.mark.parametrize("call, value", [
+        (lambda: log_weighted_word_tables(FullShift(2), [zero_potential()], [3], [1.0]), "1.0"),
+        (lambda: log_weighted_word_tables(FullShift(2), [zero_potential()], [2.0], [1]), "2.0"),
+        (lambda: log_weighted_word_sums(FullShift(2), zero_potential(), [3], np.float64(2.0)),
+         "2.0"),
+        (lambda: exact_growth_table(FullShift(2), zero_potential(), 2.0, [1, 2]), "2.0"),
+        (lambda: exact_growth_table(FullShift(2), zero_potential(), 1, [1, 2.5]), "2.5"),
+    ])
+    def test_float_indices_raise_type_error_naming_the_value(self, call, value):
+        with pytest.raises(TypeError, match=f"must be an integer, got .*{re.escape(value)}"):
+            call()
+
+
 class TestWordCounts:
     def test_full_shift_closed_form(self):
         assert log_word_count(FullShift(3), 10) == pytest.approx(10 * math.log(3))
