@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -44,7 +45,7 @@ from .partition import (
     Estimator,
     exact_separated_value,
     exact_spanning_value,
-    make_instance,
+    make_families,
     separated_lower_bound,
     spanning_upper_bound,
 )
@@ -483,6 +484,7 @@ def cmd_oracle(args) -> int:
     worst_sandwich = -math.inf
     shift = FullShift(2)
     all_words = [shift.representative(w) for w in shift.admissible_words(5)]
+    drawn = []  # every trial is drawn first, then all are built in one batch
     for trial in range(args.trials):
         if trial % 2 == 0:
             system = Rotation(float(rng.uniform(0.05, 0.45)))
@@ -503,7 +505,8 @@ def cmd_oracle(args) -> int:
             pot = symbol_weights(shift, table)
             n = int(rng.integers(1, 4))
             eps = deflated_scale(int(rng.integers(0, 3)))
-        inst = make_instance(system, n, eps, pts, pot)
+        drawn.append((system, pts, [(n, eps)], [pot]))
+    for [[inst]] in make_families(drawn):
         greedy_val = separated_lower_bound(inst).log_value
         exact_sep = exact_separated_value(inst).log_value
         exact_span = exact_spanning_value(inst).log_value
@@ -540,7 +543,9 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pdim`` parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="pdim",
         description="Pressure-dimension estimation for model dynamical systems.",

@@ -7,42 +7,51 @@ for small instances and anchor every greedy result in the tests.
 
 Cost for m candidates at time n: every greedy and exact reader takes only
 the Bowen relation, the pairs with d_n <= eps (``bowen_relation``).  The
-instances of one point set form a family (``make_instances``): one orbit,
-at the largest n, and one walk through time serve all their (n, eps)
-requests (``bowen_relations``), reading each relation off the running max
-at its n.  A chunk of time steps that ends after step t keeps the pairs
-within the largest min(eps, ``System.bowen_radius(n - t + 1, eps)``) over
-the requests still open.  On the doubling map below eps = 1/4, and on
-shifts below eps = 1, that radius halves with each step still to come.
-Past one block of _BLOCK_ENTRIES pairs, the points are sorted once by
-``System.sweep_key`` (circle and interval maps, shifts), and each point is
-stepped, from t = 0, only against the points whose keys lie within that
-reach at t = 1: C candidate pairs in all, close to the E
-pairs of the relation where the radius halves, for O(m log m + C n) time
-and no broadcast blocks.  A triangle within one block is one metric call,
-and one whose windows hold over a quarter of its pairs (a radius that does
+instances of one point set form a family, and ``make_families`` builds many
+at once (``make_instances`` is its one-family case): each point set is
+stepped once per base system, and its instances' points carry that orbit
+(``systems.OrbitPoints``) for the weights, the relations and any other
+reader.  A family whose triangle fits one block over its whole time range,
+n m^2 <= _BLOCK_ENTRIES, takes the stacked path: the small families of one
+call whose systems share a type go as one (t, K, M, M) metric call per time
+chunk, padded with copies of each set's point 0, with one running max read
+off after each request's own n, and the exact oracles' bit masks come from
+one int64 matrix product per batch.  The verification suites draw all their
+trials first, then build every family in one call.  Any other family walks
+through time once for all its (n, eps) requests (``bowen_relations``), on
+first use, reading each relation off the running max at its n.  A chunk of
+time steps that ends after step t keeps the pairs within the largest
+min(eps, ``System.bowen_radius(n - t + 1, eps)``) over the requests still
+open.  On the doubling map below eps = 1/4, and on shifts below eps = 1,
+that radius halves with each step still to come.  Past one block of
+_BLOCK_ENTRIES pairs, the points are sorted once by ``System.sweep_key``
+(circle and interval maps, shifts), and each point is stepped, from t = 0,
+only against the points whose keys lie within that reach at t = 1: C
+candidate pairs in all, close to the E pairs of the relation where the
+radius halves, for O(m log m + C n) time and no broadcast blocks.  A
+triangle whose windows hold over a quarter of its pairs (a radius that does
 not shrink, such as eps = 0.3 on the doubling map) goes by row blocks: the
 first time chunk visits all m (m + 1) / 2 pairs in cache-sized blocks,
-O(m^2), and later chunks step only the pairs still kept.  Memory is
-O(m + E) plus the blocks.  One kernel serves shifts and real maps alike,
-through each system's array form (``System.coordinates``, ``apply_array``,
+O(m^2), and later chunks step only the pairs still kept.  Memory is O(m +
+E) plus the blocks.  One kernel serves shifts and real maps alike, through
+each system's array form (``System.coordinates``, ``apply_array``,
 ``metric_array``); the scalar ``System.bowen_metric`` stays as its
-reference, equal bit for bit, and as the only path for points with no
-array form.  Kept pairs past ``systems.ARRAY_BUDGET_BYTES`` (16 bytes
-each), counted over all the requests of a walk, raise BudgetExceededError,
-which the CLI turns into exit code 3; a family whose relations fit the
-budget only one at a time walks each request alone, holding one relation.
-Greedy separated is O(m + E) in total.  Greedy spanning reads one
-closed-ball CSR (each candidate's strict-eps neighbours, then itself) and
-chooses its loop by the largest closed ball.  Where every ball holds at
-most _LEVEL_BALL_CAP points, the level loop walks the weight order once per
-gain level, from the largest ball down, picking each point whose gain
-still equals the level: at most _LEVEL_BALL_CAP passes, O(m + E) Python
-steps in all.  Otherwise each pick is one argmax over m packed keys, a scan
-of the picked ball for its uncovered points, and one subtract.at over the
-newly covered points' balls: O(m) per pick, and O(m + E) in total for the
-scans and decrements.  Both give the same picks in the same order.
-The exact oracles build their bit masks in one pass over the relation and
+reference, equal bit for bit, and as the only path for points with no array
+form.  Kept pairs past ``systems.ARRAY_BUDGET_BYTES`` (16 bytes each),
+counted over all the requests of a walk, raise BudgetExceededError, which
+the CLI turns into exit code 3; a family whose relations fit the budget
+only one at a time walks each request alone, holding one relation.  Greedy
+separated is O(m + E) in total.  Greedy spanning reads one closed-ball CSR
+(each candidate's strict-eps neighbours, then itself) and chooses its loop
+by the largest closed ball.  Where every ball holds at most _LEVEL_BALL_CAP
+points, the level loop walks the weight order once per gain level, from the
+largest ball down, picking each point whose gain still equals the level: at
+most _LEVEL_BALL_CAP passes, O(m + E) Python steps in all.  Otherwise each
+pick is one argmax over m packed keys, a scan of the picked ball for its
+uncovered points, and one subtract.at over the newly covered points' balls:
+O(m) per pick, and O(m + E) in total for the scans and decrements.  Both
+give the same picks in the same order.  The exact oracles take the stacked
+path's bit masks, or else build them in one pass over the relation, and
 search, with a memo, only the states they reach: the cover search branches
 on the sets that cover the lowest uncovered element, the separated search
 on keeping or skipping the lowest candidate.
@@ -62,11 +71,14 @@ from .logsum import logsumexp
 from .potentials import Potential
 from .systems import (
     BudgetExceededError,
+    OrbitPoints,
     Point,
     System,
     _check_array_budget,
     check_distance_budget,
     orbit_array,
+    power_base,
+    with_orbit,
 )
 
 # Entries per block of the distance kernel (256 KiB of float64), rows times
@@ -151,6 +163,7 @@ class _Relations:
         self.system, self.points = system, points
         self.requests: list | None = list(dict.fromkeys(requests))
         self.found: dict = {}
+        self.masks: dict = {}  # (n, eps) -> (table, row) of the stacked pass's masks
 
     def __getitem__(self, request: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if request not in self.found:
@@ -167,29 +180,67 @@ class _Relations:
         return self.found[request]
 
 
+def make_families(
+    families: Sequence[tuple[System, Sequence[Point], Sequence[tuple[int, float]],
+                             Sequence[Potential | None]]],
+) -> list[list[list[SeparationInstance]]]:
+    """Per family (system, points, requests, potentials), per potential, one
+    instance per (n, eps) request on the points.
+
+    Each point set is stepped once per base system, as far as its families
+    and weights read (``systems.with_orbit``), and its instances' points
+    carry that orbit.  Each potential's weights come from one
+    ``eval_arrays`` pass over the requested n (None weighs zero).  Families
+    that ``_stacks`` and whose pairs cannot pass ARRAY_BUDGET_BYTES get
+    their relations and masks here, from one ``_stacked`` call; any other
+    family walks on first use.
+    """
+    families = [(system, points, list(requests), list(potentials))
+                for system, points, requests, potentials in families]
+    steps: dict = {}  # (id(points), base system) -> [points, steps of the base]
+    for system, points, requests, _ in families:
+        base, k = power_base(system)
+        held = steps.setdefault((id(points), base), [points, 0])
+        held[1] = max([held[1]] + [n * k for n, _ in requests])
+    carried = {key: with_orbit(key[1], n, points) for key, (points, n) in steps.items()}
+    out, jobs, filled = [], [], []
+    for system, points, requests, potentials in families:
+        points = carried[id(points), power_base(system)[0]]
+        relations = _Relations(system, points, requests)
+        ns = [n for n, _ in requests]
+        out.append([])
+        for pot in potentials:
+            weights = [np.zeros(len(points)) for _ in ns] if pot is None else pot.eval_arrays(ns, points)
+            out[-1].append([SeparationInstance(system, n, eps, points, w)
+                            for (n, eps), w in zip(requests, weights)])
+            for inst in out[-1][-1]:
+                inst._relations = relations
+        if not potentials or not isinstance(points, OrbitPoints) or min(ns, default=0) < 1:
+            continue
+        orbit = orbit_array(system, max(ns), points)
+        m = len(points)
+        try:  # a family whose pairs could pass the budget walks, as it falls back there
+            _check_array_budget(len(relations.requests) * m * (m - 1) // 2, 2, "")
+        except BudgetExceededError:
+            continue
+        if _stacks(orbit):
+            jobs.append((system, orbit, relations.requests))
+            filled.append(relations)
+    for relations, (found, masks) in zip(filled, _stacked(jobs)):
+        relations.found, relations.masks = dict(zip(relations.requests, found)), masks
+    return out
+
+
 def make_instances(
     system: System,
     points: Sequence[Point],
     requests: Sequence[tuple[int, float]],
     potentials: Sequence[Potential | None],
 ) -> list[list[SeparationInstance]]:
-    """Per potential, one instance per (n, eps) request on the points.
-
-    Each potential's weights come from one ``eval_arrays`` pass over the
-    requested n (None weighs zero), and all the instances form one family,
-    whose relations one ``bowen_relations`` walk computes on first use.
-    """
-    requests = list(requests)
-    ns = [n for n, _ in requests]
-    relations = _Relations(system, points, requests)
-    out = []
-    for pot in potentials:
-        weights = [np.zeros(len(points)) for _ in ns] if pot is None else pot.eval_arrays(ns, points)
-        out.append([SeparationInstance(system, n, eps, points, w)
-                    for (n, eps), w in zip(requests, weights)])
-        for inst in out[-1]:
-            inst._relations = relations
-    return out
+    """Per potential, one instance per (n, eps) request on the points: the
+    one-family case of ``make_families``.  The instances form one family,
+    which shares one orbit and one set of relations."""
+    return make_families([(system, points, requests, potentials)])[0]
 
 
 def make_instance(
@@ -216,25 +267,27 @@ def bowen_relations(system: System, points: Sequence[Point],
     arrays (i, j, d) (int32, int32, float64) sorted by (i, j).
 
     Each d is ``system.bowen_metric(n, x_i, x_j)`` bit for bit.  Points with
-    an array form share one orbit, at the largest n, and one walk through
-    time that keeps each pair's running max of ``system.metric_array`` and
-    reads a request's relation off at its n; no time chunk runs past a
-    requested n.  A triangle past one block (m^2 > _BLOCK_ENTRIES) whose
-    ``System.sweep_key`` windows hold at most a quarter of its pairs takes
-    the sweep (``_Walk.sweep``): only the pairs whose keys lie within reach
-    are stepped, from t = 0.  Every other triangle goes by row blocks: each
-    takes as many rows, then as many time steps, as fit in _BLOCK_ENTRIES,
-    so a small orbit is one call, and past that first chunk only the pairs
-    still kept are stepped, gathered from the orbit.  In both, after each
-    chunk, ending after step t, a pair drops out once its running max
+    an array form share one orbit, at the largest n.  A triangle that fits
+    one block over that whole time range (n m^2 <= _BLOCK_ENTRIES) takes the
+    stacked path, as a batch of one (``_stacked``).  Any other takes one
+    walk through time that keeps each pair's running max of
+    ``system.metric_array`` and reads a request's relation off at its n; no
+    time chunk runs past a requested n.  A triangle past one block (m^2 >
+    _BLOCK_ENTRIES) whose ``System.sweep_key`` windows hold at most a
+    quarter of its pairs takes the sweep (``_Walk.sweep``): only the pairs
+    whose keys lie within reach are stepped, from t = 0.  Every other
+    triangle goes by row blocks: each takes as many rows, then as many time
+    steps, as fit in _BLOCK_ENTRIES, and past that first chunk only the
+    pairs still kept are stepped, gathered from the orbit.  In both, after
+    each chunk, ending after step t, a pair drops out once its running max
     passes the reach, the largest min(eps, system.bowen_radius(n - t + 1,
     eps)) over the requests with n >= t; that is exact, as by the radius's
     contract a dropped pair has d_n > eps for each of them.  Points with no
     array form go through the filter at eps on ``bowen_metric`` values.
     Raises ValueError for n < 1 or an eps that is not positive (NaN
     included), and BudgetExceededError before the pairs kept for all the
-    requests together pass ARRAY_BUDGET_BYTES.  Repeated requests share
-    one result.
+    requests together pass ARRAY_BUDGET_BYTES.  Repeated requests share one
+    result.
     """
     requests = list(requests)
     for n, eps in requests:
@@ -245,8 +298,108 @@ def bowen_relations(system: System, points: Sequence[Point],
     if not requests:
         return []
     distinct = list(dict.fromkeys(requests))
-    found = dict(zip(distinct, _Walk(system, points, distinct).relations()))
+    try:
+        orbit = orbit_array(system, max(n for n, _ in distinct), points)
+    except NotImplementedError:
+        orbit = None
+    if _stacks(orbit):
+        [(found, _)] = _stacked([(system, orbit, distinct)])
+    else:
+        found = _Walk(system, points, orbit, distinct).relations()
+    found = dict(zip(distinct, found))
     return [found[r] for r in requests]
+
+
+def _stacks(orbit: np.ndarray | None) -> bool:
+    """Whether an (n, m, ...) orbit's triangle over its whole time range fits one block."""
+    return orbit is not None and 0 < len(orbit) * orbit.shape[1] ** 2 <= _BLOCK_ENTRIES
+
+
+def _stacked(jobs: list) -> list[tuple[list, dict]]:
+    """Per job (system, orbit, distinct requests), with an orbit that
+    ``_stacks``, its relations at the requests and a dict of its ``_masks``
+    per (n, eps) as (table, row), empty past ORACLE_CAP points; raises
+    BudgetExceededError where a job's pairs together pass ARRAY_BUDGET_BYTES.
+    Jobs whose base systems share a type, and so a metric, go in batches of
+    K point sets with K M^2 <= _BLOCK_ENTRIES, M the most points in a batch.
+    """
+    out: list = [None] * len(jobs)
+    groups: dict = {}
+    for x, (system, orbit, _) in enumerate(jobs):
+        key = (type(power_base(system)[0]).metric_array, orbit.shape[2:], orbit.dtype)
+        groups.setdefault(key, []).append(x)
+    for xs in groups.values():
+        batch, width = [], 0
+        for x in xs:
+            m = jobs[x][1].shape[1]
+            if batch and (len(batch) + 1) * max(width, m) ** 2 > _BLOCK_ENTRIES:
+                _stack_batch(jobs, batch, out)
+                batch, width = [], 0
+            batch.append(x)
+            width = max(width, m)
+        _stack_batch(jobs, batch, out)
+    return out
+
+
+def _stack_batch(jobs: list, xs: list[int], out: list) -> None:
+    """The relations (and masks) of the jobs xs from one (T, K, M, ...) orbit.
+
+    A point set's missing points are copies of its point 0, and its steps
+    past its own largest n copies of its last step; neither is read.  Each
+    time chunk of at most _BLOCK_ENTRIES entries is one metric call, whose
+    running max over time carries into the next; each request reads it
+    after step n of its own set.  A request's pairs are the i < j < m with
+    d <= eps, found for every request at once, sorted by (request, i, j);
+    its masks are one int64 (adjacency | identity) @ (1 << arange(M)) product.
+    """
+    orbits = [jobs[x][1] for x in xs]
+    ns, ms = np.array([o.shape[:2] for o in orbits]).T
+    K, M, T = len(xs), int(ms.max()), int(ns.max())
+    tail = orbits[0].shape[2:]
+    starts = np.cumsum(ns * ms) - ns * ms
+    steps = np.minimum(np.arange(T)[:, None], ns - 1)  # (T, K)
+    cols = np.arange(M)
+    own = np.where(cols < ms[:, None], cols, 0)  # (K, M)
+    flat = np.concatenate([o.reshape((-1,) + tail) for o in orbits])
+    stack = flat[starts[:, None] + steps[:, :, None] * ms[:, None] + own]
+    reqs = [(k, n, eps) for k, x in enumerate(xs) for n, eps in jobs[x][2]]
+    req_k, req_n, eps = (np.array(v) for v in zip(*reqs))
+    size, eps = ms[req_k], eps[:, None, None]
+    dist = np.empty((len(reqs), M, M))
+    metric = jobs[xs[0]][0].metric_array
+    chunk = max(1, _BLOCK_ENTRIES // (K * M * M))
+    for t in range(0, T, chunk):
+        run = np.maximum.accumulate(metric(stack[t:t + chunk, :, :, None],
+                                           stack[t:t + chunk, :, None]), axis=0)
+        if t:
+            np.maximum(run, top, out=run)
+        top = run[-1]
+        (read,) = np.nonzero((t < req_n) & (req_n <= t + chunk))
+        dist[read] = run[req_n[read] - 1 - t, req_k[read]]
+    valid = (cols[:, None] < cols) & (cols < size[:, None, None])  # i < j < m
+    close = (dist <= eps) & valid
+    q, i, j = np.nonzero(close)
+    i, j, d = i.astype(np.int32), j.astype(np.int32), dist[q, i, j]
+    cuts = np.searchsorted(q, np.arange(len(reqs) + 1)).tolist()
+    rows = {}
+    if (small := np.flatnonzero(size <= ORACLE_CAP)).size:
+        w = min(M, ORACLE_CAP)
+        adj = np.stack([close, (dist < eps) & valid])[:, small, :w, :w]
+        adj |= adj.swapaxes(-1, -2) | np.eye(w, dtype=bool)
+        table = adj.astype(np.int64) @ (1 << np.arange(w))  # (loose and strict, request, u)
+        rows = {r: (table, s) for s, r in enumerate(small.tolist())}
+    r = 0
+    for k, x in enumerate(xs):
+        requests, m = jobs[x][2], int(ms[k])
+        _check_array_budget(cuts[r + len(requests)] - cuts[r], 2, f"Bowen relation of {m} points")
+        found, held = [], {}
+        for n, e in requests:
+            a, b = cuts[r], cuts[r + 1]
+            found.append((i[a:b], j[a:b], d[a:b]))
+            if r in rows:
+                held[n, e] = rows[r]
+            r += 1
+        out[x] = (found, held)
 
 
 class _Walk:
@@ -257,16 +410,13 @@ class _Walk:
     int32 i and j, float64 d).
     """
 
-    def __init__(self, system: System, points: Sequence[Point], requests: list):
-        self.system, self.points, self.requests = system, points, requests
+    def __init__(self, system: System, points: Sequence[Point], orbit: np.ndarray | None,
+                 requests: list):
+        self.system, self.points, self.orbit, self.requests = system, points, orbit, requests
         self.stops = sorted({n for n, _ in requests})
         self.parts = [[_NO_PAIRS] for _ in requests]
         self.kept = 0
         self.order = None
-        try:
-            self.orbit = orbit_array(system, self.stops[-1], points)
-        except NotImplementedError:
-            self.orbit = None
 
     def relations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         m = len(self.points)
@@ -440,9 +590,13 @@ def _neighbours(inst: SeparationInstance, strict: bool,
 
 
 def _masks(inst: SeparationInstance, strict: bool) -> list[int]:
-    """Bit v of masks[u] is set for u = v and each pair {u, v} of ``_edges``,
-    in one pass over the relation."""
+    """Bit v of masks[u] is set for u = v and each pair {u, v} of ``_edges``:
+    the stacked pass's masks where it made them, else one pass over the relation."""
     i, j, d = inst.pairs()
+    held = inst._relations.masks.get((inst.n, inst.eps))
+    if held is not None:
+        table, row = held
+        return table[int(strict), row, :inst.size].tolist()
     masks = [1 << u for u in range(inst.size)]
     eps = inst.eps
     for u, v, duv in zip(i.tolist(), j.tolist(), d.tolist()):

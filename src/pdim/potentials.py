@@ -27,6 +27,7 @@ scalar value.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .systems import (
     Word,
     orbit_array,
     shift_step,
+    with_orbit,
     word_array,
 )
 
@@ -498,18 +500,28 @@ def verify_almost_additive(
     return worst
 
 
-@dataclass
+@dataclass(eq=False)
 class SupNormReport:
+    """Range of phi_1 over a sample, and per pair i < j of it its distance d
+    and its gap |phi_1(x_i) - phi_1(x_j)|, as arrays."""
+
     sup: float
     inf: float
-    table: list[tuple[float, float]]
+    i: np.ndarray
+    j: np.ndarray
+    d: np.ndarray
+    gap: np.ndarray
+
+    @functools.cached_property
+    def table(self) -> list[tuple[float, float]]:
+        """The (d, gap) pairs sorted by d, then gap."""
+        order = np.lexsort((self.gap, self.d))
+        return list(zip(self.d[order].tolist(), self.gap[order].tolist()))
 
     def modulus(self, eps: float) -> float:
-        """Smallest recorded delta bound for pairs closer than eps."""
-        out = 0.0
-        for d, gap in self.table:
-            if d < eps:
-                out = max(out, gap)
+        """Smallest recorded delta bound for pairs closer than eps: the largest
+        gap among them, NaN gaps skipped, 0 where there is none."""
+        out = float(np.fmax.reduce(self.gap[self.d < eps], initial=0.0))
         return out * (1.0 + 1e-12) + 1e-15
 
 
@@ -521,9 +533,8 @@ def sup_inf_norm(phi: Potential, system: System | None = None,
     if points is None:
         rng = np.random.default_rng(7)
         points = sys_.sample_points(64, rng)
+    points = with_orbit(sys_, 1, points)  # phi_1 and the relation read one orbit
     vals = phi.eval_array(1, points)
     i, j, d = bowen_relation(sys_, 1, points, math.inf)
-    gap = np.abs(vals[i] - vals[j])
-    order = np.lexsort((gap, d))
-    table = list(zip(d[order].tolist(), gap[order].tolist()))
-    return SupNormReport(sup=float(vals.max()), inf=float(vals.min()), table=table)
+    return SupNormReport(sup=float(vals.max()), inf=float(vals.min()), i=i, j=j, d=d,
+                         gap=np.abs(vals[i] - vals[j]))

@@ -19,6 +19,9 @@ row per candidate (``RealGrid``: the x values; ``WordGrid``: the symbols of
 the admissible words, in ``admissible_words`` order).  ``coordinates`` and
 ``word_array`` read that array, so the estimators build no point object; a
 ``RealPoint`` or ``representative`` word is built only when a row is read.
+Points that carry their orbit (``OrbitPoints``, from ``with_orbit``) give
+``orbit_array`` its rows back, for their system and every power of it, so
+a point set is stepped once however many weights and relations read it.
 """
 
 from __future__ import annotations
@@ -169,6 +172,61 @@ class WordGrid(Grid):
         return out
 
 
+class OrbitPoints(Sequence):
+    """Points with their orbit under ``system``, an ``orbit_array`` of them.
+
+    A sequence of the same points, in the same order.  ``orbit_array`` reads
+    the orbit for ``system`` and every-k-th row of it for a k-th power of
+    ``system`` (``PowerSystem``), which steps k times per row, so both are
+    bit for bit the rows it would step.
+    """
+
+    def __init__(self, points: Sequence[Point], system: System, orbit: np.ndarray):
+        self.points, self.system, self.orbit = points, system, orbit
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def __getitem__(self, index):
+        return self.points[index]
+
+    def rows(self, system: System, n: int) -> np.ndarray | None:
+        """The first n rows of the orbit under ``system``, or None where the
+        orbit does not hold them."""
+        base, k = power_base(system)
+        rows = self.orbit[:n * k:k]
+        return rows if base == self.system and len(rows) == n else None
+
+
+def with_orbit(system: System, n: int, points: Sequence[Point]) -> Sequence[Point]:
+    """The points as ``OrbitPoints`` with their orbit under S to n·k steps,
+    for ``system`` = S^k: n steps of ``system``, and of a potential that
+    reads n·k steps of S.  The points themselves where they have no array
+    form or that orbit is over ARRAY_BUDGET_BYTES; ``orbit_array`` raises
+    those errors again where the orbit is asked for."""
+    base, k = power_base(system)
+    try:
+        orbit = orbit_array(base, n * k, points)
+    except (NotImplementedError, BudgetExceededError):
+        return points
+    if isinstance(points, OrbitPoints):
+        points = points.points
+    orbit.setflags(write=False)  # every reader shares it
+    return OrbitPoints(points, base, orbit)
+
+
+def power_base(system: System) -> tuple[System, int]:
+    """(S, k) for ``system`` = S^k through nested PowerSystems; (system, 1) for any other."""
+    k = 1
+    while isinstance(system, PowerSystem):
+        k *= system.power
+        system = system.base
+    return system, k
+
+
 @dataclass
 class CandidateSet:
     """Finite point family used by the estimators, with density bookkeeping."""
@@ -204,7 +262,11 @@ class System:
         raise NotImplementedError(f"{self.label} has no array form")
 
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """d on broadcast arrays of coordinates: the metric's one formula."""
+        """d on broadcast arrays of coordinates: the metric's one formula.
+
+        It reads no field of the system (a ``PowerSystem`` reads its base's),
+        so ``partition`` compares the points of systems of one type in one call.
+        """
         raise NotImplementedError(f"{self.label} has no array form")
 
     def iterate(self, x: Point, j: int) -> Point:
@@ -265,6 +327,8 @@ class System:
 
 def word_array(points: Sequence[Word], length: int) -> np.ndarray:
     """(m, length) int array of the words' first ``length`` symbols, each padded with its own tail."""
+    if isinstance(points, OrbitPoints):
+        points = points.points
     if isinstance(points, WordGrid):
         arr = points.symbols
         if length <= arr.shape[1]:
@@ -278,10 +342,16 @@ def word_array(points: Sequence[Word], length: int) -> np.ndarray:
 def orbit_array(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
     """(n, m, ...) array whose row t holds ``system.coordinates`` of T^t x over the points.
 
-    Raises BudgetExceededError, before allocating the orbit, when it would
-    exceed ARRAY_BUDGET_BYTES, and NotImplementedError for points with no
-    array form.
+    ``OrbitPoints`` give their own rows where they hold the n steps, with no
+    step taken.  Raises BudgetExceededError, before allocating the orbit,
+    when it would exceed ARRAY_BUDGET_BYTES, and NotImplementedError for
+    points with no array form.
     """
+    if isinstance(points, OrbitPoints):
+        rows = points.rows(system, n)
+        if rows is not None:
+            return rows
+        points = points.points
     start = system.coordinates(points)
     _check_array_budget(n, start.size, f"orbit array for {len(points)} points over {n} steps")
     orbit = np.empty((n,) + start.shape, dtype=start.dtype)
@@ -549,11 +619,8 @@ def word_total(system: ShiftSystem, length: int, cap: int | None = None) -> int:
 
 def shift_step(system: System) -> int | None:
     """Symbols one step of ``system`` shifts by, or None if it is no power of a shift."""
-    step = 1
-    while isinstance(system, PowerSystem):
-        step *= system.power
-        system = system.base
-    return step if isinstance(system, ShiftSystem) else None
+    base, step = power_base(system)
+    return step if isinstance(base, ShiftSystem) else None
 
 
 class CircleSystem(System):

@@ -10,6 +10,14 @@ to fail.
 Each suite takes only ``(seed, fault)``: its sizes (orders ``n``, trial and
 pair counts, the map power) are fixed inside it and recorded, with the seed,
 in its report's digest.
+
+A suite with random trials first draws every trial from its generator, in
+the order of the draws that define its report, then builds the instances of
+all its trials in one ``partition.make_families`` call, then computes.  Each
+point set is stepped once (its instances' points carry the orbit, which
+``prop22``'s orbit-extended sample reads too), and the small triangles of
+the call take the stacked path: one metric call per batch of point sets,
+and the exact oracles' bit masks from one matrix product.
 """
 
 from __future__ import annotations
@@ -25,12 +33,10 @@ import numpy as np
 from .dimension import dimension_estimate, entropy_dimension, growth_tables
 from .partition import (
     Estimator,
-    count_spanning_separated,
     exact_min_cover,
     exact_separated_value,
     exact_spanning_value,
-    make_instance,
-    make_instances,
+    make_families,
     shifted_weights,
     unshifted_log,
 )
@@ -51,7 +57,6 @@ from .potentials import (
 )
 from .symbolic import (
     deflated_scale,
-    log_weighted_word_sum,
     log_weighted_word_tables,
     log_word_count,
 )
@@ -188,8 +193,25 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
         (FullShift(2), symbol_weights(FullShift(2), [0.3, -0.2])),
         (golden_mean_sft(), symbol_weights(golden_mean_sft(), [0.1, 0.4])),
     ]
-    tables = _sums_by_system(cases, range(1, n_max + 1), range(1, 5))
-    for (system, pot), sums in zip(cases, tables):
+    tables = _sums_by_system(cases, range(1, n_max + 1), range(5))
+    # dual route on a small canonical family: brute-force optima at the
+    # deflated scale agree with the word sum over the (n + k)-words
+    dual = [(2, 2), (3, 1), (4, 0)]
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(trials):
+        size = int(rng.integers(5, 11))
+        system, pts, pot = _rotation_instance(rng, size)
+        n = int(rng.integers(1, 4))
+        G = int(rng.integers(4, 9))
+        drawn.append((system, pts, pot, n, G, float(rng.uniform(0.15, 0.45))))
+    families = iter(make_families(
+        [(system, [system.representative(w) for w in system.admissible_words(n + k)],
+          [(n, deflated_scale(k))], [pot]) for system, pot in cases for n, k in dual]
+        + [(system, pts, [(n, 1.0 / G / 4.0), (n, eps)], [pot])
+           for system, pts, pot, n, G, eps in drawn]))
+
+    for sums in tables:
         for n in range(1, n_max + 1):
             for m in (2, 3):
                 q_val = sums[m - 1][n]
@@ -199,28 +221,16 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
                 violations.append(q_val - span_val)
                 violations.append(span_val - p_val)
                 violations.append(p_val - upper_val)
-        # dual route on a small canonical family: brute-force optima at the
-        # deflated scale agree with the word sum
-        for n, k in [(2, 2), (3, 1), (4, 0)]:
-            cand = [system.representative(w) for w in system.admissible_words(n + k)]
-            eps = deflated_scale(k)
-            inst = make_instance(system, n, eps, cand, pot)
+        for n, k in dual:
+            [[inst]] = next(families)
             bf_p = exact_separated_value(inst).log_value
             bf_q = exact_spanning_value(inst).log_value
-            word_val = log_weighted_word_sum(system, pot, n, n + k)
             violations.append(bf_q - bf_p)
-            violations.append(abs(bf_p - word_val))
+            violations.append(abs(bf_p - sums[k][n]))
 
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        size = int(rng.integers(5, 11))
-        system, pts, pot = _rotation_instance(rng, size)
-        n = int(rng.integers(1, 4))
+    for system, pts, pot, n, G, eps in drawn:
+        [[fine, inst]] = next(families)
         xs = [p.x for p in pts]
-        G = int(rng.integers(4, 9))
-        h = 1.0 / G
-        eps = float(rng.uniform(0.15, 0.45))
-        [[fine, inst]] = make_instances(system, pts, [(n, h / 4.0), (n, eps)], [pot])
         weights = inst.weights
         logq = _cover_value(system.theta, xs, weights, n, G, min)
         span = exact_spanning_value(fine)
@@ -249,15 +259,19 @@ def check_prop22(seed: int = 0, fault: float = 0.0) -> CheckReport:
     params = {"check": "prop22", "seed": seed, "n_max": n_max, "trials": trials}
     rng = np.random.default_rng(seed)
     violations = []
+    drawn = []
     for _ in range(trials):
         size = int(rng.integers(6, 11))
         system, pts, pot = _rotation_instance(rng, size)
-        ext = [real(v) for v in orbit_array(system, n_max, pts).T.ravel()]  # point-major
-        eps = float(rng.uniform(0.2, 0.45))
+        drawn.append((system, pts, pot, float(rng.uniform(0.2, 0.45))))
+    families = make_families([(system, pts, [(n, e) for n in range(1, n_max + 1)
+                                             for e in (eps, eps / 2.0)], [pot])
+                              for system, pts, pot, eps in drawn])
+    for (system, _, pot, eps), [insts] in zip(drawn, families):
+        # the orbit-extended sample, point-major, from the points' own orbit
+        ext = [real(v) for v in orbit_array(system, n_max, insts[0].points).T.ravel()]
         report = sup_inf_norm(pot, system, ext)
         delta = report.modulus(eps / 2.0)
-        [insts] = make_instances(system, pts, [(n, e) for n in range(1, n_max + 1)
-                                               for e in (eps, eps / 2.0)], [pot])
         for n, full, half in zip(range(1, n_max + 1), insts[::2], insts[1::2]):
             p_val = exact_separated_value(full).log_value
             q_val = exact_spanning_value(half).log_value
@@ -349,15 +363,16 @@ def check_thm32(seed: int = 0, fault: float = 0.0) -> CheckReport:
                 violations.append(lam * v_phi[n] - v_lam[lam][n])
     # oracle variant: the same inequalities hold for brute-force separated
     # optima on one shared instance
+    drawn = []
     for _ in range(10):
         size = int(rng.integers(5, 10))
         sys_r, pts, pot = _rotation_instance(rng, size)
         _s2, _p2, pot2 = _rotation_instance(rng, 3)
         pot2 = Birkhoff(phi=pot2.phi, system=sys_r, name="trig2")
         n = int(rng.integers(1, 4))
-        eps = float(rng.uniform(0.1, 0.4))
-        v_sum, v_a, v_b = (exact_separated_value(inst).log_value for [inst] in
-                           make_instances(sys_r, pts, [(n, eps)], [add(pot, pot2), pot, pot2]))
+        drawn.append((sys_r, pts, [(n, float(rng.uniform(0.1, 0.4)))], [add(pot, pot2), pot, pot2]))
+    for family in make_families(drawn):
+        v_sum, v_a, v_b = (exact_separated_value(inst).log_value for [inst] in family)
         violations.append(v_sum - v_a - v_b)
     notes = f"{pairs} exact pairs + 10 oracle instances"
     return _finish("thm32", params, violations, fault, notes)
@@ -428,32 +443,22 @@ def check_thm34(seed: int = 0, fault: float = 0.0) -> CheckReport:
     rng = np.random.default_rng(seed)
     violations = []
     part3 = []
+    drawn, families = [], []
     for _ in range(trials):
         size = int(rng.integers(5, 11))
         system, pts, pot = _rotation_instance(rng, size)
-        sys_k = PowerSystem(system, power)
-        pot_k = time_power(pot, power)
         n = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.1, 0.45))
-        left = make_instance(sys_k, n, eps, pts, pot_k)
-        right = make_instance(system, n * power, eps, pts, pot)
-        for oracle in (exact_separated_value, exact_spanning_value):
-            violations.append(oracle(left).log_value - oracle(right).log_value)
-        xs = [p.x for p in pts]
-        weights = pot.eval_array(n * power, pts)
-        G = int(rng.integers(4, 9))
-        logq_k = _cover_value(system.theta, xs, weights, n, G, min, step=power)
-        logq_1 = _cover_value(system.theta, xs, weights, n * power, G, min)
-        violations.append(logq_k - logq_1)
+        drawn.append((system, pts, n, int(rng.integers(4, 9))))
+        families += [(PowerSystem(system, power), pts, [(n, eps)], [time_power(pot, power)]),
+                     (system, pts, [(n * power, eps)], [pot])]
 
     # shift variant with zero potential: separated counts for sigma^2 at n
     # never exceed those for sigma at 2n
     shift = FullShift(2)
     cand = [shift.representative(w) for w in shift.admissible_words(4)]
     eps = deflated_scale(1)
-    _, r_pow = count_spanning_separated(PowerSystem(shift, 2), 2, eps, cand)
-    _, r_base = count_spanning_separated(shift, 4, eps, cand)
-    violations.append(float(r_pow - r_base))
+    families += [(PowerSystem(shift, 2), cand, [(2, eps)], [None]), (shift, cand, [(4, eps)], [None])]
 
     # inverse rotation on the closed 8-point orbit grid
     theta = 1.0 / 8.0
@@ -464,10 +469,26 @@ def check_thm34(seed: int = 0, fault: float = 0.0) -> CheckReport:
         if not any(abs(img.x - q.x) < 1e-15 for q in grid):
             raise ValueError("orbit grid is not closed under the rotation")
     pot = Birkhoff(phi=lambda x: np.cos(2 * np.pi * x), system=system, name="cos2pi")
-    twisted = inverse_twist(pot)
     requests = [(n, eps) for n in range(1, 9) for eps in (0.2, 0.3)]
-    [fwd] = make_instances(system, grid, requests, [pot])
-    [bwd] = make_instances(system.inverse(), grid, requests, [twisted])
+    families += [(system, grid, requests, [pot]),
+                 (system.inverse(), grid, requests, [inverse_twist(pot)])]
+
+    built = iter(make_families(families))
+    for system, pts, n, G in drawn:
+        [[left]], [[right]] = next(built), next(built)
+        for oracle in (exact_separated_value, exact_spanning_value):
+            violations.append(oracle(left).log_value - oracle(right).log_value)
+        xs = [p.x for p in pts]
+        weights = right.weights  # phi_(n power) on the points
+        logq_k = _cover_value(system.theta, xs, weights, n, G, min, step=power)
+        logq_1 = _cover_value(system.theta, xs, weights, n * power, G, min)
+        violations.append(logq_k - logq_1)
+
+    r_pow, r_base = (round(math.exp(exact_separated_value(inst).log_value))
+                     for [[inst]] in (next(built), next(built)))
+    violations.append(float(r_pow - r_base))
+
+    [fwd], [bwd] = next(built), next(built)
     for f, b in zip(fwd, bwd):
         part3.append(abs(exact_spanning_value(f).log_value - exact_spanning_value(b).log_value))
     violations.extend(v + (TOL - 1e-12) for v in part3)  # hold part 3 to 1e-12
@@ -493,9 +514,9 @@ def check_thm35(seed: int = 0, fault: float = 0.0) -> CheckReport:
     # per potential, eps, then n: one family per system, whose relations
     # both potentials share
     cases = [(n, eps) for eps in (0.5, 0.25, 0.125) for n in range(1, n_max + 1)]
-    srcs = make_instances(shift, words, [(n, pi.modulus(eps)) for n, eps in cases],
-                          [pullback(pot, pi) for pot in pots])
-    tgts = make_instances(doubling, images, cases, pots)
+    srcs, tgts = make_families([
+        (shift, words, [(n, pi.modulus(eps)) for n, eps in cases], [pullback(pot, pi) for pot in pots]),
+        (doubling, images, cases, pots)])
     for src_row, tgt_row in zip(srcs, tgts):
         for src, tgt in zip(src_row, tgt_row):
             violations.append(exact_spanning_value(tgt).log_value

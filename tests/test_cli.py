@@ -15,7 +15,8 @@ from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 import pdim
 from pdim import systems
-from pdim.cli import CSV_HEADER, MAX_POTENTIAL_DEPTH, build_potential, build_system, main
+from pdim.cli import (CSV_HEADER, MAX_POTENTIAL_DEPTH, build_parser, build_potential,
+                      build_system, main)
 from pdim.dimension import entropy_dimension
 from pdim.logsum import logsumexp
 
@@ -898,6 +899,32 @@ class TestVerify:
             main(["verify", "--suite", "thm99"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built on the first main call and kept: a usage error
+        # (exit 2) and then a good call give the codes and bytes that each
+        # gives in a process of its own, with a parser built for it
+        calls = [["verify", "--suite", "thm99"], ["verify", "--suite", "thm31", "--seed", "3"],
+                 ["oracle", "--max-points", "6", "--trials", "3", "--seed", "x"]]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        build_parser.cache_clear()
+        shared = [run(argv) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 2]
+        assert "thm31" in shared[1][1] and "invalid choice" in shared[0][2]
 
 
 class TestSweep:

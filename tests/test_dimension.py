@@ -404,13 +404,13 @@ class TestGridRuns:
         ns = [1, 2, 3, 4, 5, 6, 7, 9]
         ests = [Estimator.SPANNING, Estimator.SEPARATED]
         calls = []
-        relations = partition.bowen_relations
-        monkeypatch.setattr(partition, "bowen_relations",
-                            lambda *a: calls.append([n for n, _ in a[2]]) or relations(*a))
+        families = dimension.make_instances
+        monkeypatch.setattr(dimension, "make_instances",
+                            lambda *a: calls.append([n for n, _ in a[2]]) or families(*a))
         tables = growth_tables(system, pot, ns, "eps", [0.1, 0.2], ests, 4096)
-        # per scale, one walk per run of equal grids: n = 1-3, 4-6 and 7-9
+        # per scale, one family per run of equal grids: n = 1-3, 4-6 and 7-9
         assert calls == [[1, 2, 3], [4, 5, 6], [7, 9]] * 2
-        monkeypatch.setattr(partition, "bowen_relations", relations)
+        monkeypatch.setattr(dimension, "make_instances", families)
         assert len(tables) == 4
         for table in tables:
             for s in table.samples:
@@ -423,9 +423,9 @@ class TestGridRuns:
 
     def test_grids_that_differ_run_alone(self, monkeypatch):
         calls = []
-        relations = partition.bowen_relations
-        monkeypatch.setattr(partition, "bowen_relations",
-                            lambda *a: calls.append([n for n, _ in a[2]]) or relations(*a))
+        families = dimension.make_instances
+        monkeypatch.setattr(dimension, "make_instances",
+                            lambda *a: calls.append([n for n, _ in a[2]]) or families(*a))
         growth_tables(DoublingMap(), zero_potential(), [1, 2, 3], "eps", [0.2],
                       [Estimator.SEPARATED], 4096)
         assert calls == [[1], [2], [3]]

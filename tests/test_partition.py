@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdim import partition, systems
+from pdim import partition, potentials, systems
 from pdim.logsum import logsumexp
 from pdim.partition import (
     Estimator,
@@ -38,7 +38,7 @@ from pdim.partition import (
     _greedy_spanning_levels,
     _neighbours,
 )
-from pdim.potentials import Birkhoff, symbol_weights
+from pdim.potentials import Birkhoff, symbol_weights, time_power
 from pdim.symbolic import deflated_scale
 from pdim.systems import (
     SFT,
@@ -355,11 +355,15 @@ class TestKernelsMatchBowenMetric:
                 assert shapes == [(1, 4, 23)] + [(1, 82)] * (n - 1) + \
                     [(1, 5, 19)] + [(1, 80)] * (n - 1) + [(1, 7, 14)] + [(1, 70)] * (n - 1) + \
                     [(min(n, 2), 7, 7)] + [(k, 21) for k in chunks(max(0, n - 2), 4)]
-            if name == "steps-3":
+            # a triangle that fits one block over its whole time range is
+            # stacked: one (time steps, sets, rows, columns) call, here one set
+            if name == "steps-3" and n * m * m <= block:
+                assert shapes == [(n, 1, m, m)]
+            elif name == "steps-3":
                 assert shapes == [(min(n, 3), m, m)] + \
                     [(k, 253) for k in chunks(max(0, n - 3), 7)]
             if name == "default":  # a small orbit's whole time range in one call
-                assert shapes == [(n, m, m)]
+                assert shapes == [(n, 1, m, m)]
 
     def test_word_kernel_at_its_length_limit(self):
         fs = FullShift(2)
@@ -493,14 +497,14 @@ class TestBowenRelation:
     @pytest.mark.parametrize("m", [181, 182])
     def test_one_block_is_one_metric_call(self, monkeypatch, m):
         # at the default block a triangle of m^2 <= _BLOCK_ENTRIES entries is
-        # one 3-D row-block call; one more point, and only the candidates
+        # one stacked call at n = 1; one more point, and only the candidates
         # within the window (each point's next neighbour, the wrap included)
         # are stepped
         system, pts = DoublingMap(), [real(i / m) for i in range(m)]
         shapes = record_metric_calls(monkeypatch, system)
         i, j, _ = bowen_relation(system, 1, pts, 0.01)
         assert len(i) == m
-        assert shapes == ([(1, m, m)] if m == 181 else [(1, m)])
+        assert shapes == ([(1, 1, m, m)] if m == 181 else [(1, m)])
 
     @pytest.mark.parametrize("system, n, eps", [(DoublingMap(), 6, 0.3), (FullShift(2), 8, 1.0)],
                              ids=["doubling", "words"])
@@ -712,7 +716,7 @@ class TestBowenRelations:
                 dims = {len(shape) for shape in calls}
                 if m * m <= block:
                     seen.add("one-block")
-                    assert calls[0][1:] == (m, m)
+                    assert calls[0][-2:] == (m, m)
                 elif dims == {2}:
                     seen.add("sweep")
                 elif dims:
@@ -722,7 +726,7 @@ class TestBowenRelations:
 
     def test_a_family_walks_one_orbit(self, monkeypatch):
         # 16 requests on 8 points cost one orbit at the largest n and one
-        # row-block call per requested n
+        # stacked metric call over all 8 steps
         system = Rotation(0.125)
         grid = [real(i / 8.0) for i in range(8)]
         requests = [(n, eps) for n in range(1, 9) for eps in (0.2, 0.3)]
@@ -732,7 +736,7 @@ class TestBowenRelations:
                             lambda s, n, p: built.append(n) or orbit(s, n, p))
         shapes = record_metric_calls(monkeypatch, system)
         family = bowen_relations(system, grid, requests)
-        assert built == [8] and shapes[0] == (1, 8, 8) and len(shapes) == 8
+        assert built == [8] and shapes == [(8, 1, 8, 8)]
         for (n, eps), found in zip(requests, family):
             assert same_arrays(found, bowen_relation(system, n, grid, eps))
 
@@ -779,28 +783,31 @@ class TestBowenRelations:
 
 class TestInstanceFamilies:
     def test_one_walk_serves_every_member(self, monkeypatch):
-        # two potentials, four requests: one bowen_relations call on first use,
-        # and members with one (n, eps) share its arrays
+        # two potentials, four requests, and members with one (n, eps) share
+        # their arrays: at the default block the stacked pass fills the
+        # family as it is made, and no walk follows; past one block, one
+        # bowen_relations call on first use
         system = Rotation(0.3)
         pts = [real(float(v)) for v in np.random.default_rng(4).random(12)]
         pot = Birkhoff(phi=lambda x: np.sin(2 * np.pi * x), system=system, name="sin")
         requests = [(3, 0.2), (1, 0.1), (3, 0.1), (2, 0.4)]
         expect = [bowen_relation(system, n, pts, eps) for n, eps in requests]
-        calls = []
         relations = partition.bowen_relations
-        monkeypatch.setattr(partition, "bowen_relations",
-                            lambda *a: calls.append(a[2]) or relations(*a))
-        plain, weighted = make_instances(system, pts, requests, [None, pot])
-        assert calls == []
-        for inst, (n, eps), want in zip(weighted, requests, expect):
-            assert (inst.n, inst.eps) == (n, eps)
-            assert inst.weights.tobytes() == pot.eval_array(n, pts).tobytes()
-            assert same_arrays(inst.pairs(), want)
-        assert not any(inst.weights.any() for inst in plain)
-        assert calls == [requests]
-        for a, b in zip(plain, weighted):
-            assert a.pairs() is b.pairs()
-        assert len(calls) == 1
+        for block, walks in ((DEFAULT_BLOCK, []), (100, [requests])):
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block)
+            calls = []
+            monkeypatch.setattr(partition, "bowen_relations",
+                                lambda *a: calls.append(a[2]) or relations(*a))
+            plain, weighted = make_instances(system, pts, requests, [None, pot])
+            assert calls == []
+            for inst, (n, eps), want in zip(weighted, requests, expect):
+                assert (inst.n, inst.eps) == (n, eps)
+                assert inst.weights.tobytes() == pot.eval_array(n, pts).tobytes()
+                assert same_arrays(inst.pairs(), want)
+            assert not any(inst.weights.any() for inst in plain)
+            for a, b in zip(plain, weighted):
+                assert a.pairs() is b.pairs()
+            assert calls == walks, block
 
     def test_a_family_over_the_budget_walks_each_request_alone(self, monkeypatch):
         # each relation fits the budget, the two together do not: the walk of
@@ -840,6 +847,98 @@ class TestInstanceFamilies:
         [[again]] = make_instances(inst.system, inst.points, [(inst.n, inst.eps)],
                                    [Birkhoff(phi=lambda x: x, system=inst.system)])
         assert same_arrays(inst.pairs(), again.pairs())
+
+
+def stacked_case(rng, kind):
+    """One family for the stacked pass: 3 to 20 points of one system, one to
+    four requests of mixed n and eps, among them eps = inf and eps equal to
+    a pair's own Bowen distance, so that pairs lie on eps."""
+    m = int(rng.integers(3, 21))
+    if kind in ("rotation", "power-rotation", "doubling"):
+        system = {"rotation": Rotation(float(rng.uniform(0.05, 0.45))),
+                  "power-rotation": PowerSystem(Rotation(float(rng.uniform(0.05, 0.45))),
+                                                int(rng.integers(2, 4))),
+                  "doubling": DoublingMap()}[kind]
+        # a dyadic grid with repeats gives distances that tie, exactly
+        pts = [real(float(v)) for v in rng.integers(0, 64, size=m) / 64]
+    else:
+        system = FullShift(2) if kind == "words" else PowerSystem(FullShift(2), 2)
+        pts = [Word(tuple(int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, 9)))))
+               for _ in range(m)]
+    requests = []
+    for _ in range(int(rng.integers(1, 5))):
+        n = int(rng.integers(1, 7))
+        i, j, d = reference_relation(system, n, pts, math.inf)
+        eps = [float(rng.uniform(0.01, 0.5)), math.inf] + [float(v) for v in d[d > 0][:1]]
+        requests.append((n, float(rng.choice(eps))))
+    return system, pts, requests
+
+
+STACKED_KINDS = ["rotation", "power-rotation", "doubling", "words", "power-words"]
+
+
+class TestStackedFamilies:
+    """make_families' stacked pass against the walk of each family alone and
+    the ``_masks`` pass over its relation, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stacked_equals_per_family(self, monkeypatch, seed):
+        rng = np.random.default_rng([seed, 26])
+        families = [stacked_case(rng, kind) for kind in rng.choice(STACKED_KINDS, size=24)]
+        batches = []
+        stack_batch = partition._stack_batch
+        monkeypatch.setattr(partition, "_stack_batch",
+                            lambda jobs, xs, *a: batches.append(len(xs)) or stack_batch(jobs, xs, *a))
+        built = partition.make_families([(s, p, r, [None]) for s, p, r in families])
+        assert max(batches) > 1  # families of one metric share a batch
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)  # each family walks alone
+        for (system, pts, requests), [insts] in zip(families, built):
+            assert insts[0]._relations.found  # filled by the stacked pass
+            for inst, want in zip(insts, bowen_relations(system, pts, requests)):
+                assert same_arrays(inst.pairs(), want), (system, inst.n, inst.eps)
+                i, j, d = reference_relation(system, inst.n, pts, inst.eps)
+                assert (want[0].tolist(), want[1].tolist()) == (i.tolist(), j.tolist())
+                alone = SeparationInstance(system, inst.n, inst.eps, pts, np.zeros(len(pts)))
+                assert (inst.n, inst.eps) in inst._relations.masks
+                for strict in (False, True):
+                    held = partition._masks(inst, strict)
+                    assert held == partition._masks(alone, strict)
+                    assert all(type(v) is int for v in held)
+
+    def test_families_past_the_oracle_cap_get_no_masks(self):
+        # masks serve the exact oracles only, which take at most ORACLE_CAP points
+        system, m = Rotation(0.3), partition.ORACLE_CAP + 1
+        big, small = [real(i / m) for i in range(m)], [real(i / 7) for i in range(7)]
+        [[wide]], [[narrow]] = partition.make_families(
+            [(system, big, [(2, 0.2)], [None]), (system, small, [(2, 0.2)], [None])])
+        assert wide._relations.found and not wide._relations.masks
+        assert set(narrow._relations.masks) == {(2, 0.2)}
+        assert same_arrays(wide.pairs(), bowen_relation(system, 2, big, 0.2))
+
+    def test_a_point_set_is_stepped_once(self, monkeypatch):
+        # two families on one point list, one under a power of the other's
+        # system, and potentials that read n k steps: one orbit, at the
+        # longest, and the instances' points carry it
+        system, pts = Rotation(0.3), [real(i / 9) for i in range(9)]
+        pot = Birkhoff(phi=lambda x: np.cos(2 * np.pi * x), system=system, name="cos")
+        stepped = []
+        orbit = systems.orbit_array
+
+        def spy(s, n, p):
+            if not (isinstance(p, systems.OrbitPoints) and p.rows(s, n) is not None):
+                stepped.append(n)
+            return orbit(s, n, p)
+
+        for module in (systems, partition, potentials):
+            monkeypatch.setattr(module, "orbit_array", spy)
+        [[left]], [[right]] = partition.make_families(
+            [(PowerSystem(system, 3), pts, [(2, 0.2)], [time_power(pot, 3)]),
+             (system, pts, [(5, 0.2)], [pot])])
+        assert stepped == [6]
+        assert left.points is right.points and left.points.orbit.shape == (6, 9)
+        assert left.weights.tobytes() == pot.eval_array(6, pts).tobytes()
+        assert same_arrays(left.pairs(), bowen_relation(PowerSystem(system, 3), 2, pts, 0.2))
+        assert same_arrays(right.pairs(), bowen_relation(system, 5, pts, 0.2))
 
 
 class TestDistanceBudget:

@@ -513,6 +513,43 @@ def test_sup_inf_norm_matches_the_pair_loop(seed):
             assert report.modulus(eps) == expect * (1.0 + 1e-12) + 1e-15
 
 
+def reference_modulus(table, eps):
+    """The loop that SupNormReport.modulus replaced: over the sorted table,
+    the largest gap of the pairs with d < eps from 0.0; max keeps its first
+    argument against a NaN gap."""
+    out = 0.0
+    for d, gap in table:
+        if d < eps:
+            out = max(out, gap)
+    return out * (1.0 + 1e-12) + 1e-15
+
+
+def test_modulus_matches_the_table_loop():
+    # +-inf weights give inf gaps (inf against a finite value or -inf) and
+    # NaN gaps (inf against inf); a dyadic grid on a rotation gives exact
+    # distances, so many pairs tie at each eps taken from the distances
+    rot = Rotation(0.3)
+    grid = [real(i / 16) for i in range(16)]
+
+    def signed_inf(x):
+        return np.where(x < 0.2, np.inf, np.where(x > 0.8, -np.inf, np.cos(5 * x)))
+
+    cases = [(signed_inf, grid), (lambda x: np.where(x < 0.5, np.inf, x), grid),
+             (lambda x: np.sin(7 * x), grid),
+             # the only pairs within 1/8 have NaN gaps
+             (lambda x: np.where(x < 0.2, np.inf, 0.0), grid[:3] + [real(0.5)])]
+    for phi, pts in cases:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            report = sup_inf_norm(Birkhoff(phi=phi, system=rot, name="phi"), rot, pts)
+        gaps = report.gap
+        if phi is signed_inf:
+            assert np.isnan(gaps).any() and np.isinf(gaps).any()
+        assert max(np.unique(report.d, return_counts=True)[1]) > 1  # ties in d
+        for eps in np.unique(report.d).tolist() + [0.0, 1e-3, 1 / 8 + 1e-9, 0.5, math.inf]:
+            assert report.modulus(eps) == reference_modulus(report.table, eps), eps
+    assert report.modulus(1 / 8 + 1e-9) == 1e-15  # NaN gaps alone, skipped
+
+
 def reference_almost_additive(phi, system, n_max=5, m_max=5, sample_count=40, seed=0):
     """The triple loop that verify_almost_additive replaced."""
     pts = system.sample_points(sample_count, np.random.default_rng(seed))

@@ -1,5 +1,6 @@
 """Verification suites: clean passes, fault sensitivity, deterministic digests."""
 
+import collections
 import itertools
 import math
 import warnings
@@ -7,6 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+import pdim
+from pdim import systems
+from pdim.cli import main
 from pdim.partition import exact_min_cover
 from pdim.theorems import (
     SUITE_NAMES,
@@ -162,3 +166,29 @@ class TestCoverValue:
                 for pick in picks:
                     case = (0.25, xs, weights, 2, 2, pick, 1)
                     assert _cover_value(*case) == reference_cover_value(*case) == -math.inf
+
+
+def test_verify_steps_each_point_set_once(monkeypatch, capsys):
+    # over every suite, orbit_array steps each point set at most once per base
+    # system: the weights, the relations and prop22's orbit-extended sample
+    # read the orbit its points carry (systems.OrbitPoints)
+    stepped, held = collections.Counter(), []
+    orbit_array = systems.orbit_array
+
+    def spy(system, n, points):
+        if not (isinstance(points, systems.OrbitPoints) and points.rows(system, n) is not None):
+            raw = points.points if isinstance(points, systems.OrbitPoints) else points
+            held.append(raw)  # keeps its id unique for the run
+            stepped[id(raw), systems.power_base(system)[0]] += 1
+        return orbit_array(system, n, points)
+
+    for name in ("systems", "partition", "potentials", "theorems", "dimension"):
+        module = getattr(pdim, name)
+        if hasattr(module, "orbit_array"):
+            monkeypatch.setattr(module, "orbit_array", spy)
+    assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    capsys.readouterr()
+    # chain 109 sets, prop22 25 and their 25 samples, thm32 10, thm34 23, thm35 3,
+    # and section4's grids
+    assert len(stepped) > 195
+    assert max(stepped.values()) == 1, [k for k, v in stepped.items() if v > 1][:3]
