@@ -19,7 +19,6 @@ from .systems import (
     PowerSystem,
     FactorMap,
     binary_expansion_map,
-    identity_factor,
     CandidateSet,
     BudgetExceededError,
 )
@@ -43,7 +42,7 @@ from .partition import (
     GrowthSample,
     SeparationInstance,
     make_instance,
-    make_instances,
+    make_families,
     greedy_separated,
     separated_lower_bound,
     spanning_upper_bound,
@@ -53,7 +52,6 @@ from .partition import (
 )
 from .symbolic import (
     log_weighted_word_sum,
-    log_weighted_word_sums,
     log_weighted_word_tables,
     exact_growth_table,
 )

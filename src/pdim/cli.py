@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -84,6 +85,8 @@ class ConfigError(Exception):
 _LIST_ENTRY_WORDS = 5
 # Largest n: growth tables read n as a float, which holds every integer up to 2^53
 _MAX_N = 2**53
+# Oracle trials drawn and built at a time, so that memory stays flat in --trials
+ORACLE_BATCH = 256
 
 
 def _fmt(v) -> str:
@@ -480,45 +483,49 @@ def cmd_oracle(args) -> int:
         print("error: need max-points >= 3 and trials >= 1", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
-    sep_gaps, span_gaps = [], []
-    worst_sandwich = -math.inf
     shift = FullShift(2)
     all_words = [shift.representative(w) for w in shift.admissible_words(5)]
-    drawn = []  # every trial is drawn first, then all are built in one batch
-    for trial in range(args.trials):
-        if trial % 2 == 0:
-            system = Rotation(float(rng.uniform(0.05, 0.45)))
-            size = int(rng.integers(3, args.max_points + 1))
-            pts = [real(float(v)) for v in rng.random(size)]
-            a, b = rng.normal(scale=0.5, size=2)
-            pot = Birkhoff(
-                phi=lambda x, a=a, b=b: a * np.cos(2 * np.pi * x) + b,
-                system=system, name="trig")
-            n = int(rng.integers(1, 5))
-            eps = float(rng.uniform(0.05, 0.45))
-        else:
-            system = shift
-            size = int(rng.integers(3, min(args.max_points, 16) + 1))
-            idx = rng.choice(len(all_words), size=size, replace=False)
-            pts = [all_words[i] for i in sorted(idx)]
-            table = rng.normal(scale=0.5, size=2)
-            pot = symbol_weights(shift, table)
-            n = int(rng.integers(1, 4))
-            eps = deflated_scale(int(rng.integers(0, 3)))
-        drawn.append((system, pts, [(n, eps)], [pot]))
-    for [[inst]] in make_families(drawn):
-        greedy_val = separated_lower_bound(inst).log_value
-        exact_sep = exact_separated_value(inst).log_value
-        exact_span = exact_spanning_value(inst).log_value
-        greedy_span = spanning_upper_bound(inst).log_value
-        sep_gaps.append(exact_sep - greedy_val)
-        span_gaps.append(greedy_span - exact_span)
-        worst_sandwich = max(
-            worst_sandwich,
-            greedy_val - exact_sep,       # greedy lower bound must not exceed optimum
-            exact_span - exact_sep,       # spanning optimum sits below separated optimum
-            exact_span - greedy_span,     # greedy cover must not undercut optimum
-        )
+
+    def draw():
+        for trial in range(args.trials):
+            if trial % 2 == 0:
+                system = Rotation(float(rng.uniform(0.05, 0.45)))
+                size = int(rng.integers(3, args.max_points + 1))
+                pts = [real(float(v)) for v in rng.random(size)]
+                a, b = rng.normal(scale=0.5, size=2)
+                pot = Birkhoff(
+                    phi=lambda x, a=a, b=b: a * np.cos(2 * np.pi * x) + b,
+                    system=system, name="trig")
+                n = int(rng.integers(1, 5))
+                eps = float(rng.uniform(0.05, 0.45))
+            else:
+                system = shift
+                size = int(rng.integers(3, min(args.max_points, 16) + 1))
+                idx = rng.choice(len(all_words), size=size, replace=False)
+                pts = [all_words[i] for i in sorted(idx)]
+                table = rng.normal(scale=0.5, size=2)
+                pot = symbol_weights(shift, table)
+                n = int(rng.integers(1, 4))
+                eps = deflated_scale(int(rng.integers(0, 3)))
+            yield system, pts, [(n, eps)], [pot]
+
+    sep_gaps, span_gaps = [], []
+    worst_sandwich = -math.inf
+    trials = draw()
+    while drawn := list(itertools.islice(trials, ORACLE_BATCH)):
+        for [[inst]] in make_families(drawn):
+            greedy_val = separated_lower_bound(inst).log_value
+            exact_sep = exact_separated_value(inst).log_value
+            exact_span = exact_spanning_value(inst).log_value
+            greedy_span = spanning_upper_bound(inst).log_value
+            sep_gaps.append(exact_sep - greedy_val)
+            span_gaps.append(greedy_span - exact_span)
+            worst_sandwich = max(
+                worst_sandwich,
+                greedy_val - exact_sep,       # greedy lower bound must not exceed optimum
+                exact_span - exact_sep,       # spanning optimum sits below separated optimum
+                exact_span - greedy_span,     # greedy cover must not undercut optimum
+            )
     print(f"trials={args.trials} max_points={args.max_points} seed={args.seed}")
     print(f"separated gap: mean={float(np.mean(sep_gaps))!r} max={float(np.max(sep_gaps))!r}")
     print(f"spanning gap: mean={float(np.mean(span_gaps))!r} max={float(np.max(span_gaps))!r}")

@@ -29,7 +29,7 @@ import numpy as np
 from .partition import (
     Estimator,
     GrowthSample,
-    make_instances,
+    make_families,
     separated_lower_bound,
     spanning_upper_bound,
 )
@@ -102,7 +102,7 @@ def growth_tables(
     radii and takes the greedy bounds on candidate grids of at most
     ``budget`` points; samples from an uncertified grid carry the note
     ``"uncertified-candidates"``.  Consecutive n whose grids are equal share
-    one instance family (``make_instances``): one orbit, one Bowen walk and
+    one instance family (``make_families``): one orbit, one Bowen walk and
     one weight pass, each sample keeping its own grid's note.  Tables come
     in the order their first sample is made.
     """
@@ -113,7 +113,8 @@ def growth_tables(
     elif mode == "eps":
         for eps in scales:
             for points, run in _grid_runs(system, n_range, eps, budget):
-                [insts] = make_instances(system, points, [(n, eps) for n, _ in run], [potential])
+                requests = [(n, eps) for n, _ in run]
+                [[insts]] = make_families([(system, points, requests, [potential])])
                 for inst, (_, note) in zip(insts, run):
                     samples.extend(_GREEDY_BOUNDS[e](inst, note=note)
                                    for e in dict.fromkeys(estimators))

@@ -5,56 +5,35 @@ candidate when their Bowen distance is strictly below eps.  Greedy routines
 give certified one-sided bounds; the brute-force routines are exact oracles
 for small instances and anchor every greedy result in the tests.
 
-Cost for m candidates at time n: every greedy and exact reader takes only
-the Bowen relation, the pairs with d_n <= eps (``bowen_relation``).  The
-instances of one point set form a family, and ``make_families`` builds many
-at once (``make_instances`` is its one-family case): each point set is
-stepped once per base system, and its instances' points carry that orbit
-(``systems.OrbitPoints``) for the weights, the relations and any other
-reader.  A family whose triangle fits one block over its whole time range,
-n m^2 <= _BLOCK_ENTRIES, takes the stacked path: the small families of one
-call whose systems share a type go as one (t, K, M, M) metric call per time
-chunk, padded with copies of each set's point 0, with one running max read
-off after each request's own n, and the exact oracles' bit masks come from
-one int64 matrix product per batch.  The verification suites draw all their
-trials first, then build every family in one call.  Any other family walks
-through time once for all its (n, eps) requests (``bowen_relations``), on
-first use, reading each relation off the running max at its n.  A chunk of
-time steps that ends after step t keeps the pairs within the largest
-min(eps, ``System.bowen_radius(n - t + 1, eps)``) over the requests still
-open.  On the doubling map below eps = 1/4, and on shifts below eps = 1,
-that radius halves with each step still to come.  Past one block of
-_BLOCK_ENTRIES pairs, the points are sorted once by ``System.sweep_key``
-(circle and interval maps, shifts), and each point is stepped, from t = 0,
-only against the points whose keys lie within that reach at t = 1: C
-candidate pairs in all, close to the E pairs of the relation where the
-radius halves, for O(m log m + C n) time and no broadcast blocks.  A
-triangle whose windows hold over a quarter of its pairs (a radius that does
-not shrink, such as eps = 0.3 on the doubling map) goes by row blocks: the
-first time chunk visits all m (m + 1) / 2 pairs in cache-sized blocks,
-O(m^2), and later chunks step only the pairs still kept.  Memory is O(m +
-E) plus the blocks.  One kernel serves shifts and real maps alike, through
-each system's array form (``System.coordinates``, ``apply_array``,
-``metric_array``); the scalar ``System.bowen_metric`` stays as its
-reference, equal bit for bit, and as the only path for points with no array
-form.  Kept pairs past ``systems.ARRAY_BUDGET_BYTES`` (16 bytes each),
-counted over all the requests of a walk, raise BudgetExceededError, which
-the CLI turns into exit code 3; a family whose relations fit the budget
-only one at a time walks each request alone, holding one relation.  Greedy
-separated is O(m + E) in total.  Greedy spanning reads one closed-ball CSR
-(each candidate's strict-eps neighbours, then itself) and chooses its loop
-by the largest closed ball.  Where every ball holds at most _LEVEL_BALL_CAP
-points, the level loop walks the weight order once per gain level, from the
-largest ball down, picking each point whose gain still equals the level: at
-most _LEVEL_BALL_CAP passes, O(m + E) Python steps in all.  Otherwise each
-pick is one argmax over m packed keys, a scan of the picked ball for its
-uncovered points, and one subtract.at over the newly covered points' balls:
-O(m) per pick, and O(m + E) in total for the scans and decrements.  Both
-give the same picks in the same order.  The exact oracles take the stacked
-path's bit masks, or else build them in one pass over the relation, and
-search, with a memo, only the states they reach: the cover search branches
-on the sets that cover the lowest uncovered element, the separated search
-on keeping or skipping the lowest candidate.
+Every greedy and exact reader takes only the Bowen relation of its
+instance, the pairs with d_n <= eps (``bowen_relations``).  The instances
+of one point set at its (n, eps) requests form a family, and
+``make_families`` builds many families at once: each point set is stepped
+once per base system, and its instances' points carry that orbit
+(``systems.OrbitPoints``) for the weights and the relations.  The small
+families of one call, n m^2 <= _BLOCK_ENTRIES, get their relations there,
+in batches of one metric call per time chunk (``_stacked``); any other
+family walks through time once for all its requests, on first use
+(``_Walk``), in O(m + E) memory plus cache-sized blocks for E kept pairs.
+Kept pairs past ``systems.ARRAY_BUDGET_BYTES`` (16 bytes each), counted
+over all the requests of a walk, raise BudgetExceededError, which the CLI
+turns into exit code 3; a family whose relations fit the budget only one at
+a time walks each request alone, holding one relation.
+
+Greedy separated is O(m + E) in total.  Greedy spanning reads one
+closed-ball CSR (each candidate's strict-eps neighbours, then itself) and
+chooses its loop by the largest closed ball.  Where every ball holds at
+most _LEVEL_BALL_CAP points, the level loop walks the weight order once per
+gain level, from the largest ball down, picking each point whose gain still
+equals the level: at most _LEVEL_BALL_CAP passes, O(m + E) Python steps in
+all.  Otherwise each pick is one argmax over m packed keys, a scan of the
+picked ball for its uncovered points, and one subtract.at over the newly
+covered points' balls: O(m) per pick, and O(m + E) in total for the scans
+and decrements.  Both give the same picks in the same order.  The exact
+oracles build their bit masks in one pass over the relation and search,
+with a memo, only the states they reach: the cover search branches on the
+sets that cover the lowest uncovered element, the separated search on
+keeping or skipping the lowest candidate.
 """
 
 from __future__ import annotations
@@ -123,7 +102,7 @@ class InstanceTooLargeError(ValueError):
 @dataclass
 class SeparationInstance:
     """Candidates with weights w_i = phi_n(x_i) at one (n, eps); the instances
-    of one ``make_instances`` family share one walk for their relations."""
+    of one ``make_families`` family share one walk for their relations."""
 
     system: System
     n: int
@@ -146,7 +125,7 @@ class SeparationInstance:
         return len(self.points)
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``bowen_relation`` of the candidates at (n, eps): pairs i < j with d_n <= eps."""
+        """The Bowen relation of the candidates at (n, eps): pairs i < j with d_n <= eps."""
         if self._relations is None:
             self._relations = _Relations(self.system, self.points, [(self.n, self.eps)])
         return self._relations[self.n, self.eps]
@@ -163,7 +142,6 @@ class _Relations:
         self.system, self.points = system, points
         self.requests: list | None = list(dict.fromkeys(requests))
         self.found: dict = {}
-        self.masks: dict = {}  # (n, eps) -> (table, row) of the stacked pass's masks
 
     def __getitem__(self, request: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if request not in self.found:
@@ -192,8 +170,8 @@ def make_families(
     carry that orbit.  Each potential's weights come from one
     ``eval_arrays`` pass over the requested n (None weighs zero).  Families
     that ``_stacks`` and whose pairs cannot pass ARRAY_BUDGET_BYTES get
-    their relations and masks here, from one ``_stacked`` call; any other
-    family walks on first use.
+    their relations here, from one ``_stacked`` call; any other family walks
+    on first use.
     """
     families = [(system, points, list(requests), list(potentials))
                 for system, points, requests, potentials in families]
@@ -226,21 +204,9 @@ def make_families(
         if _stacks(orbit):
             jobs.append((system, orbit, relations.requests))
             filled.append(relations)
-    for relations, (found, masks) in zip(filled, _stacked(jobs)):
-        relations.found, relations.masks = dict(zip(relations.requests, found)), masks
+    for relations, found in zip(filled, _stacked(jobs)):
+        relations.found = dict(zip(relations.requests, found))
     return out
-
-
-def make_instances(
-    system: System,
-    points: Sequence[Point],
-    requests: Sequence[tuple[int, float]],
-    potentials: Sequence[Potential | None],
-) -> list[list[SeparationInstance]]:
-    """Per potential, one instance per (n, eps) request on the points: the
-    one-family case of ``make_families``.  The instances form one family,
-    which shares one orbit and one set of relations."""
-    return make_families([(system, points, requests, potentials)])[0]
 
 
 def make_instance(
@@ -250,15 +216,8 @@ def make_instance(
     points: Sequence[Point],
     potential: Potential | None = None,
 ) -> SeparationInstance:
-    """The one-request, one-potential case of ``make_instances``."""
-    return make_instances(system, points, [(n, eps)], [potential])[0][0]
-
-
-def bowen_relation(system: System, n: int, points: Sequence[Point],
-                   eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs i < j with d_n(x_i, x_j) <= eps, as arrays (i, j, d) sorted by (i, j):
-    the one-request case of ``bowen_relations``."""
-    return bowen_relations(system, points, [(n, eps)])[0]
+    """The one-request, one-potential case of ``make_families``."""
+    return make_families([(system, points, [(n, eps)], [potential])])[0][0][0]
 
 
 def bowen_relations(system: System, points: Sequence[Point],
@@ -292,7 +251,7 @@ def bowen_relations(system: System, points: Sequence[Point],
     requests = list(requests)
     for n, eps in requests:
         if n < 1:
-            raise ValueError("bowen_relation needs n >= 1")
+            raise ValueError("bowen_relations needs n >= 1")
         if not eps > 0:
             raise ValueError("eps must be positive")
     if not requests:
@@ -303,7 +262,7 @@ def bowen_relations(system: System, points: Sequence[Point],
     except NotImplementedError:
         orbit = None
     if _stacks(orbit):
-        [(found, _)] = _stacked([(system, orbit, distinct)])
+        [found] = _stacked([(system, orbit, distinct)])
     else:
         found = _Walk(system, points, orbit, distinct).relations()
     found = dict(zip(distinct, found))
@@ -315,11 +274,10 @@ def _stacks(orbit: np.ndarray | None) -> bool:
     return orbit is not None and 0 < len(orbit) * orbit.shape[1] ** 2 <= _BLOCK_ENTRIES
 
 
-def _stacked(jobs: list) -> list[tuple[list, dict]]:
+def _stacked(jobs: list) -> list[list]:
     """Per job (system, orbit, distinct requests), with an orbit that
-    ``_stacks``, its relations at the requests and a dict of its ``_masks``
-    per (n, eps) as (table, row), empty past ORACLE_CAP points; raises
-    BudgetExceededError where a job's pairs together pass ARRAY_BUDGET_BYTES.
+    ``_stacks``, its relations at the requests; raises BudgetExceededError
+    where a job's pairs together pass ARRAY_BUDGET_BYTES.
     Jobs whose base systems share a type, and so a metric, go in batches of
     K point sets with K M^2 <= _BLOCK_ENTRIES, M the most points in a batch.
     """
@@ -342,15 +300,14 @@ def _stacked(jobs: list) -> list[tuple[list, dict]]:
 
 
 def _stack_batch(jobs: list, xs: list[int], out: list) -> None:
-    """The relations (and masks) of the jobs xs from one (T, K, M, ...) orbit.
+    """The relations of the jobs xs from one (T, K, M, ...) orbit.
 
     A point set's missing points are copies of its point 0, and its steps
     past its own largest n copies of its last step; neither is read.  Each
     time chunk of at most _BLOCK_ENTRIES entries is one metric call, whose
     running max over time carries into the next; each request reads it
     after step n of its own set.  A request's pairs are the i < j < m with
-    d <= eps, found for every request at once, sorted by (request, i, j);
-    its masks are one int64 (adjacency | identity) @ (1 << arange(M)) product.
+    d <= eps, found for every request at once, sorted by (request, i, j).
     """
     orbits = [jobs[x][1] for x in xs]
     ns, ms = np.array([o.shape[:2] for o in orbits]).T
@@ -377,29 +334,15 @@ def _stack_batch(jobs: list, xs: list[int], out: list) -> None:
         (read,) = np.nonzero((t < req_n) & (req_n <= t + chunk))
         dist[read] = run[req_n[read] - 1 - t, req_k[read]]
     valid = (cols[:, None] < cols) & (cols < size[:, None, None])  # i < j < m
-    close = (dist <= eps) & valid
-    q, i, j = np.nonzero(close)
+    q, i, j = np.nonzero((dist <= eps) & valid)
     i, j, d = i.astype(np.int32), j.astype(np.int32), dist[q, i, j]
     cuts = np.searchsorted(q, np.arange(len(reqs) + 1)).tolist()
-    rows = {}
-    if (small := np.flatnonzero(size <= ORACLE_CAP)).size:
-        w = min(M, ORACLE_CAP)
-        adj = np.stack([close, (dist < eps) & valid])[:, small, :w, :w]
-        adj |= adj.swapaxes(-1, -2) | np.eye(w, dtype=bool)
-        table = adj.astype(np.int64) @ (1 << np.arange(w))  # (loose and strict, request, u)
-        rows = {r: (table, s) for s, r in enumerate(small.tolist())}
     r = 0
     for k, x in enumerate(xs):
-        requests, m = jobs[x][2], int(ms[k])
-        _check_array_budget(cuts[r + len(requests)] - cuts[r], 2, f"Bowen relation of {m} points")
-        found, held = [], {}
-        for n, e in requests:
-            a, b = cuts[r], cuts[r + 1]
-            found.append((i[a:b], j[a:b], d[a:b]))
-            if r in rows:
-                held[n, e] = rows[r]
-            r += 1
-        out[x] = (found, held)
+        bounds = cuts[r:r + len(jobs[x][2]) + 1]
+        _check_array_budget(bounds[-1] - bounds[0], 2, f"Bowen relation of {int(ms[k])} points")
+        out[x] = [(i[a:b], j[a:b], d[a:b]) for a, b in zip(bounds, bounds[1:])]
+        r += len(bounds) - 1
 
 
 class _Walk:
@@ -557,12 +500,12 @@ class _Walk:
 def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
     """Symmetric matrix of ``system.bowen_metric(n, x, y)`` over the points, bit for bit.
 
-    The eps = inf case of ``bowen_relation``, written into a matrix; calls
+    The eps = inf case of ``bowen_relations``, written into a matrix; calls
     ``check_distance_budget`` before any work.
     """
     m = len(points)
     check_distance_budget(m)
-    i, j, d = bowen_relation(system, n, points, math.inf)
+    [(i, j, d)] = bowen_relations(system, points, [(n, math.inf)])
     out = np.zeros((m, m))
     out[i, j] = out[j, i] = d
     return out
@@ -590,13 +533,9 @@ def _neighbours(inst: SeparationInstance, strict: bool,
 
 
 def _masks(inst: SeparationInstance, strict: bool) -> list[int]:
-    """Bit v of masks[u] is set for u = v and each pair {u, v} of ``_edges``:
-    the stacked pass's masks where it made them, else one pass over the relation."""
+    """Bit v of masks[u] is set for u = v and each pair {u, v} of ``_edges``,
+    in one pass over the relation."""
     i, j, d = inst.pairs()
-    held = inst._relations.masks.get((inst.n, inst.eps))
-    if held is not None:
-        table, row = held
-        return table[int(strict), row, :inst.size].tolist()
     masks = [1 << u for u in range(inst.size)]
     eps = inst.eps
     for u, v, duv in zip(i.tolist(), j.tolist(), d.tolist()):

@@ -27,7 +27,6 @@ scalar value.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -507,16 +506,8 @@ class SupNormReport:
 
     sup: float
     inf: float
-    i: np.ndarray
-    j: np.ndarray
     d: np.ndarray
     gap: np.ndarray
-
-    @functools.cached_property
-    def table(self) -> list[tuple[float, float]]:
-        """The (d, gap) pairs sorted by d, then gap."""
-        order = np.lexsort((self.gap, self.d))
-        return list(zip(self.d[order].tolist(), self.gap[order].tolist()))
 
     def modulus(self, eps: float) -> float:
         """Smallest recorded delta bound for pairs closer than eps: the largest
@@ -528,13 +519,13 @@ class SupNormReport:
 def sup_inf_norm(phi: Potential, system: System | None = None,
                  points: Sequence[Point] | None = None) -> SupNormReport:
     """Range of phi_1 over the sample plus an empirical continuity modulus."""
-    from .partition import bowen_relation  # partition imports this module
+    from .partition import bowen_relations  # partition imports this module
     sys_ = system or _require_system(phi)
     if points is None:
         rng = np.random.default_rng(7)
         points = sys_.sample_points(64, rng)
     points = with_orbit(sys_, 1, points)  # phi_1 and the relation read one orbit
     vals = phi.eval_array(1, points)
-    i, j, d = bowen_relation(sys_, 1, points, math.inf)
-    return SupNormReport(sup=float(vals.max()), inf=float(vals.min()), i=i, j=j, d=d,
+    [(i, j, d)] = bowen_relations(sys_, points, [(1, math.inf)])
+    return SupNormReport(sup=float(vals.max()), inf=float(vals.min()), d=d,
                          gap=np.abs(vals[i] - vals[j]))

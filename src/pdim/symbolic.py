@@ -79,23 +79,10 @@ def log_weighted_word_sum(
 ) -> float:
     """log of the sum over admissible words w of |w| = length of e^(phi_n on [w]).
 
-    The one-n case of :func:`log_weighted_word_sums`, at the same cost as a
-    single transfer chain: O(S^3 log n) for S states.
+    The one-n case of :func:`log_weighted_word_tables`, at the same cost as
+    a single transfer chain: O(S^3 log n) for S states.
     """
-    return log_weighted_word_sums(system, potential, [n], length - n)[0]
-
-
-def log_weighted_word_sums(
-    system: ShiftSystem,
-    potential: Potential,
-    ns,
-    k: int,
-) -> list[float]:
-    """log of the sum over admissible words w of |w| = n + k of e^(phi_n on [w]), per n in ns.
-
-    The one-potential, one-k case of :func:`log_weighted_word_tables`.
-    """
-    return log_weighted_word_tables(system, [potential], ns, [k])[0][0]
+    return log_weighted_word_tables(system, [potential], [n], [length - n])[0][0][0]
 
 
 def log_weighted_word_tables(

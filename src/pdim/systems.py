@@ -291,7 +291,7 @@ class System:
         """A bound on d_t(x, y) for every pair with d_n(x, y) <= eps, at each
         1 <= t <= n, where k = n - t + 1.
 
-        ``partition.bowen_relation`` drops a pair from the relation once its
+        ``partition.bowen_relations`` drops a pair from the relation once its
         running max at time t passes min(eps, bowen_radius(n - t + 1, eps)),
         so a radius that is too small drops true pairs.  The default, eps,
         holds for every system, as d_t <= d_n.
@@ -305,7 +305,7 @@ class System:
         coordinates is at least the distance of their keys, |key_i - key_j|
         as computed in float, or on the circle of length ``period`` (the
         smaller of that and period minus it, every key within [0, period])
-        when period is not None.  ``partition.bowen_relation`` then looks
+        when period is not None.  ``partition.bowen_relations`` then looks
         for a point's partners only among the points whose keys lie within
         the radius of its own.  The default, None, gives no key.
         """
@@ -814,7 +814,3 @@ def binary_expansion_map(source: FullShift | None = None) -> FactorMap:
         modulus=lambda eps: eps / 2.0,
         label="binary_expansion",
     )
-
-
-def identity_factor(system: System) -> FactorMap:
-    return FactorMap(system, system, lambda x: x, lambda eps: eps, label="identity")

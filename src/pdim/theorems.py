@@ -16,8 +16,7 @@ the order of the draws that define its report, then builds the instances of
 all its trials in one ``partition.make_families`` call, then computes.  Each
 point set is stepped once (its instances' points carry the orbit, which
 ``prop22``'s orbit-extended sample reads too), and the small triangles of
-the call take the stacked path: one metric call per batch of point sets,
-and the exact oracles' bit masks from one matrix product.
+the call take the stacked path: one metric call per batch of point sets.
 """
 
 from __future__ import annotations

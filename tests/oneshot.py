@@ -1,0 +1,28 @@
+"""One-case forms of pdim's family functions, which the tests build their
+references and single cases from.
+
+Each calls its family form through the module, so a test that spies on the
+family form by ``monkeypatch.setattr`` sees these calls too.
+"""
+
+from pdim import partition, symbolic
+from pdim.systems import FactorMap
+
+
+def bowen_relation(system, n, points, eps):
+    """Pairs i < j with d_n(x_i, x_j) <= eps, as arrays (i, j, d) sorted by (i, j)."""
+    return partition.bowen_relations(system, points, [(n, eps)])[0]
+
+
+def make_instances(system, points, requests, potentials):
+    """Per potential, one instance per (n, eps) request on the points, as one family."""
+    return partition.make_families([(system, points, requests, potentials)])[0]
+
+
+def log_weighted_word_sums(system, potential, ns, k):
+    """log of the sum over admissible words w of |w| = n + k of e^(phi_n on [w]), per n in ns."""
+    return symbolic.log_weighted_word_tables(system, [potential], ns, [k])[0][0]
+
+
+def identity_factor(system):
+    return FactorMap(system, system, lambda x: x, lambda eps: eps, label="identity")

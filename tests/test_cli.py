@@ -14,7 +14,7 @@ from test_config_mutations import CHILD_ADDRESS_LIMIT, bench_workloads
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 import pdim
-from pdim import systems
+from pdim import cli, systems
 from pdim.cli import (CSV_HEADER, MAX_POTENTIAL_DEPTH, build_parser, build_potential,
                       build_system, main)
 from pdim.dimension import entropy_dimension
@@ -989,3 +989,21 @@ class TestOracle:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+    def test_trials_are_built_in_batches(self, capsys, monkeypatch):
+        # memory stays flat in --trials: make_families never gets more than
+        # ORACLE_BATCH trials at once
+        sizes = []
+        families = cli.make_families
+        monkeypatch.setattr(cli, "make_families", lambda f: sizes.append(len(f)) or families(f))
+        assert main(["oracle", "--max-points", "6", "--trials", "600", "--seed", "3"]) == 0
+        assert sizes == [cli.ORACLE_BATCH] * 2 + [600 - 2 * cli.ORACLE_BATCH]
+        capsys.readouterr()
+
+    def test_batch_size_leaves_the_output(self, capsys, monkeypatch):
+        args = ["oracle", "--max-points", "12", "--trials", "40", "--seed", "2"]
+        assert main(args) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(cli, "ORACLE_BATCH", 7)
+        assert main(args) == 0
+        assert capsys.readouterr().out == want

@@ -40,6 +40,8 @@ from pdim.systems import (
     real,
 )
 
+from oneshot import bowen_relation
+
 
 def power_table(sigma, c=1.0, n_range=range(10, 201, 10), noise=None, seed=0):
     """Synthetic series log_value = c * n^sigma, optionally with 1% jitter."""
@@ -404,13 +406,13 @@ class TestGridRuns:
         ns = [1, 2, 3, 4, 5, 6, 7, 9]
         ests = [Estimator.SPANNING, Estimator.SEPARATED]
         calls = []
-        families = dimension.make_instances
-        monkeypatch.setattr(dimension, "make_instances",
-                            lambda *a: calls.append([n for n, _ in a[2]]) or families(*a))
+        families = dimension.make_families
+        monkeypatch.setattr(dimension, "make_families",
+                            lambda f: calls.append([n for n, _ in f[0][2]]) or families(f))
         tables = growth_tables(system, pot, ns, "eps", [0.1, 0.2], ests, 4096)
         # per scale, one family per run of equal grids: n = 1-3, 4-6 and 7-9
         assert calls == [[1, 2, 3], [4, 5, 6], [7, 9]] * 2
-        monkeypatch.setattr(dimension, "make_instances", families)
+        monkeypatch.setattr(dimension, "make_families", families)
         assert len(tables) == 4
         for table in tables:
             for s in table.samples:
@@ -423,9 +425,9 @@ class TestGridRuns:
 
     def test_grids_that_differ_run_alone(self, monkeypatch):
         calls = []
-        families = dimension.make_instances
-        monkeypatch.setattr(dimension, "make_instances",
-                            lambda *a: calls.append([n for n, _ in a[2]]) or families(*a))
+        families = dimension.make_families
+        monkeypatch.setattr(dimension, "make_families",
+                            lambda f: calls.append([n for n, _ in f[0][2]]) or families(f))
         growth_tables(DoublingMap(), zero_potential(), [1, 2, 3], "eps", [0.2],
                       [Estimator.SEPARATED], 4096)
         assert calls == [[1], [2], [3]]
@@ -437,7 +439,7 @@ class TestGridRuns:
         system, ns = Rotation(0.21), [1, 2, 3]
         ests = [Estimator.SPANNING, Estimator.SEPARATED]
         pts = system.candidate_set(1, 0.45, 4096).points
-        sizes = [len(partition.bowen_relation(system, n, pts, 0.45)[0]) for n in ns]
+        sizes = [len(bowen_relation(system, n, pts, 0.45)[0]) for n in ns]
         want = growth_tables(system, zero_potential(), ns, "eps", [0.45], ests, 4096)
         monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 8 * len(pts) ** 2)
         assert 16 * sum(sizes) > systems.ARRAY_BUDGET_BYTES >= 16 * max(sizes)

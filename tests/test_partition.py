@@ -18,7 +18,6 @@ from pdim.partition import (
     SeparationInstance,
     InstanceTooLargeError,
     bowen_distance_matrix,
-    bowen_relation,
     bowen_relations,
     count_spanning_separated,
     exact_min_cover,
@@ -26,7 +25,6 @@ from pdim.partition import (
     exact_spanning_value,
     greedy_separated,
     make_instance,
-    make_instances,
     separated_lower_bound,
     spanning_upper_bound,
 )
@@ -54,6 +52,8 @@ from pdim.systems import (
     real,
     shift_metric,
 )
+
+from oneshot import bowen_relation, make_instances
 
 
 def log_sum(weights) -> float:
@@ -877,9 +877,58 @@ def stacked_case(rng, kind):
 STACKED_KINDS = ["rotation", "power-rotation", "doubling", "words", "power-words"]
 
 
+def brute_masks(pairs, m, eps, strict):
+    """The oracles' masks by a loop over every pair (i, j, d) of d_n: bit v of
+    masks[u] for u = v and each pair {u, v} with d < eps (strict) or d <= eps."""
+    masks = [1 << u for u in range(m)]
+    for u, v, d in zip(*(a.tolist() for a in pairs)):
+        if (d < eps) if strict else (d <= eps):
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return masks
+
+
+def check_masks(inst, pairs, masks=None):
+    """``_masks`` (or ``masks``) of the instance, loose and strict, against ``brute_masks``."""
+    for strict in (False, True):
+        got = (masks or partition._masks)(inst, strict)
+        assert got == brute_masks(pairs, inst.size, inst.eps, strict), (inst.n, inst.eps, strict)
+        assert all(type(v) is int for v in got)
+
+
+def rotation_mask_family(m, n):
+    """m rotation points on a dyadic grid at time n, at eps values among them
+    one pair's own distance; with every pair of d_n."""
+    system = Rotation(0.3)
+    pts = [real(float(v)) for v in np.random.default_rng([m, n]).integers(0, 64, size=m) / 64]
+    pairs = reference_relation(system, n, pts, math.inf)
+    return system, pts, [(n, float(pairs[2][5])), (n, 0.1), (n, 0.3)], pairs
+
+
+def mixed_tail_family():
+    """Twelve words with mixed tails, which have no array form, at n = 2 and
+    eps values among them one pair's own distance; with every pair of d_2."""
+    rng = np.random.default_rng(21)
+    fs, m = FullShift(2), 12
+    pts = [Word(tuple(int(b) for b in rng.integers(0, 2, size=3)), tail=int(rng.integers(0, 2)))
+           for _ in range(m)]
+    i, j = np.triu_indices(m, 1)
+    pairs = (i, j, pairwise_bowen(fs, 2, pts)[i, j])
+    return fs, pts, [(2, float(pairs[2][7])), (2, 0.3)], pairs
+
+
+# (family, whether make_families stacks it): ten points at n = 3 fit one
+# block; twenty at n = 100 do not (n m^2 > _BLOCK_ENTRIES), nor do words
+# with no array form
+MASK_FAMILIES = {"stacked": (lambda: rotation_mask_family(10, 3), True),
+                 "walked": (lambda: rotation_mask_family(20, 100), False),
+                 "mixed-tails": (mixed_tail_family, False)}
+
+
 class TestStackedFamilies:
-    """make_families' stacked pass against the walk of each family alone and
-    the ``_masks`` pass over its relation, bit for bit."""
+    """make_families' stacked pass against the walk of each family alone, and
+    ``_masks`` on stacked, walked and array-less families against a loop
+    over every pair."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stacked_equals_per_family(self, monkeypatch, seed):
@@ -898,21 +947,33 @@ class TestStackedFamilies:
                 assert same_arrays(inst.pairs(), want), (system, inst.n, inst.eps)
                 i, j, d = reference_relation(system, inst.n, pts, inst.eps)
                 assert (want[0].tolist(), want[1].tolist()) == (i.tolist(), j.tolist())
-                alone = SeparationInstance(system, inst.n, inst.eps, pts, np.zeros(len(pts)))
-                assert (inst.n, inst.eps) in inst._relations.masks
-                for strict in (False, True):
-                    held = partition._masks(inst, strict)
-                    assert held == partition._masks(alone, strict)
-                    assert all(type(v) is int for v in held)
+                check_masks(inst, reference_relation(system, inst.n, pts, math.inf))
 
-    def test_families_past_the_oracle_cap_get_no_masks(self):
-        # masks serve the exact oracles only, which take at most ORACLE_CAP points
+    @pytest.mark.parametrize("path", sorted(MASK_FAMILIES))
+    def test_masks_on_every_path(self, path):
+        family, stacks = MASK_FAMILIES[path]
+        system, pts, requests, pairs = family()
+        [insts] = make_instances(system, pts, requests, [None])
+        assert bool(insts[0]._relations.found) == stacks  # else it walks on first use
+        for inst in insts:
+            check_masks(inst, pairs)
+        # the fault: the strict masks take the pairs at d = eps too, as the
+        # loose masks do; the first request has a pair at d = eps
+        source = textwrap.dedent(inspect.getsource(partition._masks))
+        assert source.count("duv < eps") == 1
+        scope = dict(vars(partition))
+        exec(compile(source.replace("duv < eps", "duv <= eps"), partition.__file__, "exec"), scope)
+        with pytest.raises(AssertionError):
+            check_masks(insts[0], pairs, scope["_masks"])
+
+    def test_a_family_past_the_oracle_cap_stacks(self):
+        # a 21-point family, past the exact oracles' cap, shares a batch with
+        # a small one and gets its relation from the stacked pass
         system, m = Rotation(0.3), partition.ORACLE_CAP + 1
         big, small = [real(i / m) for i in range(m)], [real(i / 7) for i in range(7)]
         [[wide]], [[narrow]] = partition.make_families(
             [(system, big, [(2, 0.2)], [None]), (system, small, [(2, 0.2)], [None])])
-        assert wide._relations.found and not wide._relations.masks
-        assert set(narrow._relations.masks) == {(2, 0.2)}
+        assert wide._relations.found and narrow._relations.found
         assert same_arrays(wide.pairs(), bowen_relation(system, 2, big, 0.2))
 
     def test_a_point_set_is_stepped_once(self, monkeypatch):

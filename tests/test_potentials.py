@@ -43,9 +43,10 @@ from pdim.systems import (
     Word,
     binary_expansion_map,
     golden_mean_sft,
-    identity_factor,
     real,
 )
+
+from oneshot import identity_factor
 
 FS = FullShift(2)
 
@@ -488,6 +489,12 @@ def reference_sup_inf_norm(phi, system, points):
     return max(vals), min(vals), table
 
 
+def report_table(report):
+    """The report's (d, gap) pairs sorted by d, then gap."""
+    order = np.lexsort((report.gap, report.d))
+    return list(zip(report.d[order].tolist(), report.gap[order].tolist()))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_sup_inf_norm_matches_the_pair_loop(seed):
     rng = np.random.default_rng(seed)
@@ -506,8 +513,8 @@ def test_sup_inf_norm_matches_the_pair_loop(seed):
         if pts is None:
             pts = system.sample_points(64, np.random.default_rng(7))
         sup, inf, table = reference_sup_inf_norm(phi, system, pts)
-        assert (report.sup, report.inf, report.table) == (sup, inf, table)
-        assert all(type(d) is float and type(g) is float for d, g in report.table)
+        assert (report.sup, report.inf, report_table(report)) == (sup, inf, table)
+        assert report.d.dtype == report.gap.dtype == np.float64
         for eps in (1e-3, 0.01, 0.05, 0.1, 0.3, 1.0):
             expect = max([g for d, g in table if d < eps], default=0.0)
             assert report.modulus(eps) == expect * (1.0 + 1e-12) + 1e-15
@@ -546,7 +553,7 @@ def test_modulus_matches_the_table_loop():
             assert np.isnan(gaps).any() and np.isinf(gaps).any()
         assert max(np.unique(report.d, return_counts=True)[1]) > 1  # ties in d
         for eps in np.unique(report.d).tolist() + [0.0, 1e-3, 1 / 8 + 1e-9, 0.5, math.inf]:
-            assert report.modulus(eps) == reference_modulus(report.table, eps), eps
+            assert report.modulus(eps) == reference_modulus(report_table(report), eps), eps
     assert report.modulus(1 / 8 + 1e-9) == 1e-15  # NaN gaps alone, skipped
 
 

@@ -35,12 +35,13 @@ from pdim.symbolic import (
     deflated_scale,
     exact_growth_table,
     log_weighted_word_sum,
-    log_weighted_word_sums,
     log_weighted_word_tables,
     log_word_count,
     required_length,
 )
 from pdim.systems import SFT, BudgetExceededError, FullShift, golden_mean_sft, word_total
+
+from oneshot import log_weighted_word_sums
 
 
 def enumerate_sum(system, potential, n, length):

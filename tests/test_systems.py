@@ -23,7 +23,6 @@ from pdim.systems import (
     WordGrid,
     binary_expansion_map,
     golden_mean_sft,
-    identity_factor,
     orbit_array,
     real,
     scale_index,
@@ -32,6 +31,8 @@ from pdim.systems import (
     word_array,
     word_total,
 )
+
+from oneshot import identity_factor
 
 rng = np.random.default_rng(12345)
 
