@@ -16,8 +16,13 @@ floats are written with ``repr`` so values round-trip exactly.
 Exit codes: 0 success, 1 verification or sandwich failure, 2 usage or
 config error (an unwritable --out among them, and in ``estimate`` and
 ``sweep`` a weight or log value that leaves float range), 3 candidate,
-enumeration, transfer-state, distance-matrix, Bowen-relation, orbit-array or
-grid budget exceeded.
+enumeration, transfer-state, orbit-array, grid or Bowen-relation budget
+exceeded.  No config is refused for its candidate count alone: a Bowen
+relation walk refuses before its first step when it would step more than
+2^27 pairs (what 2 GiB keeps at 16 bytes each), and stops before the pairs
+it keeps pass 2 GiB.  An eps grid capped at the candidate budget short of
+its scale still runs, with one warning line on stderr: its samples are not
+bounds.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .systems import (
     SFT,
     ShiftSystem,
     System,
+    WordGrid,
     _check_array_budget,
     real,
 )
@@ -375,6 +381,11 @@ def _collect_tables(cfg: dict) -> tuple[System, object, list[GrowthTable]]:
                                cfg["estimators"], cfg["budget"])
     except NotLocallyConstantError as e:
         raise ConfigError(f"the scales.k path needs an exact shift profile: {e}")
+    # a sample's one note is "uncertified-candidates"
+    if thin := list(dict.fromkeys((s.n, s.scale) for t in tables for s in t.samples if s.note)):
+        print(f"warning: {len(thin)} candidate grids capped at the budget of {cfg['budget']} "
+              f"points are coarser than their scale (first n={thin[0][0]} eps={thin[0][1]!r}); "
+              "their samples are not bounds", file=sys.stderr)
     return system, potential, tables
 
 
@@ -484,7 +495,7 @@ def cmd_oracle(args) -> int:
         return 2
     rng = np.random.default_rng(args.seed)
     shift = FullShift(2)
-    all_words = [shift.representative(w) for w in shift.admissible_words(5)]
+    all_words = WordGrid(shift, shift.word_rows(5))
 
     def draw():
         for trial in range(args.trials):

@@ -15,10 +15,13 @@ families of one call, n m^2 <= _BLOCK_ENTRIES, get their relations there,
 in batches of one metric call per time chunk (``_stacked``); any other
 family walks through time once for all its requests, on first use
 (``_Walk``), in O(m + E) memory plus cache-sized blocks for E kept pairs.
-Kept pairs past ``systems.ARRAY_BUDGET_BYTES`` (16 bytes each), counted
-over all the requests of a walk, raise BudgetExceededError, which the CLI
-turns into exit code 3; a family whose relations fit the budget only one at
-a time walks each request alone, holding one relation.
+A walk keeps pairs against ``systems.ARRAY_BUDGET_BYTES`` at 16 bytes each,
+over all its requests, and before its first step it bounds its work: the
+pairs it would step from t = 0 may number at most as many as that budget
+keeps (2^27).  Past either it raises BudgetExceededError, which the CLI
+turns into exit code 3; no point set is refused for its size alone.  A
+family whose relations fit the budget only one at a time walks each request
+alone, holding one relation.
 
 Greedy separated is O(m + E) in total.  Greedy spanning reads one
 closed-ball CSR (each candidate's strict-eps neighbours, then itself) and
@@ -47,6 +50,7 @@ from enum import IntEnum
 import numpy as np
 
 from .logsum import logsumexp
+from . import systems
 from .potentials import Potential
 from .systems import (
     BudgetExceededError,
@@ -54,7 +58,6 @@ from .systems import (
     Point,
     System,
     _check_array_budget,
-    check_distance_budget,
     orbit_array,
     power_base,
     with_orbit,
@@ -244,9 +247,10 @@ def bowen_relations(system: System, points: Sequence[Point],
     contract a dropped pair has d_n > eps for each of them.  Points with no
     array form go through the filter at eps on ``bowen_metric`` values.
     Raises ValueError for n < 1 or an eps that is not positive (NaN
-    included), and BudgetExceededError before the pairs kept for all the
-    requests together pass ARRAY_BUDGET_BYTES.  Repeated requests share one
-    result.
+    included), and BudgetExceededError before the first step where a walk
+    would step more pairs from t = 0 (the sweep's windows, or every pair on
+    row blocks) than ARRAY_BUDGET_BYTES keeps at 16 bytes a pair, and before
+    the pairs kept for all the requests together pass it.  Repeated requests share one result.
     """
     requests = list(requests)
     for n, eps in requests:
@@ -350,7 +354,9 @@ class _Walk:
 
     Each request collects its pairs in ``parts``; ``kept`` counts them over
     all the requests, against the budget as they come (16 bytes a pair:
-    int32 i and j, float64 d).
+    int32 i and j, float64 d).  Before the first step, the pairs it would
+    step from t = 0 may number no more than that budget keeps
+    (``check_stepped``).
     """
 
     def __init__(self, system: System, points: Sequence[Point], orbit: np.ndarray | None,
@@ -379,6 +385,13 @@ class _Walk:
         """The largest min(eps, bowen_radius(n - t + 1, eps)) over the requests with n >= t."""
         return max(min(eps, self.system.bowen_radius(n - t + 1, eps))
                    for n, eps in self.requests if n >= t)
+
+    def check_stepped(self, pairs: int) -> None:
+        # a bound on work, not memory: the pairs are stepped in blocks, but
+        # no more of them than the kept-pair budget could hold
+        if pairs > (budget := systems.ARRAY_BUDGET_BYTES // 16):
+            raise BudgetExceededError(f"Bowen walk would step {pairs} pairs of "
+                                      f"{len(self.points)} points, over the {budget}-pair budget")
 
     def keep(self, r: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -> None:
         """Appends the pairs to request r's parts after the budget check."""
@@ -412,6 +425,7 @@ class _Walk:
 
     def row_blocks(self) -> None:
         system, points, orbit, m = self.system, self.points, self.orbit, len(self.points)
+        self.check_stepped(m * (m - 1) // 2)
         lo = 0
         while lo < m:
             if orbit is None:
@@ -446,7 +460,7 @@ class _Walk:
         far end; no window (eps = inf, or a reach of half the period or
         more) counts every pair.  The candidates go, in runs of whole rows
         of at most _BLOCK_ENTRIES pairs (or one row), through ``walk`` from
-        t = 0.
+        t = 0, once all of them together pass ``check_stepped``.
         """
         orbit, m = self.orbit, len(self.points)
         swept = self.system.sweep_key(orbit[0])
@@ -476,8 +490,10 @@ class _Walk:
             lo = np.searchsorted(key, key - period + window, side="right")
             wrap = np.maximum(np.searchsorted(lo, rows, side="right"), hi)
         count = hi - rows - 1 + m - wrap
-        if 8 * int(count.sum()) > m * (m - 1):
+        pairs = int(count.sum())
+        if 8 * pairs > m * (m - 1):
             return False
+        self.check_stepped(pairs)
         runs = np.stack([hi - rows - 1, m - wrap], axis=1)
         firsts = np.stack([rows + 1, wrap], axis=1)
         ends = np.concatenate([[0], np.cumsum(count)])
@@ -500,11 +516,11 @@ class _Walk:
 def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:
     """Symmetric matrix of ``system.bowen_metric(n, x, y)`` over the points, bit for bit.
 
-    The eps = inf case of ``bowen_relations``, written into a matrix; calls
-    ``check_distance_budget`` before any work.
+    The eps = inf case of ``bowen_relations``, written into a matrix; checks
+    the matrix's 8·m^2 bytes against ARRAY_BUDGET_BYTES before any work.
     """
     m = len(points)
-    check_distance_budget(m)
+    _check_array_budget(m, m, f"Bowen distance matrix for {m} points")
     [(i, j, d)] = bowen_relations(system, points, [(n, math.inf)])
     out = np.zeros((m, m))
     out[i, j] = out[j, i] = d

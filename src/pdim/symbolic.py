@@ -173,23 +173,21 @@ def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list
     where the value is the start vector's sum.
     """
     p = max(reach - 1, 1)
-    states = list(system.admissible_words(p))
-    index = {w: i for i, w in enumerate(states)}
-    windows = [w + (s,) for w in states for s in range(system.k)
-               if system.is_admissible_pair(w[-1], s)]
-    rows = np.array([index[w[:-1]] for w in windows], dtype=np.intp)
-    cols = np.array([index[w[1:]] for w in windows], dtype=np.intp)
+    states = system.word_rows(p)
+    rows, windows = system.extend_words(states)
+    index = {w: i for i, w in enumerate(map(tuple, states.tolist()))}
+    cols = np.array([index[w] for w in map(tuple, windows[:, 1:].tolist())], dtype=np.intp)
     S, T = len(states), len(steps)
     free = np.full((S, d, S, d), -np.inf)
     for i in range(d):
         free[rows, i, cols, i] = 0.0
     on = np.full((T, S, d, S, d), -np.inf)
     start = np.zeros((T, S * d))
-    win = np.array(windows, dtype=np.int64)[:, -reach:]
+    win = windows[:, -reach:]
     for t, step in enumerate(steps):
         on[t, rows, :, cols, :] = step(win).reshape(-1, d, d)
         if reach == 1:
-            first = step(np.array(states, dtype=np.int64))
+            first = step(states)
             start[t] += first if d == 1 else np.logaddexp.reduce(first, axis=1).reshape(-1)
     n_at = {n: j for j, n in enumerate(dict.fromkeys(ns))}
     v = np.repeat(start[:, None, :], len(n_at), axis=1)

@@ -16,9 +16,9 @@ that the array forms are tested against.
 
 A candidate set's points are a ``Grid``: one array, built by numpy, with a
 row per candidate (``RealGrid``: the x values; ``WordGrid``: the symbols of
-the admissible words, in ``admissible_words`` order).  ``coordinates`` and
-``word_array`` read that array, so the estimators build no point object; a
-``RealPoint`` or ``representative`` word is built only when a row is read.
+the admissible words, in ``ShiftSystem.word_rows`` order).  ``coordinates``
+and ``word_array`` read that array, so the estimators build no point object;
+a ``RealPoint`` or ``representative`` word is built only when a row is read.
 Points that carry their orbit (``OrbitPoints``, from ``with_orbit``) give
 ``orbit_array`` its rows back, for their system and every power of it, so
 a point set is stepped once however many weights and relations read it.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +41,11 @@ class BudgetExceededError(RuntimeError):
 # Most symbols a word may have in a shift's array form: its distances are
 # integers below 2^53 times 2^-52, so float64 holds them exactly.
 WORD_BITS = 53
-# Largest array built from a candidate set: orbit_array here, the Bowen distance
-# matrix (8·m^2 bytes) and the Bowen relation of pdim.partition (16 bytes a kept
-# pair, 16·m(m-1)/2 with every pair kept); both pass it just past m = 16384.
+# Largest array built from a candidate set: orbit_array here, and in
+# pdim.partition the Bowen distance matrix (8·m^2 bytes) and the pairs a Bowen
+# relation walk keeps (16 bytes a pair).  Before its first step a walk also
+# bounds the pairs it would step from t = 0 (every pair, m(m-1)/2, on row
+# blocks) by the 2^27 pairs the budget keeps.
 ARRAY_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -52,12 +54,6 @@ def _check_array_budget(rows: int, cols: int, what: str) -> None:
     if nbytes > ARRAY_BUDGET_BYTES:
         raise BudgetExceededError(
             f"{what} needs {nbytes} bytes, over the {ARRAY_BUDGET_BYTES}-byte budget")
-
-
-def check_distance_budget(m: int) -> None:
-    """Raise BudgetExceededError past m = 16384 points, where an m x m Bowen
-    distance matrix and a Bowen relation keeping all pairs are over budget."""
-    _check_array_budget(m, m, f"Bowen distance matrix for {m} points")
 
 
 @dataclass(frozen=True)
@@ -165,9 +161,11 @@ class WordGrid(Grid):
         bridges = [system.bridge_to_tail(s) for s in range(system.k)]
         present = np.flatnonzero(np.bincount(last, minlength=system.k)).tolist()
         width = max(len(bridges[s]) for s in present)
+        if not width:  # every word is its own representative, as on a full shift
+            return self.rows
         pad = (system.tail_symbol,) * width
         table = np.array([(b + pad)[:width] for b in bridges], dtype=np.int64)
-        out = np.concatenate([self.rows, table.reshape(system.k, width)[last]], axis=1)
+        out = np.concatenate([self.rows, table[last]], axis=1)
         out.setflags(write=False)
         return out
 
@@ -312,9 +310,12 @@ class System:
         return None
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
-        """Points dense enough for scale eps at time n; raises BudgetExceededError
-        before building a set of over 16384 points, whose Bowen relation at eps
-        = inf (16·m(m-1)/2 bytes) or distance matrix would be over budget."""
+        """Points dense enough for scale eps at time n.  The candidate
+        ``budget`` bounds their count (a shift raises BudgetExceededError past
+        it, a grid thins and is not certified); no set is refused for its size
+        alone.  The work on it has its own budgets: a Bowen relation walk
+        refuses before its first step when it would step more pairs than
+        ARRAY_BUDGET_BYTES keeps at 16 bytes each (2^27)."""
         raise NotImplementedError
 
     def sample_points(self, count: int, rng: np.random.Generator) -> list[Point]:
@@ -380,32 +381,29 @@ class ShiftSystem(System):
     def is_admissible_pair(self, a: int, b: int) -> bool:
         raise NotImplementedError
 
+    @functools.cached_property
+    def transitions(self) -> np.ndarray:
+        """k x k bool transition matrix, read from ``is_admissible_pair`` once."""
+        k = range(self.k)
+        out = np.array([[self.is_admissible_pair(a, b) for b in k] for a in k])
+        out.setflags(write=False)
+        return out
+
     def word_rows(self, length: int) -> np.ndarray:
         """(count, length) int64 array of the admissible words of a length
-        of at least 1, in ``admissible_words`` order: first symbol
-        descending, each later place ascending under its prefix, as each
-        place expands every word by its successors in the transition matrix."""
-        k = range(self.k)
-        succ = np.array([[self.is_admissible_pair(a, b) for b in k] for a in k])
+        of at least 1: first symbol descending, each later place ascending
+        under its prefix, as each place expands every word by its successors
+        in the transition matrix (``extend_words``)."""
         words = np.arange(self.k - 1, -1, -1, dtype=np.int64)[:, None]
         for _ in range(1, length):
-            parent, symbol = np.nonzero(succ[words[:, -1]])
-            words = np.column_stack([words[parent], symbol])
+            words = self.extend_words(words)[1]
         return words
 
-    def admissible_words(self, length: int) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            yield ()
-            return
-        stack: list[tuple[int, ...]] = [(s,) for s in range(self.k)]
-        while stack:
-            w = stack.pop()
-            if len(w) == length:
-                yield w
-                continue
-            for s in range(self.k - 1, -1, -1):
-                if self.is_admissible_pair(w[-1], s):
-                    stack.append(w + (s,))
+    def extend_words(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each word's admissible one-symbol extensions, ascending under it,
+        as (the row of each extension's prefix, the extensions)."""
+        parent, symbol = np.nonzero(self.transitions[words[:, -1]])
+        return parent, np.column_stack([words[parent], symbol])
 
     @property
     def tail_symbol(self) -> int:
@@ -486,12 +484,8 @@ class ShiftSystem(System):
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         length = n + scale_index(eps)
-        count = word_total(self, length, cap=budget)
-        if count > budget:
-            raise BudgetExceededError(
-                f"admissible words of length {length} exceed budget {budget}"
-            )
-        check_distance_budget(count)
+        if word_total(self, length, cap=budget) > budget:
+            raise BudgetExceededError(f"admissible words of length {length} exceed budget {budget}")
         return CandidateSet(points=WordGrid(self, self.word_rows(length)), certified=True)
 
     def sample_points(self, count: int, rng: np.random.Generator, length: int = 24) -> list[Point]:
@@ -605,7 +599,7 @@ def word_total(system: ShiftSystem, length: int, cap: int | None = None) -> int:
     if isinstance(system, FullShift):  # k >= 2: k^b > cap at b = cap's bit length
         return min(system.k ** (length if cap is None else min(length, cap.bit_length())), top)
     k = range(system.k)
-    a = [[int(system.is_admissible_pair(s, t)) for t in k] for s in k]
+    a = system.transitions.astype(int).tolist()
     counts = [1] * system.k
     m = length - 1
     while m:
@@ -643,10 +637,7 @@ class CircleSystem(System):
             m = max(1, math.ceil(1.0 / target))
         except (OverflowError, ZeroDivisionError):  # mesh below float range
             target, m = 0.0, budget + 1
-        capped = m > budget
-        if capped:
-            m = budget
-        check_distance_budget(m)
+        capped, m = m > budget, min(m, budget)
         achieved = 1.0 / m
         return CandidateSet(points=RealGrid(np.arange(m) / m),
                             certified=not capped or achieved <= target)
@@ -721,10 +712,7 @@ class Contraction(System):
             m = math.ceil(1.0 / (eps / 2.0))
         except (OverflowError, ZeroDivisionError):  # mesh below float range
             m = budget + 1
-        capped = m > budget
-        if capped:
-            m = budget
-        check_distance_budget(m + 1)
+        capped, m = m > budget, min(m, budget)
         achieved = 1.0 / m
         return CandidateSet(points=RealGrid(np.minimum(1.0, np.arange(m + 1) * achieved)),
                             certified=not capped)

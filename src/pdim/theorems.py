@@ -65,6 +65,7 @@ from .systems import (
     PowerSystem,
     Rotation,
     ShiftSystem,
+    WordGrid,
     binary_expansion_map,
     golden_mean_sft,
     orbit_array,
@@ -205,7 +206,7 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
         G = int(rng.integers(4, 9))
         drawn.append((system, pts, pot, n, G, float(rng.uniform(0.15, 0.45))))
     families = iter(make_families(
-        [(system, [system.representative(w) for w in system.admissible_words(n + k)],
+        [(system, WordGrid(system, system.word_rows(n + k)),
           [(n, deflated_scale(k))], [pot]) for system, pot in cases for n, k in dual]
         + [(system, pts, [(n, 1.0 / G / 4.0), (n, eps)], [pot])
            for system, pts, pot, n, G, eps in drawn]))
@@ -311,7 +312,7 @@ def check_thm31(seed: int = 0, fault: float = 0.0) -> CheckReport:
     ns = list(range(1, n_max + 1))
     for (system, pot), by_k in zip(scenarios, _sums_by_system(scenarios, ns, [k])):
         sums = by_k[k]
-        reps = [system.representative(w) for w in system.admissible_words(2)]
+        reps = WordGrid(system, system.word_rows(2))
         vals = pot.eval_array(1, reps).tolist()
         sup1, inf1 = max(vals), min(vals)
         supabs = max(abs(v) for v in vals)
@@ -455,7 +456,7 @@ def check_thm34(seed: int = 0, fault: float = 0.0) -> CheckReport:
     # shift variant with zero potential: separated counts for sigma^2 at n
     # never exceed those for sigma at 2n
     shift = FullShift(2)
-    cand = [shift.representative(w) for w in shift.admissible_words(4)]
+    cand = WordGrid(shift, shift.word_rows(4))
     eps = deflated_scale(1)
     families += [(PowerSystem(shift, 2), cand, [(2, eps)], [None]), (shift, cand, [(4, eps)], [None])]
 
@@ -503,7 +504,7 @@ def check_thm35(seed: int = 0, fault: float = 0.0) -> CheckReport:
     pi = binary_expansion_map()
     shift = pi.source
     doubling = pi.target
-    words = [shift.representative(w) for w in shift.admissible_words(4)]
+    words = WordGrid(shift, shift.word_rows(4))
     images = list(dict.fromkeys(pi.apply(w) for w in words))  # distinct, in word order
     violations = []
     pots = [

@@ -1,12 +1,25 @@
-"""One-case forms of pdim's family functions, which the tests build their
-references and single cases from.
+"""One-case forms of pdim's family functions, and a reference enumeration
+of admissible words, which the tests build their references and single
+cases from.
 
-Each calls its family form through the module, so a test that spies on the
-family form by ``monkeypatch.setattr`` sees these calls too.
+Each one-case form calls its family form through the module, so a test that
+spies on the family form by ``monkeypatch.setattr`` sees these calls too.
 """
+
+import itertools
 
 from pdim import partition, symbolic
 from pdim.systems import FactorMap
+
+
+def admissible_words(system, length):
+    """The admissible words of a length of at least 1, as tuples, in
+    ``ShiftSystem.word_rows`` order (first symbol descending, each later
+    place ascending): every word of ``itertools.product`` whose neighbouring
+    symbols pass ``is_admissible_pair``."""
+    places = [range(system.k - 1, -1, -1)] + [range(system.k)] * (length - 1)
+    return [w for w in itertools.product(*places)
+            if all(system.is_admissible_pair(a, b) for a, b in zip(w, w[1:]))]
 
 
 def bowen_relation(system, n, points, eps):

@@ -42,6 +42,8 @@ from pdim.symbolic import exact_growth_table, log_weighted_word_sum
 from pdim.systems import Contraction, FullShift, Rotation, golden_mean_sft, real
 from pdim.theorems import run_suite
 
+from oneshot import admissible_words
+
 LOG2 = math.log(2.0)
 
 
@@ -169,7 +171,7 @@ def test_criterion_5_oracle_sandwich():
         else:
             system = gm if trial % 4 == 1 else fs4
             length = 5 if system is gm else 4
-            pts = [system.representative(w) for w in system.admissible_words(length)]
+            pts = [system.representative(w) for w in admissible_words(system, length)]
             table = rng.normal(scale=0.6, size=2)
             pot = symbol_weights(system, table)
             n = int(rng.integers(1, length + 1))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from oneshot import admissible_words
 from test_config_mutations import CHILD_ADDRESS_LIMIT, bench_workloads
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -17,7 +18,7 @@ import pdim
 from pdim import cli, systems
 from pdim.cli import (CSV_HEADER, MAX_POTENTIAL_DEPTH, build_parser, build_potential,
                       build_system, main)
-from pdim.dimension import entropy_dimension
+from pdim.dimension import entropy_dimension, growth_tables
 from pdim.logsum import logsumexp
 
 
@@ -282,7 +283,7 @@ class TestConfigErrors:
         assert len(rows) == 12 and {r[8] for r in rows} == {"true"}
         for r in rows:
             n = int(r[3])
-            words = [system.representative(w) for w in system.admissible_words(n + 2)]
+            words = [system.representative(w) for w in admissible_words(system, n + 2)]
             assert float(r[6]) == pytest.approx(logsumexp(pot.eval_array(n, words)),
                                                 rel=1e-12, abs=0.0)
 
@@ -765,7 +766,7 @@ class TestBudget:
         def boom(*args, **kwargs):
             raise AssertionError("transfer states were listed before the cap check")
 
-        monkeypatch.setattr(systems.FullShift, "admissible_words", boom)
+        monkeypatch.setattr(systems.FullShift, "word_rows", boom)
         cfg = write_config(tmp_path, system=system, potential=potential,
                            n_range=[2, 3, 4, 5], scales={"k": [0]})
         assert main(["estimate", "--config", cfg,
@@ -784,17 +785,19 @@ class TestBudget:
         assert err.startswith("budget exceeded: orbit array for 20 points")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("system, eps, message", [
-        ({"kind": "contraction", "c": 0.5}, 5e-324, "Bowen distance matrix for 2000001 points"),
-        ({"kind": "full_shift", "k": 2}, 5e-324, "admissible words of length 1077 exceed"),
-        ({"kind": "full_shift", "k": 2}, 1e-310, "admissible words of length 1033 exceed"),
+    @pytest.mark.parametrize("system, n_range, eps, message", [
+        ({"kind": "contraction", "c": 0.5}, [200, 201], 5e-324,
+         "orbit array for 2000001 points over 200 steps"),
+        ({"kind": "full_shift", "k": 2}, [2, 3], 5e-324, "admissible words of length 1077 exceed"),
+        ({"kind": "full_shift", "k": 2}, [2, 3], 1e-310, "admissible words of length 1033 exceed"),
     ], ids=["contraction", "shift-5e-324", "shift-1e-310"])
-    def test_subnormal_eps_exits_three(self, tmp_path, capsys, system, eps, message):
-        # the contraction's mesh eps / 2 underflows to 0; a shift needs
-        # 1 + ceil(log2(1/eps)) more symbols, read from eps's exponent as
-        # 1/eps overflows
+    def test_subnormal_eps_exits_three(self, tmp_path, capsys, system, n_range, eps, message):
+        # the contraction's mesh eps / 2 underflows to 0, so its grid takes
+        # the candidate budget's 2000001 points, whose orbit over 200 steps is
+        # over budget; a shift needs 1 + ceil(log2(1/eps)) more symbols, read
+        # from eps's exponent as 1/eps overflows
         cfg = write_config(tmp_path, system=system, potential={"kind": "zero"},
-                           n_range=[2, 3], scales={"eps": [eps]})
+                           n_range=n_range, scales={"eps": [eps]})
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err
@@ -805,38 +808,89 @@ class TestBudget:
                            n_range=[1026, 1027], scales={"eps": [0.1]}, budget=50)
         out = tmp_path / "o.csv"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == (
+            "warning: 2 candidate grids capped at the budget of 50 points are coarser than "
+            "their scale (first n=1026 eps=0.1); their samples are not bounds\n")
         assert {r[3] for r in read_rows(out)[1:] if r[3]} == {"1026", "1027"}
 
-    def test_distance_matrix_over_budget_exits_three(self, tmp_path, capsys):
-        # 40960 grid points would need a 13 GB Bowen distance matrix
-        cfg = write_config(tmp_path, system={"kind": "doubling"}, potential={"kind": "zero"},
+    def test_subnormal_eps_contraction_warns_its_grid_is_uncertified(self, tmp_path, capsys):
+        # at n = 2, 3 the grid of 2000001 points that the underflowed mesh
+        # leaves runs; its samples bound nothing, and one stderr line says so
+        cfg = write_config(tmp_path, system={"kind": "contraction", "c": 0.5},
+                           potential={"kind": "zero"}, n_range=[2, 3], scales={"eps": [5e-324]})
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 2 candidate grids capped at the budget of 2000000 points are coarser "
+            "than their scale (first n=2 eps=5e-324); their samples are not bounds\n")
+        assert {r[3] for r in read_rows(out)[1:] if r[3]} == {"2", "3"}
+
+    def test_doubling_past_16384_points_runs(self, tmp_path, capsys):
+        # 40960 grid points, past m = 16384, where all pairs together would
+        # pass the pair budget: the sweep steps only the pairs within reach
+        cfg = write_config(tmp_path, system={"kind": "doubling"},
+                           potential={"kind": "birkhoff", "fn": "x"},
                            n_range=[12], scales={"eps": [0.1]})
-        assert main(["estimate", "--config", cfg,
-                     "--out", str(tmp_path / "o.csv")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("budget exceeded: ") and "40960 points" in err
-        assert err.count("\n") == 1
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        conf = cli.load_config(cfg)
+        system = build_system(conf["system"])
+        pot = build_potential(conf["potential"], system)
+        assert len(system.candidate_set(12, 0.1).points) == 40960
+        tables = growth_tables(system, pot, [12], "eps", [0.1], conf["estimators"], conf["budget"])
+        want = [[system.label, pot.label, str(int(s.estimator)), str(s.n), repr(float(s.scale)),
+                 "", repr(float(s.log_value)), "", str(bool(s.exact)).lower()]
+                for table in tables for s in table.samples]
+        assert len(want) == len(conf["estimators"])
+        assert [r for r in read_rows(out)[1:] if r[3]] == want
 
-    @pytest.mark.parametrize("system, n, eps, points", [
-        ({"kind": "doubling"}, 1030, 0.1, 2_000_000),
-        ({"kind": "full_shift", "k": 2}, 18, 0.5, 2**20),
-        ({"kind": "contraction", "c": 0.5}, 3, 1e-4, 20_001),
-    ], ids=["doubling", "full_shift", "contraction"])
-    def test_distance_budget_exits_before_any_point_is_built(
-            self, tmp_path, capsys, monkeypatch, system, n, eps, points):
-        def listed(*args, **kwargs):
-            raise AssertionError("candidate points were built")
+    @pytest.mark.parametrize("system, n, eps, pairs, points", [
+        ({"kind": "doubling"}, 14, 0.45, 662789436, 36409),
+        ({"kind": "full_shift", "k": 3}, 8, 0.25, 148005315, 177147),
+    ], ids=["doubling", "full_shift(3)"])
+    def test_stepped_pairs_over_budget_exit_three_before_any_step(
+            self, tmp_path, capsys, monkeypatch, system, n, eps, pairs, points):
+        # doubling's windows hold over a quarter of the pairs, so its walk
+        # goes by row blocks, which step every pair; the 3-symbol words'
+        # plane-0 keys put 1.5·10^8 pairs in the sweep's windows
+        def stepped(*args, **kwargs):
+            raise AssertionError("a metric call ran before the stepped-pair check")
 
-        monkeypatch.setattr(systems, "real", listed)
-        monkeypatch.setattr(systems.ShiftSystem, "admissible_words", listed)
+        for cls in (systems.CircleSystem, systems.ShiftSystem):
+            monkeypatch.setattr(cls, "metric_array", stepped)
         cfg = write_config(tmp_path, system=system, potential={"kind": "zero"},
                            n_range=[n], scales={"eps": [eps]})
         assert main(["estimate", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err == (
-            f"budget exceeded: Bowen distance matrix for {points} points needs "
-            f"{8 * points**2} bytes, over the {systems.ARRAY_BUDGET_BYTES}-byte budget\n")
+            f"budget exceeded: Bowen walk would step {pairs} pairs of {points} points, "
+            f"over the {systems.ARRAY_BUDGET_BYTES // 16}-pair budget\n")
+
+    @pytest.mark.parametrize("system, n, eps, budget, message", [
+        ({"kind": "doubling"}, 1030, 0.1, 2_000_000,
+         "orbit array for 2000000 points over 1030 steps needs 16480000000 bytes, "
+         f"over the {systems.ARRAY_BUDGET_BYTES}-byte budget"),
+        ({"kind": "full_shift", "k": 2}, 18, 0.5, 2**20 - 1,
+         "admissible words of length 20 exceed budget 1048575"),
+        ({"kind": "contraction", "c": 0.5}, 10**6, 1e-4, 2_000_000,
+         "orbit array for 20001 points over 1000000 steps needs 160008000000 bytes, "
+         f"over the {systems.ARRAY_BUDGET_BYTES}-byte budget"),
+    ], ids=["doubling", "full_shift", "contraction"])
+    def test_budget_exits_before_any_point_is_built(
+            self, tmp_path, capsys, monkeypatch, system, n, eps, budget, message):
+        # a grid's orbit, and the words' count against the config's candidate
+        # budget, are checked before any point object or word row is built
+        def listed(*args, **kwargs):
+            raise AssertionError("candidate points were built")
+
+        monkeypatch.setattr(systems, "real", listed)
+        monkeypatch.setattr(systems.ShiftSystem, "word_rows", listed)
+        cfg = write_config(tmp_path, system=system, potential={"kind": "zero"},
+                           n_range=[n], scales={"eps": [eps]}, budget=budget)
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == f"budget exceeded: {message}\n"
 
     def test_circle_systems_cap_instead(self, tmp_path):
         # the circle path thins its grid and flags the rows, exit stays 0

@@ -1,6 +1,7 @@
 """Mutated golden and benchmark configs: ``pdim estimate`` exits 0, 2 or 3 on
-every one, with at most one stderr line, and with none, and no ``inf`` or
-``nan`` in the CSV, when it succeeds.
+every one, with at most one stderr line, and no ``inf`` or ``nan`` in the
+CSV when it succeeds.  The one line a success may print is the warning that
+some candidate grids are capped short of their scale (as at eps = 5e-324).
 
 The configs are the golden ones and the seed-1 configs of the benchmark's
 ``shift-exact`` and ``metric-greedy`` workloads (read from
@@ -21,6 +22,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,11 @@ from test_golden import CONFIGS
 
 import pdim
 from pdim.cli import MAX_POTENTIAL_DEPTH
+
+# the stderr line of a success whose grids are capped short of their scale
+UNCERTIFIED = re.compile(r"warning: \d+ candidate grids capped at the budget of \d+ points are "
+                         r"coarser than their scale \(first n=\d+ eps=\S+\); "
+                         r"their samples are not bounds\n")
 
 # soft RLIMIT_AS of the child; the array budgets stop at 2 GiB
 CHILD_ADDRESS_LIMIT = 3 * 1024**3
@@ -186,7 +193,8 @@ def test_every_mutation_exits_cleanly():
     assert len(results) == len(cases) > 1000
     bad = []
     for (label, text, expect), (code, err, nonfinite) in zip(cases, results):
-        if (code not in (0, 2, 3) or err.count("\n") > 1 or (code == 0 and err)
+        if (code not in (0, 2, 3) or err.count("\n") > 1
+                or (code == 0 and err and not UNCERTIFIED.fullmatch(err))
                 or expect not in (None, code) or nonfinite):
             bad.append(f"{label}: exit {code!r}, stderr {err[:200]!r}, "
                        f"non-finite CSV {nonfinite}, config {text[:500]}")

@@ -53,7 +53,7 @@ from pdim.systems import (
     shift_metric,
 )
 
-from oneshot import bowen_relation, make_instances
+from oneshot import admissible_words, bowen_relation, make_instances
 
 
 def log_sum(weights) -> float:
@@ -102,7 +102,7 @@ def random_rotation_instance(seed, size=8):
 class TestDistances:
     def test_word_matrix_matches_generic_loop(self):
         fs = FullShift(2)
-        pts = [fs.representative(w) for w in fs.admissible_words(6)]
+        pts = [fs.representative(w) for w in admissible_words(fs, 6)]
         for n in (1, 3, 5):
             fast = bowen_distance_matrix(fs, n, pts)
             slow = np.zeros_like(fast)
@@ -196,7 +196,7 @@ def word_case(kind, m):
     system = SHIFT_SYSTEMS[kind](rng)
     shift = system.base if kind == "power" else system
     words = [shift.representative(w) for length in (4, 6)
-             for w in shift.admissible_words(length)]
+             for w in admissible_words(shift, length)]
     return system, [words[i] for i in rng.choice(len(words), size=min(m, len(words)),
                                                    replace=False)]
 
@@ -213,7 +213,7 @@ def triangle_case(kind, n):
     system = SHIFT_SYSTEMS[kind](rng)
     shift = system.base if kind == "power" else system
     words = [shift.representative(w) for length in (3, 5)
-             for w in shift.admissible_words(length)]
+             for w in admissible_words(shift, length)]
     pts = [words[i] for i in rng.choice(len(words), size=m, replace=False)]
     pts[-1] = pts[0]
     return system, pts
@@ -429,7 +429,7 @@ def sweep_case(name):
         return DoublingMap(), 2, [real(float(v)) for v in rng.random(int(name[2:]))]
     if name.startswith("dfs-"):  # plane-0 keys come unsorted, several words to a key
         system = FullShift(3) if name == "dfs-full_shift(3)" else golden_mean_sft()
-        return system, 3, [system.representative(w) for w in system.admissible_words(5)]
+        return system, 3, [system.representative(w) for w in admissible_words(system, 5)]
     if name == "tied-keys-real":
         xs = rng.random(30)
         xs = np.concatenate([xs, xs, xs[:10]])
@@ -564,25 +564,61 @@ class TestBowenRelation:
 
     @pytest.mark.parametrize("name", ["array", "no-array-form"])
     def test_pair_budget_raises_before_keeping(self, monkeypatch, name):
-        # 16 bytes per kept pair; the first row block alone goes over the
-        # budget, which still holds the 800-byte orbit
+        # 16 bytes per kept pair, counted over a family of two requests that
+        # each keep every pair.  The budget holds the pairs stepped from t = 0
+        # (every pair once) and the 1600-byte orbit, so the kept pairs are what
+        # pass it, in the row block where their count first does
         if name == "array":
             system, pts = Rotation(0.3), [real(v / 100) for v in range(100)]
-            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 100)  # one row per block
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 100)  # one row per block to lo = 50
         else:
             system, pts = FullShift(2), FALLBACK_WORDS["mixed-tails"] * 3
-        i, j, _ = bowen_relation(system, 1, pts, 0.5)
-        first = np.count_nonzero(i == 0)
-        assert 0 < first < len(i)
-        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * len(i))
-        assert len(bowen_relation(system, 1, pts, 0.5)[0]) == len(i)
-        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * first - 1)
+        m, requests = len(pts), [(1, 4.0), (2, 4.0)]
+        pairs = m * (m - 1) // 2
+        found = bowen_relations(system, pts, requests)
+        assert [len(i) for i, _, _ in found] == [pairs, pairs]
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * pairs)
+        for request, want in zip(requests, found):  # each request alone fits
+            assert same_arrays(bowen_relations(system, pts, [request])[0], want)
+        # row lo keeps its m - 1 - lo pairs for the first request, then the second
+        kept = np.cumsum([m - 1 - lo for lo in range(m - 1) for _ in requests])
+        crossing = int(np.argmax(kept > pairs))
+        assert crossing // 2 < 50
         shapes = record_metric_calls(monkeypatch, system)
         with pytest.raises(BudgetExceededError,
-                           match=f"Bowen relation of {len(pts)} points needs {16 * first} bytes"):
-            bowen_relation(system, 1, pts, 0.5)
-        # it stopped in the first row block
-        assert sum(len(shape) == 3 for shape in shapes) == (name == "array")
+                           match=f"Bowen relation of {m} points needs {16 * kept[crossing]} bytes"):
+            bowen_relations(system, pts, requests)
+        # it stopped in that row block, one first chunk per row
+        assert sum(len(shape) == 3 for shape in shapes) == (crossing // 2 + 1) * (name == "array")
+
+    @pytest.mark.parametrize("name", ["sweep", "row-blocks", "no-array-form"])
+    def test_stepped_pair_budget_raises_before_any_step(self, monkeypatch, name):
+        # 16 bytes per pair stepped from t = 0: on an even contraction grid at
+        # eps = 1.5 / m the sweep's windows hold each point's next one only;
+        # the row blocks and the points with no array form step every pair
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 100)  # no stacked batch
+        if name == "sweep":
+            system, m, eps = Contraction(0.5), 200, 1.5 / 200
+        elif name == "row-blocks":
+            system, m, eps = Rotation(0.3), 100, 4.0
+        if name == "no-array-form":
+            system, pts, eps = FullShift(2), FALLBACK_WORDS["mixed-tails"] * 3, 4.0
+            m = len(pts)
+        else:
+            pts = [real(v / m) for v in range(m)]
+        stepped = m - 1 if name == "sweep" else m * (m - 1) // 2
+        want = bowen_relation(system, 1, pts, eps)
+        assert len(want[0]) == stepped
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * stepped)
+        assert same_arrays(bowen_relation(system, 1, pts, eps), want)
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * stepped - 1)
+        shapes = record_metric_calls(monkeypatch, system)
+        monkeypatch.setattr(type(system), "bowen_metric", lambda *args: shapes.append(args))
+        with pytest.raises(BudgetExceededError,
+                           match=f"^Bowen walk would step {stepped} pairs of {m} points, "
+                                 f"over the {stepped - 1}-pair budget$"):
+            bowen_relation(system, 1, pts, eps)
+        assert shapes == []  # no metric_array or bowen_metric call
 
 
 # the near-wrap doubling pair that a relative-only slack on the radius dropped
@@ -1059,7 +1095,7 @@ def random_greedy_instance(seed, m):
     else:
         system = FullShift(2)
         length = max(8, (m - 1).bit_length())  # 2^8 words unless m needs more
-        words = [system.representative(w) for w in system.admissible_words(length)]
+        words = [system.representative(w) for w in admissible_words(system, length)]
         pts = [words[i] for i in sorted(rng.choice(len(words), size=m, replace=False))]
         eps = deflated_scale(int(rng.integers(0, 3)))
     weights = rng.integers(0, 3, size=m).astype(float)
@@ -1262,7 +1298,7 @@ class TestExactOracles:
 
     def test_fast_path_skips_cap_when_all_separated(self):
         fs = FullShift(2)
-        pts = [fs.representative(w) for w in fs.admissible_words(5)]  # 32 > cap
+        pts = [fs.representative(w) for w in admissible_words(fs, 5)]  # 32 > cap
         inst = make_instance(fs, 5, deflated_scale(0), pts)
         val = exact_separated_value(inst).log_value
         assert val == pytest.approx(5 * math.log(2))
@@ -1370,7 +1406,8 @@ def random_oracle_instance(kind, seed):
     m = int(rng.integers(2, partition.ORACLE_CAP + 1)) if seed else partition.ORACLE_CAP
     n = int(rng.integers(1, 4))
     if isinstance(system, FullShift):
-        words = [system.representative(w) for w in system.admissible_words(5 if system.k == 2 else 3)]
+        length = 5 if system.k == 2 else 3
+        words = [system.representative(w) for w in admissible_words(system, length)]
         pts = [words[i] for i in rng.choice(len(words), size=m, replace=False)]
         eps = float(rng.uniform(0.2, 1.5))
     else:
@@ -1501,7 +1538,7 @@ class TestCounts:
     def test_count_cap_checked_first(self):
         # all 32 words are separated, which lets exact_separated_value skip its cap
         fs = FullShift(2)
-        pts = [fs.representative(w) for w in fs.admissible_words(5)]
+        pts = [fs.representative(w) for w in admissible_words(fs, 5)]
         with pytest.raises(InstanceTooLargeError):
             count_spanning_separated(fs, 5, deflated_scale(0), pts)
 

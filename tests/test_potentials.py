@@ -46,7 +46,7 @@ from pdim.systems import (
     real,
 )
 
-from oneshot import identity_factor
+from oneshot import admissible_words, identity_factor
 
 FS = FullShift(2)
 
@@ -470,7 +470,7 @@ def test_window_step_reads_every_window_at_once(name):
     system = SHIFT_SYSTEMS[name]
     for pot in profile_cases(system, np.random.default_rng(3)):
         prof = pot.shift_profile()
-        words = list(system.admissible_words(prof.reach))
+        words = list(admissible_words(system, prof.reach))
         got = prof.step(np.array(words, dtype=np.int64))
         assert got.shape == (len(words),), pot.label
         expect = pot.eval_array(1, [system.representative(w) for w in words])

@@ -41,13 +41,13 @@ from pdim.symbolic import (
 )
 from pdim.systems import SFT, BudgetExceededError, FullShift, golden_mean_sft, word_total
 
-from oneshot import log_weighted_word_sums
+from oneshot import admissible_words, log_weighted_word_sums
 
 
 def enumerate_sum(system, potential, n, length):
     """Reference value: walk every admissible word explicitly."""
     vals = [potential.eval(n, system.representative(w))
-            for w in system.admissible_words(length)]
+            for w in admissible_words(system, length)]
     top = max(vals)
     return top + math.log(math.fsum(math.exp(v - top) for v in vals))
 
@@ -429,7 +429,7 @@ class TestTableForm:
         def boom(*args, **kwargs):
             raise AssertionError("transfer states were listed before the cap check")
 
-        monkeypatch.setattr(FullShift, "admissible_words", boom)
+        monkeypatch.setattr(FullShift, "word_rows", boom)
         with pytest.raises(BudgetExceededError, match=f"more than {TRANSFER_STATE_CAP} states"):
             log_weighted_word_sums(system, pot, [2, 3], 2)
 
@@ -466,7 +466,7 @@ class TestTableForm:
 def enumerate_table(system, pot, ns, k):
     """Reference: logsumexp of eval_array over every admissible word of length n + k."""
     return [logsumexp(pot.eval_array(n, [system.representative(w)
-                                         for w in system.admissible_words(n + k)]))
+                                         for w in admissible_words(system, n + k)]))
             for n in ns]
 
 
@@ -479,7 +479,7 @@ def check_against_enumeration(system, pot):
     """The profile's step shape, and its tables at k = reach - 1 to reach + 1
     against enumeration for n up to 5, at most 4096 words each."""
     prof = pot.shift_profile()
-    windows = np.array(list(system.admissible_words(prof.reach)), dtype=np.int64)
+    windows = np.array(list(admissible_words(system, prof.reach)), dtype=np.int64)
     m, d = len(windows), prof.dim
     assert prof.step(windows).shape == ((m,) if d == 1 else (m, d, d)), pot.label
     checked = 0
@@ -747,7 +747,7 @@ class TestBatchedTables:
     def test_state_cap_is_checked_once_per_group_before_states_are_listed(
             self, no_sums, monkeypatch):
         events = []
-        real_check, real_words = symbolic._check_states, FullShift.admissible_words
+        real_check, real_words = symbolic._check_states, FullShift.word_rows
 
         def check(count, system):
             events.append(("cap", count))
@@ -758,7 +758,7 @@ class TestBatchedTables:
             return real_words(self, length)
 
         monkeypatch.setattr(symbolic, "_check_states", check)
-        monkeypatch.setattr(FullShift, "admissible_words", words)
+        monkeypatch.setattr(FullShift, "word_rows", words)
         rng = random.Random(2)
         # three groups: (reach 1, dim 1) twice, (reach 3, dim 1) twice, (reach 1, dim 2)
         batch = [symbol_weights(FS, [0.1, 0.2]), random_table(rng, FS, 3, 1.0),
