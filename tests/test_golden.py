@@ -1,5 +1,6 @@
 """Golden outputs: CSV bytes of fixed estimate configs, the verify report lines
-for seeds 0 and 7, and the bits of every suite violation at those seeds.
+for seeds 0 and 7, and the bits of every suite violation at those seeds and
+at the suite seeds the verify benchmark draws (2, 3, 58 and 59).
 
 The rotation and doubling hashes and the verify digests were recorded from
 the scipy-based implementation and still hold byte for byte.  The six
@@ -210,6 +211,39 @@ VIOLATION_SHA256 = {
     (7, "thm34"): "c7de18725b93d2d71afb34fb5d43c9e99087edf13849f7de935e27ff2df15556",
     (7, "thm35"): "719328507d0b9ac98414a859d7a7259e48341563f9fe7013b115c70ee44b9a93",
     (7, "section4"): "653118000447f06824b7332f9047c6631c7a6517ff7809e46a1490479036304a",
+    # suite seeds 2, 3, 58 and 59: the draws of the verify benchmark's seeds 1 and 29
+    (2, "chain"): "30a26e9ef8fa592ca4d1011e3725f44c34047c600877ad6657e317cf25194872",
+    (2, "prop22"): "ed95001e2c96c53f60a32cd7fda54989f536c0441d9e6314ea74c9e51c68e426",
+    (2, "thm31"): "b7e9d65e9d262d0437d50b9f5e63f00854e1672bf1fbc341f91c57abe297fe6b",
+    (2, "thm32"): "eb3198230992e58ce092545776aa2166223c8229044bf70ec8c30361d1501a44",
+    (2, "thm33"): "9630fa9191e32f8c605fd2510b241f6167139f993a637db55926aa4e3c146676",
+    (2, "thm34"): "cb3266cd85fad5f9580e1b5b3ef2186f01c8d3db1c67b81cc12ec31aa0c76cb2",
+    (2, "thm35"): "719328507d0b9ac98414a859d7a7259e48341563f9fe7013b115c70ee44b9a93",
+    (2, "section4"): "653118000447f06824b7332f9047c6631c7a6517ff7809e46a1490479036304a",
+    (3, "chain"): "e8a84fe38468df10ca429c88099aa7465d00881f93c7acde0882e9a6b420dded",
+    (3, "prop22"): "b441df9cdc9f7b750fa6d9813232a18199475730e726689530b52be0b1e6731f",
+    (3, "thm31"): "b7e9d65e9d262d0437d50b9f5e63f00854e1672bf1fbc341f91c57abe297fe6b",
+    (3, "thm32"): "72b28e961e338881a16d40bcbba9e6301ed6597c50bcf900766d3490cbff11ed",
+    (3, "thm33"): "7d0a40f39d65b0f5d159f4ec3069bec5169eed5fa28aa5042012b90c96a8e4af",
+    (3, "thm34"): "bf95df42cb373d091d083f1858604b076e12f8ce76e2ed22f1af16b37f8fda88",
+    (3, "thm35"): "719328507d0b9ac98414a859d7a7259e48341563f9fe7013b115c70ee44b9a93",
+    (3, "section4"): "653118000447f06824b7332f9047c6631c7a6517ff7809e46a1490479036304a",
+    (58, "chain"): "c5ba462101b7fb464c2cdadbe95d07e1a0014ea97e24c1f9e963845ec569ceb2",
+    (58, "prop22"): "b705a54c512b8c3608155c96add4df3a68e7ac8d4106b87a6aaca15ac3724b76",
+    (58, "thm31"): "b7e9d65e9d262d0437d50b9f5e63f00854e1672bf1fbc341f91c57abe297fe6b",
+    (58, "thm32"): "db9ad1de24dde145f51641d4002f465569c4eef092a79fb1cee0a9b799fcca12",
+    (58, "thm33"): "5992a076d819ba15d035174ad2d68ccd4e4d69b2b53e34ad28cd726a99284682",
+    (58, "thm34"): "c3ccb517bdec29962505c78449d81f98eae8fcc3c49e8b620fd78cac95bf2340",
+    (58, "thm35"): "719328507d0b9ac98414a859d7a7259e48341563f9fe7013b115c70ee44b9a93",
+    (58, "section4"): "653118000447f06824b7332f9047c6631c7a6517ff7809e46a1490479036304a",
+    (59, "chain"): "f452f1b2e0b385f7d98953647cf3dbd0a15e0c9e350b2ddd5cbccf7a0f84b03c",
+    (59, "prop22"): "bedb1a3732bba06dcebec7948cf4f0d57ce0de9bfba7f6ca67102e54ab2c1d56",
+    (59, "thm31"): "b7e9d65e9d262d0437d50b9f5e63f00854e1672bf1fbc341f91c57abe297fe6b",
+    (59, "thm32"): "0795c3fdf9ebcfa1e2768325dfcc73f57c7f3b3b1f10f08f4c51c9e60bc8dc0d",
+    (59, "thm33"): "e6519d1a625ebcc8a6606a8be54f0909fcf22914df1a53cf802fb4b76a6eb933",
+    (59, "thm34"): "84c783addc64fbb2e957d453ef0d46568785997d9d2882fd1f19a29f5436edb9",
+    (59, "thm35"): "719328507d0b9ac98414a859d7a7259e48341563f9fe7013b115c70ee44b9a93",
+    (59, "section4"): "653118000447f06824b7332f9047c6631c7a6517ff7809e46a1490479036304a",
 }
 
 
