@@ -17,12 +17,12 @@ returns the float64 array of ``phi_n`` over a whole candidate list per n in
 ns, in one pass to the largest n; ``eval_array(n, points)`` is its one-n
 case and ``eval(n, x)`` the one-point case of that.  A ``Birkhoff`` ``phi``
 is a function of arrays that returns one float per row: on a real system it
-reads the (m,) coordinate array, on a shift the (m, reach) int64 array of
-each word's first ``reach`` symbols, padded with the word's own tail: the
-contract of a dim-1 ``Window`` step, so that phi is its own step.  Orbit
-sums add in time order from +0.0, and each n reads the one running total:
-the same adds as a per-point loop, so every weight is bit for bit the
-scalar value.
+reads a 1-D coordinate array, the whole orbit flattened in one call; on a
+shift the (m, reach) int64 array of each word's first ``reach`` symbols,
+padded with the word's own tail: the contract of a dim-1 ``Window`` step,
+so that phi is its own step.  Orbit sums add in time order from +0.0, and
+each n reads the one running total: the same adds as a per-point loop, so
+every weight is bit for bit the scalar value.
 """
 
 from __future__ import annotations
@@ -153,10 +153,11 @@ def zero_potential(system: System | None = None) -> ConstantDrift:
 class Birkhoff(Potential):
     """phi_n = sum of phi along the orbit; exactly additive (C = 0).
 
-    ``phi`` maps an array of points to one float per row: the (m,) coordinate
-    array on a real system, the (m, reach) symbol windows on a shift.  A shift
-    needs ``reach``, the number of leading symbols phi reads; it also unlocks
-    the exact symbolic backend.
+    ``phi`` maps an array of points to one float per row: a 1-D coordinate
+    array on a real system (the n m coordinates of the whole orbit, in one
+    call), the (m, reach) symbol windows on a shift.  A shift needs
+    ``reach``, the number of leading symbols phi reads; it also unlocks the
+    exact symbolic backend.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -179,13 +180,15 @@ class Birkhoff(Potential):
         found = {}
         step = shift_step(self.system)
         if step is None:
-            rows = orbit_array(self.system, max(top, 0), points)
+            # one phi call over the whole orbit, read back one row per step
+            orbit = orbit_array(self.system, max(top, 0), points)
+            terms = self.phi(orbit.reshape(-1)).reshape(orbit.shape) if top > 0 else []
         else:
             r = self.reach
             windows = word_array(points, max(top - 1, 0) * step + r)
-            rows = (windows[:, t:t + r] for t in range(0, top * step, step))
-        for t, row in enumerate(rows, 1):
-            total += self.phi(row)
+            terms = (self.phi(windows[:, t:t + r]) for t in range(0, top * step, step))
+        for t, term in enumerate(terms, 1):
+            total += term
             if t in wanted:
                 found[t] = total if t == top else total.copy()
         return [found[n] if n > 0 else np.zeros(len(points)) for n in ns]
@@ -515,17 +518,24 @@ class SupNormReport:
         out = float(np.fmax.reduce(self.gap[self.d < eps], initial=0.0))
         return out * (1.0 + 1e-12) + 1e-15
 
+    @classmethod
+    def of(cls, instance) -> SupNormReport:
+        """The report of a ``partition.SeparationInstance`` at n = 1, eps =
+        inf, whose weights are phi_1 and whose relation holds every pair."""
+        vals = instance.weights
+        i, j, d = instance.pairs()
+        return cls(sup=float(vals.max()), inf=float(vals.min()), d=d,
+                   gap=np.abs(vals[i] - vals[j]))
+
 
 def sup_inf_norm(phi: Potential, system: System | None = None,
                  points: Sequence[Point] | None = None) -> SupNormReport:
-    """Range of phi_1 over the sample plus an empirical continuity modulus."""
-    from .partition import bowen_relations  # partition imports this module
+    """Range of phi_1 over the sample plus an empirical continuity modulus,
+    from the one instance of ``partition.make_families`` at (1, inf)."""
+    from .partition import make_families  # partition imports this module
     sys_ = system or _require_system(phi)
     if points is None:
         rng = np.random.default_rng(7)
         points = sys_.sample_points(64, rng)
-    points = with_orbit(sys_, 1, points)  # phi_1 and the relation read one orbit
-    vals = phi.eval_array(1, points)
-    [(i, j, d)] = bowen_relations(sys_, points, [(1, math.inf)])
-    return SupNormReport(sup=float(vals.max()), inf=float(vals.min()), d=d,
-                         gap=np.abs(vals[i] - vals[j]))
+    [[[instance]]] = make_families([(sys_, points, [(1, math.inf)], [phi])])
+    return SupNormReport.of(instance)

@@ -170,7 +170,8 @@ def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list
     free^(k - reach + 1): one ladder of "on" squares and products serves
     every k, and only the free tail, from one shared ladder of "free"
     squares, is applied per k.  n + k = p only at n = 1, k = 0 with reach 1,
-    where the value is the start vector's sum.
+    where the value is the start vector's sum: one row ``logsumexp`` of the
+    stacked start vectors gives every member's.
     """
     p = max(reach - 1, 1)
     states = system.word_rows(p)
@@ -199,8 +200,8 @@ def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list
         tail = _log_power_rows(v, free_squares, [k - reach + 1] * len(n_at))
         sums = np.logaddexp.reduce(tail, axis=2).tolist()
         if p - k in n_at:
-            for t, vec in enumerate(start):
-                sums[t][n_at[p - k]] = logsumexp(vec)
+            for t, value in enumerate(logsumexp(start)):
+                sums[t][n_at[p - k]] = value
         tables[k] = sums
     return [[[tables[k][t][n_at[n]] for n in ns] for k in ks] for t in range(T)]
 

@@ -15,8 +15,15 @@ A suite with random trials first draws every trial from its generator, in
 the order of the draws that define its report, then builds the instances of
 all its trials in one ``partition.make_families`` call, then computes.  Each
 point set is stepped once (its instances' points carry the orbit, which
-``prop22``'s orbit-extended sample reads too), and the small triangles of
-the call take the stacked path: one metric call per batch of point sets.
+``prop22``'s orbit-extended samples are read from), and the small triangles
+of the call take the stacked path: one metric call per batch of point sets.
+``prop22``'s samples ride in the same call, one family each, and each
+``SupNormReport`` is read off its sample's instance.  ``chain`` and
+``thm34`` collect the arc cover jobs of all their trials and compute them
+in one ``_cover_values`` call: one padded array pass for the arc members,
+one for the cell costs, then one exact cover search per job.  The exact
+searches, and the order in which violations are appended, are those of
+one trial at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .partition import (
     exact_separated_value,
     exact_spanning_value,
     make_families,
-    shifted_weights,
     unshifted_log,
 )
 from .potentials import (
@@ -44,12 +50,12 @@ from .potentials import (
     ConstantDrift,
     MatrixCocycle,
     Potential,
+    SupNormReport,
     add,
     coboundary_perturb,
     inverse_twist,
     pullback,
     scale,
-    sup_inf_norm,
     symbol_weights,
     time_power,
     zero_potential,
@@ -63,6 +69,7 @@ from .systems import (
     Contraction,
     FullShift,
     PowerSystem,
+    RealGrid,
     Rotation,
     ShiftSystem,
     WordGrid,
@@ -70,6 +77,7 @@ from .systems import (
     golden_mean_sft,
     orbit_array,
     real,
+    with_orbit,
 )
 
 TOL = 1e-9
@@ -131,46 +139,72 @@ def _finish(check_id: str, params: dict, violations: list[float],
 def _rotation_instance(rng: np.random.Generator, size: int):
     theta = float(rng.uniform(0.05, 0.45))
     system = Rotation(theta)
-    xs = sorted(float(v) for v in rng.random(size))
+    xs = np.sort(rng.random(size))
     a, b, c = rng.normal(scale=0.4, size=3)
 
     def phi(x):
         return a * np.cos(2 * np.pi * x) + b * np.sin(2 * np.pi * x) + c
 
     pot = Birkhoff(phi=phi, system=system, name="trig")
-    return system, [real(v) for v in xs], pot
+    return system, RealGrid(xs), pot
 
 
-def _cover_value(theta: float, xs: list[float], weights: np.ndarray, n_steps: int,
-                 G: int, pick, step: int = 1) -> float:
-    """Exact minimal subcover value on the sample, each cell costing ``pick``
-    (``min``: inf-weight, ``max``: sup-weight) of its members' weights.
+def _cover_values(jobs: list) -> list[float]:
+    """Per job (theta, xs, weights, n_steps, G, pick, step), the exact minimal
+    subcover value on the sample xs, each cell costing ``pick`` (``min``:
+    inf-weight, ``max``: sup-weight) of its members' weights.
 
     The cover elements are the join cells of the open overlapping arcs
     A_i = (i h - h/4, (i+1) h + h/4), h = 1/G, along the orbit positions 0,
     step, ..., (n_steps - 1) step; a position of a point in no open arc
-    takes the closed arcs.  A cell's members are the AND of one arc's
-    members per position, so the cells are the distinct nonzero ANDs, built
-    one position at a time; a cell's cost depends only on its members.
-    The arc members are int64 masks, so xs holds at most 63 points.
+    takes the closed arcs.  One padded (K, N, P, G) pass finds the members
+    of every job's arcs at every position as int64 masks, with the arcs
+    past a job's G masked out.  A cell's members are the AND of the job's
+    own points (which leaves out the padded ones) and one arc's members per
+    position, so a job's cells are the distinct nonzero ANDs, built one
+    position at a time.  A cell's cost depends only on its members, and one
+    bit matrix over the cells of all the jobs gives every cost.  The masks
+    are int64, so xs holds at most 63 points.
     """
-    h = 1.0 / G
-    length = 1.5 * h
-    ys = (np.asarray(xs)[None, :] + (np.arange(n_steps) * step * theta)[:, None]) % 1.0
-    offset = (ys[:, :, None] - (np.arange(G) * h - 0.25 * h)) % 1.0  # (n_steps, P, G)
-    inside = (0.0 < offset) & (offset < length)
-    closed = ~inside.any(axis=2)  # boundary hit; fall back to closed membership
-    inside[closed] = ((0.0 <= offset) & (offset <= length))[closed]
-    arcs = ((1 << np.arange(len(xs))) @ inside).tolist()  # arcs[j][i]: members of A_i at j
-    full = (1 << len(xs)) - 1
-    cells = {full}
-    for row in arcs:
-        cells = {c & a for c in cells for a in row if c & a}
-    masks = sorted(cells)
-    wmax, shifted = shifted_weights(weights)
-    shifted = shifted.tolist()
-    costs = [pick(shifted[p] for p in range(len(xs)) if m >> p & 1) for m in masks]
-    return unshifted_log(wmax, exact_min_cover(masks, np.array(costs), full))
+    thetas, xs, weights, n_steps, Gs, picks, steps = zip(*jobs)
+    sizes = np.array([len(x) for x in xs])
+    P, N, G = int(sizes.max()), max(n_steps), max(Gs)
+    points = np.arange(P) < sizes[:, None]  # (K, P)
+    x = np.zeros(points.shape)
+    w = np.full(points.shape, -np.inf)
+    x[points], w[points] = np.concatenate(xs), np.concatenate(weights)
+    h = 1.0 / np.array(Gs, dtype=float)[:, None]
+    length = 1.5 * h[:, :, None, None]
+    turns = np.arange(N) * np.array(steps)[:, None] * np.array(thetas)[:, None]  # (K, N)
+    # v - floor(v) is v % 1.0, float for float, for finite v, and cheaper
+    ys = x[:, None, :] + turns[:, :, None]  # (K, N, P)
+    ys -= np.floor(ys)
+    offset = ys[..., None] - (np.arange(G) * h - 0.25 * h)[:, None, None, :]
+    offset -= np.floor(offset)
+    arcs = (np.arange(G) < np.array(Gs)[:, None])[:, None, None, :]
+    inside = (0.0 < offset) & (offset < length) & arcs
+    closed = ~inside.any(axis=3, keepdims=True)  # boundary hit; fall back to closed membership
+    inside |= closed & (0.0 <= offset) & (offset <= length) & arcs
+    members = ((1 << np.arange(P)) @ inside).tolist()  # [k][j][i]: A_i at j
+    masks = []
+    for rows, size, n in zip(members, sizes.tolist(), n_steps):
+        cells = {(1 << size) - 1}
+        for row in rows[:n]:
+            cells = {c & a for c in cells for a in row if c & a}
+        masks.append(sorted(cells))
+    wmax = w.max(axis=1)
+    wmax[wmax == -np.inf] = 0.0  # as in shifted_weights
+    shifted = np.exp(w - wmax[:, None])
+    counts = [len(m) for m in masks]
+    owner = np.repeat(np.arange(len(jobs)), counts)
+    cells = np.concatenate([np.array(m, dtype=np.int64) for m in masks])
+    held = (cells[:, None] >> np.arange(P) & 1).astype(bool)
+    is_min = np.array([pick is min for pick in picks])[owner]
+    vals = np.where(held, shifted[owner], np.where(is_min, np.inf, -np.inf)[:, None])
+    costs = np.where(is_min, vals.min(axis=1), vals.max(axis=1))
+    cuts = np.cumsum([0] + counts).tolist()
+    return [unshifted_log(top, exact_min_cover(m, costs[a:b], (1 << size) - 1))
+            for top, m, a, b, size in zip(wmax.tolist(), masks, cuts, cuts[1:], sizes.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +262,13 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
             violations.append(bf_q - bf_p)
             violations.append(abs(bf_p - sums[k][n]))
 
-    for system, pts, pot, n, G, eps in drawn:
-        [[fine, inst]] = next(families)
-        xs = [p.x for p in pts]
-        weights = inst.weights
-        logq = _cover_value(system.theta, xs, weights, n, G, min)
+    built = [(fine, inst) for [[fine, inst]] in families]
+    covers = iter(_cover_values([
+        job for (system, pts, _, n, G, eps), (_, inst) in zip(drawn, built)
+        for job in ((system.theta, pts.rows, inst.weights, n, G, min, 1),
+                    (system.theta, pts.rows, inst.weights, n, math.ceil(1.5 / eps), max, 1))]))
+    for fine, inst in built:
+        logq = next(covers)
         span = exact_spanning_value(fine)
         violations.append(logq - span.log_value)
 
@@ -240,8 +276,7 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
         bf_p = exact_separated_value(inst)
         violations.append(bf_q.log_value - bf_p.log_value)
 
-        G_fine = math.ceil(1.5 / eps)
-        logp = _cover_value(system.theta, xs, weights, n, G_fine, max)
+        logp = next(covers)
         violations.append(bf_p.log_value - logp)
 
     notes = f"{len(violations)} inequalities"
@@ -264,13 +299,17 @@ def check_prop22(seed: int = 0, fault: float = 0.0) -> CheckReport:
         size = int(rng.integers(6, 11))
         system, pts, pot = _rotation_instance(rng, size)
         drawn.append((system, pts, pot, float(rng.uniform(0.2, 0.45))))
-    families = make_families([(system, pts, [(n, e) for n in range(1, n_max + 1)
-                                             for e in (eps, eps / 2.0)], [pot])
-                              for system, pts, pot, eps in drawn])
-    for (system, _, pot, eps), [insts] in zip(drawn, families):
-        # the orbit-extended sample, point-major, from the points' own orbit
-        ext = [real(v) for v in orbit_array(system, n_max, insts[0].points).T.ravel()]
-        report = sup_inf_norm(pot, system, ext)
+    # each trial's orbit-extended sample, point-major, from the points' own
+    # orbit, which the trial's family carries on
+    carried = [with_orbit(system, n_max, pts) for system, pts, _, _ in drawn]
+    samples = [RealGrid(orbit_array(system, n_max, pts).T.ravel())
+               for (system, _, _, _), pts in zip(drawn, carried)]
+    families = make_families(
+        [(system, pts, [(n, e) for n in range(1, n_max + 1) for e in (eps, eps / 2.0)], [pot])
+         for (system, _, pot, eps), pts in zip(drawn, carried)]
+        + [(system, ext, [(1, math.inf)], [pot]) for (system, _, pot, _), ext in zip(drawn, samples)])
+    for (_, _, pot, eps), [insts], [[sample]] in zip(drawn, families, families[trials:]):
+        report = SupNormReport.of(sample)
         delta = report.modulus(eps / 2.0)
         for n, full, half in zip(range(1, n_max + 1), insts[::2], insts[1::2]):
             p_val = exact_separated_value(full).log_value
@@ -474,14 +513,16 @@ def check_thm34(seed: int = 0, fault: float = 0.0) -> CheckReport:
                  (system.inverse(), grid, requests, [inverse_twist(pot)])]
 
     built = iter(make_families(families))
-    for system, pts, n, G in drawn:
-        [[left]], [[right]] = next(built), next(built)
+    pairs = [(next(built), next(built)) for _ in drawn]
+    covers = iter(_cover_values([
+        job for (system, pts, n, G), (_, [[right]]) in zip(drawn, pairs)
+        # right.weights: phi_(n power) on the points
+        for job in ((system.theta, pts.rows, right.weights, n, G, min, power),
+                    (system.theta, pts.rows, right.weights, n * power, G, min, 1))]))
+    for [[left]], [[right]] in pairs:
         for oracle in (exact_separated_value, exact_spanning_value):
             violations.append(oracle(left).log_value - oracle(right).log_value)
-        xs = [p.x for p in pts]
-        weights = right.weights  # phi_(n power) on the points
-        logq_k = _cover_value(system.theta, xs, weights, n, G, min, step=power)
-        logq_1 = _cover_value(system.theta, xs, weights, n * power, G, min)
+        logq_k, logq_1 = next(covers), next(covers)
         violations.append(logq_k - logq_1)
 
     r_pow, r_base = (round(math.exp(exact_separated_value(inst).log_value))

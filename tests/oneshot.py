@@ -8,7 +8,7 @@ spies on the family form by ``monkeypatch.setattr`` sees these calls too.
 
 import itertools
 
-from pdim import partition, symbolic
+from pdim import partition, symbolic, theorems
 from pdim.systems import FactorMap
 
 
@@ -35,6 +35,11 @@ def make_instances(system, points, requests, potentials):
 def log_weighted_word_sums(system, potential, ns, k):
     """log of the sum over admissible words w of |w| = n + k of e^(phi_n on [w]), per n in ns."""
     return symbolic.log_weighted_word_tables(system, [potential], ns, [k])[0][0]
+
+
+def cover_value(theta, xs, weights, n_steps, G, pick, step=1):
+    """The arc cover value of one sample: the one-job case of ``theorems._cover_values``."""
+    return theorems._cover_values([(theta, xs, weights, n_steps, G, pick, step)])[0]
 
 
 def identity_factor(system):

@@ -1522,6 +1522,26 @@ class TestLogSumExp:
         assert logsumexp(w) == pytest.approx(log_sum(w), abs=1e-12)
 
 
+    def test_rows_are_one_row_calls(self):
+        # a 2-D input reduces each row by the one-row formula: rows of 8 and
+        # 128 values and past them cross the sum's block sizes
+        rng = np.random.default_rng(11)
+        for width in (1, 3, 8, 9, 128, 130):
+            rows = rng.normal(scale=3.0, size=(6, width))
+            rows[1] = rows[1].max()  # every value tied
+            rows[2, : width // 2 + 1] = -math.inf
+            rows[3] = -math.inf
+            rows[4, 0] = math.inf
+            rows[5, -1] = math.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = logsumexp(rows)
+            assert isinstance(got, list) and len(got) == 6
+            expect = [logsumexp(row) for row in rows]
+            assert [v.hex() for v in got] == [v.hex() for v in expect]
+        assert logsumexp(np.empty((2, 0))) == [-math.inf, -math.inf]
+
+
 class TestCounts:
     def test_frozen_rotation_counts(self):
         rot = Rotation(0.125)

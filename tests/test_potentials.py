@@ -9,7 +9,7 @@ import pytest
 
 from pdim import potentials
 from pdim.cli import build_potential, build_system
-from pdim.partition import make_instance
+from pdim.partition import make_families, make_instance
 from pdim.potentials import (
     Birkhoff,
     CoboundaryPotential,
@@ -18,6 +18,7 @@ from pdim.potentials import (
     MatrixCocycle,
     Potential,
     PullbackPotential,
+    SupNormReport,
     ScaledPotential,
     SumPotential,
     TimePowerPotential,
@@ -495,8 +496,9 @@ def report_table(report):
     return list(zip(report.d[order].tolist(), report.gap[order].tolist()))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_sup_inf_norm_matches_the_pair_loop(seed):
+def sup_norm_cases(seed):
+    """(phi, system, points) on a rotation's orbit-extended sample, the
+    doubling map, words and the default sample (points None)."""
     rng = np.random.default_rng(seed)
     rot = Rotation(float(rng.uniform(0.05, 0.45)))
     a, b = rng.normal(size=2)
@@ -505,10 +507,14 @@ def test_sup_inf_norm_matches_the_pair_loop(seed):
     ind = build_potential({"kind": "birkhoff", "fn": "indicator", "lo": 0.1, "hi": 0.5},
                           DoublingMap())
     words = mixed_words(FS, rng, 30)
-    cases = [(trig, rot, ext), (ind, DoublingMap(), rot.sample_points(40, rng)),
-             (add(symbol_weights(FS, rng.normal(size=2)), window_table(FS, 2, rng)), FS, words),
-             (trig, rot, None)]
-    for phi, system, pts in cases:
+    return [(trig, rot, ext), (ind, DoublingMap(), rot.sample_points(40, rng)),
+            (add(symbol_weights(FS, rng.normal(size=2)), window_table(FS, 2, rng)), FS, words),
+            (trig, rot, None)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sup_inf_norm_matches_the_pair_loop(seed):
+    for phi, system, pts in sup_norm_cases(seed):
         report = sup_inf_norm(phi, system, pts)
         if pts is None:
             pts = system.sample_points(64, np.random.default_rng(7))
@@ -518,6 +524,23 @@ def test_sup_inf_norm_matches_the_pair_loop(seed):
         for eps in (1e-3, 0.01, 0.05, 0.1, 0.3, 1.0):
             expect = max([g for d, g in table if d < eps], default=0.0)
             assert report.modulus(eps) == expect * (1.0 + 1e-12) + 1e-15
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sup_inf_norm_is_its_family_twin(seed):
+    # prop22 reads its reports off instances built among other families in
+    # one make_families call; each must be the sup_inf_norm report bit for bit
+    cases = sup_norm_cases(seed)
+    cases[-1] = cases[-1][:2] + (cases[-1][1].sample_points(64, np.random.default_rng(7)),)
+    rot = cases[0][1]
+    decoy = (rot, [real(v) for v in (0.1, 0.2, 0.7)], [(3, 0.4), (1, 0.05)], [cases[0][0]])
+    built = make_families([decoy] + [(system, pts, [(1, math.inf)], [phi])
+                                     for phi, system, pts in cases] + [decoy])
+    for (phi, system, pts), [[instance]] in zip(cases, built[1:]):
+        report, twin = sup_inf_norm(phi, system, pts), SupNormReport.of(instance)
+        assert (twin.sup, twin.inf) == (report.sup, report.inf)
+        for a, b in ((twin.d, report.d), (twin.gap, report.gap)):
+            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
 def reference_modulus(table, eps):

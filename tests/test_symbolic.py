@@ -665,6 +665,28 @@ class TestBatchedTables:
             checked += len(members)
         assert checked >= 40
 
+    @pytest.mark.parametrize("system", BATCH_SYSTEMS + [FullShift(4)], ids=lambda s: s.label)
+    def test_start_sums_are_the_start_rows_logsumexp(self, system):
+        # n = 1, k = 0 is each member's start-vector sum, from one row pass
+        # over the stacked start vectors: each equals logsumexp of its own
+        # start row, bit for bit.  The equal weights and the cocycle whose
+        # matrices are all one tie every state at the maximum; 3 x 3
+        # cocycles on 4 symbols give rows of 12 states
+        rng = random.Random(f"start-{system.label}")
+        tied = np.array([[1.0, 2.0], [2.0, 0.5]])
+        pots = [symbol_weights(system, [0.5] * system.k),
+                symbol_weights(system, [0.7] * 2 + [rng.uniform(-1.0, 0.7) for _ in range(system.k - 2)]),
+                symbol_weights(system, [rng.uniform(-1.0, 1.0) for _ in range(system.k)]),
+                MatrixCocycle([tied] * system.k, system),
+                random_cocycle(rng, system, 2), random_cocycle(rng, system, 3),
+                random_cocycle(rng, system, 3)]
+        states = system.word_rows(1)
+        tables = log_weighted_word_tables(system, pots, [1, 2], [0, 1])
+        for pot, [[value, _], _] in zip(pots, tables):
+            first = pot.shift_profile().step(states)
+            start = first if first.ndim == 1 else np.logaddexp.reduce(first, axis=1).reshape(-1)
+            assert value == logsumexp(start), pot.label
+
     def test_batches_on_long_tables(self):
         # a shared ladder squared past n = 10^4, rows that need different bits
         rng = random.Random(4)

@@ -26,7 +26,9 @@ from pdim.theorems import (
     check_thm35,
     run_suite,
 )
-from pdim.theorems import _cover_value
+from pdim.theorems import _cover_values
+
+from oneshot import cover_value
 
 CHECKS = {
     "chain": check_chain,
@@ -141,19 +143,35 @@ def random_cover_case(seed):
 
 
 class TestCoverValue:
-    """Arc covers by distinct cells against one cell per arc product, bit for bit."""
+    """Arc covers by distinct cells against one cell per arc product, bit for
+    bit, one job at a time and as one padded batch."""
 
     @pytest.mark.parametrize("seed", range(80))
     def test_matches_the_arc_products(self, seed):
         case = random_cover_case(seed)
-        assert _cover_value(*case) == reference_cover_value(*case)
+        assert cover_value(*case) == reference_cover_value(*case)
+
+    def test_one_mixed_batch_matches_the_arc_products(self):
+        # sizes 1-10, G 1-9, 1-4 positions and steps 1-3, both picks, a point
+        # only the closed arcs cover and weights of -inf: in the padded pass
+        # most jobs have padded points, arcs or positions
+        xs = [0.1, 0.35, 0.6, 0.85]
+        cases = [random_cover_case(seed) for seed in range(80)] + [
+            (0.25, [0.75, 0.5, 0.1], np.array([0.3, -0.2, 0.1]), 3, 1, min, 1),
+            (0.25, xs, np.array([-math.inf, 0.2, -math.inf, -math.inf]), 2, 2, min, 1),
+            (0.25, xs, np.full(4, -math.inf), 2, 2, max, 1)]
+        assert len({(len(c[1]), c[4], c[3]) for c in cases}) > 40
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cover_values(cases)
+        assert got == [reference_cover_value(*case) for case in cases]
 
     def test_points_in_no_open_arc_take_the_closed_arcs(self):
         # one arc (G = 1) is open at its end, 0.75; the second point reaches it at step 1
         for pick in (min, max):
             case = (0.25, [0.75, 0.5, 0.1], np.array([0.3, -0.2, 0.1]), 3, 1, pick, 1)
             assert reference_arc_options(0.75, 1) == [0]
-            assert _cover_value(*case) == reference_cover_value(*case) < math.inf
+            assert cover_value(*case) == reference_cover_value(*case) < math.inf
 
     def test_minus_inf_weights_give_minus_inf(self):
         # with pick=min a cell holding a point of weight -inf costs 0; with
@@ -165,7 +183,7 @@ class TestCoverValue:
                                    (np.full(4, -math.inf), (min, max))):
                 for pick in picks:
                     case = (0.25, xs, weights, 2, 2, pick, 1)
-                    assert _cover_value(*case) == reference_cover_value(*case) == -math.inf
+                    assert cover_value(*case) == reference_cover_value(*case) == -math.inf
 
 
 def test_verify_steps_each_point_set_once(monkeypatch, capsys):
