@@ -1,6 +1,6 @@
-"""Golden outputs: CSV bytes of fixed estimate configs, the verify report lines
-for seeds 0 and 7, and the bits of every suite violation at those seeds and
-at the suite seeds the verify benchmark draws (2, 3, 58 and 59).
+"""Golden outputs: CSV and stdout bytes of fixed estimate configs, the verify
+report lines for seeds 0 and 7, and the bits of every suite violation at those
+seeds and at the suite seeds the verify benchmark draws (2, 3, 58 and 59).
 
 The rotation and doubling hashes and the verify digests were recorded from
 the scipy-based implementation and still hold byte for byte.  The six
@@ -15,7 +15,9 @@ moved by at most 2.1e-16 relative, and CHANGES.md lists them.  The
 four scale and loose configs were recorded with the all-pairs relation
 kernel, before the sorted sweep.  The four grid configs were recorded while
 candidate sets were lists of point objects, before grids became coordinate
-arrays.
+arrays.  The estimate stdout hashes (the dimension, stderr and jump bracket
+lines) were recorded before each table's series, window and fit became one
+shared reading.
 """
 
 import hashlib
@@ -162,6 +164,28 @@ CSV_SHA256 = {
     "words3-eps": "6df23a5e9b5fa0eda9863a157e47bac707e8986eebf90d8bf722ea8cb1d3ead9",
 }
 
+# sha256 of ``pdim estimate`` stdout for the configs above: the s0 fit
+# (``dimension=``, ``stderr=``) and the ``jump_bracket=`` line of each estimator
+STDOUT_SHA256 = {
+    "zero": "c881ba880274ac60aa3bf2a757188d9aa541638783368470ad50ec071aad4131",
+    "drift-negative": "457580b13289f8f263a327deb938d78b529a1f7266f5a6abd4724e3c2524b584",
+    "weights-golden": "540dcef4a05e02b51faa1cf976c0ee9bdf865b84cf6705b27179ee915fce0b3a",
+    "cocycle": "e8922755ff11ee96c0bc7d3aa7171251736d27ffb46c1017c9a44fd1d8e9fe14",
+    "sum": "e647864be9122727cc643706dac80f9827a2431b9a1ce2496ca213b3fa32a81d",
+    "scale": "0a921213a2ae1749c1e5fc3283b7ad521140d2d5927be9b6ae69d4750f4f42df",
+    "rotation": "fb5bcb454480c122c5f4e1c1e9c6ad402f6455e868f24b490b80b331ef884abc",
+    "doubling": "85387279afbf7d64a9b975b3f46c770d1d5eaae250dca7953436202c8dc52fe7",
+    "words-eps": "46bb65540f40651840711e6094cfddb4e8bdeb130e17c1f4b49c8671ff590b1f",
+    "doubling-scale": "042f9f0c4e2c29031bee1a52d808938c0ddf57cc72160f1bdef489587666c5d0",
+    "words-scale": "1d7f81cfd38b2f6d7d1632df21b00524a304f5cbdef8193dd8053b789eba46f1",
+    "doubling-loose": "042f9f0c4e2c29031bee1a52d808938c0ddf57cc72160f1bdef489587666c5d0",
+    "words-loose": "1d7f81cfd38b2f6d7d1632df21b00524a304f5cbdef8193dd8053b789eba46f1",
+    "contraction-eps": "b464416219393ffa09d4c0e546cbb0edca1bf192df04f064ad067dc3ff3ee5a6",
+    "contraction-capped": "9266b3578f82cc61ead1311d73eb98f64b1b4cf518c1a68883165bc81df59a9e",
+    "golden-eps": "f60c7db80ee8aec415c03bb2f2a0f5cf6b549be28162819b738e5c86657e2de7",
+    "words3-eps": "cae5d1653ce5cf92cf5f16b6d1b80c8e4e92221d6cd38feb203a8ebed8f1c8d6",
+}
+
 # sha256 of ``pdim oracle --max-points 20 --trials 200 --seed s`` stdout: the
 # greedy and exact values of 200 random instances enter its gap figures
 ORACLE_SHA256 = {
@@ -255,6 +279,15 @@ def test_estimate_csv_bytes(tmp_path, name, capsys):
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS | SCALE_CONFIGS | GRID_CONFIGS))
+def test_estimate_stdout_bytes(tmp_path, name, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps((CONFIGS | SCALE_CONFIGS | GRID_CONFIGS)[name]))
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name]
 
 
 @pytest.mark.parametrize("seed", sorted(ORACLE_SHA256))
