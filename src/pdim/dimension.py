@@ -10,19 +10,20 @@ There is one path from a (system, potential) pair to s0.
 sums at dyadic scale indices on shifts, greedy separated and spanning bounds
 on candidate grids otherwise.  :func:`pressure_curve` (or
 :func:`pressure_curves`, one per estimator), :func:`largest_dimension` and
-:func:`classify_jump` read s0 off those tables.  A pressure curve is one
-array pass per table over the whole s grid: the window ratios
-log_value / n^s for every s at once, the min/max rule once per table, then
-the first largest table per s.  ``pdim estimate`` and
-``pdim sweep`` take this path, and :func:`entropy_dimension` is the zero
-potential through it with the separated estimator.
+:func:`classify_jump` read s0 off those tables.  Each table makes its
+series, its trailing window and the window's log-log fit once, and all three
+readers share them: the curve's window statistics and trend, and the
+estimate's fit.  A pressure curve is one array pass per table over the whole
+s grid, then the first largest table per s.  ``pdim estimate`` and ``pdim
+sweep`` take this path, and :func:`entropy_dimension` is the zero potential
+through it with the separated estimator.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,34 +50,56 @@ JUMP_TREND_MARGIN = 0.05
 
 @dataclass
 class GrowthTable:
-    """Samples of one growth series."""
+    """Samples of one growth series.  Its series, windows and fits are made once
+    and kept for every later reader, so the samples must not change once read."""
 
     samples: list[GrowthSample]
+    _series: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def filter(self, estimator: int | None = None, scale: float | None = None) -> "GrowthTable":
-        out = [
-            s
-            for s in self.samples
-            if (estimator is None or s.estimator == estimator)
-            and (scale is None or s.scale == scale)
-        ]
-        return GrowthTable(out)
+        return GrowthTable([s for s in self.samples
+                            if (estimator is None or s.estimator == estimator)
+                            and (scale is None or s.scale == scale)])
 
     def series(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, log_value) arrays; requires a single homogeneous series."""
-        if not self.samples:
-            raise ValueError("empty growth table")
-        keys = {(s.estimator, s.scale) for s in self.samples}
-        if len(keys) != 1:
-            raise ValueError(
-                f"table mixes {len(keys)} (estimator, scale) series; filter first"
-            )
-        ordered = sorted(self.samples, key=lambda s: s.n)
-        ns = np.array([s.n for s in ordered], dtype=float)
-        if np.any(np.diff(ns) <= 0):
-            raise ValueError("sample indices n must be strictly increasing")
-        vals = np.array([s.log_value for s in ordered])
-        return ns, vals
+        """(n, log_value) arrays, read-only; requires a single homogeneous series."""
+        if self._series is None:
+            if not self.samples:
+                raise ValueError("empty growth table")
+            keys = {(s.estimator, s.scale) for s in self.samples}
+            if len(keys) != 1:
+                raise ValueError(f"table mixes {len(keys)} (estimator, scale) series; "
+                                 "filter first")
+            ordered = sorted(self.samples, key=lambda s: s.n)
+            ns = np.array([s.n for s in ordered], dtype=float)
+            if np.any(np.diff(ns) <= 0):
+                raise ValueError("sample indices n must be strictly increasing")
+            vals = np.array([s.log_value for s in ordered])
+            ns.flags.writeable = vals.flags.writeable = False
+            self._series = ns, vals
+        return self._series
+
+    def window(self, frac: float) -> tuple[np.ndarray, np.ndarray]:
+        """The trailing ``frac`` of the series."""
+        if frac not in self._windows:
+            ns, vals = self.series()
+            if not 0 < frac <= 1:
+                raise ValueError("window fraction must lie in (0, 1]")
+            count = max(1, int(math.ceil(frac * len(ns))))
+            self._windows[frac] = ns[-count:], vals[-count:]
+        return self._windows[frac]
+
+    def fit(self, frac: float) -> tuple[float, float]:
+        """Exponent sigma of |log_value| ~ c n^sigma over the nonzero values of
+        the ``frac`` window, and its stderr: the least-squares slope of
+        log|log_value| on log n."""
+        if frac not in self._fits:
+            wn, wv = self.window(frac)
+            mask = np.abs(wv) > 0
+            self._fits[frac] = _least_squares(np.log(wn[mask]), np.log(np.abs(wv[mask])))
+        return self._fits[frac]
 
 
 _GREEDY_BOUNDS = {
@@ -141,13 +164,6 @@ def _grid_runs(system: System, n_range: Sequence[int], eps: float, budget: int):
         yield points, run
 
 
-def _window(ns: np.ndarray, vals: np.ndarray, frac: float) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 < frac <= 1:
-        raise ValueError("window fraction must lie in (0, 1]")
-    count = max(1, int(math.ceil(frac * len(ns))))
-    return ns[-count:], vals[-count:]
-
-
 def _window_stat(wn: np.ndarray, wv: np.ndarray, s: float) -> float:
     ratios = wv / wn**s
     if np.all(wv < 0):
@@ -161,8 +177,7 @@ def s_pressure(table: GrowthTable, s: float, window_frac: float = 0.5) -> float:
     Uses the trailing-window maximum; if the whole window is negative the
     mirrored rule (window minimum) tracks the -inf branch instead.
     """
-    ns, vals = table.series()
-    return _window_stat(*_window(ns, vals, window_frac), s)
+    return _window_stat(*table.window(window_frac), s)
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -174,7 +189,12 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n = len(x)
     if n < 2:
         return math.nan, math.nan
-    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    # np.cov(x, y, bias=1)'s own steps: its bits, without its argument handling
+    xy = np.array([x, y], dtype=float)
+    xy -= xy.mean(axis=1)[:, None]
+    cov = np.dot(xy, xy.T.conj())
+    cov *= np.true_divide(1, n)
+    ssxm, ssxym, _, ssym = cov.flat
     slope = float(ssxym / ssxm)
     if n == 2:
         return slope, 0.0
@@ -183,14 +203,6 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     else:
         r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     return slope, float(np.sqrt((1 - r**2) * ssym / ssxm / (n - 2)))
-
-
-def power_slope(ns: np.ndarray, vals: np.ndarray) -> tuple[float, float] | None:
-    """Least-squares exponent of |log_value| ~ c n^sigma, with its stderr."""
-    mask = np.abs(vals) > 0
-    if mask.sum() < 4:
-        return None
-    return _least_squares(np.log(ns[mask]), np.log(np.abs(vals[mask])))
 
 
 @dataclass
@@ -216,8 +228,7 @@ def pressure_curve(
         tables = [tables]
     if not tables:
         return PressureCurve(tuple(s_grid), (None,) * len(s_grid), (None,) * len(s_grid))
-    windows = [_window(*t.series(), window_frac) for t in tables]
-    slopes = [power_slope(wn, wv) for wn, wv in windows]
+    windows = [t.window(window_frac) for t in tables]
     # n^s of every window at once, one ``array ** s`` per s as for a single
     # window: a broadcast column of s can reach numpy's vector pow, or miss
     # its sqrt and square paths, and move last bits
@@ -238,12 +249,13 @@ def pressure_curve(
         best[better] = stat[better]
         pick[better] = i
     values = best.tolist()
+    # a trend needs 4 nonzero values in the window
+    slopes = [t.fit(window_frac) if (np.abs(wv) > 0).sum() >= 4 else None
+              for t, (_, wv) in zip(tables, windows)]
     trends = [None if slopes[i] is None else slopes[i][0] - s
               for i, s in zip(pick.tolist(), s_grid)]
-    est = None
     ests = {s.estimator for t in tables for s in t.samples}
-    if len(ests) == 1:
-        est = ests.pop()
+    est = ests.pop() if len(ests) == 1 else None
     return PressureCurve(tuple(s_grid), tuple(values), tuple(trends), est)
 
 
@@ -282,15 +294,9 @@ def classify_jump(curve: PressureCurve) -> JumpClassification:
             labels.append("vanishing")
         else:
             labels.append("indeterminate")
-    s_lo = 0.0
-    s_hi = math.inf
-    for s, lab in zip(curve.s_grid, labels):
-        if lab == "diverging":
-            s_lo = s
-    for s, lab in zip(curve.s_grid, labels):
-        if lab == "vanishing":
-            s_hi = s
-            break
+    pairs = list(zip(curve.s_grid, labels))
+    s_lo = next((s for s, lab in reversed(pairs) if lab == "diverging"), 0.0)
+    s_hi = next((s for s, lab in pairs if lab == "vanishing"), math.inf)
     order = {"diverging": 0, "indeterminate": 1, "vanishing": 2}
     ranks = [order[lab] for lab in labels]
     monotone = all(a <= b for a, b in zip(ranks, ranks[1:]))
@@ -313,19 +319,18 @@ def dimension_estimate(table: GrowthTable, window_frac: float = 0.5) -> Dimensio
     classified as bounded growth and gets exponent 0 outright.  A window of
     fewer than 2 samples raises ValueError.
     """
-    ns, vals = table.series()
-    if len(ns) < 4:
+    count = len(table.series()[0])
+    if count < 4:
         raise ValueError("need at least 4 samples for a dimension estimate")
-    wn, wv = _window(ns, vals, window_frac)
+    wn, wv = table.window(window_frac)
     if len(wn) < 2:
-        raise ValueError(f"window fraction {window_frac!r} leaves 1 of {len(ns)} samples "
+        raise ValueError(f"window fraction {window_frac!r} leaves 1 of {count} samples "
                          "to fit; need at least 2")
     window = (int(wn[0]), int(wn[-1]))
-    if np.all(wv < -1.0):
-        wv = -wv
-    elif np.any(wv <= 1.0):
+    if not np.all(wv < -1.0) and np.any(wv <= 1.0):
         return DimensionEstimate(0.0, window, 0.0, "bounded-growth")
-    slope, err = _least_squares(np.log(wn), np.log(wv))
+    # every |wv| > 1 here, so the table's one fit is log|wv| on log wn
+    slope, err = table.fit(window_frac)
     return DimensionEstimate(max(0.0, slope), window, err if np.isfinite(err) else 0.0,
                              "power-fit")
 
@@ -333,14 +338,8 @@ def dimension_estimate(table: GrowthTable, window_frac: float = 0.5) -> Dimensio
 def largest_dimension(tables: Sequence[GrowthTable],
                       window_frac: float = 0.5) -> DimensionEstimate | None:
     """The estimate with the largest s0 over tables of at least 4 samples."""
-    best: DimensionEstimate | None = None
-    for t in tables:
-        if len(t.samples) < 4:
-            continue
-        est = dimension_estimate(t, window_frac)
-        if best is None or est.s0_hat > best.s0_hat:
-            best = est
-    return best
+    ests = [dimension_estimate(t, window_frac) for t in tables if len(t.samples) >= 4]
+    return max(ests, key=lambda est: est.s0_hat, default=None)  # the first of equal s0
 
 
 def entropy_dimension(

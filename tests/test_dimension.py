@@ -1,13 +1,14 @@
 """Pressure statistics, jump bracketing, and the critical-exponent fit."""
 
 import inspect
+import json
 import math
 import textwrap
 
 import numpy as np
 import pytest
 
-from pdim import dimension, partition, systems
+from pdim import cli, dimension, partition, systems
 from pdim.dimension import (
     DEFAULT_S_GRID,
     DimensionEstimate,
@@ -16,11 +17,12 @@ from pdim.dimension import (
     dimension_estimate,
     entropy_dimension,
     growth_tables,
-    power_slope,
+    largest_dimension,
     pressure_curve,
+    pressure_curves,
     s_pressure,
 )
-from pdim.dimension import _least_squares, _window, _window_stat
+from pdim.dimension import _least_squares, _window_stat
 from pdim.partition import (
     Estimator,
     GrowthSample,
@@ -41,6 +43,7 @@ from pdim.systems import (
 )
 
 from oneshot import bowen_relation
+from test_golden import CONFIGS
 
 
 def power_table(sigma, c=1.0, n_range=range(10, 201, 10), noise=None, seed=0):
@@ -53,6 +56,11 @@ def power_table(sigma, c=1.0, n_range=range(10, 201, 10), noise=None, seed=0):
             v *= 1.0 + float(gen.uniform(-noise, noise))
         rows.append(GrowthSample(Estimator.SEPARATED, n, 0.5, v, False))
     return GrowthTable(rows)
+
+
+def series_table(ns, vals):
+    return GrowthTable([GrowthSample(Estimator.SEPARATED, n, 0.5, float(v), True)
+                        for n, v in zip(ns, vals)])
 
 
 class TestGrowthTable:
@@ -128,13 +136,16 @@ class TestSPressure:
 class TestPowerSlope:
     def test_recovers_exponent_exactly(self):
         ns = np.arange(10.0, 101.0, 10.0)
-        slope, err = power_slope(ns, 3.0 * ns**0.7)
+        slope, err = series_table(ns, 3.0 * ns**0.7).fit(1.0)
         assert slope == pytest.approx(0.7, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-10)
 
-    def test_too_few_points(self):
-        ns = np.array([1.0, 2.0, 3.0])
-        assert power_slope(ns, ns) is None
+    def test_trend_needs_four_nonzero_values(self):
+        def trend(vals):
+            return pressure_curve(series_table(range(1, 6), vals), [1.0], 1.0).trends[0]
+
+        assert trend([5.0, 0.0, 0.0, 3.0, 4.0]) is None
+        assert trend([5.0, 0.0, 2.0, 3.0, 4.0]) is not None
 
 
 class TestLeastSquares:
@@ -153,6 +164,76 @@ class TestLeastSquares:
     def test_one_point_is_nan(self):
         slope, err = _least_squares(np.array([1.0]), np.array([2.0]))
         assert math.isnan(slope) and math.isnan(err)
+
+    def test_random_fits_match_np_cov_bit_for_bit(self):
+        cases = least_squares_cases()
+        assert agreement(_least_squares, cases) == [True] * len(cases)
+
+    def test_random_fits_match_scipy_linregress(self):
+        stats = pytest.importorskip("scipy.stats")
+        checked = 0
+        for x, y in least_squares_cases():
+            # linregress raises on a constant x, and its NaN policy makes
+            # every output NaN where _least_squares gives 2 points stderr 0
+            if np.all(x == x[0]) or (len(x) == 2 and np.isnan([x, y]).any()):
+                continue
+            fit = stats.linregress(x, y)
+            assert bits(_least_squares(x, y)) == bits((fit.slope, fit.stderr)), (x, y)
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("find, replace", [
+        ("", ""),
+        ("cov *= np.true_divide(1, n)", "cov /= n"),
+        ("np.dot(xy, xy.T.conj())", "np.einsum('ij,kj->ik', xy, xy)"),
+    ], ids=["as-is", "divide-by-n", "einsum-product"])
+    def test_copied_fit_with_fault_fails(self, find, replace):
+        agree = agreement(function_copy(dimension._least_squares, find, replace),
+                          least_squares_cases())
+        assert all(agree) if not find else not all(agree)
+
+
+def reference_least_squares(x, y):
+    """_least_squares with the np.cov call its steps replaced."""
+    n = len(x)
+    if n < 2:
+        return math.nan, math.nan
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = float(ssxym / ssxm)
+    if n == 2:
+        return slope, 0.0
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    return slope, float(np.sqrt((1 - r**2) * ssym / ssxm / (n - 2)))
+
+
+def least_squares_cases():
+    """(x, y) pairs for n = 2..40: log n against log log_value, as the s0 fit
+    takes them, and plain normal draws over wide scales; then a constant x,
+    a constant y and a NaN in either."""
+    gen = np.random.default_rng(11)
+    cases = []
+    for n in range(2, 41):
+        ns = np.cumsum(gen.integers(1, 400, size=n)).astype(float)
+        x = np.log(ns)
+        cases.append((x, gen.uniform(0.1, 1.5) * x + gen.uniform(-1, 1) + gen.normal(0, 0.01, n)))
+        for _ in range(3):
+            scale = 10.0 ** gen.integers(-6, 7, size=2)
+            cases.append((gen.normal(0, scale[0], n), gen.normal(0, scale[1], n)))
+    for n in (2, 3, 7):
+        x, y = gen.normal(size=n), gen.normal(size=n)
+        cases += [(np.full(n, 1.5), y), (x, np.full(n, -0.25)), (np.full(n, 2.0), np.full(n, 3.0))]
+        cases += [(np.where(np.arange(n) == 1, np.nan, x), y),
+                  (x, np.where(np.arange(n) == 0, np.nan, y))]
+    return cases
+
+
+def agreement(fit, cases):
+    """Per case, whether ``fit`` gives reference_least_squares's bits."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # constant x: 0 / 0
+        return [bits(fit(x, y)) == bits(reference_least_squares(x, y)) for x, y in cases]
 
 
 class TestPressureCurveAndJump:
@@ -197,8 +278,10 @@ def reference_curve(tables, s_grid, window_frac):
     the first table with the largest statistic by strict >."""
     prepared = []
     for t in tables:
-        wn, wv = _window(*t.series(), window_frac)
-        prepared.append((wn, wv, power_slope(wn, wv)))
+        wn, wv = t.window(window_frac)
+        # a table of its own, so its fit is not the one pressure_curve made
+        slope = GrowthTable(t.samples).fit(window_frac) if np.count_nonzero(wv) >= 4 else None
+        prepared.append((wn, wv, slope))
     values, trends = [], []
     with np.errstate(over="ignore"):
         for s in s_grid:
@@ -243,13 +326,14 @@ def tied_tables():
                          for n, v in enumerate(vals, 1)]) for vals in rows]
 
 
-def pressure_curve_copy(find: str, replace: str):
-    """A copy of ``pressure_curve`` with ``find`` replaced once in its source."""
-    source = textwrap.dedent(inspect.getsource(dimension.pressure_curve))
+def function_copy(fn, find: str, replace: str):
+    """A copy of the ``pdim.dimension`` function ``fn`` with ``find`` replaced
+    once in its source."""
+    source = textwrap.dedent(inspect.getsource(fn))
     assert not find or source.count(find) == 1
     scope = dict(vars(dimension))
     exec(compile(source.replace(find, replace), dimension.__file__, "exec"), scope)
-    return scope["pressure_curve"]
+    return scope[fn.__name__]
 
 
 S_GRIDS = [list(DEFAULT_S_GRID), [0.05, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], [1.0], []]
@@ -296,7 +380,7 @@ class TestSGridPass:
         ("better = stat > best", "better = stat >= best"),
     ], ids=["as-is", "max-on-negative-window", "ties-to-the-last-table"])
     def test_copied_pass_with_fault_fails(self, find, replace):
-        curve_of = pressure_curve_copy(find, replace)
+        curve_of = function_copy(dimension.pressure_curve, find, replace)
         cases = [(random_tables(np.random.default_rng(seed), ("-", "mixed")[seed % 2], 3), 0.5)
                  for seed in range(8)]
         cases += [(tied_tables(), 1.0), (tied_tables()[::-1], 1.0)]
@@ -450,3 +534,96 @@ class TestGridRuns:
         got = growth_tables(system, zero_potential(), ns, "eps", [0.45], ests, 4096)
         assert calls == [ns, [1], [2], [3]]
         assert [t.samples for t in got] == [t.samples for t in want]
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The series, windows and fits that growth tables make, as they make them."""
+    made = {"series": [], "windows": [], "fits": 0}
+    series, window, fit = GrowthTable.series, GrowthTable.window, dimension._least_squares
+
+    def spy_series(table):
+        if table._series is None:
+            made["series"].append(table)
+        return series(table)
+
+    def spy_window(table, frac):
+        if frac not in table._windows:
+            made["windows"].append((table, frac))
+        return window(table, frac)
+
+    def spy_fit(x, y):
+        made["fits"] += 1
+        return fit(x, y)
+
+    monkeypatch.setattr(GrowthTable, "series", spy_series)
+    monkeypatch.setattr(GrowthTable, "window", spy_window)
+    monkeypatch.setattr(dimension, "_least_squares", spy_fit)
+    return made
+
+
+def assert_read_once(made, tables, fits):
+    """One series per table, one window per (table, fraction), and ``fits``
+    fits in all, each kept on its table, so none is made twice."""
+    assert sorted(map(id, made["series"])) == sorted(map(id, tables))
+    windows = [(id(t), frac) for t, frac in made["windows"]]
+    assert len(set(windows)) == len(windows)
+    assert made["fits"] == sum(len(t._fits) for t in tables) == fits
+
+
+def counts(made):
+    return len(made["series"]), len(made["windows"]), made["fits"]
+
+
+class TestSharedReads:
+    """pressure_curve, dimension_estimate and largest_dimension read one
+    series, one window and one fit per table."""
+
+    @pytest.mark.parametrize("name, tables", [("zero", 6), ("doubling", 2)])
+    def test_estimate_reads_each_table_once(self, tmp_path, monkeypatch, capsys, made,
+                                            name, tables):
+        # zero: full_shift(2) at k = 0, 1, 2 with both estimators, 5-sample
+        # windows whose trend fit is the power fit; doubling: 3-sample windows
+        # that only the power fit reads
+        collected = []
+        collect = cli._collect_tables
+        monkeypatch.setattr(cli, "_collect_tables",
+                            lambda cfg: collected.append(collect(cfg)) or collected[-1])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CONFIGS[name]))
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert "method=power-fit" in capsys.readouterr().out
+        [(_, _, got)] = collected
+        assert len(got) == tables
+        assert_read_once(made, got, fits=tables)
+
+    @pytest.mark.parametrize("ns, new_fits", [(range(4, 40, 4), 0), (range(1, 6), 6)])
+    def test_largest_dimension_after_the_curves_refits_nothing(self, made, ns, new_fits):
+        system = FullShift(2)
+        tables = growth_tables(system, zero_potential(system), list(ns), "k", [0, 1, 2],
+                               [Estimator.SEPARATED, Estimator.SPANNING], 4096)
+        curves = pressure_curves(tables, DEFAULT_S_GRID, 0.5)
+        before = counts(made)
+        assert before == (6, 6, 6 - new_fits)
+        bests = [largest_dimension([t for t in tables if t.samples[0].estimator == c.estimator])
+                 for c in curves]
+        assert [b.method for b in bests] == ["power-fit"] * 2
+        # the 3-sample windows of n = 1..5 have no trend: their power fits are new
+        assert counts(made) == (6, 6, 6)
+        assert_read_once(made, tables, fits=6)
+
+    @pytest.mark.parametrize("system, ns, scales", [
+        (FullShift(2), range(10, 201, 10), [0, 1, 2]),
+        (Rotation(0.41421356237309515), range(2, 21, 2), [0.2, 0.1]),
+    ], ids=["shift", "rotation"])
+    def test_entropy_dimension_reads_each_table_once(self, monkeypatch, made, system, ns,
+                                                     scales):
+        built = []
+        tables_of = dimension.growth_tables
+        monkeypatch.setattr(dimension, "growth_tables",
+                            lambda *a: built.extend(tables_of(*a)) or built)
+        _, est = entropy_dimension(system, ns, scales)
+        assert len(built) == len(scales)
+        fitted = sum(len(t._fits) for t in built)
+        assert 1 <= fitted <= len(built)
+        assert_read_once(made, built, fits=fitted)
