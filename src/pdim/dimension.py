@@ -59,9 +59,13 @@ class GrowthTable:
     _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def filter(self, estimator: int | None = None, scale: float | None = None) -> "GrowthTable":
-        return GrowthTable([s for s in self.samples
-                            if (estimator is None or s.estimator == estimator)
-                            and (scale is None or s.scale == scale)])
+        out = [
+            s
+            for s in self.samples
+            if (estimator is None or s.estimator == estimator)
+            and (scale is None or s.scale == scale)
+        ]
+        return GrowthTable(out)
 
     def series(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, log_value) arrays, read-only; requires a single homogeneous series."""
@@ -164,20 +168,14 @@ def _grid_runs(system: System, n_range: Sequence[int], eps: float, budget: int):
         yield points, run
 
 
-def _window_stat(wn: np.ndarray, wv: np.ndarray, s: float) -> float:
-    ratios = wv / wn**s
-    if np.all(wv < 0):
-        return float(ratios.min())
-    return float(ratios.max())
-
-
 def s_pressure(table: GrowthTable, s: float, window_frac: float = 0.5) -> float:
     """Window statistic for limsup log_value / n^s.
 
     Uses the trailing-window maximum; if the whole window is negative the
-    mirrored rule (window minimum) tracks the -inf branch instead.
+    mirrored rule (window minimum) tracks the -inf branch instead.  This is
+    :func:`pressure_curve` at the one exponent ``s``.
     """
-    return _window_stat(*table.window(window_frac), s)
+    return pressure_curve(table, [s], window_frac).values[0]
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -249,13 +247,14 @@ def pressure_curve(
         best[better] = stat[better]
         pick[better] = i
     values = best.tolist()
-    # a trend needs 4 nonzero values in the window
     slopes = [t.fit(window_frac) if (np.abs(wv) > 0).sum() >= 4 else None
               for t, (_, wv) in zip(tables, windows)]
     trends = [None if slopes[i] is None else slopes[i][0] - s
               for i, s in zip(pick.tolist(), s_grid)]
+    est = None
     ests = {s.estimator for t in tables for s in t.samples}
-    est = ests.pop() if len(ests) == 1 else None
+    if len(ests) == 1:
+        est = ests.pop()
     return PressureCurve(tuple(s_grid), tuple(values), tuple(trends), est)
 
 
@@ -294,9 +293,15 @@ def classify_jump(curve: PressureCurve) -> JumpClassification:
             labels.append("vanishing")
         else:
             labels.append("indeterminate")
-    pairs = list(zip(curve.s_grid, labels))
-    s_lo = next((s for s, lab in reversed(pairs) if lab == "diverging"), 0.0)
-    s_hi = next((s for s, lab in pairs if lab == "vanishing"), math.inf)
+    s_lo = 0.0
+    s_hi = math.inf
+    for s, lab in zip(curve.s_grid, labels):
+        if lab == "diverging":
+            s_lo = s
+    for s, lab in zip(curve.s_grid, labels):
+        if lab == "vanishing":
+            s_hi = s
+            break
     order = {"diverging": 0, "indeterminate": 1, "vanishing": 2}
     ranks = [order[lab] for lab in labels]
     monotone = all(a <= b for a, b in zip(ranks, ranks[1:]))
@@ -338,8 +343,14 @@ def dimension_estimate(table: GrowthTable, window_frac: float = 0.5) -> Dimensio
 def largest_dimension(tables: Sequence[GrowthTable],
                       window_frac: float = 0.5) -> DimensionEstimate | None:
     """The estimate with the largest s0 over tables of at least 4 samples."""
-    ests = [dimension_estimate(t, window_frac) for t in tables if len(t.samples) >= 4]
-    return max(ests, key=lambda est: est.s0_hat, default=None)  # the first of equal s0
+    best: DimensionEstimate | None = None
+    for t in tables:
+        if len(t.samples) < 4:
+            continue
+        est = dimension_estimate(t, window_frac)
+        if best is None or est.s0_hat > best.s0_hat:
+            best = est
+    return best
 
 
 def entropy_dimension(

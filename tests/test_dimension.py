@@ -22,7 +22,7 @@ from pdim.dimension import (
     pressure_curves,
     s_pressure,
 )
-from pdim.dimension import _least_squares, _window_stat
+from pdim.dimension import _least_squares
 from pdim.partition import (
     Estimator,
     GrowthSample,
@@ -273,8 +273,15 @@ class TestPressureCurveAndJump:
         assert pressure_curve(t, [1.0]).estimator == Estimator.SEPARATED
 
 
+def window_stat(wn, wv, s):
+    """The pressure statistic of one window at one s, the rule pressure_curve
+    applies to every s at once."""
+    ratios = wv / wn**s
+    return float(ratios.min() if np.all(wv < 0) else ratios.max())
+
+
 def reference_curve(tables, s_grid, window_frac):
-    """Values and trends of the per-s loop: one _window_stat per (s, table),
+    """Values and trends of the per-s loop: one window_stat per (s, table),
     the first table with the largest statistic by strict >."""
     prepared = []
     for t in tables:
@@ -287,7 +294,7 @@ def reference_curve(tables, s_grid, window_frac):
         for s in s_grid:
             best, best_trend = None, None
             for wn, wv, slope in prepared:
-                v = _window_stat(wn, wv, s)
+                v = window_stat(wn, wv, s)
                 if best is None or v > best:
                     best, best_trend = v, None if slope is None else slope[0] - s
             values.append(best)
