@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +54,9 @@ class GrowthTable:
     and kept for every later reader, so the samples must not change once read."""
 
     samples: list[GrowthSample]
-    _series: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._series, self._windows, self._fits = None, {}, {}
 
     def filter(self, estimator: int | None = None, scale: float | None = None) -> "GrowthTable":
         out = [
@@ -199,7 +199,7 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     if ssxm == 0.0 or ssym == 0.0:
         r = math.nan if ssxym == 0 else 0.0
     else:
-        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
     return slope, float(np.sqrt((1 - r**2) * ssym / ssxm / (n - 2)))
 
 
@@ -332,7 +332,7 @@ def dimension_estimate(table: GrowthTable, window_frac: float = 0.5) -> Dimensio
         raise ValueError(f"window fraction {window_frac!r} leaves 1 of {count} samples "
                          "to fit; need at least 2")
     window = (int(wn[0]), int(wn[-1]))
-    if not np.all(wv < -1.0) and np.any(wv <= 1.0):
+    if not (wv < -1.0).all() and (wv <= 1.0).any():
         return DimensionEstimate(0.0, window, 0.0, "bounded-growth")
     # every |wv| > 1 here, so the table's one fit is log|wv| on log wn
     slope, err = table.fit(window_frac)
