@@ -194,7 +194,8 @@ class TestLeastSquares:
 
 
 def reference_least_squares(x, y):
-    """_least_squares with the np.cov call its steps replaced."""
+    """The least-squares fit through np.cov(x, y, bias=1) and np.clip, whose
+    bits _least_squares must give."""
     n = len(x)
     if n < 2:
         return math.nan, math.nan
