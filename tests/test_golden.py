@@ -186,13 +186,35 @@ STDOUT_SHA256 = {
     "words3-eps": "cae5d1653ce5cf92cf5f16b6d1b80c8e4e92221d6cd38feb203a8ebed8f1c8d6",
 }
 
-# sha256 of ``pdim oracle --max-points 20 --trials 200 --seed s`` stdout: the
-# greedy and exact values of 200 random instances enter its gap figures
+# sha256 of ``pdim oracle --max-points 20 --trials 200 --seed s`` stdout, for
+# the seeds of the CI loop: the greedy and exact values of 200 random instances
+# enter its gap figures
 ORACLE_SHA256 = {
     0: "9162dc427ff22aa9d41edee0583132868858b9cbb15e0b010056a3713c8f8d35",
     1: "fc57c464a9dd5dda8314a2ced230596542797a110191477ddb535e8b6603c29f",
     2: "ed80356ca0250f978356b8d80c9315e718c69f17652071ac86c7ae2a19e9b26a",
     3: "2a05b1af7b368e273003c1a2ae2cb90e8f00b2aef27db0c42f0583814f613dbc",
+    4: "a3e9ccb6acf89cffd2726e0c51f2f4c43b7dbb9d98593541f3e4bee1fb80c146",
+    5: "438ffc96dbc5aadbabe00c523278f61142e132b31b8be152acfc0b23219bf1e2",
+    6: "3e9ff9997450786604cf91874b82e2b07392ed7230862babcdd75662cc3a0403",
+    7: "c43bd92b66fb0d9b8cb6f0c6acea8eb1af704138beb696ea356e71afb0cb00ea",
+    8: "be64ca56d117c8bb69b3e0c52a4dc770c369e7438f019d871b1adcde8072b090",
+    9: "ef44dea051a59d21256ba319ed800c3fa204c66021a9f3a653434ef214b73f03",
+    10: "2c4966aab4f214e473343bdf6da20287bd2fdc68f5205e7fae157fe4f386575c",
+    11: "58f76eb8ec7ab3b173958f225d32d42539c915910404da4d4cb0900a46a14f7a",
+    12: "3407e8097c9d46eb3f320d975538d807b10d4596ba00dec0d47462ad0743dd04",
+    13: "a5a256006e0c77b45cb7e61ab588c82bfde183710d326d326fe221144836052f",
+    14: "8a52d6b5e133b04f958f469cb60c714cdfa8ccba96baf9b6e2f8a085f46e8b30",
+    15: "63b8de20f56d9a7558b36e3e954c269f004c67fa3dc87945e06e0bcddd9c08b0",
+}
+
+# sha256 of ``pdim oracle --max-points 3 --trials 200 --seed s`` stdout: every
+# instance has 3 points, many of them with no pairs or with every pair
+ORACLE3_SHA256 = {
+    0: "15d359452a14d4452eedd363631b5c3a1edc29daba251570c1f37fc58cbe4f67",
+    1: "d32a931a02a09bf94d3cbbb313a19eede4e13cec28edb642095ca5e539a41907",
+    2: "a94d68d18a2c0a8236825d9e454809b138ff7ab95f8944a86a32f328307814b4",
+    3: "46e0019640113aa0b97f453e7cd82bb9b2f4d38da59fe245579f4e813895419d",
 }
 
 VERIFY_SEED_0 = [
@@ -296,6 +318,14 @@ def test_oracle_stdout_bytes(seed, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE3_SHA256))
+def test_oracle_stdout_bytes_at_three_points(seed, capsys):
+    args = ["oracle", "--max-points", "3", "--trials", "200", "--seed", str(seed)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE3_SHA256[seed]
 
 
 def verify_lines(tmp_path, seed):
