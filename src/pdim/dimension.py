@@ -182,7 +182,8 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Slope of the least-squares line through (x, y) and its standard error.
 
     Same steps as ``scipy.stats.linregress``, so the two agree bit for bit:
-    NaN for fewer than 2 points or a NaN input, stderr 0 for exactly 2.
+    NaN for fewer than 2 points or a NaN input, and otherwise stderr 0 for
+    exactly 2.
     """
     n = len(x)
     if n < 2:
@@ -195,7 +196,7 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     ssxm, ssxym, _, ssym = cov.flat
     slope = float(ssxym / ssxm)
     if n == 2:
-        return slope, 0.0
+        return slope, math.nan if np.isnan(x).any() or np.isnan(y).any() else 0.0
     if ssxm == 0.0 or ssym == 0.0:
         r = math.nan if ssxym == 0 else 0.0
     else:

@@ -165,6 +165,12 @@ class TestLeastSquares:
         slope, err = _least_squares(np.array([1.0]), np.array([2.0]))
         assert math.isnan(slope) and math.isnan(err)
 
+    def test_two_points_with_a_nan_are_nan(self):
+        # as linregress, whose NaN policy makes every output NaN
+        for x, y in (([1.0, math.nan], [3.0, 7.0]), ([1.0, 2.0], [math.nan, 7.0])):
+            slope, err = _least_squares(np.array(x), np.array(y))
+            assert math.isnan(slope) and math.isnan(err)
+
     def test_random_fits_match_np_cov_bit_for_bit(self):
         cases = least_squares_cases()
         assert agreement(_least_squares, cases) == [True] * len(cases)
@@ -173,9 +179,8 @@ class TestLeastSquares:
         stats = pytest.importorskip("scipy.stats")
         checked = 0
         for x, y in least_squares_cases():
-            # linregress raises on a constant x, and its NaN policy makes
-            # every output NaN where _least_squares gives 2 points stderr 0
-            if np.all(x == x[0]) or (len(x) == 2 and np.isnan([x, y]).any()):
+            # linregress raises on a constant x
+            if np.all(x == x[0]):
                 continue
             fit = stats.linregress(x, y)
             assert bits(_least_squares(x, y)) == bits((fit.slope, fit.stderr)), (x, y)
@@ -202,7 +207,7 @@ def reference_least_squares(x, y):
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
     slope = float(ssxym / ssxm)
     if n == 2:
-        return slope, 0.0
+        return slope, math.nan if np.isnan([x, y]).any() else 0.0
     if ssxm == 0.0 or ssym == 0.0:
         r = math.nan if ssxym == 0 else 0.0
     else:
