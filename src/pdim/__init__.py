@@ -48,6 +48,7 @@ from .partition import (
     spanning_upper_bound,
     exact_separated_value,
     exact_spanning_value,
+    exact_optima,
     count_spanning_separated,
 )
 from .symbolic import (

@@ -33,9 +33,11 @@ all.  Otherwise each pick is one argmax over m packed keys, a scan of the
 picked ball for its uncovered points, and one subtract.at over the newly
 covered points' balls: O(m) per pick, and O(m + E) in total for the scans
 and decrements.  Both give the same picks in the same order.  The exact
-oracles build their bit masks in one pass over the relation and search,
-with a memo, only the states they reach: the cover search branches on the
-sets that cover the lowest uncovered element, the separated search on
+optima are set up once per batch and searched once per instance
+(``exact_optima``): one array pass over the batch's relations builds every
+instance's closed balls, bit masks and shifted weights, and each search,
+with a memo, visits only the states it reaches: the cover search branches
+on the balls that hold the lowest uncovered point, the separated search on
 keeping or skipping the lowest candidate.
 """
 
@@ -548,19 +550,6 @@ def _neighbours(inst: SeparationInstance, strict: bool,
     return indptr, dst[np.argsort(src, kind="stable")]
 
 
-def _masks(inst: SeparationInstance, strict: bool) -> list[int]:
-    """Bit v of masks[u] is set for u = v and each pair {u, v} of ``_edges``,
-    in one pass over the relation."""
-    i, j, d = inst.pairs()
-    masks = [1 << u for u in range(inst.size)]
-    eps = inst.eps
-    for u, v, duv in zip(i.tolist(), j.tolist(), d.tolist()):
-        if not strict or duv < eps:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-    return masks
-
-
 def _greedy_separated_indices(inst: SeparationInstance) -> list[int]:
     indptr, nbrs = _neighbours(inst, strict=False)
     bounds = indptr.tolist()
@@ -655,27 +644,10 @@ def spanning_upper_bound(inst: SeparationInstance, note: str = "") -> GrowthSamp
     return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, val, exact=False, note=note)
 
 
-def _check_size(inst: SeparationInstance) -> None:
-    if inst.size > ORACLE_CAP:
-        raise InstanceTooLargeError(
-            f"{inst.size} candidates exceed the exact-oracle cap {ORACLE_CAP}"
-        )
-
-
-def shifted_weights(weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """(w, exp(weights - w)) for the largest weight w, so the exact searches
-    add floats near 1; w is 0.0 where every weight is -inf, so that no
-    -inf - -inf is taken."""
-    wmax = float(weights.max())
-    if wmax == -math.inf:
-        wmax = 0.0
-    return wmax, np.exp(weights - wmax)
-
-
-def unshifted_log(wmax: float, total: float) -> float:
-    """wmax + log(total), the log of a sum of ``shifted_weights``: -inf where
-    the total is 0, as when points of weight -inf alone make the optimum."""
-    return wmax + math.log(total) if total > 0 else -math.inf
+def _check_cap(sizes: list[int]) -> None:
+    for m in sizes:
+        if m > ORACLE_CAP:
+            raise InstanceTooLargeError(f"{m} candidates exceed the exact-oracle cap {ORACLE_CAP}")
 
 
 def _best_independent(avail: int, conflict: list[int], shifted: list[float],
@@ -696,36 +668,122 @@ def _best_independent(avail: int, conflict: list[int], shifted: list[float],
     return out
 
 
+def _min_cover(uncovered: int, masks: list[int], costs: list[float],
+               covering: list[list[int]], memo: dict[int, float]) -> float:
+    """Least cost to cover the nonzero ``uncovered``, branching on the sets
+    that cover its lowest element e: the indices covering[e] into ``masks``
+    and ``costs``.  A state's value goes into the memo, and each branch
+    looks its state up there before it recurses; the empty state is 0.0."""
+    out = math.inf
+    for u in covering[(uncovered & -uncovered).bit_length() - 1]:
+        rest = 0.0
+        if left := uncovered & ~masks[u]:
+            rest = memo.get(left)
+            if rest is None:
+                rest = _min_cover(left, masks, costs, covering, memo)
+        total = costs[u] + rest
+        if total < out:  # min(out, total)
+            out = total
+    memo[uncovered] = out
+    return out
+
+
+def unshifted_log(wmax: float, total: float) -> float:
+    """wmax + log(total), the log of a sum of weights shifted by their largest,
+    wmax: -inf where the total is 0, as when points of weight -inf alone make
+    the optimum."""
+    return wmax + math.log(total) if total > 0 else -math.inf
+
+
+def _stacked_balls(instances: Sequence[SeparationInstance], sizes: list[int],
+                   relations: list, strict: bool) -> tuple[list, ...]:
+    """(tops, masks, costs, bounds, balls) of instances of at most
+    ORACLE_CAP points each, with their sizes and relations, in one array pass.
+
+    The points are numbered across the batch, instance by instance.  For
+    point p of instance k, balls[bounds[p]:bounds[p + 1]] is its closed
+    ball, the points at d_n < eps (strict) or d_n <= eps and p itself, by
+    number and ascending; bit v of masks[p] is set for the v-th point of k
+    in it.  costs[p] is exp(w_p - tops[k]), tops[k] being k's largest
+    weight, or 0.0 where every weight is -inf, so that no -inf - -inf is
+    taken.
+    """
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes) - sizes
+    counts = [len(i) for i, _, _ in relations]
+    i, j, d = (np.concatenate(col) for col in zip(*relations))
+    base = np.repeat(starts, counts)
+    if strict:
+        near = d < np.repeat([inst.eps for inst in instances], counts)
+        i, j, base = i[near], j[near], base[near]
+    own = np.arange(int(sizes.sum()))
+    home = np.repeat(starts, sizes)  # each point's instance start
+    src = np.concatenate([i + base, j + base, own])
+    local = np.concatenate([j, i, own - home])
+    order = np.argsort(src * ORACLE_CAP + local)  # by ball, then ascending in it
+    src, local = src[order], local[order]
+    bounds = np.searchsorted(src, np.arange(len(own) + 1))
+    masks = np.bitwise_or.reduceat(np.int64(1) << local, bounds[:-1])
+    weights = np.concatenate([inst.weights for inst in instances])
+    tops = np.maximum.reduceat(weights, starts)
+    tops[tops == -np.inf] = 0.0
+    costs = np.exp(weights - np.repeat(tops, sizes))
+    balls = local + home[src]
+    return tops.tolist(), masks.tolist(), costs.tolist(), bounds.tolist(), balls.tolist()
+
+
+def exact_optima(instances: Sequence[SeparationInstance], estimator: Estimator) -> list[float]:
+    """Per instance, the log of its exact separated (``Estimator.SEPARATED``)
+    or spanning (``Estimator.SPANNING``) optimum.
+
+    A separated instance with no pairs keeps every candidate: its value is
+    the logsumexp of its weights, at any size.  Every other instance is
+    searched, and raises InstanceTooLargeError past ORACLE_CAP candidates,
+    spanning ones before their relation is read; all of them are checked
+    before any search.  One ``_stacked_balls`` pass over the searched
+    instances sets them up, and then only the searches run per instance:
+    keep or skip the lowest candidate (separated, on the d_n <= eps balls),
+    or branch on the balls that hold the lowest uncovered point (spanning,
+    on the d_n < eps balls: by symmetry, the sets that cover it).
+    """
+    separated = estimator == Estimator.SEPARATED
+    sizes = [len(inst.weights) for inst in instances]  # one weight per candidate
+    if not separated:
+        _check_cap(sizes)
+    relations = [inst.pairs() for inst in instances]
+    keeps_all = [separated and not len(i) for i, _, _ in relations]
+    searched = [x for x, keep in enumerate(keeps_all) if not keep]
+    sizes = [sizes[x] for x in searched]
+    _check_cap(sizes)
+    out = [logsumexp(inst.weights) if keep else math.nan
+           for inst, keep in zip(instances, keeps_all)]
+    if not searched:
+        return out
+    tops, masks, costs, bounds, balls = _stacked_balls(
+        [instances[x] for x in searched], sizes, [relations[x] for x in searched], not separated)
+    if not separated:
+        balls = [balls[b:e] for b, e in zip(bounds, bounds[1:])]
+    a = 0
+    for x, m, top in zip(searched, sizes, tops):
+        if separated:
+            total = _best_independent((1 << m) - 1, masks[a:a + m], costs[a:a + m], {})
+        else:
+            total = _min_cover((1 << m) - 1, masks, costs, balls[a:a + m], {})
+        out[x] = unshifted_log(top, total)
+        a += m
+    return out
+
+
 def exact_separated_value(inst: SeparationInstance) -> GrowthSample:
     """Exact separated-set optimum by weighted independent-set search."""
-    m = inst.size
-    if not len(inst.pairs()[0]):
-        # everything is pairwise separated; the optimum keeps all candidates
-        val = logsumexp(inst.weights)
-        return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=True)
-    _check_size(inst)
-    conflict = _masks(inst, strict=False)
-    wmax, shifted = shifted_weights(inst.weights)
-    val = unshifted_log(wmax, _best_independent((1 << m) - 1, conflict, shifted.tolist(), {}))
-    return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, float(val), exact=True)
+    [val] = exact_optima([inst], Estimator.SEPARATED)
+    return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=True)
 
 
-def _min_cover(covered: int, full: int, covering: list[list[tuple[int, float]]],
-               memo: dict[int, float]) -> float:
-    """Least cost to cover ``full`` from ``covered``, branching on the sets
-    that cover the lowest uncovered element."""
-    if covered == full:
-        return 0.0
-    out = memo.get(covered)
-    if out is None:
-        rem = full & ~covered
-        out = math.inf
-        for mask, cost in covering[(rem & -rem).bit_length() - 1]:
-            total = cost + _min_cover(covered | mask, full, covering, memo)
-            if total < out:  # min(out, total)
-                out = total
-        memo[covered] = out
-    return out
+def exact_spanning_value(inst: SeparationInstance) -> GrowthSample:
+    """Exact spanning-set optimum by weighted set-cover search."""
+    [val] = exact_optima([inst], Estimator.SPANNING)
+    return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, val, exact=True)
 
 
 def exact_min_cover(masks: list[int], costs: np.ndarray, full: int | None = None) -> float:
@@ -738,24 +796,16 @@ def exact_min_cover(masks: list[int], costs: np.ndarray, full: int | None = None
     """
     if full is None:
         full = (1 << len(masks)) - 1
-    covering: list[list[tuple[int, float]]] = [[] for _ in range(full.bit_length())]
-    for mask, cost in zip(masks, np.asarray(costs, dtype=float).tolist()):
+    if not full:
+        return 0.0
+    covering: list[list[int]] = [[] for _ in range(full.bit_length())]
+    for u, mask in enumerate(masks):
         mask &= full
-        rest = mask
-        while rest:
-            low = rest & -rest
-            covering[low.bit_length() - 1].append((mask, cost))
-            rest ^= low
-    return _min_cover(0, full, covering, {})
-
-
-def exact_spanning_value(inst: SeparationInstance) -> GrowthSample:
-    """Exact spanning-set optimum by weighted set-cover search."""
-    _check_size(inst)
-    masks = _masks(inst, strict=True)
-    wmax, costs = shifted_weights(inst.weights)
-    val = unshifted_log(wmax, exact_min_cover(masks, costs))
-    return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, float(val), exact=True)
+        while mask:
+            low = mask & -mask
+            covering[low.bit_length() - 1].append(u)
+            mask ^= low
+    return _min_cover(full, masks, np.asarray(costs, dtype=float).tolist(), covering, {})
 
 
 def count_spanning_separated(
@@ -766,7 +816,6 @@ def count_spanning_separated(
 ) -> tuple[int, int]:
     """Exact (min spanning count, max separated count): the zero-weight optima."""
     inst = make_instance(system, n, eps, points)
-    _check_size(inst)
-    span = exact_spanning_value(inst).log_value
-    sep = exact_separated_value(inst).log_value
+    [span] = exact_optima([inst], Estimator.SPANNING)
+    [sep] = exact_optima([inst], Estimator.SEPARATED)
     return round(math.exp(span)), round(math.exp(sep))

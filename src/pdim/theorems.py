@@ -21,9 +21,11 @@ of the call take the stacked path: one metric call per batch of point sets.
 ``SupNormReport`` is read off its sample's instance.  ``chain`` and
 ``thm34`` collect the arc cover jobs of all their trials and compute them
 in one ``_cover_values`` call: one padded array pass for the arc members,
-one for the cell costs, then one exact cover search per job.  The exact
-searches, and the order in which violations are appended, are those of
-one trial at a time.
+one for the cell costs, then one exact cover search per job.  A suite's
+exact separated and spanning optima come from one ``exact_optima`` call per
+estimator, set up in one array pass and searched once per instance.  The
+exact searches, and the order in which violations are appended, are those
+of one trial at a time.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from .dimension import dimension_estimate, entropy_dimension, growth_tables
 from .partition import (
     Estimator,
     exact_min_cover,
-    exact_separated_value,
-    exact_spanning_value,
+    exact_optima,
     make_families,
     unshifted_log,
 )
@@ -193,7 +194,7 @@ def _cover_values(jobs: list) -> list[float]:
             cells = {c & a for c in cells for a in row if c & a}
         masks.append(sorted(cells))
     wmax = w.max(axis=1)
-    wmax[wmax == -np.inf] = 0.0  # as in shifted_weights
+    wmax[wmax == -np.inf] = 0.0  # as in exact_optima: no -inf - -inf
     shifted = np.exp(w - wmax[:, None])
     counts = [len(m) for m in masks]
     owner = np.repeat(np.arange(len(jobs)), counts)
@@ -239,11 +240,15 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
         n = int(rng.integers(1, 4))
         G = int(rng.integers(4, 9))
         drawn.append((system, pts, pot, n, G, float(rng.uniform(0.15, 0.45))))
-    families = iter(make_families(
+    families = make_families(
         [(system, WordGrid(system, system.word_rows(n + k)),
           [(n, deflated_scale(k))], [pot]) for system, pot in cases for n, k in dual]
         + [(system, pts, [(n, 1.0 / G / 4.0), (n, eps)], [pot])
-           for system, pts, pot, n, G, eps in drawn]))
+           for system, pts, pot, n, G, eps in drawn])
+    duals = [inst for [[inst]] in families[:len(cases) * len(dual)]]
+    built = [(fine, inst) for [[fine, inst]] in families[len(duals):]]
+    sep = iter(exact_optima(duals + [inst for _, inst in built], Estimator.SEPARATED))
+    span = iter(exact_optima(duals + [inst for pair in built for inst in pair], Estimator.SPANNING))
 
     for sums in tables:
         for n in range(1, n_max + 1):
@@ -256,28 +261,23 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
                 violations.append(span_val - p_val)
                 violations.append(p_val - upper_val)
         for n, k in dual:
-            [[inst]] = next(families)
-            bf_p = exact_separated_value(inst).log_value
-            bf_q = exact_spanning_value(inst).log_value
+            bf_p, bf_q = next(sep), next(span)
             violations.append(bf_q - bf_p)
             violations.append(abs(bf_p - sums[k][n]))
 
-    built = [(fine, inst) for [[fine, inst]] in families]
     covers = iter(_cover_values([
         job for (system, pts, _, n, G, eps), (_, inst) in zip(drawn, built)
         for job in ((system.theta, pts.rows, inst.weights, n, G, min, 1),
                     (system.theta, pts.rows, inst.weights, n, math.ceil(1.5 / eps), max, 1))]))
-    for fine, inst in built:
+    for _ in built:
         logq = next(covers)
-        span = exact_spanning_value(fine)
-        violations.append(logq - span.log_value)
+        violations.append(logq - next(span))
 
-        bf_q = exact_spanning_value(inst)
-        bf_p = exact_separated_value(inst)
-        violations.append(bf_q.log_value - bf_p.log_value)
+        bf_q, bf_p = next(span), next(sep)
+        violations.append(bf_q - bf_p)
 
         logp = next(covers)
-        violations.append(bf_p.log_value - logp)
+        violations.append(bf_p - logp)
 
     notes = f"{len(violations)} inequalities"
     return _finish("chain", params, violations, fault, notes)
@@ -308,17 +308,22 @@ def check_prop22(seed: int = 0, fault: float = 0.0) -> CheckReport:
         [(system, pts, [(n, e) for n in range(1, n_max + 1) for e in (eps, eps / 2.0)], [pot])
          for (system, _, pot, eps), pts in zip(drawn, carried)]
         + [(system, ext, [(1, math.inf)], [pot]) for (system, _, pot, _), ext in zip(drawn, samples)])
-    for (_, _, pot, eps), [insts], [[sample]] in zip(drawn, families, families[trials:]):
+    # per trial, the separated values at eps and then at eps / 2 for n = n_max,
+    # and the spanning values at eps / 2
+    rows = [insts for [insts] in families[:trials]]
+    sep = iter(exact_optima([inst for insts in rows for inst in insts[::2] + insts[-1:]],
+                            Estimator.SEPARATED))
+    span = iter(exact_optima([inst for insts in rows for inst in insts[1::2]], Estimator.SPANNING))
+    for (_, _, pot, eps), [[sample]] in zip(drawn, families[trials:]):
         report = SupNormReport.of(sample)
         delta = report.modulus(eps / 2.0)
-        for n, full, half in zip(range(1, n_max + 1), insts[::2], insts[1::2]):
-            p_val = exact_separated_value(full).log_value
-            q_val = exact_spanning_value(half).log_value
+        for n in range(1, n_max + 1):
+            p_val, q_val = next(sep), next(span)
             bound = 2.0 * n * pot.C + n * delta
             violations.append(p_val - bound - q_val)
         # matched-scale band between the two window statistics for s > 1,
         # from the n = n_max values the loop ends on
-        p_half = exact_separated_value(half).log_value
+        p_half = next(sep)
         for s in (1.5, 2.0):
             v3 = p_val / n**s
             v2 = q_val / n**s
@@ -410,8 +415,9 @@ def check_thm32(seed: int = 0, fault: float = 0.0) -> CheckReport:
         pot2 = Birkhoff(phi=pot2.phi, system=sys_r, name="trig2")
         n = int(rng.integers(1, 4))
         drawn.append((sys_r, pts, [(n, float(rng.uniform(0.1, 0.4)))], [add(pot, pot2), pot, pot2]))
-    for family in make_families(drawn):
-        v_sum, v_a, v_b = (exact_separated_value(inst).log_value for [inst] in family)
+    values = iter(exact_optima([inst for family in make_families(drawn) for [inst] in family],
+                               Estimator.SEPARATED))
+    for v_sum, v_a, v_b in zip(values, values, values):
         violations.append(v_sum - v_a - v_b)
     notes = f"{pairs} exact pairs + 10 oracle instances"
     return _finish("thm32", params, violations, fault, notes)
@@ -512,26 +518,29 @@ def check_thm34(seed: int = 0, fault: float = 0.0) -> CheckReport:
     families += [(system, grid, requests, [pot]),
                  (system.inverse(), grid, requests, [inverse_twist(pot)])]
 
-    built = iter(make_families(families))
-    pairs = [(next(built), next(built)) for _ in drawn]
+    built = make_families(families)
+    pairs = [inst for [[inst]] in built[:2 * trials]]  # left, right per trial
+    [[pow_inst]], [[base_inst]], [fwd], [bwd] = built[2 * trials:]
     covers = iter(_cover_values([
-        job for (system, pts, n, G), (_, [[right]]) in zip(drawn, pairs)
+        job for (system, pts, n, G), right in zip(drawn, pairs[1::2])
         # right.weights: phi_(n power) on the points
         for job in ((system.theta, pts.rows, right.weights, n, G, min, power),
                     (system.theta, pts.rows, right.weights, n * power, G, min, 1))]))
-    for [[left]], [[right]] in pairs:
-        for oracle in (exact_separated_value, exact_spanning_value):
-            violations.append(oracle(left).log_value - oracle(right).log_value)
+    sep = iter(exact_optima(pairs + [pow_inst, base_inst], Estimator.SEPARATED))
+    span = iter(exact_optima(pairs + [inst for f, b in zip(fwd, bwd) for inst in (f, b)],
+                             Estimator.SPANNING))
+    for _ in drawn:
+        for values in (sep, span):
+            left, right = next(values), next(values)
+            violations.append(left - right)
         logq_k, logq_1 = next(covers), next(covers)
         violations.append(logq_k - logq_1)
 
-    r_pow, r_base = (round(math.exp(exact_separated_value(inst).log_value))
-                     for [[inst]] in (next(built), next(built)))
+    r_pow, r_base = (round(math.exp(next(sep))) for _ in range(2))
     violations.append(float(r_pow - r_base))
 
-    [fwd], [bwd] = next(built), next(built)
-    for f, b in zip(fwd, bwd):
-        part3.append(abs(exact_spanning_value(f).log_value - exact_spanning_value(b).log_value))
+    for _ in fwd:
+        part3.append(abs(next(span) - next(span)))
     violations.extend(v + (TOL - 1e-12) for v in part3)  # hold part 3 to 1e-12
     notes = f"{trials} oracle instances; inverse identity worst {max(part3):.2e}"
     return _finish("thm34", params, violations, fault, notes)
@@ -558,10 +567,11 @@ def check_thm35(seed: int = 0, fault: float = 0.0) -> CheckReport:
     srcs, tgts = make_families([
         (shift, words, [(n, pi.modulus(eps)) for n, eps in cases], [pullback(pot, pi) for pot in pots]),
         (doubling, images, cases, pots)])
-    for src_row, tgt_row in zip(srcs, tgts):
-        for src, tgt in zip(src_row, tgt_row):
-            violations.append(exact_spanning_value(tgt).log_value
-                              - exact_spanning_value(src).log_value)
+    span = iter(exact_optima([inst for src_row, tgt_row in zip(srcs, tgts)
+                              for pair in zip(tgt_row, src_row) for inst in pair],
+                             Estimator.SPANNING))
+    for tgt, src in zip(span, span):
+        violations.append(tgt - src)
     notes = f"{len(violations)} (potential, eps, n) cases"
     return _finish("thm35", params, violations, fault, notes)
 

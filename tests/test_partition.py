@@ -21,6 +21,7 @@ from pdim.partition import (
     bowen_relations,
     count_spanning_separated,
     exact_min_cover,
+    exact_optima,
     exact_separated_value,
     exact_spanning_value,
     greedy_separated,
@@ -924,12 +925,29 @@ def brute_masks(pairs, m, eps, strict):
     return masks
 
 
-def check_masks(inst, pairs, masks=None):
-    """``_masks`` (or ``masks``) of the instance, loose and strict, against ``brute_masks``."""
+def batch_masks(insts, strict, stacked=None):
+    """Per instance, its masks from one ``_stacked_balls`` pass (or ``stacked``)
+    over the batch, after a check that each point's ball, by number, is
+    ascending and holds exactly the points of its mask."""
+    sizes = [inst.size for inst in insts]
+    _, masks, _, bounds, balls = (stacked or partition._stacked_balls)(
+        insts, sizes, [inst.pairs() for inst in insts], strict)
+    starts = np.cumsum([0] + sizes).tolist()
+    for a, m in zip(starts, sizes):
+        for p in range(a, a + m):
+            ball = balls[bounds[p]:bounds[p + 1]]
+            assert ball == sorted(ball)
+            assert ball == [a + v for v in range(m) if masks[p] >> v & 1]
+    return [masks[a:a + m] for a, m in zip(starts, sizes)]
+
+
+def check_masks(insts, pairs, stacked=None):
+    """The batch's masks of the instances, loose and strict, against
+    ``brute_masks`` of each instance's pairs of d_n."""
     for strict in (False, True):
-        got = (masks or partition._masks)(inst, strict)
-        assert got == brute_masks(pairs, inst.size, inst.eps, strict), (inst.n, inst.eps, strict)
-        assert all(type(v) is int for v in got)
+        for inst, got, want in zip(insts, batch_masks(insts, strict, stacked), pairs):
+            assert got == brute_masks(want, inst.size, inst.eps, strict), (inst.n, inst.eps, strict)
+            assert all(type(v) is int for v in got)
 
 
 def rotation_mask_family(m, n):
@@ -963,8 +981,8 @@ MASK_FAMILIES = {"stacked": (lambda: rotation_mask_family(10, 3), True),
 
 class TestStackedFamilies:
     """make_families' stacked pass against the walk of each family alone, and
-    ``_masks`` on stacked, walked and array-less families against a loop
-    over every pair."""
+    the exact oracles' masks on stacked, walked and array-less families
+    against a loop over every pair."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stacked_equals_per_family(self, monkeypatch, seed):
@@ -977,13 +995,17 @@ class TestStackedFamilies:
         built = partition.make_families([(s, p, r, [None]) for s, p, r in families])
         assert max(batches) > 1  # families of one metric share a batch
         monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)  # each family walks alone
+        oracle_insts, oracle_pairs = [], []
         for (system, pts, requests), [insts] in zip(families, built):
             assert insts[0]._relations.found  # filled by the stacked pass
             for inst, want in zip(insts, bowen_relations(system, pts, requests)):
                 assert same_arrays(inst.pairs(), want), (system, inst.n, inst.eps)
                 i, j, d = reference_relation(system, inst.n, pts, inst.eps)
                 assert (want[0].tolist(), want[1].tolist()) == (i.tolist(), j.tolist())
-                check_masks(inst, reference_relation(system, inst.n, pts, math.inf))
+                if inst.size <= partition.ORACLE_CAP:
+                    oracle_insts.append(inst)
+                    oracle_pairs.append(reference_relation(system, inst.n, pts, math.inf))
+        check_masks(oracle_insts, oracle_pairs)  # one batch over every family
 
     @pytest.mark.parametrize("path", sorted(MASK_FAMILIES))
     def test_masks_on_every_path(self, path):
@@ -991,16 +1013,16 @@ class TestStackedFamilies:
         system, pts, requests, pairs = family()
         [insts] = make_instances(system, pts, requests, [None])
         assert bool(insts[0]._relations.found) == stacks  # else it walks on first use
-        for inst in insts:
-            check_masks(inst, pairs)
+        check_masks(insts, [pairs] * len(insts))
         # the fault: the strict masks take the pairs at d = eps too, as the
         # loose masks do; the first request has a pair at d = eps
-        source = textwrap.dedent(inspect.getsource(partition._masks))
-        assert source.count("duv < eps") == 1
+        source = textwrap.dedent(inspect.getsource(partition._stacked_balls))
+        assert source.count("near = d < ") == 1
         scope = dict(vars(partition))
-        exec(compile(source.replace("duv < eps", "duv <= eps"), partition.__file__, "exec"), scope)
+        exec(compile(source.replace("near = d < ", "near = d <= "), partition.__file__, "exec"),
+             scope)
         with pytest.raises(AssertionError):
-            check_masks(insts[0], pairs, scope["_masks"])
+            check_masks(insts[:1], [pairs], scope["_stacked_balls"])
 
     def test_a_family_past_the_oracle_cap_stacks(self):
         # a 21-point family, past the exact oracles' cap, shares a batch with
@@ -1398,12 +1420,14 @@ ORACLE_SYSTEMS = {
 }
 
 
-def random_oracle_instance(kind, seed):
-    """Up to ORACLE_CAP candidates with normal weights, some of them -inf; on
-    odd seeds eps is the distance of the first two, so strict and closed differ."""
+def random_oracle_instance(kind, seed, m=None):
+    """Up to ORACLE_CAP candidates (or m) with normal weights, some of them
+    -inf; on odd seeds eps is the distance of the first two, so strict and
+    closed differ."""
     rng = np.random.default_rng([seed, len(kind)])
     system = ORACLE_SYSTEMS[kind](rng)
-    m = int(rng.integers(2, partition.ORACLE_CAP + 1)) if seed else partition.ORACLE_CAP
+    drawn = int(rng.integers(2, partition.ORACLE_CAP + 1)) if seed else partition.ORACLE_CAP
+    m = drawn if m is None else m
     n = int(rng.integers(1, 4))
     if isinstance(system, FullShift):
         length = 5 if system.k == 2 else 3
@@ -1429,7 +1453,7 @@ class TestOracleSearch:
     def test_oracles_match_the_closure_searches(self, kind, seed):
         inst = random_oracle_instance(kind, seed)
         for strict in (False, True):
-            assert partition._masks(inst, strict) == reference_masks(inst, strict)
+            assert batch_masks([inst], strict) == [reference_masks(inst, strict)]
         if len(inst.pairs()[0]):
             assert exact_separated_value(inst).log_value == reference_separated(inst)
         assert exact_spanning_value(inst).log_value == reference_spanning(inst)
@@ -1502,6 +1526,85 @@ class TestOracleSearch:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def mixed_oracle_batch(seed):
+    """A batch of every oracle system, m from 1 to ORACLE_CAP, each kind on
+    random eps (odd seeds at the distance of a pair), at an eps below every
+    distance (no pairs) and above every distance (every pair), with weights
+    of -inf among them, in a shuffled order."""
+    rng = np.random.default_rng([seed, 31])
+    batch = [random_oracle_instance(kind, int(s))
+             for kind in ORACLE_SYSTEMS for s in rng.integers(0, 40, size=3)]
+    for m in range(1, partition.ORACLE_CAP + 1):
+        kind = list(ORACLE_SYSTEMS)[(seed + m) % len(ORACLE_SYSTEMS)]
+        base = random_oracle_instance(kind, int(rng.integers(0, 40)) * 2 + (m > 1), m)
+        weights = base.weights + rng.normal(scale=20.0)  # maxima far apart across the batch
+        for eps in (base.eps, 1e-9, 4.0):
+            batch.append(SeparationInstance(base.system, base.n, eps, base.points, weights))
+    batch.append(SeparationInstance(Rotation(0.3), 1, 0.15, [real(v) for v in (0.0, 0.1, 0.2)],
+                                    np.full(3, -math.inf)))
+    return [batch[x] for x in rng.permutation(len(batch))]
+
+
+class TestOracleBatches:
+    """``exact_optima`` on mixed batches against the one-case forms and the
+    closure searches, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batches_match_one_case_forms_and_references(self, seed):
+        batch = mixed_oracle_batch(seed)
+        sizes = {inst.size for inst in batch}
+        assert sizes == set(range(1, partition.ORACLE_CAP + 1))
+        assert any(not len(inst.pairs()[0]) for inst in batch)
+        assert any(len(inst.pairs()[0]) == inst.size * (inst.size - 1) // 2 > 0 for inst in batch)
+        assert any(np.isneginf(inst.weights).any() for inst in batch)
+        assert any((inst.pairs()[2] == inst.eps).any() for inst in batch)
+        seps = exact_optima(batch, Estimator.SEPARATED)
+        spans = exact_optima(batch, Estimator.SPANNING)
+        for inst, sep, span in zip(batch, seps, spans):
+            assert type(sep) is float and type(span) is float
+            assert sep == exact_separated_value(inst).log_value
+            assert span == exact_spanning_value(inst).log_value
+            if len(inst.pairs()[0]):
+                assert sep == reference_separated(inst)
+            else:
+                assert sep == logsumexp(inst.weights)
+            assert span == reference_spanning(inst)
+        for strict in (False, True):
+            assert batch_masks(batch, strict) == [reference_masks(inst, strict) for inst in batch]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_value_does_not_depend_on_its_batch(self, seed):
+        batch = mixed_oracle_batch(seed)
+        rng = np.random.default_rng([seed, 32])
+        for estimator in (Estimator.SEPARATED, Estimator.SPANNING):
+            whole = exact_optima(batch, estimator)
+            order = rng.permutation(len(batch))[:len(batch) // 2]
+            part = exact_optima([batch[x] for x in order], estimator)
+            assert part == [whole[x] for x in order]
+            assert exact_optima([], estimator) == []
+
+    def test_no_search_runs_in_a_batch_past_the_cap(self, monkeypatch):
+        searched = []
+        for name in ("_min_cover", "_best_independent"):
+            monkeypatch.setattr(partition, name, lambda *a, name=name: searched.append(name))
+        small = random_oracle_instance("rotation", 2)
+        big = make_instance(Rotation(0.3), 1, 0.4, [real(v / 50.0) for v in range(25)])
+        for estimator in (Estimator.SPANNING, Estimator.SEPARATED):
+            with pytest.raises(InstanceTooLargeError, match="25 candidates"):
+                exact_optima([small, big, small], estimator)
+        assert searched == []
+        # a spanning instance checks the cap before its relation is read
+        fs = FullShift(2)
+        words = [fs.representative(w) for w in admissible_words(fs, 5)]
+        spread = SeparationInstance(fs, 5, deflated_scale(0), words, np.zeros(len(words)))
+        with pytest.raises(InstanceTooLargeError):
+            exact_optima([spread], Estimator.SPANNING)
+        assert spread._relations is None
+        # a separated instance with no pairs is not searched, at any size
+        [val] = exact_optima([spread], Estimator.SEPARATED)
+        assert val == logsumexp(spread.weights) and searched == []
 
 
 class TestLogSumExp:
