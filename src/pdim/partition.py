@@ -696,17 +696,17 @@ def unshifted_log(wmax: float, total: float) -> float:
 
 
 def _stacked_balls(instances: Sequence[SeparationInstance], sizes: list[int],
-                   relations: list, strict: bool) -> tuple[list, ...]:
+                   relations: list, strict: bool) -> tuple:
     """(tops, masks, costs, bounds, balls) of instances of at most
-    ORACLE_CAP points each, with their sizes and relations, in one array pass.
+    ORACLE_CAP points each, with their sizes and relations, in one array
+    pass; bounds and balls are int64 arrays, the others lists.
 
     The points are numbered across the batch, instance by instance.  For
     point p of instance k, balls[bounds[p]:bounds[p + 1]] is its closed
     ball, the points at d_n < eps (strict) or d_n <= eps and p itself, by
-    number and ascending; bit v of masks[p] is set for the v-th point of k
-    in it.  costs[p] is exp(w_p - tops[k]), tops[k] being k's largest
-    weight, or 0.0 where every weight is -inf, so that no -inf - -inf is
-    taken.
+    their index in k and ascending; bit v of masks[p] is set for each v in
+    it.  costs[p] is exp(w_p - tops[k]), tops[k] being k's largest weight,
+    or 0.0 where every weight is -inf, so that no -inf - -inf is taken.
     """
     sizes = np.array(sizes)
     starts = np.cumsum(sizes) - sizes
@@ -717,19 +717,19 @@ def _stacked_balls(instances: Sequence[SeparationInstance], sizes: list[int],
         near = d < np.repeat([inst.eps for inst in instances], counts)
         i, j, base = i[near], j[near], base[near]
     own = np.arange(int(sizes.sum()))
-    home = np.repeat(starts, sizes)  # each point's instance start
-    src = np.concatenate([i + base, j + base, own])
-    local = np.concatenate([j, i, own - home])
-    order = np.argsort(src * ORACLE_CAP + local)  # by ball, then ascending in it
-    src, local = src[order], local[order]
-    bounds = np.searchsorted(src, np.arange(len(own) + 1))
+    # one key per ball entry, its point's number times ORACLE_CAP plus the
+    # member's index: sorted, by ball, then ascending in it
+    key = np.concatenate([(i + base) * ORACLE_CAP + j, (j + base) * ORACLE_CAP + i,
+                          own * ORACLE_CAP + own - np.repeat(starts, sizes)])
+    key.sort()
+    bounds = np.searchsorted(key, np.arange(len(own) + 1) * ORACLE_CAP)
+    local = key % ORACLE_CAP
     masks = np.bitwise_or.reduceat(np.int64(1) << local, bounds[:-1])
     weights = np.concatenate([inst.weights for inst in instances])
     tops = np.maximum.reduceat(weights, starts)
     tops[tops == -np.inf] = 0.0
     costs = np.exp(weights - np.repeat(tops, sizes))
-    balls = local + home[src]
-    return tops.tolist(), masks.tolist(), costs.tolist(), bounds.tolist(), balls.tolist()
+    return tops.tolist(), masks.tolist(), costs.tolist(), bounds, local
 
 
 def exact_optima(instances: Sequence[SeparationInstance], estimator: Estimator) -> list[float]:
@@ -761,16 +761,18 @@ def exact_optima(instances: Sequence[SeparationInstance], estimator: Estimator) 
         return out
     tops, masks, costs, bounds, balls = _stacked_balls(
         [instances[x] for x in searched], sizes, [relations[x] for x in searched], not separated)
-    if not separated:
-        balls = [balls[b:e] for b, e in zip(bounds, bounds[1:])]
+    if not separated:  # each point's ball as a list
+        members, cuts = balls.tolist(), bounds.tolist()
+        balls = [members[b:e] for b, e in zip(cuts, cuts[1:])]
     a = 0
     for x, m, top in zip(searched, sizes, tops):
+        b = a + m
         if separated:
-            total = _best_independent((1 << m) - 1, masks[a:a + m], costs[a:a + m], {})
+            total = _best_independent((1 << m) - 1, masks[a:b], costs[a:b], {})
         else:
-            total = _min_cover((1 << m) - 1, masks, costs, balls[a:a + m], {})
+            total = _min_cover((1 << m) - 1, masks[a:b], costs[a:b], balls[a:b], {})
         out[x] = unshifted_log(top, total)
-        a += m
+        a = b
     return out
 
 

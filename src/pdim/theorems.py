@@ -247,6 +247,10 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
            for system, pts, pot, n, G, eps in drawn])
     duals = [inst for [[inst]] in families[:len(cases) * len(dual)]]
     built = [(fine, inst) for [[fine, inst]] in families[len(duals):]]
+    covers = iter(_cover_values([
+        job for (system, pts, _, n, G, eps), (_, inst) in zip(drawn, built)
+        for job in ((system.theta, pts.rows, inst.weights, n, G, min, 1),
+                    (system.theta, pts.rows, inst.weights, n, math.ceil(1.5 / eps), max, 1))]))
     sep = iter(exact_optima(duals + [inst for _, inst in built], Estimator.SEPARATED))
     span = iter(exact_optima(duals + [inst for pair in built for inst in pair], Estimator.SPANNING))
 
@@ -265,10 +269,6 @@ def check_chain(seed: int = 0, fault: float = 0.0) -> CheckReport:
             violations.append(bf_q - bf_p)
             violations.append(abs(bf_p - sums[k][n]))
 
-    covers = iter(_cover_values([
-        job for (system, pts, _, n, G, eps), (_, inst) in zip(drawn, built)
-        for job in ((system.theta, pts.rows, inst.weights, n, G, min, 1),
-                    (system.theta, pts.rows, inst.weights, n, math.ceil(1.5 / eps), max, 1))]))
     for _ in built:
         logq = next(covers)
         violations.append(logq - next(span))

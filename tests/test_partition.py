@@ -927,17 +927,18 @@ def brute_masks(pairs, m, eps, strict):
 
 def batch_masks(insts, strict, stacked=None):
     """Per instance, its masks from one ``_stacked_balls`` pass (or ``stacked``)
-    over the batch, after a check that each point's ball, by number, is
-    ascending and holds exactly the points of its mask."""
+    over the batch, after a check that each point's ball is ascending and
+    holds exactly the points of its mask."""
     sizes = [inst.size for inst in insts]
     _, masks, _, bounds, balls = (stacked or partition._stacked_balls)(
         insts, sizes, [inst.pairs() for inst in insts], strict)
+    bounds, balls = bounds.tolist(), balls.tolist()
     starts = np.cumsum([0] + sizes).tolist()
     for a, m in zip(starts, sizes):
         for p in range(a, a + m):
             ball = balls[bounds[p]:bounds[p + 1]]
             assert ball == sorted(ball)
-            assert ball == [a + v for v in range(m) if masks[p] >> v & 1]
+            assert ball == [v for v in range(m) if masks[p] >> v & 1]
     return [masks[a:a + m] for a, m in zip(starts, sizes)]
 
 
