@@ -33,12 +33,9 @@ all.  Otherwise each pick is one argmax over m packed keys, a scan of the
 picked ball for its uncovered points, and one subtract.at over the newly
 covered points' balls: O(m) per pick, and O(m + E) in total for the scans
 and decrements.  Both give the same picks in the same order.  The exact
-optima are set up once per batch and searched once per instance
-(``exact_optima``): one array pass over the batch's relations builds every
-instance's closed balls, bit masks and shifted weights, and each search,
-with a memo, visits only the states it reaches: the cover search branches
-on the balls that hold the lowest uncovered point, the separated search on
-keeping or skipping the lowest candidate.
+optima are set up once per batch, in one array pass, and searched once per
+instance (``exact_optima``): each search, with a memo, visits only the
+states it reaches.
 """
 
 from __future__ import annotations
@@ -671,9 +668,8 @@ def _best_independent(avail: int, conflict: list[int], shifted: list[float],
 def _min_cover(uncovered: int, masks: list[int], costs: list[float],
                covering: list[list[int]], memo: dict[int, float]) -> float:
     """Least cost to cover the nonzero ``uncovered``, branching on the sets
-    that cover its lowest element e: the indices covering[e] into ``masks``
-    and ``costs``.  A state's value goes into the memo, and each branch
-    looks its state up there before it recurses; the empty state is 0.0."""
+    covering[e] (indices into ``masks`` and ``costs``) that cover its lowest
+    element e; each branch looks its state up in the memo before it recurses."""
     out = math.inf
     for u in covering[(uncovered & -uncovered).bit_length() - 1]:
         rest = 0.0
@@ -697,16 +693,14 @@ def unshifted_log(wmax: float, total: float) -> float:
 
 def _stacked_balls(instances: Sequence[SeparationInstance], sizes: list[int],
                    relations: list, strict: bool) -> tuple:
-    """(tops, masks, costs, bounds, balls) of instances of at most
-    ORACLE_CAP points each, with their sizes and relations, in one array
-    pass; bounds and balls are int64 arrays, the others lists.
+    """(tops, masks, costs, bounds, balls) of instances of at most ORACLE_CAP
+    points, in one array pass; bounds and balls are arrays, the rest lists.
 
-    The points are numbered across the batch, instance by instance.  For
-    point p of instance k, balls[bounds[p]:bounds[p + 1]] is its closed
-    ball, the points at d_n < eps (strict) or d_n <= eps and p itself, by
-    their index in k and ascending; bit v of masks[p] is set for each v in
-    it.  costs[p] is exp(w_p - tops[k]), tops[k] being k's largest weight,
-    or 0.0 where every weight is -inf, so that no -inf - -inf is taken.
+    Points are numbered across the batch.  For point p of instance k,
+    balls[bounds[p]:bounds[p + 1]] is its closed ball at d_n < eps (strict)
+    or d_n <= eps, as ascending indices in k, and masks[p] its bits.
+    costs[p] is exp(w_p - tops[k]), tops[k] being k's largest weight, or
+    0.0 where every weight is -inf, so that no -inf - -inf is taken.
     """
     sizes = np.array(sizes)
     starts = np.cumsum(sizes) - sizes
@@ -733,18 +727,15 @@ def _stacked_balls(instances: Sequence[SeparationInstance], sizes: list[int],
 
 
 def exact_optima(instances: Sequence[SeparationInstance], estimator: Estimator) -> list[float]:
-    """Per instance, the log of its exact separated (``Estimator.SEPARATED``)
-    or spanning (``Estimator.SPANNING``) optimum.
+    """Per instance, the log of its exact separated or spanning optimum.
 
     A separated instance with no pairs keeps every candidate: its value is
     the logsumexp of its weights, at any size.  Every other instance is
-    searched, and raises InstanceTooLargeError past ORACLE_CAP candidates,
-    spanning ones before their relation is read; all of them are checked
-    before any search.  One ``_stacked_balls`` pass over the searched
-    instances sets them up, and then only the searches run per instance:
-    keep or skip the lowest candidate (separated, on the d_n <= eps balls),
-    or branch on the balls that hold the lowest uncovered point (spanning,
-    on the d_n < eps balls: by symmetry, the sets that cover it).
+    searched and raises InstanceTooLargeError past ORACLE_CAP candidates,
+    before any search runs (a spanning one before its relation is read).
+    One ``_stacked_balls`` pass sets the batch up; the separated search
+    keeps or skips the lowest candidate, the spanning search branches on
+    the balls that hold the lowest uncovered point, the sets that cover it.
     """
     separated = estimator == Estimator.SEPARATED
     sizes = [len(inst.weights) for inst in instances]  # one weight per candidate
