@@ -745,7 +745,8 @@ def exact_optima(instances: Sequence[SeparationInstance], estimator: Estimator) 
     keeps_all = [separated and not len(i) for i, _, _ in relations]
     searched = [x for x, keep in enumerate(keeps_all) if not keep]
     sizes = [sizes[x] for x in searched]
-    _check_cap(sizes)
+    if separated:
+        _check_cap(sizes)
     out = [logsumexp(inst.weights) if keep else math.nan
            for inst, keep in zip(instances, keeps_all)]
     if not searched:
