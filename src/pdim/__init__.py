@@ -49,6 +49,7 @@ from .partition import (
     exact_separated_value,
     exact_spanning_value,
     exact_optima,
+    greedy_optima,
     count_spanning_separated,
 )
 from .symbolic import (

@@ -50,9 +50,8 @@ from .partition import (
     ORACLE_CAP,
     Estimator,
     exact_optima,
+    greedy_optima,
     make_families,
-    separated_lower_bound,
-    spanning_upper_bound,
 )
 from .potentials import (
     Birkhoff,
@@ -526,9 +525,10 @@ def cmd_oracle(args) -> int:
         insts = [inst for [[inst]] in make_families(drawn)]
         seps = exact_optima(insts, Estimator.SEPARATED)
         spans = exact_optima(insts, Estimator.SPANNING)
-        for inst, exact_sep, exact_span in zip(insts, seps, spans):
-            greedy_val = separated_lower_bound(inst).log_value
-            greedy_span = spanning_upper_bound(inst).log_value
+        greedy_seps = greedy_optima(insts, Estimator.SEPARATED)
+        greedy_spans = greedy_optima(insts, Estimator.SPANNING)
+        for exact_sep, exact_span, greedy_val, greedy_span in zip(seps, spans, greedy_seps,
+                                                                  greedy_spans):
             sep_gaps.append(exact_sep - greedy_val)
             span_gaps.append(greedy_span - exact_span)
             worst_sandwich = max(

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import (
-    Estimator,
-    GrowthSample,
-    make_families,
-    separated_lower_bound,
-    spanning_upper_bound,
-)
+from .partition import Estimator, GrowthSample, greedy_optima, make_families
 from .potentials import Potential, zero_potential
 from .symbolic import exact_growth_table
 from .systems import ShiftSystem, System
@@ -106,12 +100,6 @@ class GrowthTable:
         return self._fits[frac]
 
 
-_GREEDY_BOUNDS = {
-    Estimator.SEPARATED: separated_lower_bound,
-    Estimator.SPANNING: spanning_upper_bound,
-}
-
-
 def growth_tables(
     system: System,
     potential: Potential,
@@ -130,21 +118,33 @@ def growth_tables(
     ``budget`` points; samples from an uncertified grid carry the note
     ``"uncertified-candidates"``.  Consecutive n whose grids are equal share
     one instance family (``make_families``): one orbit, one Bowen walk and
-    one weight pass, each sample keeping its own grid's note.  Tables come
-    in the order their first sample is made.
+    one weight pass, each sample keeping its own grid's note.  Each family's
+    greedy bounds are set up once per estimator and picked per instance
+    (``greedy_optima``); a family whose relations pass the pair budget
+    together walks one request at a time, so it goes one instance at a time,
+    with both estimators.  Tables come in the order their first sample is
+    made.
     """
     samples: list[GrowthSample] = []
     if mode == "k":
         samples = [s for s in exact_growth_table(system, potential, scales, n_range)
                    if s.estimator in estimators]
     elif mode == "eps":
+        ests = [Estimator(e) for e in dict.fromkeys(estimators)
+                if e in (Estimator.SPANNING, Estimator.SEPARATED)]  # the only greedy bounds
         for eps in scales:
             for points, run in _grid_runs(system, n_range, eps, budget):
                 requests = [(n, eps) for n, _ in run]
                 [[insts]] = make_families([(system, points, requests, [potential])])
-                for inst, (_, note) in zip(insts, run):
-                    samples.extend(_GREEDY_BOUNDS[e](inst, note=note)
-                                   for e in dict.fromkeys(estimators))
+                insts[0].pairs()  # the family's walk: all its requests, or the first alone
+                alone = insts[0]._relations.requests is None  # past the pair budget
+                # batches of indices: no instance, nor its relation, outlives
+                # its family into the next run's walk
+                for xs in [[x] for x in range(len(insts))] if alone else [range(len(insts))]:
+                    values = [greedy_optima([insts[x] for x in xs], e) for e in ests]
+                    for x, row in zip(xs, zip(*values)):
+                        samples.extend(GrowthSample(e, insts[x].n, eps, v, exact=False,
+                                                    note=run[x][1]) for e, v in zip(ests, row))
     else:
         raise ValueError(f"scale mode must be 'k' or 'eps', got {mode!r}")
     groups: dict[tuple, list[GrowthSample]] = {}

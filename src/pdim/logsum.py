@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -29,3 +30,31 @@ def logsumexp(values):
     s = np.where(top, 0.0, np.exp(a - amax)).sum(axis, keepdims=rows) / count
     out = np.log1p(s) + np.log(count) + amax
     return out[:, 0].tolist() if rows else float(out)
+
+
+def logsumexp_segments(values: np.ndarray, lengths: list[int]) -> list[float]:
+    """Per consecutive segment of ``values`` of the given nonempty lengths,
+    the float of a ``logsumexp`` call on that segment alone.
+
+    The max, the count and the exp are one pass each over every segment;
+    each segment keeps its own ``.sum()``, since ``np.add.reduceat`` adds in
+    another order and so gives other bits.
+    """
+    if len(lengths) == 1:
+        return [logsumexp(values)]
+    values = np.asarray(values, dtype=float)
+    cuts = [0, *itertools.accumulate(lengths)]
+    heads = cuts[:-1]
+    amax = shift = np.maximum.reduceat(values, heads)
+    finite = np.isfinite(amax)
+    some = not finite.all()
+    if some:  # there the value is the max; zeros keep the arithmetic finite
+        values = np.where(finite.repeat(lengths), values, 0.0)
+        shift = np.where(finite, amax, 0.0)
+    own = shift.repeat(lengths)
+    top = values == own
+    count = np.add.reduceat(top, heads)
+    terms = np.where(top, 0.0, np.exp(values - own))
+    sums = np.array([terms[a:b].sum() for a, b in zip(heads, cuts[1:])])
+    out = np.log1p(sums / count) + np.log(count) + shift
+    return (np.where(finite, out, amax) if some else out).tolist()

@@ -23,9 +23,13 @@ turns into exit code 3; no point set is refused for its size alone.  A
 family whose relations fit the budget only one at a time walks each request
 alone, holding one relation.
 
-Greedy separated is O(m + E) in total.  Greedy spanning reads one
-closed-ball CSR (each candidate's strict-eps neighbours, then itself) and
-chooses its loop by the largest closed ball.  Where every ball holds at
+The greedy bounds are set up once per batch, in one array pass, and
+picked once per instance (``greedy_optima``): the pass builds every
+instance's neighbour CSR and weight order, the picks run on each instance's
+slice, and one segmented logsumexp gives the values.  Greedy separated is
+O(m + E) in total.  Greedy spanning reads an instance's closed-ball CSR
+(each candidate's strict-eps neighbours, then itself) and chooses its loop
+by the largest closed ball.  Where every ball holds at
 most _LEVEL_BALL_CAP points, the level loop walks the weight order once per
 gain level, from the largest ball down, picking each point whose gain still
 equals the level: at most _LEVEL_BALL_CAP passes, O(m + E) Python steps in
@@ -41,6 +45,7 @@ states it reaches.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -48,7 +53,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .logsum import logsumexp
+from .logsum import logsumexp, logsumexp_segments
 from . import systems
 from .potentials import Potential
 from .systems import (
@@ -526,38 +531,105 @@ def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np
     return out
 
 
-def _edges(inst: SeparationInstance, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs with d_n < eps (strict: the spanning relation) or d_n <= eps (separated)."""
-    i, j, d = inst.pairs()
-    if not strict:
-        return i, j
-    near = d < inst.eps
-    return i[near], j[near]
+def _greedy_setup(instances: Sequence[SeparationInstance], separated: bool) -> tuple:
+    """(starts, indptr, nbrs, order, weights) of a batch, in one array pass.
 
-
-def _neighbours(inst: SeparationInstance, strict: bool,
-                closed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """CSR lists of ``_edges``, both ways, and with ``closed`` each point
-    itself (its closed ball): v's list is nbrs[indptr[v]:indptr[v + 1]]."""
-    i, j = _edges(inst, strict)
-    own = [np.arange(inst.size, dtype=i.dtype)] if closed else []
+    Points are numbered across the batch, instance k's from starts[k].  For
+    point p, nbrs[indptr[p]:indptr[p + 1]] lists its neighbours at
+    d_n <= eps (separated), or at d_n < eps and then itself, its closed ball
+    (spanning).  order lists each instance's points, instance by instance,
+    in the stable order of their weights, descending (separated) or
+    ascending (spanning).
+    """
+    relations = [inst.pairs() for inst in instances]
+    sizes = [len(inst.weights) for inst in instances]  # one weight per candidate
+    counts = [len(r[0]) for r in relations]
+    starts = np.array([0, *itertools.accumulate(sizes)][:-1], dtype=relations[0][0].dtype)
+    if len(instances) == 1:  # numbered in its instance already: nothing to copy or shift
+        [(i, j, d)] = relations
+        weights, eps, keys = instances[0].weights, instances[0].eps, ()
+    else:
+        base = starts.repeat(counts)
+        i, j, d = (np.concatenate(col) for col in zip(*relations))
+        i, j = i + base, j + base
+        weights = np.concatenate([inst.weights for inst in instances])
+        eps = np.array([inst.eps for inst in instances]).repeat(counts)
+        keys = (starts.repeat(sizes),)  # by instance, as each point's instance start
+    order = np.lexsort((-weights if separated else weights, *keys))
+    own = []
+    if not separated:
+        near = d < eps
+        i, j = i[near], j[near]
+        own = [np.arange(len(weights), dtype=i.dtype)]
     src, dst = np.concatenate([i, j, *own]), np.concatenate([j, i, *own])
-    indptr = np.zeros(inst.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=inst.size), out=indptr[1:])
-    return indptr, dst[np.argsort(src, kind="stable")]
+    indptr = np.zeros(len(weights) + 1, dtype=np.intp)
+    np.bincount(src, minlength=len(weights)).cumsum(out=indptr[1:])
+    return starts, indptr, dst[src.argsort(kind="stable")], order, weights
 
 
-def _greedy_separated_indices(inst: SeparationInstance) -> list[int]:
-    indptr, nbrs = _neighbours(inst, strict=False)
-    bounds = indptr.tolist()
-    blocked = [False] * inst.size
-    kept: list[int] = []
-    for i in np.argsort(-inst.weights, kind="stable").tolist():
-        if not blocked[i]:
-            kept.append(i)
-            for j in nbrs[bounds[i]:bounds[i + 1]].tolist():
-                blocked[j] = True
-    return kept
+def _greedy_picks(instances: Sequence[SeparationInstance],
+                  separated: bool) -> tuple[list[list[int]], np.ndarray]:
+    """(picks, weights): per instance its greedy picks in pick order,
+    numbered across the batch, and the batch's weights.
+
+    ``_greedy_setup`` sets the batch up, and then only the picks run per
+    instance, on its slice.  Separated takes the candidates by decreasing
+    weight, ties by lower index, keeping each that no kept one is within
+    eps of; spanning is ``_greedy_spanning_picks``, on the slice numbered
+    in the instance.
+    """
+    starts, indptr, nbrs, order, weights = _greedy_setup(instances, separated)
+    cuts, picks = [*starts.tolist(), len(order)], []
+    if separated:
+        bounds, order, blocked = indptr.tolist(), order.tolist(), [False] * len(order)
+        for s, e in zip(cuts, cuts[1:]):
+            kept: list[int] = []
+            for v in order[s:e]:
+                if not blocked[v]:
+                    kept.append(v)
+                    for u in nbrs[bounds[v]:bounds[v + 1]].tolist():
+                        blocked[u] = True
+            picks.append(kept)
+        return picks, weights
+    for s, e in zip(cuts, cuts[1:]):
+        lo, hi = indptr[s], indptr[e]
+        if s:
+            chosen = _greedy_spanning_picks(indptr[s:e + 1] - lo, nbrs[lo:hi] - s, order[s:e] - s)
+            chosen = [v + s for v in chosen]
+        else:  # the first instance's slice is numbered in it already
+            chosen = _greedy_spanning_picks(indptr[:e + 1], nbrs[:hi], order[:e])
+        picks.append(chosen)
+    return picks, weights
+
+
+def greedy_optima(instances: Sequence[SeparationInstance], estimator: Estimator) -> list[float]:
+    """Per instance, the log of its greedy separated (a lower bound on the
+    optimum) or spanning (an upper bound) weight sum.
+
+    The instances go in consecutive batches whose points, and whose pairs,
+    together number at most _BLOCK_ENTRIES, an instance past that in a batch
+    of its own, so that a batch's set-up holds no more than one instance's
+    would past that size.  Each batch is set up once and picked per
+    instance (``_greedy_picks``), and one ``logsumexp_segments`` gives its
+    values, each the float of a ``logsumexp`` call on the instance's picked
+    weights alone.
+    """
+    separated = estimator == Estimator.SEPARATED
+    batches, points, pairs = [], math.inf, 0
+    for inst in instances:
+        m, e = inst.size, len(inst.pairs()[0])
+        if points + m > _BLOCK_ENTRIES or pairs + e > _BLOCK_ENTRIES:
+            batches.append([])
+            points = pairs = 0
+        batches[-1].append(inst)
+        points, pairs = points + m, pairs + e
+    out: list[float] = []
+    for batch in batches:
+        picks, weights = _greedy_picks(batch, separated)
+        lengths = [len(p) for p in picks]
+        flat = np.fromiter(itertools.chain.from_iterable(picks), dtype=np.intp, count=sum(lengths))
+        out += logsumexp_segments(weights[flat], lengths)
+    return out
 
 
 def greedy_separated(inst: SeparationInstance) -> list:
@@ -565,22 +637,24 @@ def greedy_separated(inst: SeparationInstance) -> list:
 
     Candidates are taken by decreasing weight, ties by lower index.
     """
-    return [inst.points[i] for i in _greedy_separated_indices(inst)]
+    [kept], _ = _greedy_picks([inst], separated=True)
+    return [inst.points[i] for i in kept]
 
 
 def separated_lower_bound(inst: SeparationInstance, note: str = "") -> GrowthSample:
-    """Certified lower bound for the separated-set optimum (estimator 3)."""
-    kept = _greedy_separated_indices(inst)
-    val = logsumexp(inst.weights[kept])
+    """Certified lower bound for the separated-set optimum (estimator 3):
+    ``greedy_optima`` on a batch of one."""
+    [val] = greedy_optima([inst], Estimator.SEPARATED)
     return GrowthSample(Estimator.SEPARATED, inst.n, inst.eps, val, exact=False, note=note)
 
 
-def _greedy_spanning_indices(inst: SeparationInstance) -> list[int]:
+def _greedy_spanning_picks(indptr: np.ndarray, balls: np.ndarray, order: np.ndarray) -> list[int]:
+    """One instance's spanning picks, from its closed-ball CSR and the
+    stable ascending order of its weights: the level loop where every ball
+    holds at most _LEVEL_BALL_CAP points, the argmax loop otherwise."""
     # Both loops pick the point of most gain, the number of uncovered points
     # in its closed ball (within eps of it, itself included), then of lower
     # weight, then of lower index: the earliest in the stable weight order.
-    indptr, balls = _neighbours(inst, strict=True, closed=True)
-    order = np.argsort(inst.weights, kind="stable")
     if int(np.diff(indptr).max()) <= _LEVEL_BALL_CAP:
         return _greedy_spanning_levels(indptr, balls, order)
     return _greedy_spanning_argmax(indptr, balls, order)
@@ -631,13 +705,14 @@ def _greedy_spanning_argmax(indptr: np.ndarray, balls: np.ndarray, order: np.nda
 
 
 def spanning_upper_bound(inst: SeparationInstance, note: str = "") -> GrowthSample:
-    """Greedy weighted dominating set of the strict-eps graph (estimator 2).
+    """Greedy weighted dominating set of the strict-eps graph (estimator 2):
+    ``greedy_optima`` on a batch of one.
 
     Picks the candidate covering the most uncovered points, ties broken by
     lower weight then lower index.  The selected family spans every
     candidate, so its weight sum upper-bounds the spanning optimum.
     """
-    val = logsumexp(inst.weights[_greedy_spanning_indices(inst)])
+    [val] = greedy_optima([inst], Estimator.SPANNING)
     return GrowthSample(Estimator.SPANNING, inst.n, inst.eps, val, exact=False, note=note)
 
 

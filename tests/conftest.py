@@ -7,7 +7,7 @@ from pdim import partition
 
 @pytest.fixture
 def loop_calls(monkeypatch):
-    """The greedy spanning loop that each ``_greedy_spanning_indices`` call
+    """The greedy spanning loop that each ``_greedy_spanning_picks`` call
     takes, by name, in call order."""
     calls = []
     for name in ("_greedy_spanning_levels", "_greedy_spanning_argmax"):

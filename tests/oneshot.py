@@ -27,6 +27,23 @@ def bowen_relation(system, n, points, eps):
     return partition.bowen_relations(system, points, [(n, eps)])[0]
 
 
+def edges(inst, strict):
+    """The pairs i < j of one instance's relation with d_n < eps (strict: the
+    spanning relation) or d_n <= eps (separated), sorted by (i, j)."""
+    i, j, d = inst.pairs()
+    if not strict:
+        return i, j
+    near = d < inst.eps
+    return i[near], j[near]
+
+
+def greedy_picks(inst, estimator):
+    """One instance's greedy separated or spanning picks, in pick order: the
+    one-case form of ``partition._greedy_picks``."""
+    [picks], _ = partition._greedy_picks([inst], estimator == partition.Estimator.SEPARATED)
+    return picks
+
+
 def make_instances(system, points, requests, potentials):
     """Per potential, one instance per (n, eps) request on the points, as one family."""
     return partition.make_families([(system, points, requests, potentials)])[0]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pdim import partition, potentials, systems
-from pdim.logsum import logsumexp
+from pdim.logsum import logsumexp, logsumexp_segments
 from pdim.partition import (
     Estimator,
     SeparationInstance,
@@ -24,19 +24,13 @@ from pdim.partition import (
     exact_optima,
     exact_separated_value,
     exact_spanning_value,
+    greedy_optima,
     greedy_separated,
     make_instance,
     separated_lower_bound,
     spanning_upper_bound,
 )
-from pdim.partition import (
-    _edges,
-    _greedy_separated_indices,
-    _greedy_spanning_argmax,
-    _greedy_spanning_indices,
-    _greedy_spanning_levels,
-    _neighbours,
-)
+from pdim.partition import _greedy_setup, _greedy_spanning_argmax, _greedy_spanning_levels
 from pdim.potentials import Birkhoff, symbol_weights, time_power
 from pdim.symbolic import deflated_scale
 from pdim.systems import (
@@ -54,7 +48,7 @@ from pdim.systems import (
     shift_metric,
 )
 
-from oneshot import admissible_words, bowen_relation, make_instances
+from oneshot import admissible_words, bowen_relation, edges, greedy_picks, make_instances
 
 
 def log_sum(weights) -> float:
@@ -415,9 +409,15 @@ def check_relation(monkeypatch, system, n, pts):
             ei, ej = np.nonzero(upper & (d <= eps))
             assert (i.tolist(), j.tolist()) == (ei.tolist(), ej.tolist()), (block, eps)
             assert (dist == d[ei, ej]).all(), (block, eps)
-            si, sj = _edges(inst, strict=True)
+            si, sj = edges(inst, strict=True)
             ei, ej = np.nonzero(upper & (d < eps))
             assert (si.tolist(), sj.tolist()) == (ei.tolist(), ej.tolist()), (block, eps)
+            # the greedy closed balls: the strict neighbours, then the point itself
+            indptr, balls, _ = spanning_inputs(inst)
+            near = (d < eps) & ~np.eye(len(pts), dtype=bool)
+            assert [sorted(balls[a:b - 1].tolist()) for a, b in zip(indptr, indptr[1:])] \
+                == [np.flatnonzero(row).tolist() for row in near], (block, eps)
+            assert (balls[indptr[1:] - 1] == np.arange(len(pts))).all(), (block, eps)
             # the memory bound: no metric block over max(_BLOCK_ENTRIES, m) entries
             assert max(map(math.prod, shapes), default=0) <= max(block, len(pts)), (block, eps)
 
@@ -1134,30 +1134,44 @@ def dense_greedy_instance(system, m, eps):
 
 
 def spanning_inputs(inst):
-    """The arguments of both greedy spanning loops: the closed-ball CSR and
-    the stable weight order."""
-    return (*_neighbours(inst, strict=True, closed=True),
-            np.argsort(inst.weights, kind="stable"))
+    """The arguments of both greedy spanning loops for one instance: its
+    closed-ball CSR and the stable weight order, from ``_greedy_setup``."""
+    _, indptr, balls, order, _ = _greedy_setup([inst], separated=False)
+    assert (order == np.argsort(inst.weights, kind="stable")).all()
+    return indptr, balls, order
 
 
 def assert_spanning_picks(inst):
     """The picks of the selected loop and of each loop alone are the reference's."""
     want = reference_greedy_spanning(inst)
-    assert _greedy_spanning_indices(inst) == want
+    assert greedy_picks(inst, Estimator.SPANNING) == want
     assert _greedy_spanning_levels(*spanning_inputs(inst)) == want
     assert _greedy_spanning_argmax(*spanning_inputs(inst)) == want
 
 
+def partition_copy(find: str, replace: str, *names: str) -> dict:
+    """The names of partition, with copies of the functions ``names`` whose
+    sources, the first with ``find`` replaced, are run in that scope, so
+    that the later ones call the faulty first."""
+    scope = dict(vars(partition))
+    for name in names:
+        source = textwrap.dedent(inspect.getsource(getattr(partition, name)))
+        if name == names[0]:
+            assert not find or source.count(find) == 1
+            source = source.replace(find, replace)
+        exec(compile(source, partition.__file__, "exec"), scope)
+    return scope
+
+
 def greedy_spanning_copy(find: str, replace: str, name: str = "_greedy_spanning_levels"):
     """A copy of the function ``name`` of partition with ``find`` replaced in
-    its source, called as ``_greedy_spanning_indices`` is, on an instance."""
-    source = textwrap.dedent(inspect.getsource(getattr(partition, name)))
-    assert not find or source.count(find) == 1
-    scope = dict(vars(partition))
-    exec(compile(source.replace(find, replace), partition.__file__, "exec"), scope)
-    copy = scope[name]
-    if name == "_greedy_spanning_indices":
-        return copy
+    its source, as the spanning picks of one instance: a loop called on its
+    ``spanning_inputs``, or the batch set-up or picks through ``_greedy_picks``."""
+    if name in ("_greedy_setup", "_greedy_picks"):
+        scope = partition_copy(find, replace, *dict.fromkeys([name, "_greedy_picks"]))
+        picks = scope["_greedy_picks"]
+        return lambda inst: picks([inst], False)[0][0]
+    copy = partition_copy(find, replace, name)[name]
     return lambda inst: copy(*spanning_inputs(inst))
 
 
@@ -1191,17 +1205,17 @@ class TestGreedyMatchesScan:
         if order == "index":
             # with zero weights the weight order is the index order
             inst.weights = np.zeros(m)
-        assert _greedy_separated_indices(inst) == reference_greedy_separated(inst, order)
+        assert greedy_picks(inst, Estimator.SEPARATED) == reference_greedy_separated(inst, order)
 
     @pytest.mark.parametrize("eps", [0.3, 0.4, 0.49])
     @pytest.mark.parametrize("system", [Rotation(0.3), DoublingMap()], ids=["rotation", "doubling"])
     @pytest.mark.parametrize("m", [65, 400])
     def test_dense_relation_picks(self, m, system, eps, loop_calls):
         inst = dense_greedy_instance(system, m, eps)
-        assert len(_edges(inst, strict=True)[0]) > m * (m - 1) / 4  # most pairs are near
+        assert len(edges(inst, strict=True)[0]) > m * (m - 1) / 4  # most pairs are near
         assert_spanning_picks(inst)
         assert loop_calls == ["_greedy_spanning_argmax"]
-        assert _greedy_separated_indices(inst) == reference_greedy_separated(inst, "weight")
+        assert greedy_picks(inst, Estimator.SEPARATED) == reference_greedy_separated(inst, "weight")
 
     @pytest.mark.parametrize("m", [40, 150, 400])
     @pytest.mark.parametrize("seed", range(4))
@@ -1218,7 +1232,7 @@ class TestGreedyMatchesScan:
         inst.weights = np.random.default_rng([seed, m]).choice([-0.0, 0.0], size=m)
         assert np.signbit(inst.weights).any() and not np.signbit(inst.weights).all()
         assert_spanning_picks(inst)
-        assert _greedy_separated_indices(inst) == reference_greedy_separated(inst, "index")
+        assert greedy_picks(inst, Estimator.SEPARATED) == reference_greedy_separated(inst, "index")
 
     @pytest.mark.parametrize("m", [1, 40, 400])
     def test_empty_relation_picks_every_point(self, m):
@@ -1227,13 +1241,13 @@ class TestGreedyMatchesScan:
         weights = np.random.default_rng(m).integers(0, 3, size=m).astype(float)
         pts = [real(i / m) for i in range(m)]
         inst = SeparationInstance(Rotation(0.3), 1, 0.5 / m, pts, weights)
-        assert not len(_edges(inst, strict=False)[0])
+        assert not len(edges(inst, strict=False)[0])
         assert_spanning_picks(inst)
-        assert _greedy_spanning_indices(inst) == sorted(range(m), key=lambda i: (weights[i], i))
+        assert greedy_picks(inst, Estimator.SPANNING) == sorted(range(m), key=lambda i: (weights[i], i))
 
     @pytest.mark.parametrize("name, find, replace", [
-        ("_greedy_spanning_indices", "", ""),
-        ("_greedy_spanning_indices", "closed=True", "closed=False"),
+        ("_greedy_picks", "", ""),
+        ("_greedy_setup", "own = [np.arange(len(weights), dtype=i.dtype)]", "own = []"),
         ("_greedy_spanning_levels", "", ""),
         ("_greedy_spanning_levels", "for v in order:", "for v in reversed(order):"),
         ("_greedy_spanning_levels", "if uncovered[u]:", "if True:"),
@@ -1254,7 +1268,7 @@ class TestGreedyMatchesScan:
         # three mutually close points: each covers all, so weight then index decides
         pts = [real(v) for v in (0.0, 0.01, 0.02)]
         inst = SeparationInstance(Rotation(0.1), 1, 0.1, pts, np.array([1.0, 0.0, 0.0]))
-        assert _greedy_spanning_indices(inst) == [1]
+        assert greedy_picks(inst, Estimator.SPANNING) == [1]
         assert_spanning_picks(inst)
 
     @pytest.mark.parametrize("ball, loop", [(8, "_greedy_spanning_levels"),
@@ -1266,7 +1280,7 @@ class TestGreedyMatchesScan:
         weights = np.random.default_rng(ball).integers(0, 3, size=len(pts)).astype(float)
         inst = SeparationInstance(Rotation(0.3), 1, 0.06, pts, weights)
         assert int(np.diff(spanning_inputs(inst)[0]).max()) == ball
-        assert _greedy_spanning_indices(inst) == reference_greedy_spanning(inst)
+        assert greedy_picks(inst, Estimator.SPANNING) == reference_greedy_spanning(inst)
         assert loop_calls == [loop]
 
 
@@ -1344,8 +1358,8 @@ class TestExactOracles:
 
 
 def reference_masks(inst, strict):
-    """The masks by one numpy scatter over ``_edges``."""
-    i, j = _edges(inst, strict)
+    """The masks by one numpy scatter over ``edges``."""
+    i, j = edges(inst, strict)
     masks = np.int64(1) << np.arange(inst.size, dtype=np.int64)
     np.bitwise_or.at(masks, np.concatenate([i, j]), np.int64(1) << np.concatenate([j, i]))
     return masks.tolist()
@@ -1608,6 +1622,122 @@ class TestOracleBatches:
         assert val == logsumexp(spread.weights) and searched == []
 
 
+GREEDY_SYSTEMS = {
+    "rotation": lambda rng: Rotation(float(rng.uniform(0.05, 0.45))),
+    "contraction": lambda rng: Contraction(float(rng.uniform(0.2, 0.8)), float(rng.random())),
+    "doubling": lambda rng: DoublingMap(),
+    "full_shift(2)": lambda rng: FullShift(2),
+    "full_shift(3)": lambda rng: FullShift(3),
+}
+
+
+def greedy_batch_instance(kind, seed, m):
+    """m candidates at a random (n, eps): weights in {0, 1, 2} on even seeds,
+    so ties occur, and normal on odd ones, about a tenth of them -inf."""
+    rng = np.random.default_rng([seed, m, len(kind)])
+    system = GREEDY_SYSTEMS[kind](rng)
+    n = int(rng.integers(1, 4))
+    if isinstance(system, FullShift):
+        length = 6 if system.k == 2 else 4  # 64 and 81 words
+        words = [system.representative(w) for w in admissible_words(system, length)]
+        pts = [words[i] for i in sorted(rng.choice(len(words), size=m, replace=False))]
+        eps = deflated_scale(int(rng.integers(0, 3)))
+    else:
+        pts = [real(float(v)) for v in rng.random(m)]
+        eps = float(rng.uniform(0.02, 0.3))
+    if seed % 2:
+        weights = rng.normal(scale=1.5, size=m)
+    else:
+        weights = rng.integers(0, 3, size=m).astype(float)
+    weights[rng.random(m) < 0.1] = -math.inf
+    return SeparationInstance(system, n, eps, pts, weights)
+
+
+def mixed_greedy_batch(seed):
+    """Every m from 1 to 60, over the five systems, each at its own eps,
+    below every distance and above every distance, with three points whose
+    weights are all -inf and three whose weights tie, shuffled."""
+    rng = np.random.default_rng([seed, 60])
+    batch = []
+    for m in range(1, 61):
+        kind = list(GREEDY_SYSTEMS)[(seed + m) % len(GREEDY_SYSTEMS)]
+        base = greedy_batch_instance(kind, int(rng.integers(0, 1000)), m)
+        for eps in (base.eps, 1e-9, 4.0):
+            batch.append(SeparationInstance(base.system, base.n, eps, base.points, base.weights))
+    pts = [real(v) for v in (0.0, 0.1, 0.2)]
+    for w in (-math.inf, 0.5):
+        batch.append(SeparationInstance(Rotation(0.3), 1, 0.15, pts, np.full(3, w)))
+    return [batch[x] for x in rng.permutation(len(batch))]
+
+
+class TestGreedyBatches:
+    """``greedy_optima`` on mixed batches against the one-case forms and the
+    reference greedy loops, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batches_match_one_case_forms_and_references(self, seed):
+        batch = mixed_greedy_batch(seed)
+        assert {inst.size for inst in batch} == set(range(1, 61))
+        assert {inst.system.label.split("(")[0] for inst in batch} == {
+            "rotation", "contraction", "doubling", "full_shift"}
+        assert {inst.system.k for inst in batch if isinstance(inst.system, FullShift)} == {2, 3}
+        assert any(inst.size > 1 and not len(inst.pairs()[0]) for inst in batch)
+        assert any(len(inst.pairs()[0]) == inst.size * (inst.size - 1) // 2 > 0 for inst in batch)
+        assert any(np.isneginf(inst.weights).all() for inst in batch)
+        assert any(inst.size > 1 and (inst.weights == inst.weights[0]).all() for inst in batch)
+        seps = greedy_optima(batch, Estimator.SEPARATED)
+        spans = greedy_optima(batch, Estimator.SPANNING)
+        for inst, sep, span in zip(batch, seps, spans):
+            assert type(sep) is float and type(span) is float
+            assert sep == separated_lower_bound(inst).log_value
+            assert span == spanning_upper_bound(inst).log_value
+            kept = reference_greedy_separated(inst, "weight")
+            assert greedy_picks(inst, Estimator.SEPARATED) == kept
+            assert [inst.points[i] for i in kept] == greedy_separated(inst)
+            assert sep == logsumexp(inst.weights[kept])
+            assert span == logsumexp(inst.weights[reference_greedy_spanning(inst)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_value_does_not_depend_on_its_batch_or_place(self, seed):
+        batch = mixed_greedy_batch(seed)
+        rng = np.random.default_rng([seed, 61])
+        for estimator in (Estimator.SEPARATED, Estimator.SPANNING):
+            whole = greedy_optima(batch, estimator)
+            order = rng.permutation(len(batch))
+            assert greedy_optima([batch[x] for x in order], estimator) == [whole[x] for x in order]
+            part = order[:len(batch) // 3]
+            assert greedy_optima([batch[x] for x in part], estimator) == [whole[x] for x in part]
+            assert greedy_optima(batch[::-1] + batch, estimator) == whole[::-1] + whole
+            assert greedy_optima([], estimator) == []
+
+    @pytest.mark.parametrize("block", [1, 59, 60, 61, 500, DEFAULT_BLOCK])
+    def test_cutting_at_the_block_changes_no_value(self, monkeypatch, block):
+        batch = mixed_greedy_batch(1)
+        want = [greedy_optima(batch, e) for e in (Estimator.SEPARATED, Estimator.SPANNING)]
+        batches = []
+        picks = partition._greedy_picks
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(partition, "_greedy_picks",
+                            lambda insts, sep: batches.append(list(insts)) or picks(insts, sep))
+        size = {id(inst): np.array([inst.size, len(inst.pairs()[0])]) for inst in batch}
+        for estimator, values in zip((Estimator.SEPARATED, Estimator.SPANNING), want):
+            batches.clear()
+            assert greedy_optima(batch, estimator) == values
+            # consecutive instances, each batch within the block in points and
+            # in pairs or one instance past it, cut only where the next
+            # instance would pass the block in one or the other
+            assert [id(inst) for part in batches for inst in part] == [id(inst) for inst in batch]
+            totals = [sum(size[id(inst)] for inst in part) for part in batches]
+            assert all(total.max() <= block or len(part) == 1
+                       for total, part in zip(totals, batches))
+            grown = [total + size[id(part[0])] for total, part in zip(totals, batches[1:])]
+            assert all(total.max() > block for total in grown)
+        if block == 1:
+            assert len(batches) == len(batch)
+        else:  # some cut by pairs where the points would fit
+            assert any(total[0] <= block < total[1] for total in grown)
+
+
 class TestLogSumExp:
     def test_empty_and_all_minus_inf(self):
         assert logsumexp([]) == -math.inf
@@ -1644,6 +1774,30 @@ class TestLogSumExp:
             expect = [logsumexp(row) for row in rows]
             assert [v.hex() for v in got] == [v.hex() for v in expect]
         assert logsumexp(np.empty((2, 0))) == [-math.inf, -math.inf]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segments_are_one_segment_calls(self, seed):
+        # every segment's float is a call on it alone, where a running
+        # np.add.reduceat sum has other bits; segments of 1 to 300 values
+        # cross the pairwise sum's blocks, with ties, -inf, inf and NaN
+        rng = np.random.default_rng([seed, 300])
+        for trial in range(200):
+            lengths = rng.integers(1, 300, size=int(rng.integers(1, 9))).tolist()
+            values = rng.normal(scale=5.0, size=sum(lengths))
+            if trial % 3 == 0:
+                values = rng.integers(0, 3, size=len(values)).astype(float)
+            values[rng.random(len(values)) < 0.05] = -math.inf
+            cuts = np.cumsum([0] + lengths)
+            edit = rng.integers(0, len(lengths))
+            if trial % 4 == 1:
+                values[cuts[edit]:cuts[edit + 1]] = -math.inf
+            elif trial % 4 == 2:
+                values[cuts[edit]] = math.inf if trial % 8 == 2 else math.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = logsumexp_segments(values, lengths)
+            want = [logsumexp(values[a:b]) for a, b in zip(cuts, cuts[1:])]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestCounts:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pdim
-from pdim import systems
+from pdim import dimension, partition, systems
 from pdim.cli import main
 from pdim.partition import exact_min_cover
 from pdim.theorems import (
@@ -210,3 +210,17 @@ def test_verify_steps_each_point_set_once(monkeypatch, capsys):
     # and section4's grids
     assert len(stepped) > 195
     assert max(stepped.values()) == 1, [k for k, v in stepped.items() if v > 1][:3]
+
+
+def test_section4_sets_its_greedy_bounds_up_once_per_grid_run(monkeypatch):
+    # one greedy set-up per grid run's family, and no instance's value from a
+    # logsumexp call of its own: section4 takes separated bounds only
+    runs, setups, alone = [], [], []
+    families, setup = dimension.make_families, partition._greedy_setup
+    monkeypatch.setattr(dimension, "make_families",
+                        lambda f: runs.append(len(f[0][2])) or families(f))
+    monkeypatch.setattr(partition, "_greedy_setup",
+                        lambda insts, sep: setups.append(len(insts)) or setup(insts, sep))
+    monkeypatch.setattr(partition, "logsumexp", lambda *a: alone.append(a))
+    assert check_section4(seed=2).passed
+    assert setups == runs and max(runs) > 1 and alone == []
