@@ -14,7 +14,9 @@ once per base system, and its instances' points carry that orbit
 families of one call, n m^2 <= _BLOCK_ENTRIES, get their relations there,
 in batches of one metric call per time chunk (``_stacked``); any other
 family walks through time once for all its requests, on first use
-(``_Walk``), in O(m + E) memory plus cache-sized blocks for E kept pairs.
+(``_Walk``): it steps only the pairs whose ``System.sweep_key`` keys lie
+within reach, every pair where the key leaves no window, in runs of at most
+_BLOCK_ENTRIES pairs, so in O(m + E) memory plus one run for E kept pairs.
 A walk keeps pairs against ``systems.ARRAY_BUDGET_BYTES`` at 16 bytes each,
 over all its requests, and before its first step it bounds its work: the
 pairs it would step from t = 0 may number at most as many as that budget
@@ -67,8 +69,9 @@ from .systems import (
     with_orbit,
 )
 
-# Entries per block of the distance kernel (256 KiB of float64), rows times
-# columns times time steps, so a block's running max stays in cache.
+# Entries per metric call (256 KiB of float64), so its running max stays in
+# cache: time steps times pairs on a walk, and time steps times point sets
+# times rows times columns on the stacked path.
 _BLOCK_ENTRIES = 1 << 15
 # Most candidates the exact (exponential-time) oracles take.
 ORACLE_CAP = 20
@@ -236,25 +239,22 @@ def bowen_relations(system: System, points: Sequence[Point],
     an array form share one orbit, at the largest n.  A triangle that fits
     one block over that whole time range (n m^2 <= _BLOCK_ENTRIES) takes the
     stacked path, as a batch of one (``_stacked``).  Any other takes one
-    walk through time that keeps each pair's running max of
-    ``system.metric_array`` and reads a request's relation off at its n; no
-    time chunk runs past a requested n.  A triangle past one block (m^2 >
-    _BLOCK_ENTRIES) whose ``System.sweep_key`` windows hold at most a
-    quarter of its pairs takes the sweep (``_Walk.sweep``): only the pairs
-    whose keys lie within reach are stepped, from t = 0.  Every other
-    triangle goes by row blocks: each takes as many rows, then as many time
-    steps, as fit in _BLOCK_ENTRIES, and past that first chunk only the
-    pairs still kept are stepped, gathered from the orbit.  In both, after
-    each chunk, ending after step t, a pair drops out once its running max
-    passes the reach, the largest min(eps, system.bowen_radius(n - t + 1,
-    eps)) over the requests with n >= t; that is exact, as by the radius's
-    contract a dropped pair has d_n > eps for each of them.  Points with no
-    array form go through the filter at eps on ``bowen_metric`` values.
+    walk through time, the sweep (``_Walk.sweep``): only the pairs whose
+    ``System.sweep_key`` keys lie within reach at t = 1 are stepped, from
+    t = 0, each keeping its running max of ``system.metric_array``, and a
+    request's relation is read off at its n; no time chunk runs past a
+    requested n.  After each chunk, ending after step t, a pair drops out
+    once its running max passes the reach, the largest min(eps,
+    system.bowen_radius(n - t + 1, eps)) over the requests with n >= t; that
+    is exact, as by the radius's contract a dropped pair has d_n > eps for
+    each of them.  Points with no array form go through the filter at eps
+    on ``bowen_metric`` values, pair by pair.
     Raises ValueError for n < 1 or an eps that is not positive (NaN
     included), and BudgetExceededError before the first step where a walk
-    would step more pairs from t = 0 (the sweep's windows, or every pair on
-    row blocks) than ARRAY_BUDGET_BYTES keeps at 16 bytes a pair, and before
-    the pairs kept for all the requests together pass it.  Repeated requests share one result.
+    would step more pairs from t = 0 (the sweep's window pairs, or every
+    pair with no array form) than ARRAY_BUDGET_BYTES keeps at 16 bytes a
+    pair, and before the pairs kept for all the requests together pass it.
+    Repeated requests share one result.
     """
     requests = list(requests)
     for n, eps in requests:
@@ -372,12 +372,13 @@ class _Walk:
         self.order = None
 
     def relations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        m = len(self.points)
-        if self.orbit is None or m * m <= _BLOCK_ENTRIES or not self.sweep():
-            self.row_blocks()
+        if self.orbit is None:
+            self.pairwise()
+        else:
+            self.sweep()
         out = []
         for parts in self.parts:
-            # one part, as from one row block (every small orbit), needs no copy
+            # one part, as from one run of rows (every small orbit), needs no copy
             i, j, d = parts[1] if len(parts) == 2 else (np.concatenate(col) for col in zip(*parts))
             if self.order is not None:
                 s = np.lexsort((j, i))
@@ -403,22 +404,14 @@ class _Walk:
         self.parts[r].append((i.astype(np.int32), j.astype(np.int32), d))
         self.kept += len(i)
 
-    def walk(self, i: np.ndarray, j: np.ndarray, d: np.ndarray, t: int, reach: float) -> None:
-        """Takes the pairs (i, j), whose running max over the steps before t
-        is d, at most reach, reads off each request whose n is t, and steps
-        the pairs through the last requested n, as many steps per call as fit
-        in _BLOCK_ENTRIES and none past a requested n, pruning at the reach
-        and reading off after each call."""
+    def walk(self, i: np.ndarray, j: np.ndarray) -> None:
+        """Steps the pairs (i, j) from t = 0 through the last requested n, as
+        many steps per call as fit in _BLOCK_ENTRIES and none past a
+        requested n; after each call it drops the pairs past the reach and
+        reads off each request whose n it has reached."""
         stops, orbit = self.stops, self.orbit
-        while True:
-            for r, (n, eps) in enumerate(self.requests):
-                if n == t and eps >= reach:  # every pair is within eps
-                    self.keep(r, i, j, d)
-                elif n == t:
-                    close = d <= eps
-                    self.keep(r, i[close], j[close], d[close])
-            if t == stops[-1] or not len(i):
-                return
+        d, t = np.zeros(len(i)), 0
+        while len(i) and t < stops[-1]:
             k = min(max(1, _BLOCK_ENTRIES // len(i)), stops[bisect.bisect_right(stops, t)] - t)
             step = self.system.metric_array(orbit[t:t + k, i], orbit[t:t + k, j])
             d = np.maximum(d, step.max(axis=0))
@@ -426,51 +419,40 @@ class _Walk:
             reach = self.reach(t)
             close = d <= reach
             i, j, d = i[close], j[close], d[close]
+            for r, (n, eps) in enumerate(self.requests):
+                if n == t and eps >= reach:  # every pair is within eps
+                    self.keep(r, i, j, d)
+                elif n == t:
+                    close = d <= eps
+                    self.keep(r, i[close], j[close], d[close])
 
-    def row_blocks(self) -> None:
-        system, points, orbit, m = self.system, self.points, self.orbit, len(self.points)
+    def pairwise(self) -> None:
+        """The relations of points with no array form, from ``bowen_metric``
+        one row at a time, every pair stepped."""
+        system, points, m = self.system, self.points, len(self.points)
         self.check_stepped(m * (m - 1) // 2)
-        lo = 0
-        while lo < m:
-            if orbit is None:
-                hi = lo + 1
-                for r, (n, eps) in enumerate(self.requests):
-                    d = np.array([system.bowen_metric(n, points[lo], q) for q in points[hi:]],
-                                 dtype=float)
-                    (c,) = np.nonzero(d <= eps)
-                    self.keep(r, np.full(len(c), lo), c + hi, d[c])
-            else:
-                hi = min(m, lo + max(1, _BLOCK_ENTRIES // (m - lo)))
-                t = min(max(1, _BLOCK_ENTRIES // ((hi - lo) * (m - lo))), self.stops[0])
-                d = system.metric_array(orbit[:t, lo:hi, None], orbit[:t, None, lo:])
-                d = d[0] if len(d) == 1 else np.maximum.reduce(d, axis=0)
-                reach = self.reach(t)
-                r, c = np.nonzero(d <= reach)
-                upper = c > r
-                r, c = r[upper], c[upper]
-                self.walk(r + lo, c + lo, d[r, c], t, reach)
-            lo = hi
+        for lo in range(m):
+            for r, (n, eps) in enumerate(self.requests):
+                d = np.array([system.bowen_metric(n, points[lo], q) for q in points[lo + 1:]],
+                             dtype=float)
+                (c,) = np.nonzero(d <= eps)
+                self.keep(r, np.full(len(c), lo), c + lo + 1, d[c])
 
-    def sweep(self) -> bool:
-        """The relations by sort and sweep on ``system.sweep_key``; False,
-        with nothing done, where the system has no key or the windows hold
-        over a quarter of the m (m - 1) / 2 pairs, where the row blocks are
-        faster.
+    def sweep(self) -> None:
+        """The relations by sort and sweep on ``system.sweep_key``.
 
         By the radius's contract at t = 1 a pair of a relation has d_0 <=
         d_1 <= reach(1), so by the key's contract its keys lie within
         reach(1).  Points sorted by key, a point's candidates are a forward
         run of the keys past its own and, on the circle, a wrap run from the
-        far end; no window (eps = inf, or a reach of half the period or
-        more) counts every pair.  The candidates go, in runs of whole rows
-        of at most _BLOCK_ENTRIES pairs (or one row), through ``walk`` from
-        t = 0, once all of them together pass ``check_stepped``.
+        far end; no window (eps = inf, a reach of half the period or more,
+        or the default key) counts every pair, and those go in the points'
+        own order, with no permutation or sort.  The candidates go, in runs
+        of whole rows of at most _BLOCK_ENTRIES pairs (or one row), through
+        ``walk``, once all of them together pass ``check_stepped``.
         """
         orbit, m = self.orbit, len(self.points)
-        swept = self.system.sweep_key(orbit[0])
-        if swept is None:
-            return False
-        key, period = swept
+        key, period = self.system.sweep_key(orbit[0])
         # The windows are conservative.  A pair within reach at t = 0 has float
         # |key_q - key_p| <= reach, so exactly key_q - key_p <= reach·(1 + 2^-52)
         # < window, and fl(key_p + window) >= key_q, rounding being monotone and
@@ -495,9 +477,9 @@ class _Walk:
             wrap = np.maximum(np.searchsorted(lo, rows, side="right"), hi)
         count = hi - rows - 1 + m - wrap
         pairs = int(count.sum())
-        if 8 * pairs > m * (m - 1):
-            return False
         self.check_stepped(pairs)
+        if pairs == m * (m - 1) // 2:  # every pair, so in the points' own order
+            order, hi, wrap, count = None, np.full(m, m), np.full(m, m), m - rows - 1
         runs = np.stack([hi - rows - 1, m - wrap], axis=1)
         firsts = np.stack([rows + 1, wrap], axis=1)
         ends = np.concatenate([[0], np.cumsum(count)])
@@ -511,10 +493,9 @@ class _Walk:
             if order is not None:
                 p, q = order[p], order[q]
                 p, q = np.minimum(p, q), np.maximum(p, q)
-            self.walk(p, q, np.zeros(len(p)), 0, math.inf)
+            self.walk(p, q)
             a = b
         self.order = order
-        return True
 
 
 def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np.ndarray:

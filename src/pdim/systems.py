@@ -296,8 +296,8 @@ class System:
         """
         return eps
 
-    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float | None] | None:
-        """A float key per point of ``coordinates``, with its period, or None.
+    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float | None]:
+        """A float key per point of ``coordinates``, with its period.
 
         The contract: for every two points, ``metric_array`` of their
         coordinates is at least the distance of their keys, |key_i - key_j|
@@ -305,16 +305,19 @@ class System:
         smaller of that and period minus it, every key within [0, period])
         when period is not None.  ``partition.bowen_relations`` then looks
         for a point's partners only among the points whose keys lie within
-        the radius of its own.  The default, None, gives no key.
+        the radius of its own.  The default, one key 0 for every point and
+        no period, holds for every metric and leaves no window: every pair
+        is a candidate.
         """
-        return None
+        return np.zeros(len(coords)), None
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         """Points dense enough for scale eps at time n.  The candidate
         ``budget`` bounds their count (a shift raises BudgetExceededError past
         it, a grid thins and is not certified); no set is refused for its size
         alone.  The work on it has its own budgets: a Bowen relation walk
-        refuses before its first step when it would step more pairs than
+        refuses before its first step when the pairs it would step, those
+        whose ``sweep_key`` keys lie within reach, pass what
         ARRAY_BUDGET_BYTES keeps at 16 bytes each (2^27)."""
         raise NotImplementedError
 
@@ -626,9 +629,11 @@ class CircleSystem(System):
         d = np.abs(x - y)
         return np.minimum(d, 1.0 - d)
 
-    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float] | None:
+    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float | None]:
         # the metric is the circle distance of the x values, for x in [0, 1]
-        return (coords, 1.0) if ((coords >= 0.0) & (coords <= 1.0)).all() else None
+        if ((coords >= 0.0) & (coords <= 1.0)).all():
+            return coords, 1.0
+        return super().sweep_key(coords)
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:
         # Uniform grid; mesh eps / (2 Lip^(n-1)) keeps the orbit error under eps/2.
@@ -750,7 +755,7 @@ class PowerSystem(System):
     def metric_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.base.metric_array(x, y)
 
-    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float | None] | None:
+    def sweep_key(self, coords: np.ndarray) -> tuple[np.ndarray, float | None]:
         return self.base.sweep_key(coords)
 
     def candidate_set(self, n: int, eps: float, budget: int = 2_000_000) -> CandidateSet:

@@ -846,14 +846,15 @@ class TestBudget:
         assert [r for r in read_rows(out)[1:] if r[3]] == want
 
     @pytest.mark.parametrize("system, n, eps, pairs, points", [
-        ({"kind": "doubling"}, 14, 0.45, 662789436, 36409),
+        ({"kind": "doubling"}, 14, 0.45, 596525056, 36409),
         ({"kind": "full_shift", "k": 3}, 8, 0.25, 148005315, 177147),
     ], ids=["doubling", "full_shift(3)"])
     def test_stepped_pairs_over_budget_exit_three_before_any_step(
             self, tmp_path, capsys, monkeypatch, system, n, eps, pairs, points):
-        # doubling's windows hold over a quarter of the pairs, so its walk
-        # goes by row blocks, which step every pair; the 3-symbol words'
-        # plane-0 keys put 1.5·10^8 pairs in the sweep's windows
+        # the sweep steps the pairs in its windows: at eps = 0.45 the doubling
+        # radius does not shrink, so each grid point's window holds the 16384
+        # points on either side, 36409 · 16384 pairs; the 3-symbol words'
+        # plane-0 keys put 1.5·10^8 pairs in the windows
         def stepped(*args, **kwargs):
             raise AssertionError("a metric call ran before the stepped-pair check")
 

@@ -104,7 +104,8 @@ SCALE_CONFIGS = {
         "potential": {"kind": "symbol_weights", "table": [0.3, -0.5]},
         "n_range": [8, 9, 10], "scales": {"eps": [0.25]},
     },
-    # loose windows, where the radius does not shrink: the row blocks build these
+    # loose windows, where the radius does not shrink: the sweep steps most
+    # pairs of these
     "doubling-loose": {
         "system": {"kind": "doubling"},
         "potential": {"kind": "birkhoff", "fn": "x"},

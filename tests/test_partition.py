@@ -42,6 +42,7 @@ from pdim.systems import (
     FullShift,
     PowerSystem,
     Rotation,
+    System,
     Word,
     golden_mean_sft,
     real,
@@ -251,21 +252,20 @@ def chunks(n, k):
     return [k] * (n // k) + [n % k] * (n % k > 0)
 
 
-# _BLOCK_ENTRIES values for 23 points, each forcing one blocking of the triangle:
-# one row and one time step per call; row blocks of 4, 5, 7 and a partial 7
-# rows, the last one taking 2 time steps in its first chunk; one block whose
-# first chunk takes 3 time steps.  Past its first chunk a block steps its
-# surviving pairs, as many time steps per call as fit.
-TRIANGLE_BLOCKS = {"rows-1": 1, "rows-4-5-7-7": 100, "steps-3": 2000}
+# _BLOCK_ENTRIES values for 23 points, each forcing one cut of the triangle's
+# 253 pairs into the sweep's runs of whole rows, in key order: one row per run
+# and one time step per call; runs of 100, 98 and a partial 55 pairs; one run
+# of every pair, 7 time steps per call with a partial last chunk.
+TRIANGLE_BLOCKS = {"rows-1": 1, "runs-100-98-55": 100, "steps-7": 2000}
 
 
 class TestKernelsMatchBowenMetric:
     """The array kernels against System.bowen_metric, with ==.
 
-    ``block`` 100 cuts every matrix into triangle row blocks of changing
-    width, so several blocks and a partial last one are exercised; 2000
-    gives the small matrices blocks of several time steps, with a partial
-    last chunk; None keeps the module's block size.
+    ``block`` 100 cuts every triangle into several runs of whole rows, with
+    a partial last one; 2000 gives the small triangles calls of several
+    time steps, with a partial last chunk; None keeps the module's block
+    size.
     """
 
     @pytest.fixture(params=[None, 100, 2000], ids=["block-default", "block-100", "block-2000"])
@@ -341,22 +341,18 @@ class TestKernelsMatchBowenMetric:
             assert not np.diagonal(d).any() and not np.signbit(np.diagonal(d)).any(), name
             # the memory bound: no metric block over max(_BLOCK_ENTRIES, m) entries
             assert max(math.prod(shape) for shape in shapes) <= max(block, m), name
-            # a block's first chunk is (time steps, rows, columns); then each
-            # call steps the pairs still within eps (here all) as (time steps, pairs)
+            # eps = inf leaves the sweep no window, so it steps every pair, in
+            # runs of whole rows of at most block pairs, as (time steps, pairs)
             if name == "rows-1":
-                assert shapes == [call for lo in range(m) for call in
-                                  [(1, 1, m - lo)] + [(1, m - lo - 1)] * (n - 1) * (lo < m - 1)]
-            if name == "rows-4-5-7-7":
-                assert shapes == [(1, 4, 23)] + [(1, 82)] * (n - 1) + \
-                    [(1, 5, 19)] + [(1, 80)] * (n - 1) + [(1, 7, 14)] + [(1, 70)] * (n - 1) + \
-                    [(min(n, 2), 7, 7)] + [(k, 21) for k in chunks(max(0, n - 2), 4)]
+                assert shapes == [(1, m - 1 - row) for row in range(m - 1) for _ in range(n)]
+            if name == "runs-100-98-55":
+                assert shapes == [(1, run) for run in (100, 98, 55) for _ in range(n)]
             # a triangle that fits one block over its whole time range is
             # stacked: one (time steps, sets, rows, columns) call, here one set
-            if name == "steps-3" and n * m * m <= block:
+            if name == "steps-7" and n * m * m <= block:
                 assert shapes == [(n, 1, m, m)]
-            elif name == "steps-3":
-                assert shapes == [(min(n, 3), m, m)] + \
-                    [(k, 253) for k in chunks(max(0, n - 3), 7)]
+            elif name == "steps-7":
+                assert shapes == [(k, 253) for k in chunks(n, 7)]
             if name == "default":  # a small orbit's whole time range in one call
                 assert shapes == [(n, 1, m, m)]
 
@@ -448,12 +444,33 @@ SWEEP_SETS = ["shuffled-doubling-grid", "shuffled-rotation-grid", "shuffled-cont
               "dfs-full_shift(3)", "dfs-golden", "tied-keys-real", "near-wrap", "m-181", "m-182"]
 
 
-def stepped_after_first_chunks(shapes) -> int:
-    """Pairs gathered by the call after each row block's first chunk, from its
-    ``record_metric_calls`` shapes: the pairs a block steps past its first chunk."""
-    firsts = [k for k, shape in enumerate(shapes) if len(shape) == 3]
-    return sum(shapes[k + 1][1] for k in firsts if k + 1 < len(shapes)
-               and len(shapes[k + 1]) == 2)
+def record_runs(monkeypatch, shapes) -> list:
+    """Patch ``_Walk.walk`` to append, per sweep run, its pairs and then the
+    shapes of its metric calls, read off ``record_metric_calls``'s list."""
+    runs = []
+    walk = partition._Walk.walk
+
+    def recorded(self, i, j):
+        start = len(shapes)
+        walk(self, i, j)
+        runs.append((len(i), shapes[start:]))
+
+    monkeypatch.setattr(partition._Walk, "walk", recorded)
+    return runs
+
+
+class KeylessRotation(System):
+    """A rotation with an array form and no sweep key of its own: the
+    default key, so each pair's partners include those across the wrap."""
+
+    label = "keyless-rotation"
+
+    def apply_array(self, x):
+        return np.mod(x + 0.3, 1.0)
+
+    def metric_array(self, x, y):
+        d = np.abs(x - y)
+        return np.minimum(d, 1.0 - d)
 
 
 class TestBowenRelation:
@@ -509,39 +526,90 @@ class TestBowenRelation:
 
     @pytest.mark.parametrize("system, n, eps", [(DoublingMap(), 6, 0.3), (FullShift(2), 8, 1.0)],
                              ids=["doubling", "words"])
-    def test_loose_windows_keep_the_row_blocks(self, monkeypatch, system, n, eps):
+    def test_loose_windows_sweep(self, monkeypatch, system, n, eps):
         # past one block (214 and 512 points) the radius does not shrink at
-        # these eps, the windows hold over a quarter of the pairs, and the row
-        # blocks run; at eps / 2 the radius shrinks, and the same points sweep
+        # these eps, and the windows hold over a quarter of the pairs: the
+        # sweep steps exactly the pairs whose keys lie within eps (no key
+        # distance falls between eps and the window's slack past it); at
+        # eps / 2 the radius shrinks, and the same points step fewer
         pts = system.candidate_set(n, eps).points
-        assert len(pts) ** 2 > DEFAULT_BLOCK
+        m = len(pts)
+        assert n * m * m > DEFAULT_BLOCK
+        key, period = system.sweep_key(system.coordinates(pts))
+        apart = np.abs(key[:, None] - key)
+        if period is not None:
+            apart = np.minimum(apart, period - apart)
+        candidates = np.count_nonzero(np.triu(apart <= eps, 1))
+        assert 4 * candidates > m * (m - 1) // 2
         shapes = record_metric_calls(monkeypatch, system)
-        assert len(bowen_relation(system, n, pts, eps)[0]) > 0
-        assert len(shapes[0]) == 3
-        shapes.clear()
+        runs = record_runs(monkeypatch, shapes)
+        i, j, d = bowen_relation(system, n, pts, eps)
+        ri, rj, rd = reference_relation(system, n, pts, eps)
+        assert len(i) > 0 and (i.tolist(), j.tolist()) == (ri.tolist(), rj.tolist())
+        assert (d == rd).all()
+        assert sum(pairs for pairs, _ in runs) == candidates
+        assert all(calls[0][1] == pairs for pairs, calls in runs if pairs)  # from t = 0
+        runs.clear()
         bowen_relation(system, n, pts, eps / 2)
-        assert {len(shape) for shape in shapes} == {2}
+        assert 0 < sum(pairs for pairs, _ in runs) < candidates
 
     def test_pairs_drop_out_in_later_chunks(self, monkeypatch):
-        # one row and one time step per call, on the doubling map as a power
-        # system, which keeps the default radius eps; at eps = 0.15 the sweep
-        # windows hold 27% of the pairs, over a quarter, so the row blocks
-        # run.  Distances grow: some pairs within eps at t = 0 pass it later,
-        # and some row blocks keep no pair past t = 0, so no gather follows them
+        # one row per run and one time step per call, on the doubling map as
+        # a power system, which keeps the default radius eps, so at eps = 0.15
+        # the windows are loose.  The window holds the pairs within the reach
+        # at t = 0, so none drops at a run's first step.  Distances grow: some
+        # pairs within eps at t = 1 pass it later, and some runs lose every
+        # pair at their second step, so no call follows it
         system = PowerSystem(DoublingMap(), 1)
         pts = [real(float(v)) for v in np.random.default_rng(5).random(40)]
         n, eps = 6, 0.15
         shapes = record_metric_calls(monkeypatch, system)
+        runs = record_runs(monkeypatch, shapes)
         monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)
         i, _, _ = bowen_relation(system, n, pts, eps)
         d = pairwise_bowen(system, n, pts)
         assert len(i) == np.count_nonzero(np.triu(d <= eps, 1)) > 0
-        firsts = [k for k, shape in enumerate(shapes) if len(shape) == 3]
-        assert len(firsts) == len(pts)
-        # a block's first chunk followed at once by the next block's
-        assert any(b == a + 1 for a, b in zip(firsts[:-2], firsts[1:-1]))
-        # pairs stepped at t = 1 (each block's first gather) outnumber the kept ones
-        assert stepped_after_first_chunks(shapes) > len(i)
+        assert all(len(shape) == 2 and shape[0] == 1 for shape in shapes)
+        assert all(calls[0] == calls[1] for _, calls in runs if len(calls) > 1)
+        assert any(len(calls) == 2 for _, calls in runs)
+        assert any(a[1] > b[1] for _, calls in runs for a, b in zip(calls[1:], calls[2:]))
+        # pairs stepped at t = 2 (each run's third call) outnumber the kept ones
+        assert sum(calls[2][1] for _, calls in runs if len(calls) > 2) > len(i)
+
+    def test_default_key_steps_every_pair(self, monkeypatch):
+        # a system with an array form and no key of its own gets the default,
+        # one key for every point: no window, so every pair is a candidate,
+        # those across the wrap of the circle included
+        system = KeylessRotation()
+        rng = np.random.default_rng(31)
+        xs = np.concatenate([rng.random(60), 1.0 - 10.0 ** rng.uniform(-9, -2, 5),
+                             10.0 ** rng.uniform(-9, -2, 5)])
+        pts = [real(float(v)) for v in xs]
+        key, period = system.sweep_key(system.coordinates(pts))
+        assert key.tolist() == [0.0] * len(pts) and period is None
+        for n in (1, 7):
+            check_relation(monkeypatch, system, n, pts)
+
+    def test_loose_windows_run_where_every_pair_would_not(self, monkeypatch):
+        # doubling at eps = 0.3, where the radius does not shrink: a budget
+        # that holds the sweep's window pairs, and not all m (m - 1) / 2, lets
+        # the walk run to the reference relation; one byte less and it stops
+        # before its first step.  The window pairs are those with d_0 <= eps,
+        # as no grid distance lies between eps and the window's slack past it
+        system, n, eps = DoublingMap(), 6, 0.3
+        pts = system.candidate_set(n, eps).points
+        m = len(pts)
+        window = len(reference_relation(system, 1, pts, eps)[0])
+        assert 0 < window < m * (m - 1) // 2
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * window)
+        i, j, d = bowen_relation(system, n, pts, eps)
+        ri, rj, rd = reference_relation(system, n, pts, eps)
+        assert len(i) > 0 and (i.tolist(), j.tolist()) == (ri.tolist(), rj.tolist())
+        assert (d == rd).all()
+        monkeypatch.setattr(systems, "ARRAY_BUDGET_BYTES", 16 * window - 1)
+        with pytest.raises(BudgetExceededError,
+                           match=f"^Bowen walk would step {window} pairs of {m} points"):
+            bowen_relation(system, n, pts, eps)
 
     def test_radius_drops_pairs_at_the_first_chunk(self, monkeypatch):
         # the same points at eps = 0.05, where both systems sweep: on
@@ -558,7 +626,7 @@ class TestBowenRelation:
             shapes.clear()
             i, _, _ = bowen_relation(system, n, pts, eps)
             assert len(i) == np.count_nonzero(np.triu(d <= eps, 1)) > 0
-            assert {len(shape) for shape in shapes} == {2}  # no row block
+            assert {len(shape) for shape in shapes} == {2}  # no stacked call
             stepped.append(sum(shape[1] for shape in shapes))
         # the kept pairs are stepped n times each; the power system steps more
         assert n * len(i) <= stepped[0] < stepped[1]
@@ -567,11 +635,12 @@ class TestBowenRelation:
     def test_pair_budget_raises_before_keeping(self, monkeypatch, name):
         # 16 bytes per kept pair, counted over a family of two requests that
         # each keep every pair.  The budget holds the pairs stepped from t = 0
-        # (every pair once) and the 1600-byte orbit, so the kept pairs are what
-        # pass it, in the row block where their count first does
+        # (every pair once, eps = 4 leaving no window) and the 1600-byte orbit,
+        # so the kept pairs are what pass it, in the sweep run where their
+        # count first does
         if name == "array":
             system, pts = Rotation(0.3), [real(v / 100) for v in range(100)]
-            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 100)  # one row per block to lo = 50
+            monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 100)  # one row per run to row 48
         else:
             system, pts = FullShift(2), FALLBACK_WORDS["mixed-tails"] * 3
         m, requests = len(pts), [(1, 4.0), (2, 4.0)]
@@ -584,23 +653,26 @@ class TestBowenRelation:
         # row lo keeps its m - 1 - lo pairs for the first request, then the second
         kept = np.cumsum([m - 1 - lo for lo in range(m - 1) for _ in requests])
         crossing = int(np.argmax(kept > pairs))
-        assert crossing // 2 < 50
+        assert crossing // 2 < 49
         shapes = record_metric_calls(monkeypatch, system)
         with pytest.raises(BudgetExceededError,
                            match=f"Bowen relation of {m} points needs {16 * kept[crossing]} bytes"):
             bowen_relations(system, pts, requests)
-        # it stopped in that row block, one first chunk per row
-        assert sum(len(shape) == 3 for shape in shapes) == (crossing // 2 + 1) * (name == "array")
+        # it stopped in that row's run, at the step whose request passed it:
+        # one call per row and time step before
+        steps = [(1, m - 1 - lo) for lo in range(m - 1) for _ in requests]
+        assert shapes == steps[:crossing + 1] * (name == "array")
 
-    @pytest.mark.parametrize("name", ["sweep", "row-blocks", "no-array-form"])
+    @pytest.mark.parametrize("name", ["sweep", "no-window", "no-array-form"])
     def test_stepped_pair_budget_raises_before_any_step(self, monkeypatch, name):
         # 16 bytes per pair stepped from t = 0: on an even contraction grid at
         # eps = 1.5 / m the sweep's windows hold each point's next one only;
-        # the row blocks and the points with no array form step every pair
+        # at eps = 4 on the circle the sweep has no window, and it and the
+        # points with no array form step every pair
         monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 100)  # no stacked batch
         if name == "sweep":
             system, m, eps = Contraction(0.5), 200, 1.5 / 200
-        elif name == "row-blocks":
+        elif name == "no-window":
             system, m, eps = Rotation(0.3), 100, 4.0
         if name == "no-array-form":
             system, pts, eps = FullShift(2), FALLBACK_WORDS["mixed-tails"] * 3, 4.0
@@ -665,7 +737,7 @@ class TestBowenRadius:
             (1.0 - 10.0 ** rng.uniform(-12, -3), 10.0 ** rng.uniform(-14, -3),
              int(rng.integers(1, 9))) for _ in range(3000)]
         monkeypatch.setattr(partition, "_BLOCK_ENTRIES", 1)
-        # the pair alone goes by row blocks; among 16 spread points, by the sweep
+        # the pair alone, and among 16 spread points, where the windows cut
         spread = [real((v + 0.5) / 16) for v in range(16)]
         dropped = []
         for x, y, n in cases:
@@ -704,7 +776,8 @@ FAMILY_KINDS = ["rotation", "doubling", "contraction", "power-rotation",
 
 def family_requests(rng, path, pts_d):
     """Seven (n, eps) requests, unsorted, one n repeated and one request twice;
-    small eps where the sweep should run, eps = inf where the row blocks must."""
+    small eps, where the sweep's windows cut, or loose ones and eps = inf,
+    where they leave every pair."""
     ns = [int(v) for v in rng.integers(1, 9, size=5)]
     ns += [ns[0], ns[1]]
     if path == "sweep":
@@ -714,7 +787,7 @@ def family_requests(rng, path, pts_d):
         eps = [float(rng.choice(own)), 0.05, 0.25, 1.0, math.inf]
     out = [(n, float(rng.choice(eps))) for n in ns]
     out.append(out[2])
-    if path == "row-blocks":
+    if path == "no-window":
         out[3] = (out[3][0], math.inf)
     return out
 
@@ -733,8 +806,8 @@ class TestBowenRelations:
         pts_d[d1[0], d1[1]] = d1[2]
         shapes = record_metric_calls(monkeypatch, system)
         seen = set()
-        for path, block in (("one-block", DEFAULT_BLOCK), ("sweep", 100), ("row-blocks", 100),
-                            ("row-blocks", 1), ("sweep", 2000)):
+        for path, block in (("stacked", DEFAULT_BLOCK), ("sweep", 100), ("no-window", 100),
+                            ("no-window", 1), ("sweep", 2000)):
             monkeypatch.setattr(partition, "_BLOCK_ENTRIES", block)
             rng = np.random.default_rng([len(kind), block, len(path)])
             for _ in range(3):
@@ -751,15 +824,13 @@ class TestBowenRelations:
                 # the memory bound of check_relation holds for the family's calls
                 assert max(map(math.prod, calls), default=0) <= max(block, m), (path, block)
                 dims = {len(shape) for shape in calls}
-                if m * m <= block:
-                    seen.add("one-block")
-                    assert calls[0][-2:] == (m, m)
-                elif dims == {2}:
-                    seen.add("sweep")
+                if max(n for n, _ in requests) * m * m <= block:
+                    seen.add("stacked")
+                    assert dims == {4} and calls[0][-2:] == (m, m)
                 elif dims:
-                    seen.add("row-blocks")
-                    assert len(calls[0]) == 3
-        assert seen == {"one-block", "sweep", "row-blocks"}
+                    seen.add("sweep")
+                    assert dims == {2}
+        assert seen == {"stacked", "sweep"}
 
     def test_a_family_walks_one_orbit(self, monkeypatch):
         # 16 requests on 8 points cost one orbit at the largest n and one

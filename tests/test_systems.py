@@ -270,12 +270,13 @@ class TestSweepKey:
             assert (system.metric_array(x[:, None], x) >= np.abs(key[:, None] - key)).all()
             x = system.apply_array(x)
 
-    def test_no_key(self):
-        # a circle key must lie in [0, 1]; the base system has none
-        assert DoublingMap().sweep_key(np.array([0.2, 1.5])) is None
-        assert Rotation(0.3).sweep_key(np.array([-0.1, 0.2])) is None
-        assert Rotation(0.3).sweep_key(np.array([np.nan, 0.2])) is None
-        assert systems.System().sweep_key(np.array([0.2])) is None
+    def test_no_window_key(self):
+        # a circle key must lie in [0, 1]; past it, and on the base system,
+        # every point gets the default key 0 with no period: no window
+        for system, xs in ((DoublingMap(), [0.2, 1.5]), (Rotation(0.3), [-0.1, 0.2]),
+                           (Rotation(0.3), [np.nan, 0.2]), (systems.System(), [0.2])):
+            key, period = system.sweep_key(np.array(xs))
+            assert key.tolist() == [0.0] * len(xs) and period is None
 
 
 class TestCandidateSets:
