@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +41,12 @@ JUMP_SMALL = 1e-3
 JUMP_TREND_MARGIN = 0.05
 
 
-@dataclass
 class GrowthTable:
     """Samples of one growth series.  Its series, windows and fits are made once
     and kept for every later reader, so the samples must not change once read."""
 
-    samples: list[GrowthSample]
-
-    def __post_init__(self):
+    def __init__(self, samples: list[GrowthSample]):
+        self.samples = samples
         self._series, self._windows, self._fits = None, {}, {}
 
     def filter(self, estimator: int | None = None, scale: float | None = None) -> "GrowthTable":
@@ -204,12 +201,10 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, float(np.sqrt((1 - r**2) * ssym / ssxm / (n - 2)))
 
 
-@dataclass
 class PressureCurve:
-    s_grid: tuple[float, ...]
-    values: tuple[float, ...]
-    trends: tuple[float | None, ...]
-    estimator: int | None = None
+    def __init__(self, s_grid: tuple[float, ...], values: tuple[float, ...],
+                 trends: tuple[float | None, ...], estimator: int | None = None):
+        self.s_grid, self.values, self.trends, self.estimator = s_grid, values, trends, estimator
 
 
 def pressure_curve(
@@ -271,11 +266,9 @@ def pressure_curves(
     return [pressure_curve(ts, s_grid, window_frac) for _, ts in sorted(by_est.items())]
 
 
-@dataclass
 class JumpClassification:
-    labels: tuple[str, ...]
-    bracket: tuple[float, float]
-    monotone: bool
+    def __init__(self, labels: tuple[str, ...], bracket: tuple[float, float], monotone: bool):
+        self.labels, self.bracket, self.monotone = labels, bracket, monotone
 
 
 def classify_jump(curve: PressureCurve) -> JumpClassification:
@@ -309,12 +302,12 @@ def classify_jump(curve: PressureCurve) -> JumpClassification:
     return JumpClassification(tuple(labels), (s_lo, s_hi), monotone)
 
 
-@dataclass
 class DimensionEstimate:
-    s0_hat: float
-    window: tuple[int, int]
-    stderr: float
-    method: str
+    def __init__(self, s0_hat: float, window: tuple[int, int], stderr: float, method: str):
+        self.s0_hat, self.window, self.stderr, self.method = s0_hat, window, stderr, method
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is DimensionEstimate else NotImplemented
 
 
 def dimension_estimate(table: GrowthTable, window_frac: float = 0.5) -> DimensionEstimate:

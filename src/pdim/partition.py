@@ -50,7 +50,6 @@ import bisect
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -91,14 +90,17 @@ class Estimator(IntEnum):
     UPPER_COVER = 4   # supremum weights over minimal subcovers
 
 
-@dataclass(frozen=True)
 class GrowthSample:
-    estimator: int
-    n: int
-    scale: float
-    log_value: float
-    exact: bool
-    note: str = ""
+    def __init__(self, estimator: int, n: int, scale: float, log_value: float, exact: bool,
+                 note: str = ""):
+        self.estimator, self.n, self.scale = estimator, n, scale
+        self.log_value, self.exact, self.note = log_value, exact, note
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is GrowthSample else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.estimator, self.n, self.scale, self.log_value, self.exact, self.note))
 
 
 class EmptyInstanceError(ValueError):
@@ -109,26 +111,21 @@ class InstanceTooLargeError(ValueError):
     pass
 
 
-@dataclass
 class SeparationInstance:
     """Candidates with weights w_i = phi_n(x_i) at one (n, eps); the instances
     of one ``make_families`` family share one walk for their relations."""
 
-    system: System
-    n: int
-    eps: float
-    points: Sequence[Point]
-    weights: np.ndarray
-    _relations: _Relations | None = field(default=None, repr=False, compare=False, init=False)
-
-    def __post_init__(self):
-        if len(self.points) == 0:
+    def __init__(self, system: System, n: int, eps: float, points: Sequence[Point],
+                 weights: np.ndarray):
+        if len(points) == 0:
             raise EmptyInstanceError("no candidates after filtering")
-        if not self.eps > 0:  # NaN included
+        if not eps > 0:  # NaN included
             raise ValueError("eps must be positive")
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (len(self.points),):
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (len(points),):
             raise ValueError("need one weight per candidate")
+        self.system, self.n, self.eps, self.points, self.weights = system, n, eps, points, weights
+        self._relations: _Relations | None = None
 
     @property
     def size(self) -> int:

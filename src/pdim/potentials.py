@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
 class Window:
     """phi_n(x) = log of the entry sum of W(x_0 .. x_{reach-1}) ...
     W(x_{n-1} .. x_{n+reach-2}), where W = exp(step) and ``step`` maps an
@@ -58,9 +56,9 @@ class Window:
     transfer chain: it marks a potential constant on (n + reach - 1)-
     cylinders whose word sums enumerate."""
 
-    reach: int
-    step: Callable[[np.ndarray], np.ndarray] | None
-    dim: int = 1
+    def __init__(self, reach: int, step: Callable[[np.ndarray], np.ndarray] | None,
+                 dim: int = 1):
+        self.reach, self.step, self.dim = reach, step, dim
 
     def __add__(self, other: Window) -> Window:
         """phi + psi: the Kronecker product of the two matrix chains, with
@@ -126,12 +124,11 @@ def _require_system(p: Potential) -> System:
     return p.system
 
 
-@dataclass(frozen=True)
 class ConstantDrift(Potential):
     """phi_n = n * A; exactly additive on any system."""
 
-    A: float = 0.0
-    system: System | None = None
+    def __init__(self, A: float = 0.0, system: System | None = None):
+        self.A, self.system = A, system
 
     @property
     def label(self) -> str:
@@ -149,7 +146,6 @@ def zero_potential(system: System | None = None) -> ConstantDrift:
     return ConstantDrift(0.0, system)
 
 
-@dataclass(frozen=True)
 class Birkhoff(Potential):
     """phi_n = sum of phi along the orbit; exactly additive (C = 0).
 
@@ -160,14 +156,11 @@ class Birkhoff(Potential):
     exact symbolic backend.
     """
 
-    phi: Callable[[np.ndarray], np.ndarray]
-    system: System
-    reach: int | None = None
-    name: str = "phi"
-
-    def __post_init__(self):
-        if shift_step(self.system) is not None and self.reach is None:
+    def __init__(self, phi: Callable[[np.ndarray], np.ndarray], system: System,
+                 reach: int | None = None, name: str = "phi"):
+        if shift_step(system) is not None and reach is None:
             raise ValueError("a Birkhoff potential on a shift needs reach")
+        self.phi, self.system, self.reach, self.name = phi, system, reach, name
 
     @property
     def label(self) -> str:
@@ -213,7 +206,6 @@ def _logs(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), float, len(values))
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixCocycle(Potential):
     """phi_n(x) = log of the entry-sum norm of A(x_0) ... A(x_{n-1}).
 
@@ -221,15 +213,11 @@ class MatrixCocycle(Potential):
     almost additive with C = log(d * max_entry / min_entry) for d x d matrices.
     """
 
-    mats: tuple
-    system: ShiftSystem = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        mats = tuple(np.array(m, dtype=float) for m in self.mats)
-        object.__setattr__(self, "mats", mats)
-        if self.system is None or not isinstance(self.system, ShiftSystem):
+    def __init__(self, mats: Sequence, system: ShiftSystem | None = None):
+        mats = tuple(np.array(m, dtype=float) for m in mats)
+        if not isinstance(system, ShiftSystem):
             raise ValueError("matrix cocycles live on shift systems")
-        if len(mats) != self.system.k:
+        if len(mats) != system.k:
             raise ValueError("need one matrix per symbol")
         d = mats[0].shape[0]
         for m in mats:
@@ -237,6 +225,7 @@ class MatrixCocycle(Potential):
                 raise ValueError("all matrices must share one square shape")
             if not np.all((m > 0) & (m < np.inf)):
                 raise ValueError("matrix entries must be strictly positive and finite")
+        self.mats, self.system = mats, system
 
     @property
     def dim(self) -> int:
@@ -278,14 +267,10 @@ class MatrixCocycle(Potential):
         return Window(1, lambda w: log_mats[w[:, 0]], dim=self.dim)
 
 
-@dataclass(frozen=True)
 class SumPotential(Potential):
-    left: Potential
-    right: Potential
-    system: System | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "system", _merge_systems(self.left.system, self.right.system))
+    def __init__(self, left: Potential, right: Potential):
+        self.left, self.right = left, right
+        self.system = _merge_systems(left.system, right.system)
 
     @property
     def C(self) -> float:
@@ -304,10 +289,9 @@ class SumPotential(Potential):
         return None if a is None or b is None else a + b
 
 
-@dataclass(frozen=True)
 class ScaledPotential(Potential):
-    lam: float
-    inner: Potential
+    def __init__(self, lam: float, inner: Potential):
+        self.lam, self.inner = lam, inner
 
     @property
     def system(self) -> System | None:  # type: ignore[override]
@@ -329,16 +313,13 @@ class ScaledPotential(Potential):
         return None if p is None else p.scaled(self.lam)
 
 
-@dataclass(frozen=True)
 class PullbackPotential(Potential):
     """phi_n composed with a factor map; defined on the source system."""
 
-    inner: Potential
-    factor: FactorMap
-
-    def __post_init__(self):
-        if self.inner.system is not None and self.inner.system != self.factor.target:
+    def __init__(self, inner: Potential, factor: FactorMap):
+        if inner.system is not None and inner.system != factor.target:
             raise ValueError("factor map target does not match the potential's system")
+        self.inner, self.factor = inner, factor
 
     @property
     def system(self) -> System:  # type: ignore[override]
@@ -356,17 +337,14 @@ class PullbackPotential(Potential):
         return self.inner.eval_arrays(ns, [self.factor.apply(p) for p in points])
 
 
-@dataclass(frozen=True)
 class TimePowerPotential(Potential):
     """Phi_k with (phi_k)_n = phi_{nk}, a potential for T^k."""
 
-    inner: Potential
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, inner: Potential, k: int):
+        if k < 1:
             raise ValueError("time power must be >= 1")
-        _require_system(self.inner)
+        _require_system(inner)
+        self.inner, self.k = inner, k
 
     @property
     def system(self) -> System:  # type: ignore[override]
@@ -386,14 +364,12 @@ class TimePowerPotential(Potential):
         return self.inner.eval_arrays([n * self.k for n in ns], points)
 
 
-@dataclass(frozen=True)
 class InverseTwistPotential(Potential):
     """phi'_n(x) = phi_n(T^{-(n-1)} x), a potential for the inverse map."""
 
-    inner: Potential
-
-    def __post_init__(self):
-        _require_system(self.inner).inverse()  # fail early if not invertible
+    def __init__(self, inner: Potential):
+        _require_system(inner).inverse()  # fail early if not invertible
+        self.inner = inner
 
     @property
     def system(self) -> System:  # type: ignore[override]
@@ -412,7 +388,6 @@ class InverseTwistPotential(Potential):
         return [self.inner.eval_array(n, [sys_.iterate(p, n - 1) for p in points]) for n in ns]
 
 
-@dataclass(frozen=True)
 class CoboundaryPotential(Potential):
     """Phi + Psi o T - Psi, the coboundary perturbation of Phi.
 
@@ -420,12 +395,9 @@ class CoboundaryPotential(Potential):
     psi o T - psi, where psi o T is psi's window read one symbol on.
     """
 
-    base: Potential
-    psi: Potential
-    system: System | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "system", _merge_systems(self.base.system, self.psi.system))
+    def __init__(self, base: Potential, psi: Potential):
+        self.base, self.psi = base, psi
+        self.system = _merge_systems(base.system, psi.system)
 
     @property
     def C(self) -> float:
@@ -502,15 +474,12 @@ def verify_almost_additive(
     return worst
 
 
-@dataclass(eq=False)
 class SupNormReport:
     """Range of phi_1 over a sample, and per pair i < j of it its distance d
     and its gap |phi_1(x_i) - phi_1(x_j)|, as arrays."""
 
-    sup: float
-    inf: float
-    d: np.ndarray
-    gap: np.ndarray
+    def __init__(self, sup: float, inf: float, d: np.ndarray, gap: np.ndarray):
+        self.sup, self.inf, self.d, self.gap = sup, inf, d, gap
 
     def modulus(self, eps: float) -> float:
         """Smallest recorded delta bound for pairs closer than eps: the largest

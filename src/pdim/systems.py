@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,12 +55,19 @@ def _check_array_budget(rows: int, cols: int, what: str) -> None:
             f"{what} needs {nbytes} bytes, over the {ARRAY_BUDGET_BYTES}-byte budget")
 
 
-@dataclass(frozen=True)
 class Word:
     """Eventually-constant symbol sequence: explicit prefix, then ``tail`` forever."""
 
-    symbols: tuple[int, ...]
-    tail: int = 0
+    def __init__(self, symbols: tuple[int, ...], tail: int = 0):
+        self.symbols, self.tail = symbols, tail
+
+    def __eq__(self, other):
+        if type(other) is not Word:
+            return NotImplemented
+        return (self.symbols, self.tail) == (other.symbols, other.tail)
+
+    def __hash__(self) -> int:
+        return hash((self.symbols, self.tail))
 
     def coord(self, i: int) -> int:
         return self.symbols[i] if i < len(self.symbols) else self.tail
@@ -75,9 +81,15 @@ class Word:
         return tuple(self.coord(i) for i in range(length))
 
 
-@dataclass(frozen=True)
 class RealPoint:
-    x: float
+    def __init__(self, x: float):
+        self.x = x
+
+    def __eq__(self, other):
+        return (self.x,) == (other.x,) if type(other) is RealPoint else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x,))
 
 
 def real(x: float) -> RealPoint:
@@ -225,18 +237,24 @@ def power_base(system: System) -> tuple[System, int]:
     return system, k
 
 
-@dataclass
 class CandidateSet:
     """Finite point family used by the estimators, with density bookkeeping."""
 
-    points: Sequence[Point]
-    certified: bool = True
+    def __init__(self, points: Sequence[Point], certified: bool = True):
+        self.points, self.certified = points, certified
 
 
 class System:
     """Base interface shared by all model systems."""
 
     label: str = "system"
+    _key: tuple = ()  # the parameters: systems of one class are equal when their keys are
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def apply(self, x: Point) -> Point:
         """T x on a RealPoint: the one-point case of ``apply_array``."""
@@ -502,13 +520,14 @@ class ShiftSystem(System):
         return out
 
 
-@dataclass(frozen=True)
 class FullShift(ShiftSystem):
-    k: int = 2
-
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int = 2):
+        if k < 2:
             raise ValueError("alphabet needs at least 2 symbols")
+        self.k, self._key = k, (k,)
+
+    def __repr__(self) -> str:
+        return f"FullShift(k={self.k!r})"
 
     @property
     def label(self) -> str:
@@ -525,19 +544,14 @@ class FullShift(ShiftSystem):
         return ()
 
 
-@dataclass(frozen=True)
 class SFT(ShiftSystem):
     """Subshift of finite type given by a 0/1 transition matrix."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    _tail: int = field(init=False, repr=False, compare=False, default=0)
-    _bridges: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
-
-    def __post_init__(self):
-        if any(v not in (0, 1) for row in self.matrix for v in row):
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        if any(v not in (0, 1) for row in matrix for v in row):
             raise ValueError("transition matrix entries must be 0 or 1")
-        m = tuple(tuple(int(v) for v in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
+        m = tuple(tuple(int(v) for v in row) for row in matrix)
+        self.matrix, self._key = m, (m,)
         size = len(m)
         if size == 0 or any(len(row) != size for row in m):
             raise ValueError("transition matrix must be square")
@@ -561,8 +575,10 @@ class SFT(ShiftSystem):
             frontier = nxt
         if any(b is None for b in bridges):
             raise ValueError("some symbol cannot reach the tail symbol")
-        object.__setattr__(self, "_tail", tail)
-        object.__setattr__(self, "_bridges", tuple(bridges))
+        self._tail, self._bridges = tail, tuple(bridges)
+
+    def __repr__(self) -> str:
+        return f"SFT(matrix={self.matrix!r})"
 
     @property
     def k(self) -> int:
@@ -648,9 +664,11 @@ class CircleSystem(System):
                             certified=not capped or achieved <= target)
 
 
-@dataclass(frozen=True)
 class DoublingMap(CircleSystem):
     lipschitz = 2.0
+
+    def __repr__(self) -> str:
+        return "DoublingMap()"
 
     @property
     def label(self) -> str:
@@ -673,9 +691,12 @@ class DoublingMap(CircleSystem):
         return eps
 
 
-@dataclass(frozen=True)
 class Rotation(CircleSystem):
-    theta: float = 0.125
+    def __init__(self, theta: float = 0.125):
+        self.theta, self._key = theta, (theta,)
+
+    def __repr__(self) -> str:
+        return f"Rotation(theta={self.theta!r})"
 
     @property
     def label(self) -> str:
@@ -688,16 +709,16 @@ class Rotation(CircleSystem):
         return Rotation((-self.theta) % 1.0)
 
 
-@dataclass(frozen=True)
 class Contraction(System):
     """x -> fixed + c (x - fixed) on the interval [0, 1]."""
 
-    c: float = 0.5
-    fixed: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
+    def __init__(self, c: float = 0.5, fixed: float = 0.0):
+        if not 0.0 < c < 1.0:
             raise ValueError("contraction factor must lie in (0, 1)")
+        self.c, self.fixed, self._key = c, fixed, (c, fixed)
+
+    def __repr__(self) -> str:
+        return f"Contraction(c={self.c!r}, fixed={self.fixed!r})"
 
     @property
     def label(self) -> str:
@@ -723,16 +744,16 @@ class Contraction(System):
                             certified=not capped)
 
 
-@dataclass(frozen=True)
 class PowerSystem(System):
     """Same space, map iterated ``power`` times."""
 
-    base: System
-    power: int
-
-    def __post_init__(self):
-        if self.power < 1:
+    def __init__(self, base: System, power: int):
+        if power < 1:
             raise ValueError("power must be >= 1")
+        self.base, self.power, self._key = base, power, (base, power)
+
+    def __repr__(self) -> str:
+        return f"PowerSystem(base={self.base!r}, power={self.power!r})"
 
     @property
     def label(self) -> str:
@@ -766,7 +787,6 @@ class PowerSystem(System):
         return self.base.sample_points(count, rng)
 
 
-@dataclass(frozen=True)
 class FactorMap:
     """Semi-conjugacy pi: source -> target with a uniform continuity modulus.
 
@@ -774,11 +794,17 @@ class FactorMap:
     d(pi x, pi y) < eps; checked empirically by the verification suites.
     """
 
-    source: System
-    target: System
-    transform: Callable[[Point], Point]
-    modulus: Callable[[float], float]
-    label: str = "factor"
+    def __init__(self, source: System, target: System, transform: Callable[[Point], Point],
+                 modulus: Callable[[float], float], label: str = "factor"):
+        self.source, self.target, self.transform = source, target, transform
+        self.modulus, self.label = modulus, label
+        self._key = (source, target, transform, modulus, label)
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is FactorMap else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def apply(self, x: Point) -> Point:
         return self.transform(x)

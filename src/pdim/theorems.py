@@ -34,7 +34,6 @@ import hashlib
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,13 +83,14 @@ from .systems import (
 TOL = 1e-9
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    status: str
-    worst_violation: float
-    digest: str
-    notes: str = ""
+    def __init__(self, check_id: str, status: str, worst_violation: float, digest: str,
+                 notes: str = ""):
+        self.check_id, self.status, self.worst_violation = check_id, status, worst_violation
+        self.digest, self.notes = digest, notes
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is CheckReport else NotImplemented
 
     @property
     def passed(self) -> bool:

@@ -2,6 +2,10 @@
 keyword forms, and the errors each constructor raises."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -275,3 +279,21 @@ class TestSeparationInstance:
             SeparationInstance(Rotation(0.3), 2, 0.1, pts, [1.0])
         with pytest.raises(ValueError, match="one weight per candidate"):
             SeparationInstance(Rotation(0.3), 2, 0.1, pts, [[1.0, 2.0]])
+
+
+def test_import_generates_no_methods():
+    # a fresh process: importing the CLI loads no dataclasses, and no pdim
+    # class was made by its decorator
+    code = textwrap.dedent("""
+        import inspect, sys
+        import pdim.cli
+        made = [f"{name}.{cls.__name__}" for name, mod in list(sys.modules.items())
+                if name.split(".")[0] == "pdim"
+                for cls in vars(mod).values()
+                if inspect.isclass(cls) and hasattr(cls, "__dataclass_fields__")]
+        print("dataclasses" in sys.modules, made)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.split() == ["False", "[]"]
