@@ -1029,7 +1029,13 @@ class TestOracle:
 
     def test_point_cap(self, capsys):
         assert main(["oracle", "--max-points", "21"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == "error: oracle supports at most 20 candidate points\n"
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_must_be_positive(self, capsys, trials):
+        assert main(["oracle", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: need max-points >= 3 and trials >= 1\n")
 
     @pytest.mark.parametrize("max_points", ["2", "1", "0"])
     def test_instances_need_three_points(self, capsys, max_points):
