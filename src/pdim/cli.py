@@ -27,13 +27,13 @@ bounds.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import itertools
 import json
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -548,6 +548,7 @@ def cmd_oracle(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# argv
 
 
 def _seed(text: str) -> int:
@@ -557,50 +558,183 @@ def _seed(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+        raise ConfigError(f"must be an integer >= 0, got {text!r}")
     return value
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``pdim`` parser, built on the first call and shared by later ones."""
-    parser = argparse.ArgumentParser(
-        prog="pdim",
-        description="Pressure-dimension estimation for model dynamical systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = "Pressure-dimension estimation for model dynamical systems."
 
-    p_est = sub.add_parser("estimate", help="growth tables and dimension estimates")
-    p_est.add_argument("--config", required=True, help="JSON config path")
-    p_est.add_argument("--out", required=True, help="CSV output path")
-    p_est.set_defaults(func=cmd_estimate)
+# Each subcommand: its handler, its help line and its options.  Each option:
+# (name, type or tuple of choices, default, required, help).
+COMMANDS = {
+    "estimate": (cmd_estimate, "growth tables and dimension estimates", (
+        ("--config", str, None, True, "JSON config path"),
+        ("--out", str, None, True, "CSV output path"),
+    )),
+    "verify": (cmd_verify, "run a verification suite", (
+        ("--suite", SUITE_NAMES + ("all",), None, True, "suite to run, or all of them"),
+        ("--seed", _seed, 0, False, "seed of the random trials, an integer >= 0"),
+        ("--out", str, None, False, "also write the report lines to this file"),
+    )),
+    "sweep": (cmd_sweep, "pressure values over a grid of s exponents", (
+        ("--config", str, None, True, "JSON config path"),
+        ("--s-min", float, None, True, "first s exponent"),
+        ("--s-max", float, None, True, "last s exponent"),
+        ("--steps", int, None, True, "number of s exponents, at least 2"),
+        ("--out", str, None, True, "CSV output path"),
+    )),
+    "oracle": (cmd_oracle, "brute-force cross-checks on small instances", (
+        ("--max-points", int, 12, False, f"most candidate points in an instance, 3 to {ORACLE_CAP}"),
+        ("--trials", int, 50, False, "number of random instances"),
+        ("--seed", _seed, 0, False, "seed of the random instances, an integer >= 0"),
+    )),
+}
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    p_ver.add_argument("--seed", type=_seed, default=0)
-    p_ver.add_argument("--out", help="also write the report lines to this file")
-    p_ver.set_defaults(func=cmd_verify)
+_HELP = ("-h", "--help")
 
-    p_swp = sub.add_parser("sweep", help="pressure values over a grid of s exponents")
-    p_swp.add_argument("--config", required=True)
-    p_swp.add_argument("--s-min", type=float, required=True)
-    p_swp.add_argument("--s-max", type=float, required=True)
-    p_swp.add_argument("--steps", type=int, required=True)
-    p_swp.add_argument("--out", required=True)
-    p_swp.set_defaults(func=cmd_sweep)
 
-    p_orc = sub.add_parser("oracle", help="brute-force cross-checks on small instances")
-    p_orc.add_argument("--max-points", type=int, default=12)
-    p_orc.add_argument("--trials", type=int, default=50)
-    p_orc.add_argument("--seed", type=_seed, default=0)
-    p_orc.set_defaults(func=cmd_oracle)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: pdim [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = ["usage: pdim", command, "[-h]"]
+    for name, kind, _, required, _ in COMMANDS[command][2]:
+        words.append(f"{name} {_metavar(name, kind)}" if required
+                     else f"[{name} {_metavar(name, kind)}]")
+    return " ".join(words)
 
-    return parser
+
+def _metavar(name: str, kind) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(kind) + "}"
+    return name[2:].replace("-", "_").upper()
+
+
+def _help(command: str | None) -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        about = DESCRIPTION
+        sections = {"commands": [(name, entry[1]) for name, entry in COMMANDS.items()],
+                    "options": rows}
+    else:
+        _, about, options = COMMANDS[command]
+        rows += [(f"{name} {_metavar(name, kind)}",
+                  text if default is None else f"{text} (default: {default})")
+                 for name, kind, default, _, text in options]
+        sections = {"options": rows}
+    lines = [_usage(command), "", about]
+    for title, section in sections.items():
+        lines += ["", f"{title}:"]
+        # help text from column 24, on a line of its own past a long left side
+        lines += [f"  {left:<20}  {text}" if len(left) <= 20 else f"  {left}\n{'':24}{text}"
+                  for left, text in section]
+    return "\n".join(lines) + "\n"
+
+
+def _fail(command: str | None, message: str):
+    prog = "pdim" if command is None else f"pdim {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _split(arg: str, names) -> tuple[str | None, str | None] | None:
+    """``(name, value)`` for an option string, None for a value.
+
+    ``name`` is None for an option that is not in ``names``, and ``value`` is
+    None unless the string gives it after ``=``.  A string is a value if it
+    does not start with ``-``, or is ``-`` alone, a negative number, or
+    holds a space.
+    """
+    if arg in names:
+        return arg, None
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in names:
+        return name, value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _read(command: str, name: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            _fail(command, f"argument {name}: invalid choice: {text!r} "
+                           f"(choose from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        return kind(text)
+    except ConfigError as e:
+        _fail(command, f"argument {name}: {e}")
+    except (TypeError, ValueError):
+        _fail(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
+
+
+def _help_exit(command: str | None, value: str | None):
+    if value is not None:
+        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(0)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace the ``cmd_*`` handlers read, from argv past the program name.
+
+    Options take no prefix abbreviations; they are read as
+    ``--name value`` or ``--name=value`` in any order, the last repeat
+    winning, and a value that looks like an option refused unless it is a
+    negative number.  ``--`` and every string after it are unrecognised.
+    ``-h`` prints help and exits 0; a usage error prints a usage line and an
+    ``error:`` line on stderr and exits 2.
+    """
+    unrecognised = []
+    for i, arg in enumerate(argv):
+        # "--" with anything after it is read as the command, an unknown one
+        option = _split(arg, _HELP) if arg != "--" or i + 1 == len(argv) else None
+        if option is None:
+            command = arg
+            break
+        if option[0] is not None:
+            _help_exit(None, option[1])
+        unrecognised.append(arg)
+    else:
+        _fail(None, "the following arguments are required: command")
+    if command not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    handler, _, options = COMMANDS[command]
+    kinds = {name: kind for name, kind, *_ in options}
+    names = set(kinds).union(_HELP)
+    values = {name: default for name, _, default, _, _ in options}
+    seen = set()
+    rest = iter(argv[i + 1:])
+    for arg in rest:
+        if arg == "--":
+            unrecognised += [arg, *rest]
+            break
+        option = _split(arg, names)
+        if option is None or option[0] is None:
+            unrecognised.append(arg)
+            continue
+        name, value = option
+        if name in _HELP:
+            _help_exit(command, value)
+        if value is None:
+            value = next(rest, None)
+            if value is None or _split(value, names) is not None:
+                _fail(command, f"argument {name}: expected one argument")
+        values[name] = _read(command, name, kinds[name], value)
+        seen.add(name)
+    if missing := [name for name, _, _, required, _ in options if required and name not in seen]:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unrecognised:
+        _fail(None, f"unrecognized arguments: {' '.join(unrecognised)}")
+    return SimpleNamespace(command=command, func=handler,
+                           **{name[2:].replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     # a config's numbers can push a weight or log value past float range
     checked = {"over": "raise", "invalid": "raise"} if args.command in ("estimate", "sweep") else {}
     try:

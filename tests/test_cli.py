@@ -16,8 +16,7 @@ from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 import pdim
 from pdim import cli, systems
-from pdim.cli import (CSV_HEADER, MAX_POTENTIAL_DEPTH, build_parser, build_potential,
-                      build_system, main)
+from pdim.cli import CSV_HEADER, MAX_POTENTIAL_DEPTH, build_potential, build_system, main
 from pdim.dimension import entropy_dimension, growth_tables
 from pdim.logsum import logsumexp
 
@@ -955,10 +954,10 @@ class TestVerify:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_one_parser_serves_every_call(self, capsys):
-        # the parser is built on the first main call and kept: a usage error
+    def test_calls_in_one_process_give_the_bytes_of_each_alone(self, capsys):
+        # nothing carries from one main call into the next: a usage error
         # (exit 2) and then a good call give the codes and bytes that each
-        # gives in a process of its own, with a parser built for it
+        # gives when run alone, here in the reverse order
         calls = [["verify", "--suite", "thm99"], ["verify", "--suite", "thm31", "--seed", "3"],
                  ["oracle", "--max-points", "6", "--trials", "3", "--seed", "x"]]
 
@@ -970,14 +969,9 @@ class TestVerify:
             captured = capsys.readouterr()
             return code, captured.out, captured.err
 
-        build_parser.cache_clear()
         shared = [run(argv) for argv in calls]
-        assert build_parser.cache_info().misses == 1
-        fresh = []
-        for argv in calls:
-            build_parser.cache_clear()
-            fresh.append(run(argv))
-        assert shared == fresh
+        alone = [run(argv) for argv in reversed(calls)][::-1]
+        assert shared == alone
         assert [code for code, _, _ in shared] == [2, 0, 2]
         assert "thm31" in shared[1][1] and "invalid choice" in shared[0][2]
 
