@@ -406,24 +406,26 @@ def _pressure_rows(system, potential, curves) -> list[tuple]:
     return rows
 
 
-def _open_out(path: str, newline: str | None = None):
-    """Open an output file; a path that cannot be written is a usage error."""
+def _write_out(path: str, write, newline: str | None = None) -> None:
+    """Write an output file by ``write(f)``; one that cannot be opened,
+    written or closed is a usage error."""
     try:
-        return open(path, "w", newline=newline)
+        with open(path, "w", newline=newline) as f:
+            write(f)
     except OSError as e:
         raise ConfigError(f"cannot write output: {e}")
 
 
 def _write_csv(path: str, rows: list[tuple], max_rows: int | None) -> None:
-    truncated = max_rows is not None and len(rows) > max_rows
-    if truncated:
-        rows = rows[:max_rows]
-    with _open_out(path, newline="") as f:
+    if max_rows is not None and len(rows) > max_rows:
+        rows = rows[:max_rows] + [("TRUNCATED", "", "", "", "", "", "", "", "")]
+
+    def write(f):
         w = csv.writer(f, lineterminator="\n")
         w.writerow(CSV_HEADER)
         w.writerows(rows)
-        if truncated:
-            w.writerow(("TRUNCATED", "", "", "", "", "", "", "", ""))
+
+    _write_out(path, write, newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +478,7 @@ def cmd_verify(args) -> int:
     lines = [r.line() for r in reports]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with _open_out(args.out) as f:
-            f.write(text)
+        _write_out(args.out, lambda f: f.write(text))
     sys.stdout.write(text)
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")

@@ -936,6 +936,22 @@ class TestOutputPath:
         assert re.fullmatch(r"error: cannot write output: \[Errno \d+\] [^\n]+\n", captured.err)
         assert str(out) in captured.err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "verify"])
+    def test_write_error_is_a_usage_error(self, tmp_path, capsys, command):
+        # /dev/full opens but refuses the write; this once ended in a
+        # traceback with exit 1, the code of a failed check
+        argv = {
+            "estimate": ["estimate", "--config", write_config(tmp_path)],
+            "sweep": ["sweep", "--config", write_config(tmp_path), "--s-min", "0.5",
+                      "--s-max", "1.5", "--steps", "3"],
+            "verify": ["verify", "--suite", "thm31"],
+        }[command]
+        assert main(argv + ["--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: cannot write output: [Errno 28] No space left on device\n")
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):
