@@ -487,11 +487,9 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.max_points > ORACLE_CAP:
-        print(f"error: oracle supports at most {ORACLE_CAP} candidate points", file=sys.stderr)
-        return 2
+        raise ConfigError(f"oracle supports at most {ORACLE_CAP} candidate points")
     if args.max_points < 3 or args.trials < 1:  # each instance draws 3 to max-points points
-        print("error: need max-points >= 3 and trials >= 1", file=sys.stderr)
-        return 2
+        raise ConfigError("need max-points >= 3 and trials >= 1")
     rng = np.random.default_rng(args.seed)
     shift = FullShift(2)
     all_words = WordGrid(shift, shift.word_rows(5))
