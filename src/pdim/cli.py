@@ -561,8 +561,6 @@ def _seed(text: str) -> int:
     return value
 
 
-DESCRIPTION = "Pressure-dimension estimation for model dynamical systems."
-
 # Each subcommand: its handler, its help line and its options.  Each option:
 # (name, type or tuple of choices, default, required, help).
 COMMANDS = {
@@ -611,7 +609,7 @@ def _metavar(name: str, kind) -> str:
 def _help(command: str | None) -> str:
     rows = [("-h, --help", "show this help message and exit")]
     if command is None:
-        about = DESCRIPTION
+        about = "Pressure-dimension estimation for model dynamical systems."
         sections = {"commands": [(name, entry[1]) for name, entry in COMMANDS.items()],
                     "options": rows}
     else:
@@ -679,10 +677,10 @@ def _help_exit(command: str | None, value: str | None):
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The namespace the ``cmd_*`` handlers read, from argv past the program name.
 
-    Options take no prefix abbreviations; they are read as
-    ``--name value`` or ``--name=value`` in any order, the last repeat
-    winning, and a value that looks like an option refused unless it is a
-    negative number.  ``--`` and every string after it are unrecognised.
+    Options are read as ``--name value`` or ``--name=value`` in any order,
+    with no prefix abbreviations; the last repeat wins, and a value after a
+    space may look like an option only if it is a negative number.  ``--``
+    and every string after it are unrecognised.
     ``-h`` prints help and exits 0; a usage error prints a usage line and an
     ``error:`` line on stderr and exits 2.
     """
