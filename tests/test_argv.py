@@ -121,20 +121,6 @@ def test_generated_argvs_reach_every_outcome():
         assert kind in errors
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--seed=3", "--suite", "thm31", "--seed", "4", "--out=r.txt"],
-    ["sweep", "--s-max=-.5", "--steps", "-3", "--s-min", "-1", "--config=-c", "--out", "-"],
-    ["oracle", "--trials", "7", "--trials=9", "--max-points=-2"],
-    ["estimate", "--out", "a b", "--config", "--config=c.json"],
-], ids=["verify", "sweep", "oracle", "estimate"])
-def test_forms_repeats_and_negative_values(argv):
-    # last repeat wins, "=" forms, and values that look like negative numbers
-    want = outcome(REFERENCE.parse_args, argv)
-    assert outcome(cli.parse_args, argv) == want
-    if argv[0] != "estimate":
-        assert want[0] == 0
-
-
 @reference_wording
 def test_estimate_without_a_required_out_fails_the_comparison(monkeypatch):
     handler, about, options = cli.COMMANDS["estimate"]
