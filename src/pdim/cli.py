@@ -27,6 +27,7 @@ bounds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -406,26 +407,26 @@ def _pressure_rows(system, potential, curves) -> list[tuple]:
     return rows
 
 
-def _write_out(path: str, write, newline: str | None = None) -> None:
-    """Write an output file by ``write(f)``; one that cannot be opened,
-    written or closed is a usage error."""
+@contextlib.contextmanager
+def _open_out(path: str, newline: str | None = None):
+    """Open an output file; one that cannot be opened, written or closed is a usage error."""
     try:
         with open(path, "w", newline=newline) as f:
-            write(f)
+            yield f
     except OSError as e:
         raise ConfigError(f"cannot write output: {e}")
 
 
 def _write_csv(path: str, rows: list[tuple], max_rows: int | None) -> None:
-    if max_rows is not None and len(rows) > max_rows:
-        rows = rows[:max_rows] + [("TRUNCATED", "", "", "", "", "", "", "", "")]
-
-    def write(f):
+    truncated = max_rows is not None and len(rows) > max_rows
+    if truncated:
+        rows = rows[:max_rows]
+    with _open_out(path, newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(CSV_HEADER)
         w.writerows(rows)
-
-    _write_out(path, write, newline="")
+        if truncated:
+            w.writerow(("TRUNCATED", "", "", "", "", "", "", "", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +479,8 @@ def cmd_verify(args) -> int:
     lines = [r.line() for r in reports]
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_out(args.out, lambda f: f.write(text))
+        with _open_out(args.out) as f:
+            f.write(text)
     sys.stdout.write(text)
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")

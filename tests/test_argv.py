@@ -25,9 +25,9 @@ SUBPARSERS = REFERENCE._subparsers._group_actions[0].choices
 OPTIONS = {command: [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
            for command, parser in SUBPARSERS.items()}
 
-# values a test argv draws for an option, the valid ones first.  None holds a
-# prefix of an option (argparse reads "--o" as "--out", pdim does not), nor
-# "--", which argparse turns into an empty list when given after "="
+# (valid, invalid) values a test argv draws for an option of each type.  None
+# is a prefix of an option (argparse reads "--o" as "--out", pdim does not),
+# nor "--", which argparse turns into an empty list when given after "="
 VALUES = {
     str: (["cfg.json", "o.csv", "x", "-1", "-2.5", "", "a b", "-x y", "-", "é"],
           ["--bogus", "-x", "--out", "-1e3", "-5."]),
