@@ -552,6 +552,19 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scales", [{"k": [0]}, {"eps": [0.2]}], ids=["k", "eps"])
+    @pytest.mark.parametrize("value", [1, 4, 7])
+    def test_estimator_other_than_2_or_3_message(self, tmp_path, capsys, scales, value):
+        cfg = write_config(tmp_path, system={"kind": "full_shift", "k": 2},
+                           n_range=[2, 3, 4, 5], scales=scales, estimators=[value])
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["sweep", "--config", cfg, "--s-min", "0.5", "--s-max", "1.0",
+                     "--steps", "2", "--out", str(out)]) == 2
+        message = (f"error: estimators must list 2 (spanning) and/or 3 (separated), got [{value}]; "
+                   "the cover estimators 1 and 4 are not computed\n")
+        assert capsys.readouterr().err == message * 2
+
     @pytest.mark.parametrize("scales", [{"k": [0, 1]}, {"eps": [0.2]}], ids=["k", "eps"])
     def test_estimators_filter_both_paths(self, tmp_path, scales):
         cfg = write_config(tmp_path, n_range=[2, 3, 4, 5], scales=scales, estimators=[3])
