@@ -161,7 +161,7 @@ def _parse_estimators(raw) -> list[Estimator]:
         ests = [Estimator(_integer(v)) for v in raw] if isinstance(raw, list) else []
     except ValueError:
         ests = []
-    if not ests or any(e not in (Estimator.SPANNING, Estimator.SEPARATED) for e in ests):
+    if not ests:
         raise ConfigError(
             f"estimators must list 2 (spanning) and/or 3 (separated), got {raw!r}; "
             "the cover estimators 1 and 4 are not computed"

@@ -25,23 +25,24 @@ turns into exit code 3; no point set is refused for its size alone.  A
 family whose relations fit the budget only one at a time walks each request
 alone, holding one relation.
 
-The greedy bounds are set up once per batch, in one array pass, and
-picked once per instance (``greedy_optima``): the pass builds every
-instance's neighbour CSR and weight order, the picks run on each instance's
-slice, and one segmented logsumexp gives the values.  Greedy separated is
-O(m + E) in total.  Greedy spanning reads an instance's closed-ball CSR
-(each candidate's strict-eps neighbours, then itself) and chooses its loop
-by the largest closed ball.  Where every ball holds at
-most _LEVEL_BALL_CAP points, the level loop walks the weight order once per
-gain level, from the largest ball down, picking each point whose gain still
-equals the level: at most _LEVEL_BALL_CAP passes, O(m + E) Python steps in
-all.  Otherwise each pick is one argmax over m packed keys, a scan of the
-picked ball for its uncovered points, and one subtract.at over the newly
-covered points' balls: O(m) per pick, and O(m + E) in total for the scans
-and decrements.  Both give the same picks in the same order.  The exact
-optima are set up once per batch, in one array pass, and searched once per
-instance (``exact_optima``): each search, with a memo, visits only the
-states it reaches.
+The greedy and the exact optima set a batch of instances up in one array
+pass (``_batch_balls``), one CSR (compressed sparse row) of closed balls:
+each candidate's points at d_n <= eps (separated) or d_n < eps (spanning),
+itself included, ascending.  The greedy bounds take one weight order over
+the batch and pick once per instance, on its slice, and one segmented
+logsumexp gives the values (``greedy_optima``).  Greedy separated is
+O(m + E) in total.  Greedy spanning chooses its loop by the largest closed
+ball.  Where every ball holds at most _LEVEL_BALL_CAP points, the level
+loop walks the weight order once per gain level, from the largest ball
+down, picking each point whose gain still equals the level: at most
+_LEVEL_BALL_CAP passes, O(m + E) Python steps in all.  Otherwise each pick
+is one argmax over m packed keys, a scan of the picked ball for its
+uncovered points, and one subtract.at over the newly covered points' balls:
+O(m) per pick, and O(m + E) in total for the scans and decrements.  Both
+give the same picks in the same order.  The exact optima read each ball's
+bit mask and each point's cost off the CSR and search once per instance
+(``exact_optima``): each search, with a memo, visits only the states it
+reaches.
 """
 
 from __future__ import annotations
@@ -84,10 +85,8 @@ _NO_PAIRS = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(
 
 
 class Estimator(IntEnum):
-    LOWER_COVER = 1   # infimum weights over minimal subcovers
     SPANNING = 2      # minimal weighted spanning sets
     SEPARATED = 3     # maximal weighted separated sets
-    UPPER_COVER = 4   # supremum weights over minimal subcovers
 
 
 class GrowthSample:
@@ -509,40 +508,39 @@ def bowen_distance_matrix(system: System, n: int, points: Sequence[Point]) -> np
     return out
 
 
-def _greedy_setup(instances: Sequence[SeparationInstance], separated: bool) -> tuple:
-    """(starts, indptr, nbrs, order, weights) of a batch, in one array pass.
+def _batch_balls(instances: Sequence[SeparationInstance], strict: bool) -> tuple:
+    """(starts, sizes, indptr, balls, weights) of a batch, in one array pass.
 
-    Points are numbered across the batch, instance k's from starts[k].  For
-    point p, nbrs[indptr[p]:indptr[p + 1]] lists its neighbours at
-    d_n <= eps (separated), or at d_n < eps and then itself, its closed ball
-    (spanning).  order lists each instance's points, instance by instance,
-    in the stable order of their weights, descending (separated) or
-    ascending (spanning).
+    Points are numbered across the batch: instance k's sizes[k] points from
+    starts[k], with their weights in weights.  For point p,
+    balls[indptr[p]:indptr[p + 1]] is its closed ball, the points at d_n <
+    eps (strict) or d_n <= eps and p itself, ascending.  Each relation lists
+    its pairs i < j sorted by (i, j), so one stable sort of the members
+    [i, p, j] by their centres [j, p, i] leaves every ball ascending: its
+    lower members, then p, then its higher ones.
     """
     relations = [inst.pairs() for inst in instances]
     sizes = [len(inst.weights) for inst in instances]  # one weight per candidate
-    counts = [len(r[0]) for r in relations]
     starts = np.array([0, *itertools.accumulate(sizes)][:-1], dtype=relations[0][0].dtype)
     if len(instances) == 1:  # numbered in its instance already: nothing to copy or shift
         [(i, j, d)] = relations
-        weights, eps, keys = instances[0].weights, instances[0].eps, ()
+        weights, eps = instances[0].weights, instances[0].eps
     else:
+        counts = [len(r[0]) for r in relations]
         base = starts.repeat(counts)
         i, j, d = (np.concatenate(col) for col in zip(*relations))
         i, j = i + base, j + base
         weights = np.concatenate([inst.weights for inst in instances])
         eps = np.array([inst.eps for inst in instances]).repeat(counts)
-        keys = (starts.repeat(sizes),)  # by instance, as each point's instance start
-    order = np.lexsort((-weights if separated else weights, *keys))
-    own = []
-    if not separated:
+    if strict:
         near = d < eps
         i, j = i[near], j[near]
-        own = [np.arange(len(weights), dtype=i.dtype)]
-    src, dst = np.concatenate([i, j, *own]), np.concatenate([j, i, *own])
+    own = np.arange(len(weights), dtype=i.dtype)
+    centres = np.concatenate([j, own, i])
     indptr = np.zeros(len(weights) + 1, dtype=np.intp)
-    np.bincount(src, minlength=len(weights)).cumsum(out=indptr[1:])
-    return starts, indptr, dst[src.argsort(kind="stable")], order, weights
+    np.bincount(centres, minlength=len(weights)).cumsum(out=indptr[1:])
+    balls = np.concatenate([i, own, j])[centres.argsort(kind="stable")]
+    return starts, sizes, indptr, balls, weights
 
 
 def _greedy_picks(instances: Sequence[SeparationInstance],
@@ -550,13 +548,19 @@ def _greedy_picks(instances: Sequence[SeparationInstance],
     """(picks, weights): per instance its greedy picks in pick order,
     numbered across the batch, and the batch's weights.
 
-    ``_greedy_setup`` sets the batch up, and then only the picks run per
-    instance, on its slice.  Separated takes the candidates by decreasing
-    weight, ties by lower index, keeping each that no kept one is within
-    eps of; spanning is ``_greedy_spanning_picks``, on the slice numbered
-    in the instance.
+    ``_batch_balls`` sets the batch up: closed balls at d_n <= eps
+    (separated) or d_n < eps (spanning).  One lexsort gives each instance's
+    points, instance by instance, in the stable order of their weights,
+    descending (separated) or ascending (spanning), and then only the picks
+    run per instance, on its slice.  Separated takes the candidates by
+    decreasing weight, ties by lower index, keeping each that no kept one is
+    within eps of (a kept point's own entry blocks only itself, after its
+    one visit); spanning is ``_greedy_spanning_picks``, on the slice
+    numbered in the instance.
     """
-    starts, indptr, nbrs, order, weights = _greedy_setup(instances, separated)
+    starts, sizes, indptr, balls, weights = _batch_balls(instances, not separated)
+    keys = (starts.repeat(sizes),) if len(sizes) > 1 else ()  # by instance, as its start
+    order = np.lexsort((-weights if separated else weights, *keys))
     cuts, picks = [*starts.tolist(), len(order)], []
     if separated:
         bounds, order, blocked = indptr.tolist(), order.tolist(), [False] * len(order)
@@ -565,17 +569,17 @@ def _greedy_picks(instances: Sequence[SeparationInstance],
             for v in order[s:e]:
                 if not blocked[v]:
                     kept.append(v)
-                    for u in nbrs[bounds[v]:bounds[v + 1]].tolist():
+                    for u in balls[bounds[v]:bounds[v + 1]].tolist():
                         blocked[u] = True
             picks.append(kept)
         return picks, weights
     for s, e in zip(cuts, cuts[1:]):
         lo, hi = indptr[s], indptr[e]
         if s:
-            chosen = _greedy_spanning_picks(indptr[s:e + 1] - lo, nbrs[lo:hi] - s, order[s:e] - s)
+            chosen = _greedy_spanning_picks(indptr[s:e + 1] - lo, balls[lo:hi] - s, order[s:e] - s)
             chosen = [v + s for v in chosen]
         else:  # the first instance's slice is numbered in it already
-            chosen = _greedy_spanning_picks(indptr[:e + 1], nbrs[:hi], order[:e])
+            chosen = _greedy_spanning_picks(indptr[:e + 1], balls[:hi], order[:e])
         picks.append(chosen)
     return picks, weights
 
@@ -744,41 +748,6 @@ def unshifted_log(wmax: float, total: float) -> float:
     return wmax + math.log(total) if total > 0 else -math.inf
 
 
-def _stacked_balls(instances: Sequence[SeparationInstance], sizes: list[int],
-                   relations: list, strict: bool) -> tuple:
-    """(tops, masks, costs, bounds, balls) of instances of at most ORACLE_CAP
-    points, in one array pass; bounds and balls are arrays, the rest lists.
-
-    Points are numbered across the batch.  For point p of instance k,
-    balls[bounds[p]:bounds[p + 1]] is its closed ball at d_n < eps (strict)
-    or d_n <= eps, as ascending indices in k, and masks[p] its bits.
-    costs[p] is exp(w_p - tops[k]), tops[k] being k's largest weight, or
-    0.0 where every weight is -inf, so that no -inf - -inf is taken.
-    """
-    sizes = np.array(sizes)
-    starts = np.cumsum(sizes) - sizes
-    counts = [len(i) for i, _, _ in relations]
-    i, j, d = (np.concatenate(col) for col in zip(*relations))
-    base = np.repeat(starts, counts)
-    if strict:
-        near = d < np.repeat([inst.eps for inst in instances], counts)
-        i, j, base = i[near], j[near], base[near]
-    own = np.arange(int(sizes.sum()))
-    # one key per ball entry, its point's number times ORACLE_CAP plus the
-    # member's index: sorted, by ball, then ascending in it
-    key = np.concatenate([(i + base) * ORACLE_CAP + j, (j + base) * ORACLE_CAP + i,
-                          own * ORACLE_CAP + own - np.repeat(starts, sizes)])
-    key.sort()
-    bounds = np.searchsorted(key, np.arange(len(own) + 1) * ORACLE_CAP)
-    local = key % ORACLE_CAP
-    masks = np.bitwise_or.reduceat(np.int64(1) << local, bounds[:-1])
-    weights = np.concatenate([inst.weights for inst in instances])
-    tops = np.maximum.reduceat(weights, starts)
-    tops[tops == -np.inf] = 0.0
-    costs = np.exp(weights - np.repeat(tops, sizes))
-    return tops.tolist(), masks.tolist(), costs.tolist(), bounds, local
-
-
 def exact_optima(instances: Sequence[SeparationInstance], estimator: Estimator) -> list[float]:
     """Per instance, the log of its exact separated or spanning optimum.
 
@@ -786,9 +755,13 @@ def exact_optima(instances: Sequence[SeparationInstance], estimator: Estimator) 
     the logsumexp of its weights, at any size.  Every other instance is
     searched and raises InstanceTooLargeError past ORACLE_CAP candidates,
     before any search runs (a spanning one before its relation is read).
-    One ``_stacked_balls`` pass sets the batch up; the separated search
-    keeps or skips the lowest candidate, the spanning search branches on
-    the balls that hold the lowest uncovered point, the sets that cover it.
+    One ``_batch_balls`` pass sets the batch up, with closed balls at d_n
+    <= eps (separated) or d_n < eps (spanning): each point's ball as bits
+    of its instance's points, its mask, and its cost exp(w_p - top), top
+    being its instance's largest weight, or 0.0 where every weight is -inf,
+    so that no -inf - -inf is taken.  The separated search keeps or skips
+    the lowest candidate, the spanning search branches on the balls that
+    hold the lowest uncovered point, the sets that cover it.
     """
     separated = estimator == Estimator.SEPARATED
     sizes = [len(inst.weights) for inst in instances]  # one weight per candidate
@@ -797,20 +770,24 @@ def exact_optima(instances: Sequence[SeparationInstance], estimator: Estimator) 
     relations = [inst.pairs() for inst in instances]
     keeps_all = [separated and not len(i) for i, _, _ in relations]
     searched = [x for x, keep in enumerate(keeps_all) if not keep]
-    sizes = [sizes[x] for x in searched]
     if separated:
-        _check_cap(sizes)
+        _check_cap([sizes[x] for x in searched])
     out = [logsumexp(inst.weights) if keep else math.nan
            for inst, keep in zip(instances, keeps_all)]
     if not searched:
         return out
-    tops, masks, costs, bounds, balls = _stacked_balls(
-        [instances[x] for x in searched], sizes, [relations[x] for x in searched], not separated)
+    starts, sizes, indptr, balls, weights = _batch_balls([instances[x] for x in searched],
+                                                         not separated)
+    local = balls - starts.repeat(sizes).repeat(np.diff(indptr))  # numbered in the instance
+    masks = np.bitwise_or.reduceat(np.int64(1) << local, indptr[:-1]).tolist()
+    tops = np.maximum.reduceat(weights, starts)
+    tops[tops == -np.inf] = 0.0
+    costs = np.exp(weights - tops.repeat(sizes)).tolist()
     if not separated:  # each point's ball as a list
-        members, cuts = balls.tolist(), bounds.tolist()
+        members, cuts = local.tolist(), indptr.tolist()
         balls = [members[b:e] for b, e in zip(cuts, cuts[1:])]
     a = 0
-    for x, m, top in zip(searched, sizes, tops):
+    for x, m, top in zip(searched, sizes, tops.tolist()):
         b = a + m
         if separated:
             total = _best_independent((1 << m) - 1, masks[a:b], costs[a:b], {})

@@ -30,7 +30,7 @@ from pdim.partition import (
     separated_lower_bound,
     spanning_upper_bound,
 )
-from pdim.partition import _greedy_setup, _greedy_spanning_argmax, _greedy_spanning_levels
+from pdim.partition import _batch_balls, _greedy_spanning_argmax, _greedy_spanning_levels
 from pdim.potentials import Birkhoff, symbol_weights, time_power
 from pdim.symbolic import deflated_scale
 from pdim.systems import (
@@ -408,12 +408,11 @@ def check_relation(monkeypatch, system, n, pts):
             si, sj = edges(inst, strict=True)
             ei, ej = np.nonzero(upper & (d < eps))
             assert (si.tolist(), sj.tolist()) == (ei.tolist(), ej.tolist()), (block, eps)
-            # the greedy closed balls: the strict neighbours, then the point itself
+            # the greedy closed balls: the strict neighbours and the point itself, ascending
             indptr, balls, _ = spanning_inputs(inst)
-            near = (d < eps) & ~np.eye(len(pts), dtype=bool)
-            assert [sorted(balls[a:b - 1].tolist()) for a, b in zip(indptr, indptr[1:])] \
+            near = (d < eps) | np.eye(len(pts), dtype=bool)
+            assert [balls[a:b].tolist() for a, b in zip(indptr, indptr[1:])] \
                 == [np.flatnonzero(row).tolist() for row in near], (block, eps)
-            assert (balls[indptr[1:] - 1] == np.arange(len(pts))).all(), (block, eps)
             # the memory bound: no metric block over max(_BLOCK_ENTRIES, m) entries
             assert max(map(math.prod, shapes), default=0) <= max(block, len(pts)), (block, eps)
 
@@ -996,30 +995,30 @@ def brute_masks(pairs, m, eps, strict):
     return masks
 
 
-def batch_masks(insts, strict, stacked=None):
-    """Per instance, its masks from one ``_stacked_balls`` pass (or ``stacked``)
-    over the batch, after a check that each point's ball is ascending and
-    holds exactly the points of its mask."""
-    sizes = [inst.size for inst in insts]
-    _, masks, _, bounds, balls = (stacked or partition._stacked_balls)(
-        insts, sizes, [inst.pairs() for inst in insts], strict)
-    bounds, balls = bounds.tolist(), balls.tolist()
-    starts = np.cumsum([0] + sizes).tolist()
-    for a, m in zip(starts, sizes):
+def batch_masks(insts, strict, build=None):
+    """Per instance, the masks of its closed balls from one ``_batch_balls``
+    pass (or ``build``) over the batch, after a check that the batch's
+    points are numbered instance by instance and each ball is ascending, in
+    its instance's points."""
+    starts, sizes, indptr, balls, _ = (build or partition._batch_balls)(insts, strict)
+    assert sizes == [inst.size for inst in insts]
+    assert starts.tolist() == np.cumsum([0] + sizes)[:-1].tolist()
+    bounds, balls, out = indptr.tolist(), balls.tolist(), []
+    for a, m in zip(starts.tolist(), sizes):
+        out.append([])
         for p in range(a, a + m):
             ball = balls[bounds[p]:bounds[p + 1]]
-            assert ball == sorted(ball)
-            assert ball == [v for v in range(m) if masks[p] >> v & 1]
-    return [masks[a:a + m] for a, m in zip(starts, sizes)]
+            assert ball == sorted(set(ball)) and a <= ball[0] and ball[-1] < a + m
+            out[-1].append(sum(1 << (v - a) for v in ball))
+    return out
 
 
-def check_masks(insts, pairs, stacked=None):
+def check_masks(insts, pairs, build=None):
     """The batch's masks of the instances, loose and strict, against
     ``brute_masks`` of each instance's pairs of d_n."""
     for strict in (False, True):
-        for inst, got, want in zip(insts, batch_masks(insts, strict, stacked), pairs):
+        for inst, got, want in zip(insts, batch_masks(insts, strict, build), pairs):
             assert got == brute_masks(want, inst.size, inst.eps, strict), (inst.n, inst.eps, strict)
-            assert all(type(v) is int for v in got)
 
 
 def rotation_mask_family(m, n):
@@ -1088,13 +1087,13 @@ class TestStackedFamilies:
         check_masks(insts, [pairs] * len(insts))
         # the fault: the strict masks take the pairs at d = eps too, as the
         # loose masks do; the first request has a pair at d = eps
-        source = textwrap.dedent(inspect.getsource(partition._stacked_balls))
+        source = textwrap.dedent(inspect.getsource(partition._batch_balls))
         assert source.count("near = d < ") == 1
         scope = dict(vars(partition))
         exec(compile(source.replace("near = d < ", "near = d <= "), partition.__file__, "exec"),
              scope)
         with pytest.raises(AssertionError):
-            check_masks(insts[:1], [pairs], scope["_stacked_balls"])
+            check_masks(insts[:1], [pairs], scope["_batch_balls"])
 
     def test_a_family_past_the_oracle_cap_stacks(self):
         # a 21-point family, past the exact oracles' cap, shares a batch with
@@ -1206,10 +1205,9 @@ def dense_greedy_instance(system, m, eps):
 
 def spanning_inputs(inst):
     """The arguments of both greedy spanning loops for one instance: its
-    closed-ball CSR and the stable weight order, from ``_greedy_setup``."""
-    _, indptr, balls, order, _ = _greedy_setup([inst], separated=False)
-    assert (order == np.argsort(inst.weights, kind="stable")).all()
-    return indptr, balls, order
+    closed-ball CSR, from ``_batch_balls``, and the stable weight order."""
+    _, _, indptr, balls, weights = _batch_balls([inst], True)
+    return indptr, balls, np.argsort(weights, kind="stable")
 
 
 def assert_spanning_picks(inst):
@@ -1237,8 +1235,8 @@ def partition_copy(find: str, replace: str, *names: str) -> dict:
 def greedy_spanning_copy(find: str, replace: str, name: str = "_greedy_spanning_levels"):
     """A copy of the function ``name`` of partition with ``find`` replaced in
     its source, as the spanning picks of one instance: a loop called on its
-    ``spanning_inputs``, or the batch set-up or picks through ``_greedy_picks``."""
-    if name in ("_greedy_setup", "_greedy_picks"):
+    ``spanning_inputs``, or the ball builder or picks through ``_greedy_picks``."""
+    if name in ("_batch_balls", "_greedy_picks"):
         scope = partition_copy(find, replace, *dict.fromkeys([name, "_greedy_picks"]))
         picks = scope["_greedy_picks"]
         return lambda inst: picks([inst], False)[0][0]
@@ -1318,7 +1316,7 @@ class TestGreedyMatchesScan:
 
     @pytest.mark.parametrize("name, find, replace", [
         ("_greedy_picks", "", ""),
-        ("_greedy_setup", "own = [np.arange(len(weights), dtype=i.dtype)]", "own = []"),
+        ("_batch_balls", "own = np.arange(len(weights), dtype=i.dtype)", "own = i[:0]"),
         ("_greedy_spanning_levels", "", ""),
         ("_greedy_spanning_levels", "for v in order:", "for v in reversed(order):"),
         ("_greedy_spanning_levels", "if uncovered[u]:", "if True:"),
@@ -1767,6 +1765,11 @@ class TestGreedyBatches:
             assert [inst.points[i] for i in kept] == greedy_separated(inst)
             assert sep == logsumexp(inst.weights[kept])
             assert span == logsumexp(inst.weights[reference_greedy_spanning(inst)])
+        # the balls, past ORACLE_CAP, of the batch and of its largest instances alone
+        pairs = [reference_relation(inst.system, inst.n, inst.points, math.inf) for inst in batch]
+        check_masks(batch, pairs)
+        for x in np.argsort([inst.size for inst in batch])[-6:]:
+            check_masks([batch[x]], [pairs[x]])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_a_value_does_not_depend_on_its_batch_or_place(self, seed):

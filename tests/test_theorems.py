@@ -216,11 +216,11 @@ def test_section4_sets_its_greedy_bounds_up_once_per_grid_run(monkeypatch):
     # one greedy set-up per grid run's family, and no instance's value from a
     # logsumexp call of its own: section4 takes separated bounds only
     runs, setups, alone = [], [], []
-    families, setup = dimension.make_families, partition._greedy_setup
+    families, balls = dimension.make_families, partition._batch_balls
     monkeypatch.setattr(dimension, "make_families",
                         lambda f: runs.append(len(f[0][2])) or families(f))
-    monkeypatch.setattr(partition, "_greedy_setup",
-                        lambda insts, sep: setups.append(len(insts)) or setup(insts, sep))
+    monkeypatch.setattr(partition, "_batch_balls",
+                        lambda insts, strict: setups.append(len(insts)) or balls(insts, strict))
     monkeypatch.setattr(partition, "logsumexp", lambda *a: alone.append(a))
     assert check_section4(seed=2).passed
     assert setups == runs and max(runs) > 1 and alone == []
