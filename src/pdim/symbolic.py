@@ -34,7 +34,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .logsum import logsumexp
+from .logsum import logsumexp, logsumexp_segments
 from .partition import Estimator, GrowthSample
 from .potentials import Potential, Window
 from .systems import BudgetExceededError, FullShift, ShiftSystem, WordGrid, word_total
@@ -55,11 +55,6 @@ ENUMERATION_CAP = 1 << 22
 TRANSFER_STATE_CAP = 256
 # most entries in a log-space product's temporary or a stacked "on" matrix
 _ENTRIES = 1 << 20
-
-
-def required_length(potential: Potential, n: int) -> int:
-    """Shortest word length on which phi_n is constant per cylinder."""
-    return n - 1 + _profile(potential).reach
 
 
 def _profile(potential: Potential) -> Window:
@@ -170,8 +165,8 @@ def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list
     free^(k - reach + 1): one ladder of "on" squares and products serves
     every k, and only the free tail, from one shared ladder of "free"
     squares, is applied per k.  n + k = p only at n = 1, k = 0 with reach 1,
-    where the value is the start vector's sum: one row ``logsumexp`` of the
-    stacked start vectors gives every member's.
+    where the value is the start vector's sum: one ``logsumexp_segments``
+    call over the stacked start vectors gives every member's.
     """
     p = max(reach - 1, 1)
     states = system.word_rows(p)
@@ -200,7 +195,7 @@ def _group_tables(system: ShiftSystem, reach: int, d: int, steps: list, ns: list
         tail = _log_power_rows(v, free_squares, [k - reach + 1] * len(n_at))
         sums = np.logaddexp.reduce(tail, axis=2).tolist()
         if p - k in n_at:
-            for t, value in enumerate(logsumexp(start)):
+            for t, value in enumerate(logsumexp_segments(start.ravel(), [S * d] * T)):
                 sums[t][n_at[p - k]] = value
         tables[k] = sums
     return [[[tables[k][t][n_at[n]] for n in ns] for k in ks] for t in range(T)]

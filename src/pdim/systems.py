@@ -43,8 +43,9 @@ WORD_BITS = 53
 # Largest array built from a candidate set: orbit_array here, and in
 # pdim.partition the Bowen distance matrix (8·m^2 bytes) and the pairs a Bowen
 # relation walk keeps (16 bytes a pair).  Before its first step a walk also
-# bounds the pairs it would step from t = 0 (every pair, m(m-1)/2, on row
-# blocks) by the 2^27 pairs the budget keeps.
+# bounds the pairs it would step from t = 0 (the sweep's window pairs, or
+# every pair, m(m-1)/2, on the pairwise path) by the 2^27 pairs the budget
+# keeps.
 ARRAY_BUDGET_BYTES = 2 * 1024**3
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -107,12 +106,6 @@ class CheckReport:
 def _digest(params: dict) -> str:
     blob = json.dumps(params, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _word_sums(system: ShiftSystem, pots: list[Potential], ns, k: int) -> Iterator[dict]:
-    """Per potential in turn, {n: log weighted sum over the (n + k)-words}, from one table call."""
-    ns = list(ns)
-    return (dict(zip(ns, table)) for [table] in log_weighted_word_tables(system, pots, ns, [k]))
 
 
 def _sums_by_system(cases: list[tuple[ShiftSystem, Potential]], ns, ks) -> list[dict]:
@@ -395,7 +388,7 @@ def check_thm32(seed: int = 0, fault: float = 0.0) -> CheckReport:
         psi = symbol_weights(system, t2)
         pots += [add(phi, psi), phi, psi] + [scale(lam, phi) for lam in lams]
     # one table call for every pair, read back in the order listed
-    tables = _word_sums(system, pots, ns, 0)
+    tables = (by_k[0] for by_k in _sums_by_system([(system, pot) for pot in pots], ns, [0]))
     for _ in tight + random_pairs:
         v_sum, v_phi, v_psi = next(tables), next(tables), next(tables)
         v_lam = {lam: next(tables) for lam in lams}
@@ -451,8 +444,8 @@ def check_thm33(seed: int = 0, fault: float = 0.0) -> CheckReport:
         phi = symbol_weights(system, rng.normal(scale=0.6, size=2))
         psi = symbol_weights(system, rng.normal(scale=0.6, size=2))
         at_k1 += [phi, psi] + [add(scale(t, phi), scale(1.0 - t, psi)) for t in ts]
-    k1 = _word_sums(system, at_k1, ns, 1)
-    k2 = _word_sums(system, at_k2, ns, 2)
+    k1 = (by_k[1] for by_k in _sums_by_system([(system, pot) for pot in at_k1], ns, [1]))
+    k2 = (by_k[2] for by_k in _sums_by_system([(system, pot) for pot in at_k2], ns, [2]))
 
     for _ in range(20):
         v_phi, v_psi = next(k1), next(k1)
@@ -586,9 +579,9 @@ def check_section4(seed: int = 0, fault: float = 0.0) -> CheckReport:
     # drift on shifts: per-n statistic at s = 1 equals drift + counting term
     drifts = (0.0, 0.5, 1.0)
     for system in (FullShift(2), golden_mean_sft()):
-        tables = _word_sums(system, [ConstantDrift(A, system) for A in drifts], range(4, 33, 4), 0)
-        for A, sums in zip(drifts, tables):
-            for n, v in sums.items():
+        cases = [(system, ConstantDrift(A, system)) for A in drifts]
+        for A, by_k in zip(drifts, _sums_by_system(cases, range(4, 33, 4), [0])):
+            for n, v in by_k[0].items():
                 target = A + log_word_count(system, n) / n
                 violations.append(abs(v / n - target))
 

@@ -54,6 +54,11 @@ def log_weighted_word_sums(system, potential, ns, k):
     return symbolic.log_weighted_word_tables(system, [potential], ns, [k])[0][0]
 
 
+def required_length(potential, n):
+    """Shortest word length on which phi_n is constant per cylinder."""
+    return n - 1 + symbolic._profile(potential).reach
+
+
 def cover_value(theta, xs, weights, n_steps, G, pick, step=1):
     """The arc cover value of one sample: the one-job case of ``theorems._cover_values``."""
     return theorems._cover_values([(theta, xs, weights, n_steps, G, pick, step)])[0]

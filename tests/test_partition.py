@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdim import partition, potentials, systems
+from pdim import logsum, partition, potentials, systems
 from pdim.logsum import logsumexp, logsumexp_segments
 from pdim.partition import (
     Estimator,
@@ -1812,6 +1812,87 @@ class TestGreedyBatches:
             assert any(total[0] <= block < total[1] for total in grown)
 
 
+def segment_cases(seed):
+    """Random (values, lengths) cases: segments of 1 to 300 values cross the
+    pairwise sum's blocks, with ties, -inf, inf and NaN."""
+    rng = np.random.default_rng([seed, 300])
+    cases = []
+    for trial in range(200):
+        lengths = rng.integers(1, 300, size=int(rng.integers(1, 9))).tolist()
+        values = rng.normal(scale=5.0, size=sum(lengths))
+        if trial % 3 == 0:
+            values = rng.integers(0, 3, size=len(values)).astype(float)
+        values[rng.random(len(values)) < 0.05] = -math.inf
+        cuts = np.cumsum([0] + lengths)
+        edit = rng.integers(0, len(lengths))
+        if trial % 4 == 1:
+            values[cuts[edit]:cuts[edit + 1]] = -math.inf
+        elif trial % 4 == 2:
+            values[cuts[edit]] = math.inf if trial % 8 == 2 else math.nan
+        cases.append((values, lengths))
+    return cases
+
+
+def row_cases():
+    """Six equal-length segments per case: plain, all tied, half -inf, all
+    -inf, one inf, one NaN; widths of 8 and 128 values and past them cross
+    the sum's block sizes."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for width in (1, 3, 8, 9, 128, 130):
+        rows = rng.normal(scale=3.0, size=(6, width))
+        rows[1] = rows[1].max()
+        rows[2, : width // 2 + 1] = -math.inf
+        rows[3] = -math.inf
+        rows[4, 0] = math.inf
+        rows[5, -1] = math.nan
+        cases.append((rows.ravel(), [width] * 6))
+    return cases
+
+
+def segments(values, lengths):
+    cuts = np.cumsum([0] + lengths)
+    return [values[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def scipy_agreement(segmented, one, cases):
+    """Per case, whether each segment's float from ``segmented`` over the
+    case, and from ``one`` on that segment alone, is scipy.special.logsumexp's."""
+    special = pytest.importorskip("scipy.special")
+    agree = []
+    for values, lengths in cases:
+        parts = segments(values, lengths)
+        want = hexes(special.logsumexp(part) for part in parts)
+        agree.append(hexes(segmented(values, lengths)) == want
+                     and hexes(map(one, parts)) == want)
+    return agree
+
+
+def logsumexp_segments_copy(find: str, replace: str):
+    """A copy of ``logsumexp_segments`` with ``find`` replaced once in its source."""
+    source = textwrap.dedent(inspect.getsource(logsum.logsumexp_segments))
+    assert not find or source.count(find) == 1
+    scope = dict(vars(logsum))
+    exec(compile(source.replace(find, replace), logsum.__file__, "exec"), scope)
+    return scope["logsumexp_segments"]
+
+
+CASE_SETS = [0, 1, 2, 3, "rows"]
+
+
+def cases_of(which):
+    """The cases of one entry of CASE_SETS: a seed's random cases, or the rows."""
+    return row_cases() if which == "rows" else segment_cases(which)
+
+
+def every_case():
+    return [case for which in CASE_SETS for case in cases_of(which)]
+
+
 class TestLogSumExp:
     def test_empty_and_all_minus_inf(self):
         assert logsumexp([]) == -math.inf
@@ -1829,49 +1910,38 @@ class TestLogSumExp:
         w = np.random.default_rng(seed).normal(scale=3.0, size=12)
         assert logsumexp(w) == pytest.approx(log_sum(w), abs=1e-12)
 
-
-    def test_rows_are_one_row_calls(self):
-        # a 2-D input reduces each row by the one-row formula: rows of 8 and
-        # 128 values and past them cross the sum's block sizes
-        rng = np.random.default_rng(11)
-        for width in (1, 3, 8, 9, 128, 130):
-            rows = rng.normal(scale=3.0, size=(6, width))
-            rows[1] = rows[1].max()  # every value tied
-            rows[2, : width // 2 + 1] = -math.inf
-            rows[3] = -math.inf
-            rows[4, 0] = math.inf
-            rows[5, -1] = math.nan
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = logsumexp(rows)
-            assert isinstance(got, list) and len(got) == 6
-            expect = [logsumexp(row) for row in rows]
-            assert [v.hex() for v in got] == [v.hex() for v in expect]
-        assert logsumexp(np.empty((2, 0))) == [-math.inf, -math.inf]
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_segments_are_one_segment_calls(self, seed):
-        # every segment's float is a call on it alone, where a running
-        # np.add.reduceat sum has other bits; segments of 1 to 300 values
-        # cross the pairwise sum's blocks, with ties, -inf, inf and NaN
-        rng = np.random.default_rng([seed, 300])
-        for trial in range(200):
-            lengths = rng.integers(1, 300, size=int(rng.integers(1, 9))).tolist()
-            values = rng.normal(scale=5.0, size=sum(lengths))
-            if trial % 3 == 0:
-                values = rng.integers(0, 3, size=len(values)).astype(float)
-            values[rng.random(len(values)) < 0.05] = -math.inf
-            cuts = np.cumsum([0] + lengths)
-            edit = rng.integers(0, len(lengths))
-            if trial % 4 == 1:
-                values[cuts[edit]:cuts[edit + 1]] = -math.inf
-            elif trial % 4 == 2:
-                values[cuts[edit]] = math.inf if trial % 8 == 2 else math.nan
+    @pytest.mark.parametrize("which", CASE_SETS)
+    def test_segments_are_one_segment_calls(self, which):
+        # every segment's float is that of a call on it alone, whatever the
+        # segments around it hold
+        for values, lengths in cases_of(which):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = logsumexp_segments(values, lengths)
-            want = [logsumexp(values[a:b]) for a, b in zip(cuts, cuts[1:])]
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+                want = [logsumexp(part) for part in segments(values, lengths)]
+            assert hexes(got) == hexes(want)
+
+    def test_matches_scipy_bit_for_bit(self):
+        # the one implementation against an independent one: segmented and
+        # one-dimensional inputs, with ties, -inf, inf and NaN
+        cases = every_case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agree = scipy_agreement(logsumexp_segments, logsumexp, cases)
+        assert agree == [True] * len(cases)
+
+    @pytest.mark.parametrize("find, replace", [
+        ("", ""),
+        ("np.array([terms[a:b].sum() for a, b in zip(heads, cuts[1:])])",
+         "np.add.reduceat(terms, heads)"),
+    ], ids=["as-is", "reduceat-sum"])
+    def test_copied_segments_with_fault_fail(self, find, replace):
+        # a running np.add.reduceat sum is consistent with itself, one
+        # segment or many, so only the scipy reference sees its other bits
+        copy = logsumexp_segments_copy(find, replace)
+        cases = every_case()
+        agree = scipy_agreement(copy, lambda part: copy(part, [len(part)])[0], cases)
+        assert all(agree) if not find else not all(agree)
 
 
 class TestCounts:

@@ -37,11 +37,10 @@ from pdim.symbolic import (
     log_weighted_word_sum,
     log_weighted_word_tables,
     log_word_count,
-    required_length,
 )
 from pdim.systems import SFT, BudgetExceededError, FullShift, golden_mean_sft, word_total
 
-from oneshot import admissible_words, log_weighted_word_sums
+from oneshot import admissible_words, log_weighted_word_sums, required_length
 
 
 def enumerate_sum(system, potential, n, length):
@@ -362,6 +361,7 @@ def no_sums(monkeypatch):
 
     monkeypatch.setattr("pdim.symbolic._log_matmul", boom)
     monkeypatch.setattr("pdim.symbolic.logsumexp", boom)
+    monkeypatch.setattr("pdim.symbolic.logsumexp_segments", boom)
     monkeypatch.setattr(FullShift, "word_rows", boom)
 
 
@@ -667,8 +667,8 @@ class TestBatchedTables:
 
     @pytest.mark.parametrize("system", BATCH_SYSTEMS + [FullShift(4)], ids=lambda s: s.label)
     def test_start_sums_are_the_start_rows_logsumexp(self, system):
-        # n = 1, k = 0 is each member's start-vector sum, from one row pass
-        # over the stacked start vectors: each equals logsumexp of its own
+        # n = 1, k = 0 is each member's start-vector sum, from one segmented
+        # pass over the stacked start vectors: each equals logsumexp of its own
         # start row, bit for bit.  The equal weights and the cocycle whose
         # matrices are all one tie every state at the maximum; 3 x 3
         # cocycles on 4 symbols give rows of 12 states
